@@ -255,13 +255,20 @@ def ingest_charts(
 
     Weeks between the file's minimum and maximum must each either appear
     in the file or be flagged missing; gaps that are neither are format
-    errors. Charts falling on missing weeks are kept (the store flags
-    them) but never enter windows.
+    errors, and so is a missing week outside that range, which would
+    stretch the study period. Charts falling on missing weeks are kept
+    (the store flags them) but never enter windows.
     """
     charts = read_chart_csv(chart_path)
     if charts:
         present = {c.week_index for c in charts}
         lo, hi = min(present), max(present)
+        stray = sorted(w for w in missing_weeks if not lo <= w <= hi)
+        if stray:
+            raise ChartFormatError(
+                f"{chart_path}: missing week {stray[0]} lies outside the charted "
+                f"week range {lo}..{hi}"
+            )
         gaps = [w for w in range(lo, hi + 1) if w not in present and w not in missing_weeks]
         if gaps:
             raise ChartFormatError(

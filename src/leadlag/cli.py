@@ -129,10 +129,7 @@ def _cmd_dyads(args: argparse.Namespace) -> int:
     windows = _windows_for(args, store)
     velocities = compute_all_velocities(windows)
     dyads = scan_dyads(
-        velocities,
-        min_samples=args.min_samples,
-        workers=args.workers,
-        lags=_parse_lags(args.lags),
+        velocities, min_samples=args.min_samples, lags=_parse_lags(args.lags)
     )
     path = _out_dir(args) / "dyads.json"
     save_dyads(path, dyads)
@@ -144,10 +141,11 @@ def _cmd_dyads(args: argparse.Namespace) -> int:
 def _cmd_graph(args: argparse.Namespace) -> int:
     dyads = load_dyads(args.dyads)
     graph = build_graph(dyads, alpha=args.alpha, bonferroni=args.bonferroni)
+    centrality = pagerank(graph)
     out = _out_dir(args)
     write_edge_csv(out / "edges.csv", graph)
-    write_dot(out / "graph.dot", graph)
-    write_graphml(out / "graph.graphml", graph)
+    write_dot(out / "graph.dot", graph, centrality)
+    write_graphml(out / "graph.graphml", graph, centrality)
     print(f"nodes: {len(graph.nodes)}")
     print(f"accepted edges: {len(graph.edges)}")
     print(f"wrote {out / 'edges.csv'}")
@@ -272,7 +270,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         min_samples=args.min_samples,
         lag_range=_parse_lags(args.lags),
         bonferroni=args.bonferroni,
-        workers=args.workers,
         emit_dot=not args.no_dot,
         emit_graphml=not args.no_graphml,
     )
@@ -307,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dyads", help="score every ordered city pair and cache results")
     _add_chart_args(p)
     p.add_argument("--min-samples", type=int, default=20)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--lags", default="1-5", help="lag weeks to scan, e.g. 1-5 or 1,3")
     _add_out_arg(p)
     p.set_defaults(func=_cmd_dyads)
@@ -360,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-samples", type=int, default=20)
     p.add_argument("--lags", default="1-5")
     p.add_argument("--bonferroni", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-dot", action="store_true")
     p.add_argument("--no-graphml", action="store_true")
     _add_out_arg(p)

@@ -158,25 +158,23 @@ def average_linkage(dist: DistanceMatrix) -> ClusterTree:
     last_height = 0.0
 
     while len(active) > 1:
-        ids = sorted(active)
-        best = None
-        for ai, i in enumerate(ids):
-            for j in ids[ai + 1 :]:
-                pair_key = tuple(sorted((min_label[i], min_label[j])))
-                cand = (d[i, j], pair_key)
-                if best is None or cand < best[:2]:
-                    best = (d[i, j], pair_key, i, j)
-        height, _, i, j = best
+        # With ids in label order, the row-major argmin over the upper
+        # triangle is the smallest distance, ties to the smallest label pair.
+        ids = sorted(active, key=min_label.get)
+        block = d[np.ix_(ids, ids)]
+        block[np.tril_indices(len(ids))] = np.inf
+        a, b = np.unravel_index(np.argmin(block), block.shape)
+        i, j = ids[a], ids[b]
+        height = d[i, j]
         if height < last_height - _HEIGHT_SLACK:
             raise RuntimeError("merge heights decreased; linkage update is broken")
         last_height = max(last_height, height)
 
-        first, second = (i, j) if min_label[i] <= min_label[j] else (j, i)
-        node = ClusterNode(height=float(height), left=active[first], right=active[second])
+        node = ClusterNode(height=float(height), left=active[i], right=active[j])
         merges.append(
             Merge(
-                left=frozenset(active[first].leaves()),
-                right=frozenset(active[second].leaves()),
+                left=frozenset(active[i].leaves()),
+                right=frozenset(active[j].leaves()),
                 height=float(height),
             )
         )
@@ -187,7 +185,6 @@ def average_linkage(dist: DistanceMatrix) -> ClusterTree:
                 sizes[i] + sizes[j]
             )
         sizes[i] += sizes[j]
-        min_label[i] = min(min_label[i], min_label[j])
         active[i] = node
         del active[j], sizes[j], min_label[j]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -51,12 +50,6 @@ class VelocitySeries:
 
     def has_week(self, week: int) -> bool:
         return week in self._row_of
-
-    def velocity(self, week: int) -> sparse.csr_matrix:
-        try:
-            return self.matrix.getrow(self._row_of[week])
-        except KeyError:
-            raise KeyError(f"no velocity at week {week} for {self.city_id!r}") from None
 
     @classmethod
     def from_vectors(
@@ -199,35 +192,23 @@ def best_dyad(
 def scan_dyads(
     series: Mapping[str, VelocitySeries],
     min_samples: int = DEFAULT_MIN_SAMPLES,
-    workers: int | None = None,
     lags: Sequence[int] | None = None,
 ) -> list[DyadResult]:
     """Score every ordered city pair, in deterministic (leader, follower) order.
 
-    Unavailable dyads are dropped. The scan is embarrassingly parallel;
-    passing workers > 1 fans it out over threads with identical output.
+    Unavailable dyads are dropped.
     """
     cities = sorted(series)
-    pairs = [
-        (leader, follower)
-        for leader in cities
-        for follower in cities
-        if leader != follower
-    ]
-
-    def score(pair: tuple[str, str]) -> DyadResult | None:
-        leader, follower = pair
-        try:
-            return best_dyad(series[follower], series[leader], min_samples, lags)
-        except DyadUnavailable:
-            return None
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scored = list(pool.map(score, pairs))
-    else:
-        scored = [score(p) for p in pairs]
-    return [r for r in scored if r is not None]
+    dyads = []
+    for leader in cities:
+        for follower in cities:
+            if leader == follower:
+                continue
+            try:
+                dyads.append(best_dyad(series[follower], series[leader], min_samples, lags))
+            except DyadUnavailable:
+                pass
+    return dyads
 
 
 def save_dyads(path: str | Path, dyads: Iterable[DyadResult]) -> None:

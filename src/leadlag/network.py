@@ -273,16 +273,6 @@ def _exact_min_fas_order(w: np.ndarray) -> list[int]:
     return list(reversed(order_rev))
 
 
-def _backward_weight(order: Sequence[int], w: np.ndarray) -> float:
-    pos = {v: i for i, v in enumerate(order)}
-    total = 0.0
-    for src in order:
-        for dst in order:
-            if pos[src] > pos[dst]:
-                total += w[src, dst]
-    return total
-
-
 def _greedy_fas_order(w: np.ndarray) -> list[int]:
     """Sink/source peeling plus best-position reinsertion sweeps."""
     n = w.shape[0]
@@ -329,42 +319,33 @@ def _greedy_fas_order(w: np.ndarray) -> list[int]:
                 running += w[v, u] - w[u, v]
                 costs.append(running)
             k = int(np.argmin(costs))
-            candidate = rest[:k] + [v] + rest[k:]
-            if _backward_weight(candidate, w) < _backward_weight(order, w) - 1e-15:
-                order = candidate
+            # Edges not touching v keep their direction, so the change in
+            # backward weight is the change in v's own cost.
+            if costs[k] < costs[order.index(v)] - 1e-15:
+                order = rest[:k] + [v] + rest[k:]
                 improved = True
         if not improved:
             break
     return order
 
 
-def _toposort_check(nodes: Sequence[str], edges: Iterable[Edge]) -> None:
-    """Kahn's algorithm; raises if any cycle survives."""
-    indeg = {v: 0 for v in nodes}
-    out: dict[str, list[str]] = {v: [] for v in nodes}
-    for e in edges:
-        out[e.follower].append(e.leader)
-        indeg[e.leader] += 1
-    queue = [v for v in nodes if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for u in out[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                queue.append(u)
-    if seen != len(indeg):
-        raise RuntimeError("feedback arc set removal left a cycle")
+def _strong_components(
+    graph: LeadershipGraph, edges: Sequence[Edge]
+) -> tuple[int, np.ndarray]:
+    """Strongly connected components of graph.nodes joined by edges."""
+    index = {c: i for i, c in enumerate(graph.nodes)}
+    n = len(graph.nodes)
+    rows = [index[e.follower] for e in edges]
+    cols = [index[e.leader] for e in edges]
+    adj = sparse.csr_matrix((np.ones(len(edges)), (rows, cols)), shape=(n, n))
+    return connected_components(adj, directed=True, connection="strong")
 
 
-def feedback_arc_set(
-    graph: LeadershipGraph, exact_threshold: int = EXACT_FAS_MAX_NODES
-) -> AcyclicityReport:
+def feedback_arc_set(graph: LeadershipGraph) -> AcyclicityReport:
     """Minimum-weight edge set whose removal leaves the graph acyclic.
 
     The graph splits into strongly connected components first; cycles
-    never cross components. Components up to exact_threshold nodes are
+    never cross components. Components up to EXACT_FAS_MAX_NODES nodes are
     solved exactly by subset DP, larger ones by a peeling heuristic with
     reinsertion sweeps, and the report says which kind of answer it is.
     The removed set is re-verified acyclic on every call.
@@ -373,19 +354,8 @@ def feedback_arc_set(
     if not graph.edges:
         return AcyclicityReport(0.0, 0.0, 0.0, (), True)
 
-    index = {c: i for i, c in enumerate(graph.nodes)}
     n = len(graph.nodes)
-    adj = sparse.csr_matrix(
-        (
-            np.ones(len(graph.edges)),
-            (
-                [index[e.follower] for e in graph.edges],
-                [index[e.leader] for e in graph.edges],
-            ),
-        ),
-        shape=(n, n),
-    )
-    n_comp, labels = connected_components(adj, directed=True, connection="strong")
+    n_comp, labels = _strong_components(graph, graph.edges)
 
     removed: list[Edge] = []
     exact = True
@@ -402,7 +372,7 @@ def feedback_arc_set(
             continue
         local_nodes = sorted(member_names)
         w = _weight_matrix(local_nodes, comp_edges)
-        if len(local_nodes) <= exact_threshold:
+        if len(local_nodes) <= EXACT_FAS_MAX_NODES:
             order = _exact_min_fas_order(w)
         else:
             order = _greedy_fas_order(w)
@@ -413,7 +383,11 @@ def feedback_arc_set(
     removed.sort(key=lambda e: (e.follower, e.leader))
     removed_set = set(removed)
     fas_weight = math.fsum(e.weight for e in removed)
-    _toposort_check(graph.nodes, [e for e in graph.edges if e not in removed_set])
+    kept = [e for e in graph.edges if e not in removed_set]
+    # Without self-loops a digraph is acyclic iff every node is its own
+    # strongly connected component.
+    if _strong_components(graph, kept)[0] != n:
+        raise RuntimeError("feedback arc set removal left a cycle")
     percent = 100.0 * fas_weight / total if total > 0 else 0.0
     return AcyclicityReport(
         total_weight=total,

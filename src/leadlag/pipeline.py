@@ -64,7 +64,6 @@ class RunConfig:
     min_samples: int = 20
     lag_range: tuple[int, ...] = LAGS
     bonferroni: bool = False
-    workers: int = 1
     emit_dot: bool = True
     emit_graphml: bool = True
 
@@ -80,8 +79,6 @@ class RunConfig:
                 raise ValueError(
                     f"lag_range entries must be in [{MIN_LAG}, {MAX_LAG}], got {lag}"
                 )
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.genre_id is not None and self.genre_path is None:
             raise ValueError("genre_id given without a genre catalog file")
         if self.city_subset is not None and not self.city_subset:
@@ -144,10 +141,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     windows = build_windows(store, catalog, config.genre_id)
     velocities = compute_all_velocities(windows)
     dyads = scan_dyads(
-        velocities,
-        min_samples=config.min_samples,
-        workers=config.workers,
-        lags=config.lag_range,
+        velocities, min_samples=config.min_samples, lags=config.lag_range
     )
     artifacts["dyads"] = out / "dyads.json"
     save_dyads(artifacts["dyads"], dyads)

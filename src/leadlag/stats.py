@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 __all__ = [
     "DegenerateSampleError",
     "UndefinedCorrelationError",
@@ -157,19 +159,10 @@ def paired_ttest(xs: Sequence[float], ys: Sequence[float]) -> TestResult:
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
     """1-based ranks; tied values share the average of their positions."""
-    n = len(values)
-    order = sorted(range(n), key=lambda i: values[i])
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        rank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = rank
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # A group of c ties ending at 1-based position p shares rank p - (c - 1) / 2.
+    ranks = np.cumsum(counts) - (counts - 1) / 2.0
+    return ranks[inverse].tolist()
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> SpearmanResult:

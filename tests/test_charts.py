@@ -113,6 +113,14 @@ def test_week_gap_needs_missing_flag(tmp_path):
     assert len(charts) == 3
 
 
+def test_missing_week_outside_charted_range_rejected(tmp_path):
+    rows = [(0, "c", "a", 1), (1, "c", "a", 1), (3, "c", "a", 1)]
+    path = chart_file(tmp_path, rows)
+    for stray in (4, 5000):
+        with pytest.raises(ChartFormatError, match=f"missing week {stray} lies outside"):
+            ingest_charts(path, missing_weeks=frozenset({2, stray}))
+
+
 def test_window_sums_weekly_counts(tmp_path):
     rows = [
         (0, "c", "a", 10),

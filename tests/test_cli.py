@@ -176,8 +176,6 @@ class TestRunPipeline:
             base_config(synth_inputs, tmp_path, lag_range=())
         with pytest.raises(ValueError, match="lag_range"):
             base_config(synth_inputs, tmp_path, lag_range=(0, 1))
-        with pytest.raises(ValueError, match="workers"):
-            base_config(synth_inputs, tmp_path, workers=0)
         with pytest.raises(ValueError, match="genre_id"):
             base_config(synth_inputs, tmp_path, genre_id="indie")
 
@@ -279,6 +277,17 @@ class TestCliCommands:
         assert "pagerank" in pr_out
         assert "c00" in pr_out
         assert (out / "centrality.json").exists()
+
+    def test_graph_reproduces_run_exports(self, synth_inputs, tmp_path, capsys):
+        run_dir = tmp_path / "full"
+        stage_dir = tmp_path / "stage"
+        chart_args = ["--charts", synth_inputs["charts"], "--missing", synth_inputs["missing"]]
+        assert main(["run", *chart_args, "--out", str(run_dir)]) == 0
+        dyads = str(run_dir / "dyads.json")
+        assert main(["graph", "--dyads", dyads, "--out", str(stage_dir)]) == 0
+        for name in ("edges.csv", "graph.dot", "graph.graphml"):
+            assert (stage_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+        capsys.readouterr()
 
     def test_fas_reports_cycle_weight(self, tmp_path, capsys):
         graph = LeadershipGraph(
@@ -398,6 +407,13 @@ class TestCliErrors:
         )
         assert code == 1
         assert "alpha" in capsys.readouterr().err
+
+    def test_stray_missing_week_exit_code(self, synth_inputs, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        missing.write_text("10\n5000\n")
+        code = main(["ingest", "--charts", synth_inputs["charts"], "--missing", str(missing)])
+        assert code == 1
+        assert "5000" in capsys.readouterr().err
 
     def test_io_exit_code(self, tmp_path, capsys):
         code = main(["ingest", "--charts", str(tmp_path / "absent.csv")])

@@ -259,6 +259,27 @@ def test_fas_large_single_component_uses_heuristic():
     # One wrap-around heavy edge plus one light chord is the obvious floor.
     assert report.percent_removed < 50.0
 
+    # Random strongly connected digraphs: a Hamiltonian cycle plus chords.
+    rng = np.random.default_rng(20)
+    for n in range(21, 29):
+        cycle = rng.permutation(n)
+        pairs = {(int(cycle[i]), int(cycle[(i + 1) % n])) for i in range(n)}
+        while len(pairs) < 3 * n:
+            u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+            pairs.add((u, v))
+        weighted = [(u, v, rng.uniform(0.01, 1.0)) for u, v in sorted(pairs)]
+        graph = graph_from(n, weighted)
+        report = feedback_arc_set(graph)
+        assert not report.exact
+        removed = set(report.removed_edges)
+        kept = [
+            (int(e.follower[1:]), int(e.leader[1:]))
+            for e in graph.edges
+            if e not in removed
+        ]
+        assert _is_acyclic(n, kept)
+        assert report.fas_weight == math.fsum(e.weight for e in report.removed_edges)
+
 
 def test_fas_decomposes_by_component():
     # Two disjoint 2-cycles and a bridge; only cycle-internal edges count.
