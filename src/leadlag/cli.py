@@ -168,7 +168,7 @@ def _cmd_pagerank(args: argparse.Namespace) -> int:
     graph = _graph_from_edge_csv(args.edges)
     report = pagerank(graph)
     ranked = sorted(report.pagerank, key=lambda c: (-report.pagerank[c], c))
-    width = max(len(c) for c in ranked)
+    width = max((len(c) for c in ranked), default=0)
     print(f"{'city'.ljust(width)}  {'pagerank':>10}  {'in-degree':>10}")
     for city in ranked:
         print(

@@ -10,12 +10,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import re
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
 from xml.etree import ElementTree as ET
 
+from .lagcorr import MAX_LAG, MIN_LAG
 from .network import (
     AcyclicityReport,
     CentralityReport,
@@ -52,7 +54,9 @@ def write_edge_csv(path: str | Path, graph: LeadershipGraph) -> None:
 
 
 def read_edge_csv(path: str | Path) -> list[Edge]:
+    """Parse write_edge_csv output, rejecting rows it never writes."""
     edges: list[Edge] = []
+    seen: set[tuple[str, str]] = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -70,18 +74,31 @@ def read_edge_csv(path: str | Path) -> list[Edge]:
             follower, leader, weight_text, lag_text = row
             if not follower or not leader:
                 raise ExportFormatError(f"{path}:{lineno}: empty city id")
+            if (follower, leader) in seen:
+                raise ExportFormatError(
+                    f"{path}:{lineno}: duplicate edge {follower!r} -> {leader!r}"
+                )
+            seen.add((follower, leader))
             try:
                 weight = float(weight_text)
             except ValueError:
                 raise ExportFormatError(
                     f"{path}:{lineno}: bad weight {weight_text!r}"
                 ) from None
+            if not (math.isfinite(weight) and weight > 0):
+                raise ExportFormatError(
+                    f"{path}:{lineno}: weight must be finite and positive, got {weight_text!r}"
+                )
             try:
                 lag = int(lag_text)
             except ValueError:
                 raise ExportFormatError(
                     f"{path}:{lineno}: bad lag {lag_text!r}"
                 ) from None
+            if not MIN_LAG <= lag <= MAX_LAG:
+                raise ExportFormatError(
+                    f"{path}:{lineno}: lag must be in {MIN_LAG}..{MAX_LAG}, got {lag}"
+                )
             edges.append(Edge(follower, leader, weight, lag))
     return edges
 

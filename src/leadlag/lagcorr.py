@@ -72,7 +72,10 @@ class LagSample:
 
 @dataclass(frozen=True)
 class DyadResult:
-    """Outcome of the lag scan for one ordered (follower, leader) pair."""
+    """Outcome of the lag scan for one ordered (follower, leader) pair.
+
+    `per_lag_samples` holds only `best_lag`, the one lag ever tested.
+    """
 
     leader_candidate: str
     follower_candidate: str
@@ -162,19 +165,16 @@ def best_dyad(
     scan = LAGS if lags is None else tuple(sorted(set(lags)))
     if not scan:
         raise ValueError("lags must be non-empty")
-    per_lag = {
-        lag: tuple(lagged_samples(follower, leader, lag)) for lag in scan
-    }
     best_lag = None
     best_mean = -math.inf
+    best_samples: tuple[LagSample, ...] = ()
     for lag in scan:
-        samples = per_lag[lag]
+        samples = tuple(lagged_samples(follower, leader, lag))
         if len(samples) < min_samples:
             continue
         mean = math.fsum(s.value for s in samples) / len(samples)
         if mean > best_mean:
-            best_lag = lag
-            best_mean = mean
+            best_lag, best_mean, best_samples = lag, mean, samples
     if best_lag is None:
         raise DyadUnavailable(
             f"no lag of {follower.city_id!r} -> {leader.city_id!r} "
@@ -183,7 +183,7 @@ def best_dyad(
     return DyadResult(
         leader_candidate=leader.city_id,
         follower_candidate=follower.city_id,
-        per_lag_samples=per_lag,
+        per_lag_samples={best_lag: best_samples},
         best_lag=best_lag,
         correlation=best_mean,
     )
@@ -221,8 +221,7 @@ def save_dyads(path: str | Path, dyads: Iterable[DyadResult]) -> None:
                 "best_lag": d.best_lag,
                 "correlation": d.correlation,
                 "samples": {
-                    str(lag): [[s.follower_week, s.value] for s in d.per_lag_samples[lag]]
-                    for lag in sorted(d.per_lag_samples)
+                    str(d.best_lag): [[s.follower_week, s.value] for s in d.best_samples()]
                 },
             }
             for d in sorted(
@@ -231,27 +230,26 @@ def save_dyads(path: str | Path, dyads: Iterable[DyadResult]) -> None:
         ]
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_dyads(path: str | Path) -> list[DyadResult]:
+    """Read a save_dyads cache; caches holding every lag load the same."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     dyads = []
     for item in payload["dyads"]:
-        per_lag = {
-            int(lag): tuple(
-                LagSample(int(week), int(lag), float(value)) for week, value in pairs
-            )
-            for lag, pairs in item["samples"].items()
-        }
+        lag = int(item["best_lag"])
+        samples = tuple(
+            LagSample(int(week), lag, float(value))
+            for week, value in item["samples"][str(lag)]
+        )
         dyads.append(
             DyadResult(
                 leader_candidate=item["leader"],
                 follower_candidate=item["follower"],
-                per_lag_samples=per_lag,
-                best_lag=int(item["best_lag"]),
+                per_lag_samples={lag: samples},
+                best_lag=lag,
                 correlation=float(item["correlation"]),
             )
         )

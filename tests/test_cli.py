@@ -301,6 +301,14 @@ class TestCliCommands:
         assert "25.0%" in out
         assert "exact" in out
 
+    def test_pagerank_of_edgeless_graph(self, tmp_path, capsys):
+        path = tmp_path / "edges.csv"
+        write_edge_csv(path, LeadershipGraph(nodes=(), edges=()))
+        assert main(["pagerank", "--edges", str(path), "--out", str(tmp_path)]) == 0
+        assert "pagerank" in capsys.readouterr().out
+        report = read_centrality_json(tmp_path / "centrality.json")
+        assert report.pagerank == {} and report.weighted_in_degree == {}
+
     def test_cluster_writes_dendrogram(self, synth_inputs, tmp_path, capsys):
         out = tmp_path / "clust"
         code = main(
@@ -414,6 +422,13 @@ class TestCliErrors:
         code = main(["ingest", "--charts", synth_inputs["charts"], "--missing", str(missing)])
         assert code == 1
         assert "5000" in capsys.readouterr().err
+
+    def test_malformed_edge_csv_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "edges.csv"
+        path.write_text("follower,leader,weight,lag_weeks\nb,a,nan,2\n")
+        for command in ("fas", "pagerank"):
+            assert main([command, "--edges", str(path)]) == 1
+            assert f"{path}:2:" in capsys.readouterr().err
 
     def test_io_exit_code(self, tmp_path, capsys):
         code = main(["ingest", "--charts", str(tmp_path / "absent.csv")])

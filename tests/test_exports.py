@@ -80,6 +80,26 @@ class TestEdgeCsv:
         with pytest.raises(ExportFormatError, match=":2:"):
             read_edge_csv(path)
 
+    def test_duplicate_pair(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("follower,leader,weight,lag_weeks\nb,a,0.5,2\nb,a,0.5,2\n")
+        with pytest.raises(ExportFormatError, match=r":3: duplicate"):
+            read_edge_csv(path)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0.0", "-0.25"])
+    def test_weight_not_finite_and_positive(self, tmp_path, weight):
+        path = tmp_path / "edges.csv"
+        path.write_text(f"follower,leader,weight,lag_weeks\nb,a,{weight},2\n")
+        with pytest.raises(ExportFormatError, match=r":2: weight"):
+            read_edge_csv(path)
+
+    @pytest.mark.parametrize("lag", ["0", "6", "9", "-1"])
+    def test_lag_out_of_range(self, tmp_path, lag):
+        path = tmp_path / "edges.csv"
+        path.write_text(f"follower,leader,weight,lag_weeks\nb,a,0.5,{lag}\n")
+        with pytest.raises(ExportFormatError, match=r":2: lag"):
+            read_edge_csv(path)
+
 
 class TestPopulations:
     def test_round_trip(self, tmp_path, populations):

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leadlag.lagcorr import (
+    LAGS,
     DyadResult,
     DyadUnavailable,
     LagSample,
@@ -18,6 +21,7 @@ from leadlag.lagcorr import (
     save_dyads,
     scan_dyads,
 )
+from leadlag.network import build_graph
 
 from helpers import normalized_windows, store_from_cells
 
@@ -165,7 +169,7 @@ def test_best_dyad_argmax():
     assert result.correlation == pytest.approx(0.03, abs=1e-15)
     assert result.leader_candidate == "L"
     assert result.follower_candidate == "F"
-    assert set(result.per_lag_samples) == {1, 2, 3, 4, 5}
+    assert set(result.per_lag_samples) == {result.best_lag}
 
 
 def test_best_dyad_tie_breaks_to_smallest_lag():
@@ -273,8 +277,51 @@ def test_dyad_cache_round_trip(tmp_path):
     result = best_dyad(follower, leader)
     path = tmp_path / "dyads.json"
     save_dyads(path, [result])
+    [item] = json.loads(path.read_text())["dyads"]
+    assert list(item["samples"]) == [str(result.best_lag)]
     loaded = load_dyads(path)
     assert loaded == [result]
+
+
+def test_cache_holding_every_lag_still_loads(tmp_path):
+    # Caches used to store every scanned lag's samples, indented.
+    rng = np.random.default_rng(11)
+    base = {w: rng.normal(size=6) * 0.2 for w in range(60)}
+    series = {
+        city: VelocitySeries.from_vectors(
+            city, {w + 2 * k: v + rng.normal(size=6) * 0.05 for w, v in base.items()}
+        )
+        for k, city in enumerate(("a", "b", "c"))
+    }
+    scanned = scan_dyads(series)
+    payload = {
+        "dyads": [
+            {
+                "leader": d.leader_candidate,
+                "follower": d.follower_candidate,
+                "best_lag": d.best_lag,
+                "correlation": d.correlation,
+                "samples": {
+                    str(lag): [
+                        [s.follower_week, s.value]
+                        for s in lagged_samples(
+                            series[d.follower_candidate], series[d.leader_candidate], lag
+                        )
+                    ]
+                    for lag in LAGS
+                },
+            }
+            for d in scanned
+        ]
+    }
+    path = tmp_path / "dyads.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    loaded = load_dyads(path)
+    assert loaded == scanned
+    for alpha in (0.05, 0.01, 0.001):
+        graph = build_graph(loaded, alpha=alpha)
+        assert graph.edges
+        assert graph == build_graph(scanned, alpha=alpha)
 
 
 def test_dyad_cache_is_deterministic(tmp_path):

@@ -21,16 +21,15 @@ from oracles import _is_acyclic, brute_force_fas_weight, dense_pagerank
 
 
 def dyad(follower, leader, values, lag=1, weeks=None):
-    """Hand-built scan result with a single populated lag."""
+    """Hand-built scan result holding only its best lag, as best_dyad does."""
     if weeks is None:
         weeks = range(len(values))
     samples = tuple(LagSample(w, lag, float(v)) for w, v in zip(weeks, values))
-    per_lag = {l: (samples if l == lag else ()) for l in range(1, 6)}
     corr = math.fsum(values) / len(values)
     return DyadResult(
         leader_candidate=leader,
         follower_candidate=follower,
-        per_lag_samples=per_lag,
+        per_lag_samples={lag: samples},
         best_lag=lag,
         correlation=corr,
     )
