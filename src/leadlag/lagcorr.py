@@ -196,18 +196,72 @@ def scan_dyads(
 ) -> list[DyadResult]:
     """Score every ordered city pair, in deterministic (leader, follower) order.
 
-    Unavailable dyads are dropped.
+    Gives, bit for bit, the `best_dyad` of every pair that has one. All
+    velocity rows are stacked once; per leader and lag, one row gather per
+    side and one sparse product per path group score every follower.
+    Rejects the arguments `best_dyad` rejects, for any number of cities.
     """
-    cities = sorted(series)
+    if min_samples < 2:
+        raise ValueError(f"min_samples must be at least 2, got {min_samples}")
+    scan = LAGS if lags is None else tuple(sorted(set(lags)))
+    if not scan:
+        raise ValueError("lags must be non-empty")
+    for lag in scan:
+        if not MIN_LAG <= lag <= MAX_LAG:
+            raise ValueError(f"lag must be in {MIN_LAG}..{MAX_LAG}, got {lag}")
+    present = [series[c] for c in sorted(series) if len(series[c])]
+    if len(present) < 2:
+        return []
+    stack = sparse.vstack([s.matrix for s in present], format="csr")
+    week_of_row = [w for s in present for w in s.weeks]
+    weeks = np.array(week_of_row, dtype=np.int64)
+    owner = np.repeat(np.arange(len(present)), [len(s) for s in present])
+    # scipy multiplies two CSR operands by a sorted merge only when every
+    # row of both has strictly increasing column indices, and otherwise
+    # emits each row's products in another order, which `sum` then rounds
+    # differently. A pair's samples match `lagged_samples` only if they go
+    # through the path its own rows select, so each batch is split into
+    # the pairs whose gathered rows are all sorted and all other pairs.
+    entry_row = np.repeat(np.arange(len(weeks)), np.diff(stack.indptr))
+    step_back = (np.diff(stack.indices) <= 0) & (entry_row[1:] == entry_row[:-1])
+    row_sorted = np.bincount(entry_row[1:][step_back], minlength=len(weeks)) == 0
+    # Leader row by week, offset so that week - lag never indexes below 0.
+    base = int(weeks.min()) - MAX_LAG
+    span = int(weeks.max()) - base + 1
+
     dyads = []
-    for leader in cities:
-        for follower in cities:
-            if leader == follower:
-                continue
-            try:
-                dyads.append(best_dyad(series[follower], series[leader], min_samples, lags))
-            except DyadUnavailable:
-                pass
+    for li, leader in enumerate(present):
+        mine = owner == li
+        leader_row = np.full(span, -1)
+        leader_row[weeks[mine] - base] = np.flatnonzero(mine)
+        per_lag = []
+        for lag in scan:
+            l_rows = leader_row[weeks - lag - base]
+            f_rows = np.flatnonzero((l_rows >= 0) & ~mine)
+            l_rows, pair_of = l_rows[f_rows], owner[f_rows]
+            unsorted = ~(row_sorted[f_rows] & row_sorted[l_rows])
+            general = np.bincount(pair_of, unsorted, len(present))[pair_of] > 0
+            values = np.empty(len(f_rows))
+            for group in (general, ~general):
+                a, b = stack[f_rows[group]], stack[l_rows[group]]
+                values[group] = np.asarray(a.multiply(b).sum(axis=1)).ravel()
+            bounds = np.searchsorted(pair_of, np.arange(len(present) + 1)).tolist()
+            per_lag.append((lag, f_rows, values.tolist(), bounds))
+        for fi, follower in enumerate(present):
+            best, best_mean = None, -math.inf
+            for lag, f_rows, values, bounds in per_lag:
+                s, e = bounds[fi], bounds[fi + 1]
+                if e - s < min_samples:
+                    continue
+                mean = math.fsum(values[s:e]) / (e - s)
+                if mean > best_mean:
+                    best, best_mean = (lag, f_rows[s:e].tolist(), values[s:e]), mean
+            if best is not None:
+                lag, rows, values = best
+                samples = tuple(LagSample(week_of_row[r], lag, v) for r, v in zip(rows, values))
+                dyads.append(DyadResult(
+                    leader.city_id, follower.city_id, {lag: samples}, lag, best_mean
+                ))
     return dyads
 
 

@@ -475,6 +475,31 @@ class TestCliErrors:
         assert code == 1
         assert "lag" in capsys.readouterr().err
 
+    def test_bad_scan_arguments_with_one_city(self, synth_inputs, tmp_path, capsys):
+        for flag, value, message in (
+            ("--lags", "9", "lag must be in 1..5, got 9"),
+            ("--min-samples", "0", "min_samples must be at least 2, got 0"),
+        ):
+            out = tmp_path / flag.strip("-")
+            code = main(
+                [
+                    "dyads",
+                    "--charts",
+                    synth_inputs["charts"],
+                    "--missing",
+                    synth_inputs["missing"],
+                    "--cities",
+                    "c00",
+                    flag,
+                    value,
+                    "--out",
+                    str(out),
+                ]
+            )
+            assert code == 1
+            assert message in capsys.readouterr().err
+            assert not (out / "dyads.json").exists()
+
     def test_output_dir_env_default(self, synth_inputs, tmp_path, monkeypatch, capsys):
         target = tmp_path / "from_env"
         monkeypatch.setenv("LEADLAG_OUTPUT_DIR", str(target))

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from leadlag.charts import ArtistUniverse, ChartStore
 from leadlag.lagcorr import (
     LAGS,
     DyadResult,
@@ -22,6 +24,8 @@ from leadlag.lagcorr import (
     scan_dyads,
 )
 from leadlag.network import build_graph
+from leadlag.pipeline import build_windows
+from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
 
 from helpers import normalized_windows, store_from_cells
 
@@ -184,6 +188,8 @@ def test_all_zero_velocities_pick_lag_one():
     result = best_dyad(series, other)
     assert result.best_lag == 1
     assert result.correlation == 0.0
+    scanned = scan_dyads({"a": series, "b": other})
+    assert [(d.best_lag, d.correlation) for d in scanned] == [(1, 0.0), (1, 0.0)]
 
 
 def test_too_few_samples_unavailable():
@@ -198,7 +204,7 @@ def test_min_samples_floor():
         best_dyad(follower, leader, min_samples=1)
 
 
-def test_scan_is_ordered_and_worker_invariant():
+def test_scan_is_ordered():
     rng = np.random.default_rng(5)
     series = {
         name: VelocitySeries.from_vectors(
@@ -221,6 +227,117 @@ def test_scan_drops_unavailable_dyads():
         "tiny": VelocitySeries.from_vectors("tiny", {0: np.ones(3)}),
     }
     assert scan_dyads(series, min_samples=5) == []
+
+
+def per_pair_scan(series, min_samples=20, lags=None):
+    """The oracle: best_dyad over every ordered pair, unavailable ones dropped."""
+    dyads = []
+    for leader in sorted(series):
+        for follower in sorted(series):
+            if leader == follower:
+                continue
+            try:
+                dyads.append(best_dyad(series[follower], series[leader], min_samples, lags))
+            except DyadUnavailable:
+                pass
+    return dyads
+
+
+def has_unsorted_row(matrix):
+    bounds = zip(matrix.indptr[:-1], matrix.indptr[1:])
+    return any((np.diff(matrix.indices[a:b]) <= 0).any() for a, b in bounds)
+
+
+def with_reversed_rows(series, rows):
+    """Same velocities, with the column indices of `rows` stored in reverse."""
+    m = series.matrix
+    indices, data = m.indices.copy(), m.data.copy()
+    for r in rows:
+        span = slice(m.indptr[r], m.indptr[r + 1])
+        indices[span], data[span] = indices[span][::-1], data[span][::-1]
+    matrix = sparse.csr_matrix((data, indices, m.indptr.copy()), shape=m.shape)
+    return VelocitySeries(series.city_id, series.weeks, matrix)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cities=st.integers(2, 5),
+    lags=st.one_of(st.none(), st.sets(st.integers(1, 5), min_size=1)),
+    min_samples=st.integers(2, 30),
+    reversed_shares=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=5, max_size=5),
+)
+@settings(max_examples=80, deadline=None)
+def test_scan_matches_per_pair_oracle(seed, n_cities, lags, min_samples, reversed_shares):
+    rng = np.random.default_rng(seed)
+    horizon, dim = 48, 9
+    missing = set(rng.choice(horizon, size=int(rng.integers(0, 6)), replace=False).tolist())
+    series = {}
+    for k in range(n_cities):
+        # Each city is inactive over one stretch of weeks, possibly empty.
+        off = int(rng.integers(0, horizon))
+        stop = off + int(rng.integers(0, 15))
+        vectors = {}
+        for w in range(horizon):
+            if w in missing or off <= w < stop:
+                continue
+            vec = rng.normal(size=dim) * 10.0 ** rng.integers(-3, 1, size=dim)
+            vec[rng.random(dim) < 0.3] = 0.0
+            vectors[w] = vec
+        city = VelocitySeries.from_vectors(f"c{k}", vectors)
+        # Pairs of cities with and without reversed rows share each batch.
+        flip = np.flatnonzero(rng.random(len(city)) < reversed_shares[k])
+        series[city.city_id] = with_reversed_rows(city, flip)
+    got = scan_dyads(series, min_samples, lags)
+    assert repr(got) == repr(per_pair_scan(series, min_samples, lags))
+
+
+def test_scan_matches_oracle_on_synth_velocities():
+    config = SynthConfig(n_artists=40, n_weeks=60, seed=0, missing_weeks=frozenset({25}))
+    charts = generate_charts(chain_hierarchy(8), config)
+    universe = ArtistUniverse(a for c in charts for a, _ in c.entries)
+    store = ChartStore(charts, universe, config.missing_weeks)
+    series = compute_all_velocities(build_windows(store))
+    # Velocities of real windows store many rows unsorted, unlike from_vectors.
+    assert any(has_unsorted_row(s.matrix) for s in series.values())
+    got = scan_dyads(series)
+    assert len(got) == 56
+    assert repr(got) == repr(per_pair_scan(series))
+
+
+def test_scan_skips_city_without_velocities():
+    rng = np.random.default_rng(5)
+    series = {
+        name: VelocitySeries.from_vectors(
+            name, {w: rng.normal(size=4) * 0.2 for w in range(30)}
+        )
+        for name in ("u", "w")
+    }
+    series["v"] = VelocitySeries.from_vectors("v", {})
+    got = scan_dyads(series)
+    assert len(got) == 2
+    assert repr(got) == repr(per_pair_scan(series))
+
+
+def test_scan_of_fewer_than_two_cities_is_empty():
+    lone = VelocitySeries.from_vectors("a", {w: np.ones(2) for w in range(30)})
+    assert scan_dyads({}) == []
+    assert scan_dyads({"a": lone}) == []
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"min_samples": 1}, "min_samples must be at least 2, got 1"),
+        ({"lags": ()}, "lags must be non-empty"),
+        ({"lags": (2, 9)}, "lag must be in 1..5, got 9"),
+        ({"lags": (0, 1)}, "lag must be in 1..5, got 0"),
+    ],
+)
+def test_scan_rejects_bad_arguments_for_any_city_count(kwargs, message):
+    pair = {c: VelocitySeries.from_vectors(c, {w: np.ones(2) for w in range(30)}) for c in "ab"}
+    for series in ({}, {"a": pair["a"]}, pair):
+        with pytest.raises(ValueError, match=message):
+            scan_dyads(series, **kwargs)
 
 
 def test_time_reversal_swaps_roles():
