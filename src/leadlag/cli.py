@@ -27,8 +27,8 @@ from .exports import (
     write_graphml,
     write_populations,
 )
-from .lagcorr import LAGS, MAX_LAG, MIN_LAG, load_dyads, save_dyads, scan_dyads, compute_all_velocities
-from .network import LeadershipGraph, build_graph, feedback_arc_set, pagerank
+from .lagcorr import DEFAULT_MIN_SAMPLES, compute_all_velocities, load_dyads, save_dyads, scan_dyads
+from .network import DEFAULT_ALPHA, LeadershipGraph, build_graph, feedback_arc_set, pagerank
 from .pipeline import RunConfig, build_windows, restrict_to_cities, run_pipeline
 from .synth import generate_charts, load_hierarchy, load_synth_config, shuffle_null
 
@@ -303,14 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dyads", help="score every ordered city pair and cache results")
     _add_chart_args(p)
-    p.add_argument("--min-samples", type=int, default=20)
+    p.add_argument("--min-samples", type=int, default=DEFAULT_MIN_SAMPLES)
     p.add_argument("--lags", default="1-5", help="lag weeks to scan, e.g. 1-5 or 1,3")
     _add_out_arg(p)
     p.set_defaults(func=_cmd_dyads)
 
     p = sub.add_parser("graph", help="run edge acceptance over a cached dyad scan")
     p.add_argument("--dyads", required=True, help="dyads.json from the dyads stage")
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--bonferroni", action="store_true")
     _add_out_arg(p)
     p.set_defaults(func=_cmd_graph)
@@ -352,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline: ingest through exports")
     _add_chart_args(p)
     p.add_argument("--populations", help="populations CSV (city,population)")
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--min-samples", type=int, default=20)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--min-samples", type=int, default=DEFAULT_MIN_SAMPLES)
     p.add_argument("--lags", default="1-5")
     p.add_argument("--bonferroni", action="store_true")
     p.add_argument("--no-dot", action="store_true")

@@ -148,6 +148,19 @@ def lagged_samples(
     return [LagSample(t, lag, float(v)) for t, v in zip(common, values)]
 
 
+def _scan_lags(min_samples: int, lags: Sequence[int] | None) -> tuple[int, ...]:
+    """Check the scan arguments; return the lags to scan, sorted."""
+    if min_samples < 2:
+        raise ValueError(f"min_samples must be at least 2, got {min_samples}")
+    scan = LAGS if lags is None else tuple(sorted(set(lags)))
+    if not scan:
+        raise ValueError("lags must be non-empty")
+    for lag in scan:
+        if not MIN_LAG <= lag <= MAX_LAG:
+            raise ValueError(f"lag must be in {MIN_LAG}..{MAX_LAG}, got {lag}")
+    return scan
+
+
 def best_dyad(
     follower: VelocitySeries,
     leader: VelocitySeries,
@@ -160,11 +173,7 @@ def best_dyad(
     the smallest lag. With no eligible lag the dyad is unavailable and
     the caller drops it. A narrower lag set may be passed explicitly.
     """
-    if min_samples < 2:
-        raise ValueError(f"min_samples must be at least 2, got {min_samples}")
-    scan = LAGS if lags is None else tuple(sorted(set(lags)))
-    if not scan:
-        raise ValueError("lags must be non-empty")
+    scan = _scan_lags(min_samples, lags)
     best_lag = None
     best_mean = -math.inf
     best_samples: tuple[LagSample, ...] = ()
@@ -201,14 +210,7 @@ def scan_dyads(
     side and one sparse product per path group score every follower.
     Rejects the arguments `best_dyad` rejects, for any number of cities.
     """
-    if min_samples < 2:
-        raise ValueError(f"min_samples must be at least 2, got {min_samples}")
-    scan = LAGS if lags is None else tuple(sorted(set(lags)))
-    if not scan:
-        raise ValueError("lags must be non-empty")
-    for lag in scan:
-        if not MIN_LAG <= lag <= MAX_LAG:
-            raise ValueError(f"lag must be in {MIN_LAG}..{MAX_LAG}, got {lag}")
+    scan = _scan_lags(min_samples, lags)
     present = [series[c] for c in sorted(series) if len(series[c])]
     if len(present) < 2:
         return []
@@ -288,23 +290,33 @@ def save_dyads(path: str | Path, dyads: Iterable[DyadResult]) -> None:
 
 
 def load_dyads(path: str | Path) -> list[DyadResult]:
-    """Read a save_dyads cache; caches holding every lag load the same."""
+    """Read a save_dyads cache; caches holding every lag load the same.
+
+    Raises ValueError for a NaN or infinite correlation or sample value,
+    which JSON parsing would otherwise let through to the t-tests.
+    """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     dyads = []
     for item in payload["dyads"]:
         lag = int(item["best_lag"])
+        correlation = float(item["correlation"])
         samples = tuple(
             LagSample(int(week), lag, float(value))
             for week, value in item["samples"][str(lag)]
         )
+        if not (math.isfinite(correlation) and all(math.isfinite(s.value) for s in samples)):
+            raise ValueError(
+                f"{path}: dyad {item['follower']!r} -> {item['leader']!r} "
+                "has a non-finite correlation or sample value"
+            )
         dyads.append(
             DyadResult(
                 leader_candidate=item["leader"],
                 follower_candidate=item["follower"],
                 per_lag_samples={lag: samples},
                 best_lag=lag,
-                correlation=float(item["correlation"]),
+                correlation=correlation,
             )
         )
     return dyads

@@ -31,6 +31,8 @@ from .stats import (
 DEFAULT_ALPHA = 0.01
 EXACT_FAS_MAX_NODES = 20
 _REINSERTION_PASSES = 50
+_PAGERANK_TOL = 1e-12
+_PAGERANK_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,11 @@ def _survives_screen(dyad: DyadResult, alpha: float) -> bool:
     return result.reject_at(alpha) and dyad.correlation > 0
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def accept_edge(
     forward: DyadResult, backward: DyadResult, alpha: float = DEFAULT_ALPHA
 ) -> Edge | None:
@@ -101,8 +108,7 @@ def accept_edge(
     weeks where both best-lag streams have a sample; a non-rejection
     means the cities move together and no edge is drawn.
     """
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     same_pair = (
         forward.follower_candidate == backward.leader_candidate
         and forward.leader_candidate == backward.follower_candidate
@@ -162,6 +168,7 @@ def build_graph(
     alone. With bonferroni=True the level is divided by the number of
     ordered dyads over the node set.
     """
+    _check_alpha(alpha)
     by_pair: dict[tuple[str, str], DyadResult] = {}
     for d in dyads:
         by_pair[(d.follower_candidate, d.leader_candidate)] = d
@@ -398,12 +405,7 @@ def feedback_arc_set(graph: LeadershipGraph) -> AcyclicityReport:
     )
 
 
-def pagerank(
-    graph: LeadershipGraph,
-    damping: float = 0.85,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-) -> CentralityReport:
+def pagerank(graph: LeadershipGraph, damping: float = 0.85) -> CentralityReport:
     """Weighted PageRank by power iteration, follower endorsing leader.
 
     Each node splits its rank over outgoing edges in proportion to their
@@ -431,15 +433,15 @@ def pagerank(
     dangling = out_weight == 0
 
     x = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(_PAGERANK_MAX_ITER):
         spread = transfer.dot(x) + x[dangling].sum() / n
         nxt = damping * spread + (1.0 - damping) / n
-        if np.abs(nxt - x).sum() < tol:
+        if np.abs(nxt - x).sum() < _PAGERANK_TOL:
             x = nxt
             break
         x = nxt
     else:
-        raise ArithmeticError(f"pagerank failed to converge within {max_iter} iterations")
+        raise ArithmeticError(f"pagerank failed to converge within {_PAGERANK_MAX_ITER} iterations")
 
     ranks = {c: float(x[index[c]]) for c in nodes}
     return CentralityReport(

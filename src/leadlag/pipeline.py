@@ -30,8 +30,17 @@ from .exports import (
     write_manifest,
     write_size_leadership_json,
 )
-from .lagcorr import LAGS, MAX_LAG, MIN_LAG, compute_all_velocities, save_dyads, scan_dyads
+from .lagcorr import (
+    DEFAULT_MIN_SAMPLES,
+    LAGS,
+    MAX_LAG,
+    MIN_LAG,
+    compute_all_velocities,
+    save_dyads,
+    scan_dyads,
+)
 from .network import (
+    DEFAULT_ALPHA,
     AcyclicityReport,
     CentralityReport,
     LeadershipGraph,
@@ -60,8 +69,8 @@ class RunConfig:
     populations_path: str | None = None
     city_subset: tuple[str, ...] | None = None
     genre_id: str | None = None
-    alpha: float = 0.01
-    min_samples: int = 20
+    alpha: float = DEFAULT_ALPHA
+    min_samples: int = DEFAULT_MIN_SAMPLES
     lag_range: tuple[int, ...] = LAGS
     bonferroni: bool = False
     emit_dot: bool = True

@@ -1,9 +1,8 @@
-"""Self-contained statistical kernel.
+"""Statistical tests behind edge acceptance and the size analysis.
 
-Student-t CDF through the regularized incomplete beta function, one-sample
-and paired two-sided t-tests, and Spearman rank correlation with average
-ranks for ties. No external stats libraries; everything here is exercised
-against independent numeric oracles in the test suite.
+Student-t CDF (scipy's `stdtr`), one-sample and paired two-sided t-tests,
+and Spearman rank correlation with average ranks for ties. Everything here
+is exercised against independent numeric oracles in the test suite.
 """
 from __future__ import annotations
 
@@ -51,80 +50,21 @@ class SpearmanResult:
     n: int
 
 
-_CF_MAX_ITER = 400
-_CF_EPS = 3e-16
-_CF_TINY = 1e-300
-
-
-def _ln_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction failed to converge")
-
-
-def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = a * math.log(x) + b * math.log1p(-x) - _ln_beta(a, b)
-    front = math.exp(ln_front)
-    # The continued fraction converges fast only on one side of the mean;
-    # use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) on the other.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
-
-
 def t_cdf(x: float, df: int) -> float:
     """Cumulative probability of the Student-t distribution at x.
 
-    df must be a positive integer. Accuracy is driven by the continued
-    fraction tolerance, well inside 1e-8 over the tested grid.
+    df must be a positive integer and x must not be NaN; x = -inf and
+    x = +inf give 0.0 and 1.0.
     """
+    # Imported on first use, so that subcommands testing no edge start faster.
+    from scipy.special import stdtr
+
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
     x = float(x)
-    if x == 0.0:
-        return 0.5
-    tail = 0.5 * _reg_inc_beta(0.5 * df, 0.5, df / (df + x * x))
-    return 1.0 - tail if x > 0.0 else tail
+    if math.isnan(x):
+        raise ValueError("t_cdf is undefined at x = nan")
+    return float(stdtr(df, x))
 
 
 def one_sample_ttest(samples: Sequence[float], null_mean: float = 0.0) -> TestResult:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -48,6 +49,14 @@ def synth_inputs(tmp_path_factory):
         "missing": str(missing_path),
         "populations": str(pops_path),
     }
+
+
+def write_one_dyad_cache(path, values):
+    """A dyads.json holding the b -> a dyad at lag 1; json writes NaN and Infinity as such."""
+    samples = [[week, value] for week, value in enumerate(values)]
+    dyad = {"leader": "a", "follower": "b", "best_lag": 1, "correlation": 0.2,
+            "samples": {"1": samples}}
+    path.write_text(json.dumps({"dyads": [dyad]}) + "\n")
 
 
 def base_config(synth_inputs, out_dir, **overrides):
@@ -429,6 +438,29 @@ class TestCliErrors:
         for command in ("fas", "pagerank"):
             assert main([command, "--edges", str(path)]) == 1
             assert f"{path}:2:" in capsys.readouterr().err
+
+    def test_non_finite_dyad_cache_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "dyads.json"
+        for bad in (math.nan, math.inf, -math.inf):
+            write_one_dyad_cache(path, [bad] + [0.1 + 0.01 * (w % 3) for w in range(24)])
+            assert main(["graph", "--dyads", str(path), "--out", str(tmp_path)]) == 1
+            assert str(path) in capsys.readouterr().err
+            assert not (tmp_path / "edges.csv").exists()
+
+    def test_graph_alpha_out_of_range_exit_code(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"dyads":[]}\n')
+        lone = tmp_path / "lone.json"
+        write_one_dyad_cache(lone, [0.2 + 0.01 * (w % 2) for w in range(30)])
+        cases = [(empty, alpha) for alpha in ("7", "0", "-1", "nan")] + [(lone, "7")]
+        for cache, alpha in cases:
+            out = tmp_path / f"{cache.stem}_{alpha}"
+            code = main(["graph", "--dyads", str(cache), f"--alpha={alpha}", "--out", str(out)])
+            assert code == 1
+            assert "alpha must be in (0, 1)" in capsys.readouterr().err
+            assert not (out / "edges.csv").exists()
+        assert main(["graph", "--dyads", str(lone), "--out", str(tmp_path / "ok")]) == 0
+        assert "accepted edges: 1" in capsys.readouterr().out
 
     def test_io_exit_code(self, tmp_path, capsys):
         code = main(["ingest", "--charts", str(tmp_path / "absent.csv")])

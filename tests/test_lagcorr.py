@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -439,6 +441,25 @@ def test_cache_holding_every_lag_still_loads(tmp_path):
         graph = build_graph(loaded, alpha=alpha)
         assert graph.edges
         assert graph == build_graph(scanned, alpha=alpha)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["sample", "correlation"])
+def test_cache_with_non_finite_value_rejected(tmp_path, field, bad):
+    # JSON parsing accepts NaN and Infinity; the t-tests must never see them.
+    follower, leader = crafted_pair([0.01, 0.03, 0.02, 0.0, -0.01])
+    result = best_dyad(follower, leader)
+    path = tmp_path / "dyads.json"
+    save_dyads(path, [result])
+    payload = json.loads(path.read_text())
+    [item] = payload["dyads"]
+    if field == "correlation":
+        item["correlation"] = bad
+    else:
+        item["samples"][str(result.best_lag)][3][1] = bad
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_dyads(path)
 
 
 def test_dyad_cache_is_deterministic(tmp_path):

@@ -122,6 +122,16 @@ def test_accept_edge_rejects_bad_alpha():
         accept_edge(dyad("a", "b", steady(0.1)), dyad("b", "a", steady(0.1)), alpha=0.0)
 
 
+@pytest.mark.parametrize("alpha", [7.0, 0.0, -1.0, math.nan])
+def test_build_graph_rejects_bad_alpha_before_any_pair(alpha):
+    # Checked up front: neither an empty scan nor a lone dyad reaches accept_edge.
+    for dyads in ([], [dyad("a", "b", steady(0.2))]):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            build_graph(dyads, alpha=alpha)
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            build_graph(dyads, alpha=alpha, bonferroni=True)
+
+
 def test_build_graph_single_city_is_empty():
     graph = build_graph([], nodes=["only"])
     assert graph.nodes == ("only",)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -52,9 +56,52 @@ def test_t_cdf_monotone_in_x():
         assert vals == sorted(vals)
 
 
+TAIL_X = [-5.0, -10.0, -37.5, -100.0, -1e3, -1e4, -1e5, -1e6]
+
+
+@pytest.mark.parametrize("x", TAIL_X)
+def test_t_cdf_tail_relative_accuracy(x):
+    # Closed forms for df 1 and 2, compared relatively: an absolute bound
+    # cannot see an error at a Bonferroni-level p-value.
+    cauchy = math.atan(1.0 / abs(x)) / math.pi
+    root = math.sqrt(2.0 + x * x)
+    df2 = 1.0 / (root * (root + abs(x)))
+    assert t_cdf(x, 1) == pytest.approx(cauchy, rel=1e-12, abs=0.0)
+    assert t_cdf(x, 2) == pytest.approx(df2, rel=1e-12, abs=0.0)
+
+
 def test_t_cdf_rejects_bad_df():
     with pytest.raises(ValueError):
         t_cdf(1.0, 0)
+
+
+def test_t_cdf_rejects_nan_and_bounds_infinity():
+    for df in (1, 2, 30):
+        with pytest.raises(ValueError, match="nan"):
+            t_cdf(math.nan, df)
+        assert t_cdf(-math.inf, df) == 0.0
+        assert t_cdf(math.inf, df) == 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ttests_reject_non_finite_sample(bad):
+    with pytest.raises(ValueError, match="nan"):
+        one_sample_ttest([0.1, bad, 0.3, 0.2])
+    with pytest.raises(ValueError, match="nan"):
+        paired_ttest([0.1, bad, 0.3, 0.2], [0.0, 0.1, 0.0, 0.1])
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # A fresh `import leadlag.cli` is what the benchmark's setup_s times.
+    import leadlag
+
+    src = str(Path(leadlag.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, leadlag.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_one_sample_worked_example():
