@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -23,6 +24,11 @@ MAX_GENRE_RANK = 1000
 
 CHART_HEADER = ["week", "city", "artist", "listeners"]
 GENRE_HEADER = ["genre", "rank", "artist"]
+
+# The columnar chart reader splits this many lines per call; csv splits a chunk with a quote
+# or \x1c-\x1f (numpy's integer parser skips these as whitespace, int() does not).
+_CHUNK_ROWS = 1 << 14
+_CSV_ONLY = '"\x1c\x1d\x1e\x1f'
 
 
 class ChartFormatError(ValueError):
@@ -261,26 +267,78 @@ def ingest_charts(
     """
     charts = read_chart_csv(chart_path)
     if charts:
-        present = {c.week_index for c in charts}
-        lo, hi = min(present), max(present)
-        stray = sorted(w for w in missing_weeks if not lo <= w <= hi)
-        if stray:
-            raise ChartFormatError(
-                f"{chart_path}: missing week {stray[0]} lies outside the charted "
-                f"week range {lo}..{hi}"
-            )
-        gaps = [w for w in range(lo, hi + 1) if w not in present and w not in missing_weeks]
-        if gaps:
-            raise ChartFormatError(
-                f"{chart_path}: week range {lo}..{hi} has unexplained gaps "
-                f"(first: {gaps[0]}); list them in the missing-week file"
-            )
+        _check_week_range(chart_path, {c.week_index for c in charts}, missing_weeks)
     universe = ArtistUniverse(a for c in charts for a, _ in c.entries)
     return charts, universe
 
 
+def _check_week_range(chart_path: str | Path, present: set[int], missing: frozenset[int]) -> None:
+    """Reject missing weeks outside the charted range, and weeks neither charted nor missing."""
+    lo, hi = min(present), max(present)
+    stray = sorted(w for w in missing if not lo <= w <= hi)
+    if stray:
+        raise ChartFormatError(
+            f"{chart_path}: missing week {stray[0]} lies outside the charted "
+            f"week range {lo}..{hi}"
+        )
+    covered = sorted(present | missing)
+    gaps = [a + 1 for a, b in zip(covered, covered[1:]) if b - a > 1]
+    if gaps:
+        raise ChartFormatError(
+            f"{chart_path}: week range {lo}..{hi} has unexplained gaps "
+            f"(first: {gaps[0]}); list them in the missing-week file"
+        )
+
+
+def _intern(names: np.ndarray, table: dict[str, int]) -> np.ndarray:
+    """Codes of `names` in `table`, adding unseen names in order of appearance."""
+    names = names.tolist()
+    for name in dict.fromkeys(names):
+        table.setdefault(name, len(table))
+    return np.fromiter(map(table.__getitem__, names), dtype=np.int32, count=len(names))
+
+
+def _split_chunk(lines: list[str]) -> list[np.ndarray]:
+    """Week, city, artist and count columns of some chart lines."""
+    text = "".join(lines)
+    blank = text.isspace()  # loadtxt warns on a chunk of blank lines
+    if blank or any(c in text for c in _CSV_ONLY) or max(map(len, lines)) > csv.field_size_limit():
+        # strict: a quoted field still open at the chunk's end raises, not closes there.
+        table = np.array([row for row in csv.reader(lines, strict=True) if row], dtype=object)
+        return list(table.reshape(len(table), 4).T)  # ValueError unless every row has 4 fields
+    num = np.int64 if text.isascii() else object  # numpy misreads non-ASCII digits
+    dtype = [("week", num), ("city", object), ("artist", object), ("count", num)]
+    table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    return [table[name] for name in table.dtype.names]
+
+
+def _read_chart_columns(path: str | Path):
+    """(cities, universe, rows) of a plainly valid chart CSV, or None to leave it to csv."""
+    chunks, cities, artists = [], {}, {}
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            if next(fh, "").rstrip("\r\n") != ",".join(CHART_HEADER):
+                return None
+            while lines := list(islice(fh, _CHUNK_ROWS)):
+                week, city, artist, count = _split_chunk(lines)
+                codes = _intern(city, cities), _intern(artist, artists)
+                chunks.append((week.astype(np.int64), *codes, count.astype(np.int64)))
+        week, city, artist, count = (np.concatenate(column) for column in zip(*chunks))
+        del chunks  # before the remapping below, which copies city and artist again
+        if week.min() < 0 or count.min() < 1 or "" in cities or "" in artists:
+            return None
+    except (ValueError, OverflowError, csv.Error):  # also bad UTF-8 and no data rows
+        return None
+    universe = ArtistUniverse(artists)
+    rank = {c: i for i, c in enumerate(sorted(cities))}
+    city = np.array([rank[c] for c in cities], dtype=np.int32)[city]
+    artist = np.array([universe.index[a] for a in artists], dtype=np.int32)[artist]
+    return tuple(rank), universe, (week, city, artist, count.astype(np.float64))
+
+
 class ChartStore:
-    """Charts plus universe plus missing weeks, ready to mint windows."""
+    """Charts plus universe plus missing weeks, ready to mint windows. Charts are
+    rows of parallel arrays (week, city, artist column, count) sorted by (week, city)."""
 
     def __init__(
         self,
@@ -288,27 +346,57 @@ class ChartStore:
         universe: ArtistUniverse,
         missing_weeks: frozenset[int] = frozenset(),
     ) -> None:
-        self.charts = tuple(charts)
-        self.universe = universe
-        self.missing_weeks = frozenset(missing_weeks)
-        self.cities: tuple[str, ...] = tuple(sorted({c.city_id for c in self.charts}))
-        weeks = sorted({c.week_index for c in self.charts} | self.missing_weeks)
-        self.first_week: int = weeks[0] if weeks else 0
-        self.last_week: int = weeks[-1] if weeks else -1
-        # Per (week, city) column/count arrays so window assembly is array work.
-        self._cells: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
-        for chart in self.charts:
-            cols = np.array([universe.column(a) for a, _ in chart.entries], dtype=np.int64)
-            counts = np.array([n for _, n in chart.entries], dtype=np.float64)
-            self._cells[(chart.week_index, chart.city_id)] = (cols, counts)
+        charts = list(charts)
+        cities = tuple(sorted({c.city_id for c in charts}))
+        rank = {c: i for i, c in enumerate(cities)}
+        sizes = [len(c.entries) for c in charts]
+        week = np.repeat(np.array([c.week_index for c in charts], dtype=np.int64), sizes)
+        city = np.repeat(np.array([rank[c.city_id] for c in charts], dtype=np.int32), sizes)
+        entries = [e for c in charts for e in c.entries]
+        artist = np.array([universe.column(a) for a, _ in entries], dtype=np.int32)
+        count = np.array([n for _, n in entries], dtype=np.float64)
+        self._set_rows(cities, universe, (week, city, artist, count), missing_weeks)
+
+    def _set_rows(self, cities, universe, rows, missing_weeks) -> "ChartStore":
+        step = np.diff(rows[0])  # files written by write_chart_csv are in order already
+        if (step < 0).any() or ((step == 0) & (np.diff(rows[1]) < 0)).any():
+            order = np.lexsort((rows[1], rows[0]))
+            rows = tuple(a[order] for a in rows)
+        self._week, self._city, self._artist, self._count = rows
+        new_week, new_city = (np.diff(a, prepend=-1) != 0 for a in rows[:2])
+        self._starts = new_week | new_city  # the rows that open a (week, city) chart
+        self.chart_count = int(np.count_nonzero(self._starts))
+        self.cities, self.universe, self.missing_weeks = cities, universe, frozenset(missing_weeks)
+        weeks = set(self._week[self._starts].tolist()) | self.missing_weeks
+        self.first_week: int = min(weeks, default=0)
+        self.last_week: int = max(weeks, default=-1)
+        return self
 
     @classmethod
     def from_files(
         cls, chart_path: str | Path, missing_path: str | Path | None = None
     ) -> "ChartStore":
+        """The store `ingest_charts` gives, read by numpy when the file is plainly valid."""
         missing = read_missing_weeks(missing_path) if missing_path else frozenset()
-        charts, universe = ingest_charts(chart_path, missing)
-        return cls(charts, universe, missing)
+        if (columns := _read_chart_columns(chart_path)) is not None:
+            store = cls.__new__(cls)._set_rows(*columns, missing)
+            chart = np.cumsum(store._starts) - 1
+            # One key per (chart, artist): equal neighbours after sorting are duplicates.
+            key = np.sort(chart * len(store.universe) + store._artist)
+            if np.bincount(chart).max() <= MAX_CHART_ENTRIES and not (key[1:] == key[:-1]).any():
+                _check_week_range(chart_path, set(store._week[store._starts].tolist()), missing)
+                return store
+        return cls(*ingest_charts(chart_path, missing), missing)
+
+    def restrict(self, cities: Iterable[str]) -> "ChartStore":
+        """The rows of the given known cities; the week range shrinks to theirs."""
+        kept = tuple(sorted(set(cities)))
+        remap = np.full(len(self.cities), -1, dtype=np.int32)
+        remap[[self.cities.index(c) for c in kept]] = np.arange(len(kept))
+        city = remap[self._city]
+        rows = tuple(a[city >= 0] for a in (self._week, city, self._artist, self._count))
+        store = type(self).__new__(type(self))
+        return store._set_rows(kept, self.universe, rows, self.missing_weeks)
 
     @property
     def study_weeks(self) -> int:
@@ -339,28 +427,12 @@ class ChartStore:
                 f"window {start_week}..{span.stop - 1} leaves the study period "
                 f"{self.first_week}..{self.last_week}"
             )
-        row_idx: list[np.ndarray] = []
-        col_idx: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
-        for i, city in enumerate(self.cities):
-            for week in span:
-                cell = self._cells.get((week, city))
-                if cell is None:
-                    continue
-                cols, counts = cell
-                row_idx.append(np.full(cols.shape, i, dtype=np.int64))
-                col_idx.append(cols)
-                vals.append(counts)
-        shape = (len(self.cities), len(self.universe))
-        if row_idx:
-            coo = sparse.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(row_idx), np.concatenate(col_idx))),
-                shape=shape,
-            )
-            values = coo.tocsr()
-            values.sum_duplicates()
-        else:
-            values = sparse.csr_matrix(shape)
+        lo, hi = np.searchsorted(self._week, (span.start, span.stop))
+        values = sparse.coo_matrix(
+            (self._count[lo:hi], (self._city[lo:hi], self._artist[lo:hi])),
+            shape=(len(self.cities), len(self.universe)),
+        ).tocsr()
+        values.sum_duplicates()
         return ListenMatrix(
             window_start_week=start_week,
             width_weeks=WINDOW_WEEKS,
@@ -379,8 +451,7 @@ def build_window(
     """One-shot window construction from a bare chart list."""
     charts_list = list(charts)
     universe = ArtistUniverse(a for c in charts_list for a, _ in c.entries)
-    store = ChartStore(charts_list, universe, missing_weeks)
-    return store.window(start_week)
+    return ChartStore(charts_list, universe, missing_weeks).window(start_week)
 
 
 def normalize_rows(matrix: ListenMatrix) -> ListenMatrix:

@@ -115,7 +115,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.genre_file:
         catalog = read_genre_catalog(args.genre_file)
         print(f"genres: {len(catalog.genre_ids())}")
-    print(f"charts: {len(store.charts)}")
+    print(f"charts: {store.chart_count}")
     print(f"cities: {len(store.cities)}")
     print(f"artists: {len(store.universe)}")
     print(f"weeks: {store.first_week}..{store.last_week} ({store.study_weeks} total)")

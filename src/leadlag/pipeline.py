@@ -108,9 +108,7 @@ def restrict_to_cities(store: ChartStore, cities: tuple[str, ...]) -> ChartStore
     unknown = sorted(set(cities) - set(store.cities))
     if unknown:
         raise ValueError(f"unknown cities in subset: {', '.join(unknown)}")
-    keep = set(cities)
-    charts = [c for c in store.charts if c.city_id in keep]
-    return ChartStore(charts, store.universe, store.missing_weeks)
+    return store.restrict(cities)
 
 
 def build_windows(

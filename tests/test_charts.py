@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import csv
+import re
+import time
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leadlag import charts as charts_module
 from leadlag.charts import (
     ArtistUniverse,
     ChartFormatError,
@@ -20,6 +27,7 @@ from leadlag.charts import (
     read_missing_weeks,
     write_chart_csv,
 )
+from leadlag.pipeline import restrict_to_cities
 
 HEADER = "week,city,artist,listeners"
 
@@ -359,3 +367,293 @@ def test_window_matches_bruteforce_summation(cells, start):
         col = matrix.universe.column(artist)
         assert matrix.values[row, col] == float(total)
     assert matrix.values.sum() == sum(expected.values()) + 4
+
+
+def assert_same_store(got, want):
+    """Equal cities, universe, weeks, charts and bit-equal window CSR arrays."""
+    assert got.cities == want.cities
+    assert got.universe == want.universe
+    assert (got.first_week, got.last_week) == (want.first_week, want.last_week)
+    assert got.missing_weeks == want.missing_weeks
+    assert got.chart_count == want.chart_count
+    assert got.valid_window_starts() == want.valid_window_starts()
+    for start in want.valid_window_starts():
+        a, b = got.window(start).values, want.window(start).values
+        for part in ("indptr", "indices", "data"):
+            x, y = getattr(a, part), getattr(b, part)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (start, part)
+
+
+def outcome(load):
+    """The store `load` builds, or the type and text of what it raises."""
+    try:
+        return load()
+    except Exception as exc:  # compared between the two readers below
+        return type(exc), str(exc)
+
+
+def assert_columnar_matches_csv(path, missing=frozenset()):
+    """`from_files` either raises what the csv reader raises or gives its store."""
+    missing_path = path.with_name("missing.txt")
+    missing_path.write_text("".join(f"{w}\n" for w in sorted(missing)), encoding="utf-8")
+    got = outcome(lambda: ChartStore.from_files(path, missing_path))
+    want = outcome(lambda: ChartStore(*ingest_charts(path, missing), missing))
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+    else:
+        assert_same_store(got, want)
+
+
+@pytest.fixture
+def csv_reads(monkeypatch):
+    """Counts the calls that reach the csv reader."""
+    calls = []
+    read = charts_module.read_chart_csv
+
+    def counted(path):
+        calls.append(path)
+        return read(path)
+
+    monkeypatch.setattr(charts_module, "read_chart_csv", counted)
+    return calls
+
+
+def test_gap_between_distant_weeks_is_found_fast(tmp_path):
+    path = chart_file(tmp_path, [(0, "c", "a", 1), (10**12, "c", "a", 1)])
+    message = "week range 0..1000000000000 has unexplained gaps (first: 1)"
+    for load in (lambda: ingest_charts(path), lambda: ChartStore.from_files(path)):
+        start = time.perf_counter()
+        with pytest.raises(ChartFormatError, match=re.escape(message)):
+            load()
+        assert time.perf_counter() - start < 1.0
+
+
+def test_first_gap_skips_missing_weeks(tmp_path):
+    rows = [(w, "c", "a", 1) for w in (0, 1, 3, 6)]
+    path = chart_file(tmp_path, rows)
+    with pytest.raises(ChartFormatError, match=r"\(first: 4\)"):
+        ingest_charts(path, missing_weeks=frozenset({2, 5}))
+    assert_columnar_matches_csv(path, frozenset({2, 5}))
+    assert_columnar_matches_csv(path, frozenset({2, 4, 5}))
+
+
+@pytest.mark.parametrize("text", ["", HEADER + "\n", HEADER + "\r\n\r\n\n"])
+def test_empty_chart_file_gives_empty_store(tmp_path, text):
+    path = tmp_path / "charts.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        store = ChartStore.from_files(path)
+    assert_same_store(store, ChartStore([], ArtistUniverse([])))
+    assert (store.cities, len(store.universe), store.chart_count) == ((), 0, 0)
+    assert (store.first_week, store.last_week, store.valid_window_starts()) == (0, -1, [])
+
+
+def test_plain_file_is_read_by_columns(tmp_path, monkeypatch, csv_reads):
+    """Names numpy could truncate, drop or misread still load exactly, without csv."""
+    monkeypatch.setattr(charts_module, "_CHUNK_ROWS", 3)
+    names = ["a", "abcdefghijklmnopqrstuvwxyz", "#hash", " spaced ", "漢字", "Björk", "\u3000x"]
+    names.append("l" * 300)  # a fixed-width read would widen every name of its chunk to this
+    names += ["z\x00", "z"]  # fixed-width numpy strings drop trailing NULs
+    pairs = [(c, a) for c in ("p", "#q") for a in names]
+    rows = [(w, c, a, 1 + w + i) for w in range(6) for i, (c, a) in enumerate(pairs)]
+    lines = [HEADER] + [",".join(str(f) for f in row) for row in rows]
+    path = tmp_path / "charts.csv"
+    path.write_text("\r\n".join(lines[:9] + [""] + lines[9:]) + "\r\n", encoding="utf-8")
+    store = ChartStore.from_files(path)
+    assert csv_reads == []
+    assert store.universe.artists == tuple(sorted(names))
+    assert store.cities == ("#q", "p")
+    assert store.chart_count == 12
+    assert_columnar_matches_csv(path)
+
+
+def test_parsed_chunks_are_not_kept_alive(tmp_path, monkeypatch):
+    """A column view into a parsed chunk would keep the chunk's name strings alive."""
+    monkeypatch.setattr(charts_module, "_CHUNK_ROWS", 1000)
+    names = [(f"{'c' * 200}{i % 7}", f"a{i % 50:03d}{'x' * 200}") for i in range(10000)]
+    path = chart_file(tmp_path, [(w, city, artist, 1) for w in (0, 1) for city, artist in names])
+    tracemalloc.start()
+    try:
+        charts_module._read_chart_columns(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Each parsed chunk holds 2,000 name strings of about 200 characters, about
+    # 0.5 MB: keeping all 20 alive would need about 10 MB.
+    assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '0,"c,d",a,1\n0,c,"x ""y""",2\n',  # csv quoting
+        '0,c,"a\nb",1\n',  # a quoted line break
+        "\n\n\r\n",  # blank lines only, on which loadtxt warns
+    ],
+    ids=range(3),
+)
+def test_odd_chunk_is_split_by_csv(tmp_path, csv_reads, text):
+    """A chunk numpy must not split is split by csv; the file is not read again."""
+    path = tmp_path / "charts.csv"
+    path.write_text(f"{HEADER}\n0,c,a,3\n{text}", encoding="utf-8", newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        store = ChartStore.from_files(path)
+    assert csv_reads == [] and len(store.cities) >= 1
+    assert_columnar_matches_csv(path)
+
+
+def test_quote_in_last_chunk_leaves_other_chunks_to_numpy(tmp_path, monkeypatch, csv_reads):
+    monkeypatch.setattr(charts_module, "_CHUNK_ROWS", 3)
+    rows = [(w, c, a, w + 1) for w in range(4) for c, a in (("c", "a"), ("d", "b"), ("e", "a"))]
+    path = chart_file(tmp_path, rows + [(4, "c", '"x,y"', 5), (4, "d", "b", 1)])
+    week_types = []  # numpy reads weeks as int64, csv as text
+    split = charts_module._split_chunk
+
+    def recorded(lines):
+        columns = split(lines)
+        week_types.append(columns[0].dtype)
+        return columns
+
+    monkeypatch.setattr(charts_module, "_split_chunk", recorded)
+    store = ChartStore.from_files(path)
+    assert csv_reads == []
+    assert week_types == [np.dtype(np.int64)] * 4 + [np.dtype(object)]
+    assert "x,y" in store.universe
+    assert_columnar_matches_csv(path)
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        '0,c,"x\ny",1\n1,c,a,2\n',  # valid: the field closes in the next chunk
+        '0,d,a,"1\n1,d,b,2\n1,c,a,1\n',  # invalid: the field never closes
+    ],
+    ids=["closed", "open"],
+)
+def test_quote_open_at_chunk_end_goes_through_csv_reader(tmp_path, monkeypatch, csv_reads, tail):
+    """csv must not close a quoted field where the chunk ends: the whole file goes to csv."""
+    monkeypatch.setattr(charts_module, "_CHUNK_ROWS", 3)
+    path = tmp_path / "charts.csv"
+    path.write_text(f"{HEADER}\n0,c,a,1\n0,c,b,1\n{tail}", encoding="utf-8")
+    assert_columnar_matches_csv(path)
+    assert len(csv_reads) == 2
+
+
+def test_undecodable_text_past_a_bad_row_reports_the_bad_row(tmp_path, csv_reads):
+    """Bad UTF-8 in a later block of the chunk does not hide csv's error on line 2."""
+    path = tmp_path / "charts.csv"
+    padding = "".join(f"1,c,a{i:05d},1\n" for i in range(1000)).encode()
+    path.write_bytes(f"{HEADER}\n0,c,a,x\n".encode() + padding + b"1,c,\xff,1\n")
+    with pytest.raises(ChartFormatError, match=r":2: bad listener count 'x'"):
+        ChartStore.from_files(path)
+    assert_columnar_matches_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0,c,a,5\x1c\n",  # numpy's integer parser skips \x1c
+        "0,c,\ud800,1\n",  # a lone surrogate cannot be written as UTF-8
+        "0,c,a,1\n  \n",  # a whitespace-only line is a 1-field row
+        "0,c,a,1\n0,c,a,2\n",  # duplicate
+        "0,c,a,0\n",  # non-positive count
+        "-1,c,a,1\n",  # negative week
+        "0,,a,1\n",  # empty name
+        "0,c,a,1_0\n",  # int() reads it, numpy does not
+        "0,c,a,99999999999999999999\n",  # above int64
+        "0,c,a,1,2\n",  # extra field
+        "0,c," + "a" * (csv.field_size_limit() + 1) + ",1\n",  # csv raises its own error
+    ],
+    ids=range(11),
+)
+def test_odd_file_goes_through_csv_reader(tmp_path, csv_reads, text):
+    path = tmp_path / "charts.csv"
+    path.write_text(HEADER + "\n" + text, encoding="utf-8", newline="", errors="surrogatepass")
+    assert_columnar_matches_csv(path)
+    assert len(csv_reads) == 2  # once for from_files, once for the reference store
+
+
+@pytest.mark.parametrize("digit", ["٥", "२", "５"])
+def test_non_ascii_digits_read_as_int_reads_them(tmp_path, digit):
+    """numpy's own parser reads '२' as 2360; non-ASCII text goes through int()."""
+    path = tmp_path / "charts.csv"
+    path.write_text(f"{HEADER}\n0,漢,a,{digit}\n", encoding="utf-8")
+    store = ChartStore.from_files(path)
+    assert store._count.tolist() == [float(int(digit))]
+    assert_columnar_matches_csv(path)
+
+
+def test_entry_cap_on_columnar_path(tmp_path):
+    rows = [(0, "c", f"a{i:04d}", 1) for i in range(500)]
+    assert_columnar_matches_csv(chart_file(tmp_path, rows))
+    rows.append((0, "c", "a0500", 1))
+    with pytest.raises(ChartFormatError, match="cap is 500"):
+        ChartStore.from_files(chart_file(tmp_path, rows))
+
+
+def test_restrict_to_cities_matches_filtered_charts(tmp_path):
+    rows = [(w, "early", f"a{w % 3}", w + 1) for w in range(10)]
+    rows += [(w, "late", "a0", w) for w in range(3, 10)] + [(w, "mid", "b", 2) for w in range(10)]
+    path = chart_file(tmp_path, rows)
+    missing = frozenset({5})
+    (tmp_path / "missing.txt").write_text("5\n", encoding="utf-8")
+    charts, universe = ingest_charts(path, missing)
+    store = ChartStore.from_files(path, tmp_path / "missing.txt")
+    for subset in (("late",), ("mid", "late"), ("late", "early", "mid")):
+        kept = [c for c in charts if c.city_id in subset]
+        want = ChartStore(kept, universe, missing)
+        assert_same_store(restrict_to_cities(store, subset), want)
+    assert restrict_to_cities(store, ("late",)).first_week == 3
+    with pytest.raises(ValueError, match="unknown cities in subset: nowhere"):
+        restrict_to_cities(store, ("late", "nowhere"))
+
+
+PLAIN_NAMES = ["c0", "c1", "a", "b", "漢", "Björk", " sp ", " ", "#hash", "\u3000w", "long_" * 6]
+ODD_NAMES = PLAIN_NAMES + ["x,y", 'q"t', "c\x00", "c", "", "tab\tx", "z\x1c", "n\nl"]
+ODD_WEEKS = ["+2", " 3", "-1", "1000000000000", "٣", "x", "", "1_0", "2.0"]
+ODD_COUNTS = ["+5", "1_0", "٥", "२", "99999999999999999999", "0", "-3", " 7", "7 ", "5\x1c", ""]
+
+
+@st.composite
+def chart_texts(draw):
+    """Chart CSV text, plain or odd, with the missing weeks to read it with."""
+    odd = draw(st.booleans())
+    names = st.sampled_from(ODD_NAMES if odd else PLAIN_NAMES)
+    weeks = st.integers(0, 6).map(str)
+    counts = st.integers(1, 99).map(str)
+    if odd:
+        weeks = st.one_of(weeks, st.sampled_from(ODD_WEEKS))
+        counts = st.one_of(counts, st.sampled_from(ODD_COUNTS))
+    quoted = st.lists(st.booleans(), min_size=4, max_size=4) if odd else st.just([False] * 4)
+    row = st.tuples(weeks, names, names, counts, quoted)
+    # Duplicate (week, city, artist) rows only in odd files.
+    rows = draw(st.lists(row, max_size=25, unique_by=None if odd else lambda r: r[:3]))
+    if draw(st.booleans()):  # charts every week 0..6, so most files have no gap
+        rows += [(str(w), "fill", "a", "1", [False] * 4) for w in range(7)]
+    if draw(st.booleans()):  # a chart at or over the 500-entry cap
+        big = draw(st.sampled_from([500, 501]))
+        rows += [("0", "big", f"a{i:03d}", "1", [False] * 4) for i in range(big)]
+    ends = st.sampled_from(["\n", "\r\n", "\r"] if odd else ["\n", "\r\n"])
+    extra = st.sampled_from(["", " ", "\t"] if odd else [""])
+    lines = []
+    for *fields, quotes in rows:
+        cells = ['"' + f.replace('"', '""') + '"' if q else f for f, q in zip(fields, quotes)]
+        lines.append(",".join(cells) + draw(ends))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(extra) + draw(ends))
+    header = draw(st.sampled_from([HEADER + "\n"] * 6 + [HEADER + "\r\n", "", "week,city\n"]))
+    missing = draw(st.sets(st.integers(0, 8 if odd else 6), max_size=3))
+    return header + "".join(lines), frozenset(missing)
+
+
+@given(chart=chart_texts(), chunk=st.sampled_from([3, 1 << 14]))
+@settings(max_examples=300, deadline=None)
+def test_columnar_reader_matches_csv_reader(tmp_path_factory, chart, chunk):
+    text, missing = chart
+    path = tmp_path_factory.mktemp("oracle") / "charts.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(charts_module, "_CHUNK_ROWS", chunk)
+        assert_columnar_matches_csv(path, missing)

@@ -209,6 +209,29 @@ class TestCliCommands:
         assert "cities: 4" in out
         assert "missing weeks: 1" in out
 
+    @pytest.mark.parametrize(
+        "subset, charts, cities, weeks, starts",
+        [([], 17, 2, "0..9 (10 total)", 7), (["--cities", "late"], 7, 1, "3..9 (7 total)", 4)],
+    )
+    def test_ingest_summary_lines(self, tmp_path, capsys, subset, charts, cities, weeks, starts):
+        """`late` charts weeks 3..9 only, so its subset has a shorter study period."""
+        rows = ["week,city,artist,listeners"]
+        for week in range(10):
+            rows.append(f"{week},early,a{week % 3},{week + 1}")
+            rows += [f"{week},early,b,2"] if week != 5 else []
+            rows += [f"{week},late,a0,{week}"] if week >= 3 else []
+        path = tmp_path / "charts.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["ingest", "--charts", str(path), *subset]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"charts: {charts}",
+            f"cities: {cities}",
+            "artists: 4",
+            f"weeks: {weeks}",
+            "missing weeks: 0",
+            f"valid window starts: {starts}",
+        ]
+
     def test_synth_emits_loadable_inputs(self, tmp_path, capsys):
         hier_path = tmp_path / "hier.json"
         cfg_path = tmp_path / "cfg.json"
