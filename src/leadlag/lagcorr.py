@@ -10,8 +10,7 @@ velocity at week t with the leader's at week t - lag, scans lags of 1 to
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -42,49 +41,50 @@ class VelocitySeries:
     weeks: tuple[int, ...]
     matrix: sparse.csr_matrix
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_row_of", {w: i for i, w in enumerate(self.weeks)})
-
     def __len__(self) -> int:
         return len(self.weeks)
-
-    def has_week(self, week: int) -> bool:
-        return week in self._row_of
 
     @classmethod
     def from_vectors(
         cls, city_id: str, vectors: Mapping[int, np.ndarray]
     ) -> "VelocitySeries":
         weeks = tuple(sorted(vectors))
-        if weeks:
-            matrix = sparse.csr_matrix(np.vstack([vectors[w] for w in weeks]))
-        else:
-            matrix = sparse.csr_matrix((0, 0))
-        return cls(city_id, weeks, matrix)
+        matrix = np.vstack([vectors[w] for w in weeks]) if weeks else (0, 0)
+        return cls(city_id, weeks, sparse.csr_matrix(matrix))
 
 
-@dataclass(frozen=True)
-class LagSample:
-    follower_week: int
-    lag: int
-    value: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DyadResult:
     """Outcome of the lag scan for one ordered (follower, leader) pair.
 
-    `per_lag_samples` holds only `best_lag`, the one lag ever tested.
+    `weeks` (int64, increasing) and `values` (float64) hold the samples of
+    `best_lag`, the one lag ever tested: the follower's velocity at each
+    week dotted with the leader's `best_lag` weeks earlier. `correlation`
+    is their mean.
     """
 
     leader_candidate: str
     follower_candidate: str
-    per_lag_samples: Mapping[int, tuple[LagSample, ...]]
     best_lag: int
     correlation: float
+    weeks: np.ndarray
+    values: np.ndarray
 
-    def best_samples(self) -> tuple[LagSample, ...]:
-        return self.per_lag_samples[self.best_lag]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weeks", np.asarray(self.weeks, dtype=np.int64))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DyadResult):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
+    @property
+    def per_lag_samples(self) -> Mapping[int, np.ndarray]:
+        """`{best_lag: values}`; the benchmark's tracer counts samples through it."""
+        return {self.best_lag: self.values}
 
 
 def compute_velocities(
@@ -114,38 +114,47 @@ def compute_velocities(
         if early.is_active(city_id) and late.is_active(city_id):
             weeks.append(t)
             rows.append(late.row(city_id) - early.row(city_id))
-    if rows:
-        matrix = sparse.vstack(rows, format="csr")
-    else:
-        matrix = sparse.csr_matrix((0, n_cols))
+    matrix = sparse.vstack(rows, format="csr") if rows else sparse.csr_matrix((0, n_cols))
     return VelocitySeries(city_id, tuple(weeks), matrix)
 
 
 def compute_all_velocities(
     windows: Mapping[int, ListenMatrix]
 ) -> dict[str, VelocitySeries]:
+    """Every city's velocities, as `compute_velocities` gives them one by one.
+
+    One sparse subtraction per start week covers all cities; only the rows
+    of cities active in both windows are kept, and each city's rows are
+    gathered once at the end.
+    """
     starts = sorted(windows)
     if not starts:
         return {}
-    cities = windows[starts[0]].cities
-    return {city: compute_velocities(windows, city) for city in cities}
-
-
-def lagged_samples(
-    follower: VelocitySeries, leader: VelocitySeries, lag: int
-) -> list[LagSample]:
-    """One dot-product sample per week where both velocities exist."""
-    if not MIN_LAG <= lag <= MAX_LAG:
-        raise ValueError(f"lag must be in {MIN_LAG}..{MAX_LAG}, got {lag}")
-    common = [t for t in follower.weeks if leader.has_week(t - lag)]
-    if not common:
-        return []
-    f_idx = [follower._row_of[t] for t in common]
-    l_idx = [leader._row_of[t - lag] for t in common]
-    a = follower.matrix[f_idx]
-    b = leader.matrix[l_idx]
-    values = np.asarray(a.multiply(b).sum(axis=1)).ravel()
-    return [LagSample(t, lag, float(v)) for t, v in zip(common, values)]
+    first = windows[starts[0]]
+    blocks = [sparse.csr_matrix((0, first.values.shape[1]))]
+    weeks = [np.empty(0, dtype=np.int64)]
+    owners = [np.empty(0, dtype=np.int64)]
+    for t in starts:
+        early = windows[t]
+        late = windows.get(t + VELOCITY_STEP_WEEKS)
+        if late is None:
+            continue
+        if not (early.normalized and late.normalized):
+            raise ValueError("windows must be normalized before velocities")
+        active = (np.diff(early.values.indptr) > 0) & (np.diff(late.values.indptr) > 0)
+        rows = np.flatnonzero(active)
+        blocks.append((late.values - early.values)[rows])
+        weeks.append(np.full(len(rows), t, dtype=np.int64))
+        owners.append(rows)
+    owner = np.concatenate(owners)
+    by_city = np.argsort(owner, kind="stable")
+    stack = sparse.vstack(blocks, format="csr")[by_city]
+    week_list = np.concatenate(weeks)[by_city].tolist()
+    bounds = np.searchsorted(owner[by_city], np.arange(len(first.cities) + 1)).tolist()
+    return {
+        city: VelocitySeries(city, tuple(week_list[a:b]), stack[a:b])
+        for city, a, b in zip(first.cities, bounds, bounds[1:])
+    }
 
 
 def _scan_lags(min_samples: int, lags: Sequence[int] | None) -> tuple[int, ...]:
@@ -161,43 +170,6 @@ def _scan_lags(min_samples: int, lags: Sequence[int] | None) -> tuple[int, ...]:
     return scan
 
 
-def best_dyad(
-    follower: VelocitySeries,
-    leader: VelocitySeries,
-    min_samples: int = DEFAULT_MIN_SAMPLES,
-    lags: Sequence[int] | None = None,
-) -> DyadResult:
-    """Scan lags 1..5 and keep the one with the largest mean dot product.
-
-    Lags with fewer than min_samples samples are ineligible; ties go to
-    the smallest lag. With no eligible lag the dyad is unavailable and
-    the caller drops it. A narrower lag set may be passed explicitly.
-    """
-    scan = _scan_lags(min_samples, lags)
-    best_lag = None
-    best_mean = -math.inf
-    best_samples: tuple[LagSample, ...] = ()
-    for lag in scan:
-        samples = tuple(lagged_samples(follower, leader, lag))
-        if len(samples) < min_samples:
-            continue
-        mean = math.fsum(s.value for s in samples) / len(samples)
-        if mean > best_mean:
-            best_lag, best_mean, best_samples = lag, mean, samples
-    if best_lag is None:
-        raise DyadUnavailable(
-            f"no lag of {follower.city_id!r} -> {leader.city_id!r} "
-            f"reaches {min_samples} samples"
-        )
-    return DyadResult(
-        leader_candidate=leader.city_id,
-        follower_candidate=follower.city_id,
-        per_lag_samples={best_lag: best_samples},
-        best_lag=best_lag,
-        correlation=best_mean,
-    )
-
-
 def scan_dyads(
     series: Mapping[str, VelocitySeries],
     min_samples: int = DEFAULT_MIN_SAMPLES,
@@ -205,118 +177,143 @@ def scan_dyads(
 ) -> list[DyadResult]:
     """Score every ordered city pair, in deterministic (leader, follower) order.
 
-    Gives, bit for bit, the `best_dyad` of every pair that has one. All
-    velocity rows are stacked once; per leader and lag, one row gather per
-    side and one sparse product per path group score every follower.
-    Rejects the arguments `best_dyad` rejects, for any number of cities.
+    A pair keeps its lag with the largest mean sample among those with at
+    least min_samples samples, ties going to the smallest lag; a pair with
+    no such lag is dropped. Velocity rows are stacked by week. For each
+    follower week t, one sparse product against the rows of weeks
+    t - max lag .. t - min lag gives every pair's sample at every lag;
+    `samples[r, k, c]` holds row r against city c at the k-th lag, NaN
+    where c has no row that week.
     """
     scan = _scan_lags(min_samples, lags)
     present = [series[c] for c in sorted(series) if len(series[c])]
     if len(present) < 2:
         return []
-    stack = sparse.vstack([s.matrix for s in present], format="csr")
-    week_of_row = [w for s in present for w in s.weeks]
-    weeks = np.array(week_of_row, dtype=np.int64)
-    owner = np.repeat(np.arange(len(present)), [len(s) for s in present])
-    # scipy multiplies two CSR operands by a sorted merge only when every
-    # row of both has strictly increasing column indices, and otherwise
-    # emits each row's products in another order, which `sum` then rounds
-    # differently. A pair's samples match `lagged_samples` only if they go
-    # through the path its own rows select, so each batch is split into
-    # the pairs whose gathered rows are all sorted and all other pairs.
-    entry_row = np.repeat(np.arange(len(weeks)), np.diff(stack.indptr))
-    step_back = (np.diff(stack.indices) <= 0) & (entry_row[1:] == entry_row[:-1])
-    row_sorted = np.bincount(entry_row[1:][step_back], minlength=len(weeks)) == 0
-    # Leader row by week, offset so that week - lag never indexes below 0.
-    base = int(weeks.min()) - MAX_LAG
-    span = int(weeks.max()) - base + 1
+    n = len(present)
+    weeks = np.concatenate([np.asarray(s.weeks, dtype=np.int64) for s in present])
+    owner = np.repeat(np.arange(n), [len(s) for s in present])
+    by_week = np.argsort(weeks, kind="stable")
+    week_sorted = weeks[by_week]
+    stack = sparse.vstack([s.matrix for s in present], format="csr")[by_week]
+    lag_pos = np.full(MAX_LAG + 1, -1)
+    lag_pos[list(scan)] = np.arange(len(scan))
+
+    samples = np.full((len(weeks), len(scan), n), np.nan)
+    first = np.flatnonzero(np.diff(week_sorted, prepend=week_sorted[0] - 1))
+    last = np.append(first[1:], len(weeks))
+    lo = np.searchsorted(week_sorted, week_sorted[first] - scan[-1])
+    hi = np.searchsorted(week_sorted, week_sorted[first] - scan[0], side="right")
+    for a, b, c, d in zip(*(x.tolist() for x in (first, last, lo, hi))):
+        if c == d:
+            continue
+        pos = lag_pos[week_sorted[a] - week_sorted[c:d]]
+        keep = pos >= 0
+        block = (stack[a:b] @ stack[c:d].T).toarray()[:, keep]
+        samples[by_week[a:b, None], pos[keep], owner[by_week[c:d]][keep]] = block
+
+    bounds = np.searchsorted(owner, np.arange(n + 1))
+    have = ~np.isnan(samples)
+    counts = np.add.reduceat(have, bounds[:-1], axis=0, dtype=np.int64)
+    means = np.add.reduceat(np.where(have, samples, 0.0), bounds[:-1], axis=0)
+    means /= np.maximum(counts, 1)
+    means[counts < min_samples] = -np.inf
+    best, best_mean = means.argmax(axis=1), means.max(axis=1)
+    scored = np.isfinite(best_mean)
+    np.fill_diagonal(scored, False)
 
     dyads = []
-    for li, leader in enumerate(present):
-        mine = owner == li
-        leader_row = np.full(span, -1)
-        leader_row[weeks[mine] - base] = np.flatnonzero(mine)
-        per_lag = []
-        for lag in scan:
-            l_rows = leader_row[weeks - lag - base]
-            f_rows = np.flatnonzero((l_rows >= 0) & ~mine)
-            l_rows, pair_of = l_rows[f_rows], owner[f_rows]
-            unsorted = ~(row_sorted[f_rows] & row_sorted[l_rows])
-            general = np.bincount(pair_of, unsorted, len(present))[pair_of] > 0
-            values = np.empty(len(f_rows))
-            for group in (general, ~general):
-                a, b = stack[f_rows[group]], stack[l_rows[group]]
-                values[group] = np.asarray(a.multiply(b).sum(axis=1)).ravel()
-            bounds = np.searchsorted(pair_of, np.arange(len(present) + 1)).tolist()
-            per_lag.append((lag, f_rows, values.tolist(), bounds))
-        for fi, follower in enumerate(present):
-            best, best_mean = None, -math.inf
-            for lag, f_rows, values, bounds in per_lag:
-                s, e = bounds[fi], bounds[fi + 1]
-                if e - s < min_samples:
-                    continue
-                mean = math.fsum(values[s:e]) / (e - s)
-                if mean > best_mean:
-                    best, best_mean = (lag, f_rows[s:e].tolist(), values[s:e]), mean
-            if best is not None:
-                lag, rows, values = best
-                samples = tuple(LagSample(week_of_row[r], lag, v) for r, v in zip(rows, values))
-                dyads.append(DyadResult(
-                    leader.city_id, follower.city_id, {lag: samples}, lag, best_mean
-                ))
+    for li, fi in zip(*(x.tolist() for x in np.nonzero(scored.T))):
+        k = int(best[fi, li])
+        column = samples[bounds[fi] : bounds[fi + 1], k, li]
+        sampled = ~np.isnan(column)
+        dyads.append(DyadResult(
+            present[li].city_id, present[fi].city_id, scan[k], float(best_mean[fi, li]),
+            weeks[bounds[fi] : bounds[fi + 1]][sampled], column[sampled],
+        ))
     return dyads
 
 
 def save_dyads(path: str | Path, dyads: Iterable[DyadResult]) -> None:
-    """Write dyad results as JSON, stable across reruns."""
-    payload = {
-        "dyads": [
-            {
-                "leader": d.leader_candidate,
-                "follower": d.follower_candidate,
-                "best_lag": d.best_lag,
-                "correlation": d.correlation,
-                "samples": {
-                    str(d.best_lag): [[s.follower_week, s.value] for s in d.best_samples()]
-                },
-            }
-            for d in sorted(
-                dyads, key=lambda d: (d.leader_candidate, d.follower_candidate)
-            )
-        ]
-    }
+    """Write dyad results as JSON, stable across reruns.
+
+    Each dyad is encoded on its own, so only one dyad's samples are Python
+    objects at a time.
+    """
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    items = [
+        encode({
+            "leader": d.leader_candidate,
+            "follower": d.follower_candidate,
+            "best_lag": d.best_lag,
+            "correlation": d.correlation,
+            "samples": {str(d.best_lag): list(zip(d.weeks.tolist(), d.values.tolist()))},
+        })
+        for d in sorted(dyads, key=lambda d: (d.leader_candidate, d.follower_candidate))
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write('{"dyads":[' + ",".join(items) + "]}\n")
 
 
 def load_dyads(path: str | Path) -> list[DyadResult]:
     """Read a save_dyads cache; caches holding every lag load the same.
 
-    Raises ValueError for a NaN or infinite correlation or sample value,
-    which JSON parsing would otherwise let through to the t-tests.
+    Raises ValueError, naming the file and the dyad, for a cache that would
+    otherwise distort the graph silently: a repeated (follower, leader)
+    pair, a best lag that is not an integer in 1..5, fewer than 2 samples,
+    a sample that is not a [week, value] pair, a week that is not an
+    integer, weeks that do not strictly increase, a NaN or infinite value,
+    or a correlation that is not the mean of its samples to within 1e-12.
     """
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    dyads = []
-    for item in payload["dyads"]:
-        lag = int(item["best_lag"])
-        correlation = float(item["correlation"])
-        samples = tuple(
-            LagSample(int(week), lag, float(value))
-            for week, value in item["samples"][str(lag)]
-        )
-        if not (math.isfinite(correlation) and all(math.isfinite(s.value) for s in samples)):
-            raise ValueError(
-                f"{path}: dyad {item['follower']!r} -> {item['leader']!r} "
-                "has a non-finite correlation or sample value"
-            )
-        dyads.append(
-            DyadResult(
-                leader_candidate=item["leader"],
-                follower_candidate=item["follower"],
-                per_lag_samples={lag: samples},
-                best_lag=lag,
-                correlation=correlation,
-            )
-        )
-    return dyads
+        items = json.load(fh)["dyads"]
+
+    def reject(item: Mapping, problem: str) -> ValueError:
+        return ValueError(f"{path}: dyad {item['follower']!r} -> {item['leader']!r} {problem}")
+
+    seen = set()
+    sizes, weeks, values = [], [], []
+    for item in items:
+        pair = (item["follower"], item["leader"])
+        if pair in seen:
+            raise reject(item, "appears twice")
+        seen.add(pair)
+        lag = item["best_lag"]
+        if type(lag) is not int or not MIN_LAG <= lag <= MAX_LAG:
+            raise reject(item, f"has best_lag {lag!r}, not an integer in {MIN_LAG}..{MAX_LAG}")
+        samples = item["samples"][str(lag)]
+        if len(samples) < 2:
+            raise reject(item, f"has {len(samples)} samples, fewer than 2")
+        if set(map(len, samples)) != {2}:
+            raise reject(item, "has a sample that is not a [week, value] pair")
+        item_weeks, item_values = zip(*samples)
+        if set(map(type, item_weeks)) != {int}:
+            raise reject(item, "has a week that is not an integer")
+        sizes.append(len(samples))
+        weeks.extend(item_weeks)
+        values.extend(item_values)
+    if not items:
+        return []
+    bounds = np.cumsum([0] + sizes)
+    starts = bounds[:-1]
+    flat_weeks = np.array(weeks, dtype=np.int64)
+    flat_values = np.array(values, dtype=np.float64)
+    correlation = np.array([item["correlation"] for item in items], dtype=np.float64)
+
+    def require(ok: np.ndarray, problem: str) -> None:
+        if not ok.all():
+            raise reject(items[int(np.argmin(ok))], problem)
+
+    finite = np.logical_and.reduceat(np.isfinite(flat_values), starts) & np.isfinite(correlation)
+    require(finite, "has a non-finite correlation or sample value")
+    step_up = np.diff(flat_weeks, prepend=flat_weeks[0]) > 0
+    step_up[starts] = True
+    require(np.logical_and.reduceat(step_up, starts), "has weeks that repeat or are out of order")
+    mean = np.add.reduceat(flat_values, starts) / np.diff(bounds)
+    require(np.abs(mean - correlation) <= 1e-12,
+            "has a correlation that is not the mean of its samples")
+    bounds = bounds.tolist()
+    return [
+        DyadResult(item["leader"], item["follower"], item["best_lag"], c,
+                   flat_weeks[a:b], flat_values[a:b])
+        for item, c, a, b in zip(items, correlation.tolist(), bounds, bounds[1:])
+    ]

@@ -23,7 +23,7 @@ from .lagcorr import DyadResult
 from .stats import (
     DegenerateSampleError,
     UndefinedCorrelationError,
-    one_sample_ttest,
+    one_sample_ttest,  # unused here; the benchmark's tracer wraps this name
     paired_ttest,
     spearman,
 )
@@ -83,19 +83,95 @@ class SizeLeadershipReport:
     cities_used: tuple[str, ...]
 
 
-def _survives_screen(dyad: DyadResult, alpha: float) -> bool:
-    """Step one: mean of best-lag dot products significantly above zero.
-
-    Propagates DegenerateSampleError; callers map it to "no edge".
-    """
-    values = [s.value for s in dyad.best_samples()]
-    result = one_sample_ttest(values)
-    return result.reject_at(alpha) and dyad.correlation > 0
-
-
 def _check_alpha(alpha: float) -> None:
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def _screen(dyads: Sequence[DyadResult], alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Step one for every dyad at once: (passes, flat) boolean arrays.
+
+    A dyad passes when the two-sided one-sample t-test rejects a zero mean
+    of its samples at alpha and its correlation is positive. A flat dyad
+    has zero sample variance, so no t statistic exists; it never passes.
+    Raises ValueError for a dyad with fewer than 2 samples or a NaN or
+    infinite sample.
+    """
+    from scipy.special import stdtr  # imported on first use, like stats.t_cdf
+
+    sizes = np.array([len(d.values) for d in dyads], dtype=np.int64)
+    if sizes.min() < 2:
+        raise ValueError(f"need at least 2 samples, got {sizes.min()}")
+    values = np.concatenate([d.values for d in dyads])
+    if not np.isfinite(values).all():
+        raise ValueError("t-test samples must be finite")
+    starts = np.cumsum(sizes) - sizes
+    mean = np.add.reduceat(values, starts) / sizes
+    deviation = values - np.repeat(mean, sizes)
+    ss = np.add.reduceat(deviation * deviation, starts)
+    constant = np.minimum.reduceat(values, starts) == np.maximum.reduceat(values, starts)
+    flat = constant | (ss <= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        statistic = mean / np.sqrt(ss / (sizes - 1) / sizes)
+    p_value = 2.0 * stdtr(sizes - 1, -np.abs(statistic))
+    positive = np.array([d.correlation for d in dyads]) > 0
+    return (p_value < alpha) & positive & ~flat, flat
+
+
+def _edge(dyad: DyadResult) -> Edge:
+    return Edge(dyad.follower_candidate, dyad.leader_candidate, dyad.correlation, dyad.best_lag)
+
+
+def _contest(forward: DyadResult, backward: DyadResult, alpha: float) -> Edge | None:
+    """Step two, for a pair whose both directions pass the screen.
+
+    A paired test over the weeks where both best-lag streams have a sample
+    must separate the directions; the larger correlation then wins. A
+    non-rejection means the cities move together and no edge is drawn.
+    """
+    _, fi, bi = np.intersect1d(
+        forward.weeks, backward.weeks, assume_unique=True, return_indices=True
+    )
+    if len(fi) < 2:
+        return None
+    try:
+        contest = paired_ttest(forward.values[fi].tolist(), backward.values[bi].tolist())
+    except DegenerateSampleError:
+        return None
+    if not contest.reject_at(alpha) or forward.correlation == backward.correlation:
+        return None
+    return _edge(forward if forward.correlation > backward.correlation else backward)
+
+
+def _decide(
+    dyads: Sequence[DyadResult], alpha: float, nodes: Sequence[str]
+) -> list[Edge]:
+    """Edges over every pair of `nodes` with a scored dyad, sorted.
+
+    A pair with one scored orientation is decided by the screen alone; a
+    pair with both draws no edge if either is flat, and goes to the
+    paired contest only if both pass.
+    """
+    known = set(nodes)
+    latest = {(d.follower_candidate, d.leader_candidate): d for d in dyads}
+    pairs = [p for p in latest if known.issuperset(p)]
+    if not pairs:
+        return []
+    position = {p: i for i, p in enumerate(pairs)}
+    dyads = [latest[p] for p in pairs]
+    passes, flat = _screen(dyads, alpha)
+    edges = []
+    for i, d in enumerate(dyads):
+        j = position.get((d.leader_candidate, d.follower_candidate))
+        if j is None:
+            if passes[i]:
+                edges.append(_edge(d))
+        elif i < j and not (flat[i] or flat[j]) and (passes[i] or passes[j]):
+            if passes[i] != passes[j]:
+                edges.append(_edge(d if passes[i] else dyads[j]))
+            elif (edge := _contest(d, dyads[j], alpha)) is not None:
+                edges.append(edge)
+    return sorted(edges, key=lambda e: (e.follower, e.leader))
 
 
 def accept_edge(
@@ -104,9 +180,7 @@ def accept_edge(
     """Decide the edge for one unordered pair, or return None.
 
     `forward` and `backward` must be the two orientations of the same
-    pair. Directions surviving the screen go to a paired comparison over
-    weeks where both best-lag streams have a sample; a non-rejection
-    means the cities move together and no edge is drawn.
+    pair; the decision is `build_graph`'s for that pair.
     """
     _check_alpha(alpha)
     same_pair = (
@@ -115,45 +189,9 @@ def accept_edge(
     )
     if not same_pair:
         raise ValueError("forward and backward must be orientations of one pair")
-
-    try:
-        fwd_ok = _survives_screen(forward, alpha)
-        bwd_ok = _survives_screen(backward, alpha)
-    except DegenerateSampleError:
-        return None
-    if not fwd_ok and not bwd_ok:
-        return None
-    if fwd_ok != bwd_ok:
-        winner = forward if fwd_ok else backward
-        return Edge(
-            follower=winner.follower_candidate,
-            leader=winner.leader_candidate,
-            weight=winner.correlation,
-            lag_weeks=winner.best_lag,
-        )
-
-    fwd_by_week = {s.follower_week: s.value for s in forward.best_samples()}
-    bwd_by_week = {s.follower_week: s.value for s in backward.best_samples()}
-    common = sorted(set(fwd_by_week) & set(bwd_by_week))
-    if len(common) < 2:
-        return None
-    try:
-        contest = paired_ttest(
-            [fwd_by_week[w] for w in common], [bwd_by_week[w] for w in common]
-        )
-    except DegenerateSampleError:
-        return None
-    if not contest.reject_at(alpha):
-        return None
-    if forward.correlation == backward.correlation:
-        return None
-    winner = forward if forward.correlation > backward.correlation else backward
-    return Edge(
-        follower=winner.follower_candidate,
-        leader=winner.leader_candidate,
-        weight=winner.correlation,
-        lag_weeks=winner.best_lag,
-    )
+    pair = (forward.follower_candidate, forward.leader_candidate)
+    edges = _decide([forward, backward], alpha, pair)
+    return edges[0] if edges else None
 
 
 def build_graph(
@@ -166,50 +204,17 @@ def build_graph(
 
     A pair with only one scored orientation is decided by the screen
     alone. With bonferroni=True the level is divided by the number of
-    ordered dyads over the node set.
+    ordered dyads over the node set. Of two dyads of one orientation the
+    later counts; dyads naming a city outside `nodes` are ignored.
     """
     _check_alpha(alpha)
-    by_pair: dict[tuple[str, str], DyadResult] = {}
-    for d in dyads:
-        by_pair[(d.follower_candidate, d.leader_candidate)] = d
+    dyads = list(dyads)
     if nodes is None:
-        node_set = {c for pair in by_pair for c in pair}
-    else:
-        node_set = set(nodes)
-    ordered = tuple(sorted(node_set))
-
-    level = alpha
+        nodes = [c for d in dyads for c in (d.follower_candidate, d.leader_candidate)]
+    ordered = tuple(sorted(set(nodes)))
     n = len(ordered)
-    if bonferroni and n > 1:
-        level = alpha / (n * (n - 1))
-
-    edges = []
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            fwd = by_pair.get((a, b))
-            bwd = by_pair.get((b, a))
-            if fwd is not None and bwd is not None:
-                edge = accept_edge(fwd, bwd, level)
-            elif fwd is not None or bwd is not None:
-                lone = fwd if fwd is not None else bwd
-                edge = None
-                try:
-                    survives = _survives_screen(lone, level)
-                except DegenerateSampleError:
-                    survives = False
-                if survives:
-                    edge = Edge(
-                        follower=lone.follower_candidate,
-                        leader=lone.leader_candidate,
-                        weight=lone.correlation,
-                        lag_weeks=lone.best_lag,
-                    )
-            else:
-                continue
-            if edge is not None:
-                edges.append(edge)
-    edges.sort(key=lambda e: (e.follower, e.leader))
-    return LeadershipGraph(nodes=ordered, edges=tuple(edges))
+    level = alpha / (n * (n - 1)) if bonferroni and n > 1 else alpha
+    return LeadershipGraph(nodes=ordered, edges=tuple(_decide(dyads, level, ordered)))
 
 
 def _weight_matrix(nodes: Sequence[str], edges: Iterable[Edge]) -> np.ndarray:

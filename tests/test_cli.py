@@ -21,6 +21,8 @@ from leadlag.network import Edge, LeadershipGraph
 from leadlag.pipeline import RunConfig, run_pipeline
 from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
 
+from helpers import DISTORTIONS, distort
+
 PLANTED = {("c01", "c00"): 1, ("c02", "c01"): 1, ("c03", "c02"): 1}
 
 
@@ -54,7 +56,7 @@ def synth_inputs(tmp_path_factory):
 def write_one_dyad_cache(path, values):
     """A dyads.json holding the b -> a dyad at lag 1; json writes NaN and Infinity as such."""
     samples = [[week, value] for week, value in enumerate(values)]
-    dyad = {"leader": "a", "follower": "b", "best_lag": 1, "correlation": 0.2,
+    dyad = {"leader": "a", "follower": "b", "best_lag": 1, "correlation": sum(values) / len(values),
             "samples": {"1": samples}}
     path.write_text(json.dumps({"dyads": [dyad]}) + "\n")
 
@@ -469,6 +471,15 @@ class TestCliErrors:
             assert main(["graph", "--dyads", str(path), "--out", str(tmp_path)]) == 1
             assert str(path) in capsys.readouterr().err
             assert not (tmp_path / "edges.csv").exists()
+
+    @pytest.mark.parametrize("case", sorted(DISTORTIONS))
+    def test_distorting_dyad_cache_exit_code(self, tmp_path, capsys, case):
+        path = tmp_path / "dyads.json"
+        write_one_dyad_cache(path, [0.2 + 0.01 * (w % 3) for w in range(25)])
+        path.write_text(json.dumps(distort(json.loads(path.read_text()), case)))
+        assert main(["graph", "--dyads", str(path), "--out", str(tmp_path)]) == 1
+        assert f"{path}: dyad 'b' -> 'a' {DISTORTIONS[case]}" in capsys.readouterr().err
+        assert not (tmp_path / "edges.csv").exists()
 
     def test_graph_alpha_out_of_range_exit_code(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"

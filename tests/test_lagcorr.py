@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -15,12 +16,9 @@ from leadlag.lagcorr import (
     LAGS,
     DyadResult,
     DyadUnavailable,
-    LagSample,
     VelocitySeries,
-    best_dyad,
     compute_all_velocities,
     compute_velocities,
-    lagged_samples,
     load_dyads,
     save_dyads,
     scan_dyads,
@@ -29,7 +27,8 @@ from leadlag.network import build_graph
 from leadlag.pipeline import build_windows
 from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
 
-from helpers import normalized_windows, store_from_cells
+from helpers import DISTORTIONS, distort, normalized_windows, store_from_cells
+from oracles import best_dyad, lagged_samples, per_pair_scan
 
 
 def test_identical_windows_give_zero_velocity():
@@ -62,6 +61,8 @@ def test_unnormalized_windows_rejected():
     raw = {s: store.window(s) for s in store.valid_window_starts()}
     with pytest.raises(ValueError, match="normalized"):
         compute_velocities(raw, "c")
+    with pytest.raises(ValueError, match="normalized"):
+        compute_all_velocities(raw)
 
 
 def test_velocities_match_bruteforce():
@@ -97,6 +98,40 @@ def test_velocities_match_bruteforce():
             expect = dense_norm_window(t + 4)[ci[city]] - dense_norm_window(t)[ci[city]]
             got = series.matrix[series.weeks.index(t)].toarray().ravel()
             np.testing.assert_allclose(got, expect, atol=1e-12)
+
+
+def assert_batched_velocities_match_per_city(windows):
+    batched = compute_all_velocities(windows)
+    assert list(batched) == list(next(iter(windows.values())).cities)
+    for city, series in batched.items():
+        one = compute_velocities(windows, city)
+        assert series.weeks == one.weeks
+        assert series.matrix.shape == one.matrix.shape
+        np.testing.assert_array_equal(series.matrix.toarray(), one.matrix.toarray())
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cities=st.integers(1, 4),
+    n_artists=st.integers(1, 5),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_velocities_match_per_city_loop(seed, n_cities, n_artists):
+    rng = np.random.default_rng(seed)
+    cities = [f"c{k}" for k in range(n_cities)]
+    density = rng.uniform(0.05, 0.9, size=n_cities)
+    # Missing weeks must lie inside the charted range 0..23.
+    missing = frozenset(rng.choice(np.arange(1, 23), size=int(rng.integers(0, 3)), replace=False))
+    cells = {}
+    for w in range(24):
+        if w in missing:
+            continue
+        for c, share in zip(cities, density):
+            for a in range(n_artists):
+                if rng.random() < share:
+                    cells[(w, c, f"a{a}")] = int(rng.integers(1, 20))
+        cells.setdefault((w, cities[int(rng.integers(n_cities))], "a0"), 1)
+    assert_batched_velocities_match_per_city(normalized_windows(store_from_cells(cells, missing)))
 
 
 def test_missing_week_removes_velocities():
@@ -168,19 +203,29 @@ def crafted_pair(means, n_weeks=46):
     return VelocitySeries.from_vectors("F", follower_vecs), leader
 
 
+def scanned_pair(follower, leader, **kwargs):
+    """scan_dyads' result for the follower -> leader orientation, or None."""
+    series = {follower.city_id: follower, leader.city_id: leader}
+    found = [d for d in scan_dyads(series, **kwargs) if d.follower_candidate == follower.city_id]
+    return found[0] if found else None
+
+
 def test_best_dyad_argmax():
     follower, leader = crafted_pair([0.01, 0.03, 0.02, 0.0, 0.0])
-    result = best_dyad(follower, leader)
-    assert result.best_lag == 2
-    assert result.correlation == pytest.approx(0.03, abs=1e-15)
-    assert result.leader_candidate == "L"
-    assert result.follower_candidate == "F"
-    assert set(result.per_lag_samples) == {result.best_lag}
+    for result in (best_dyad(follower, leader), scanned_pair(follower, leader)):
+        assert result.best_lag == 2
+        assert result.correlation == pytest.approx(0.03, abs=1e-15)
+        assert result.leader_candidate == "L"
+        assert result.follower_candidate == "F"
+        assert set(result.per_lag_samples) == {result.best_lag}
+        assert result.weeks.dtype == np.int64 and result.values.dtype == np.float64
+        assert result.weeks.tolist() == list(range(5, 46))
 
 
 def test_best_dyad_tie_breaks_to_smallest_lag():
     follower, leader = crafted_pair([0.02, 0.02, 0.02, 0.02, 0.02])
     assert best_dyad(follower, leader).best_lag == 1
+    assert scanned_pair(follower, leader).best_lag == 1
 
 
 def test_all_zero_velocities_pick_lag_one():
@@ -198,6 +243,8 @@ def test_too_few_samples_unavailable():
     follower, leader = crafted_pair([0.1] * 5, n_weeks=20)
     with pytest.raises(DyadUnavailable):
         best_dyad(follower, leader, min_samples=30)
+    assert scanned_pair(follower, leader, min_samples=30) is None
+    assert scanned_pair(follower, leader, min_samples=15) is not None
 
 
 def test_min_samples_floor():
@@ -231,18 +278,28 @@ def test_scan_drops_unavailable_dyads():
     assert scan_dyads(series, min_samples=5) == []
 
 
-def per_pair_scan(series, min_samples=20, lags=None):
-    """The oracle: best_dyad over every ordered pair, unavailable ones dropped."""
-    dyads = []
-    for leader in sorted(series):
-        for follower in sorted(series):
-            if leader == follower:
-                continue
-            try:
-                dyads.append(best_dyad(series[follower], series[leader], min_samples, lags))
-            except DyadUnavailable:
-                pass
-    return dyads
+def assert_scan_matches_oracle(got, series, min_samples=20, lags=None):
+    """The scan against best_dyad over every ordered pair.
+
+    The same pairs are scored and every sample is within 1e-15 of the
+    oracle's on the same weeks. A best lag may differ only where the
+    oracle's mean at the scan's lag ties its best mean within 1e-15.
+    """
+    want = per_pair_scan(series, min_samples, lags)
+    pair = attrgetter("leader_candidate", "follower_candidate")
+    assert list(map(pair, got)) == list(map(pair, want))
+    for g, w in zip(got, want):
+        assert abs(g.correlation - w.correlation) <= 1e-15
+        if g.best_lag != w.best_lag:
+            follower, leader = series[g.follower_candidate], series[g.leader_candidate]
+            other = lagged_samples(follower, leader, g.best_lag)
+            assert len(other) >= min_samples
+            assert abs(math.fsum(s.value for s in other) / len(other) - w.correlation) <= 1e-15
+            w = DyadResult(w.leader_candidate, w.follower_candidate, g.best_lag, w.correlation,
+                           [s.follower_week for s in other], [s.value for s in other])
+        np.testing.assert_array_equal(g.weeks, w.weeks)
+        np.testing.assert_allclose(g.values, w.values, rtol=0, atol=1e-15)
+        assert abs(g.correlation - math.fsum(g.values) / len(g.values)) <= 1e-15
 
 
 def has_unsorted_row(matrix):
@@ -259,6 +316,15 @@ def with_reversed_rows(series, rows):
         indices[span], data[span] = indices[span][::-1], data[span][::-1]
     matrix = sparse.csr_matrix((data, indices, m.indptr.copy()), shape=m.shape)
     return VelocitySeries(series.city_id, series.weeks, matrix)
+
+
+def unit_row_difference(rng, dim):
+    """A velocity: the difference of two unit rows of listener counts."""
+    rows = rng.random((2, dim)) * 10.0 ** rng.integers(-3, 1, size=(2, dim))
+    rows[rng.random((2, dim)) < 0.3] = 0.0
+    rows[rows.sum(axis=1) == 0, 0] = 1.0
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows[1] - rows[0]
 
 
 @given(
@@ -282,15 +348,12 @@ def test_scan_matches_per_pair_oracle(seed, n_cities, lags, min_samples, reverse
         for w in range(horizon):
             if w in missing or off <= w < stop:
                 continue
-            vec = rng.normal(size=dim) * 10.0 ** rng.integers(-3, 1, size=dim)
-            vec[rng.random(dim) < 0.3] = 0.0
-            vectors[w] = vec
+            vectors[w] = unit_row_difference(rng, dim)
         city = VelocitySeries.from_vectors(f"c{k}", vectors)
-        # Pairs of cities with and without reversed rows share each batch.
+        # Rows whose column indices are stored out of order, as in real windows.
         flip = np.flatnonzero(rng.random(len(city)) < reversed_shares[k])
         series[city.city_id] = with_reversed_rows(city, flip)
-    got = scan_dyads(series, min_samples, lags)
-    assert repr(got) == repr(per_pair_scan(series, min_samples, lags))
+    assert_scan_matches_oracle(scan_dyads(series, min_samples, lags), series, min_samples, lags)
 
 
 def test_scan_matches_oracle_on_synth_velocities():
@@ -298,12 +361,14 @@ def test_scan_matches_oracle_on_synth_velocities():
     charts = generate_charts(chain_hierarchy(8), config)
     universe = ArtistUniverse(a for c in charts for a, _ in c.entries)
     store = ChartStore(charts, universe, config.missing_weeks)
-    series = compute_all_velocities(build_windows(store))
+    windows = build_windows(store)
+    assert_batched_velocities_match_per_city(windows)
+    series = compute_all_velocities(windows)
     # Velocities of real windows store many rows unsorted, unlike from_vectors.
     assert any(has_unsorted_row(s.matrix) for s in series.values())
     got = scan_dyads(series)
     assert len(got) == 56
-    assert repr(got) == repr(per_pair_scan(series))
+    assert_scan_matches_oracle(got, series)
 
 
 def test_scan_skips_city_without_velocities():
@@ -317,7 +382,7 @@ def test_scan_skips_city_without_velocities():
     series["v"] = VelocitySeries.from_vectors("v", {})
     got = scan_dyads(series)
     assert len(got) == 2
-    assert repr(got) == repr(per_pair_scan(series))
+    assert_scan_matches_oracle(got, series)
 
 
 def test_scan_of_fewer_than_two_cities_is_empty():
@@ -413,6 +478,16 @@ def test_cache_holding_every_lag_still_loads(tmp_path):
         for k, city in enumerate(("a", "b", "c"))
     }
     scanned = scan_dyads(series)
+
+    def every_lag(d):
+        follower, leader = series[d.follower_candidate], series[d.leader_candidate]
+        samples = {
+            str(lag): [[s.follower_week, s.value] for s in lagged_samples(follower, leader, lag)]
+            for lag in LAGS
+        }
+        samples[str(d.best_lag)] = [list(p) for p in zip(d.weeks.tolist(), d.values.tolist())]
+        return samples
+
     payload = {
         "dyads": [
             {
@@ -420,15 +495,7 @@ def test_cache_holding_every_lag_still_loads(tmp_path):
                 "follower": d.follower_candidate,
                 "best_lag": d.best_lag,
                 "correlation": d.correlation,
-                "samples": {
-                    str(lag): [
-                        [s.follower_week, s.value]
-                        for s in lagged_samples(
-                            series[d.follower_candidate], series[d.leader_candidate], lag
-                        )
-                    ]
-                    for lag in LAGS
-                },
+                "samples": every_lag(d),
             }
             for d in scanned
         ]
@@ -469,3 +536,38 @@ def test_dyad_cache_is_deterministic(tmp_path):
     save_dyads(p1, [result])
     save_dyads(p2, [result])
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_dyad_cache_format(tmp_path):
+    dyad = DyadResult("L", "F", 3, 0.25, [4, 7], [0.5, 0.0])
+    path = tmp_path / "dyads.json"
+    save_dyads(path, [dyad])
+    assert path.read_text() == (
+        '{"dyads":[{"best_lag":3,"correlation":0.25,"follower":"F","leader":"L",'
+        '"samples":{"3":[[4,0.5],[7,0.0]]}}]}\n'
+    )
+    assert load_dyads(path) == [dyad]
+
+
+@pytest.mark.parametrize("case", sorted(DISTORTIONS))
+def test_cache_that_would_distort_a_run_rejected(tmp_path, case):
+    follower, leader = crafted_pair([0.01, 0.03, 0.02, 0.0, -0.01])
+    path = tmp_path / "dyads.json"
+    save_dyads(path, [best_dyad(follower, leader)])
+    path.write_text(json.dumps(distort(json.loads(path.read_text()), case)))
+    message = f"{path}: dyad 'F' -> 'L' {DISTORTIONS[case]}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_dyads(path)
+
+
+def test_cache_correlation_within_tolerance_loads(tmp_path):
+    follower, leader = crafted_pair([0.01, 0.03, 0.02, 0.0, -0.01])
+    result = best_dyad(follower, leader)
+    path = tmp_path / "dyads.json"
+    save_dyads(path, [result])
+    payload = json.loads(path.read_text())
+    payload["dyads"][0]["correlation"] += 5e-13
+    path.write_text(json.dumps(payload))
+    [loaded] = load_dyads(path)
+    assert loaded.correlation == result.correlation + 5e-13
+    np.testing.assert_array_equal(loaded.values, result.values)

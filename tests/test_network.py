@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from leadlag.lagcorr import DyadResult, LagSample
+from leadlag.lagcorr import DyadResult
 from leadlag.network import (
     Edge,
     LeadershipGraph,
@@ -17,21 +19,27 @@ from leadlag.network import (
 )
 from leadlag.stats import UndefinedCorrelationError
 
-from oracles import _is_acyclic, brute_force_fas_weight, dense_pagerank
+from oracles import (
+    _is_acyclic,
+    brute_force_fas_weight,
+    dense_pagerank,
+    per_pair_accept_edge,
+    per_pair_build_graph,
+)
 
 
 def dyad(follower, leader, values, lag=1, weeks=None):
     """Hand-built scan result holding only its best lag, as best_dyad does."""
     if weeks is None:
         weeks = range(len(values))
-    samples = tuple(LagSample(w, lag, float(v)) for w, v in zip(weeks, values))
     corr = math.fsum(values) / len(values)
     return DyadResult(
         leader_candidate=leader,
         follower_candidate=follower,
-        per_lag_samples={lag: samples},
         best_lag=lag,
         correlation=corr,
+        weeks=list(weeks),
+        values=values,
     )
 
 
@@ -168,6 +176,85 @@ def test_bonferroni_tightens_the_level():
     corrected = build_graph(dyads, alpha=0.01, bonferroni=True)
     assert len(plain.edges) == 1
     assert len(corrected.edges) == 0
+
+
+def random_dyads(rng, cities):
+    """Scored dyads over `cities`: some pairs in both orientations, some in
+    one or none; samples noisy, constant, or a reordering of the other
+    orientation's (equal correlations)."""
+    dyads = []
+    for i, a in enumerate(cities):
+        for b in cities[i + 1 :]:
+            kind = rng.choice(["both", "both", "both", "forward", "backward", "none"])
+            first = None
+            for f, l in ((a, b), (b, a)):
+                if kind == "none" or kind == ("backward" if f == a else "forward"):
+                    continue
+                weeks = np.sort(rng.choice(40, size=int(rng.integers(2, 31)), replace=False))
+                shape = rng.choice(["noise", "noise", "noise", "constant", "reordered"])
+                if shape == "constant":
+                    values = np.full(len(weeks), rng.choice([0.0, 0.25, -0.5, 0.125]))
+                elif shape == "reordered" and first is not None:
+                    weeks, values = first.weeks, rng.permutation(first.values)
+                else:
+                    mean = rng.choice([-0.2, 0.0, 0.05, 0.2, 0.5])
+                    values = rng.normal(mean, rng.choice([0.01, 0.1, 0.5]), size=len(weeks))
+                first = dyad(f, l, values.tolist(), lag=int(rng.integers(1, 6)), weeks=weeks)
+                dyads.append(first)
+    rng.shuffle(dyads)
+    return dyads
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cities=st.integers(2, 6),
+    alpha=st.sampled_from([0.2, 0.05, 0.01, 0.001]),
+    bonferroni=st.booleans(),
+    node_set=st.sampled_from(["from dyads", "with an extra city", "without the last city"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_build_graph_matches_per_pair_loop(seed, n_cities, alpha, bonferroni, node_set):
+    rng = np.random.default_rng(seed)
+    cities = [f"c{k}" for k in range(n_cities)]
+    dyads = random_dyads(rng, cities)
+    nodes = {
+        "from dyads": None,
+        "with an extra city": cities + ["zz"],
+        "without the last city": cities[:-1],
+    }[node_set]
+    got = build_graph(dyads, alpha=alpha, bonferroni=bonferroni, nodes=nodes)
+    assert got == per_pair_build_graph(dyads, alpha=alpha, bonferroni=bonferroni, nodes=nodes)
+    by_pair = {(d.follower_candidate, d.leader_candidate): d for d in dyads}
+    for (f, l), fwd in by_pair.items():
+        if (l, f) in by_pair:
+            assert accept_edge(fwd, by_pair[(l, f)], alpha) == per_pair_accept_edge(
+                fwd, by_pair[(l, f)], alpha
+            )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_sample_is_value_error(bad):
+    values = steady(0.2)
+    values[3] = bad
+    broken = dyad("a", "b", values)
+    for dyads in ([broken], [broken, dyad("b", "a", steady(0.1))]):
+        with pytest.raises(ValueError, match="finite"):
+            build_graph(dyads)
+    with pytest.raises(ValueError, match="finite"):
+        accept_edge(broken, dyad("b", "a", [0.2] * 30))
+
+
+def test_single_sample_is_value_error():
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        build_graph([dyad("a", "b", [0.3])])
+
+
+def test_constant_sample_is_flat_even_when_its_mean_rounds():
+    # The mean of three 0.1s is not 0.1 in floating point, so a variance
+    # taken around it is not 0; the samples are still constant.
+    assert math.fsum([0.1] * 3) / 3 != 0.1
+    assert build_graph([dyad("a", "b", [0.1] * 3)]).edges == ()
+    assert accept_edge(dyad("a", "b", [0.1] * 3), dyad("b", "a", steady(0.2))) is None
 
 
 def test_graph_validates_edges():

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from leadlag.charts import ChartStore, normalize_rows, write_chart_csv
-from leadlag.lagcorr import best_dyad, compute_all_velocities, scan_dyads
+from leadlag.lagcorr import compute_all_velocities, scan_dyads
 from leadlag.network import build_graph
 from leadlag.synth import (
     PlantedEdge,
@@ -17,6 +17,8 @@ from leadlag.synth import (
     load_synth_config,
     shuffle_null,
 )
+
+from oracles import best_dyad
 
 
 def two_cities(coupling=1.0, lag=1):
