@@ -13,7 +13,7 @@ import csv
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -29,14 +29,12 @@ GENRE_HEADER = ["genre", "rank", "artist"]
 # or \x1c-\x1f (numpy's integer parser skips these as whitespace, int() does not).
 _CHUNK_ROWS = 1 << 14
 _CSV_ONLY = '"\x1c\x1d\x1e\x1f'
+# Windows per block-diagonal Gram product in WindowStack.grams.
+_GRAM_GROUP = 8
 
 
 class ChartFormatError(ValueError):
     """An input file violates its format contract."""
-
-
-class WindowUnavailable(LookupError):
-    """The requested 4-week window overlaps a missing or absent week."""
 
 
 @dataclass(frozen=True)
@@ -89,21 +87,83 @@ class ListenMatrix:
     values: sparse.csr_matrix
     normalized: bool
 
-    def row(self, city_id: str) -> sparse.csr_matrix:
-        return self.values.getrow(self._row_index(city_id))
 
-    def is_active(self, city_id: str) -> bool:
-        i = self._row_index(city_id)
-        return self.values.indptr[i] < self.values.indptr[i + 1]
+class WindowStack(Mapping[int, ListenMatrix]):
+    """Normalized windows by start week, stacked in one CSR `matrix` whose row
+    i * len(cities) + c is city c in the window starting at starts[i].
 
-    def active_cities(self) -> tuple[str, ...]:
-        return tuple(c for c in self.cities if self.is_active(c))
+    `stack[start]` is a `ListenMatrix` whose values view that window's rows.
+    """
 
-    def _row_index(self, city_id: str) -> int:
-        try:
-            return self.cities.index(city_id)
-        except ValueError:
-            raise KeyError(f"unknown city {city_id!r}") from None
+    def __init__(
+        self,
+        starts: Iterable[int],
+        cities: tuple[str, ...],
+        universe: ArtistUniverse,
+        matrix: sparse.csr_matrix,
+    ) -> None:
+        self.starts: tuple[int, ...] = tuple(starts)
+        self.cities, self.universe, self.matrix = cities, universe, matrix
+        self._position = {s: i for i, s in enumerate(self.starts)}
+
+    @classmethod
+    def of(cls, windows: Mapping[int, ListenMatrix], use: str) -> "WindowStack":
+        """`windows` as a stack: a stack as it is, non-empty plain maps by one vstack."""
+        if isinstance(windows, cls):
+            return windows
+        starts = sorted(windows)
+        if not all(windows[s].normalized for s in starts):
+            raise ValueError(f"windows must be normalized before {use}")
+        first = windows[starts[0]]
+        matrix = sparse.vstack([windows[s].values for s in starts], format="csr")
+        return cls(starts, first.cities, first.universe, matrix)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __iter__(self):
+        return iter(self.starts)
+
+    def __getitem__(self, start: int) -> ListenMatrix:
+        block = self.block(self._position[start])
+        return ListenMatrix(start, WINDOW_WEEKS, self.cities, self.universe, block, True)
+
+    def active(self) -> np.ndarray:
+        """(window, city) booleans: which rows chart anything."""
+        return np.diff(self.matrix.indptr).reshape(len(self), len(self.cities)) > 0
+
+    def grams(self) -> Iterator[np.ndarray]:
+        """Each window's (city, city) dot products of its rows, in window order.
+
+        A few windows at a time go through one product with a block-diagonal
+        matrix (window i's columns shifted by i * len(universe)). An entry sums
+        one row's products in that row's stored order, as a product of the
+        window alone would; small groups keep the product's copies small.
+        """
+        n, m = len(self.cities), len(self.universe)
+        for lo in range(0, len(self), _GRAM_GROUP):
+            k = min(_GRAM_GROUP, len(self) - lo)
+            indptr = self.matrix.indptr[lo * n : (lo + k) * n + 1]
+            a, b = indptr[0], indptr[-1]
+            shift = np.repeat(np.arange(k) * m, np.diff(indptr[::n]))
+            parts = (self.matrix.data[a:b], self.matrix.indices[a:b] + shift, indptr - a)
+            rows = sparse.csr_matrix(parts, shape=(k * n, k * m))
+            product = rows @ rows.T
+            row = np.repeat(np.arange(k * n), np.diff(product.indptr))
+            grams = np.zeros((k, n, n))
+            grams[row // n, row % n, product.indices % n] = product.data
+            yield from grams
+
+    def block(self, i: int) -> sparse.csr_matrix:
+        """The rows of the i-th window, sharing data and indices with the stack."""
+        n = len(self.cities)
+        indptr = self.matrix.indptr[i * n : (i + 1) * n + 1]
+        lo, hi = indptr[0], indptr[-1]
+        view = sparse.csr_matrix((n, len(self.universe)))
+        # Assigned, not passed in: the constructor copies a slice of under half its base.
+        view.data, view.indices = self.matrix.data[lo:hi], self.matrix.indices[lo:hi]
+        view.indptr = indptr - lo
+        return view
 
 
 class GenreCatalog:
@@ -298,6 +358,14 @@ def _intern(names: np.ndarray, table: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(table.__getitem__, names), dtype=np.int32, count=len(names))
 
 
+def _intern_runs(names: np.ndarray, table: dict[str, int]) -> np.ndarray:
+    """`_intern` for names that repeat in long runs: only each run's first name is looked up."""
+    new = np.ones(len(names), dtype=bool)
+    new[1:] = names[1:] != names[:-1]
+    head = np.flatnonzero(new)
+    return np.repeat(_intern(names[head], table), np.diff(head, append=len(names)))
+
+
 def _split_chunk(lines: list[str]) -> list[np.ndarray]:
     """Week, city, artist and count columns of some chart lines."""
     text = "".join(lines)
@@ -312,6 +380,23 @@ def _split_chunk(lines: list[str]) -> list[np.ndarray]:
     return [table[name] for name in table.dtype.names]
 
 
+def _chunk_columns(lines: list[str], cities: dict, artists: dict) -> list[np.ndarray]:
+    """Week, city code, artist code and count of some chart lines; the parsed table
+    and its names are freed on return."""
+    week, city, artist, count = _split_chunk(lines)
+    # Charts arrive whole, so a city repeats for a chart's length; artists do not.
+    codes = _intern_runs(city, cities), _intern(artist, artists)
+    return [week.astype(np.int64), *codes, count.astype(np.int64).astype(np.float64)]
+
+
+def _join_column(chunks: list[list[np.ndarray]], k: int) -> np.ndarray:
+    """Column k of all chunks as one array; each chunk's copy is dropped once it is joined."""
+    column = np.concatenate([chunk[k] for chunk in chunks])
+    for chunk in chunks:
+        chunk[k] = None
+    return column
+
+
 def _read_chart_columns(path: str | Path):
     """(cities, universe, rows) of a plainly valid chart CSV, or None to leave it to csv."""
     chunks, cities, artists = [], {}, {}
@@ -320,11 +405,8 @@ def _read_chart_columns(path: str | Path):
             if next(fh, "").rstrip("\r\n") != ",".join(CHART_HEADER):
                 return None
             while lines := list(islice(fh, _CHUNK_ROWS)):
-                week, city, artist, count = _split_chunk(lines)
-                codes = _intern(city, cities), _intern(artist, artists)
-                chunks.append((week.astype(np.int64), *codes, count.astype(np.int64)))
-        week, city, artist, count = (np.concatenate(column) for column in zip(*chunks))
-        del chunks  # before the remapping below, which copies city and artist again
+                chunks.append(_chunk_columns(lines, cities, artists))
+        week, city, artist, count = (_join_column(chunks, k) for k in range(4))
         if week.min() < 0 or count.min() < 1 or "" in cities or "" in artists:
             return None
     except (ValueError, OverflowError, csv.Error):  # also bad UTF-8 and no data rows
@@ -333,7 +415,7 @@ def _read_chart_columns(path: str | Path):
     rank = {c: i for i, c in enumerate(sorted(cities))}
     city = np.array([rank[c] for c in cities], dtype=np.int32)[city]
     artist = np.array([universe.index[a] for a in artists], dtype=np.int32)[artist]
-    return tuple(rank), universe, (week, city, artist, count.astype(np.float64))
+    return tuple(rank), universe, (week, city, artist, count)
 
 
 class ChartStore:
@@ -414,85 +496,58 @@ class ChartStore:
         last_start = self.last_week - (WINDOW_WEEKS - 1)
         return [s for s in range(self.first_week, last_start + 1) if self.window_available(s)]
 
-    def window(self, start_week: int) -> ListenMatrix:
-        """Build the raw (unnormalized) window starting at start_week."""
-        span = range(start_week, start_week + WINDOW_WEEKS)
-        blocked = [w for w in span if w in self.missing_weeks]
-        if blocked:
-            raise WindowUnavailable(
-                f"window {start_week}..{span.stop - 1} overlaps missing week {blocked[0]}"
-            )
-        if span.start < self.first_week or span.stop - 1 > self.last_week:
-            raise WindowUnavailable(
-                f"window {start_week}..{span.stop - 1} leaves the study period "
-                f"{self.first_week}..{self.last_week}"
-            )
-        lo, hi = np.searchsorted(self._week, (span.start, span.stop))
-        values = sparse.coo_matrix(
-            (self._count[lo:hi], (self._city[lo:hi], self._artist[lo:hi])),
-            shape=(len(self.cities), len(self.universe)),
-        ).tocsr()
-        values.sum_duplicates()
-        return ListenMatrix(
-            window_start_week=start_week,
-            width_weeks=WINDOW_WEEKS,
-            cities=self.cities,
-            universe=self.universe,
-            values=values,
-            normalized=False,
+    def windows(self, genre_artists: Iterable[str] | None = None) -> WindowStack:
+        """Every valid window, filtered to the genre's columns when given, rows at unit norm.
+
+        One product sums the windows: a 0/1 band matrix with a row per (window, city),
+        whose ones pick that city's charts in the window's 4 weeks, times the
+        charts by artists. Later sums follow each row's entry order, so it is
+        fixed to keep exports byte-identical: rows run by descending artist
+        column without a genre and ascending with one. The weekly matrix is
+        built on flipped columns when the rows must descend, so sorting the
+        product gives that order directly.
+        """
+        starts = np.array(self.valid_window_starts(), dtype=np.int64)
+        n_cities, n_artists = len(self.cities), len(self.universe)
+        first = np.flatnonzero(self._starts)
+        week, city = self._week[first], self._city[first]
+        # Chart k lies in the windows starting at week - 3 .. week that are valid.
+        lo = np.searchsorted(starts, week - (WINDOW_WEEKS - 1))
+        span = np.searchsorted(starts, week, side="right") - lo
+        chart = np.repeat(np.arange(len(first)), span)
+        window = np.arange(len(chart)) - np.repeat(np.cumsum(span) - span - lo, span)
+        band = sparse.csr_matrix(
+            (np.ones(len(chart)), (window * n_cities + city[chart], chart)),
+            shape=(len(starts) * n_cities, len(first)),
         )
+        flip = genre_artists is None
+        columns = n_artists - 1 - self._artist if flip else self._artist
+        weekly = sparse.csr_matrix(
+            (self._count, columns, np.append(first, len(self._week))),
+            shape=(len(first), n_artists),
+        )
+        matrix = band @ weekly
+        matrix.sort_indices()
+        if flip:
+            matrix = sparse.csr_matrix(
+                (matrix.data, n_artists - 1 - matrix.indices, matrix.indptr), shape=matrix.shape
+            )
+        else:
+            keep = np.zeros(n_artists)
+            keep[[self.universe.index[a] for a in genre_artists if a in self.universe]] = 1.0
+            matrix.data *= keep[matrix.indices]
+            matrix.eliminate_zeros()
+        return WindowStack(starts.tolist(), self.cities, self.universe, unit_rows(matrix))
 
 
-def build_window(
-    charts: Sequence[WeeklyChart],
-    start_week: int,
-    missing_weeks: frozenset[int] = frozenset(),
-) -> ListenMatrix:
-    """One-shot window construction from a bare chart list."""
-    charts_list = list(charts)
-    universe = ArtistUniverse(a for c in charts_list for a, _ in c.entries)
-    return ChartStore(charts_list, universe, missing_weeks).window(start_week)
+def unit_rows(values: sparse.csr_matrix) -> sparse.csr_matrix:
+    """`values` with every non-empty row scaled in place to unit Euclidean norm.
 
-
-def normalize_rows(matrix: ListenMatrix) -> ListenMatrix:
-    """Scale every non-empty row to unit Euclidean norm; zero rows stay zero."""
-    if matrix.normalized:
-        raise ValueError("matrix is already normalized")
-    sq = np.asarray(matrix.values.multiply(matrix.values).sum(axis=1)).ravel()
+    Squares are summed in ascending column order whether a row is stored
+    ascending or descending: `multiply` merges sorted rows and reverses others.
+    """
+    sq = np.asarray(values.multiply(values).sum(axis=1)).ravel()
     norms = np.sqrt(sq)
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    values = sparse.diags(inv).dot(matrix.values).tocsr()
-    return ListenMatrix(
-        window_start_week=matrix.window_start_week,
-        width_weeks=matrix.width_weeks,
-        cities=matrix.cities,
-        universe=matrix.universe,
-        values=values,
-        normalized=True,
-    )
-
-
-def filter_genre(matrix: ListenMatrix, genre_artists: Iterable[str]) -> ListenMatrix:
-    """Zero out every column not in the genre list.
-
-    The column space itself is preserved so filtered matrices stay aligned
-    with unfiltered ones; dot products and norms see only genre columns
-    either way. Filtering precedes normalization.
-    """
-    if matrix.normalized:
-        raise ValueError("filter before normalizing, not after")
-    keep = np.zeros(len(matrix.universe), dtype=np.float64)
-    for artist_id in genre_artists:
-        col = matrix.universe.index.get(artist_id)
-        if col is not None:
-            keep[col] = 1.0
-    values = matrix.values.dot(sparse.diags(keep)).tocsr()
-    values.eliminate_zeros()
-    return ListenMatrix(
-        window_start_week=matrix.window_start_week,
-        width_weeks=matrix.width_weeks,
-        cities=matrix.cities,
-        universe=matrix.universe,
-        values=values,
-        normalized=False,
-    )
+    values.data *= np.repeat(inv, np.diff(values.indptr))
+    return values

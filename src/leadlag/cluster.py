@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .charts import ListenMatrix
+from .charts import ListenMatrix, WindowStack
 
 _HEIGHT_SLACK = 1e-12
 
@@ -88,46 +88,34 @@ def summed_distances(
     by its coverage count instead. Pairs never co-active keep distance 0
     with coverage 0, which the caller can spot in `coverage`.
     """
-    starts = sorted(windows)
-    if not starts:
+    if not windows:
         raise ValueError("no windows supplied")
-    first = windows[starts[0]]
-    if not all(windows[s].normalized for s in starts):
-        raise ValueError("windows must be normalized before distances")
-    wanted = tuple(cities) if cities is not None else first.cities
+    stack = WindowStack.of(windows, "distances")
+    row = {c: i for i, c in enumerate(stack.cities)}
+    wanted = tuple(cities) if cities is not None else stack.cities
     for city in wanted:
-        if city not in first.cities:
+        if city not in row:
             raise KeyError(f"unknown city {city!r}")
 
-    ever_active = {
-        city
-        for city in wanted
-        if any(windows[s].is_active(city) for s in starts)
-    }
-    silent = [c for c in wanted if c not in ever_active]
+    active = stack.active()
+    ever_active = active.any(axis=0)
+    silent = [c for c in wanted if not ever_active[row[c]]]
     if silent:
         warnings.warn(
             f"never active in any window, excluded: {', '.join(sorted(silent))}",
             stacklevel=2,
         )
-    kept = tuple(c for c in wanted if c in ever_active)
-    n = len(kept)
-    total = np.zeros((n, n))
-    coverage = np.zeros((n, n), dtype=np.int64)
-    for s in starts:
-        matrix = windows[s]
-        active_idx = [i for i, c in enumerate(kept) if matrix.is_active(c)]
-        if len(active_idx) < 2:
-            continue
-        rows = matrix.values[[matrix.cities.index(kept[i]) for i in active_idx]]
-        gram = np.asarray(rows.dot(rows.T).todense())
+    kept = tuple(c for c in wanted if ever_active[row[c]])
+    rows = np.array([row[c] for c in kept], dtype=np.int64)
+    total = np.zeros((len(kept), len(kept)))
+    coverage = np.zeros((len(kept), len(kept)), dtype=np.int64)
+    for gram, on in zip(stack.grams(), active[:, rows]):
         # Unit rows: squared distance is 2 - 2*dot, clipped against roundoff.
-        sq = np.clip(2.0 - 2.0 * gram, 0.0, None)
+        sq = np.clip(2.0 - 2.0 * gram[np.ix_(rows, rows)], 0.0, None)
         np.fill_diagonal(sq, 0.0)
-        dist = np.sqrt(sq)
-        ix = np.ix_(active_idx, active_idx)
-        total[ix] += dist
-        coverage[ix] += 1
+        both = on[:, None] & on[None, :]
+        total += np.where(both, np.sqrt(sq), 0.0)  # adding 0 leaves a sum's bits alone
+        coverage += both
     np.fill_diagonal(coverage, 0)
     if per_pair_mean:
         total = np.divide(

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .charts import ListenMatrix
+from .charts import ListenMatrix, WindowStack
 
 MIN_LAG = 1
 MAX_LAG = 5
@@ -87,73 +87,33 @@ class DyadResult:
         return {self.best_lag: self.values}
 
 
-def compute_velocities(
-    windows: Mapping[int, ListenMatrix], city_id: str
-) -> VelocitySeries:
-    """Velocities for one city across all start weeks with a window 4 weeks later.
-
-    Weeks where either window is absent, or where the city is inactive in
-    either window, simply have no velocity; nothing is zero-filled.
-    """
-    starts = sorted(windows)
-    if not starts:
-        raise ValueError("no windows supplied")
-    first = windows[starts[0]]
-    if city_id not in first.cities:
-        raise KeyError(f"unknown city {city_id!r}")
-    n_cols = first.values.shape[1]
-    weeks = []
-    rows = []
-    for t in starts:
-        early = windows[t]
-        late = windows.get(t + VELOCITY_STEP_WEEKS)
-        if late is None:
-            continue
-        if not (early.normalized and late.normalized):
-            raise ValueError("windows must be normalized before velocities")
-        if early.is_active(city_id) and late.is_active(city_id):
-            weeks.append(t)
-            rows.append(late.row(city_id) - early.row(city_id))
-    matrix = sparse.vstack(rows, format="csr") if rows else sparse.csr_matrix((0, n_cols))
-    return VelocitySeries(city_id, tuple(weeks), matrix)
-
-
 def compute_all_velocities(
     windows: Mapping[int, ListenMatrix]
 ) -> dict[str, VelocitySeries]:
-    """Every city's velocities, as `compute_velocities` gives them one by one.
+    """Every city's velocities: for each start week t with a window at t + 4, the
+    row of each city active in both windows there minus its row at t.
 
-    One sparse subtraction per start week covers all cities; only the rows
-    of cities active in both windows are kept, and each city's rows are
-    gathered once at the end.
+    Weeks where either window is absent, or where the city is inactive in
+    either window, simply have no velocity; nothing is zero-filled. One
+    gather of late rows minus one of early rows, in city then week order,
+    covers every city.
     """
-    starts = sorted(windows)
-    if not starts:
+    if not windows:
         return {}
-    first = windows[starts[0]]
-    blocks = [sparse.csr_matrix((0, first.values.shape[1]))]
-    weeks = [np.empty(0, dtype=np.int64)]
-    owners = [np.empty(0, dtype=np.int64)]
-    for t in starts:
-        early = windows[t]
-        late = windows.get(t + VELOCITY_STEP_WEEKS)
-        if late is None:
-            continue
-        if not (early.normalized and late.normalized):
-            raise ValueError("windows must be normalized before velocities")
-        active = (np.diff(early.values.indptr) > 0) & (np.diff(late.values.indptr) > 0)
-        rows = np.flatnonzero(active)
-        blocks.append((late.values - early.values)[rows])
-        weeks.append(np.full(len(rows), t, dtype=np.int64))
-        owners.append(rows)
-    owner = np.concatenate(owners)
-    by_city = np.argsort(owner, kind="stable")
-    stack = sparse.vstack(blocks, format="csr")[by_city]
-    week_list = np.concatenate(weeks)[by_city].tolist()
-    bounds = np.searchsorted(owner[by_city], np.arange(len(first.cities) + 1)).tolist()
+    stack = WindowStack.of(windows, "velocities")
+    n = len(stack.cities)
+    starts = np.asarray(stack.starts, dtype=np.int64)
+    early = np.flatnonzero(np.isin(starts + VELOCITY_STEP_WEEKS, starts))
+    late = np.searchsorted(starts, starts[early] + VELOCITY_STEP_WEEKS)
+    active = stack.active()
+    city, pair = np.nonzero((active[early] & active[late]).T)
+    rows = stack.matrix
+    matrix = rows[late[pair] * n + city] - rows[early[pair] * n + city]
+    weeks = starts[early[pair]].tolist()
+    bounds = np.searchsorted(city, np.arange(n + 1)).tolist()
     return {
-        city: VelocitySeries(city, tuple(week_list[a:b]), stack[a:b])
-        for city, a, b in zip(first.cities, bounds, bounds[1:])
+        c: VelocitySeries(c, tuple(weeks[a:b]), matrix[a:b])
+        for c, a, b in zip(stack.cities, bounds, bounds[1:])
     }
 
 

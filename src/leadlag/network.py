@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .lagcorr import DyadResult
 from .stats import (
@@ -345,6 +344,9 @@ def _strong_components(
     graph: LeadershipGraph, edges: Sequence[Edge]
 ) -> tuple[int, np.ndarray]:
     """Strongly connected components of graph.nodes joined by edges."""
+    # Imported on first use: csgraph pulls in scipy.linalg, which most commands never need.
+    from scipy.sparse.csgraph import connected_components
+
     index = {c: i for i, c in enumerate(graph.nodes)}
     n = len(graph.nodes)
     rows = [index[e.follower] for e in edges]

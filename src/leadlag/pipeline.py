@@ -11,14 +11,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .charts import (
-    ChartStore,
-    GenreCatalog,
-    ListenMatrix,
-    filter_genre,
-    normalize_rows,
-    read_genre_catalog,
-)
+from .charts import ChartStore, GenreCatalog, WindowStack, read_genre_catalog
 from .cluster import average_linkage, summed_distances, to_newick
 from .exports import (
     read_populations,
@@ -113,16 +106,9 @@ def restrict_to_cities(store: ChartStore, cities: tuple[str, ...]) -> ChartStore
 
 def build_windows(
     store: ChartStore, catalog: GenreCatalog | None = None, genre_id: str | None = None
-) -> dict[int, ListenMatrix]:
-    """Normalized listen windows for every valid start week."""
-    genre_artists = catalog.artists(genre_id) if catalog and genre_id else None
-    windows: dict[int, ListenMatrix] = {}
-    for start in store.valid_window_starts():
-        window = store.window(start)
-        if genre_artists is not None:
-            window = filter_genre(window, genre_artists)
-        windows[start] = normalize_rows(window)
-    return windows
+) -> WindowStack:
+    """Normalized listen windows for every valid start week, as one stack."""
+    return store.windows(catalog.artists(genre_id) if catalog and genre_id else None)
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 
-from leadlag.charts import ArtistUniverse, ChartStore, WeeklyChart, normalize_rows
+from leadlag.charts import ArtistUniverse, ChartStore, WeeklyChart
+
+from oracles import per_window_windows
 
 
 def store_from_cells(cells, missing=frozenset()):
@@ -18,7 +20,7 @@ def store_from_cells(cells, missing=frozenset()):
 
 
 def normalized_windows(store):
-    return {s: normalize_rows(store.window(s)) for s in store.valid_window_starts()}
+    return per_window_windows(store)
 
 
 def distort(payload, case):

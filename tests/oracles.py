@@ -7,18 +7,25 @@ explicitly, UPGMA recomputes every inter-cluster mean from raw points, and
 Spearman ranks with an off-the-shelf routine. The lag scan and the edge
 screen are checked against the per-pair code they replaced: one sparse
 row product per (follower, leader, lag), and one pair at a time through
-the scalar t-tests of `leadlag.stats`.
+the scalar t-tests of `leadlag.stats`. The window stack is checked against
+the per-window code it replaced: one `coo_matrix` per window, a genre
+filter and a row scale by sparse diagonal products, velocities one city at
+a time and distances one window at a time.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, sparse
 from scipy.stats import rankdata
+
+from leadlag.charts import WINDOW_WEEKS, ArtistUniverse, ChartStore, ListenMatrix, WeeklyChart
+from leadlag.cluster import DistanceMatrix
 
 from leadlag.lagcorr import (
     DEFAULT_MIN_SAMPLES,
@@ -26,6 +33,7 @@ from leadlag.lagcorr import (
     MIN_LAG,
     DyadResult,
     DyadUnavailable,
+    VELOCITY_STEP_WEEKS,
     VelocitySeries,
     _scan_lags,
 )
@@ -270,3 +278,168 @@ def per_pair_build_graph(
                 edges.append(edge)
     edges.sort(key=lambda e: (e.follower, e.leader))
     return LeadershipGraph(nodes=ordered, edges=tuple(edges))
+
+
+class WindowUnavailable(LookupError):
+    """The requested 4-week window overlaps a missing or absent week."""
+
+
+def window(store: ChartStore, start_week: int) -> ListenMatrix:
+    """The raw (unnormalized) window of `store` starting at start_week."""
+    span = range(start_week, start_week + WINDOW_WEEKS)
+    blocked = [w for w in span if w in store.missing_weeks]
+    if blocked:
+        raise WindowUnavailable(
+            f"window {start_week}..{span.stop - 1} overlaps missing week {blocked[0]}"
+        )
+    if span.start < store.first_week or span.stop - 1 > store.last_week:
+        raise WindowUnavailable(
+            f"window {start_week}..{span.stop - 1} leaves the study period "
+            f"{store.first_week}..{store.last_week}"
+        )
+    lo, hi = np.searchsorted(store._week, (span.start, span.stop))
+    values = sparse.coo_matrix(
+        (store._count[lo:hi], (store._city[lo:hi], store._artist[lo:hi])),
+        shape=(len(store.cities), len(store.universe)),
+    ).tocsr()
+    values.sum_duplicates()
+    return ListenMatrix(start_week, WINDOW_WEEKS, store.cities, store.universe, values, False)
+
+
+def build_window(
+    charts: Sequence[WeeklyChart],
+    start_week: int,
+    missing_weeks: frozenset[int] = frozenset(),
+) -> ListenMatrix:
+    """One-shot window construction from a bare chart list."""
+    charts_list = list(charts)
+    universe = ArtistUniverse(a for c in charts_list for a, _ in c.entries)
+    return window(ChartStore(charts_list, universe, missing_weeks), start_week)
+
+
+def normalize_rows(matrix: ListenMatrix) -> ListenMatrix:
+    """Scale every non-empty row to unit Euclidean norm; zero rows stay zero."""
+    if matrix.normalized:
+        raise ValueError("matrix is already normalized")
+    sq = np.asarray(matrix.values.multiply(matrix.values).sum(axis=1)).ravel()
+    norms = np.sqrt(sq)
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    values = sparse.diags(inv).dot(matrix.values).tocsr()
+    return ListenMatrix(
+        matrix.window_start_week, matrix.width_weeks, matrix.cities, matrix.universe, values, True
+    )
+
+
+def filter_genre(matrix: ListenMatrix, genre_artists: Iterable[str]) -> ListenMatrix:
+    """Zero out every column not in the genre list; filtering precedes normalization."""
+    if matrix.normalized:
+        raise ValueError("filter before normalizing, not after")
+    keep = np.zeros(len(matrix.universe), dtype=np.float64)
+    for artist_id in genre_artists:
+        col = matrix.universe.index.get(artist_id)
+        if col is not None:
+            keep[col] = 1.0
+    values = matrix.values.dot(sparse.diags(keep)).tocsr()
+    values.eliminate_zeros()
+    return ListenMatrix(
+        matrix.window_start_week, matrix.width_weeks, matrix.cities, matrix.universe, values, False
+    )
+
+
+def per_window_windows(store: ChartStore, genre_artists=None) -> dict[int, ListenMatrix]:
+    """Normalized windows built one start week at a time."""
+    windows = {}
+    for start in store.valid_window_starts():
+        matrix = window(store, start)
+        if genre_artists is not None:
+            matrix = filter_genre(matrix, genre_artists)
+        windows[start] = normalize_rows(matrix)
+    return windows
+
+
+def row_index(matrix: ListenMatrix, city_id: str) -> int:
+    try:
+        return matrix.cities.index(city_id)
+    except ValueError:
+        raise KeyError(f"unknown city {city_id!r}") from None
+
+
+def is_active(matrix: ListenMatrix, city_id: str) -> bool:
+    i = row_index(matrix, city_id)
+    return matrix.values.indptr[i] < matrix.values.indptr[i + 1]
+
+
+def active_cities(matrix: ListenMatrix) -> tuple[str, ...]:
+    return tuple(c for c in matrix.cities if is_active(matrix, c))
+
+
+def compute_velocities(windows: Mapping[int, ListenMatrix], city_id: str) -> VelocitySeries:
+    """Velocities for one city across all start weeks with a window 4 weeks later."""
+    starts = sorted(windows)
+    if not starts:
+        raise ValueError("no windows supplied")
+    first = windows[starts[0]]
+    if city_id not in first.cities:
+        raise KeyError(f"unknown city {city_id!r}")
+    weeks, rows = [], []
+    for t in starts:
+        early = windows[t]
+        late = windows.get(t + VELOCITY_STEP_WEEKS)
+        if late is None:
+            continue
+        if not (early.normalized and late.normalized):
+            raise ValueError("windows must be normalized before velocities")
+        if is_active(early, city_id) and is_active(late, city_id):
+            weeks.append(t)
+            i = row_index(early, city_id)
+            rows.append(late.values.getrow(i) - early.values.getrow(i))
+    n_cols = first.values.shape[1]
+    matrix = sparse.vstack(rows, format="csr") if rows else sparse.csr_matrix((0, n_cols))
+    return VelocitySeries(city_id, tuple(weeks), matrix)
+
+
+def per_window_distances(
+    windows: Mapping[int, ListenMatrix],
+    cities: Sequence[str] | None = None,
+    per_pair_mean: bool = False,
+) -> DistanceMatrix:
+    """summed_distances one window at a time, over the active rows of each."""
+    starts = sorted(windows)
+    if not starts:
+        raise ValueError("no windows supplied")
+    first = windows[starts[0]]
+    if not all(windows[s].normalized for s in starts):
+        raise ValueError("windows must be normalized before distances")
+    wanted = tuple(cities) if cities is not None else first.cities
+    for city in wanted:
+        if city not in first.cities:
+            raise KeyError(f"unknown city {city!r}")
+    ever_active = {c for c in wanted if any(is_active(windows[s], c) for s in starts)}
+    silent = [c for c in wanted if c not in ever_active]
+    if silent:
+        warnings.warn(
+            f"never active in any window, excluded: {', '.join(sorted(silent))}",
+            stacklevel=2,
+        )
+    kept = tuple(c for c in wanted if c in ever_active)
+    n = len(kept)
+    total = np.zeros((n, n))
+    coverage = np.zeros((n, n), dtype=np.int64)
+    for s in starts:
+        matrix = windows[s]
+        active_idx = [i for i, c in enumerate(kept) if is_active(matrix, c)]
+        if len(active_idx) < 2:
+            continue
+        rows = matrix.values[[matrix.cities.index(kept[i]) for i in active_idx]]
+        gram = np.asarray(rows.dot(rows.T).todense())
+        sq = np.clip(2.0 - 2.0 * gram, 0.0, None)
+        np.fill_diagonal(sq, 0.0)
+        ix = np.ix_(active_idx, active_idx)
+        total[ix] += np.sqrt(sq)
+        coverage[ix] += 1
+    np.fill_diagonal(coverage, 0)
+    if per_pair_mean:
+        total = np.divide(total, coverage, out=np.zeros_like(total), where=coverage > 0)
+    total = (total + total.T) / 2.0
+    np.fill_diagonal(total, 0.0)
+    return DistanceMatrix(cities=kept, d=total, coverage=coverage)

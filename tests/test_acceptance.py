@@ -22,11 +22,9 @@ from oracles import (
 )
 
 from leadlag.charts import (
-    ArtistUniverse,
     ChartStore,
-    ListenMatrix,
     WeeklyChart,
-    normalize_rows,
+    unit_rows,
     write_chart_csv,
     write_missing_weeks,
 )
@@ -221,15 +219,7 @@ def test_criterion_6_normalization_invariants(tmp_path):
     dense = rng.uniform(0.0, 50.0, (rows, cols))
     dense[rng.uniform(size=(rows, cols)) < 0.6] = 0.0
     dense[0, :] = 0.0
-    matrix = ListenMatrix(
-        window_start_week=0,
-        width_weeks=4,
-        cities=tuple(f"r{i:05d}" for i in range(rows)),
-        universe=ArtistUniverse(f"a{j:02d}" for j in range(cols)),
-        values=sparse.csr_matrix(dense),
-        normalized=False,
-    )
-    unit = normalize_rows(matrix).values
+    unit = unit_rows(sparse.csr_matrix(dense))
     norms = np.sqrt(np.asarray(unit.multiply(unit).sum(axis=1)).ravel())
     nonzero = norms[norms > 0]
     worst_norm = abs(nonzero - 1.0).max()

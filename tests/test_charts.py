@@ -17,17 +17,23 @@ from leadlag.charts import (
     ChartFormatError,
     ChartStore,
     WeeklyChart,
-    WindowUnavailable,
-    build_window,
-    filter_genre,
     ingest_charts,
-    normalize_rows,
     read_chart_csv,
     read_genre_catalog,
     read_missing_weeks,
     write_chart_csv,
 )
 from leadlag.pipeline import restrict_to_cities
+
+from oracles import (
+    WindowUnavailable,
+    active_cities,
+    build_window,
+    filter_genre,
+    is_active,
+    normalize_rows,
+    window,
+)
 
 HEADER = "week,city,artist,listeners"
 
@@ -147,17 +153,17 @@ def test_window_overlapping_missing_week_unavailable(tmp_path):
     charts, universe = ingest_charts(chart_file(tmp_path, rows), frozenset({5}))
     store = ChartStore(charts, universe, frozenset({5}))
     with pytest.raises(WindowUnavailable, match="missing week 5"):
-        store.window(3)
-    store.window(6)
+        window(store, 3)
+    window(store, 6)
 
 
 def test_window_outside_study_period_unavailable(tmp_path):
     rows = [(w, "c", "a", 1) for w in range(6)]
     store = ChartStore.from_files(chart_file(tmp_path, rows))
     with pytest.raises(WindowUnavailable):
-        store.window(3)
+        window(store, 3)
     with pytest.raises(WindowUnavailable):
-        store.window(-1)
+        window(store, -1)
 
 
 def test_valid_window_start_count(tmp_path):
@@ -192,8 +198,8 @@ def test_normalize_keeps_zero_rows_inactive():
     matrix = filter_genre(matrix, [])
     normed = normalize_rows(matrix)
     assert normed.values.nnz == 0
-    assert not normed.is_active("c")
-    assert normed.active_cities() == ()
+    assert not is_active(normed, "c")
+    assert active_cities(normed) == ()
 
 
 def test_normalized_rows_have_unit_norm():
@@ -274,7 +280,7 @@ def test_ingest_deterministic(tmp_path):
     first = ChartStore.from_files(path)
     second = ChartStore.from_files(path)
     assert first.universe == second.universe
-    m1, m2 = first.window(0), second.window(0)
+    m1, m2 = window(first, 0), window(second, 0)
     assert (m1.values != m2.values).nnz == 0
     assert m1.cities == m2.cities
 
@@ -378,7 +384,7 @@ def assert_same_store(got, want):
     assert got.chart_count == want.chart_count
     assert got.valid_window_starts() == want.valid_window_starts()
     for start in want.valid_window_starts():
-        a, b = got.window(start).values, want.window(start).values
+        a, b = window(got, start).values, window(want, start).values
         for part in ("indptr", "indices", "data"):
             x, y = getattr(a, part), getattr(b, part)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (start, part)
@@ -482,6 +488,43 @@ def test_parsed_chunks_are_not_kept_alive(tmp_path, monkeypatch):
     # Each parsed chunk holds 2,000 name strings of about 200 characters, about
     # 0.5 MB: keeping all 20 alive would need about 10 MB.
     assert peak < 5 * 2**20
+
+
+def test_read_peak_stays_near_its_final_arrays(tmp_path, monkeypatch):
+    """Chunk copies go as each column is joined, and a parsed chunk goes before the next."""
+    monkeypatch.setattr(charts_module, "_CHUNK_ROWS", 1024)
+    rows = [(w, f"c{c}", f"a{a}", a + 1) for w in range(123) for c in range(4) for a in range(50)]
+    path = chart_file(tmp_path, rows)  # 24,600 rows: 24 chunks
+    tracemalloc.start()
+    try:
+        _, _, columns = charts_module._read_chart_columns(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    final = sum(column.nbytes for column in columns)
+    # All chunks plus their joined copy would be about 2x the final arrays.
+    assert peak < 1.5 * final
+
+
+@given(
+    names=st.lists(st.sampled_from(["c0", "c1", "c2", "é", "c0 "]), max_size=60),
+    first=st.lists(st.sampled_from(["c1", "z"]), max_size=5),
+    order=st.sampled_from(["sorted", "shuffled", "as drawn"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_run_interning_matches_dict_interning(names, first, order, seed):
+    if order == "sorted":
+        names = sorted(names)
+    elif order == "shuffled":
+        np.random.default_rng(seed).shuffle(names)
+    by_dict, by_runs = {}, {}
+    for chunk in (first, names):  # the table carries over from an earlier chunk
+        chunk = np.array(chunk, dtype=object)
+        want = charts_module._intern(chunk, by_dict)
+        got = charts_module._intern_runs(chunk, by_runs)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert list(by_runs.items()) == list(by_dict.items())
 
 
 @pytest.mark.parametrize(

@@ -17,10 +17,8 @@ from leadlag.cluster import (
     to_newick,
 )
 
-from leadlag.charts import filter_genre, normalize_rows
-
 from helpers import normalized_windows, store_from_cells
-from oracles import naive_upgma
+from oracles import filter_genre, naive_upgma, normalize_rows, window
 
 
 def dm(labels, rows):
@@ -98,7 +96,7 @@ def test_never_active_city_excluded_with_warning():
     cells.update({(w, "ghost", "offgenre"): 9 for w in range(6)})
     store = store_from_cells(cells)
     windows = {
-        s: normalize_rows(filter_genre(store.window(s), ["a", "b"]))
+        s: normalize_rows(filter_genre(window(store, s), ["a", "b"]))
         for s in store.valid_window_starts()
     }
     with pytest.warns(UserWarning, match="ghost"):
@@ -141,7 +139,7 @@ def test_per_pair_mean_mode():
 def test_unnormalized_windows_rejected():
     cells = {(w, "p", "a"): 2 for w in range(6)}
     store = store_from_cells(cells)
-    raw = {s: store.window(s) for s in store.valid_window_starts()}
+    raw = {s: window(store, s) for s in store.valid_window_starts()}
     with pytest.raises(ValueError, match="normalized"):
         summed_distances(raw)
 

@@ -18,7 +18,6 @@ from leadlag.lagcorr import (
     DyadUnavailable,
     VelocitySeries,
     compute_all_velocities,
-    compute_velocities,
     load_dyads,
     save_dyads,
     scan_dyads,
@@ -28,7 +27,7 @@ from leadlag.pipeline import build_windows
 from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
 
 from helpers import DISTORTIONS, distort, normalized_windows, store_from_cells
-from oracles import best_dyad, lagged_samples, per_pair_scan
+from oracles import best_dyad, compute_velocities, lagged_samples, per_pair_scan, window
 
 
 def test_identical_windows_give_zero_velocity():
@@ -58,7 +57,7 @@ def test_unknown_city_is_lookup_error():
 def test_unnormalized_windows_rejected():
     cells = {(w, "c", "a"): 1 for w in range(8)}
     store = store_from_cells(cells)
-    raw = {s: store.window(s) for s in store.valid_window_starts()}
+    raw = {s: window(store, s) for s in store.valid_window_starts()}
     with pytest.raises(ValueError, match="normalized"):
         compute_velocities(raw, "c")
     with pytest.raises(ValueError, match="normalized"):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,3 +480,17 @@ def test_size_leadership_monotone_population_invariance():
     base = size_leadership(graph, cent, pops)
     squared = size_leadership(graph, cent, {c: p * p for c, p in pops.items()})
     assert squared == base
+
+
+def test_cli_import_leaves_csgraph_unloaded():
+    # csgraph pulls in scipy.sparse.linalg and scipy.linalg; only FAS needs it.
+    import leadlag
+
+    src = str(Path(leadlag.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    modules = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+    probe = f"import sys, leadlag.cli; print([m for m in {modules!r} if m in sys.modules])"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

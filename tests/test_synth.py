@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from leadlag.charts import ChartStore, normalize_rows, write_chart_csv
+from leadlag.charts import ChartStore, write_chart_csv
 from leadlag.lagcorr import compute_all_velocities, scan_dyads
 from leadlag.network import build_graph
 from leadlag.synth import (
@@ -40,10 +40,7 @@ def store_from(charts, missing=frozenset()):
 
 def velocities_of(charts, missing=frozenset()):
     store = store_from(charts, missing)
-    windows = {
-        s: normalize_rows(store.window(s)) for s in store.valid_window_starts()
-    }
-    return compute_all_velocities(windows), store
+    return compute_all_velocities(store.windows()), store
 
 
 class TestValidation:

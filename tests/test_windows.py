@@ -1,0 +1,104 @@
+"""The window stack against the per-window code it replaced (`tests/oracles.py`)."""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leadlag.charts import WindowStack
+from leadlag.cluster import summed_distances
+from leadlag.lagcorr import compute_all_velocities, scan_dyads
+from leadlag.pipeline import build_windows
+
+from helpers import store_from_cells
+from oracles import compute_velocities, per_window_distances, per_window_windows
+
+CITIES = ("p", "q", "r", "s")
+ARTISTS = tuple(f"a{i}" for i in range(6))
+
+cells_strategy = st.dictionaries(
+    st.tuples(st.integers(0, 13), st.sampled_from(CITIES), st.sampled_from(ARTISTS)),
+    # Above 2**26 a sum of squares rounds, so its order of summation shows.
+    st.integers(1, 10**6) | st.integers(1, 2**40),
+    min_size=1,
+    max_size=90,
+)
+
+
+def assert_same_csr(got, want):
+    for part in ("indptr", "indices", "data"):
+        x, y = getattr(got, part), getattr(want, part)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), part
+
+
+def distances_and_warnings(function, windows, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dist = function(windows, **kwargs)
+    return dist, [str(w.message) for w in caught]
+
+
+@given(
+    cells=cells_strategy,
+    missing=st.frozensets(st.integers(0, 13), max_size=3),
+    subset=st.none() | st.lists(st.sampled_from(CITIES), min_size=1, unique=True),
+    genre=st.none() | st.lists(st.sampled_from(ARTISTS[::2] + ("zz", "yy")), unique=True),
+)
+@settings(max_examples=300, deadline=None)
+def test_window_stack_matches_per_window_oracle(cells, missing, subset, genre):
+    store = store_from_cells(cells, missing)
+    if subset is not None and set(subset) & set(store.cities):
+        store = store.restrict(set(subset) & set(store.cities))
+    stack = store.windows(genre)
+    want = per_window_windows(store, genre)
+
+    assert list(stack) == list(want) and len(stack) == len(want)
+    for start, matrix in want.items():
+        got = stack[start]
+        assert (got.window_start_week, got.width_weeks, got.normalized) == (start, 4, True)
+        assert got.cities == matrix.cities and got.universe == matrix.universe
+        assert_same_csr(got.values, matrix.values)
+    if not want:
+        assert compute_all_velocities(stack) == {}
+        with pytest.raises(ValueError, match="no windows"):
+            summed_distances(stack)
+        return
+    assert_same_csr(WindowStack.of(want, "a test").matrix, stack.matrix)
+
+    velocities = compute_all_velocities(stack)
+    assert list(velocities) == list(store.cities)
+    one_by_one = {}
+    for city, series in velocities.items():
+        one = one_by_one[city] = compute_velocities(want, city)
+        assert series.weeks == one.weeks
+        assert series.matrix.shape == one.matrix.shape
+        np.testing.assert_array_equal(series.matrix.toarray(), one.matrix.toarray())
+    assert scan_dyads(velocities, min_samples=2) == scan_dyads(one_by_one, min_samples=2)
+
+    some = tuple(reversed(store.cities))[: max(1, len(store.cities) - 1)]
+    for cities in (None, some):
+        for per_pair_mean in (False, True):
+            kwargs = {"cities": cities, "per_pair_mean": per_pair_mean}
+            got, got_warned = distances_and_warnings(summed_distances, stack, **kwargs)
+            ref, ref_warned = distances_and_warnings(per_window_distances, want, **kwargs)
+            assert got.cities == ref.cities and got_warned == ref_warned
+            assert got.d.tobytes() == ref.d.tobytes()
+            assert got.coverage.tobytes() == ref.coverage.tobytes()
+
+
+def test_stack_is_a_mapping_of_window_views():
+    cells = {(w, c, a): 1 + w for w in range(9) for c in ("p", "q") for a in ("x", "y")}
+    store = store_from_cells(cells, frozenset({6}))
+    stack = build_windows(store)
+    assert list(stack) == [0, 1, 2] and len(stack) == 3
+    assert 1 in stack and 3 not in stack and stack.get(3) is None
+    with pytest.raises(KeyError):
+        stack[3]
+    view = stack[1].values
+    assert np.shares_memory(view.data, stack.matrix.data)
+    assert stack.matrix.shape == (3 * 2, 2)
+
