@@ -69,30 +69,13 @@ class ArtistUniverse:
             raise KeyError(f"unknown artist {artist_id!r}") from None
 
 
-@dataclass(frozen=True)
-class ListenMatrix:
-    """One 4-week window of summed listener counts, cities by artists.
-
-    Rows follow `cities` order and columns follow the universe order, so
-    matrices from different windows of the same store align elementwise.
-    An all-zero row means the city charted nothing in the window; such
-    cities are excluded from velocities and distances, never treated as
-    the zero vector.
-    """
-
-    window_start_week: int
-    width_weeks: int
-    cities: tuple[str, ...]
-    universe: ArtistUniverse
-    values: sparse.csr_matrix
-    normalized: bool
-
-
-class WindowStack(Mapping[int, ListenMatrix]):
-    """Normalized windows by start week, stacked in one CSR `matrix` whose row
+class WindowStack:
+    """Normalized windows stacked in one CSR `matrix` whose row
     i * len(cities) + c is city c in the window starting at starts[i].
 
-    `stack[start]` is a `ListenMatrix` whose values view that window's rows.
+    A row with no entries means the city charted nothing in that window;
+    such cities are left out of velocities and distances there, never
+    treated as the zero vector.
     """
 
     def __init__(
@@ -104,29 +87,9 @@ class WindowStack(Mapping[int, ListenMatrix]):
     ) -> None:
         self.starts: tuple[int, ...] = tuple(starts)
         self.cities, self.universe, self.matrix = cities, universe, matrix
-        self._position = {s: i for i, s in enumerate(self.starts)}
-
-    @classmethod
-    def of(cls, windows: Mapping[int, ListenMatrix], use: str) -> "WindowStack":
-        """`windows` as a stack: a stack as it is, non-empty plain maps by one vstack."""
-        if isinstance(windows, cls):
-            return windows
-        starts = sorted(windows)
-        if not all(windows[s].normalized for s in starts):
-            raise ValueError(f"windows must be normalized before {use}")
-        first = windows[starts[0]]
-        matrix = sparse.vstack([windows[s].values for s in starts], format="csr")
-        return cls(starts, first.cities, first.universe, matrix)
 
     def __len__(self) -> int:
         return len(self.starts)
-
-    def __iter__(self):
-        return iter(self.starts)
-
-    def __getitem__(self, start: int) -> ListenMatrix:
-        block = self.block(self._position[start])
-        return ListenMatrix(start, WINDOW_WEEKS, self.cities, self.universe, block, True)
 
     def active(self) -> np.ndarray:
         """(window, city) booleans: which rows chart anything."""
@@ -153,17 +116,6 @@ class WindowStack(Mapping[int, ListenMatrix]):
             grams = np.zeros((k, n, n))
             grams[row // n, row % n, product.indices % n] = product.data
             yield from grams
-
-    def block(self, i: int) -> sparse.csr_matrix:
-        """The rows of the i-th window, sharing data and indices with the stack."""
-        n = len(self.cities)
-        indptr = self.matrix.indptr[i * n : (i + 1) * n + 1]
-        lo, hi = indptr[0], indptr[-1]
-        view = sparse.csr_matrix((n, len(self.universe)))
-        # Assigned, not passed in: the constructor copies a slice of under half its base.
-        view.data, view.indices = self.matrix.data[lo:hi], self.matrix.indices[lo:hi]
-        view.indptr = indptr - lo
-        return view
 
 
 class GenreCatalog:

@@ -27,12 +27,23 @@ from .exports import (
     write_graphml,
     write_populations,
 )
-from .lagcorr import DEFAULT_MIN_SAMPLES, compute_all_velocities, load_dyads, save_dyads, scan_dyads
-from .network import DEFAULT_ALPHA, LeadershipGraph, build_graph, feedback_arc_set, pagerank
+from .lagcorr import DEFAULT_MIN_SAMPLES, compute_all_velocities, load_dyad_cache, save_dyads, scan_dyads
+from .network import (
+    DEFAULT_ALPHA,
+    AcyclicityReport,
+    LeadershipGraph,
+    build_graph,
+    feedback_arc_set,
+    pagerank,
+)
 from .pipeline import RunConfig, build_windows, restrict_to_cities, run_pipeline
 from .synth import generate_charts, load_hierarchy, load_synth_config, shuffle_null
 
 OUTPUT_DIR_ENV = "LEADLAG_OUTPUT_DIR"
+_EDGES_HELP = (
+    "edges.csv from the graph stage; its nodes are the cities it names, so a city"
+    " with no accepted edge is left out"
+)
 
 
 def _default_output_dir() -> str:
@@ -80,6 +91,10 @@ def _windows_for(args: argparse.Namespace, store: ChartStore):
     if args.genre and catalog is None:
         raise ValueError("--genre given without --genre-file")
     return build_windows(store, catalog, args.genre)
+
+
+def _fas_figure(report: AcyclicityReport) -> str:
+    return f"{report.percent_removed:.1f}% ({'exact' if report.exact else 'heuristic'})"
 
 
 def _graph_from_edge_csv(path: str) -> LeadershipGraph:
@@ -132,20 +147,21 @@ def _cmd_dyads(args: argparse.Namespace) -> int:
         velocities, min_samples=args.min_samples, lags=_parse_lags(args.lags)
     )
     path = _out_dir(args) / "dyads.json"
-    save_dyads(path, dyads)
+    save_dyads(path, dyads, store.cities)
     print(f"scored dyads: {len(dyads)}")
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    dyads = load_dyads(args.dyads)
-    graph = build_graph(dyads, alpha=args.alpha, bonferroni=args.bonferroni)
+    cities, dyads = load_dyad_cache(args.dyads)
+    graph = build_graph(dyads, alpha=args.alpha, bonferroni=args.bonferroni, nodes=cities)
     centrality = pagerank(graph)
     out = _out_dir(args)
     write_edge_csv(out / "edges.csv", graph)
     write_dot(out / "graph.dot", graph, centrality)
     write_graphml(out / "graph.graphml", graph, centrality)
+    write_centrality_json(out / "centrality.json", centrality)
     print(f"nodes: {len(graph.nodes)}")
     print(f"accepted edges: {len(graph.edges)}")
     print(f"wrote {out / 'edges.csv'}")
@@ -155,8 +171,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 def _cmd_fas(args: argparse.Namespace) -> int:
     graph = _graph_from_edge_csv(args.edges)
     report = feedback_arc_set(graph)
-    kind = "exact" if report.exact else "heuristic"
-    print(f"edge weight removed to make acyclic: {report.percent_removed:.1f}% ({kind})")
+    print(f"edge weight removed to make acyclic: {_fas_figure(report)}")
     if args.out is not None:
         out = _out_dir(args)
         write_acyclicity_json(out / "acyclicity.json", report)
@@ -240,7 +255,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     width = max(len(label), len("genre"))
     header = "% edge weight removed to make acyclic"
     print(f"{'genre'.ljust(width)}  {header}")
-    print(f"{label.ljust(width)}  {acyclicity.percent_removed:.1f}%")
+    print(f"{label.ljust(width)}  {_fas_figure(acyclicity)}")
     size_path = run_dir / "size_leadership.json"
     if size_path.exists():
         size = read_size_leadership_json(size_path)
@@ -276,10 +291,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = run_pipeline(config)
     print(f"nodes: {len(result.graph.nodes)}")
     print(f"accepted edges: {len(result.graph.edges)}")
-    print(
-        "edge weight removed to make acyclic: "
-        f"{result.acyclicity.percent_removed:.1f}%"
-    )
+    print(f"edge weight removed to make acyclic: {_fas_figure(result.acyclicity)}")
     if result.size is not None:
         print(
             "spearman pagerank vs population: "
@@ -316,12 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("fas", help="minimum feedback arc set of an edge list")
-    p.add_argument("--edges", required=True, help="edges.csv from the graph stage")
+    p.add_argument("--edges", required=True, help=_EDGES_HELP)
     p.add_argument("--out", default=None, help="directory for acyclicity.json")
     p.set_defaults(func=_cmd_fas)
 
     p = sub.add_parser("pagerank", help="weighted centrality of an edge list")
-    p.add_argument("--edges", required=True, help="edges.csv from the graph stage")
+    p.add_argument("--edges", required=True, help=_EDGES_HELP)
     p.add_argument("--out", default=None, help="directory for centrality.json")
     p.set_defaults(func=_cmd_pagerank)
 

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .charts import ListenMatrix, WindowStack
+from .charts import WindowStack
 
 _HEIGHT_SLACK = 1e-12
 
@@ -76,11 +75,7 @@ class ClusterTree:
         return self.root.leaves()
 
 
-def summed_distances(
-    windows: Mapping[int, ListenMatrix],
-    cities: Sequence[str] | None = None,
-    per_pair_mean: bool = False,
-) -> DistanceMatrix:
+def summed_distances(windows: WindowStack, per_pair_mean: bool = False) -> DistanceMatrix:
     """Accumulate pairwise Euclidean distances over shared active windows.
 
     A city active in no window is dropped with a warning. Raw sums favor
@@ -90,26 +85,19 @@ def summed_distances(
     """
     if not windows:
         raise ValueError("no windows supplied")
-    stack = WindowStack.of(windows, "distances")
-    row = {c: i for i, c in enumerate(stack.cities)}
-    wanted = tuple(cities) if cities is not None else stack.cities
-    for city in wanted:
-        if city not in row:
-            raise KeyError(f"unknown city {city!r}")
-
-    active = stack.active()
+    active = windows.active()
     ever_active = active.any(axis=0)
-    silent = [c for c in wanted if not ever_active[row[c]]]
+    silent = [c for c, on in zip(windows.cities, ever_active) if not on]
     if silent:
         warnings.warn(
             f"never active in any window, excluded: {', '.join(sorted(silent))}",
             stacklevel=2,
         )
-    kept = tuple(c for c in wanted if ever_active[row[c]])
-    rows = np.array([row[c] for c in kept], dtype=np.int64)
+    rows = np.flatnonzero(ever_active)
+    kept = tuple(windows.cities[i] for i in rows)
     total = np.zeros((len(kept), len(kept)))
     coverage = np.zeros((len(kept), len(kept)), dtype=np.int64)
-    for gram, on in zip(stack.grams(), active[:, rows]):
+    for gram, on in zip(windows.grams(), active[:, rows]):
         # Unit rows: squared distance is 2 - 2*dot, clipped against roundoff.
         sq = np.clip(2.0 - 2.0 * gram[np.ix_(rows, rows)], 0.0, None)
         np.fill_diagonal(sq, 0.0)
@@ -198,12 +186,6 @@ def flat_cut(tree: ClusterTree, height: float) -> tuple[tuple[str, ...], ...]:
     return tuple(clusters)
 
 
-def cluster_map(partition: Iterable[tuple[str, ...]]) -> dict[str, int]:
-    """Number clusters by smallest member and map each city to its cluster."""
-    ordered = sorted(partition, key=lambda c: c[0])
-    return {city: idx for idx, members in enumerate(ordered) for city in members}
-
-
 def _newick_label(label: str) -> str:
     if any(ch in label for ch in "();:,[] \t'"):
         return "'" + label.replace("'", "''") + "'"
@@ -222,98 +204,3 @@ def to_newick(tree: ClusterTree) -> str:
         return "(" + ",".join(parts) + ")"
 
     return render(tree.root) + ";"
-
-
-class _NewickParser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def error(self, what: str) -> ValueError:
-        return ValueError(f"bad dendrogram at offset {self.pos}: {what}")
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def label(self) -> str:
-        if self.peek() == "'":
-            self.pos += 1
-            out = []
-            while True:
-                if self.pos >= len(self.text):
-                    raise self.error("unterminated quoted label")
-                ch = self.text[self.pos]
-                self.pos += 1
-                if ch == "'":
-                    if self.peek() == "'":
-                        self.pos += 1
-                        out.append("'")
-                        continue
-                    return "".join(out)
-                out.append(ch)
-        start = self.pos
-        while self.peek() and self.peek() not in "();:,":
-            self.pos += 1
-        if start == self.pos:
-            raise self.error("empty label")
-        return self.text[start : self.pos]
-
-    def number(self) -> float:
-        start = self.pos
-        while self.peek() and self.peek() not in "();,":
-            self.pos += 1
-        try:
-            return float(self.text[start : self.pos])
-        except ValueError:
-            raise self.error("expected a branch length") from None
-
-    def node(self) -> ClusterNode:
-        if self.peek() != "(":
-            return ClusterNode(height=0.0, city=self.label())
-        self.take("(")
-        left = self.node()
-        self.take(":")
-        left_len = self.number()
-        self.take(",")
-        right = self.node()
-        self.take(":")
-        right_len = self.number()
-        self.take(")")
-        h_left = left.height + left_len
-        h_right = right.height + right_len
-        if abs(h_left - h_right) > 1e-9 * max(1.0, abs(h_left)):
-            raise self.error("subtree heights disagree; not an ultrametric tree")
-        return ClusterNode(height=h_left, left=left, right=right)
-
-
-def parse_newick(text: str) -> ClusterTree:
-    """Inverse of to_newick for the constrained trees this package writes."""
-    parser = _NewickParser(text.strip())
-    root = parser.node()
-    parser.take(";")
-    if parser.pos != len(parser.text):
-        raise parser.error("trailing characters")
-
-    merges: list[Merge] = []
-
-    def collect(node: ClusterNode) -> None:
-        if node.is_leaf():
-            return
-        collect(node.left)
-        collect(node.right)
-        merges.append(
-            Merge(
-                left=frozenset(node.left.leaves()),
-                right=frozenset(node.right.leaves()),
-                height=node.height,
-            )
-        )
-
-    collect(root)
-    merges.sort(key=lambda m: (m.height, min(m.left | m.right)))
-    return ClusterTree(root=root, merges=tuple(merges))

@@ -1,8 +1,7 @@
-"""Readers and writers for every artifact the pipeline emits.
+"""Writers for every artifact the pipeline emits, and readers for those the CLI reads back.
 
-Each format round-trips through its own parser. Floats are written
-with repr, the shortest string that parses back to the same double, so
-reruns with equal inputs produce byte-identical files.
+Floats are written with repr, the shortest string that parses back to the
+same double, so reruns with equal inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,10 +10,9 @@ import csv
 import hashlib
 import json
 import math
-import re
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 from xml.etree import ElementTree as ET
 
 from .lagcorr import MAX_LAG, MIN_LAG
@@ -172,18 +170,8 @@ def _node_attributes(
 # ----------------------------------------------------------------------- DOT
 
 
-_DOT_QUOTED = r'"((?:[^"\\]|\\.)*)"'
-_DOT_NODE_RE = re.compile(rf"^{_DOT_QUOTED}(?:\s*\[([^\]]*)\])?;$")
-_DOT_EDGE_RE = re.compile(rf"^{_DOT_QUOTED}\s*->\s*{_DOT_QUOTED}\s*\[([^\]]*)\];$")
-_DOT_ATTR_RE = re.compile(r"^(\w+)=([^,\s]+)$")
-
-
 def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _dot_unquote(text: str) -> str:
-    return text.replace('\\"', '"').replace("\\\\", "\\")
 
 
 def _format_attrs(attrs: Mapping[str, float | int]) -> str:
@@ -193,17 +181,6 @@ def _format_attrs(attrs: Mapping[str, float | int]) -> str:
         text = str(value) if isinstance(value, int) else _fmt(value)
         parts.append(f"{key}={text}")
     return ", ".join(parts)
-
-
-def _parse_attr_block(block: str, path: str | Path, lineno: int) -> dict:
-    attrs: dict[str, float | int] = {}
-    for piece in filter(None, (p.strip() for p in block.split(","))):
-        match = _DOT_ATTR_RE.match(piece)
-        if not match:
-            raise ExportFormatError(f"{path}:{lineno}: bad attribute {piece!r}")
-        key, text = match.groups()
-        attrs[key] = int(text) if re.fullmatch(r"-?\d+", text) else float(text)
-    return attrs
 
 
 def write_dot(
@@ -223,41 +200,6 @@ def write_dot(
         lines.append(f"  {_dot_quote(e.leader)} -> {_dot_quote(e.follower)} [{block}];")
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def parse_dot(path: str | Path) -> tuple[NodeAttrs, list[Edge]]:
-    """Parse the exact dialect write_dot emits, nothing more."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "digraph leadership {" or lines[-1] != "}":
-        raise ExportFormatError(f"{path}: not a digraph this tool wrote")
-    nodes: NodeAttrs = {}
-    edges: list[Edge] = []
-    for lineno, line in enumerate(lines[1:-1], start=2):
-        edge_match = _DOT_EDGE_RE.match(line)
-        if edge_match:
-            leader, follower, block = edge_match.groups()
-            attrs = _parse_attr_block(block, path, lineno)
-            for key in ("weight", "lag_weeks"):
-                if key not in attrs:
-                    raise ExportFormatError(f"{path}:{lineno}: edge missing {key}")
-            edges.append(
-                Edge(
-                    follower=_dot_unquote(follower),
-                    leader=_dot_unquote(leader),
-                    weight=float(attrs["weight"]),
-                    lag_weeks=int(attrs["lag_weeks"]),
-                )
-            )
-            continue
-        node_match = _DOT_NODE_RE.match(line)
-        if node_match:
-            name, block = node_match.groups()
-            attrs = _parse_attr_block(block, path, lineno) if block else {}
-            nodes[_dot_unquote(name)] = attrs
-            continue
-        raise ExportFormatError(f"{path}:{lineno}: unrecognized line {line!r}")
-    return nodes, edges
 
 
 # -------------------------------------------------------------------- GraphML
@@ -310,58 +252,6 @@ def write_graphml(
     tree.write(path, encoding="utf-8", xml_declaration=True)
 
 
-def read_graphml(path: str | Path) -> tuple[NodeAttrs, list[Edge]]:
-    try:
-        root = ET.parse(path).getroot()
-    except ET.ParseError as exc:
-        raise ExportFormatError(f"{path}: not parseable XML: {exc}") from None
-    ns = {"g": _GRAPHML_NS}
-    key_names: dict[str, tuple[str, str]] = {}
-    for key in root.findall("g:key", ns):
-        key_names[key.get("id", "")] = (
-            key.get("attr.name", ""),
-            key.get("attr.type", ""),
-        )
-    graph_el = root.find("g:graph", ns)
-    if graph_el is None:
-        raise ExportFormatError(f"{path}: no <graph> element")
-    nodes: NodeAttrs = {}
-    edges: list[Edge] = []
-    for el in graph_el.findall("g:node", ns):
-        node_id = el.get("id")
-        if node_id is None:
-            raise ExportFormatError(f"{path}: node without id")
-        attrs: dict[str, float | int] = {}
-        for data in el.findall("g:data", ns):
-            name, kind = key_names.get(data.get("key", ""), ("", ""))
-            if not name:
-                raise ExportFormatError(f"{path}: undeclared data key on node {node_id!r}")
-            text = data.text or ""
-            attrs[name] = int(text) if kind in ("int", "long") else float(text)
-        nodes[node_id] = attrs
-    for el in graph_el.findall("g:edge", ns):
-        leader, follower = el.get("source"), el.get("target")
-        if leader is None or follower is None:
-            raise ExportFormatError(f"{path}: edge missing source or target")
-        fields: dict[str, float | int] = {}
-        for data in el.findall("g:data", ns):
-            name, kind = key_names.get(data.get("key", ""), ("", ""))
-            text = data.text or ""
-            fields[name] = int(text) if kind in ("int", "long") else float(text)
-        for field in ("weight", "lag_weeks"):
-            if field not in fields:
-                raise ExportFormatError(f"{path}: edge missing {field}")
-        edges.append(
-            Edge(
-                follower=follower,
-                leader=leader,
-                weight=float(fields["weight"]),
-                lag_weeks=int(fields["lag_weeks"]),
-            )
-        )
-    return nodes, edges
-
-
 # ------------------------------------------------------------------ JSON
 
 
@@ -406,19 +296,6 @@ def write_centrality_json(path: str | Path, report: CentralityReport) -> None:
         {
             "pagerank": dict(report.pagerank),
             "weighted_in_degree": dict(report.weighted_in_degree),
-        },
-    )
-
-
-def read_centrality_json(path: str | Path) -> CentralityReport:
-    raw = _read_json(path)
-    for key in ("pagerank", "weighted_in_degree"):
-        if key not in raw:
-            raise ExportFormatError(f"{path}: missing {key!r}")
-    return CentralityReport(
-        pagerank={str(k): float(v) for k, v in raw["pagerank"].items()},
-        weighted_in_degree={
-            str(k): float(v) for k, v in raw["weighted_in_degree"].items()
         },
     )
 

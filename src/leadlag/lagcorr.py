@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .charts import ListenMatrix, WindowStack
+from .charts import WindowStack
 
 MIN_LAG = 1
 MAX_LAG = 5
@@ -43,14 +43,6 @@ class VelocitySeries:
 
     def __len__(self) -> int:
         return len(self.weeks)
-
-    @classmethod
-    def from_vectors(
-        cls, city_id: str, vectors: Mapping[int, np.ndarray]
-    ) -> "VelocitySeries":
-        weeks = tuple(sorted(vectors))
-        matrix = np.vstack([vectors[w] for w in weeks]) if weeks else (0, 0)
-        return cls(city_id, weeks, sparse.csr_matrix(matrix))
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,9 +79,7 @@ class DyadResult:
         return {self.best_lag: self.values}
 
 
-def compute_all_velocities(
-    windows: Mapping[int, ListenMatrix]
-) -> dict[str, VelocitySeries]:
+def compute_all_velocities(windows: WindowStack) -> dict[str, VelocitySeries]:
     """Every city's velocities: for each start week t with a window at t + 4, the
     row of each city active in both windows there minus its row at t.
 
@@ -100,20 +90,19 @@ def compute_all_velocities(
     """
     if not windows:
         return {}
-    stack = WindowStack.of(windows, "velocities")
-    n = len(stack.cities)
-    starts = np.asarray(stack.starts, dtype=np.int64)
+    n = len(windows.cities)
+    starts = np.asarray(windows.starts, dtype=np.int64)
     early = np.flatnonzero(np.isin(starts + VELOCITY_STEP_WEEKS, starts))
     late = np.searchsorted(starts, starts[early] + VELOCITY_STEP_WEEKS)
-    active = stack.active()
+    active = windows.active()
     city, pair = np.nonzero((active[early] & active[late]).T)
-    rows = stack.matrix
+    rows = windows.matrix
     matrix = rows[late[pair] * n + city] - rows[early[pair] * n + city]
     weeks = starts[early[pair]].tolist()
     bounds = np.searchsorted(city, np.arange(n + 1)).tolist()
     return {
         c: VelocitySeries(c, tuple(weeks[a:b]), matrix[a:b])
-        for c, a, b in zip(stack.cities, bounds, bounds[1:])
+        for c, a, b in zip(windows.cities, bounds, bounds[1:])
     }
 
 
@@ -193,11 +182,12 @@ def scan_dyads(
     return dyads
 
 
-def save_dyads(path: str | Path, dyads: Iterable[DyadResult]) -> None:
-    """Write dyad results as JSON, stable across reruns.
+def save_dyads(path: str | Path, dyads: Iterable[DyadResult], cities: Iterable[str]) -> None:
+    """Write the scanned cities and their dyad results as JSON, stable across reruns.
 
-    Each dyad is encoded on its own, so only one dyad's samples are Python
-    objects at a time.
+    The city list keeps cities with no scored dyad, so a graph rebuilt from
+    the cache has the nodes of the run that wrote it. Each dyad is encoded
+    on its own, so only one dyad's samples are Python objects at a time.
     """
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     items = [
@@ -211,21 +201,34 @@ def save_dyads(path: str | Path, dyads: Iterable[DyadResult]) -> None:
         for d in sorted(dyads, key=lambda d: (d.leader_candidate, d.follower_candidate))
     ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{"dyads":[' + ",".join(items) + "]}\n")
+        fh.write('{"cities":' + encode(sorted(cities)) + ',"dyads":[' + ",".join(items) + "]}\n")
 
 
 def load_dyads(path: str | Path) -> list[DyadResult]:
-    """Read a save_dyads cache; caches holding every lag load the same.
+    """The dyads of a save_dyads cache, checked as `load_dyad_cache` checks them."""
+    return load_dyad_cache(path)[1]
 
-    Raises ValueError, naming the file and the dyad, for a cache that would
-    otherwise distort the graph silently: a repeated (follower, leader)
-    pair, a best lag that is not an integer in 1..5, fewer than 2 samples,
-    a sample that is not a [week, value] pair, a week that is not an
-    integer, weeks that do not strictly increase, a NaN or infinite value,
-    or a correlation that is not the mean of its samples to within 1e-12.
+
+def load_dyad_cache(path: str | Path) -> tuple[tuple[str, ...] | None, list[DyadResult]]:
+    """Read a save_dyads cache: its city list and its dyads.
+
+    A cache written before the city list was stored gives None for it;
+    caches holding every lag load the same. Raises ValueError, naming the
+    file and the dyad, for a cache that would otherwise distort the graph
+    silently: a dyad naming a city outside the city list, a repeated
+    (follower, leader) pair, a best lag that is not an integer in 1..5,
+    fewer than 2 samples, a sample that is not a [week, value] pair, a week
+    that is not an integer, weeks that do not strictly increase, a NaN or
+    infinite value, or a correlation that is not the mean of its samples to
+    within 1e-12.
     """
     with open(path, encoding="utf-8") as fh:
-        items = json.load(fh)["dyads"]
+        payload = json.load(fh)
+    items, cities = payload["dyads"], payload.get("cities")
+    if cities is not None:
+        if not isinstance(cities, list) or not all(isinstance(c, str) for c in cities):
+            raise ValueError(f"{path}: cities is not a list of city names")
+        cities, known = tuple(cities), set(cities)
 
     def reject(item: Mapping, problem: str) -> ValueError:
         return ValueError(f"{path}: dyad {item['follower']!r} -> {item['leader']!r} {problem}")
@@ -234,6 +237,8 @@ def load_dyads(path: str | Path) -> list[DyadResult]:
     sizes, weeks, values = [], [], []
     for item in items:
         pair = (item["follower"], item["leader"])
+        if cities is not None and not known.issuperset(pair):
+            raise reject(item, "names a city that is not in the cache's city list")
         if pair in seen:
             raise reject(item, "appears twice")
         seen.add(pair)
@@ -252,7 +257,7 @@ def load_dyads(path: str | Path) -> list[DyadResult]:
         weeks.extend(item_weeks)
         values.extend(item_values)
     if not items:
-        return []
+        return cities, []
     bounds = np.cumsum([0] + sizes)
     starts = bounds[:-1]
     flat_weeks = np.array(weeks, dtype=np.int64)
@@ -272,7 +277,7 @@ def load_dyads(path: str | Path) -> list[DyadResult]:
     require(np.abs(mean - correlation) <= 1e-12,
             "has a correlation that is not the mean of its samples")
     bounds = bounds.tolist()
-    return [
+    return cities, [
         DyadResult(item["leader"], item["follower"], item["best_lag"], c,
                    flat_weeks[a:b], flat_values[a:b])
         for item, c, a, b in zip(items, correlation.tolist(), bounds, bounds[1:])

@@ -30,6 +30,7 @@ from .stats import (
 DEFAULT_ALPHA = 0.01
 EXACT_FAS_MAX_NODES = 20
 _REINSERTION_PASSES = 50
+_PAGERANK_DAMPING = 0.85
 _PAGERANK_TOL = 1e-12
 _PAGERANK_MAX_ITER = 100_000
 
@@ -171,26 +172,6 @@ def _decide(
             elif (edge := _contest(d, dyads[j], alpha)) is not None:
                 edges.append(edge)
     return sorted(edges, key=lambda e: (e.follower, e.leader))
-
-
-def accept_edge(
-    forward: DyadResult, backward: DyadResult, alpha: float = DEFAULT_ALPHA
-) -> Edge | None:
-    """Decide the edge for one unordered pair, or return None.
-
-    `forward` and `backward` must be the two orientations of the same
-    pair; the decision is `build_graph`'s for that pair.
-    """
-    _check_alpha(alpha)
-    same_pair = (
-        forward.follower_candidate == backward.leader_candidate
-        and forward.leader_candidate == backward.follower_candidate
-    )
-    if not same_pair:
-        raise ValueError("forward and backward must be orientations of one pair")
-    pair = (forward.follower_candidate, forward.leader_candidate)
-    edges = _decide([forward, backward], alpha, pair)
-    return edges[0] if edges else None
 
 
 def build_graph(
@@ -412,15 +393,13 @@ def feedback_arc_set(graph: LeadershipGraph) -> AcyclicityReport:
     )
 
 
-def pagerank(graph: LeadershipGraph, damping: float = 0.85) -> CentralityReport:
+def pagerank(graph: LeadershipGraph) -> CentralityReport:
     """Weighted PageRank by power iteration, follower endorsing leader.
 
     Each node splits its rank over outgoing edges in proportion to their
     weights; nodes with no outgoing edge spread theirs uniformly, as does
-    the teleport term.
+    the teleport term. The damping factor is 0.85.
     """
-    if not 0 < damping < 1:
-        raise ValueError(f"damping must be in (0, 1), got {damping}")
     nodes = tuple(sorted(graph.nodes))
     n = len(nodes)
     in_degree = {v: 0.0 for v in nodes}
@@ -442,7 +421,7 @@ def pagerank(graph: LeadershipGraph, damping: float = 0.85) -> CentralityReport:
     x = np.full(n, 1.0 / n)
     for _ in range(_PAGERANK_MAX_ITER):
         spread = transfer.dot(x) + x[dangling].sum() / n
-        nxt = damping * spread + (1.0 - damping) / n
+        nxt = _PAGERANK_DAMPING * spread + (1.0 - _PAGERANK_DAMPING) / n
         if np.abs(nxt - x).sum() < _PAGERANK_TOL:
             x = nxt
             break

@@ -137,7 +137,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         velocities, min_samples=config.min_samples, lags=config.lag_range
     )
     artifacts["dyads"] = out / "dyads.json"
-    save_dyads(artifacts["dyads"], dyads)
+    save_dyads(artifacts["dyads"], dyads, store.cities)
 
     graph = build_graph(
         dyads, alpha=config.alpha, bonferroni=config.bonferroni, nodes=store.cities

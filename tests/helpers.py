@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import json
 
-from leadlag.charts import ArtistUniverse, ChartStore, WeeklyChart
+import numpy as np
+from scipy import sparse
+
+from leadlag.charts import ArtistUniverse, ChartStore, WeeklyChart, WindowStack
+from leadlag.lagcorr import VelocitySeries
 
 from oracles import per_window_windows
 
@@ -19,8 +23,24 @@ def store_from_cells(cells, missing=frozenset()):
     return ChartStore(charts, universe, missing)
 
 
+def window_stack(windows):
+    """Normalized windows keyed by start week, built one at a time, as one stack."""
+    starts = sorted(windows)
+    first = windows[starts[0]]
+    matrix = sparse.vstack([windows[s].values for s in starts], format="csr")
+    return WindowStack(starts, first.cities, first.universe, matrix)
+
+
 def normalized_windows(store):
-    return per_window_windows(store)
+    """The store's windows as the per-window oracle builds them, stacked."""
+    return window_stack(per_window_windows(store))
+
+
+def velocity_series(city_id, vectors):
+    """VelocitySeries from a {week: dense vector} dict."""
+    weeks = tuple(sorted(vectors))
+    matrix = np.vstack([vectors[w] for w in weeks]) if weeks else (0, 0)
+    return VelocitySeries(city_id, weeks, sparse.csr_matrix(matrix))
 
 
 def distort(payload, case):
@@ -48,6 +68,8 @@ def distort(payload, case):
         item["correlation"] = samples[0][1]
     elif case == "sample of three fields":
         samples[2].append(1.0)
+    elif case == "city outside the city list":
+        payload["cities"] = [item["leader"]]
     return payload
 
 
@@ -65,4 +87,5 @@ DISTORTIONS = {
     "correlation off its samples": "has a correlation that is not the mean of its samples",
     "one sample": "has 1 samples, fewer than 2",
     "sample of three fields": "has a sample that is not a [week, value] pair",
+    "city outside the city list": "names a city that is not in the cache's city list",
 }

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import integrate, sparse
 from scipy.stats import rankdata
 
-from leadlag.charts import WINDOW_WEEKS, ArtistUniverse, ChartStore, ListenMatrix, WeeklyChart
+from leadlag.charts import WINDOW_WEEKS, ArtistUniverse, ChartStore, WeeklyChart
 from leadlag.cluster import DistanceMatrix
 
 from leadlag.lagcorr import (
@@ -280,6 +280,23 @@ def per_pair_build_graph(
     return LeadershipGraph(nodes=ordered, edges=tuple(edges))
 
 
+@dataclass(frozen=True)
+class ListenMatrix:
+    """One 4-week window of summed listener counts, cities by artists.
+
+    Rows follow `cities` order and columns follow the universe order, so
+    matrices from different windows of the same store align elementwise.
+    An all-zero row means the city charted nothing in the window.
+    """
+
+    window_start_week: int
+    width_weeks: int
+    cities: tuple[str, ...]
+    universe: ArtistUniverse
+    values: sparse.csr_matrix
+    normalized: bool
+
+
 class WindowUnavailable(LookupError):
     """The requested 4-week window overlaps a missing or absent week."""
 
@@ -399,21 +416,15 @@ def compute_velocities(windows: Mapping[int, ListenMatrix], city_id: str) -> Vel
 
 
 def per_window_distances(
-    windows: Mapping[int, ListenMatrix],
-    cities: Sequence[str] | None = None,
-    per_pair_mean: bool = False,
+    windows: Mapping[int, ListenMatrix], per_pair_mean: bool = False
 ) -> DistanceMatrix:
     """summed_distances one window at a time, over the active rows of each."""
     starts = sorted(windows)
     if not starts:
         raise ValueError("no windows supplied")
-    first = windows[starts[0]]
+    wanted = windows[starts[0]].cities
     if not all(windows[s].normalized for s in starts):
         raise ValueError("windows must be normalized before distances")
-    wanted = tuple(cities) if cities is not None else first.cities
-    for city in wanted:
-        if city not in first.cities:
-            raise KeyError(f"unknown city {city!r}")
     ever_active = {c for c in wanted if any(is_active(windows[s], c) for s in starts)}
     silent = [c for c in wanted if c not in ever_active]
     if silent:

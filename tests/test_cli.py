@@ -1,19 +1,17 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from leadlag.charts import read_chart_csv
+from leadlag.charts import WeeklyChart, read_chart_csv, write_chart_csv
 from leadlag.cli import main
-from leadlag.cluster import parse_newick
 from leadlag.exports import (
-    parse_dot,
     read_acyclicity_json,
-    read_centrality_json,
     read_edge_csv,
-    read_graphml,
     read_manifest,
     read_size_leadership_json,
+    write_acyclicity_json,
     write_edge_csv,
     write_populations,
 )
@@ -22,6 +20,7 @@ from leadlag.pipeline import RunConfig, run_pipeline
 from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
 
 from helpers import DISTORTIONS, distort
+from readers import parse_dot, parse_newick, read_centrality_json, read_graphml
 
 PLANTED = {("c01", "c00"): 1, ("c02", "c01"): 1, ("c03", "c02"): 1}
 
@@ -313,14 +312,21 @@ class TestCliCommands:
         assert (out / "centrality.json").exists()
 
     def test_graph_reproduces_run_exports(self, synth_inputs, tmp_path, capsys):
-        run_dir = tmp_path / "full"
-        stage_dir = tmp_path / "stage"
-        chart_args = ["--charts", synth_inputs["charts"], "--missing", synth_inputs["missing"]]
-        assert main(["run", *chart_args, "--out", str(run_dir)]) == 0
-        dyads = str(run_dir / "dyads.json")
-        assert main(["graph", "--dyads", dyads, "--out", str(stage_dir)]) == 0
-        for name in ("edges.csv", "graph.dot", "graph.graphml"):
-            assert (stage_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+        # zz charts too few weeks for any dyad, yet it is a node of the run's
+        # graph and counts in the Bonferroni level; the cache must keep it.
+        isolated = tmp_path / "isolated.csv"
+        extra = [WeeklyChart(w, "zz", (("zz_artist", 5),)) for w in range(12) if w != 10]
+        write_chart_csv(isolated, read_chart_csv(synth_inputs["charts"]) + extra)
+        cases = [(synth_inputs["charts"], []), (str(isolated), ["--bonferroni"])]
+        for k, (charts, flags) in enumerate(cases):
+            run_dir, stage_dir = tmp_path / f"full{k}", tmp_path / f"stage{k}"
+            chart_args = ["--charts", charts, "--missing", synth_inputs["missing"]]
+            assert main(["run", *chart_args, *flags, "--out", str(run_dir)]) == 0
+            dyads = str(run_dir / "dyads.json")
+            assert main(["graph", "--dyads", dyads, *flags, "--out", str(stage_dir)]) == 0
+            for name in ("edges.csv", "graph.dot", "graph.graphml", "centrality.json"):
+                assert (stage_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+        assert "zz" in read_centrality_json(stage_dir / "centrality.json").pagerank
         capsys.readouterr()
 
     def test_fas_reports_cycle_weight(self, tmp_path, capsys):
@@ -402,11 +408,17 @@ class TestCliCommands:
         assert code == 0
         run_out = capsys.readouterr().out
         assert "accepted edges:" in run_out
+        assert "% (exact)" in run_out
         assert (out / "manifest.json").exists()
 
         assert main(["report", "--run-dir", str(out)]) == 0
         report_out = capsys.readouterr().out
         assert "% edge weight removed to make acyclic" in report_out
+        assert "% (exact)" in report_out
+        heuristic = replace(read_acyclicity_json(out / "acyclicity.json"), exact=False)
+        write_acyclicity_json(out / "acyclicity.json", heuristic)
+        assert main(["report", "--run-dir", str(out)]) == 0
+        assert "% (heuristic)" in capsys.readouterr().out
         assert "% edge weight where leader larger" in report_out
         assert "pagerank" in report_out
 

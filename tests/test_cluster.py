@@ -10,15 +10,14 @@ from leadlag.cluster import (
     ClusterTree,
     DistanceMatrix,
     average_linkage,
-    cluster_map,
     flat_cut,
-    parse_newick,
     summed_distances,
     to_newick,
 )
 
-from helpers import normalized_windows, store_from_cells
-from oracles import filter_genre, naive_upgma, normalize_rows, window
+from helpers import normalized_windows, store_from_cells, window_stack
+from oracles import filter_genre, naive_upgma, normalize_rows, per_window_distances, window
+from readers import cluster_map, parse_newick
 
 
 def dm(labels, rows):
@@ -83,7 +82,7 @@ def test_summed_distances_match_bruteforce():
                 continue
             want = sum(
                 float(np.linalg.norm(dense_row(a, s) - dense_row(b, s)))
-                for s in windows
+                for s in windows.starts
             )
             assert result.value(a, b) == pytest.approx(want, abs=1e-9)
 
@@ -100,16 +99,8 @@ def test_never_active_city_excluded_with_warning():
         for s in store.valid_window_starts()
     }
     with pytest.warns(UserWarning, match="ghost"):
-        result = summed_distances(windows)
+        result = summed_distances(window_stack(windows))
     assert result.cities == ("p", "q")
-
-
-def test_unknown_requested_city_is_lookup_error():
-    cells = {(w, "p", "a"): 2 for w in range(6)}
-    cells.update({(w, "q", "b"): 3 for w in range(6)})
-    windows = normalized_windows(store_from_cells(cells))
-    with pytest.raises(KeyError, match="unknown city"):
-        summed_distances(windows, cities=("p", "q", "atlantis"))
 
 
 def test_coverage_counts_shared_windows():
@@ -141,7 +132,7 @@ def test_unnormalized_windows_rejected():
     store = store_from_cells(cells)
     raw = {s: window(store, s) for s in store.valid_window_starts()}
     with pytest.raises(ValueError, match="normalized"):
-        summed_distances(raw)
+        per_window_distances(raw)
 
 
 def test_distance_matrix_validation():

@@ -4,11 +4,8 @@ import pytest
 
 from leadlag.exports import (
     ExportFormatError,
-    parse_dot,
     read_acyclicity_json,
-    read_centrality_json,
     read_edge_csv,
-    read_graphml,
     read_manifest,
     read_populations,
     read_size_leadership_json,
@@ -31,6 +28,8 @@ from leadlag.network import (
     feedback_arc_set,
     pagerank,
 )
+
+from readers import parse_dot, read_centrality_json, read_graphml
 
 
 @pytest.fixture

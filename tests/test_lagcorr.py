@@ -18,6 +18,7 @@ from leadlag.lagcorr import (
     DyadUnavailable,
     VelocitySeries,
     compute_all_velocities,
+    load_dyad_cache,
     load_dyads,
     save_dyads,
     scan_dyads,
@@ -26,13 +27,20 @@ from leadlag.network import build_graph
 from leadlag.pipeline import build_windows
 from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
 
-from helpers import DISTORTIONS, distort, normalized_windows, store_from_cells
-from oracles import best_dyad, compute_velocities, lagged_samples, per_pair_scan, window
+from helpers import DISTORTIONS, distort, normalized_windows, store_from_cells, velocity_series
+from oracles import (
+    best_dyad,
+    compute_velocities,
+    lagged_samples,
+    per_pair_scan,
+    per_window_windows,
+    window,
+)
 
 
 def test_identical_windows_give_zero_velocity():
     cells = {(w, "c", a): n for w in range(12) for a, n in [("x", 3), ("y", 4)]}
-    series = compute_velocities(normalized_windows(store_from_cells(cells)), "c")
+    series = compute_velocities(per_window_windows(store_from_cells(cells)), "c")
     assert len(series) > 0
     assert abs(series.matrix).max() == 0.0
 
@@ -43,7 +51,7 @@ def test_velocity_is_difference_of_unit_rows():
         cells[(w, "c", "a")] = 7
     for w in range(4, 8):
         cells[(w, "c", "b")] = 9
-    series = compute_velocities(normalized_windows(store_from_cells(cells)), "c")
+    series = compute_velocities(per_window_windows(store_from_cells(cells)), "c")
     v = series.matrix[series.weeks.index(0)].toarray().ravel()
     np.testing.assert_allclose(v, [-1.0, 1.0], atol=1e-12)
 
@@ -51,7 +59,7 @@ def test_velocity_is_difference_of_unit_rows():
 def test_unknown_city_is_lookup_error():
     cells = {(w, "c", "a"): 1 for w in range(8)}
     with pytest.raises(KeyError, match="unknown city"):
-        compute_velocities(normalized_windows(store_from_cells(cells)), "nowhere")
+        compute_velocities(per_window_windows(store_from_cells(cells)), "nowhere")
 
 
 def test_unnormalized_windows_rejected():
@@ -60,8 +68,6 @@ def test_unnormalized_windows_rejected():
     raw = {s: window(store, s) for s in store.valid_window_starts()}
     with pytest.raises(ValueError, match="normalized"):
         compute_velocities(raw, "c")
-    with pytest.raises(ValueError, match="normalized"):
-        compute_all_velocities(raw)
 
 
 def test_velocities_match_bruteforce():
@@ -77,7 +83,7 @@ def test_velocities_match_bruteforce():
                     continue
             cells.setdefault((w, c, artists[0]), 1)
     store = store_from_cells(cells)
-    windows = normalized_windows(store)
+    windows = per_window_windows(store)
 
     ci = {c: i for i, c in enumerate(sorted(cities))}
     ai = {a: i for i, a in enumerate(sorted(artists))}
@@ -99,9 +105,10 @@ def test_velocities_match_bruteforce():
             np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
-def assert_batched_velocities_match_per_city(windows):
-    batched = compute_all_velocities(windows)
-    assert list(batched) == list(next(iter(windows.values())).cities)
+def assert_batched_velocities_match_per_city(store):
+    windows = per_window_windows(store)
+    batched = compute_all_velocities(build_windows(store))
+    assert list(batched) == list(store.cities)
     for city, series in batched.items():
         one = compute_velocities(windows, city)
         assert series.weeks == one.weeks
@@ -130,14 +137,14 @@ def test_batched_velocities_match_per_city_loop(seed, n_cities, n_artists):
                 if rng.random() < share:
                     cells[(w, c, f"a{a}")] = int(rng.integers(1, 20))
         cells.setdefault((w, cities[int(rng.integers(n_cities))], "a0"), 1)
-    assert_batched_velocities_match_per_city(normalized_windows(store_from_cells(cells, missing)))
+    assert_batched_velocities_match_per_city(store_from_cells(cells, missing))
 
 
 def test_missing_week_removes_velocities():
     cells = {(w, "c", "a"): w + 1 for w in range(20) if w != 9}
     cells.update({(w, "c", "b"): 2 for w in range(20) if w != 9})
     store = store_from_cells(cells, missing=frozenset({9}))
-    windows = normalized_windows(store)
+    windows = per_window_windows(store)
     starts = set(windows)
     assert starts == {0, 1, 2, 3, 4, 5, 10, 11, 12, 13, 14, 15, 16}
     series = compute_velocities(windows, "c")
@@ -147,7 +154,7 @@ def test_missing_week_removes_velocities():
 def test_inactive_city_weeks_absent():
     cells = {(w, "c", "a"): 5 for w in range(16)}
     cells.update({(w, "q", "b"): 5 for w in range(8)})
-    series = compute_velocities(normalized_windows(store_from_cells(cells)), "q")
+    series = compute_velocities(per_window_windows(store_from_cells(cells)), "q")
     # q charts in weeks 0..7, so it is active in windows 0..7 only; velocity
     # week t needs active windows at both t and t+4, leaving t in 0..3.
     assert set(series.weeks) == {0, 1, 2, 3}
@@ -157,8 +164,8 @@ def test_perfect_copy_samples_are_squared_norms():
     rng = np.random.default_rng(3)
     leader_vecs = {w: rng.normal(size=6) * 0.3 for w in range(30)}
     follower_vecs = {w: leader_vecs[w - 3] for w in range(3, 30)}
-    leader = VelocitySeries.from_vectors("L", leader_vecs)
-    follower = VelocitySeries.from_vectors("F", follower_vecs)
+    leader = velocity_series("L", leader_vecs)
+    follower = velocity_series("F", follower_vecs)
     for sample in lagged_samples(follower, leader, 3):
         want = float(np.dot(leader_vecs[sample.follower_week - 3], leader_vecs[sample.follower_week - 3]))
         assert sample.value == pytest.approx(want, abs=1e-12)
@@ -166,20 +173,20 @@ def test_perfect_copy_samples_are_squared_norms():
 
 
 def test_orthogonal_velocities_give_zero_samples():
-    leader = VelocitySeries.from_vectors("L", {w: np.array([1.0, 0.0]) for w in range(10)})
-    follower = VelocitySeries.from_vectors("F", {w: np.array([0.0, 1.0]) for w in range(10)})
+    leader = velocity_series("L", {w: np.array([1.0, 0.0]) for w in range(10)})
+    follower = velocity_series("F", {w: np.array([0.0, 1.0]) for w in range(10)})
     for lag in (1, 5):
         assert all(s.value == 0.0 for s in lagged_samples(follower, leader, lag))
 
 
 def test_empty_overlap_gives_empty_list():
-    leader = VelocitySeries.from_vectors("L", {w: np.ones(2) for w in range(5)})
-    follower = VelocitySeries.from_vectors("F", {w: np.ones(2) for w in range(40, 45)})
+    leader = velocity_series("L", {w: np.ones(2) for w in range(5)})
+    follower = velocity_series("F", {w: np.ones(2) for w in range(40, 45)})
     assert lagged_samples(follower, leader, 2) == []
 
 
 def test_lag_bounds_enforced():
-    s = VelocitySeries.from_vectors("x", {0: np.ones(2)})
+    s = velocity_series("x", {0: np.ones(2)})
     with pytest.raises(ValueError):
         lagged_samples(s, s, 0)
     with pytest.raises(ValueError):
@@ -190,7 +197,7 @@ def crafted_pair(means, n_weeks=46):
     """Dyad whose lag-l samples all equal means[l-1] exactly."""
     dim = 8
     eye = np.eye(dim)
-    leader = VelocitySeries.from_vectors(
+    leader = velocity_series(
         "L", {w: eye[w % dim] for w in range(n_weeks)}
     )
     follower_vecs = {}
@@ -199,7 +206,7 @@ def crafted_pair(means, n_weeks=46):
         for lag, mean in zip(range(1, 6), means):
             vec += mean * eye[(t - lag) % dim]
         follower_vecs[t] = vec
-    return VelocitySeries.from_vectors("F", follower_vecs), leader
+    return velocity_series("F", follower_vecs), leader
 
 
 def scanned_pair(follower, leader, **kwargs):
@@ -229,8 +236,8 @@ def test_best_dyad_tie_breaks_to_smallest_lag():
 
 def test_all_zero_velocities_pick_lag_one():
     zeros = {w: np.zeros(3) for w in range(40)}
-    series = VelocitySeries.from_vectors("a", zeros)
-    other = VelocitySeries.from_vectors("b", dict(zeros))
+    series = velocity_series("a", zeros)
+    other = velocity_series("b", dict(zeros))
     result = best_dyad(series, other)
     assert result.best_lag == 1
     assert result.correlation == 0.0
@@ -255,7 +262,7 @@ def test_min_samples_floor():
 def test_scan_is_ordered():
     rng = np.random.default_rng(5)
     series = {
-        name: VelocitySeries.from_vectors(
+        name: velocity_series(
             name, {w: rng.normal(size=4) * 0.2 for w in range(30)}
         )
         for name in ("u", "v", "w")
@@ -269,10 +276,10 @@ def test_scan_is_ordered():
 def test_scan_drops_unavailable_dyads():
     rng = np.random.default_rng(6)
     series = {
-        "full": VelocitySeries.from_vectors(
+        "full": velocity_series(
             "full", {w: rng.normal(size=3) for w in range(40)}
         ),
-        "tiny": VelocitySeries.from_vectors("tiny", {0: np.ones(3)}),
+        "tiny": velocity_series("tiny", {0: np.ones(3)}),
     }
     assert scan_dyads(series, min_samples=5) == []
 
@@ -348,7 +355,7 @@ def test_scan_matches_per_pair_oracle(seed, n_cities, lags, min_samples, reverse
             if w in missing or off <= w < stop:
                 continue
             vectors[w] = unit_row_difference(rng, dim)
-        city = VelocitySeries.from_vectors(f"c{k}", vectors)
+        city = velocity_series(f"c{k}", vectors)
         # Rows whose column indices are stored out of order, as in real windows.
         flip = np.flatnonzero(rng.random(len(city)) < reversed_shares[k])
         series[city.city_id] = with_reversed_rows(city, flip)
@@ -360,10 +367,9 @@ def test_scan_matches_oracle_on_synth_velocities():
     charts = generate_charts(chain_hierarchy(8), config)
     universe = ArtistUniverse(a for c in charts for a, _ in c.entries)
     store = ChartStore(charts, universe, config.missing_weeks)
-    windows = build_windows(store)
-    assert_batched_velocities_match_per_city(windows)
-    series = compute_all_velocities(windows)
-    # Velocities of real windows store many rows unsorted, unlike from_vectors.
+    assert_batched_velocities_match_per_city(store)
+    series = compute_all_velocities(build_windows(store))
+    # Velocities of real windows store many rows unsorted, unlike velocity_series.
     assert any(has_unsorted_row(s.matrix) for s in series.values())
     got = scan_dyads(series)
     assert len(got) == 56
@@ -373,19 +379,19 @@ def test_scan_matches_oracle_on_synth_velocities():
 def test_scan_skips_city_without_velocities():
     rng = np.random.default_rng(5)
     series = {
-        name: VelocitySeries.from_vectors(
+        name: velocity_series(
             name, {w: rng.normal(size=4) * 0.2 for w in range(30)}
         )
         for name in ("u", "w")
     }
-    series["v"] = VelocitySeries.from_vectors("v", {})
+    series["v"] = velocity_series("v", {})
     got = scan_dyads(series)
     assert len(got) == 2
     assert_scan_matches_oracle(got, series)
 
 
 def test_scan_of_fewer_than_two_cities_is_empty():
-    lone = VelocitySeries.from_vectors("a", {w: np.ones(2) for w in range(30)})
+    lone = velocity_series("a", {w: np.ones(2) for w in range(30)})
     assert scan_dyads({}) == []
     assert scan_dyads({"a": lone}) == []
 
@@ -400,7 +406,7 @@ def test_scan_of_fewer_than_two_cities_is_empty():
     ],
 )
 def test_scan_rejects_bad_arguments_for_any_city_count(kwargs, message):
-    pair = {c: VelocitySeries.from_vectors(c, {w: np.ones(2) for w in range(30)}) for c in "ab"}
+    pair = {c: velocity_series(c, {w: np.ones(2) for w in range(30)}) for c in "ab"}
     for series in ({}, {"a": pair["a"]}, pair):
         with pytest.raises(ValueError, match=message):
             scan_dyads(series, **kwargs)
@@ -411,10 +417,10 @@ def test_time_reversal_swaps_roles():
     horizon = 24
     a_vecs = {w: rng.normal(size=5) for w in range(horizon) if w % 7 != 3}
     b_vecs = {w: rng.normal(size=5) for w in range(horizon) if w % 5 != 1}
-    a = VelocitySeries.from_vectors("a", a_vecs)
-    b = VelocitySeries.from_vectors("b", b_vecs)
-    a_rev = VelocitySeries.from_vectors("a", {horizon - w: v for w, v in a_vecs.items()})
-    b_rev = VelocitySeries.from_vectors("b", {horizon - w: v for w, v in b_vecs.items()})
+    a = velocity_series("a", a_vecs)
+    b = velocity_series("b", b_vecs)
+    a_rev = velocity_series("a", {horizon - w: v for w, v in a_vecs.items()})
+    b_rev = velocity_series("b", {horizon - w: v for w, v in b_vecs.items()})
     for lag in range(1, 6):
         forward = sorted(s.value for s in lagged_samples(a, b, lag))
         reversed_ = sorted(s.value for s in lagged_samples(b_rev, a_rev, lag))
@@ -445,8 +451,8 @@ def test_samples_respect_cauchy_schwarz(seed, lag):
     # Scale into the geometry of unit-row differences (norm at most 2).
     f_vecs = {w: v / max(1.0, np.linalg.norm(v) / 2) for w, v in f_vecs.items()}
     l_vecs = {w: v / max(1.0, np.linalg.norm(v) / 2) for w, v in l_vecs.items()}
-    follower = VelocitySeries.from_vectors("f", f_vecs)
-    leader = VelocitySeries.from_vectors("l", l_vecs)
+    follower = velocity_series("f", f_vecs)
+    leader = velocity_series("l", l_vecs)
     for s in lagged_samples(follower, leader, lag):
         bound = np.linalg.norm(f_vecs[s.follower_week]) * np.linalg.norm(
             l_vecs[s.follower_week - lag]
@@ -459,7 +465,7 @@ def test_dyad_cache_round_trip(tmp_path):
     follower, leader = crafted_pair([0.01, 0.03, 0.02, 0.0, -0.01])
     result = best_dyad(follower, leader)
     path = tmp_path / "dyads.json"
-    save_dyads(path, [result])
+    save_dyads(path, [result], ("F", "L"))
     [item] = json.loads(path.read_text())["dyads"]
     assert list(item["samples"]) == [str(result.best_lag)]
     loaded = load_dyads(path)
@@ -471,7 +477,7 @@ def test_cache_holding_every_lag_still_loads(tmp_path):
     rng = np.random.default_rng(11)
     base = {w: rng.normal(size=6) * 0.2 for w in range(60)}
     series = {
-        city: VelocitySeries.from_vectors(
+        city: velocity_series(
             city, {w + 2 * k: v + rng.normal(size=6) * 0.05 for w, v in base.items()}
         )
         for k, city in enumerate(("a", "b", "c"))
@@ -516,7 +522,7 @@ def test_cache_with_non_finite_value_rejected(tmp_path, field, bad):
     follower, leader = crafted_pair([0.01, 0.03, 0.02, 0.0, -0.01])
     result = best_dyad(follower, leader)
     path = tmp_path / "dyads.json"
-    save_dyads(path, [result])
+    save_dyads(path, [result], ("F", "L"))
     payload = json.loads(path.read_text())
     [item] = payload["dyads"]
     if field == "correlation":
@@ -532,19 +538,20 @@ def test_dyad_cache_is_deterministic(tmp_path):
     follower, leader = crafted_pair([0.5, 0.1, 0.0, 0.0, 0.0])
     result = best_dyad(follower, leader)
     p1, p2 = tmp_path / "one.json", tmp_path / "two.json"
-    save_dyads(p1, [result])
-    save_dyads(p2, [result])
+    save_dyads(p1, [result], ("F", "L"))
+    save_dyads(p2, [result], ("F", "L"))
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_dyad_cache_format(tmp_path):
     dyad = DyadResult("L", "F", 3, 0.25, [4, 7], [0.5, 0.0])
     path = tmp_path / "dyads.json"
-    save_dyads(path, [dyad])
+    save_dyads(path, [dyad], ["L", "F", "Z"])
     assert path.read_text() == (
-        '{"dyads":[{"best_lag":3,"correlation":0.25,"follower":"F","leader":"L",'
-        '"samples":{"3":[[4,0.5],[7,0.0]]}}]}\n'
+        '{"cities":["F","L","Z"],"dyads":[{"best_lag":3,"correlation":0.25,"follower":"F",'
+        '"leader":"L","samples":{"3":[[4,0.5],[7,0.0]]}}]}\n'
     )
+    assert load_dyad_cache(path) == (("F", "L", "Z"), [dyad])
     assert load_dyads(path) == [dyad]
 
 
@@ -552,7 +559,7 @@ def test_dyad_cache_format(tmp_path):
 def test_cache_that_would_distort_a_run_rejected(tmp_path, case):
     follower, leader = crafted_pair([0.01, 0.03, 0.02, 0.0, -0.01])
     path = tmp_path / "dyads.json"
-    save_dyads(path, [best_dyad(follower, leader)])
+    save_dyads(path, [best_dyad(follower, leader)], ("F", "L"))
     path.write_text(json.dumps(distort(json.loads(path.read_text()), case)))
     message = f"{path}: dyad 'F' -> 'L' {DISTORTIONS[case]}"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -563,7 +570,7 @@ def test_cache_correlation_within_tolerance_loads(tmp_path):
     follower, leader = crafted_pair([0.01, 0.03, 0.02, 0.0, -0.01])
     result = best_dyad(follower, leader)
     path = tmp_path / "dyads.json"
-    save_dyads(path, [result])
+    save_dyads(path, [result], ("F", "L"))
     payload = json.loads(path.read_text())
     payload["dyads"][0]["correlation"] += 5e-13
     path.write_text(json.dumps(payload))

@@ -15,7 +15,6 @@ from leadlag.lagcorr import DyadResult
 from leadlag.network import (
     Edge,
     LeadershipGraph,
-    accept_edge,
     build_graph,
     feedback_arc_set,
     pagerank,
@@ -54,27 +53,26 @@ def steady(mean, n=30, wobble=0.01):
 def test_no_survivor_means_no_edge():
     fwd = dyad("a", "b", steady(0.0))
     bwd = dyad("b", "a", steady(0.0))
-    assert accept_edge(fwd, bwd) is None
+    assert build_graph([fwd, bwd]).edges == ()
 
 
 def test_single_survivor_wins_directly():
     fwd = dyad("a", "b", steady(0.2), lag=3)
     bwd = dyad("b", "a", steady(-0.2))
-    edge = accept_edge(fwd, bwd)
-    assert edge == Edge(follower="a", leader="b", weight=fwd.correlation, lag_weeks=3)
+    edge = Edge(follower="a", leader="b", weight=fwd.correlation, lag_weeks=3)
+    assert build_graph([fwd, bwd]).edges == (edge,)
 
 
 def test_significant_negative_mean_is_not_leadership():
     fwd = dyad("a", "b", steady(-0.3))
     bwd = dyad("b", "a", steady(-0.3))
-    assert accept_edge(fwd, bwd) is None
+    assert build_graph([fwd, bwd]).edges == ()
 
 
 def test_paired_contest_picks_larger_correlation():
     fwd = dyad("a", "b", steady(0.30))
     bwd = dyad("b", "a", steady(0.10))
-    edge = accept_edge(fwd, bwd)
-    assert edge is not None
+    [edge] = build_graph([fwd, bwd]).edges
     assert (edge.follower, edge.leader) == ("a", "b")
     assert edge.weight == fwd.correlation
 
@@ -83,13 +81,13 @@ def test_indistinguishable_directions_move_together():
     # Same mean and symmetric differences: the paired test cannot separate them.
     fwd = dyad("a", "b", steady(0.2, wobble=0.01))
     bwd = dyad("b", "a", steady(0.2, wobble=0.02))
-    assert accept_edge(fwd, bwd) is None
+    assert build_graph([fwd, bwd]).edges == ()
 
 
 def test_degenerate_samples_yield_no_edge():
     fwd = dyad("a", "b", [0.2] * 30)
     bwd = dyad("b", "a", steady(0.1))
-    assert accept_edge(fwd, bwd) is None
+    assert build_graph([fwd, bwd]).edges == ()
 
 
 def test_equal_correlations_yield_no_edge():
@@ -99,7 +97,7 @@ def test_equal_correlations_yield_no_edge():
     fwd = dyad("a", "b", fwd_vals, weeks=range(40))
     bwd = dyad("b", "a", bwd_vals, weeks=range(20))
     assert fwd.correlation == pytest.approx(bwd.correlation, abs=1e-12)
-    assert accept_edge(fwd, bwd) is None
+    assert build_graph([fwd, bwd]).edges == ()
 
 
 def test_paired_contest_uses_week_intersection():
@@ -109,8 +107,7 @@ def test_paired_contest_uses_week_intersection():
     fwd = dyad("a", "b", [0.35] * 18 + [0.34, 0.36] + [0.06] * 20, weeks=range(40))
     bwd = dyad("b", "a", steady(0.2, n=20), weeks=range(20))
     assert fwd.correlation > bwd.correlation
-    edge = accept_edge(fwd, bwd)
-    assert edge is not None
+    [edge] = build_graph([fwd, bwd]).edges
     assert (edge.follower, edge.leader) == ("a", "b")
 
 
@@ -121,22 +118,17 @@ def test_accept_edge_is_argument_order_invariant():
         (dyad("a", "b", steady(-0.2)), dyad("b", "a", steady(0.25))),
     ]
     for fwd, bwd in cases:
-        assert accept_edge(fwd, bwd) == accept_edge(bwd, fwd)
-
-
-def test_accept_edge_rejects_mismatched_pair():
-    with pytest.raises(ValueError, match="orientations"):
-        accept_edge(dyad("a", "b", steady(0.1)), dyad("a", "c", steady(0.1)))
+        assert build_graph([fwd, bwd]) == build_graph([bwd, fwd])
 
 
 def test_accept_edge_rejects_bad_alpha():
     with pytest.raises(ValueError, match="alpha"):
-        accept_edge(dyad("a", "b", steady(0.1)), dyad("b", "a", steady(0.1)), alpha=0.0)
+        build_graph([dyad("a", "b", steady(0.1)), dyad("b", "a", steady(0.1))], alpha=0.0)
 
 
 @pytest.mark.parametrize("alpha", [7.0, 0.0, -1.0, math.nan])
 def test_build_graph_rejects_bad_alpha_before_any_pair(alpha):
-    # Checked up front: neither an empty scan nor a lone dyad reaches accept_edge.
+    # Checked up front: neither an empty scan nor a lone dyad reaches the screen.
     for dyads in ([], [dyad("a", "b", steady(0.2))]):
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
             build_graph(dyads, alpha=alpha)
@@ -231,9 +223,9 @@ def test_build_graph_matches_per_pair_loop(seed, n_cities, alpha, bonferroni, no
     by_pair = {(d.follower_candidate, d.leader_candidate): d for d in dyads}
     for (f, l), fwd in by_pair.items():
         if (l, f) in by_pair:
-            assert accept_edge(fwd, by_pair[(l, f)], alpha) == per_pair_accept_edge(
-                fwd, by_pair[(l, f)], alpha
-            )
+            want = per_pair_accept_edge(fwd, by_pair[(l, f)], alpha)
+            got = build_graph([fwd, by_pair[(l, f)]], alpha).edges
+            assert got == (() if want is None else (want,))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -241,11 +233,9 @@ def test_non_finite_sample_is_value_error(bad):
     values = steady(0.2)
     values[3] = bad
     broken = dyad("a", "b", values)
-    for dyads in ([broken], [broken, dyad("b", "a", steady(0.1))]):
+    for other in ([], [dyad("b", "a", steady(0.1))], [dyad("b", "a", [0.2] * 30)]):
         with pytest.raises(ValueError, match="finite"):
-            build_graph(dyads)
-    with pytest.raises(ValueError, match="finite"):
-        accept_edge(broken, dyad("b", "a", [0.2] * 30))
+            build_graph([broken, *other])
 
 
 def test_single_sample_is_value_error():
@@ -258,7 +248,7 @@ def test_constant_sample_is_flat_even_when_its_mean_rounds():
     # taken around it is not 0; the samples are still constant.
     assert math.fsum([0.1] * 3) / 3 != 0.1
     assert build_graph([dyad("a", "b", [0.1] * 3)]).edges == ()
-    assert accept_edge(dyad("a", "b", [0.1] * 3), dyad("b", "a", steady(0.2))) is None
+    assert build_graph([dyad("a", "b", [0.1] * 3), dyad("b", "a", steady(0.2))]).edges == ()
 
 
 def test_graph_validates_edges():
@@ -427,11 +417,6 @@ def test_pagerank_ignores_edge_insertion_order():
     a = pagerank(graph_from(3, weighted))
     b = pagerank(graph_from(3, list(reversed(weighted))))
     assert a.pagerank == b.pagerank
-
-
-def test_pagerank_validates_damping():
-    with pytest.raises(ValueError, match="damping"):
-        pagerank(graph_from(2, [(0, 1, 1.0)]), damping=1.0)
 
 
 def test_size_leadership_perfect_agreement():

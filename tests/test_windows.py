@@ -9,12 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leadlag.charts import WindowStack
 from leadlag.cluster import summed_distances
 from leadlag.lagcorr import compute_all_velocities, scan_dyads
-from leadlag.pipeline import build_windows
 
-from helpers import store_from_cells
+from helpers import store_from_cells, window_stack
 from oracles import compute_velocities, per_window_distances, per_window_windows
 
 CITIES = ("p", "q", "r", "s")
@@ -56,18 +54,15 @@ def test_window_stack_matches_per_window_oracle(cells, missing, subset, genre):
     stack = store.windows(genre)
     want = per_window_windows(store, genre)
 
-    assert list(stack) == list(want) and len(stack) == len(want)
-    for start, matrix in want.items():
-        got = stack[start]
-        assert (got.window_start_week, got.width_weeks, got.normalized) == (start, 4, True)
-        assert got.cities == matrix.cities and got.universe == matrix.universe
-        assert_same_csr(got.values, matrix.values)
+    assert stack.starts == tuple(want) and len(stack) == len(want)
+    assert stack.cities == store.cities and stack.universe == store.universe
     if not want:
         assert compute_all_velocities(stack) == {}
         with pytest.raises(ValueError, match="no windows"):
             summed_distances(stack)
         return
-    assert_same_csr(WindowStack.of(want, "a test").matrix, stack.matrix)
+    # Window i's rows are rows i * len(cities) .. (i + 1) * len(cities) - 1 of both.
+    assert_same_csr(window_stack(want).matrix, stack.matrix)
 
     velocities = compute_all_velocities(stack)
     assert list(velocities) == list(store.cities)
@@ -79,26 +74,11 @@ def test_window_stack_matches_per_window_oracle(cells, missing, subset, genre):
         np.testing.assert_array_equal(series.matrix.toarray(), one.matrix.toarray())
     assert scan_dyads(velocities, min_samples=2) == scan_dyads(one_by_one, min_samples=2)
 
-    some = tuple(reversed(store.cities))[: max(1, len(store.cities) - 1)]
-    for cities in (None, some):
-        for per_pair_mean in (False, True):
-            kwargs = {"cities": cities, "per_pair_mean": per_pair_mean}
-            got, got_warned = distances_and_warnings(summed_distances, stack, **kwargs)
-            ref, ref_warned = distances_and_warnings(per_window_distances, want, **kwargs)
-            assert got.cities == ref.cities and got_warned == ref_warned
-            assert got.d.tobytes() == ref.d.tobytes()
-            assert got.coverage.tobytes() == ref.coverage.tobytes()
-
-
-def test_stack_is_a_mapping_of_window_views():
-    cells = {(w, c, a): 1 + w for w in range(9) for c in ("p", "q") for a in ("x", "y")}
-    store = store_from_cells(cells, frozenset({6}))
-    stack = build_windows(store)
-    assert list(stack) == [0, 1, 2] and len(stack) == 3
-    assert 1 in stack and 3 not in stack and stack.get(3) is None
-    with pytest.raises(KeyError):
-        stack[3]
-    view = stack[1].values
-    assert np.shares_memory(view.data, stack.matrix.data)
-    assert stack.matrix.shape == (3 * 2, 2)
+    for per_pair_mean in (False, True):
+        kwargs = {"per_pair_mean": per_pair_mean}
+        got, got_warned = distances_and_warnings(summed_distances, stack, **kwargs)
+        ref, ref_warned = distances_and_warnings(per_window_distances, want, **kwargs)
+        assert got.cities == ref.cities and got_warned == ref_warned
+        assert got.d.tobytes() == ref.d.tobytes()
+        assert got.coverage.tobytes() == ref.coverage.tobytes()
 
