@@ -24,6 +24,8 @@ MAX_LAG = 5
 LAGS = tuple(range(MIN_LAG, MAX_LAG + 1))
 VELOCITY_STEP_WEEKS = 4
 DEFAULT_MIN_SAMPLES = 20
+# The types json.load gives a number. Checked with type(): bool subclasses int.
+_NUMBER = {int, float}
 
 
 class DyadUnavailable(LookupError):
@@ -218,9 +220,10 @@ def load_dyad_cache(path: str | Path) -> tuple[tuple[str, ...] | None, list[Dyad
     silently: a dyad naming a city outside the city list, a repeated
     (follower, leader) pair, a best lag that is not an integer in 1..5,
     fewer than 2 samples, a sample that is not a [week, value] pair, a week
-    that is not an integer, weeks that do not strictly increase, a NaN or
-    infinite value, or a correlation that is not the mean of its samples to
-    within 1e-12.
+    that is not an integer, a sample value or correlation that is not a
+    JSON number (true and "0.25" are not), weeks that do not strictly
+    increase, a NaN or infinite value, or a correlation that is not the
+    mean of its samples to within 1e-12.
     """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -253,6 +256,10 @@ def load_dyad_cache(path: str | Path) -> tuple[tuple[str, ...] | None, list[Dyad
         item_weeks, item_values = zip(*samples)
         if set(map(type, item_weeks)) != {int}:
             raise reject(item, "has a week that is not an integer")
+        if not set(map(type, item_values)) <= _NUMBER:
+            raise reject(item, "has a sample value that is not a number")
+        if type(item["correlation"]) not in _NUMBER:
+            raise reject(item, "has a correlation that is not a number")
         sizes.append(len(samples))
         weeks.extend(item_weeks)
         values.extend(item_values)

@@ -197,14 +197,6 @@ def build_graph(
     return LeadershipGraph(nodes=ordered, edges=tuple(_decide(dyads, level, ordered)))
 
 
-def _weight_matrix(nodes: Sequence[str], edges: Iterable[Edge]) -> np.ndarray:
-    index = {c: i for i, c in enumerate(nodes)}
-    w = np.zeros((len(nodes), len(nodes)))
-    for e in edges:
-        w[index[e.follower], index[e.leader]] += e.weight
-    return w
-
-
 def _exact_min_fas_order(w: np.ndarray) -> list[int]:
     """Optimal vertex order minimizing backward edge weight, by subset DP.
 
@@ -266,50 +258,46 @@ def _exact_min_fas_order(w: np.ndarray) -> list[int]:
 
 
 def _greedy_fas_order(w: np.ndarray) -> list[int]:
-    """Sink/source peeling plus best-position reinsertion sweeps."""
+    """Sink/source peeling plus best-position reinsertion sweeps.
+
+    Every weight sum adds its terms one at a time in index order (np.cumsum
+    does, np.sum does not), so the order never depends on how numpy groups
+    a sum.
+    """
     n = w.shape[0]
-    remaining = set(range(n))
+    linked = w != 0
+    alive = np.ones(n, dtype=bool)
     head: list[int] = []
     tail: list[int] = []
-    while remaining:
+    while alive.any():
         moved = True
         while moved:
-            moved = False
-            for v in sorted(remaining):
-                if all(w[v, u] == 0 for u in remaining if u != v):
-                    tail.insert(0, v)
-                    remaining.remove(v)
-                    moved = True
-                    break
-            for v in sorted(remaining):
-                if all(w[u, v] == 0 for u in remaining if u != v):
-                    head.append(v)
-                    remaining.remove(v)
-                    moved = True
-                    break
-        if remaining:
-            best = min(
-                sorted(remaining),
-                key=lambda v: (
-                    -(sum(w[u, v] for u in remaining) - sum(w[v, u] for u in remaining)),
-                    v,
-                ),
-            )
+            sinks = np.flatnonzero(alive & ~(linked & alive).any(axis=1))
+            if len(sinks):
+                tail.insert(0, int(sinks[0]))
+                alive[sinks[0]] = False
+            sources = np.flatnonzero(alive & ~(linked & alive[:, None]).any(axis=0))
+            if len(sources):
+                head.append(int(sources[0]))
+                alive[sources[0]] = False
+            moved = len(sinks) > 0 or len(sources) > 0
+        if alive.any():
+            live = np.flatnonzero(alive)
+            block = w[np.ix_(live, live)]
+            gain = np.cumsum(block, axis=0)[-1] - np.cumsum(block, axis=1)[:, -1]
+            best = int(live[np.argmin(-gain)])
             head.append(best)
-            remaining.remove(best)
+            alive[best] = False
     order = head + tail
 
     for _ in range(_REINSERTION_PASSES):
         improved = False
         for v in range(n):
             rest = [u for u in order if u != v]
-            # cost(k): edges v->prefix are backward, edges suffix->v are backward.
-            suffix_in = sum(w[u, v] for u in rest)
-            costs = [suffix_in]
-            running = suffix_in
-            for u in rest:
-                running += w[v, u] - w[u, v]
-                costs.append(running)
+            into, out = w[rest, v], w[v, rest]
+            # costs[k], v placed before rest[k]: edges from the suffix into v
+            # and from v into the prefix are backward.
+            costs = np.cumsum(np.concatenate(([0.0], into, out - into)))[n - 1 :]
             k = int(np.argmin(costs))
             # Edges not touching v keep their direction, so the change in
             # backward weight is the change in v's own cost.
@@ -321,19 +309,21 @@ def _greedy_fas_order(w: np.ndarray) -> list[int]:
     return order
 
 
-def _strong_components(
-    graph: LeadershipGraph, edges: Sequence[Edge]
-) -> tuple[int, np.ndarray]:
-    """Strongly connected components of graph.nodes joined by edges."""
-    # Imported on first use: csgraph pulls in scipy.linalg, which most commands never need.
-    from scipy.sparse.csgraph import connected_components
+def _strong_components(linked: np.ndarray) -> np.ndarray:
+    """Each node's strongly connected component, named by its lowest index.
 
-    index = {c: i for i, c in enumerate(graph.nodes)}
-    n = len(graph.nodes)
-    rows = [index[e.follower] for e in edges]
-    cols = [index[e.leader] for e in edges]
-    adj = sparse.csr_matrix((np.ones(len(edges)), (rows, cols)), shape=(n, n))
-    return connected_components(adj, directed=True, connection="strong")
+    Reachability is closed by squaring `linked` plus the identity until it
+    stops growing; two nodes share a component when each reaches the other.
+    """
+    if not len(linked):
+        return np.zeros(0, dtype=np.int64)
+    reach = linked | np.eye(len(linked), dtype=bool)
+    while True:
+        step = reach.astype(np.float32)
+        closed = step @ step > 0
+        if (closed == reach).all():
+            return (reach & reach.T).argmax(axis=1)
+        reach = closed
 
 
 def feedback_arc_set(graph: LeadershipGraph) -> AcyclicityReport:
@@ -349,39 +339,37 @@ def feedback_arc_set(graph: LeadershipGraph) -> AcyclicityReport:
     if not graph.edges:
         return AcyclicityReport(0.0, 0.0, 0.0, (), True)
 
-    n = len(graph.nodes)
-    n_comp, labels = _strong_components(graph, graph.edges)
+    # Sorted names, so each component's block lists its members in name order.
+    index = {c: i for i, c in enumerate(sorted(set(graph.nodes)))}
+    n = len(index)
+    ends = tuple(np.array([(index[e.follower], index[e.leader]) for e in graph.edges]).T)
+    w = np.zeros((n, n))
+    np.add.at(w, ends, [e.weight for e in graph.edges])
+    linked = np.zeros((n, n), dtype=bool)
+    linked[ends] = True
+    labels = _strong_components(linked)
 
-    removed: list[Edge] = []
+    position = np.zeros(n, dtype=np.int64)
     exact = True
-    for comp in range(n_comp):
-        members = [i for i in range(n) if labels[i] == comp]
-        if len(members) < 2:
-            continue
-        member_names = {graph.nodes[i] for i in members}
-        comp_edges = [
-            e for e in graph.edges
-            if e.follower in member_names and e.leader in member_names
-        ]
-        if not comp_edges:
-            continue
-        local_nodes = sorted(member_names)
-        w = _weight_matrix(local_nodes, comp_edges)
-        if len(local_nodes) <= EXACT_FAS_MAX_NODES:
-            order = _exact_min_fas_order(w)
+    for label in np.flatnonzero(np.bincount(labels, minlength=n) > 1):
+        members = np.flatnonzero(labels == label)
+        block = w[np.ix_(members, members)]
+        if len(members) <= EXACT_FAS_MAX_NODES:
+            order = _exact_min_fas_order(block)
         else:
-            order = _greedy_fas_order(w)
+            order = _greedy_fas_order(block)
             exact = False
-        pos = {local_nodes[v]: p for p, v in enumerate(order)}
-        removed.extend(e for e in comp_edges if pos[e.follower] > pos[e.leader])
+        position[members[order]] = np.arange(len(members))
+    backward = (labels[:, None] == labels) & (position[:, None] > position)
 
-    removed.sort(key=lambda e: (e.follower, e.leader))
-    removed_set = set(removed)
+    hit = backward[ends].tolist()
+    removed = sorted(
+        (e for e, back in zip(graph.edges, hit) if back), key=lambda e: (e.follower, e.leader)
+    )
     fas_weight = math.fsum(e.weight for e in removed)
-    kept = [e for e in graph.edges if e not in removed_set]
     # Without self-loops a digraph is acyclic iff every node is its own
     # strongly connected component.
-    if _strong_components(graph, kept)[0] != n:
+    if (_strong_components(linked & ~backward) != np.arange(n)).any():
         raise RuntimeError("feedback arc set removal left a cycle")
     percent = 100.0 * fas_weight / total if total > 0 else 0.0
     return AcyclicityReport(

@@ -55,6 +55,12 @@ def distort(payload, case):
         samples[3][0] += 0.5
     elif case == "week as text":
         samples[3][0] = str(samples[3][0])
+    elif case == "value true":
+        samples[2][1] = True
+    elif case == "value as text":
+        samples[2][1] = str(samples[2][1])
+    elif case == "correlation as text":
+        item["correlation"] = str(item["correlation"])
     elif case == "repeated week":
         samples[4][0] = samples[3][0]
     elif case == "weeks out of order":
@@ -81,6 +87,9 @@ DISTORTIONS = {
     "lag true": "has best_lag True, not an integer in 1..5",
     "fractional week": "has a week that is not an integer",
     "week as text": "has a week that is not an integer",
+    "value true": "has a sample value that is not a number",
+    "value as text": "has a sample value that is not a number",
+    "correlation as text": "has a correlation that is not a number",
     "repeated week": "has weeks that repeat or are out of order",
     "weeks out of order": "has weeks that repeat or are out of order",
     "repeated pair": "appears twice",

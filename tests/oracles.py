@@ -10,7 +10,10 @@ row product per (follower, leader, lag), and one pair at a time through
 the scalar t-tests of `leadlag.stats`. The window stack is checked against
 the per-window code it replaced: one `coo_matrix` per window, a genre
 filter and a row scale by sparse diagonal products, velocities one city at
-a time and distances one window at a time.
+a time and distances one window at a time. The feedback arc set is
+checked against the code it replaced: csgraph's strongly connected
+components, each component rebuilt from its edge list, and the greedy
+peel reading one numpy scalar at a time.
 """
 from __future__ import annotations
 
@@ -37,7 +40,8 @@ from leadlag.lagcorr import (
     VelocitySeries,
     _scan_lags,
 )
-from leadlag.network import DEFAULT_ALPHA, Edge, LeadershipGraph, _check_alpha
+from leadlag import network
+from leadlag.network import DEFAULT_ALPHA, AcyclicityReport, Edge, LeadershipGraph, _check_alpha
 from leadlag.stats import DegenerateSampleError, one_sample_ttest, paired_ttest
 
 
@@ -97,6 +101,110 @@ def brute_force_fas_weight(n: int, weighted_edges) -> float:
             best = removed_w
     return best
 
+
+def strong_components(n: int, pairs) -> tuple[int, np.ndarray]:
+    """Strongly connected components of nodes 0..n-1 joined by (u, v) pairs."""
+    from scipy.sparse.csgraph import connected_components
+
+    rows = [u for u, _ in pairs]
+    cols = [v for _, v in pairs]
+    adj = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    return connected_components(adj, directed=True, connection="strong")
+
+
+def scalar_greedy_fas_order(w: np.ndarray) -> list[int]:
+    """Sink/source peeling plus best-position reinsertion, one scalar at a time."""
+    n = w.shape[0]
+    remaining = set(range(n))
+    head: list[int] = []
+    tail: list[int] = []
+    while remaining:
+        moved = True
+        while moved:
+            moved = False
+            for v in sorted(remaining):
+                if all(w[v, u] == 0 for u in remaining if u != v):
+                    tail.insert(0, v)
+                    remaining.remove(v)
+                    moved = True
+                    break
+            for v in sorted(remaining):
+                if all(w[u, v] == 0 for u in remaining if u != v):
+                    head.append(v)
+                    remaining.remove(v)
+                    moved = True
+                    break
+        if remaining:
+            best = min(
+                sorted(remaining),
+                key=lambda v: (
+                    -(sum(w[u, v] for u in remaining) - sum(w[v, u] for u in remaining)),
+                    v,
+                ),
+            )
+            head.append(best)
+            remaining.remove(best)
+    order = head + tail
+
+    for _ in range(network._REINSERTION_PASSES):
+        improved = False
+        for v in range(n):
+            rest = [u for u in order if u != v]
+            # cost(k): edges v->prefix are backward, edges suffix->v are backward.
+            suffix_in = sum(w[u, v] for u in rest)
+            costs = [suffix_in]
+            running = suffix_in
+            for u in rest:
+                running += w[v, u] - w[u, v]
+                costs.append(running)
+            k = int(np.argmin(costs))
+            if costs[k] < costs[order.index(v)] - 1e-15:
+                order = rest[:k] + [v] + rest[k:]
+                improved = True
+        if not improved:
+            break
+    return order
+
+
+def per_component_fas(graph: LeadershipGraph) -> AcyclicityReport:
+    """feedback_arc_set with csgraph components, each rebuilt from its edges."""
+    total = graph.total_weight()
+    if not graph.edges:
+        return AcyclicityReport(0.0, 0.0, 0.0, (), True)
+    index = {c: i for i, c in enumerate(graph.nodes)}
+    n = len(graph.nodes)
+
+    def components(edges):
+        return strong_components(n, [(index[e.follower], index[e.leader]) for e in edges])
+
+    n_comp, labels = components(graph.edges)
+    removed: list[Edge] = []
+    exact = True
+    for comp in range(n_comp):
+        names = {graph.nodes[i] for i in range(n) if labels[i] == comp}
+        if len(names) < 2:
+            continue
+        comp_edges = [e for e in graph.edges if e.follower in names and e.leader in names]
+        local = sorted(names)
+        at = {c: i for i, c in enumerate(local)}
+        w = np.zeros((len(local), len(local)))
+        for e in comp_edges:
+            w[at[e.follower], at[e.leader]] += e.weight
+        if len(local) <= network.EXACT_FAS_MAX_NODES:
+            order = network._exact_min_fas_order(w)
+        else:
+            order = scalar_greedy_fas_order(w)
+            exact = False
+        pos = {local[v]: p for p, v in enumerate(order)}
+        removed.extend(e for e in comp_edges if pos[e.follower] > pos[e.leader])
+    removed.sort(key=lambda e: (e.follower, e.leader))
+    removed_set = set(removed)
+    kept = [e for e in graph.edges if e not in removed_set]
+    if components(kept)[0] != n:
+        raise RuntimeError("feedback arc set removal left a cycle")
+    fas_weight = math.fsum(e.weight for e in removed)
+    percent = 100.0 * fas_weight / total if total > 0 else 0.0
+    return AcyclicityReport(total, fas_weight, percent, tuple(removed), exact)
 
 def dense_pagerank(nodes, weighted_edges, damping=0.85, tol=1e-14, max_iter=1_000_000):
     """Power iteration on an explicitly constructed dense transition matrix."""

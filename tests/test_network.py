@@ -11,23 +11,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leadlag.charts import write_chart_csv, write_missing_weeks
+from leadlag.exports import write_edge_csv
 from leadlag.lagcorr import DyadResult
 from leadlag.network import (
     Edge,
     LeadershipGraph,
+    _greedy_fas_order,
+    _strong_components,
     build_graph,
     feedback_arc_set,
     pagerank,
     size_leadership,
 )
 from leadlag.stats import UndefinedCorrelationError
+from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
 
 from oracles import (
     _is_acyclic,
     brute_force_fas_weight,
     dense_pagerank,
+    per_component_fas,
     per_pair_accept_edge,
     per_pair_build_graph,
+    scalar_greedy_fas_order,
+    strong_components,
 )
 
 
@@ -379,6 +387,95 @@ def test_fas_decomposes_by_component():
     assert report.exact
 
 
+
+@st.composite
+def digraphs(draw):
+    """0-60 nodes as a boolean matrix: random arcs, either only those that go
+    up a hidden order (a DAG) or those plus 2-cycles and one long cycle."""
+    n = draw(st.integers(0, 60))
+    linked = np.zeros((n, n), dtype=bool)
+    if n < 2:
+        return linked
+    node = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    if draw(st.booleans()):
+        rank = draw(st.permutations(range(n)))
+        arcs = [(u, v) for u, v in arcs if rank[u] < rank[v]]
+    else:
+        pairs = draw(st.lists(st.tuples(node, node), max_size=n // 4))
+        ring = draw(st.lists(node, unique=True, max_size=n))
+        arcs += pairs + [(v, u) for u, v in pairs] + list(zip(ring, ring[1:] + ring[:1]))
+    for u, v in arcs:
+        linked[u, v] = u != v
+    return linked
+
+
+def partition(labels):
+    return sorted(np.flatnonzero(labels == x).tolist() for x in set(labels.tolist()))
+
+
+@given(linked=digraphs())
+@settings(max_examples=300, deadline=None)
+def test_strong_components_match_csgraph(linked):
+    n = len(linked)
+    pairs = list(zip(*np.nonzero(linked)))
+    labels = _strong_components(linked)
+    count, oracle = strong_components(n, pairs)
+    assert partition(labels) == partition(oracle)
+    # Labels name each component by its lowest member.
+    assert (labels <= np.arange(n)).all()
+    singletons = bool((labels == np.arange(n)).all())
+    assert singletons == (count == n) == _is_acyclic(n, pairs)
+
+
+def tied_weights(seed, n, density):
+    """Weights from a palette of three values, so equal sums are common."""
+    rng = np.random.default_rng(seed)
+    palette = rng.choice([0.1, 0.25, 0.5, 1.0, float(rng.uniform(0.01, 1.0))], size=3)
+    w = np.where(rng.random((n, n)) < density, rng.choice(palette, size=(n, n)), 0.0)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(21, 45),
+    density=st.sampled_from([0.05, 0.15, 0.4]),
+)
+@settings(max_examples=60, deadline=None)
+def test_greedy_order_matches_scalar_oracle(seed, n, density):
+    w = tied_weights(seed, n, density)
+    assert _greedy_fas_order(w) == scalar_greedy_fas_order(w)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ring_size=st.integers(0, 30),
+    others=st.integers(0, 12),
+    chords=st.integers(0, 60),
+)
+@settings(max_examples=40, deadline=None)
+def test_fas_matches_per_component_oracle_on_unsorted_nodes(seed, ring_size, others, chords):
+    # A ring of more than 20 nodes takes the heuristic; the nodes off it
+    # form components small enough for the subset DP.
+    rng = np.random.default_rng(seed)
+    n = ring_size + others
+    ring = list(range(ring_size))
+    pairs = set(zip(ring, ring[1:] + ring[:1])) if ring_size > 1 else set()
+    if n > 1:
+        for _ in range(chords):
+            pool = ring if ring_size > 1 and rng.random() < 0.5 else range(ring_size, n)
+            if len(pool) > 1:
+                u, v = (int(x) for x in rng.choice(pool, size=2, replace=False))
+                pairs.add((u, v))
+    weighted = [(u, v, float(rng.choice([0.25, 0.5, rng.uniform(0.01, 1.0)]))) for u, v in pairs]
+    graph = graph_from(n, weighted)
+    shuffled = LeadershipGraph(tuple(rng.permutation(graph.nodes).tolist()), graph.edges)
+    report = feedback_arc_set(shuffled)
+    assert report == per_component_fas(shuffled)
+    assert report == feedback_arc_set(graph)
+
+
 def test_pagerank_single_edge_ranks_leader_higher():
     graph = graph_from(2, [(0, 1, 0.7)])
     report = pagerank(graph)
@@ -467,15 +564,44 @@ def test_size_leadership_monotone_population_invariance():
     assert squared == base
 
 
-def test_cli_import_leaves_csgraph_unloaded():
-    # csgraph pulls in scipy.sparse.linalg and scipy.linalg; only FAS needs it.
+def test_cli_import_leaves_csgraph_unloaded(tmp_path):
+    # csgraph pulls in scipy.sparse.linalg and scipy.linalg, which no
+    # command needs: FAS takes its components from numpy.
     import leadlag
+
+    hierarchy = chain_hierarchy(10, lag_weeks=1, coupling=0.9)
+    config = SynthConfig(
+        n_artists=120,
+        n_weeks=153,
+        noise_sigma=0.05,
+        seed=0,
+        missing_weeks=frozenset({7, 19, 23, 41, 47, 59, 66, 74, 88, 97, 109, 118, 131, 144}),
+    )
+    charts, missing = tmp_path / "charts.csv", tmp_path / "missing.txt"
+    write_chart_csv(charts, generate_charts(hierarchy, config))
+    write_missing_weeks(missing, config.missing_weeks)
+    # A 24-node ring with chords: one component, cut by the greedy peel.
+    weighted = [(i, (i + 1) % 24, 1.0) for i in range(24)]
+    weighted += [(i, (i + 7) % 24, 0.05) for i in range(24)]
+    cycle = tmp_path / "cycle.csv"
+    write_edge_csv(cycle, graph_from(24, weighted))
+    commands = [
+        ["run", "--charts", str(charts), "--missing", str(missing), "--out", str(tmp_path / "out")],
+        ["fas", "--edges", str(cycle)],
+    ]
 
     src = str(Path(leadlag.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     modules = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
-    probe = f"import sys, leadlag.cli; print([m for m in {modules!r} if m in sys.modules])"
+    report = f"print([m for m in {modules!r} if m in sys.modules])"
+    probe = "; ".join(
+        ["import sys, leadlag.cli", report]
+        + [f"assert leadlag.cli.main({c!r}) == 0" for c in commands]
+        + [report]
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    first, *_, last = out.stdout.strip().splitlines()
+    assert (first, last) == ("[]", "[]")
+    assert (tmp_path / "out" / "acyclicity.json").exists()
