@@ -1,0 +1,106 @@
+"""Every rejection of the input-file readers, pinned to its exact message.
+
+One row per raise site: the reader, the file's text and the message it
+must raise (`{path}` stands for the file), or None where the file reads
+without error and gives an empty result. A reader in `charts` raises
+ChartFormatError and one in `exports` raises ExportFormatError.
+"""
+
+import pytest
+
+from leadlag.charts import ChartFormatError, read_chart_csv, read_genre_catalog, read_missing_weeks
+from leadlag.exports import (
+    ExportFormatError,
+    read_acyclicity_json,
+    read_edge_csv,
+    read_manifest,
+    read_populations,
+    read_size_leadership_json,
+)
+
+CHART = "week,city,artist,listeners\n"
+GENRE = "genre,rank,artist\n"
+EDGE = "follower,leader,weight,lag_weeks\n"
+POPULATION = "city,population\n"
+CROWDED = CHART + "".join(f"0,c,a{i},1\n" for i in range(501))
+ACYCLICITY = '{"total_weight": 1.0, "fas_weight": 0.0, "percent_removed": 0.0, "exact": true'
+SIZE = '{"spearman_pagerank": 0.5, "spearman_indegree": 0.5, "percent_weight_larger_leads": 50.0}'
+
+CASES = [
+    (read_missing_weeks, "", None),
+    (read_missing_weeks, "\n  \n", None),
+    (read_missing_weeks, "3\n\nx y\n", "{path}:3: expected a week index, got 'x y'"),
+    (read_missing_weeks, "1.5\n", "{path}:1: expected a week index, got '1.5'"),
+    (read_missing_weeks, "2\n-1\n", "{path}:2: negative week index -1"),
+    (read_genre_catalog, "", "{path}:1: expected header genre,rank,artist"),
+    (read_genre_catalog, "\n" + GENRE, "{path}:1: expected header genre,rank,artist"),
+    (read_genre_catalog, "genre,rank\n", "{path}:1: expected header genre,rank,artist"),
+    (read_genre_catalog, GENRE + "\nrock,1\n", "{path}:3: expected 3 fields, got 2"),
+    (read_genre_catalog, GENRE + "rock,1,a,b\n", "{path}:2: expected 3 fields, got 4"),
+    (read_genre_catalog, GENRE + "rock,one,a\n", "{path}:2: bad rank 'one'"),
+    (read_genre_catalog, GENRE + "rock,0,a\n", "{path}:2: rank 0 outside 1..1000"),
+    (read_genre_catalog, GENRE + "rock,1001,a\n", "{path}:2: rank 1001 outside 1..1000"),
+    (read_genre_catalog, GENRE + "rock,1,a\nrock,1,b\n",
+     "{path}:3: duplicate rank 1 for genre 'rock'"),
+    (read_genre_catalog, GENRE + "rock,1,a\nrock,2,a\n", "genre 'rock' lists an artist twice"),
+    (read_chart_csv, "", None),
+    (read_chart_csv, CHART, None),
+    (read_chart_csv, "\n", "{path}:1: expected header week,city,artist,listeners"),
+    (read_chart_csv, "week,city,artist\n", "{path}:1: expected header week,city,artist,listeners"),
+    (read_chart_csv, CHART + "\n0,c,a\n", "{path}:3: expected 4 fields, got 3"),
+    (read_chart_csv, CHART + "0,c,a,1,2\n", "{path}:2: expected 4 fields, got 5"),
+    (read_chart_csv, CHART + "w0,c,a,1\n", "{path}:2: bad week 'w0'"),
+    (read_chart_csv, CHART + "-1,c,a,1\n", "{path}:2: negative week index -1"),
+    (read_chart_csv, CHART + "0,,a,1\n", "{path}:2: empty city or artist id"),
+    (read_chart_csv, CHART + "0,c,,1\n", "{path}:2: empty city or artist id"),
+    (read_chart_csv, CHART + "0,c,a,many\n", "{path}:2: bad listener count 'many'"),
+    (read_chart_csv, CHART + "0,c,a,0\n", "{path}:2: listener count must be positive, got 0"),
+    (read_chart_csv, CHART + "0,c,a,1\n0,c,a,2\n",
+     "{path}:3: duplicate entry for week 0, city 'c', artist 'a'"),
+    (read_chart_csv, CROWDED, "{path}: week 0, city 'c' has 501 entries, cap is 500"),
+    (read_edge_csv, "", "{path}:1: expected header follower,leader,weight,lag_weeks"),
+    (read_edge_csv, "leader,follower,weight,lag_weeks\n",
+     "{path}:1: expected header follower,leader,weight,lag_weeks"),
+    (read_edge_csv, EDGE + "\nb,a,0.5\n", "{path}:3: expected 4 fields, got 3"),
+    (read_edge_csv, EDGE + ",a,0.5,2\n", "{path}:2: empty city id"),
+    (read_edge_csv, EDGE + "b,,0.5,2\n", "{path}:2: empty city id"),
+    (read_edge_csv, EDGE + "b,a,0.5,2\nb,a,0.5,2\n", "{path}:3: duplicate edge 'b' -> 'a'"),
+    (read_edge_csv, EDGE + "b,a,heavy,2\n", "{path}:2: bad weight 'heavy'"),
+    (read_edge_csv, EDGE + "b,a,nan,2\n",
+     "{path}:2: weight must be finite and positive, got 'nan'"),
+    (read_edge_csv, EDGE + "b,a,-0.25,2\n",
+     "{path}:2: weight must be finite and positive, got '-0.25'"),
+    (read_edge_csv, EDGE + "b,a,0.5,2.0\n", "{path}:2: bad lag '2.0'"),
+    (read_edge_csv, EDGE + "b,a,0.5,6\n", "{path}:2: lag must be in 1..5, got 6"),
+    (read_populations, "", "{path}:1: expected header city,population"),
+    (read_populations, "town,people\n", "{path}:1: expected header city,population"),
+    (read_populations, POPULATION + "\nx\n", "{path}:3: expected 2 fields, got 1"),
+    (read_populations, POPULATION + ",10\n", "{path}:2: empty city id"),
+    (read_populations, POPULATION + "x,10\nx,20\n", "{path}:3: duplicate city 'x'"),
+    (read_populations, POPULATION + "x,lots\n", "{path}:2: bad population 'lots'"),
+    (read_populations, POPULATION + "x,0\n", "{path}:2: population must be positive, got 0"),
+    (read_acyclicity_json, "[]", "{path}: expected a JSON object"),
+    (read_acyclicity_json, "{}", "{path}: missing 'total_weight'"),
+    (read_acyclicity_json, ACYCLICITY + "}", "{path}: missing 'removed_edges'"),
+    (read_acyclicity_json, ACYCLICITY + ', "removed_edges": [{"follower": "b"}]}',
+     "{path}: edge record missing 'leader'"),
+    (read_size_leadership_json, '"size"', "{path}: expected a JSON object"),
+    (read_size_leadership_json, SIZE, "{path}: missing 'cities_used'"),
+    (read_manifest, "{}", "{path}: missing 'created_at'"),
+    (read_manifest, '{"created_at": "", "inputs": {}, "parameters": {}}',
+     "{path}: missing 'tool_version'"),
+]
+
+
+@pytest.mark.parametrize("reader, text, message", CASES)
+def test_reader_message(tmp_path, reader, text, message):
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8", newline="")
+    if message is None:
+        assert not reader(path)
+        return
+    error = ChartFormatError if reader.__module__ == "leadlag.charts" else ExportFormatError
+    with pytest.raises(error) as caught:
+        reader(path)
+    assert type(caught.value) is error
+    assert str(caught.value) == message.format(path=path)
