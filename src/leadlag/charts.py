@@ -141,6 +141,34 @@ class GenreCatalog:
             raise KeyError(f"unknown genre {genre_id!r}") from None
 
 
+def csv_rows(
+    path: str | Path, header: Sequence[str], error: type[ValueError]
+) -> Iterator[tuple[str, list[str]]]:
+    """(f"{path}:{row}", fields) of each non-blank row after `header`, which must open the file.
+
+    Raises `error` when the first row is not `header` (an empty file has no
+    first row) and for a row whose field count differs from the header's.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != list(header):
+            raise error(f"{path}:1: expected header {','.join(header)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise error(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            yield f"{path}:{lineno}", row
+
+
+def parse_number(kind: type, text: str, problem: str, error: type[ValueError]):
+    """`kind(text)`, or `error(problem)` when `text` is not such a number."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise error(problem) from None
+
+
 def read_missing_weeks(path: str | Path) -> frozenset[int]:
     """Parse a newline-separated list of missing week indices."""
     weeks = set()
@@ -149,12 +177,8 @@ def read_missing_weeks(path: str | Path) -> frozenset[int]:
             text = line.strip()
             if not text:
                 continue
-            try:
-                week = int(text)
-            except ValueError:
-                raise ChartFormatError(
-                    f"{path}:{lineno}: expected a week index, got {text!r}"
-                ) from None
+            problem = f"{path}:{lineno}: expected a week index, got {text!r}"
+            week = parse_number(int, text, problem, ChartFormatError)
             if week < 0:
                 raise ChartFormatError(f"{path}:{lineno}: negative week index {week}")
             weeks.add(week)
@@ -170,78 +194,45 @@ def write_missing_weeks(path: str | Path, weeks: Iterable[int]) -> None:
 def read_genre_catalog(path: str | Path) -> GenreCatalog:
     """Parse a genre catalog CSV with header genre,rank,artist."""
     ranked: dict[str, dict[int, str]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != GENRE_HEADER:
-            raise ChartFormatError(f"{path}:1: expected header {','.join(GENRE_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ChartFormatError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            genre_id, rank_text, artist_id = row
-            try:
-                rank = int(rank_text)
-            except ValueError:
-                raise ChartFormatError(f"{path}:{lineno}: bad rank {rank_text!r}") from None
-            if not 1 <= rank <= MAX_GENRE_RANK:
-                raise ChartFormatError(
-                    f"{path}:{lineno}: rank {rank} outside 1..{MAX_GENRE_RANK}"
-                )
-            slots = ranked.setdefault(genre_id, {})
-            if rank in slots:
-                raise ChartFormatError(
-                    f"{path}:{lineno}: duplicate rank {rank} for genre {genre_id!r}"
-                )
-            slots[rank] = artist_id
+    for where, (genre_id, rank_text, artist_id) in csv_rows(path, GENRE_HEADER, ChartFormatError):
+        rank = parse_number(int, rank_text, f"{where}: bad rank {rank_text!r}", ChartFormatError)
+        if not 1 <= rank <= MAX_GENRE_RANK:
+            raise ChartFormatError(f"{where}: rank {rank} outside 1..{MAX_GENRE_RANK}")
+        slots = ranked.setdefault(genre_id, {})
+        if rank in slots:
+            raise ChartFormatError(f"{where}: duplicate rank {rank} for genre {genre_id!r}")
+        slots[rank] = artist_id
     genres = {g: [slots[r] for r in sorted(slots)] for g, slots in ranked.items()}
     return GenreCatalog(genres)
 
 
 def read_chart_csv(path: str | Path) -> list[WeeklyChart]:
-    """Parse a chart CSV, validating counts, caps and triple uniqueness."""
+    """Parse a chart CSV, validating counts, caps and triple uniqueness.
+
+    A zero-byte file holds no charts; `csv_rows` would reject it for its header.
+    """
+    if Path(path).stat().st_size == 0:
+        return []
     cells: dict[tuple[int, str], list[tuple[str, int]]] = {}
     seen: set[tuple[int, str, str]] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return []
-        if header != CHART_HEADER:
-            raise ChartFormatError(f"{path}:1: expected header {','.join(CHART_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ChartFormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            week_text, city_id, artist_id, listeners_text = row
-            try:
-                week = int(week_text)
-            except ValueError:
-                raise ChartFormatError(f"{path}:{lineno}: bad week {week_text!r}") from None
-            if week < 0:
-                raise ChartFormatError(f"{path}:{lineno}: negative week index {week}")
-            if not city_id or not artist_id:
-                raise ChartFormatError(f"{path}:{lineno}: empty city or artist id")
-            try:
-                listeners = int(listeners_text)
-            except ValueError:
-                raise ChartFormatError(
-                    f"{path}:{lineno}: bad listener count {listeners_text!r}"
-                ) from None
-            if listeners < 1:
-                raise ChartFormatError(
-                    f"{path}:{lineno}: listener count must be positive, got {listeners}"
-                )
-            triple = (week, city_id, artist_id)
-            if triple in seen:
-                raise ChartFormatError(
-                    f"{path}:{lineno}: duplicate entry for week {week}, "
-                    f"city {city_id!r}, artist {artist_id!r}"
-                )
-            seen.add(triple)
-            cells.setdefault((week, city_id), []).append((artist_id, listeners))
+    for where, row in csv_rows(path, CHART_HEADER, ChartFormatError):
+        week_text, city_id, artist_id, listeners_text = row
+        week = parse_number(int, week_text, f"{where}: bad week {week_text!r}", ChartFormatError)
+        if week < 0:
+            raise ChartFormatError(f"{where}: negative week index {week}")
+        if not city_id or not artist_id:
+            raise ChartFormatError(f"{where}: empty city or artist id")
+        problem = f"{where}: bad listener count {listeners_text!r}"
+        listeners = parse_number(int, listeners_text, problem, ChartFormatError)
+        if listeners < 1:
+            raise ChartFormatError(f"{where}: listener count must be positive, got {listeners}")
+        triple = (week, city_id, artist_id)
+        if triple in seen:
+            raise ChartFormatError(
+                f"{where}: duplicate entry for week {week}, city {city_id!r}, artist {artist_id!r}"
+            )
+        seen.add(triple)
+        cells.setdefault((week, city_id), []).append((artist_id, listeners))
     charts = []
     for (week, city_id), entries in sorted(cells.items()):
         if len(entries) > MAX_CHART_ENTRIES:

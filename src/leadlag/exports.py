@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Mapping
 from xml.etree import ElementTree as ET
 
+from .charts import csv_rows, parse_number
 from .lagcorr import MAX_LAG, MIN_LAG
 from .network import (
     AcyclicityReport,
@@ -55,49 +56,24 @@ def read_edge_csv(path: str | Path) -> list[Edge]:
     """Parse write_edge_csv output, rejecting rows it never writes."""
     edges: list[Edge] = []
     seen: set[tuple[str, str]] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(EDGE_HEADER):
+    for where, (follower, leader, weight_text, lag_text) in csv_rows(
+        path, EDGE_HEADER, ExportFormatError
+    ):
+        if not follower or not leader:
+            raise ExportFormatError(f"{where}: empty city id")
+        if (follower, leader) in seen:
+            raise ExportFormatError(f"{where}: duplicate edge {follower!r} -> {leader!r}")
+        seen.add((follower, leader))
+        problem = f"{where}: bad weight {weight_text!r}"
+        weight = parse_number(float, weight_text, problem, ExportFormatError)
+        if not (math.isfinite(weight) and weight > 0):
             raise ExportFormatError(
-                f"{path}:1: expected header {','.join(EDGE_HEADER)}"
+                f"{where}: weight must be finite and positive, got {weight_text!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ExportFormatError(
-                    f"{path}:{lineno}: expected 4 fields, got {len(row)}"
-                )
-            follower, leader, weight_text, lag_text = row
-            if not follower or not leader:
-                raise ExportFormatError(f"{path}:{lineno}: empty city id")
-            if (follower, leader) in seen:
-                raise ExportFormatError(
-                    f"{path}:{lineno}: duplicate edge {follower!r} -> {leader!r}"
-                )
-            seen.add((follower, leader))
-            try:
-                weight = float(weight_text)
-            except ValueError:
-                raise ExportFormatError(
-                    f"{path}:{lineno}: bad weight {weight_text!r}"
-                ) from None
-            if not (math.isfinite(weight) and weight > 0):
-                raise ExportFormatError(
-                    f"{path}:{lineno}: weight must be finite and positive, got {weight_text!r}"
-                )
-            try:
-                lag = int(lag_text)
-            except ValueError:
-                raise ExportFormatError(
-                    f"{path}:{lineno}: bad lag {lag_text!r}"
-                ) from None
-            if not MIN_LAG <= lag <= MAX_LAG:
-                raise ExportFormatError(
-                    f"{path}:{lineno}: lag must be in {MIN_LAG}..{MAX_LAG}, got {lag}"
-                )
-            edges.append(Edge(follower, leader, weight, lag))
+        lag = parse_number(int, lag_text, f"{where}: bad lag {lag_text!r}", ExportFormatError)
+        if not MIN_LAG <= lag <= MAX_LAG:
+            raise ExportFormatError(f"{where}: lag must be in {MIN_LAG}..{MAX_LAG}, got {lag}")
+        edges.append(Edge(follower, leader, weight, lag))
     return edges
 
 
@@ -114,36 +90,16 @@ def write_populations(path: str | Path, populations: Mapping[str, int]) -> None:
 
 def read_populations(path: str | Path) -> dict[str, int]:
     populations: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(POPULATION_HEADER):
-            raise ExportFormatError(
-                f"{path}:1: expected header {','.join(POPULATION_HEADER)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ExportFormatError(
-                    f"{path}:{lineno}: expected 2 fields, got {len(row)}"
-                )
-            city, pop_text = row
-            if not city:
-                raise ExportFormatError(f"{path}:{lineno}: empty city id")
-            if city in populations:
-                raise ExportFormatError(f"{path}:{lineno}: duplicate city {city!r}")
-            try:
-                population = int(pop_text)
-            except ValueError:
-                raise ExportFormatError(
-                    f"{path}:{lineno}: bad population {pop_text!r}"
-                ) from None
-            if population <= 0:
-                raise ExportFormatError(
-                    f"{path}:{lineno}: population must be positive, got {population}"
-                )
-            populations[city] = population
+    for where, (city, pop_text) in csv_rows(path, POPULATION_HEADER, ExportFormatError):
+        if not city:
+            raise ExportFormatError(f"{where}: empty city id")
+        if city in populations:
+            raise ExportFormatError(f"{where}: duplicate city {city!r}")
+        problem = f"{where}: bad population {pop_text!r}"
+        population = parse_number(int, pop_text, problem, ExportFormatError)
+        if population <= 0:
+            raise ExportFormatError(f"{where}: population must be positive, got {population}")
+        populations[city] = population
     return populations
 
 
@@ -261,11 +217,15 @@ def _write_json(path: str | Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _read_json(path: str | Path) -> dict:
+def _read_json(path: str | Path, required: tuple[str, ...]) -> dict:
+    """The JSON object in `path`, which must hold every key in `required`."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ExportFormatError(f"{path}: expected a JSON object")
+    for key in required:
+        if key not in raw:
+            raise ExportFormatError(f"{path}: missing {key!r}")
     return raw
 
 
@@ -317,10 +277,8 @@ def write_acyclicity_json(path: str | Path, report: AcyclicityReport) -> None:
 
 
 def read_acyclicity_json(path: str | Path) -> AcyclicityReport:
-    raw = _read_json(path)
-    for key in ("total_weight", "fas_weight", "percent_removed", "exact", "removed_edges"):
-        if key not in raw:
-            raise ExportFormatError(f"{path}: missing {key!r}")
+    required = ("total_weight", "fas_weight", "percent_removed", "exact", "removed_edges")
+    raw = _read_json(path, required)
     return AcyclicityReport(
         total_weight=float(raw["total_weight"]),
         fas_weight=float(raw["fas_weight"]),
@@ -343,15 +301,10 @@ def write_size_leadership_json(path: str | Path, report: SizeLeadershipReport) -
 
 
 def read_size_leadership_json(path: str | Path) -> SizeLeadershipReport:
-    raw = _read_json(path)
-    for key in (
-        "spearman_pagerank",
-        "spearman_indegree",
-        "percent_weight_larger_leads",
-        "cities_used",
-    ):
-        if key not in raw:
-            raise ExportFormatError(f"{path}: missing {key!r}")
+    raw = _read_json(
+        path,
+        ("spearman_pagerank", "spearman_indegree", "percent_weight_larger_leads", "cities_used"),
+    )
     return SizeLeadershipReport(
         spearman_pagerank=float(raw["spearman_pagerank"]),
         spearman_indegree=float(raw["spearman_indegree"]),
@@ -397,8 +350,4 @@ def write_manifest(
 
 
 def read_manifest(path: str | Path) -> dict:
-    raw = _read_json(path)
-    for key in ("created_at", "inputs", "parameters", "tool_version"):
-        if key not in raw:
-            raise ExportFormatError(f"{path}: missing {key!r}")
-    return raw
+    return _read_json(path, ("created_at", "inputs", "parameters", "tool_version"))

@@ -125,10 +125,7 @@ def read_graphml(path: str | Path) -> tuple[NodeAttrs, list[Edge]]:
 
 
 def read_centrality_json(path: str | Path) -> CentralityReport:
-    raw = _read_json(path)
-    for key in ("pagerank", "weighted_in_degree"):
-        if key not in raw:
-            raise ExportFormatError(f"{path}: missing {key!r}")
+    raw = _read_json(path, ("pagerank", "weighted_in_degree"))
     return CentralityReport(
         pagerank={str(k): float(v) for k, v in raw["pagerank"].items()},
         weighted_in_degree={
