@@ -35,7 +35,6 @@ from .exports import (
 )
 from .lagcorr import (
     DyadResult,
-    DyadUnavailable,
     VelocitySeries,
     compute_all_velocities,
     load_dyad_cache,
@@ -77,69 +76,7 @@ from .synth import (
     shuffle_null,
 )
 
-__all__ = [
-    "__version__",
-    "AcyclicityReport",
-    "CentralityReport",
-    "ChartFormatError",
-    "ChartStore",
-    "ClusterTree",
-    "DegenerateSampleError",
-    "DistanceMatrix",
-    "DyadResult",
-    "DyadUnavailable",
-    "Edge",
-    "ExportFormatError",
-    "GenreCatalog",
-    "LeadershipGraph",
-    "PipelineResult",
-    "PlantedEdge",
-    "PlantedHierarchy",
-    "RunConfig",
-    "SizeLeadershipReport",
-    "SpearmanResult",
-    "SynthCity",
-    "SynthConfig",
-    "TestResult",
-    "UndefinedCorrelationError",
-    "VelocitySeries",
-    "WeeklyChart",
-    "WindowStack",
-    "average_linkage",
-    "build_graph",
-    "build_windows",
-    "chain_hierarchy",
-    "compute_all_velocities",
-    "feedback_arc_set",
-    "flat_cut",
-    "generate_charts",
-    "load_dyad_cache",
-    "load_dyads",
-    "load_hierarchy",
-    "load_synth_config",
-    "one_sample_ttest",
-    "pagerank",
-    "paired_ttest",
-    "read_chart_csv",
-    "read_edge_csv",
-    "read_genre_catalog",
-    "read_manifest",
-    "read_missing_weeks",
-    "read_populations",
-    "run_pipeline",
-    "save_dyads",
-    "scan_dyads",
-    "shuffle_null",
-    "size_leadership",
-    "spearman",
-    "summed_distances",
-    "t_cdf",
-    "to_newick",
-    "write_chart_csv",
-    "write_dot",
-    "write_edge_csv",
-    "write_graphml",
-    "write_manifest",
-    "write_missing_weeks",
-    "write_populations",
-]
+__all__ = ["__version__"] + sorted(
+    name for name, value in globals().items()
+    if getattr(value, "__module__", "").startswith("leadlag.")
+)

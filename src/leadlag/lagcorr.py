@@ -28,10 +28,6 @@ DEFAULT_MIN_SAMPLES = 20
 _NUMBER = {int, float}
 
 
-class DyadUnavailable(LookupError):
-    """No lag of the dyad has enough samples to be scored."""
-
-
 @dataclass(frozen=True)
 class VelocitySeries:
     """Week-indexed listening velocities of one city.

@@ -35,7 +35,6 @@ from leadlag.lagcorr import (
     MAX_LAG,
     MIN_LAG,
     DyadResult,
-    DyadUnavailable,
     VELOCITY_STEP_WEEKS,
     VelocitySeries,
     _scan_lags,
@@ -254,6 +253,10 @@ def naive_upgma(labels, dist):
         name_b = frozenset(labels[i] for i in b)
         merges.append((name_a, name_b, mean))
     return merges
+
+
+class DyadUnavailable(LookupError):
+    """No lag of the dyad has enough samples to be scored."""
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from leadlag.charts import ArtistUniverse, ChartStore
 from leadlag.lagcorr import (
     LAGS,
     DyadResult,
-    DyadUnavailable,
     VelocitySeries,
     compute_all_velocities,
     load_dyad_cache,
@@ -29,6 +28,7 @@ from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
 
 from helpers import DISTORTIONS, distort, normalized_windows, store_from_cells, velocity_series
 from oracles import (
+    DyadUnavailable,
     best_dyad,
     compute_velocities,
     lagged_samples,
