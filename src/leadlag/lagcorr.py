@@ -215,11 +215,11 @@ def load_dyad_cache(path: str | Path) -> tuple[tuple[str, ...] | None, list[Dyad
     file and the dyad, for a cache that would otherwise distort the graph
     silently: a dyad naming a city outside the city list, a repeated
     (follower, leader) pair, a best lag that is not an integer in 1..5,
-    fewer than 2 samples, a sample that is not a [week, value] pair, a week
-    that is not an integer, a sample value or correlation that is not a
-    JSON number (true and "0.25" are not), weeks that do not strictly
-    increase, a NaN or infinite value, or a correlation that is not the
-    mean of its samples to within 1e-12.
+    no samples for the best lag, fewer than 2 samples, a sample that is
+    not a [week, value] pair, a week that is not an integer, a sample value
+    or correlation that is not a JSON number (true and "0.25" are not),
+    weeks that do not strictly increase, a NaN or infinite value, or a
+    correlation that is not the mean of its samples to within 1e-12.
     """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -244,7 +244,9 @@ def load_dyad_cache(path: str | Path) -> tuple[tuple[str, ...] | None, list[Dyad
         lag = item["best_lag"]
         if type(lag) is not int or not MIN_LAG <= lag <= MAX_LAG:
             raise reject(item, f"has best_lag {lag!r}, not an integer in {MIN_LAG}..{MAX_LAG}")
-        samples = item["samples"][str(lag)]
+        samples = item["samples"].get(str(lag))
+        if samples is None:
+            raise reject(item, f"has no samples for its best lag {lag}")
         if len(samples) < 2:
             raise reject(item, f"has {len(samples)} samples, fewer than 2")
         if set(map(len, samples)) != {2}:

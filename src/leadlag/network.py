@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .lagcorr import DyadResult
 from .stats import (
@@ -50,7 +49,14 @@ class LeadershipGraph:
 
     def __post_init__(self) -> None:
         known = set(self.nodes)
+        if len(known) != len(self.nodes):
+            repeated = next(v for i, v in enumerate(self.nodes) if v in self.nodes[:i])
+            raise ValueError(f"node {repeated!r} appears twice")
+        pairs = set()
         for e in self.edges:
+            if (e.follower, e.leader) in pairs:
+                raise ValueError(f"edge {e.follower!r}->{e.leader!r} appears twice")
+            pairs.add((e.follower, e.leader))
             if e.follower == e.leader:
                 raise ValueError(f"self-loop on {e.follower!r}")
             if e.follower not in known or e.leader not in known:
@@ -386,29 +392,28 @@ def pagerank(graph: LeadershipGraph) -> CentralityReport:
 
     Each node splits its rank over outgoing edges in proportion to their
     weights; nodes with no outgoing edge spread theirs uniformly, as does
-    the teleport term. The damping factor is 0.85.
+    the teleport term. The damping factor is 0.85. Each leader sums what
+    its followers pass it in ascending follower order.
     """
     nodes = tuple(sorted(graph.nodes))
     n = len(nodes)
-    in_degree = {v: 0.0 for v in nodes}
-    for e in graph.edges:
-        in_degree[e.leader] += e.weight
     if n == 0:
         return CentralityReport(pagerank={}, weighted_in_degree={})
 
     index = {c: i for i, c in enumerate(nodes)}
-    out_weight = np.zeros(n)
-    for e in graph.edges:
-        out_weight[index[e.follower]] += e.weight
-    rows = [index[e.leader] for e in graph.edges]
-    cols = [index[e.follower] for e in graph.edges]
-    vals = [e.weight / out_weight[index[e.follower]] for e in graph.edges]
-    transfer = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    follower = np.array([index[e.follower] for e in graph.edges], dtype=np.int64)
+    leader = np.array([index[e.leader] for e in graph.edges], dtype=np.int64)
+    weight = np.array([e.weight for e in graph.edges], dtype=np.float64)
+    in_degree = np.bincount(leader, weight, minlength=n)
+    out_weight = np.bincount(follower, weight, minlength=n)
+    order = np.lexsort((leader, follower))
+    share = (weight / out_weight[follower])[order]
+    follower, leader = follower[order], leader[order]
     dangling = out_weight == 0
 
     x = np.full(n, 1.0 / n)
     for _ in range(_PAGERANK_MAX_ITER):
-        spread = transfer.dot(x) + x[dangling].sum() / n
+        spread = np.bincount(leader, share * x[follower], minlength=n) + x[dangling].sum() / n
         nxt = _PAGERANK_DAMPING * spread + (1.0 - _PAGERANK_DAMPING) / n
         if np.abs(nxt - x).sum() < _PAGERANK_TOL:
             x = nxt
@@ -417,10 +422,9 @@ def pagerank(graph: LeadershipGraph) -> CentralityReport:
     else:
         raise ArithmeticError(f"pagerank failed to converge within {_PAGERANK_MAX_ITER} iterations")
 
-    ranks = {c: float(x[index[c]]) for c in nodes}
     return CentralityReport(
-        pagerank=ranks,
-        weighted_in_degree={v: float(in_degree[v]) for v in nodes},
+        pagerank=dict(zip(nodes, x.tolist())),
+        weighted_in_degree=dict(zip(nodes, in_degree.tolist())),
     )
 
 

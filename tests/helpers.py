@@ -74,6 +74,9 @@ def distort(payload, case):
         item["correlation"] = samples[0][1]
     elif case == "sample of three fields":
         samples[2].append(1.0)
+    elif case == "no samples at the best lag":
+        item["best_lag"] = 1
+        item["samples"] = {"2": samples}
     elif case == "city outside the city list":
         payload["cities"] = [item["leader"]]
     return payload
@@ -97,4 +100,5 @@ DISTORTIONS = {
     "one sample": "has 1 samples, fewer than 2",
     "sample of three fields": "has a sample that is not a [week, value] pair",
     "city outside the city list": "names a city that is not in the cache's city list",
+    "no samples at the best lag": "has no samples for its best lag 1",
 }

@@ -226,6 +226,45 @@ def dense_pagerank(nodes, weighted_edges, damping=0.85, tol=1e-14, max_iter=1_00
     return {c: float(x[idx[c]]) for c in nodes}
 
 
+def csr_pagerank(graph: LeadershipGraph) -> network.CentralityReport:
+    """`network.pagerank` as it was before its bincount form: a scipy CSR transfer
+    matrix, whose product sums each leader's row in ascending follower order."""
+    nodes = tuple(sorted(graph.nodes))
+    n = len(nodes)
+    in_degree = {v: 0.0 for v in nodes}
+    for e in graph.edges:
+        in_degree[e.leader] += e.weight
+    if n == 0:
+        return network.CentralityReport(pagerank={}, weighted_in_degree={})
+
+    index = {c: i for i, c in enumerate(nodes)}
+    out_weight = np.zeros(n)
+    for e in graph.edges:
+        out_weight[index[e.follower]] += e.weight
+    rows = [index[e.leader] for e in graph.edges]
+    cols = [index[e.follower] for e in graph.edges]
+    vals = [e.weight / out_weight[index[e.follower]] for e in graph.edges]
+    transfer = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    dangling = out_weight == 0
+
+    x = np.full(n, 1.0 / n)
+    for _ in range(network._PAGERANK_MAX_ITER):
+        spread = transfer.dot(x) + x[dangling].sum() / n
+        nxt = network._PAGERANK_DAMPING * spread + (1.0 - network._PAGERANK_DAMPING) / n
+        if np.abs(nxt - x).sum() < network._PAGERANK_TOL:
+            x = nxt
+            break
+        x = nxt
+    else:
+        raise ArithmeticError("pagerank failed to converge")
+
+    ranks = {c: float(x[index[c]]) for c in nodes}
+    return network.CentralityReport(
+        pagerank=ranks,
+        weighted_in_degree={v: float(in_degree[v]) for v in nodes},
+    )
+
+
 def naive_upgma(labels, dist):
     """Exhaustive UPGMA: every linkage recomputed from raw point distances.
 

@@ -30,6 +30,7 @@ from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
 from oracles import (
     _is_acyclic,
     brute_force_fas_weight,
+    csr_pagerank,
     dense_pagerank,
     per_component_fas,
     per_pair_accept_edge,
@@ -264,6 +265,17 @@ def test_graph_validates_edges():
         LeadershipGraph(("a",), (Edge("a", "a", 0.1, 1),))
     with pytest.raises(ValueError, match="unknown node"):
         LeadershipGraph(("a",), (Edge("a", "b", 0.1, 1),))
+
+
+def test_graph_rejects_repeated_nodes_and_edges():
+    # A repeated node would take two shares of PageRank and two DOT lines;
+    # a repeated edge would be merged silently.
+    with pytest.raises(ValueError, match="^node 'a' appears twice$"):
+        LeadershipGraph(("a", "b", "a"), ())
+    twice = (Edge("b", "a", 0.1, 1), Edge("b", "a", 0.2, 2))
+    with pytest.raises(ValueError, match="^edge 'b'->'a' appears twice$"):
+        LeadershipGraph(("a", "b"), twice)
+    LeadershipGraph(("a", "b"), (Edge("b", "a", 0.1, 1), Edge("a", "b", 0.2, 2)))
 
 
 def graph_from(n, weighted_edges):
@@ -507,6 +519,23 @@ def test_pagerank_handles_dangling_nodes():
     report = pagerank(graph)
     assert sum(report.pagerank.values()) == pytest.approx(1.0, abs=1e-10)
     assert min(report.pagerank.values()) > 0
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 30),
+    density=st.sampled_from([0.0, 0.05, 0.2, 0.6]),
+)
+@settings(max_examples=200, deadline=None)
+def test_pagerank_matches_csr_oracle_exactly(seed, n, density):
+    """Bit for bit, on graphs with dangling and isolated nodes, in any edge order."""
+    rng = np.random.default_rng(seed)
+    w = np.where(rng.random((n, n)) < density, rng.uniform(0.01, 1.0, size=(n, n)), 0.0)
+    np.fill_diagonal(w, 0.0)
+    weighted = [(u, v, w[u, v]) for u, v in zip(*np.nonzero(w))]
+    graph = graph_from(n, [weighted[i] for i in rng.permutation(len(weighted))])
+    shuffled = LeadershipGraph(tuple(rng.permutation(graph.nodes).tolist()), graph.edges)
+    assert pagerank(shuffled) == csr_pagerank(shuffled)
 
 
 def test_pagerank_ignores_edge_insertion_order():
