@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 WINDOW_WEEKS = 4
 MAX_CHART_ENTRIES = 500
@@ -29,8 +28,6 @@ GENRE_HEADER = ["genre", "rank", "artist"]
 # or \x1c-\x1f (numpy's integer parser skips these as whitespace, int() does not).
 _CHUNK_ROWS = 1 << 14
 _CSV_ONLY = '"\x1c\x1d\x1e\x1f'
-# Windows per block-diagonal Gram product in WindowStack.grams.
-_GRAM_GROUP = 8
 
 
 class ChartFormatError(ValueError):
@@ -69,8 +66,56 @@ class ArtistUniverse:
             raise KeyError(f"unknown artist {artist_id!r}") from None
 
 
+@dataclass(frozen=True)
+class SparseRows:
+    """Rows of `n_cols` columns in CSR arrays: row r holds data[indptr[r]:indptr[r + 1]]
+    in the columns indices[indptr[r]:indptr[r + 1]], each column at most once."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    n_cols: int
+
+    @classmethod
+    def from_sizes(cls, data, indices, sizes, n_cols: int) -> "SparseRows":
+        """Rows of the given entry counts, whose entries follow one another in data and indices."""
+        return cls(data, indices, np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))), n_cols)
+
+    @classmethod
+    def stack(cls, parts: Sequence["SparseRows"], n_cols: int) -> "SparseRows":
+        """The rows of `parts`, one part after another."""
+        parts = [cls.from_sizes(np.empty(0), np.empty(0, dtype=np.int32), [], n_cols), *parts]
+        data, indices = (np.concatenate([getattr(p, f) for p in parts]) for f in ("data", "indices"))
+        sizes = np.concatenate([np.diff(p.indptr) for p in parts])
+        return cls.from_sizes(data, indices, sizes, n_cols)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def take(self, rows: np.ndarray) -> "SparseRows":
+        """The given rows, in the given order."""
+        sizes = np.diff(self.indptr)[rows]
+        indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        at = np.arange(indptr[-1]) + np.repeat(self.indptr[rows] - indptr[:-1], sizes)
+        return SparseRows(self.data[at], self.indices[at], indptr, self.n_cols)
+
+    def block(self, columns: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(columns, the rows as a dense array over them); other columns are dropped.
+        The columns default to the sorted ones in which some row has an entry."""
+        slot = np.full(self.n_cols, -1)
+        if columns is None:
+            slot[self.indices] = 0
+            columns = np.flatnonzero(slot == 0)
+        slot[columns] = np.arange(len(columns))
+        pos = slot[self.indices]
+        hit = pos >= 0
+        out = np.zeros((len(self), len(columns)))
+        out[np.repeat(np.arange(len(self)), np.diff(self.indptr))[hit], pos[hit]] = self.data[hit]
+        return columns, out
+
+
 class WindowStack:
-    """Normalized windows stacked in one CSR `matrix` whose row
+    """Normalized windows stacked in one `matrix` whose row
     i * len(cities) + c is city c in the window starting at starts[i].
 
     A row with no entries means the city charted nothing in that window;
@@ -83,7 +128,7 @@ class WindowStack:
         starts: Iterable[int],
         cities: tuple[str, ...],
         universe: ArtistUniverse,
-        matrix: sparse.csr_matrix,
+        matrix: SparseRows,
     ) -> None:
         self.starts: tuple[int, ...] = tuple(starts)
         self.cities, self.universe, self.matrix = cities, universe, matrix
@@ -96,26 +141,12 @@ class WindowStack:
         return np.diff(self.matrix.indptr).reshape(len(self), len(self.cities)) > 0
 
     def grams(self) -> Iterator[np.ndarray]:
-        """Each window's (city, city) dot products of its rows, in window order.
-
-        A few windows at a time go through one product with a block-diagonal
-        matrix (window i's columns shifted by i * len(universe)). An entry sums
-        one row's products in that row's stored order, as a product of the
-        window alone would; small groups keep the product's copies small.
-        """
-        n, m = len(self.cities), len(self.universe)
-        for lo in range(0, len(self), _GRAM_GROUP):
-            k = min(_GRAM_GROUP, len(self) - lo)
-            indptr = self.matrix.indptr[lo * n : (lo + k) * n + 1]
-            a, b = indptr[0], indptr[-1]
-            shift = np.repeat(np.arange(k) * m, np.diff(indptr[::n]))
-            parts = (self.matrix.data[a:b], self.matrix.indices[a:b] + shift, indptr - a)
-            rows = sparse.csr_matrix(parts, shape=(k * n, k * m))
-            product = rows @ rows.T
-            row = np.repeat(np.arange(k * n), np.diff(product.indptr))
-            grams = np.zeros((k, n, n))
-            grams[row // n, row % n, product.indices % n] = product.data
-            yield from grams
+        """Each window's (city, city) dot products of its rows, in window order:
+        one dense product over the columns that window uses."""
+        n = len(self.cities)
+        for i in range(len(self)):
+            _, block = self.matrix.take(np.arange(i * n, (i + 1) * n)).block()
+            yield block @ block.T
 
 
 class GenreCatalog:
@@ -144,21 +175,24 @@ class GenreCatalog:
 def csv_rows(
     path: str | Path, header: Sequence[str], error: type[ValueError]
 ) -> Iterator[tuple[str, list[str]]]:
-    """(f"{path}:{row}", fields) of each non-blank row after `header`, which must open the file.
+    """(f"{path}:{line}", fields) of each non-blank row after `header`, which must open the file.
 
-    Raises `error` when the first row is not `header` (an empty file has no
-    first row) and for a row whose field count differs from the header's.
+    `line` is the physical line on which the row ends, so a quoted line
+    break in an earlier row does not shift it. Raises `error` when the first
+    row is not `header` (an empty file has no first row) and for a row whose
+    field count differs from the header's.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != list(header):
             raise error(f"{path}:1: expected header {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            where = f"{path}:{reader.line_num}"
             if len(row) != len(header):
-                raise error(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            yield f"{path}:{lineno}", row
+                raise error(f"{where}: expected {len(header)} fields, got {len(row)}")
+            yield where, row
 
 
 def parse_number(kind: type, text: str, problem: str, error: type[ValueError]):
@@ -388,8 +422,9 @@ class ChartStore:
             order = np.lexsort((rows[1], rows[0]))
             rows = tuple(a[order] for a in rows)
         self._week, self._city, self._artist, self._count = rows
-        new_week, new_city = (np.diff(a, prepend=-1) != 0 for a in rows[:2])
-        self._starts = new_week | new_city  # the rows that open a (week, city) chart
+        # The rows that open a (week, city) chart; compared in place, with no int64 copies.
+        self._starts = np.ones(len(rows[0]), dtype=bool)
+        self._starts[1:] = (rows[0][1:] != rows[0][:-1]) | (rows[1][1:] != rows[1][:-1])
         self.chart_count = int(np.count_nonzero(self._starts))
         self.cities, self.universe, self.missing_weeks = cities, universe, frozenset(missing_weeks)
         weeks = set(self._week[self._starts].tolist()) | self.missing_weeks
@@ -405,9 +440,11 @@ class ChartStore:
         missing = read_missing_weeks(missing_path) if missing_path else frozenset()
         if (columns := _read_chart_columns(chart_path)) is not None:
             store = cls.__new__(cls)._set_rows(*columns, missing)
-            chart = np.cumsum(store._starts) - 1
-            # One key per (chart, artist): equal neighbours after sorting are duplicates.
-            key = np.sort(chart * len(store.universe) + store._artist)
+            chart = np.cumsum(store._starts)  # numbered from 1
+            # One key per (chart, artist), sorted in place: equal neighbours are duplicates.
+            key = chart * len(store.universe)
+            key += store._artist
+            key.sort()
             if np.bincount(chart).max() <= MAX_CHART_ENTRIES and not (key[1:] == key[:-1]).any():
                 _check_week_range(chart_path, set(store._week[store._starts].tolist()), missing)
                 return store
@@ -442,55 +479,45 @@ class ChartStore:
     def windows(self, genre_artists: Iterable[str] | None = None) -> WindowStack:
         """Every valid window, filtered to the genre's columns when given, rows at unit norm.
 
-        One product sums the windows: a 0/1 band matrix with a row per (window, city),
-        whose ones pick that city's charts in the window's 4 weeks, times the
-        charts by artists. Later sums follow each row's entry order, so it is
-        fixed to keep exports byte-identical: rows run by descending artist
-        column without a genre and ascending with one. The weekly matrix is
-        built on flipped columns when the rows must descend, so sorting the
-        product gives that order directly.
+        A window is one bincount over the (city, artist) cells of its 4 weeks,
+        whose rows are contiguous in the store; counts are integers, so the sums
+        are exact. Rows are scaled in ascending column order, then stored as the
+        per-window code stores them: by descending column without a genre.
         """
         starts = np.array(self.valid_window_starts(), dtype=np.int64)
         n_cities, n_artists = len(self.cities), len(self.universe)
-        first = np.flatnonzero(self._starts)
-        week, city = self._week[first], self._city[first]
-        # Chart k lies in the windows starting at week - 3 .. week that are valid.
-        lo = np.searchsorted(starts, week - (WINDOW_WEEKS - 1))
-        span = np.searchsorted(starts, week, side="right") - lo
-        chart = np.repeat(np.arange(len(first)), span)
-        window = np.arange(len(chart)) - np.repeat(np.cumsum(span) - span - lo, span)
-        band = sparse.csr_matrix(
-            (np.ones(len(chart)), (window * n_cities + city[chart], chart)),
-            shape=(len(starts) * n_cities, len(first)),
-        )
-        flip = genre_artists is None
-        columns = n_artists - 1 - self._artist if flip else self._artist
-        weekly = sparse.csr_matrix(
-            (self._count, columns, np.append(first, len(self._week))),
-            shape=(len(first), n_artists),
-        )
-        matrix = band @ weekly
-        matrix.sort_indices()
-        if flip:
-            matrix = sparse.csr_matrix(
-                (matrix.data, n_artists - 1 - matrix.indices, matrix.indptr), shape=matrix.shape
-            )
-        else:
-            keep = np.zeros(n_artists)
-            keep[[self.universe.index[a] for a in genre_artists if a in self.universe]] = 1.0
-            matrix.data *= keep[matrix.indices]
-            matrix.eliminate_zeros()
-        return WindowStack(starts.tolist(), self.cities, self.universe, unit_rows(matrix))
+        week, city, artist, count = self._week, self._city, self._artist, self._count
+        if genre_artists is not None:
+            keep = np.zeros(n_artists, dtype=bool)
+            keep[[self.universe.index[a] for a in genre_artists if a in self.universe]] = True
+            week, city, artist, count = (a[keep[self._artist]] for a in (week, city, artist, count))
+        parts = []
+        for lo, hi in np.searchsorted(week, np.add.outer(starts, (0, WINDOW_WEEKS))).tolist():
+            cell = city[lo:hi].astype(np.int64) * n_artists + artist[lo:hi]
+            # float64 even for a window with no rows, where bincount gives int64
+            total = np.bincount(cell, count[lo:hi], n_cities * n_artists).astype(np.float64)
+            found = np.flatnonzero(total)  # by city, then by ascending artist
+            sizes = np.bincount(found // n_artists, minlength=n_cities)
+            indices = (found % n_artists).astype(np.int32)
+            rows = unit_rows(SparseRows.from_sizes(total[found], indices, sizes, n_artists))
+            if genre_artists is None:  # row r's entry j moves to indptr[r] + indptr[r + 1] - 1 - j
+                at = np.repeat(rows.indptr[:-1] + rows.indptr[1:] - 1, sizes)
+                at -= np.arange(len(found))
+                rows = SparseRows(rows.data[at], indices[at], rows.indptr, n_artists)
+            parts.append(rows)
+        matrix = SparseRows.stack(parts, n_artists)
+        return WindowStack(starts.tolist(), self.cities, self.universe, matrix)
 
 
-def unit_rows(values: sparse.csr_matrix) -> sparse.csr_matrix:
+def unit_rows(values: SparseRows) -> SparseRows:
     """`values` with every non-empty row scaled in place to unit Euclidean norm.
 
-    Squares are summed in ascending column order whether a row is stored
-    ascending or descending: `multiply` merges sorted rows and reverses others.
+    Each row's squares are summed in its stored order by `np.add.reduceat`,
+    as scipy's row sums do.
     """
-    sq = np.asarray(values.multiply(values).sum(axis=1)).ravel()
-    norms = np.sqrt(sq)
-    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    values.data *= np.repeat(inv, np.diff(values.indptr))
+    sizes = np.diff(values.indptr)
+    sq = np.zeros(len(sizes))
+    sq[sizes > 0] = np.add.reduceat(values.data * values.data, values.indptr[:-1][sizes > 0])
+    inv = np.divide(1.0, np.sqrt(sq), out=np.zeros_like(sq), where=sq > 0)
+    values.data[:] *= np.repeat(inv, sizes)
     return values

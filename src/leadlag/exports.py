@@ -229,6 +229,15 @@ def _read_json(path: str | Path, required: tuple[str, ...]) -> dict:
     return raw
 
 
+def _json_value(raw: dict, key: str, path: str | Path, kind: type = float):
+    """raw[key] as `kind`, raising ExportFormatError unless JSON gave it a value of that kind."""
+    allowed, wanted = {float: ({int, float}, "a number"), int: ({int}, "an integer"),
+                       bool: ({bool}, "true or false")}[kind]
+    if type(raw[key]) not in allowed:  # type(), not isinstance: bool subclasses int
+        raise ExportFormatError(f"{path}: {key}: expected {wanted}, got {raw[key]!r}")
+    return kind(raw[key])
+
+
 def _edge_payload(edge: Edge) -> dict:
     return {
         "follower": edge.follower,
@@ -245,8 +254,8 @@ def _edge_from_payload(raw: dict, path: str | Path) -> Edge:
     return Edge(
         follower=str(raw["follower"]),
         leader=str(raw["leader"]),
-        weight=float(raw["weight"]),
-        lag_weeks=int(raw["lag_weeks"]),
+        weight=_json_value(raw, "weight", path),
+        lag_weeks=_json_value(raw, "lag_weeks", path, int),
     )
 
 
@@ -280,11 +289,11 @@ def read_acyclicity_json(path: str | Path) -> AcyclicityReport:
     required = ("total_weight", "fas_weight", "percent_removed", "exact", "removed_edges")
     raw = _read_json(path, required)
     return AcyclicityReport(
-        total_weight=float(raw["total_weight"]),
-        fas_weight=float(raw["fas_weight"]),
-        percent_removed=float(raw["percent_removed"]),
+        total_weight=_json_value(raw, "total_weight", path),
+        fas_weight=_json_value(raw, "fas_weight", path),
+        percent_removed=_json_value(raw, "percent_removed", path),
         removed_edges=tuple(_edge_from_payload(e, path) for e in raw["removed_edges"]),
-        exact=bool(raw["exact"]),
+        exact=_json_value(raw, "exact", path, bool),
     )
 
 
@@ -306,9 +315,9 @@ def read_size_leadership_json(path: str | Path) -> SizeLeadershipReport:
         ("spearman_pagerank", "spearman_indegree", "percent_weight_larger_leads", "cities_used"),
     )
     return SizeLeadershipReport(
-        spearman_pagerank=float(raw["spearman_pagerank"]),
-        spearman_indegree=float(raw["spearman_indegree"]),
-        percent_weight_larger_leads=float(raw["percent_weight_larger_leads"]),
+        spearman_pagerank=_json_value(raw, "spearman_pagerank", path),
+        spearman_indegree=_json_value(raw, "spearman_indegree", path),
+        percent_weight_larger_leads=_json_value(raw, "percent_weight_larger_leads", path),
         cities_used=tuple(str(c) for c in raw["cities_used"]),
     )
 

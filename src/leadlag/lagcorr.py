@@ -15,9 +15,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
-from .charts import WindowStack
+from .charts import SparseRows, WindowStack
 
 MIN_LAG = 1
 MAX_LAG = 5
@@ -37,7 +36,7 @@ class VelocitySeries:
 
     city_id: str
     weeks: tuple[int, ...]
-    matrix: sparse.csr_matrix
+    matrix: SparseRows
 
     def __len__(self) -> int:
         return len(self.weeks)
@@ -82,9 +81,9 @@ def compute_all_velocities(windows: WindowStack) -> dict[str, VelocitySeries]:
     row of each city active in both windows there minus its row at t.
 
     Weeks where either window is absent, or where the city is inactive in
-    either window, simply have no velocity; nothing is zero-filled. One
-    gather of late rows minus one of early rows, in city then week order,
-    covers every city.
+    either window, simply have no velocity; nothing is zero-filled. A
+    city's velocities are one dense difference of its late and early rows
+    over the columns either uses.
     """
     if not windows:
         return {}
@@ -93,15 +92,16 @@ def compute_all_velocities(windows: WindowStack) -> dict[str, VelocitySeries]:
     early = np.flatnonzero(np.isin(starts + VELOCITY_STEP_WEEKS, starts))
     late = np.searchsorted(starts, starts[early] + VELOCITY_STEP_WEEKS)
     active = windows.active()
-    city, pair = np.nonzero((active[early] & active[late]).T)
-    rows = windows.matrix
-    matrix = rows[late[pair] * n + city] - rows[early[pair] * n + city]
-    weeks = starts[early[pair]].tolist()
-    bounds = np.searchsorted(city, np.arange(n + 1)).tolist()
-    return {
-        c: VelocitySeries(c, tuple(weeks[a:b]), matrix[a:b])
-        for c, a, b in zip(windows.cities, bounds, bounds[1:])
-    }
+    rows, series = windows.matrix, {}
+    for c, city in enumerate(windows.cities):
+        both = np.flatnonzero(active[early, c] & active[late, c])
+        columns, block = rows.take(np.concatenate((late[both], early[both])) * n + c).block()
+        velocity = block[: len(both)] - block[len(both) :]
+        row, at = np.nonzero(velocity)  # exact zeros are left out
+        sizes = np.bincount(row, minlength=len(both))
+        matrix = SparseRows.from_sizes(velocity[row, at], columns[at], sizes, rows.n_cols)
+        series[city] = VelocitySeries(city, tuple(starts[early[both]].tolist()), matrix)
+    return series
 
 
 def _scan_lags(min_samples: int, lags: Sequence[int] | None) -> tuple[int, ...]:
@@ -127,10 +127,10 @@ def scan_dyads(
     A pair keeps its lag with the largest mean sample among those with at
     least min_samples samples, ties going to the smallest lag; a pair with
     no such lag is dropped. Velocity rows are stacked by week. For each
-    follower week t, one sparse product against the rows of weeks
-    t - max lag .. t - min lag gives every pair's sample at every lag;
-    `samples[r, k, c]` holds row r against city c at the k-th lag, NaN
-    where c has no row that week.
+    follower week t, one dense product of its rows against the rows of
+    weeks t - max lag .. t - min lag, over the columns the follower rows
+    use, gives every pair's sample at every lag; `samples[r, k, c]` holds
+    row r against city c at the k-th lag, NaN where c has no row that week.
     """
     scan = _scan_lags(min_samples, lags)
     present = [series[c] for c in sorted(series) if len(series[c])]
@@ -141,7 +141,7 @@ def scan_dyads(
     owner = np.repeat(np.arange(n), [len(s) for s in present])
     by_week = np.argsort(weeks, kind="stable")
     week_sorted = weeks[by_week]
-    stack = sparse.vstack([s.matrix for s in present], format="csr")[by_week]
+    stack = SparseRows.stack([s.matrix for s in present], present[0].matrix.n_cols)
     lag_pos = np.full(MAX_LAG + 1, -1)
     lag_pos[list(scan)] = np.arange(len(scan))
 
@@ -155,7 +155,8 @@ def scan_dyads(
             continue
         pos = lag_pos[week_sorted[a] - week_sorted[c:d]]
         keep = pos >= 0
-        block = (stack[a:b] @ stack[c:d].T).toarray()[:, keep]
+        columns, follower = stack.take(by_week[a:b]).block()
+        block = follower @ stack.take(by_week[c:d][keep]).block(columns)[1].T
         samples[by_week[a:b, None], pos[keep], owner[by_week[c:d]][keep]] = block
 
     bounds = np.searchsorted(owner, np.arange(n + 1))
@@ -213,7 +214,8 @@ def load_dyad_cache(path: str | Path) -> tuple[tuple[str, ...] | None, list[Dyad
     A cache written before the city list was stored gives None for it;
     caches holding every lag load the same. Raises ValueError, naming the
     file and the dyad, for a cache that would otherwise distort the graph
-    silently: a dyad naming a city outside the city list, a repeated
+    silently: a dyad (then named by its 1-based position) or its samples
+    not a JSON object, a dyad naming a city outside the city list, a repeated
     (follower, leader) pair, a best lag that is not an integer in 1..5,
     no samples for the best lag, fewer than 2 samples, a sample that is
     not a [week, value] pair, a week that is not an integer, a sample value
@@ -234,7 +236,9 @@ def load_dyad_cache(path: str | Path) -> tuple[tuple[str, ...] | None, list[Dyad
 
     seen = set()
     sizes, weeks, values = [], [], []
-    for item in items:
+    for number, item in enumerate(items, start=1):
+        if not isinstance(item, dict):
+            raise ValueError(f"{path}: dyad {number} is not a JSON object")
         pair = (item["follower"], item["leader"])
         if cities is not None and not known.issuperset(pair):
             raise reject(item, "names a city that is not in the cache's city list")
@@ -244,6 +248,8 @@ def load_dyad_cache(path: str | Path) -> tuple[tuple[str, ...] | None, list[Dyad
         lag = item["best_lag"]
         if type(lag) is not int or not MIN_LAG <= lag <= MAX_LAG:
             raise reject(item, f"has best_lag {lag!r}, not an integer in {MIN_LAG}..{MAX_LAG}")
+        if not isinstance(item["samples"], dict):
+            raise reject(item, "has samples that are not a JSON object")
         samples = item["samples"].get(str(lag))
         if samples is None:
             raise reject(item, f"has no samples for its best lag {lag}")

@@ -24,6 +24,7 @@ from .stats import (
     one_sample_ttest,  # unused here; the benchmark's tracer wraps this name
     paired_ttest,
     spearman,
+    two_sided_p,
 )
 
 DEFAULT_ALPHA = 0.01
@@ -103,8 +104,6 @@ def _screen(dyads: Sequence[DyadResult], alpha: float) -> tuple[np.ndarray, np.n
     Raises ValueError for a dyad with fewer than 2 samples or a NaN or
     infinite sample.
     """
-    from scipy.special import stdtr  # imported on first use, like stats.t_cdf
-
     sizes = np.array([len(d.values) for d in dyads], dtype=np.int64)
     if sizes.min() < 2:
         raise ValueError(f"need at least 2 samples, got {sizes.min()}")
@@ -117,9 +116,9 @@ def _screen(dyads: Sequence[DyadResult], alpha: float) -> tuple[np.ndarray, np.n
     ss = np.add.reduceat(deviation * deviation, starts)
     constant = np.minimum.reduceat(values, starts) == np.maximum.reduceat(values, starts)
     flat = constant | (ss <= 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        statistic = mean / np.sqrt(ss / (sizes - 1) / sizes)
-    p_value = 2.0 * stdtr(sizes - 1, -np.abs(statistic))
+    with np.errstate(divide="ignore", invalid="ignore"):  # flat dyads get t = 0, not inf or nan
+        statistic = np.where(flat, 0.0, mean / np.sqrt(ss / (sizes - 1) / sizes))
+    p_value = two_sided_p(statistic, sizes - 1)
     positive = np.array([d.correlation for d in dyads]) > 0
     return (p_value < alpha) & positive & ~flat, flat
 

@@ -10,7 +10,7 @@ from scipy import sparse
 from leadlag.charts import ArtistUniverse, ChartStore, WeeklyChart, WindowStack
 from leadlag.lagcorr import VelocitySeries
 
-from oracles import per_window_windows
+from oracles import from_scipy, per_window_windows
 
 
 def store_from_cells(cells, missing=frozenset()):
@@ -27,7 +27,7 @@ def window_stack(windows):
     """Normalized windows keyed by start week, built one at a time, as one stack."""
     starts = sorted(windows)
     first = windows[starts[0]]
-    matrix = sparse.vstack([windows[s].values for s in starts], format="csr")
+    matrix = from_scipy(sparse.vstack([windows[s].values for s in starts], format="csr"))
     return WindowStack(starts, first.cities, first.universe, matrix)
 
 
@@ -40,7 +40,7 @@ def velocity_series(city_id, vectors):
     """VelocitySeries from a {week: dense vector} dict."""
     weeks = tuple(sorted(vectors))
     matrix = np.vstack([vectors[w] for w in weeks]) if weeks else (0, 0)
-    return VelocitySeries(city_id, weeks, sparse.csr_matrix(matrix))
+    return VelocitySeries(city_id, weeks, from_scipy(matrix))
 
 
 def distort(payload, case):
@@ -79,6 +79,10 @@ def distort(payload, case):
         item["samples"] = {"2": samples}
     elif case == "city outside the city list":
         payload["cities"] = [item["leader"]]
+    elif case == "samples as a list":
+        item["samples"] = samples
+    elif case == "dyad as a number":
+        payload["dyads"] = [5]
     return payload
 
 
@@ -101,4 +105,12 @@ DISTORTIONS = {
     "sample of three fields": "has a sample that is not a [week, value] pair",
     "city outside the city list": "names a city that is not in the cache's city list",
     "no samples at the best lag": "has no samples for its best lag 1",
+    "samples as a list": "has samples that are not a JSON object",
+    "dyad as a number": "is not a JSON object",
 }
+
+
+def cache_rejection(path, follower, leader, case):
+    """The message load_dyads gives for the distortion `case` of a one-dyad cache."""
+    dyad = "1" if case == "dyad as a number" else f"{follower!r} -> {leader!r}"
+    return f"{path}: dyad {dyad} {DISTORTIONS[case]}"

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import integrate, sparse
 from scipy.stats import rankdata
 
-from leadlag.charts import WINDOW_WEEKS, ArtistUniverse, ChartStore, WeeklyChart
+from leadlag.charts import WINDOW_WEEKS, ArtistUniverse, ChartStore, SparseRows, WeeklyChart
 from leadlag.cluster import DistanceMatrix
 
 from leadlag.lagcorr import (
@@ -294,6 +294,18 @@ def naive_upgma(labels, dist):
     return merges
 
 
+def to_scipy(rows: SparseRows) -> sparse.csr_matrix:
+    """`rows` as a scipy CSR matrix over the same arrays."""
+    shape = (len(rows), rows.n_cols)
+    return sparse.csr_matrix((rows.data, rows.indices, rows.indptr), shape=shape)
+
+
+def from_scipy(matrix) -> SparseRows:
+    """A scipy sparse matrix as `SparseRows`, with the index types `leadlag` uses."""
+    m = sparse.csr_matrix(matrix)
+    return SparseRows(m.data, m.indices.astype(np.int32), m.indptr.astype(np.int64), m.shape[1])
+
+
 class DyadUnavailable(LookupError):
     """No lag of the dyad has enough samples to be scored."""
 
@@ -317,8 +329,8 @@ def lagged_samples(follower: VelocitySeries, leader: VelocitySeries, lag: int) -
     common = [t for t in follower.weeks if t - lag in l_row]
     if not common:
         return []
-    a = follower.matrix[[f_row[t] for t in common]]
-    b = leader.matrix[[l_row[t - lag] for t in common]]
+    a = to_scipy(follower.matrix)[[f_row[t] for t in common]]
+    b = to_scipy(leader.matrix)[[l_row[t - lag] for t in common]]
     values = np.asarray(a.multiply(b).sum(axis=1)).ravel()
     return [LagSample(t, lag, float(v)) for t, v in zip(common, values)]
 
@@ -562,7 +574,7 @@ def compute_velocities(windows: Mapping[int, ListenMatrix], city_id: str) -> Vel
             rows.append(late.values.getrow(i) - early.values.getrow(i))
     n_cols = first.values.shape[1]
     matrix = sparse.vstack(rows, format="csr") if rows else sparse.csr_matrix((0, n_cols))
-    return VelocitySeries(city_id, tuple(weeks), matrix)
+    return VelocitySeries(city_id, tuple(weeks), from_scipy(matrix))
 
 
 def per_window_distances(

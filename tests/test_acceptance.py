@@ -11,14 +11,14 @@ import time
 
 import numpy as np
 import pytest
-from scipy import sparse
-
 from oracles import (
     _is_acyclic,
     brute_force_fas_weight,
     dense_pagerank,
+    from_scipy,
     naive_upgma,
     t_cdf_by_integration,
+    to_scipy,
 )
 
 from leadlag.charts import (
@@ -219,7 +219,7 @@ def test_criterion_6_normalization_invariants(tmp_path):
     dense = rng.uniform(0.0, 50.0, (rows, cols))
     dense[rng.uniform(size=(rows, cols)) < 0.6] = 0.0
     dense[0, :] = 0.0
-    unit = unit_rows(sparse.csr_matrix(dense))
+    unit = to_scipy(unit_rows(from_scipy(dense)))
     norms = np.sqrt(np.asarray(unit.multiply(unit).sum(axis=1)).ravel())
     nonzero = norms[norms > 0]
     worst_norm = abs(nonzero - 1.0).max()

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from leadlag.charts import WeeklyChart, read_chart_csv, write_chart_csv
+import leadlag
+from leadlag.charts import WeeklyChart, read_chart_csv, write_chart_csv, write_missing_weeks
 from leadlag.cli import main
 from leadlag.exports import (
     read_acyclicity_json,
@@ -19,10 +24,69 @@ from leadlag.network import Edge, LeadershipGraph
 from leadlag.pipeline import RunConfig, run_pipeline
 from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
 
-from helpers import DISTORTIONS, distort
+from helpers import DISTORTIONS, cache_rejection, distort
 from readers import parse_dot, parse_newick, read_centrality_json, read_graphml
 
 PLANTED = {("c01", "c00"): 1, ("c02", "c01"): 1, ("c03", "c02"): 1}
+
+
+@pytest.fixture(scope="module")
+def acceptance_run(tmp_path_factory):
+    """The 10 x 120 acceptance fixture, the run over it, and a 24-node ring edge list."""
+    root = tmp_path_factory.mktemp("acceptance")
+    config = SynthConfig(
+        n_artists=120,
+        n_weeks=153,
+        noise_sigma=0.05,
+        seed=0,
+        missing_weeks=frozenset({7, 19, 23, 41, 47, 59, 66, 74, 88, 97, 109, 118, 131, 144}),
+    )
+    write_chart_csv(root / "charts.csv", generate_charts(chain_hierarchy(10, coupling=0.9), config))
+    write_missing_weeks(root / "missing.txt", config.missing_weeks)
+    # A 24-node ring with chords: one component above the exact DP's size, cut by the greedy peel.
+    nodes = tuple(f"n{i:02d}" for i in range(24))
+    ring = [Edge(nodes[i], nodes[(i + 1) % 24], 1.0, 1) for i in range(24)]
+    ring += [Edge(nodes[i], nodes[(i + 7) % 24], 0.05, 1) for i in range(24)]
+    write_edge_csv(root / "ring.csv", LeadershipGraph(nodes, tuple(ring)))
+    charts = ["--charts", str(root / "charts.csv"), "--missing", str(root / "missing.txt")]
+    assert main(["run", *charts, "--out", str(root / "run")]) == 0
+    return root, charts
+
+
+# Each command, given the fixture's root directory and chart arguments.
+COMMANDS = {
+    "run": lambda root, charts: ["run", *charts, "--out", str(root / "probe_run")],
+    "dyads": lambda root, charts: ["dyads", *charts, "--out", str(root / "probe_dyads")],
+    "graph --dyads": lambda root, charts: [
+        "graph", "--dyads", str(root / "run" / "dyads.json"), "--out", str(root / "probe_graph")
+    ],
+    "fas --edges": lambda root, charts: ["fas", "--edges", str(root / "ring.csv")],
+    "pagerank --edges": lambda root, charts: [
+        "pagerank", "--edges", str(root / "run" / "edges.csv")
+    ],
+    "cluster": lambda root, charts: ["cluster", *charts, "--out", str(root / "probe_cluster")],
+    "ingest": lambda root, charts: ["ingest", *charts],
+    "report": lambda root, charts: ["report", "--run-dir", str(root / "run")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_loads_no_scipy_module(acceptance_run, command):
+    # scipy is a test-only dependency: no command may import any part of it.
+    argv = COMMANDS[command](*acceptance_run)
+    probe = (
+        "import sys, leadlag.cli; status = leadlag.cli.main(sys.argv[1:]); "
+        "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(leadlag.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "0 []"
 
 
 @pytest.fixture(scope="module")
@@ -490,7 +554,7 @@ class TestCliErrors:
         write_one_dyad_cache(path, [0.2 + 0.01 * (w % 3) for w in range(25)])
         path.write_text(json.dumps(distort(json.loads(path.read_text()), case)))
         assert main(["graph", "--dyads", str(path), "--out", str(tmp_path)]) == 1
-        assert f"{path}: dyad 'b' -> 'a' {DISTORTIONS[case]}" in capsys.readouterr().err
+        assert cache_rejection(path, "b", "a", case) in capsys.readouterr().err
         assert not (tmp_path / "edges.csv").exists()
 
     def test_graph_alpha_out_of_range_exit_code(self, tmp_path, capsys):

@@ -1,18 +1,12 @@
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leadlag.charts import write_chart_csv, write_missing_weeks
-from leadlag.exports import write_edge_csv
 from leadlag.lagcorr import DyadResult
 from leadlag.network import (
     Edge,
@@ -25,7 +19,6 @@ from leadlag.network import (
     size_leadership,
 )
 from leadlag.stats import UndefinedCorrelationError
-from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
 
 from oracles import (
     _is_acyclic,
@@ -591,46 +584,3 @@ def test_size_leadership_monotone_population_invariance():
     base = size_leadership(graph, cent, pops)
     squared = size_leadership(graph, cent, {c: p * p for c, p in pops.items()})
     assert squared == base
-
-
-def test_cli_import_leaves_csgraph_unloaded(tmp_path):
-    # csgraph pulls in scipy.sparse.linalg and scipy.linalg, which no
-    # command needs: FAS takes its components from numpy.
-    import leadlag
-
-    hierarchy = chain_hierarchy(10, lag_weeks=1, coupling=0.9)
-    config = SynthConfig(
-        n_artists=120,
-        n_weeks=153,
-        noise_sigma=0.05,
-        seed=0,
-        missing_weeks=frozenset({7, 19, 23, 41, 47, 59, 66, 74, 88, 97, 109, 118, 131, 144}),
-    )
-    charts, missing = tmp_path / "charts.csv", tmp_path / "missing.txt"
-    write_chart_csv(charts, generate_charts(hierarchy, config))
-    write_missing_weeks(missing, config.missing_weeks)
-    # A 24-node ring with chords: one component, cut by the greedy peel.
-    weighted = [(i, (i + 1) % 24, 1.0) for i in range(24)]
-    weighted += [(i, (i + 7) % 24, 0.05) for i in range(24)]
-    cycle = tmp_path / "cycle.csv"
-    write_edge_csv(cycle, graph_from(24, weighted))
-    commands = [
-        ["run", "--charts", str(charts), "--missing", str(missing), "--out", str(tmp_path / "out")],
-        ["fas", "--edges", str(cycle)],
-    ]
-
-    src = str(Path(leadlag.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    modules = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
-    report = f"print([m for m in {modules!r} if m in sys.modules])"
-    probe = "; ".join(
-        ["import sys, leadlag.cli", report]
-        + [f"assert leadlag.cli.main({c!r}) == 0" for c in commands]
-        + [report]
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    first, *_, last = out.stdout.strip().splitlines()
-    assert (first, last) == ("[]", "[]")
-    assert (tmp_path / "out" / "acyclicity.json").exists()

@@ -24,6 +24,7 @@ EDGE = "follower,leader,weight,lag_weeks\n"
 POPULATION = "city,population\n"
 CROWDED = CHART + "".join(f"0,c,a{i},1\n" for i in range(501))
 ACYCLICITY = '{"total_weight": 1.0, "fas_weight": 0.0, "percent_removed": 0.0, "exact": true'
+EDGE_RECORD = '{"follower": "b", "leader": "a", "weight": 0.5, "lag_weeks": 2}'
 SIZE = '{"spearman_pagerank": 0.5, "spearman_indegree": 0.5, "percent_weight_larger_leads": 50.0}'
 
 CASES = [
@@ -57,6 +58,7 @@ CASES = [
     (read_chart_csv, CHART + "0,c,a,0\n", "{path}:2: listener count must be positive, got 0"),
     (read_chart_csv, CHART + "0,c,a,1\n0,c,a,2\n",
      "{path}:3: duplicate entry for week 0, city 'c', artist 'a'"),
+    (read_chart_csv, CHART + '0,c,"a\nb",1\n0,c,x,zz\n', "{path}:4: bad listener count 'zz'"),
     (read_chart_csv, CROWDED, "{path}: week 0, city 'c' has 501 entries, cap is 500"),
     (read_edge_csv, "", "{path}:1: expected header follower,leader,weight,lag_weeks"),
     (read_edge_csv, "leader,follower,weight,lag_weeks\n",
@@ -84,7 +86,27 @@ CASES = [
     (read_acyclicity_json, ACYCLICITY + "}", "{path}: missing 'removed_edges'"),
     (read_acyclicity_json, ACYCLICITY + ', "removed_edges": [{"follower": "b"}]}',
      "{path}: edge record missing 'leader'"),
+    (read_acyclicity_json, ACYCLICITY.replace("true", '"no"') + ', "removed_edges": []}',
+     "{path}: exact: expected true or false, got 'no'"),
+    (read_acyclicity_json, ACYCLICITY.replace("true", "1") + ', "removed_edges": []}',
+     "{path}: exact: expected true or false, got 1"),
+    (read_acyclicity_json, ACYCLICITY.replace("1.0", '"x"') + ', "removed_edges": []}',
+     "{path}: total_weight: expected a number, got 'x'"),
+    (read_acyclicity_json, ACYCLICITY.replace('"fas_weight": 0.0', '"fas_weight": false')
+     + ', "removed_edges": []}', "{path}: fas_weight: expected a number, got False"),
+    (read_acyclicity_json, ACYCLICITY.replace('"percent_removed": 0.0', '"percent_removed": "0"')
+     + ', "removed_edges": []}', "{path}: percent_removed: expected a number, got '0'"),
+    (read_acyclicity_json, ACYCLICITY + ', "removed_edges": [' + EDGE_RECORD.replace("0.5", '"0.5"')
+     + "]}", "{path}: weight: expected a number, got '0.5'"),
+    (read_acyclicity_json, ACYCLICITY + ', "removed_edges": [' + EDGE_RECORD.replace("2}", "2.0}")
+     + "]}", "{path}: lag_weeks: expected an integer, got 2.0"),
+    (read_acyclicity_json, ACYCLICITY + ', "removed_edges": [' + EDGE_RECORD.replace("2}", "true}")
+     + "]}", "{path}: lag_weeks: expected an integer, got True"),
     (read_size_leadership_json, '"size"', "{path}: expected a JSON object"),
+    (read_size_leadership_json, SIZE.replace("0.5", "true", 1)[:-1] + ', "cities_used": []}',
+     "{path}: spearman_pagerank: expected a number, got True"),
+    (read_size_leadership_json, SIZE.replace("50.0", '"50"')[:-1] + ', "cities_used": []}',
+     "{path}: percent_weight_larger_leads: expected a number, got '50'"),
     (read_size_leadership_json, SIZE, "{path}: missing 'cities_used'"),
     (read_manifest, "{}", "{path}: missing 'created_at'"),
     (read_manifest, '{"created_at": "", "inputs": {}, "parameters": {}}',

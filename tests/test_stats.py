@@ -1,11 +1,8 @@
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +14,7 @@ from leadlag.stats import (
     paired_ttest,
     spearman,
     t_cdf,
+    two_sided_p,
 )
 
 from oracles import spearman_by_rankdata, t_cdf_by_integration
@@ -91,17 +89,24 @@ def test_ttests_reject_non_finite_sample(bad):
         paired_ttest([0.1, bad, 0.3, 0.2], [0.0, 0.1, 0.0, 0.1])
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
-    # A fresh `import leadlag.cli` is what the benchmark's setup_s times.
-    import leadlag
+def test_two_sided_p_matches_stdtr():
+    from scipy.special import stdtr
 
-    src = str(Path(leadlag.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, leadlag.cli; print('scipy.special' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
+    rng = np.random.default_rng(0)
+    df = np.repeat(np.arange(1, 301), 200)
+    # Half spread over 14 decades of |t|, half over the range where p crosses the switch.
+    spread, near = 10.0 ** rng.uniform(-8, 6, len(df)), rng.uniform(0, 12, len(df))
+    t = np.where(rng.random(len(df)) < 0.5, spread, near)
+    t[::200], t[1::200] = 0.0, 1e6
+    want = 2.0 * stdtr(df, -t)
+    # stdtr is off by up to 3e-9 for df 1 below |t| = 1e-5; the Cauchy closed form is not.
+    want[df == 1] = np.arctan2(1.0, t[df == 1]) / (math.pi / 2)
+    kept = want >= 1e-300
+    got = two_sided_p(t, df)
+    assert (abs(got - want)[kept] <= 1e-11 * want[kept]).all()
+    # A scalar call takes the same series through Python floats.
+    for i in np.flatnonzero(kept)[::97].tolist():
+        assert abs(two_sided_p(float(t[i]), int(df[i])) - want[i]) <= 1e-11 * want[i]
 
 
 def test_one_sample_worked_example():

@@ -183,7 +183,7 @@ class TestGenerate:
         )
         series, store = velocities_of(generate_charts(hier, cfg))
         for vel in series.values():
-            assert abs(vel.matrix).sum() == 0.0
+            assert abs(vel.matrix.data).sum() == 0.0
         dyad = best_dyad(series["c01"], series["c00"], min_samples=5)
         assert dyad.correlation == 0.0
         graph = build_graph(

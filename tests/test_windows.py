@@ -13,7 +13,7 @@ from leadlag.cluster import summed_distances
 from leadlag.lagcorr import compute_all_velocities, scan_dyads
 
 from helpers import store_from_cells, window_stack
-from oracles import compute_velocities, per_window_distances, per_window_windows
+from oracles import compute_velocities, per_window_distances, per_window_windows, to_scipy
 
 CITIES = ("p", "q", "r", "s")
 ARTISTS = tuple(f"a{i}" for i in range(6))
@@ -25,6 +25,10 @@ cells_strategy = st.dictionaries(
     min_size=1,
     max_size=90,
 )
+
+
+# Unit rows of at most 6 entries: a dot product is off by a few units in the last place.
+GRAM_ATOL = 1e-15
 
 
 def assert_same_csr(got, want):
@@ -70,15 +74,22 @@ def test_window_stack_matches_per_window_oracle(cells, missing, subset, genre):
     for city, series in velocities.items():
         one = one_by_one[city] = compute_velocities(want, city)
         assert series.weeks == one.weeks
-        assert series.matrix.shape == one.matrix.shape
-        np.testing.assert_array_equal(series.matrix.toarray(), one.matrix.toarray())
+        got, ref = to_scipy(series.matrix), to_scipy(one.matrix)
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got.toarray(), ref.toarray())
     assert scan_dyads(velocities, min_samples=2) == scan_dyads(one_by_one, min_samples=2)
 
+    # The Gram products now run through BLAS, in another order than scipy's.
+    for gram, start in zip(stack.grams(), want):
+        rows = want[start].values
+        np.testing.assert_allclose(gram, (rows @ rows.T).toarray(), rtol=0, atol=GRAM_ATOL)
     for per_pair_mean in (False, True):
         kwargs = {"per_pair_mean": per_pair_mean}
         got, got_warned = distances_and_warnings(summed_distances, stack, **kwargs)
         ref, ref_warned = distances_and_warnings(per_window_distances, want, **kwargs)
         assert got.cities == ref.cities and got_warned == ref_warned
-        assert got.d.tobytes() == ref.d.tobytes()
         assert got.coverage.tobytes() == ref.coverage.tobytes()
+        # |sqrt(a) - sqrt(b)| <= sqrt(|a - b|), and a squared distance is 2 - 2 * gram.
+        windows = 1 if per_pair_mean else np.maximum(got.coverage, 1)
+        assert (abs(got.d - ref.d) <= windows * np.sqrt(2 * GRAM_ATOL)).all()
 
