@@ -203,6 +203,16 @@ def parse_number(kind: type, text: str, problem: str, error: type[ValueError]):
         raise error(problem) from None
 
 
+def json_value(raw, key, where: str | Path, kind: type = float, error: type[ValueError] = ValueError):
+    """raw[key] as `kind`, raising `error` naming `where` and `key` unless JSON gave it a
+    value of that kind: a float takes any JSON number, an int no 2.0 and no true."""
+    allowed, wanted = {float: ({int, float}, "a number"), int: ({int}, "an integer"),
+                       bool: ({bool}, "true or false"), str: ({str}, "a string")}[kind]
+    if type(raw[key]) not in allowed:  # type(), not isinstance: bool subclasses int
+        raise error(f"{where}: {key}: expected {wanted}, got {raw[key]!r}")
+    return kind(raw[key])
+
+
 def read_missing_weeks(path: str | Path) -> frozenset[int]:
     """Parse a newline-separated list of missing week indices."""
     weeks = set()
@@ -451,8 +461,12 @@ class ChartStore:
         return cls(*ingest_charts(chart_path, missing), missing)
 
     def restrict(self, cities: Iterable[str]) -> "ChartStore":
-        """The rows of the given known cities; the week range shrinks to theirs."""
+        """The rows of the given cities, each of which must be known; the week range
+        shrinks to theirs."""
         kept = tuple(sorted(set(cities)))
+        unknown = sorted(set(kept) - set(self.cities))
+        if unknown:
+            raise ValueError(f"unknown cities in subset: {', '.join(unknown)}")
         remap = np.full(len(self.cities), -1, dtype=np.int32)
         remap[[self.cities.index(c) for c in kept]] = np.arange(len(kept))
         city = remap[self._city]
@@ -481,8 +495,7 @@ class ChartStore:
 
         A window is one bincount over the (city, artist) cells of its 4 weeks,
         whose rows are contiguous in the store; counts are integers, so the sums
-        are exact. Rows are scaled in ascending column order, then stored as the
-        per-window code stores them: by descending column without a genre.
+        are exact. Every row is scaled and stored in ascending column order.
         """
         starts = np.array(self.valid_window_starts(), dtype=np.int64)
         n_cities, n_artists = len(self.cities), len(self.universe)
@@ -499,12 +512,7 @@ class ChartStore:
             found = np.flatnonzero(total)  # by city, then by ascending artist
             sizes = np.bincount(found // n_artists, minlength=n_cities)
             indices = (found % n_artists).astype(np.int32)
-            rows = unit_rows(SparseRows.from_sizes(total[found], indices, sizes, n_artists))
-            if genre_artists is None:  # row r's entry j moves to indptr[r] + indptr[r + 1] - 1 - j
-                at = np.repeat(rows.indptr[:-1] + rows.indptr[1:] - 1, sizes)
-                at -= np.arange(len(found))
-                rows = SparseRows(rows.data[at], indices[at], rows.indptr, n_artists)
-            parts.append(rows)
+            parts.append(unit_rows(SparseRows.from_sizes(total[found], indices, sizes, n_artists)))
         matrix = SparseRows.stack(parts, n_artists)
         return WindowStack(starts.tolist(), self.cities, self.universe, matrix)
 

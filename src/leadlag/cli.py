@@ -27,16 +27,24 @@ from .exports import (
     write_graphml,
     write_populations,
 )
-from .lagcorr import DEFAULT_MIN_SAMPLES, compute_all_velocities, load_dyad_cache, save_dyads, scan_dyads
+from .lagcorr import (
+    DEFAULT_MIN_SAMPLES,
+    _scan_lags,
+    compute_all_velocities,
+    load_dyad_cache,
+    save_dyads,
+    scan_dyads,
+)
 from .network import (
     DEFAULT_ALPHA,
     AcyclicityReport,
     LeadershipGraph,
+    _check_alpha,
     build_graph,
     feedback_arc_set,
     pagerank,
 )
-from .pipeline import RunConfig, build_windows, restrict_to_cities, run_pipeline
+from .pipeline import RunConfig, build_windows, check_genre, run_pipeline
 from .synth import generate_charts, load_hierarchy, load_synth_config, shuffle_null
 
 OUTPUT_DIR_ENV = "LEADLAG_OUTPUT_DIR"
@@ -79,18 +87,16 @@ def _parse_cities(text: str | None) -> tuple[str, ...] | None:
 
 
 def _load_store(args: argparse.Namespace) -> ChartStore:
-    store = ChartStore.from_files(args.charts, args.missing)
+    """The store the chart flags name; the genre and city flags are checked before it is read."""
+    check_genre(args.genre, args.genre_file)
     subset = _parse_cities(args.cities)
-    if subset is not None:
-        store = restrict_to_cities(store, subset)
-    return store
+    store = ChartStore.from_files(args.charts, args.missing)
+    return store if subset is None else store.restrict(subset)
 
 
-def _windows_for(args: argparse.Namespace, store: ChartStore):
+def _load_windows(args: argparse.Namespace):
     catalog = read_genre_catalog(args.genre_file) if args.genre_file else None
-    if args.genre and catalog is None:
-        raise ValueError("--genre given without --genre-file")
-    return build_windows(store, catalog, args.genre)
+    return build_windows(_load_store(args), catalog, args.genre)
 
 
 def _fas_figure(report: AcyclicityReport) -> str:
@@ -109,6 +115,16 @@ def _add_chart_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--genre-file", help="genre catalog CSV (genre,rank,artist)")
     sub.add_argument("--genre", help="restrict windows to this genre's artists")
     sub.add_argument("--cities", help="comma-separated city subset")
+
+
+def _add_scan_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--min-samples", type=int, default=DEFAULT_MIN_SAMPLES)
+    sub.add_argument("--lags", default="1-5", help="lag weeks to scan, e.g. 1-5 or 1,3")
+
+
+def _add_alpha_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    sub.add_argument("--bonferroni", action="store_true")
 
 
 def _add_out_arg(sub: argparse.ArgumentParser) -> None:
@@ -140,20 +156,18 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_dyads(args: argparse.Namespace) -> int:
-    store = _load_store(args)
-    windows = _windows_for(args, store)
-    velocities = compute_all_velocities(windows)
-    dyads = scan_dyads(
-        velocities, min_samples=args.min_samples, lags=_parse_lags(args.lags)
-    )
+    lags = _scan_lags(args.min_samples, _parse_lags(args.lags))
+    windows = _load_windows(args)
+    dyads = scan_dyads(compute_all_velocities(windows), min_samples=args.min_samples, lags=lags)
     path = _out_dir(args) / "dyads.json"
-    save_dyads(path, dyads, store.cities)
+    save_dyads(path, dyads, windows.cities)
     print(f"scored dyads: {len(dyads)}")
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    _check_alpha(args.alpha)
     cities, dyads = load_dyad_cache(args.dyads)
     graph = build_graph(dyads, alpha=args.alpha, bonferroni=args.bonferroni, nodes=cities)
     centrality = pagerank(graph)
@@ -198,11 +212,7 @@ def _cmd_pagerank(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    store = _load_store(args)
-    windows = _windows_for(args, store)
-    if not windows:
-        raise ValueError("no valid windows to cluster on")
-    dist = summed_distances(windows, per_pair_mean=args.per_pair_mean)
+    dist = summed_distances(_load_windows(args), per_pair_mean=args.per_pair_mean)
     tree = average_linkage(dist)
     newick = to_newick(tree)
     out = _out_dir(args)
@@ -315,15 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dyads", help="score every ordered city pair and cache results")
     _add_chart_args(p)
-    p.add_argument("--min-samples", type=int, default=DEFAULT_MIN_SAMPLES)
-    p.add_argument("--lags", default="1-5", help="lag weeks to scan, e.g. 1-5 or 1,3")
+    _add_scan_args(p)
     _add_out_arg(p)
     p.set_defaults(func=_cmd_dyads)
 
     p = sub.add_parser("graph", help="run edge acceptance over a cached dyad scan")
     p.add_argument("--dyads", required=True, help="dyads.json from the dyads stage")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--bonferroni", action="store_true")
+    _add_alpha_args(p)
     _add_out_arg(p)
     p.set_defaults(func=_cmd_graph)
 
@@ -364,10 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline: ingest through exports")
     _add_chart_args(p)
     p.add_argument("--populations", help="populations CSV (city,population)")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--min-samples", type=int, default=DEFAULT_MIN_SAMPLES)
-    p.add_argument("--lags", default="1-5")
-    p.add_argument("--bonferroni", action="store_true")
+    _add_scan_args(p)
+    _add_alpha_args(p)
     p.add_argument("--no-dot", action="store_true")
     p.add_argument("--no-graphml", action="store_true")
     _add_out_arg(p)

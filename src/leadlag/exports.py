@@ -11,11 +11,12 @@ import hashlib
 import json
 import math
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Mapping
 from xml.etree import ElementTree as ET
 
-from .charts import csv_rows, parse_number
+from .charts import csv_rows, json_value, parse_number
 from .lagcorr import MAX_LAG, MIN_LAG
 from .network import (
     AcyclicityReport,
@@ -229,13 +230,8 @@ def _read_json(path: str | Path, required: tuple[str, ...]) -> dict:
     return raw
 
 
-def _json_value(raw: dict, key: str, path: str | Path, kind: type = float):
-    """raw[key] as `kind`, raising ExportFormatError unless JSON gave it a value of that kind."""
-    allowed, wanted = {float: ({int, float}, "a number"), int: ({int}, "an integer"),
-                       bool: ({bool}, "true or false")}[kind]
-    if type(raw[key]) not in allowed:  # type(), not isinstance: bool subclasses int
-        raise ExportFormatError(f"{path}: {key}: expected {wanted}, got {raw[key]!r}")
-    return kind(raw[key])
+# raw[key] as a kind, raising ExportFormatError unless JSON gave it a value of that kind.
+_json_value = partial(json_value, error=ExportFormatError)
 
 
 def _edge_payload(edge: Edge) -> dict:

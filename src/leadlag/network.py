@@ -99,8 +99,9 @@ def _screen(dyads: Sequence[DyadResult], alpha: float) -> tuple[np.ndarray, np.n
     """Step one for every dyad at once: (passes, flat) boolean arrays.
 
     A dyad passes when the two-sided one-sample t-test rejects a zero mean
-    of its samples at alpha and its correlation is positive. A flat dyad
-    has zero sample variance, so no t statistic exists; it never passes.
+    of its samples at alpha and its correlation is positive. A flat dyad,
+    by the rule `one_sample_ttest` applies, has no t statistic; it never
+    passes.
     Raises ValueError for a dyad with fewer than 2 samples or a NaN or
     infinite sample.
     """
@@ -132,7 +133,8 @@ def _contest(forward: DyadResult, backward: DyadResult, alpha: float) -> Edge | 
 
     A paired test over the weeks where both best-lag streams have a sample
     must separate the directions; the larger correlation then wins. A
-    non-rejection means the cities move together and no edge is drawn.
+    non-rejection, or paired differences that are flat by the screen's
+    rule, means the cities move together and no edge is drawn.
     """
     _, fi, bi = np.intersect1d(
         forward.weeks, backward.weeks, assume_unique=True, return_indices=True

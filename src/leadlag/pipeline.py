@@ -23,21 +23,14 @@ from .exports import (
     write_manifest,
     write_size_leadership_json,
 )
-from .lagcorr import (
-    DEFAULT_MIN_SAMPLES,
-    LAGS,
-    MAX_LAG,
-    MIN_LAG,
-    compute_all_velocities,
-    save_dyads,
-    scan_dyads,
-)
+from .lagcorr import DEFAULT_MIN_SAMPLES, LAGS, _scan_lags, compute_all_velocities, save_dyads, scan_dyads
 from .network import (
     DEFAULT_ALPHA,
     AcyclicityReport,
     CentralityReport,
     LeadershipGraph,
     SizeLeadershipReport,
+    _check_alpha,
     build_graph,
     feedback_arc_set,
     pagerank,
@@ -70,19 +63,9 @@ class RunConfig:
     emit_graphml: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.min_samples < 2:
-            raise ValueError(f"min_samples must be at least 2, got {self.min_samples}")
-        if not self.lag_range:
-            raise ValueError("lag_range must be non-empty")
-        for lag in self.lag_range:
-            if not MIN_LAG <= lag <= MAX_LAG:
-                raise ValueError(
-                    f"lag_range entries must be in [{MIN_LAG}, {MAX_LAG}], got {lag}"
-                )
-        if self.genre_id is not None and self.genre_path is None:
-            raise ValueError("genre_id given without a genre catalog file")
+        _check_alpha(self.alpha)
+        _scan_lags(self.min_samples, self.lag_range)
+        check_genre(self.genre_id, self.genre_path)
         if self.city_subset is not None and not self.city_subset:
             raise ValueError("city_subset must be non-empty when given")
 
@@ -96,19 +79,22 @@ class PipelineResult:
     artifacts: dict[str, Path] = field(default_factory=dict)
 
 
-def restrict_to_cities(store: ChartStore, cities: tuple[str, ...]) -> ChartStore:
-    """Same store narrowed to a city subset; unknown names are an error."""
-    unknown = sorted(set(cities) - set(store.cities))
-    if unknown:
-        raise ValueError(f"unknown cities in subset: {', '.join(unknown)}")
-    return store.restrict(cities)
+def check_genre(genre_id: str | None, catalog: object) -> None:
+    """Reject a genre given without a genre catalog, or its file, to look it up in."""
+    if genre_id is not None and catalog is None:
+        raise ValueError(f"genre {genre_id!r} given without a genre catalog (--genre-file)")
 
 
 def build_windows(
     store: ChartStore, catalog: GenreCatalog | None = None, genre_id: str | None = None
 ) -> WindowStack:
-    """Normalized listen windows for every valid start week, as one stack."""
-    return store.windows(catalog.artists(genre_id) if catalog and genre_id else None)
+    """Normalized listen windows for every valid start week, as one stack.
+
+    With a genre, only the columns of its artists in `catalog` count; a
+    genre without a catalog is an error, never a silently unfiltered stack.
+    """
+    check_genre(genre_id, catalog)
+    return store.windows(None if genre_id is None else catalog.artists(genre_id))
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
@@ -129,7 +115,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     store = ChartStore.from_files(config.chart_path, config.missing_weeks_path)
     catalog = read_genre_catalog(config.genre_path) if config.genre_path else None
     if config.city_subset is not None:
-        store = restrict_to_cities(store, config.city_subset)
+        store = store.restrict(config.city_subset)
 
     windows = build_windows(store, catalog, config.genre_id)
     velocities = compute_all_velocities(windows)

@@ -109,9 +109,11 @@ def t_cdf(x: float, df: int) -> float:
 def one_sample_ttest(samples: Sequence[float], null_mean: float = 0.0) -> TestResult:
     """Two-sided one-sample t-test of the mean against null_mean.
 
-    Raises DegenerateSampleError when the sample variance is zero: the
-    caller decides what a flat sample means (graph assembly treats it as
-    no relationship).
+    Raises DegenerateSampleError for a flat sample, one whose values are
+    all equal or whose squared deviations sum to zero, which is the rule
+    the graph screen applies: rounding in the mean would otherwise give
+    such a sample a huge t. The caller decides what a flat sample means
+    (graph assembly treats it as no relationship).
     """
     xs = [float(v) for v in samples]
     n = len(xs)
@@ -119,7 +121,7 @@ def one_sample_ttest(samples: Sequence[float], null_mean: float = 0.0) -> TestRe
         raise ValueError(f"need at least 2 samples, got {n}")
     mean = math.fsum(xs) / n
     ss = math.fsum((v - mean) ** 2 for v in xs)
-    if ss <= 0.0:
+    if min(xs) == max(xs) or ss <= 0.0:
         raise DegenerateSampleError("zero sample variance")
     var = ss / (n - 1)
     statistic = (mean - float(null_mean)) / math.sqrt(var / n)

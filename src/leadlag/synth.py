@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .charts import MAX_CHART_ENTRIES, WINDOW_WEEKS, WeeklyChart
+from .charts import MAX_CHART_ENTRIES, WINDOW_WEEKS, WeeklyChart, json_value
 from .lagcorr import MAX_LAG, MIN_LAG
 
 DEFAULT_STEP_SCALE = 0.1
@@ -276,68 +276,54 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+# The JSON kind of every field of a hierarchy's city and edge entries, in
+# the order SynthCity and PlantedEdge take them, and of the config's scalars.
+_CITY_FIELDS = {"city": str, "population": int, "activity": float}
+_EDGE_FIELDS = {"leader": str, "follower": str, "lag": int, "coupling": float}
+_CONFIG_FIELDS = {"n_artists": int, "n_weeks": int, "noise_sigma": float, "seed": int,
+                  "step_scale": float}
+
+
+def _entry_values(entry, fields: Mapping[str, type], what: str, path: str | Path) -> list:
+    """The values of one hierarchy entry's fields, each of its JSON kind."""
+    _require(isinstance(entry, dict), f"each {what} must be a JSON object")
+    for key in fields:
+        _require(key in entry, f"{what} entry is missing {key!r}")
+    return [json_value(entry, key, path, kind) for key, kind in fields.items()]
+
+
 def load_hierarchy(path: str | Path) -> PlantedHierarchy:
     """Hierarchy from JSON: cities with population and activity, edges
-    with leader, follower, lag, coupling."""
+    with leader, follower, lag, coupling. A value of another JSON kind
+    than its field's (`_CITY_FIELDS`, `_EDGE_FIELDS`) is an error."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     _require(isinstance(raw, dict), "hierarchy file must hold a JSON object")
     _require("cities" in raw, "hierarchy file is missing 'cities'")
-    cities = []
-    for entry in raw["cities"]:
-        _require(isinstance(entry, dict), "each city must be a JSON object")
-        for key in ("city", "population", "activity"):
-            _require(key in entry, f"city entry is missing {key!r}")
-        cities.append(
-            SynthCity(
-                city_id=str(entry["city"]),
-                population=int(entry["population"]),
-                activity=float(entry["activity"]),
-            )
-        )
-    edges = []
-    for entry in raw.get("edges", []):
-        _require(isinstance(entry, dict), "each edge must be a JSON object")
-        for key in ("leader", "follower", "lag", "coupling"):
-            _require(key in entry, f"edge entry is missing {key!r}")
-        edges.append(
-            PlantedEdge(
-                leader=str(entry["leader"]),
-                follower=str(entry["follower"]),
-                lag_weeks=int(entry["lag"]),
-                coupling=float(entry["coupling"]),
-            )
-        )
+    cities = [SynthCity(*_entry_values(e, _CITY_FIELDS, "city", path)) for e in raw["cities"]]
+    edges = [
+        PlantedEdge(*_entry_values(e, _EDGE_FIELDS, "edge", path)) for e in raw.get("edges", [])
+    ]
     return PlantedHierarchy(cities=tuple(cities), edges=tuple(edges))
 
 
 def load_synth_config(path: str | Path) -> SynthConfig:
-    """Run configuration from JSON; only n_artists is mandatory."""
+    """Run configuration from JSON; only n_artists is mandatory. A value of
+    another JSON kind than its field's, or a missing week that is not an
+    integer, is an error."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     _require(isinstance(raw, dict), "config file must hold a JSON object")
     _require("n_artists" in raw, "config file is missing 'n_artists'")
-    known = {
-        "n_artists",
-        "n_weeks",
-        "noise_sigma",
-        "seed",
-        "step_scale",
-        "missing_weeks",
-    }
     for key in raw:
-        _require(key in known, f"unknown config key {key!r}")
-    kwargs: dict = {"n_artists": int(raw["n_artists"])}
-    if "n_weeks" in raw:
-        kwargs["n_weeks"] = int(raw["n_weeks"])
-    if "noise_sigma" in raw:
-        kwargs["noise_sigma"] = float(raw["noise_sigma"])
-    if "seed" in raw:
-        kwargs["seed"] = int(raw["seed"])
-    if "step_scale" in raw:
-        kwargs["step_scale"] = float(raw["step_scale"])
+        _require(key in _CONFIG_FIELDS or key == "missing_weeks", f"unknown config key {key!r}")
+    kwargs: dict = {
+        key: json_value(raw, key, path, kind) for key, kind in _CONFIG_FIELDS.items() if key in raw
+    }
     if "missing_weeks" in raw:
-        kwargs["missing_weeks"] = frozenset(int(w) for w in raw["missing_weeks"])
+        weeks, where = raw["missing_weeks"], f"{path}: missing_weeks"
+        _require(isinstance(weeks, list), f"{where}: expected a list")
+        kwargs["missing_weeks"] = frozenset(json_value(weeks, i, where, int) for i in range(len(weeks)))
     return SynthConfig(**kwargs)
 
 

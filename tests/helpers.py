@@ -24,10 +24,12 @@ def store_from_cells(cells, missing=frozenset()):
 
 
 def window_stack(windows):
-    """Normalized windows keyed by start week, built one at a time, as one stack."""
+    """Normalized windows keyed by start week, built one at a time, as one stack
+    whose rows hold their entries in ascending column order."""
     starts = sorted(windows)
     first = windows[starts[0]]
-    matrix = from_scipy(sparse.vstack([windows[s].values for s in starts], format="csr"))
+    stacked = sparse.vstack([windows[s].values for s in starts], format="csr")
+    matrix = from_scipy(stacked.sorted_indices())
     return WindowStack(starts, first.cities, first.universe, matrix)
 
 

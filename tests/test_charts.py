@@ -23,7 +23,6 @@ from leadlag.charts import (
     read_missing_weeks,
     write_chart_csv,
 )
-from leadlag.pipeline import restrict_to_cities
 
 from oracles import (
     WindowUnavailable,
@@ -647,10 +646,10 @@ def test_restrict_to_cities_matches_filtered_charts(tmp_path):
     for subset in (("late",), ("mid", "late"), ("late", "early", "mid")):
         kept = [c for c in charts if c.city_id in subset]
         want = ChartStore(kept, universe, missing)
-        assert_same_store(restrict_to_cities(store, subset), want)
-    assert restrict_to_cities(store, ("late",)).first_week == 3
+        assert_same_store(store.restrict(subset), want)
+    assert store.restrict(("late",)).first_week == 3
     with pytest.raises(ValueError, match="unknown cities in subset: nowhere"):
-        restrict_to_cities(store, ("late", "nowhere"))
+        store.restrict(("late", "nowhere"))
 
 
 PLAIN_NAMES = ["c0", "c1", "a", "b", "漢", "Björk", " sp ", " ", "#hash", "\u3000w", "long_" * 6]

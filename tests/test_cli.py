@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import leadlag
-from leadlag.charts import WeeklyChart, read_chart_csv, write_chart_csv, write_missing_weeks
+from leadlag.charts import ChartStore, WeeklyChart, read_chart_csv, write_chart_csv, write_missing_weeks
 from leadlag.cli import main
 from leadlag.exports import (
     read_acyclicity_json,
@@ -21,7 +22,7 @@ from leadlag.exports import (
     write_populations,
 )
 from leadlag.network import Edge, LeadershipGraph
-from leadlag.pipeline import RunConfig, run_pipeline
+from leadlag.pipeline import RunConfig, build_windows, run_pipeline
 from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
 
 from helpers import DISTORTIONS, cache_rejection, distort
@@ -246,11 +247,11 @@ class TestRunPipeline:
     def test_config_validation(self, synth_inputs, tmp_path):
         with pytest.raises(ValueError, match="alpha"):
             base_config(synth_inputs, tmp_path, alpha=1.5)
-        with pytest.raises(ValueError, match="lag_range"):
+        with pytest.raises(ValueError, match="lags must be non-empty"):
             base_config(synth_inputs, tmp_path, lag_range=())
-        with pytest.raises(ValueError, match="lag_range"):
+        with pytest.raises(ValueError, match="lag must be in 1..5, got 0"):
             base_config(synth_inputs, tmp_path, lag_range=(0, 1))
-        with pytest.raises(ValueError, match="genre_id"):
+        with pytest.raises(ValueError, match="genre 'indie' given without a genre catalog"):
             base_config(synth_inputs, tmp_path, genre_id="indie")
 
     def test_format_flags(self, synth_inputs, tmp_path):
@@ -508,6 +509,22 @@ class TestCliCommands:
         capsys.readouterr()
 
 
+# A bad value for each checked flag, and the one message every command gives for it.
+FAIL_FAST = {
+    "--alpha": ("1.5", "alpha must be in (0, 1), got 1.5"),
+    "--genre": ("rock", "genre 'rock' given without a genre catalog (--genre-file)"),
+    "--lags": ("0-1", "lag must be in 1..5, got 0"),
+    "--min-samples": ("1", "min_samples must be at least 2, got 1"),
+}
+FAIL_FAST_FLAGS = {
+    "cluster": ("--genre",),
+    "dyads": ("--genre", "--lags", "--min-samples"),
+    "graph": ("--alpha",),
+    "ingest": ("--genre",),
+    "run": ("--alpha", "--genre", "--lags", "--min-samples"),
+}
+
+
 class TestCliErrors:
     def test_validation_exit_code(self, synth_inputs, tmp_path, capsys):
         code = main(
@@ -593,6 +610,33 @@ class TestCliErrors:
         )
         assert code == 1
         assert "genre" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in sorted(FAIL_FAST_FLAGS.items()) for flag in flags
+    ])
+    def test_bad_argument_fails_before_any_input_is_read(self, tmp_path, capsys, command, flag):
+        # One message per mistake, from every command, before it opens a file.
+        value, message = FAIL_FAST[flag]
+        absent = str(tmp_path / "absent")
+        inputs = ["--dyads", absent] if command == "graph" else ["--charts", absent]
+        out = [] if command == "ingest" else ["--out", str(tmp_path / "out")]
+        assert main([command, *inputs, flag, value, *out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["cluster", "dyads", "ingest", "run"])
+    def test_unknown_subset_city(self, synth_inputs, tmp_path, capsys, command):
+        charts = ["--charts", synth_inputs["charts"], "--missing", synth_inputs["missing"]]
+        out = [] if command == "ingest" else ["--out", str(tmp_path)]
+        assert main([command, *charts, "--cities", "c00,zz,nowhere", *out]) == 1
+        assert capsys.readouterr().err == "error: unknown cities in subset: nowhere, zz\n"
+
+    def test_api_gives_the_same_subset_and_genre_messages(self, synth_inputs):
+        store = ChartStore.from_files(synth_inputs["charts"], synth_inputs["missing"])
+        with pytest.raises(ValueError, match="^unknown cities in subset: nowhere, zz$"):
+            store.restrict(("c00", "zz", "nowhere"))
+        with pytest.raises(ValueError, match=f"^{re.escape(FAIL_FAST['--genre'][1])}$"):
+            build_windows(store, None, "rock")
 
     def test_unknown_subcommand_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -12,13 +12,14 @@ from leadlag.network import (
     Edge,
     LeadershipGraph,
     _greedy_fas_order,
+    _screen,
     _strong_components,
     build_graph,
     feedback_arc_set,
     pagerank,
     size_leadership,
 )
-from leadlag.stats import UndefinedCorrelationError
+from leadlag.stats import DegenerateSampleError, UndefinedCorrelationError, one_sample_ttest
 
 from oracles import (
     _is_acyclic,
@@ -30,6 +31,7 @@ from oracles import (
     per_pair_build_graph,
     scalar_greedy_fas_order,
     strong_components,
+    survives_screen,
 )
 
 
@@ -251,6 +253,34 @@ def test_constant_sample_is_flat_even_when_its_mean_rounds():
     assert math.fsum([0.1] * 3) / 3 != 0.1
     assert build_graph([dyad("a", "b", [0.1] * 3)]).edges == ()
     assert build_graph([dyad("a", "b", [0.1] * 3), dyad("b", "a", steady(0.2))]).edges == ()
+
+
+def test_contest_over_a_flat_difference_draws_no_edge():
+    # Both directions vary, so both pass the screen, but on their 30 shared
+    # weeks they hold 0.7 and 0.6: every paired difference is the same float.
+    fwd = dyad("a", "b", [0.72, 0.68, 0.71, 0.69, 0.7] + [0.7] * 30, weeks=range(35))
+    bwd = dyad("b", "a", [0.6] * 30 + [0.62, 0.58, 0.61, 0.59, 0.6], weeks=range(5, 40))
+    assert survives_screen(fwd, 0.01) and survives_screen(bwd, 0.01)
+    assert build_graph([fwd, bwd]).edges == ()
+    assert per_pair_build_graph([fwd, bwd]).edges == ()
+
+
+@given(
+    pool=st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1, max_size=3),
+    picks=st.lists(st.integers(0, 2), min_size=2, max_size=12),
+)
+@settings(max_examples=300, deadline=None)
+def test_screen_and_one_sample_ttest_agree_on_flat_samples(pool, picks):
+    # Samples of one to three distinct values, often all one value; dot
+    # products of unit-row differences lie in [-4, 4].
+    values = [pool[i % len(pool)] for i in picks]
+    _, flat = _screen([dyad("a", "b", values)], 0.01)
+    try:
+        one_sample_ttest(values)
+    except DegenerateSampleError:
+        assert flat[0]
+    else:
+        assert not flat[0]
 
 
 def test_graph_validates_edges():

@@ -127,6 +127,17 @@ def test_one_sample_constant_sample_degenerate():
         one_sample_ttest([5.0, 5.0, 5.0])
 
 
+def test_flat_sample_is_degenerate_even_when_its_mean_rounds():
+    # The mean of three 0.1s is not 0.1 in floating point, so a variance taken
+    # around it is not 0; the sample is still flat, as the graph screen says.
+    assert math.fsum([0.1] * 3) / 3 != 0.1
+    with pytest.raises(DegenerateSampleError):
+        one_sample_ttest([0.1] * 3)
+    # Every difference is the same float, 0.7 - 0.6, but their mean is not.
+    with pytest.raises(DegenerateSampleError):
+        paired_ttest([0.7] * 30, [0.6] * 30)
+
+
 def test_one_sample_needs_two():
     with pytest.raises(ValueError):
         one_sample_ttest([1.0])

@@ -267,19 +267,59 @@ class TestShuffle:
             shuffle_null(list(charts) + [charts[0]], seed=1)
 
 
+HIERARCHY = {
+    "cities": [
+        {"city": "aa", "population": 500000, "activity": 30000.0},
+        {"city": "bb", "population": 400000, "activity": 30000.0},
+    ],
+    "edges": [{"leader": "aa", "follower": "bb", "lag": 1, "coupling": 1.0}],
+}
+
+# (section, field, value, problem): a JSON value the hierarchy loader used to coerce.
+MISTYPED_HIERARCHY = [
+    ("edges", "lag", 1.9, "lag: expected an integer, got 1.9"),
+    ("edges", "lag", True, "lag: expected an integer, got True"),
+    ("edges", "leader", 7, "leader: expected a string, got 7"),
+    ("edges", "coupling", "1.0", "coupling: expected a number, got '1.0'"),
+    ("cities", "city", 7, "city: expected a string, got 7"),
+    ("cities", "population", 5e5, "population: expected an integer, got 500000.0"),
+    ("cities", "activity", None, "activity: expected a number, got None"),
+]
+
+# (key, value, problem): a JSON value the config loader used to coerce.
+MISTYPED_CONFIG = [
+    ("n_artists", 5.9, "n_artists: expected an integer, got 5.9"),
+    ("n_weeks", "60", "n_weeks: expected an integer, got '60'"),
+    ("seed", True, "seed: expected an integer, got True"),
+    ("noise_sigma", False, "noise_sigma: expected a number, got False"),
+    ("missing_weeks", [3.7], "missing_weeks: 0: expected an integer, got 3.7"),
+    ("missing_weeks", [3, "4"], "missing_weeks: 1: expected an integer, got '4'"),
+    ("missing_weeks", 3, "missing_weeks: expected a list"),
+]
+
+
 class TestLoaders:
-    def test_hierarchy_round_trip(self, tmp_path):
-        raw = {
-            "cities": [
-                {"city": "aa", "population": 500000, "activity": 30000.0},
-                {"city": "bb", "population": 400000, "activity": 30000.0},
-            ],
-            "edges": [
-                {"leader": "aa", "follower": "bb", "lag": 1, "coupling": 1.0}
-            ],
-        }
+    @pytest.mark.parametrize("section, key, value, problem", MISTYPED_HIERARCHY)
+    def test_hierarchy_rejects_mistyped_value(self, tmp_path, section, key, value, problem):
+        raw = json.loads(json.dumps(HIERARCHY))
+        raw[section][0][key] = value
         path = tmp_path / "hier.json"
         path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError) as err:
+            load_hierarchy(path)
+        assert str(err.value) == f"{path}: {problem}"
+
+    @pytest.mark.parametrize("key, value, problem", MISTYPED_CONFIG)
+    def test_config_rejects_mistyped_value(self, tmp_path, key, value, problem):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_artists": 10, key: value}))
+        with pytest.raises(ValueError) as err:
+            load_synth_config(path)
+        assert str(err.value) == f"{path}: {problem}"
+
+    def test_hierarchy_round_trip(self, tmp_path):
+        path = tmp_path / "hier.json"
+        path.write_text(json.dumps(HIERARCHY))
         assert load_hierarchy(path) == two_cities(coupling=1.0, lag=1)
 
     def test_hierarchy_missing_key(self, tmp_path):
