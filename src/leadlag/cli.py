@@ -44,7 +44,7 @@ from .network import (
     feedback_arc_set,
     pagerank,
 )
-from .pipeline import RunConfig, build_windows, check_genre, run_pipeline
+from .pipeline import RunConfig, build_windows, check_cities, genre_artists, run_pipeline
 from .synth import generate_charts, load_hierarchy, load_synth_config, shuffle_null
 
 OUTPUT_DIR_ENV = "LEADLAG_OUTPUT_DIR"
@@ -80,23 +80,23 @@ def _parse_lags(text: str) -> tuple[int, ...]:
 def _parse_cities(text: str | None) -> tuple[str, ...] | None:
     if text is None:
         return None
-    cities = tuple(c.strip() for c in text.split(",") if c.strip())
-    if not cities:
-        raise ValueError("city list is empty")
-    return cities
+    return tuple(c.strip() for c in text.split(",") if c.strip())
 
 
-def _load_store(args: argparse.Namespace) -> ChartStore:
-    """The store the chart flags name; the genre and city flags are checked before it is read."""
-    check_genre(args.genre, args.genre_file)
+def _load_store(args: argparse.Namespace):
+    """The store the chart flags name, the genre catalog and the genre's artists;
+    the city subset and the genre are checked, and the genre looked up, first."""
     subset = _parse_cities(args.cities)
+    check_cities(subset)
+    catalog = read_genre_catalog(args.genre_file) if args.genre_file else None
+    artists = genre_artists(catalog, args.genre)
     store = ChartStore.from_files(args.charts, args.missing)
-    return store if subset is None else store.restrict(subset)
+    return (store if subset is None else store.restrict(subset)), catalog, artists
 
 
 def _load_windows(args: argparse.Namespace):
-    catalog = read_genre_catalog(args.genre_file) if args.genre_file else None
-    return build_windows(_load_store(args), catalog, args.genre)
+    store, _, artists = _load_store(args)
+    return build_windows(store, artists)
 
 
 def _fas_figure(report: AcyclicityReport) -> str:
@@ -142,9 +142,8 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    store = _load_store(args)
-    if args.genre_file:
-        catalog = read_genre_catalog(args.genre_file)
+    store, catalog, _ = _load_store(args)
+    if catalog is not None:
         print(f"genres: {len(catalog.genre_ids())}")
     print(f"charts: {store.chart_count}")
     print(f"cities: {len(store.cities)}")
@@ -388,7 +387,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, LookupError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message.
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1
     except (ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

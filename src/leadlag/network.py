@@ -4,8 +4,9 @@ An edge points follower to leader and carries the lagged correlation as
 its weight. Acceptance runs in two steps per unordered city pair: each
 direction must have a significantly positive mean dot product, and when
 both directions qualify a paired test must separate them, the larger
-correlation winning. Analyses cover minimum feedback arc set weight,
-weighted PageRank and the relation of centrality to city population.
+correlation winning; each step is one t-test call over all pairs.
+Analyses cover minimum feedback arc set weight, weighted PageRank and the
+relation of centrality to city population.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ import numpy as np
 
 from .lagcorr import DyadResult
 from .stats import (
-    DegenerateSampleError,
     UndefinedCorrelationError,
+    grouped_ttest,
     one_sample_ttest,  # unused here; the benchmark's tracer wraps this name
     paired_ttest,
     spearman,
-    two_sided_p,
 )
 
 DEFAULT_ALPHA = 0.01
@@ -95,69 +95,17 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
-def _screen(dyads: Sequence[DyadResult], alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Step one for every dyad at once: (passes, flat) boolean arrays.
-
-    A dyad passes when the two-sided one-sample t-test rejects a zero mean
-    of its samples at alpha and its correlation is positive. A flat dyad,
-    by the rule `one_sample_ttest` applies, has no t statistic; it never
-    passes.
-    Raises ValueError for a dyad with fewer than 2 samples or a NaN or
-    infinite sample.
-    """
-    sizes = np.array([len(d.values) for d in dyads], dtype=np.int64)
-    if sizes.min() < 2:
-        raise ValueError(f"need at least 2 samples, got {sizes.min()}")
-    values = np.concatenate([d.values for d in dyads])
-    if not np.isfinite(values).all():
-        raise ValueError("t-test samples must be finite")
-    starts = np.cumsum(sizes) - sizes
-    mean = np.add.reduceat(values, starts) / sizes
-    deviation = values - np.repeat(mean, sizes)
-    ss = np.add.reduceat(deviation * deviation, starts)
-    constant = np.minimum.reduceat(values, starts) == np.maximum.reduceat(values, starts)
-    flat = constant | (ss <= 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # flat dyads get t = 0, not inf or nan
-        statistic = np.where(flat, 0.0, mean / np.sqrt(ss / (sizes - 1) / sizes))
-    p_value = two_sided_p(statistic, sizes - 1)
-    positive = np.array([d.correlation for d in dyads]) > 0
-    return (p_value < alpha) & positive & ~flat, flat
-
-
-def _edge(dyad: DyadResult) -> Edge:
-    return Edge(dyad.follower_candidate, dyad.leader_candidate, dyad.correlation, dyad.best_lag)
-
-
-def _contest(forward: DyadResult, backward: DyadResult, alpha: float) -> Edge | None:
-    """Step two, for a pair whose both directions pass the screen.
-
-    A paired test over the weeks where both best-lag streams have a sample
-    must separate the directions; the larger correlation then wins. A
-    non-rejection, or paired differences that are flat by the screen's
-    rule, means the cities move together and no edge is drawn.
-    """
-    _, fi, bi = np.intersect1d(
-        forward.weeks, backward.weeks, assume_unique=True, return_indices=True
-    )
-    if len(fi) < 2:
-        return None
-    try:
-        contest = paired_ttest(forward.values[fi].tolist(), backward.values[bi].tolist())
-    except DegenerateSampleError:
-        return None
-    if not contest.reject_at(alpha) or forward.correlation == backward.correlation:
-        return None
-    return _edge(forward if forward.correlation > backward.correlation else backward)
-
-
 def _decide(
     dyads: Sequence[DyadResult], alpha: float, nodes: Sequence[str]
 ) -> list[Edge]:
     """Edges over every pair of `nodes` with a scored dyad, sorted.
 
-    A pair with one scored orientation is decided by the screen alone; a
-    pair with both draws no edge if either is flat, and goes to the
-    paired contest only if both pass.
+    A dyad passes the screen when its samples' mean is significantly
+    nonzero at alpha, its correlation positive and its sample not flat. A
+    pair with one scored orientation is decided by the screen alone; a pair
+    with both draws no edge if either is flat. When both pass, a paired
+    test over the (at least 2) weeks both have a sample must separate them,
+    by differences that are not flat, and the larger correlation wins.
     """
     known = set(nodes)
     latest = {(d.follower_candidate, d.leader_candidate): d for d in dyads}
@@ -166,18 +114,48 @@ def _decide(
         return []
     position = {p: i for i, p in enumerate(pairs)}
     dyads = [latest[p] for p in pairs]
-    passes, flat = _screen(dyads, alpha)
-    edges = []
-    for i, d in enumerate(dyads):
-        j = position.get((d.leader_candidate, d.follower_candidate))
-        if j is None:
-            if passes[i]:
-                edges.append(_edge(d))
-        elif i < j and not (flat[i] or flat[j]) and (passes[i] or passes[j]):
-            if passes[i] != passes[j]:
-                edges.append(_edge(d if passes[i] else dyads[j]))
-            elif (edge := _contest(d, dyads[j], alpha)) is not None:
-                edges.append(edge)
+    sizes = np.array([len(d.values) for d in dyads], dtype=np.int64)
+    values = np.concatenate([d.values for d in dyads])
+    correlation = np.array([d.correlation for d in dyads])
+    _, p_value, flat = grouped_ttest(values, sizes)
+    passes = (p_value < alpha) & (correlation > 0)  # a flat dyad has p = 1
+
+    # Each pair with both orientations once, as (first, second) dyad indexes.
+    mate = np.array([position.get((leader, follower), -1) for follower, leader in pairs])
+    first = np.flatnonzero(np.arange(len(pairs)) < mate)
+    second = mate[first]
+    live = ~(flat[first] | flat[second])
+    one_sided = live & (passes[first] != passes[second])
+    fwd, bwd = (side[live & passes[first] & passes[second]] for side in (first, second))
+
+    # Contest c pairs dyads fwd[c] and bwd[c]; a (c, week) key marks each sample.
+    starts = np.cumsum(sizes) - sizes
+    weeks = np.concatenate([d.weeks for d in dyads])
+    weeks -= weeks.min()
+    stride = weeks.max() + 1
+
+    def keyed(side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n = sizes[side]
+        at = np.arange(n.sum()) + np.repeat(starts[side] - (np.cumsum(n) - n), n)
+        return at, np.repeat(np.arange(len(side)), n) * stride + weeks[at]
+
+    (f_at, f_key), (b_at, b_key) = keyed(fwd), keyed(bwd)
+    shared, fi, bi = np.intersect1d(f_key, b_key, assume_unique=True, return_indices=True)
+    owner = shared // stride
+    counts = np.bincount(owner, minlength=len(fwd))
+    enough = counts >= 2
+    kept = enough[owner]
+    contest = paired_ttest(values[f_at[fi[kept]]], values[b_at[bi[kept]]], counts[enough])
+    decided = np.flatnonzero(enough)[contest.reject_at(alpha)]
+    f, b = fwd[decided], bwd[decided]
+
+    winners = np.concatenate([
+        np.flatnonzero(passes & (mate < 0)),
+        np.where(passes[first], first, second)[one_sided],
+        np.where(correlation[f] > correlation[b], f, b)[correlation[f] != correlation[b]],
+    ])
+    chosen = (dyads[i] for i in winners.tolist())
+    edges = (Edge(d.follower_candidate, d.leader_candidate, d.correlation, d.best_lag) for d in chosen)
     return sorted(edges, key=lambda e: (e.follower, e.leader))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .charts import ChartStore, GenreCatalog, WindowStack, read_genre_catalog
 from .cluster import average_linkage, summed_distances, to_newick
@@ -66,8 +66,7 @@ class RunConfig:
         _check_alpha(self.alpha)
         _scan_lags(self.min_samples, self.lag_range)
         check_genre(self.genre_id, self.genre_path)
-        if self.city_subset is not None and not self.city_subset:
-            raise ValueError("city_subset must be non-empty when given")
+        check_cities(self.city_subset)
 
 
 @dataclass(frozen=True)
@@ -85,16 +84,26 @@ def check_genre(genre_id: str | None, catalog: object) -> None:
         raise ValueError(f"genre {genre_id!r} given without a genre catalog (--genre-file)")
 
 
-def build_windows(
-    store: ChartStore, catalog: GenreCatalog | None = None, genre_id: str | None = None
-) -> WindowStack:
-    """Normalized listen windows for every valid start week, as one stack.
+def check_cities(subset: tuple[str, ...] | None) -> None:
+    """Reject a city subset that is given but names no city."""
+    if subset is not None and not subset:
+        raise ValueError("city subset is empty")
 
-    With a genre, only the columns of its artists in `catalog` count; a
-    genre without a catalog is an error, never a silently unfiltered stack.
+
+def genre_artists(catalog: GenreCatalog | None, genre_id: str | None) -> tuple[str, ...] | None:
+    """The artists of `genre_id` in `catalog`, or None when no genre is given.
+
+    Raises ValueError for a genre without a catalog and KeyError for one the
+    catalog does not list.
     """
     check_genre(genre_id, catalog)
-    return store.windows(None if genre_id is None else catalog.artists(genre_id))
+    return None if genre_id is None else catalog.artists(genre_id)
+
+
+def build_windows(store: ChartStore, artists: Iterable[str] | None = None) -> WindowStack:
+    """Normalized listen windows for every valid start week, as one stack;
+    with `artists`, only their columns count."""
+    return store.windows(artists)
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
@@ -105,19 +114,19 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     when populations are given, dendrogram.nwk when two or more cities
     cluster, and manifest.json.
     """
+    populations = (
+        read_populations(config.populations_path) if config.populations_path else None
+    )
+    catalog = read_genre_catalog(config.genre_path) if config.genre_path else None
+    artists = genre_artists(catalog, config.genre_id)
+    store = ChartStore.from_files(config.chart_path, config.missing_weeks_path)
+    if config.city_subset is not None:
+        store = store.restrict(config.city_subset)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
 
-    populations = (
-        read_populations(config.populations_path) if config.populations_path else None
-    )
-    store = ChartStore.from_files(config.chart_path, config.missing_weeks_path)
-    catalog = read_genre_catalog(config.genre_path) if config.genre_path else None
-    if config.city_subset is not None:
-        store = store.restrict(config.city_subset)
-
-    windows = build_windows(store, catalog, config.genre_id)
+    windows = build_windows(store, artists)
     velocities = compute_all_velocities(windows)
     dyads = scan_dyads(
         velocities, min_samples=config.min_samples, lags=config.lag_range

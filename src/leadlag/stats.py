@@ -1,9 +1,11 @@
 """Statistical tests behind edge acceptance and the size analysis.
 
 Student-t tail probabilities by series for integer degrees of freedom,
-one-sample and paired two-sided t-tests, and Spearman rank correlation with
-average ranks for ties. Everything here is exercised against independent
-numeric oracles in the test suite, scipy's `stdtr` among them.
+two-sided t-tests of many groups of samples in one array pass (the one
+t-test of the package, which the one-sample and paired tests call), and
+Spearman rank correlation with average ranks for ties. Everything here is
+exercised against independent numeric oracles in the test suite, scipy's
+`stdtr` among them.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ __all__ = [
     "SpearmanResult",
     "t_cdf",
     "two_sided_p",
+    "grouped_ttest",
     "one_sample_ttest",
     "paired_ttest",
     "spearman",
@@ -36,11 +39,11 @@ class UndefinedCorrelationError(ValueError):
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of a t-test."""
+    """Outcome of a t-test; a grouped paired test gives arrays, one entry per group."""
 
-    statistic: float
-    degrees_of_freedom: int
-    p_value: float
+    statistic: float | np.ndarray
+    degrees_of_freedom: int | np.ndarray
+    p_value: float | np.ndarray
 
     def reject_at(self, alpha: float) -> bool:
         return self.p_value < alpha
@@ -61,20 +64,15 @@ def two_sided_p(t, df):
     u_0 = 1 and u_{k+1} = u_k x (2k + 1 + odd) / (2k + 2 + odd). Summed from
     k = df // 2 on, the same terms give p itself: a p below 1e-3 comes from
     that tail, which keeps the relative precision 1 - (finite sum) loses.
-    The loops do plain arithmetic, so a scalar call runs no numpy per term.
     """
-    a, r = abs(t), df**0.5
-    if isinstance(a, np.ndarray):
-        hypot, atan2, largest = np.hypot, np.arctan2, np.max
-    else:
-        hypot, atan2, largest = math.hypot, math.atan2, float
-    h, phi = hypot(a, r), atan2(r, a)
+    a, r = np.abs(t), np.sqrt(df)
+    h, phi = np.hypot(a, r), np.arctan2(r, a)
     sin, cos = a / h, r / h
     x, half, odd = cos * cos, df // 2, df % 2
     # The sums' prefactors: sin for even df, (2 / pi) sin cos for odd.
     scale = sin * ((1 - odd) + odd * cos / (math.pi / 2))
     u, finite, tail = 1.0, 0.0, 0.0
-    top = int(largest(half))
+    top = int(np.max(half, initial=0))
     for k in range(top):
         finite = finite + u * (k < half)
         tail = tail + u * (k >= half)
@@ -85,7 +83,7 @@ def two_sided_p(t, df):
     # arithmetic picks x and sin^2 where the tail is needed, 1/2 and 1 elsewhere.
     rest = np.log(2.0**-53 * (need * sin * sin + (1 - need)))
     more = need * rest / np.log(np.maximum(need * x + (1 - need) * 0.5, 1e-300))
-    for k in range(top, top + 1 + int(largest(more))):
+    for k in range(top, top + 1 + int(np.max(more, initial=0))):
         tail = tail + u
         u = u * (x * (2 * k + 1 + odd) / (2 * k + 2 + odd))
     return need * (scale * tail) + (1 - need) * p
@@ -102,40 +100,61 @@ def t_cdf(x: float, df: int) -> float:
     x = float(x)
     if math.isnan(x):
         raise ValueError("t_cdf is undefined at x = nan")
-    half = 0.0 if math.isinf(x) else two_sided_p(x, int(df)) / 2.0
+    half = 0.0 if math.isinf(x) else float(two_sided_p(x, int(df))) / 2.0
     return half if x < 0 else 1.0 - half
 
 
-def one_sample_ttest(samples: Sequence[float], null_mean: float = 0.0) -> TestResult:
-    """Two-sided one-sample t-test of the mean against null_mean.
+def grouped_ttest(values, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-sided one-sample t-tests of a zero mean: (statistic, p, flat), one per group.
 
-    Raises DegenerateSampleError for a flat sample, one whose values are
-    all equal or whose squared deviations sum to zero, which is the rule
-    the graph screen applies: rounding in the mean would otherwise give
-    such a sample a huge t. The caller decides what a flat sample means
-    (graph assembly treats it as no relationship).
+    `values` holds the groups end to end and `sizes` gives their lengths.
+    A flat group, whose values are all equal or whose squared deviations
+    sum to zero, has no t statistic (rounding in its mean would give it a
+    huge one): it gets statistic 0, p 1 and flat True. Raises ValueError
+    for a group of fewer than 2 values or a NaN or infinite value.
     """
-    xs = [float(v) for v in samples]
-    n = len(xs)
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
-    mean = math.fsum(xs) / n
-    ss = math.fsum((v - mean) ** 2 for v in xs)
-    if min(xs) == max(xs) or ss <= 0.0:
+    values = np.asarray(values, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if (sizes < 2).any():
+        raise ValueError(f"need at least 2 samples, got {sizes.min()}")
+    if not np.isfinite(values).all():
+        raise ValueError("t-test samples must be finite, not nan or inf")
+    starts = np.cumsum(sizes) - sizes
+    mean = np.add.reduceat(values, starts) / sizes
+    deviation = values - np.repeat(mean, sizes)
+    ss = np.add.reduceat(deviation * deviation, starts)
+    constant = np.minimum.reduceat(values, starts) == np.maximum.reduceat(values, starts)
+    flat = constant | (ss <= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # flat groups get t = 0, not inf or nan
+        statistic = np.where(flat, 0.0, mean / np.sqrt(ss / (sizes - 1) / sizes))
+    return statistic, two_sided_p(statistic, sizes - 1), flat
+
+
+def one_sample_ttest(samples: Sequence[float], null_mean: float = 0.0) -> TestResult:
+    """Two-sided one-sample t-test of the mean against null_mean, by `grouped_ttest`
+    on one group; raises DegenerateSampleError for a flat sample."""
+    shifted = np.asarray(samples, dtype=np.float64) - float(null_mean)
+    statistic, p_value, flat = grouped_ttest(shifted, [len(shifted)])
+    if flat[0]:
         raise DegenerateSampleError("zero sample variance")
-    var = ss / (n - 1)
-    statistic = (mean - float(null_mean)) / math.sqrt(var / n)
-    df = n - 1
-    p_value = 2.0 * t_cdf(-abs(statistic), df)
-    return TestResult(statistic=statistic, degrees_of_freedom=df, p_value=p_value)
+    return TestResult(float(statistic[0]), len(shifted) - 1, float(p_value[0]))
 
 
-def paired_ttest(xs: Sequence[float], ys: Sequence[float]) -> TestResult:
-    """Two-sided paired t-test: one-sample test on the pairwise differences."""
+def paired_ttest(xs: Sequence[float], ys: Sequence[float], sizes=None) -> TestResult:
+    """Two-sided paired t-test: one-sample test on the pairwise differences.
+
+    With `sizes`, the pairs run end to end in groups of those lengths, as
+    in `grouped_ttest`: each field of the result is an array with one entry
+    per group, and a flat group gets statistic 0 and p 1 instead of raising
+    DegenerateSampleError.
+    """
     if len(xs) != len(ys):
         raise ValueError(f"paired lengths differ: {len(xs)} vs {len(ys)}")
-    diffs = [float(a) - float(b) for a, b in zip(xs, ys)]
-    return one_sample_ttest(diffs, null_mean=0.0)
+    differences = np.subtract(xs, ys, dtype=np.float64)
+    if sizes is None:
+        return one_sample_ttest(differences)
+    statistic, p_value, _ = grouped_ttest(differences, sizes)
+    return TestResult(statistic, np.asarray(sizes) - 1, p_value)
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:

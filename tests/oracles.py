@@ -7,8 +7,8 @@ explicitly, UPGMA recomputes every inter-cluster mean from raw points, and
 Spearman ranks with an off-the-shelf routine. The lag scan and the edge
 screen are checked against the per-pair code they replaced: one sparse
 row product per (follower, leader, lag), and one pair at a time through
-the scalar t-tests of `leadlag.stats`. The window stack is checked against
-the per-window code it replaced: one `coo_matrix` per window, a genre
+a scalar t-test summed with `math.fsum`. The window stack is checked
+against the per-window code it replaced: one `coo_matrix` per window, a genre
 filter and a row scale by sparse diagonal products, velocities one city at
 a time and distances one window at a time. The feedback arc set is
 checked against the code it replaced: csgraph's strongly connected
@@ -41,7 +41,7 @@ from leadlag.lagcorr import (
 )
 from leadlag import network
 from leadlag.network import DEFAULT_ALPHA, AcyclicityReport, Edge, LeadershipGraph, _check_alpha
-from leadlag.stats import DegenerateSampleError, one_sample_ttest, paired_ttest
+from leadlag.stats import DegenerateSampleError, TestResult, t_cdf
 
 
 def t_pdf(x: float, df: int) -> float:
@@ -375,9 +375,27 @@ def per_pair_scan(series, min_samples=DEFAULT_MIN_SAMPLES, lags=None) -> list[Dy
     return dyads
 
 
+def fsum_ttest(samples: Sequence[float]) -> TestResult:
+    """Two-sided one-sample t-test of a zero mean, one Python float at a time.
+
+    Raises DegenerateSampleError for a flat sample, one whose values are
+    all equal or whose squared deviations sum to zero.
+    """
+    xs = [float(v) for v in samples]
+    n = len(xs)
+    if n < 2:
+        raise ValueError(f"need at least 2 samples, got {n}")
+    mean = math.fsum(xs) / n
+    ss = math.fsum((v - mean) ** 2 for v in xs)
+    if min(xs) == max(xs) or ss <= 0.0:
+        raise DegenerateSampleError("zero sample variance")
+    statistic = mean / math.sqrt(ss / (n - 1) / n)
+    return TestResult(statistic, n - 1, 2.0 * t_cdf(-abs(statistic), n - 1))
+
+
 def survives_screen(dyad: DyadResult, alpha: float) -> bool:
     """Mean sample significantly above zero; propagates DegenerateSampleError."""
-    result = one_sample_ttest(dyad.values.tolist())
+    result = fsum_ttest(dyad.values.tolist())
     return result.reject_at(alpha) and dyad.correlation > 0
 
 
@@ -402,7 +420,7 @@ def per_pair_accept_edge(forward: DyadResult, backward: DyadResult, alpha: float
     if len(common) < 2:
         return None
     try:
-        contest = paired_ttest([fwd_by_week[w] for w in common], [bwd_by_week[w] for w in common])
+        contest = fsum_ttest([fwd_by_week[w] - bwd_by_week[w] for w in common])
     except DegenerateSampleError:
         return None
     if not contest.reject_at(alpha) or forward.correlation == backward.correlation:

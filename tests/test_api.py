@@ -1,4 +1,9 @@
-"""The public API of `leadlag`: a name added to or removed from `__all__` fails here."""
+"""The public API of `leadlag`: a name added to or removed from `__all__` fails here,
+as does a name the benchmark's tracer wraps that `leadlag` no longer binds."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import leadlag
 
@@ -74,3 +79,15 @@ def test_public_api_is_pinned():
     assert set(leadlag.__all__) == PUBLIC
     for name in leadlag.__all__:
         assert hasattr(leadlag, name), name
+
+
+def test_every_benchmark_tracer_target_resolves(monkeypatch):
+    # bench/tracer.py looks each name up with vars() on its module or class; a
+    # missing one otherwise fails only the benchmark's own tests.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    assert [t.label for t in tracer.TARGETS if t.attr not in vars(t.resolve_owner())] == []

@@ -22,7 +22,7 @@ from leadlag.exports import (
     write_populations,
 )
 from leadlag.network import Edge, LeadershipGraph
-from leadlag.pipeline import RunConfig, build_windows, run_pipeline
+from leadlag.pipeline import RunConfig, genre_artists, run_pipeline
 from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
 
 from helpers import DISTORTIONS, cache_rejection, distort
@@ -253,6 +253,8 @@ class TestRunPipeline:
             base_config(synth_inputs, tmp_path, lag_range=(0, 1))
         with pytest.raises(ValueError, match="genre 'indie' given without a genre catalog"):
             base_config(synth_inputs, tmp_path, genre_id="indie")
+        with pytest.raises(ValueError, match=f"^{re.escape(FAIL_FAST['--cities'][1])}$"):
+            base_config(synth_inputs, tmp_path, city_subset=())
 
     def test_format_flags(self, synth_inputs, tmp_path):
         result = run_pipeline(
@@ -512,16 +514,17 @@ class TestCliCommands:
 # A bad value for each checked flag, and the one message every command gives for it.
 FAIL_FAST = {
     "--alpha": ("1.5", "alpha must be in (0, 1), got 1.5"),
+    "--cities": (",", "city subset is empty"),
     "--genre": ("rock", "genre 'rock' given without a genre catalog (--genre-file)"),
     "--lags": ("0-1", "lag must be in 1..5, got 0"),
     "--min-samples": ("1", "min_samples must be at least 2, got 1"),
 }
 FAIL_FAST_FLAGS = {
-    "cluster": ("--genre",),
-    "dyads": ("--genre", "--lags", "--min-samples"),
+    "cluster": ("--cities", "--genre"),
+    "dyads": ("--cities", "--genre", "--lags", "--min-samples"),
     "graph": ("--alpha",),
-    "ingest": ("--genre",),
-    "run": ("--alpha", "--genre", "--lags", "--min-samples"),
+    "ingest": ("--cities", "--genre"),
+    "run": ("--alpha", "--cities", "--genre", "--lags", "--min-samples"),
 }
 
 
@@ -631,12 +634,22 @@ class TestCliErrors:
         assert main([command, *charts, "--cities", "c00,zz,nowhere", *out]) == 1
         assert capsys.readouterr().err == "error: unknown cities in subset: nowhere, zz\n"
 
+    @pytest.mark.parametrize("command", ["cluster", "dyads", "ingest", "run"])
+    def test_unknown_genre_fails_before_the_charts_are_read(self, tmp_path, capsys, command):
+        genres = tmp_path / "genres.csv"
+        genres.write_text("genre,rank,artist\nrock,1,a\n")
+        charts = ["--charts", str(tmp_path / "absent"), "--genre-file", str(genres)]
+        out = [] if command == "ingest" else ["--out", str(tmp_path / "out")]
+        assert main([command, *charts, "--genre", "nosuch", *out]) == 1
+        assert capsys.readouterr().err == "error: unknown genre 'nosuch'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_api_gives_the_same_subset_and_genre_messages(self, synth_inputs):
         store = ChartStore.from_files(synth_inputs["charts"], synth_inputs["missing"])
         with pytest.raises(ValueError, match="^unknown cities in subset: nowhere, zz$"):
             store.restrict(("c00", "zz", "nowhere"))
         with pytest.raises(ValueError, match=f"^{re.escape(FAIL_FAST['--genre'][1])}$"):
-            build_windows(store, None, "rock")
+            genre_artists(None, "rock")
 
     def test_unknown_subcommand_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

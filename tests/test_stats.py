@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from leadlag.stats import (
     DegenerateSampleError,
     UndefinedCorrelationError,
+    grouped_ttest,
     one_sample_ttest,
     paired_ttest,
     spearman,
@@ -17,7 +18,7 @@ from leadlag.stats import (
     two_sided_p,
 )
 
-from oracles import spearman_by_rankdata, t_cdf_by_integration
+from oracles import fsum_ttest, spearman_by_rankdata, t_cdf_by_integration
 
 CDF_GRID_X = [0.0, 0.3, -0.3, 0.5, 1.0, -1.0, 2.5, -2.5, 3.4641, 5.0, -5.0, 8.0]
 CDF_GRID_DF = [1, 2, 3, 4, 5, 10, 30, 100, 240]
@@ -104,9 +105,58 @@ def test_two_sided_p_matches_stdtr():
     kept = want >= 1e-300
     got = two_sided_p(t, df)
     assert (abs(got - want)[kept] <= 1e-11 * want[kept]).all()
-    # A scalar call takes the same series through Python floats.
+    # A scalar call takes the same series through 0-d arrays.
     for i in np.flatnonzero(kept)[::97].tolist():
         assert abs(two_sided_p(float(t[i]), int(df[i])) - want[i]) <= 1e-11 * want[i]
+
+
+# Multiples of 2^-16 within 16 in magnitude: every partial sum of up to 40 of
+# them is exact, so every implementation sees one mean, and the results differ
+# only in how the sum of squares rounds.
+on_grid = st.integers(-(2**20), 2**20).map(lambda k: k / 2**16)
+
+
+def is_on_grid(values) -> bool:
+    return all(abs(v) <= 16 and v * 2**16 == round(v * 2**16) for v in values)
+
+
+@given(
+    groups=st.lists(
+        st.tuples(
+            st.lists(st.one_of(on_grid, st.floats(-4.0, 4.0)), min_size=1, max_size=3),
+            st.lists(st.integers(0, 2), min_size=2, max_size=40),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_grouped_ttest_matches_fsum_oracle_and_scipy(groups):
+    # Each group picks from one to three values, so many are flat or hold two
+    # distinct values; dot products of unit-row differences lie in [-4, 4].
+    from scipy.stats import ttest_1samp
+
+    samples = [[pool[i % len(pool)] for i in picks] for pool, picks in groups]
+    statistic, p_value, flat = grouped_ttest(np.concatenate(samples), [len(s) for s in samples])
+    for values, t, p, is_flat in zip(samples, statistic, p_value, flat):
+        try:
+            want = fsum_ttest(values)
+        except DegenerateSampleError:
+            assert is_flat
+            continue
+        assert not is_flat
+        # Off the grid the means may differ in the last bit, which a nearly
+        # flat sample magnifies without bound; there only the flag is compared.
+        if not is_on_grid(values):
+            continue
+        scipy_t, scipy_p = ttest_1samp(values, 0.0)
+        if len(values) == 2:
+            # stdtr is off by up to 3e-9 for df 1 below |t| = 1e-5; the Cauchy closed form is not.
+            scipy_p = math.atan2(1.0, abs(scipy_t)) / (math.pi / 2)
+        for other_t, other_p in ((want.statistic, want.p_value), (scipy_t, scipy_p)):
+            assert abs(t - other_t) <= 1e-12 * abs(other_t)
+            if other_p >= 1e-300:
+                assert abs(p - other_p) <= 1e-11 * other_p
 
 
 def test_one_sample_worked_example():
@@ -179,6 +229,23 @@ def test_paired_antisymmetric_exact():
     bwd = paired_ttest(ys, xs)
     assert fwd.statistic == -bwd.statistic
     assert fwd.p_value == bwd.p_value
+
+
+def test_grouped_paired_ttest_matches_one_call_per_group():
+    groups = [
+        ([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]),
+        ([0.7] * 30, [0.6] * 30),
+        ([0.13, -0.4, 2.25, 1.9, -3.0], [1.0, 0.5, -0.25, 2.0, 0.0]),
+    ]
+    xs, ys = (np.concatenate(side) for side in zip(*groups))
+    res = paired_ttest(xs, ys, [len(x) for x, _ in groups])
+    assert res.degrees_of_freedom.tolist() == [3, 29, 4]
+    # The flat group gets t = 0 and p = 1 instead of an error.
+    assert (res.statistic[1], res.p_value[1]) == (0.0, 1.0)
+    assert res.reject_at(0.05).tolist() == [True, False, False]
+    for i in (0, 2):
+        one = paired_ttest(*groups[i])
+        assert (res.statistic[i], res.p_value[i]) == (one.statistic, one.p_value)
 
 
 def test_spearman_worked_example():
