@@ -10,8 +10,8 @@ is skipped rather than imputed.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -24,10 +24,23 @@ MAX_GENRE_RANK = 1000
 CHART_HEADER = ["week", "city", "artist", "listeners"]
 GENRE_HEADER = ["genre", "rank", "artist"]
 
-# The columnar chart reader splits this many lines per call; csv splits a chunk with a quote
-# or \x1c-\x1f (numpy's integer parser skips these as whitespace, int() does not).
-_CHUNK_ROWS = 1 << 14
-_CSV_ONLY = '"\x1c\x1d\x1e\x1f'
+# The chart reader reads this many bytes at a time and parses the whole lines among them.
+_BLOCK_BYTES = 1 << 19
+# Multiplier of the chart-name keys: odd, so multiplying by it loses no bits.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+# Word reads run up to 15 bytes past a name, so a buffer of names has this many after them.
+_SPARE = 16
+# _MASK[n] keeps the first n bytes of a big-endian word.
+_MASK = np.array([(1 << 64) - (1 << 64 - 8 * n) for n in range(9)], dtype=np.uint64)
+# Byte lanes of a word of ASCII digits: their high nibbles, their low nibbles, '0's, and
+# 6s, which carry into the high nibble of a low nibble above 9.
+_HIGH, _LOW = np.uint64(0xF0F0F0F0F0F0F0F0), np.uint64(0x0F0F0F0F0F0F0F0F)
+_ZEROS, _SIXES = np.uint64(0x3030303030303030), np.uint64(0x0606060606060606)
+# For n digits read little-endian: the shift that moves them to the top lanes, '0's for
+# the lanes below them, and 10**n.
+_SHIFT = np.array([64 - 8 * n for n in range(9)], dtype=np.uint64)
+_FILL = np.array([0x3030303030303030 >> 8 * n for n in range(9)], dtype=np.uint64)
+_POWERS = 10 ** np.arange(9, dtype=np.uint64)
 
 
 class ChartFormatError(ValueError):
@@ -337,72 +350,271 @@ def _check_week_range(chart_path: str | Path, present: set[int], missing: frozen
         )
 
 
-def _intern(names: np.ndarray, table: dict[str, int]) -> np.ndarray:
-    """Codes of `names` in `table`, adding unseen names in order of appearance."""
-    names = names.tolist()
-    for name in dict.fromkeys(names):
-        table.setdefault(name, len(table))
-    return np.fromiter(map(table.__getitem__, names), dtype=np.int32, count=len(names))
+def _blocks(fh) -> Iterator[np.ndarray]:
+    """The rest of `fh` as blocks of whole lines, each a uint8 view that ends in b"\\n"
+    and carries `_SPARE` more bytes, which word reads may pass over. Every block is
+    read into one buffer, so a block is overwritten by the next; a line longer than
+    the buffer doubles it, and a last line with no line end gets one."""
+    buf = bytearray(_BLOCK_BYTES + _SPARE)
+    held = 0  # bytes of a line the last block cut, moved to the front
+    while True:
+        if held == len(buf) - _SPARE:
+            buf = buf + bytes(len(buf) - _SPARE)  # a new buffer: the last block may still be viewed
+        size = held + fh.readinto(memoryview(buf)[held:-_SPARE])
+        if size == held:  # end of file
+            if held:
+                buf[held] = 10
+                yield np.frombuffer(buf, dtype=np.uint8, count=held + 1 + _SPARE)
+            return
+        cut = buf.rfind(b"\n", 0, size) + 1
+        if not cut:  # no line ends yet
+            held = size
+            continue
+        yield np.frombuffer(buf, dtype=np.uint8, count=cut + _SPARE)
+        held = size - cut
+        buf[:held] = buf[cut:size]
 
 
-def _intern_runs(names: np.ndarray, table: dict[str, int]) -> np.ndarray:
-    """`_intern` for names that repeat in long runs: only each run's first name is looked up."""
-    new = np.ones(len(names), dtype=bool)
-    new[1:] = names[1:] != names[:-1]
-    head = np.flatnonzero(new)
-    return np.repeat(_intern(names[head], table), np.diff(head, append=len(names)))
+def _words(content: np.ndarray, at: np.ndarray, dtype: str = ">u8") -> np.ndarray:
+    """The 8-byte words of `content` that start at `at`, read as `dtype`, as native uint64."""
+    return np.ndarray((len(content) - 7,), dtype, content, strides=(1,))[at].astype(np.uint64)
 
 
-def _split_chunk(lines: list[str]) -> list[np.ndarray]:
-    """Week, city, artist and count columns of some chart lines."""
-    text = "".join(lines)
-    blank = text.isspace()  # loadtxt warns on a chunk of blank lines
-    if blank or any(c in text for c in _CSV_ONLY) or max(map(len, lines)) > csv.field_size_limit():
-        # strict: a quoted field still open at the chunk's end raises, not closes there.
-        table = np.array([row for row in csv.reader(lines, strict=True) if row], dtype=object)
-        return list(table.reshape(len(table), 4).T)  # ValueError unless every row has 4 fields
-    num = np.int64 if text.isascii() else object  # numpy misreads non-ASCII digits
-    dtype = [("week", num), ("city", object), ("artist", object), ("count", num)]
-    table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    return [table[name] for name in table.dtype.names]
+def _chunks(content: np.ndarray, at: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 16 bytes of `content` at each of `at` as two big-endian words, masked to the
+    first `left` of them."""
+    return (_words(content, at) & _MASK[np.minimum(left, 8)],
+            _words(content, at + 8) & _MASK[np.clip(left - 8, 0, 8)])
 
 
-def _chunk_columns(lines: list[str], cities: dict, artists: dict) -> list[np.ndarray]:
-    """Week, city code, artist code and count of some chart lines; the parsed table
-    and its names are freed on return."""
-    week, city, artist, count = _split_chunk(lines)
-    # Charts arrive whole, so a city repeats for a chart's length; artists do not.
-    codes = _intern_runs(city, cities), _intern(artist, artists)
-    return [week.astype(np.int64), *codes, count.astype(np.int64).astype(np.float64)]
+def _digits(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of the numbers b[lo:hi], and whether each is 1 to 18 ASCII digits.
+
+    Each 8 bytes of a number are read as one little-endian word, whose first
+    digit is its lowest byte. Shifted to the top and led by '0's, they are
+    checked, and summed in pairs, fours and eights, all lanes at once.
+    """
+    width = hi - lo
+    ok = (width >= 1) & (width <= 18)
+    value = np.zeros(len(lo), dtype=np.uint64)
+    for j in range(0, min(int(width.max(initial=0)), 18), 8):
+        n = np.clip(width - j, 0, 8)  # digits in this word
+        x = _words(b, np.minimum(lo + j, hi), "<u8") << _SHIFT[n] | _FILL[n]
+        ok &= (x & _HIGH == _ZEROS) & (x + _SIXES & _HIGH == _ZEROS)
+        x &= _LOW
+        x = (x * 10 + (x >> 8)) & 0x00FF00FF00FF00FF
+        x = (x * 100 + (x >> 16)) & 0x0000FFFF0000FFFF
+        value = value * _POWERS[n] + ((x * 10000 + (x >> 32)) & 0xFFFFFFFF)
+    return value.astype(np.int64), ok
 
 
-def _join_column(chunks: list[list[np.ndarray]], k: int) -> np.ndarray:
-    """Column k of all chunks as one array; each chunk's copy is dropped once it is joined."""
-    column = np.concatenate([chunk[k] for chunk in chunks])
-    for chunk in chunks:
-        chunk[k] = None
-    return column
+def _intern(content: np.ndarray, start: np.ndarray, length: np.ndarray):
+    """(codes, first): int32 codes of the names content[start[i]:start[i] + length[i]],
+    equal exactly when the names are, and the index of one name of each code.
+
+    A name is read as 16-byte chunks of two big-endian words, the last chunk
+    masked to the name. Its key mixes its chunks with the bytes left from each;
+    sorting the keys numbers them. Each name is then compared chunk by chunk
+    with its code's name, and two different names with one key (about 2**-64
+    per pair) raise ValueError. At least 15 bytes must follow every name in
+    `content`.
+    """
+    chunks = (length + 15) // 16
+    first = np.cumsum(chunks) - chunks  # each name's first chunk
+    total = int(first[-1] + chunks[-1])
+    if total == len(length):  # one chunk each: chunk i is name i
+        at, left = start, length
+    else:
+        at = 16 * np.arange(total) - np.repeat(16 * first - start, chunks)
+        left = np.repeat(start + length, chunks) - at  # bytes of the name from each chunk on
+    hi, lo = _chunks(content, at, left)
+    del at  # temporaries go as soon as they are used: a block's names are its largest arrays
+    mixed = hi ^ left.astype(np.uint64)
+    del left
+    mixed *= _MIX
+    mixed ^= lo
+    mixed *= _MIX
+    mixed ^= mixed >> 32
+    key = np.add.reduceat(mixed, first)
+    del mixed
+    order = np.argsort(key)
+    key = key[order]
+    new = np.concatenate(([True], key[1:] != key[:-1]))
+    codes = np.empty(len(key), dtype=np.int32)
+    codes[order] = np.cumsum(new) - 1
+    named = order[new]
+    head = named[codes]
+    same = head  # the chunk of the code's name that each chunk is compared with
+    if total > len(length):
+        same = np.repeat(first[head] - first, chunks) + np.arange(total)
+    if (length[head] != length).any() or (hi[same] != hi).any() or (lo[same] != lo).any():
+        raise ValueError("two chart names share a key")
+    return codes, named
+
+
+def _run_starts(content: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Whether each field content[start[i]:start[i] + length[i]] differs from the one
+    before it; a field of over 16 bytes is not compared and counts as different."""
+    hi, lo = _chunks(content, start, length)
+    new = np.ones(len(start), dtype=bool)
+    new[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1]) | (length[1:] != length[:-1])
+    return new | (length > 16)
+
+
+def _table(content: np.ndarray, start: np.ndarray, length: np.ndarray, new=None):
+    """(codes, distinct) of some names, as `_intern` codes them: distinct holds each
+    coded name once, as (its bytes one after another, their lengths). Given `new`,
+    only the names it marks are looked up; each other name equals the one before it."""
+    if not length.all():
+        raise ValueError("empty name")  # left to the csv reader's message
+    if new is None:
+        codes, first = _intern(content, start, length)
+    else:
+        head = np.flatnonzero(new)
+        codes, first = _intern(content, start[head], length[head])
+        codes, first = codes[np.cumsum(new) - 1], head[first]
+    start, length = start[first], length[first]
+    at = np.arange(length.sum()) + np.repeat(start - (np.cumsum(length) - length), length)
+    return codes, (content[at], length)
+
+
+def _csv_part(runs: list[bytes]) -> list[tuple]:
+    """The part, as `_parse_block` makes them, of some runs of whole lines split by csv."""
+    # strict: a quoted field still open at a run's end raises, not closes there.
+    lines = (io.StringIO(run.decode(), newline="") for run in runs)
+    rows = [r for run in lines for r in csv.reader(run, strict=True) if r]
+    if not rows:
+        return []
+    if {len(r) for r in rows} != {4}:
+        raise ValueError("not 4 fields")
+    tables = []
+    for k in (1, 2):
+        names = [r[k].encode() for r in rows]
+        length = np.array([len(n) for n in names], dtype=np.int64)
+        content = np.frombuffer(b"".join(names) + bytes(_SPARE), dtype=np.uint8)
+        tables.append(_table(content, np.cumsum(length) - length, length))
+    (city, cities), (artist, artists) = tables
+    week, count = (np.array([int(r[k]) for r in rows], dtype=np.int64) for k in (0, 3))
+    return [((week, city, artist, count), (cities, artists))]
+
+
+def _lines(text: np.ndarray, limit: int):
+    """(start, line_end, odd, plain, commas) of the lines of `text`, which ends in b"\\n":
+    where each starts and ends, which must go to csv (as `_split_lines` says, but for
+    their numbers), the others' indices, and the positions of their 3 commas, as 3 rows."""
+    sep = np.flatnonzero((text == 10) | (text == 44))
+    nl = np.flatnonzero(text[sep] == 10)
+    line_end = sep[nl]
+    start = np.concatenate(([0], line_end[:-1] + 1))
+    odd = (np.diff(nl, prepend=-1) != 4) | (line_end - start > limit)
+    stray = np.flatnonzero((text < 32) & (text != 10) | (text == 34))
+    stray = stray[(text[stray] != 13) | (text[stray + 1] != 10)]  # \r right before \n ends a line
+    odd[np.searchsorted(line_end, stray)] = True
+    plain = np.flatnonzero(~odd)
+    last = nl[plain]
+    return start, line_end, odd, plain, np.stack([sep[last - 3], sep[last - 2], sep[last - 1]])
+
+
+def _split_lines(b: np.ndarray, limit: int):
+    """(week, count, commas, new, runs) of a `_blocks` block: the week, count and 3
+    comma positions of each line split here, whether its week and city differ from
+    the line before's, and the runs of the other lines, for csv.
+
+    A line is split here when it has 3 commas, week and count fields of 1 to 18
+    ASCII digits, no quote and no byte below 0x20 but its line end, and is no
+    longer than csv's field size limit.
+    """
+    start, line_end, odd, plain, (c0, c1, c2) = _lines(b[:-_SPARE], limit)
+    first = start[plain]
+    new = _run_starts(b, first, c1 - first)  # a chart's lines repeat its week and city
+    run = np.cumsum(new) - 1
+    week, ok = (a[run] for a in _digits(b, first[new], c0[new]))
+    stop = line_end[plain]
+    stop -= b[stop - 1] == 13  # a \r right before \n ends the line too
+    count, count_ok = _digits(b, c2 + 1, stop)
+    ok &= count_ok
+    if not ok.all():
+        odd[plain[~ok]] = True
+        week, count, c0, c1, c2, run = (a[ok] for a in (week, count, c0, c1, c2, run))
+        new = np.diff(run, prepend=-1) != 0
+    lines = np.flatnonzero(odd)
+    runs = np.split(lines, np.flatnonzero(np.diff(lines) != 1) + 1)
+    runs = [b[start[r[0]] : line_end[r[-1]] + 1].tobytes() for r in runs if len(r)]
+    return week, count, (c0, c1, c2), new, runs
+
+
+def _parse_block(b: np.ndarray, limit: int) -> list[tuple]:
+    """Parts ((week, city codes, artist codes, count), (distinct cities, distinct
+    artists)) of a `_blocks` block, as `_table` gives codes and distinct names: one
+    of the lines split by `_split_lines`, one of those split by csv."""
+    week, count, (c0, c1, c2), new, runs = _split_lines(b, limit)
+    parts = []
+    if len(week):
+        (city, cities), (artist, artists) = (
+            _table(b, c0 + 1, c1 - c0 - 1, new), _table(b, c1 + 1, c2 - c1 - 1))
+        parts.append(((week, city, artist, count), (cities, artists)))
+    return parts + _csv_part(runs)
+
+
+def _rank(tables: list) -> tuple[list[str], list[np.ndarray]]:
+    """The sorted distinct names of some `_table` tables, and for each table the
+    positions of its names there. Only the distinct names are decoded (raising
+    ValueError for bad UTF-8); UTF-8 byte order is `str` order, so their ranks are
+    the ranks of the decoded names."""
+    length = np.concatenate([t[1] for t in tables])
+    content = np.concatenate([t[0] for t in tables] + [np.zeros(_SPARE, dtype=np.uint8)])
+    start = np.cumsum(length) - length
+    codes, first = _intern(content, start, length)
+    spans = zip(start[first].tolist(), (start + length)[first].tolist())
+    names = [content[a:z].tobytes().decode() for a, z in spans]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.int32)
+    rank[order] = np.arange(len(names), dtype=np.int32)
+    split = np.cumsum([len(t[1]) for t in tables])[:-1]
+    return [names[i] for i in order], np.split(rank[codes], split)
 
 
 def _read_chart_columns(path: str | Path):
-    """(cities, universe, rows) of a plainly valid chart CSV, or None to leave it to csv."""
-    chunks, cities, artists = [], {}, {}
+    """(cities, universe, rows) of a plainly valid chart CSV, or None to leave it to csv.
+
+    A first pass counts the lines, which bound the rows, so each column is
+    allocated once; every block's rows are written straight into them, with
+    codes local to their part until all names are ranked.
+    """
+    limit = csv.field_size_limit()
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            if next(fh, "").rstrip("\r\n") != ",".join(CHART_HEADER):
+        with open(path, "rb") as fh:
+            if fh.readline().rstrip(b"\r\n") != ",".join(CHART_HEADER).encode():
                 return None
-            while lines := list(islice(fh, _CHUNK_ROWS)):
-                chunks.append(_chunk_columns(lines, cities, artists))
-        week, city, artist, count = (_join_column(chunks, k) for k in range(4))
-        if week.min() < 0 or count.min() < 1 or "" in cities or "" in artists:
+            body, lines, buf = fh.tell(), 1, bytearray(_BLOCK_BYTES)
+            while size := fh.readinto(buf):
+                lines += np.count_nonzero(np.frombuffer(buf, dtype=np.uint8, count=size) == 10)
+            fh.seek(body)
+            rows = [np.empty(lines, dtype=t) for t in (np.int64, np.int32, np.int32, np.float64)]
+            spans, names, n = [], [], 0
+            for block in _blocks(fh):
+                for columns, distinct in _parse_block(block, limit):
+                    end = n + len(columns[0])
+                    if end > lines:
+                        return None  # the file grew between the passes
+                    for column, part in zip(rows, columns):
+                        column[n:end] = part
+                    spans.append((n, end))
+                    names.append(distinct)
+                    n = end
+        if not n:
             return None
+        cities, city_ranks = _rank([t for t, _ in names])
+        artists, artist_ranks = _rank([t for _, t in names])
     except (ValueError, OverflowError, csv.Error):  # also bad UTF-8 and no data rows
         return None
-    universe = ArtistUniverse(artists)
-    rank = {c: i for i, c in enumerate(sorted(cities))}
-    city = np.array([rank[c] for c in cities], dtype=np.int32)[city]
-    artist = np.array([universe.index[a] for a in artists], dtype=np.int32)[artist]
-    return tuple(rank), universe, (week, city, artist, count)
+    week, city, artist, count = (column[:n] for column in rows)
+    for (a, z), cr, ar in zip(spans, city_ranks, artist_ranks):
+        city[a:z] = cr[city[a:z]]
+        artist[a:z] = ar[artist[a:z]]
+    if week.min() < 0 or count.min() < 1:
+        return None
+    return tuple(cities), ArtistUniverse(artists), (week, city, artist, count)
 
 
 class ChartStore:
@@ -428,9 +640,12 @@ class ChartStore:
 
     def _set_rows(self, cities, universe, rows, missing_weeks) -> "ChartStore":
         step = np.diff(rows[0])  # files written by write_chart_csv are in order already
-        if (step < 0).any() or ((step == 0) & (np.diff(rows[1]) < 0)).any():
+        unsorted = (step < 0).any() or ((step == 0) & (np.diff(rows[1]) < 0)).any()
+        del step
+        if unsorted:
             order = np.lexsort((rows[1], rows[0]))
-            rows = tuple(a[order] for a in rows)
+            for a in rows:
+                a[:] = a[order]  # in place: each column's copy goes before the next is made
         self._week, self._city, self._artist, self._count = rows
         # The rows that open a (week, city) chart; compared in place, with no int64 copies.
         self._starts = np.ones(len(rows[0]), dtype=bool)
@@ -446,7 +661,8 @@ class ChartStore:
     def from_files(
         cls, chart_path: str | Path, missing_path: str | Path | None = None
     ) -> "ChartStore":
-        """The store `ingest_charts` gives, read by numpy when the file is plainly valid."""
+        """The store `ingest_charts` gives, read as bytes by `_read_chart_columns` when
+        the file is plainly valid, and whole by the csv reader otherwise."""
         missing = read_missing_weeks(missing_path) if missing_path else frozenset()
         if (columns := _read_chart_columns(chart_path)) is not None:
             store = cls.__new__(cls)._set_rows(*columns, missing)

@@ -455,8 +455,9 @@ def test_empty_chart_file_gives_empty_store(tmp_path, text):
 
 
 def test_plain_file_is_read_by_columns(tmp_path, monkeypatch, csv_reads):
-    """Names numpy could truncate, drop or misread still load exactly, without csv."""
-    monkeypatch.setattr(charts_module, "_CHUNK_ROWS", 3)
+    """Names a fixed-width read could truncate, drop or misread still load exactly,
+    without the csv reader."""
+    monkeypatch.setattr(charts_module, "_BLOCK_BYTES", 40)
     names = ["a", "abcdefghijklmnopqrstuvwxyz", "#hash", " spaced ", "漢字", "Björk", "\u3000x"]
     names.append("l" * 300)  # a fixed-width read would widen every name of its chunk to this
     names += ["z\x00", "z"]  # fixed-width numpy strings drop trailing NULs
@@ -474,8 +475,8 @@ def test_plain_file_is_read_by_columns(tmp_path, monkeypatch, csv_reads):
 
 
 def test_parsed_chunks_are_not_kept_alive(tmp_path, monkeypatch):
-    """A column view into a parsed chunk would keep the chunk's name strings alive."""
-    monkeypatch.setattr(charts_module, "_CHUNK_ROWS", 1000)
+    """A view into a parsed block would keep the block's names alive."""
+    monkeypatch.setattr(charts_module, "_BLOCK_BYTES", 411_000)  # 1,000 lines
     names = [(f"{'c' * 200}{i % 7}", f"a{i % 50:03d}{'x' * 200}") for i in range(10000)]
     path = chart_file(tmp_path, [(w, city, artist, 1) for w in (0, 1) for city, artist in names])
     tracemalloc.start()
@@ -484,16 +485,16 @@ def test_parsed_chunks_are_not_kept_alive(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Each parsed chunk holds 2,000 name strings of about 200 characters, about
-    # 0.5 MB: keeping all 20 alive would need about 10 MB.
+    # Each block holds 2,000 names of about 200 bytes, about 0.4 MB: keeping all
+    # 20 alive would need about 8 MB.
     assert peak < 5 * 2**20
 
 
 def test_read_peak_stays_near_its_final_arrays(tmp_path, monkeypatch):
-    """Chunk copies go as each column is joined, and a parsed chunk goes before the next."""
-    monkeypatch.setattr(charts_module, "_CHUNK_ROWS", 1024)
+    """Rows go straight into columns of the final size, and a parsed block goes before the next."""
+    monkeypatch.setattr(charts_module, "_BLOCK_BYTES", 13_000)  # about 1,000 lines
     rows = [(w, f"c{c}", f"a{a}", a + 1) for w in range(123) for c in range(4) for a in range(50)]
-    path = chart_file(tmp_path, rows)  # 24,600 rows: 24 chunks
+    path = chart_file(tmp_path, rows)  # 24,600 rows: 24 blocks
     tracemalloc.start()
     try:
         _, _, columns = charts_module._read_chart_columns(path)
@@ -501,29 +502,45 @@ def test_read_peak_stays_near_its_final_arrays(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     final = sum(column.nbytes for column in columns)
-    # All chunks plus their joined copy would be about 2x the final arrays.
+    # All blocks' rows plus their joined copy would be about 2x the final arrays.
     assert peak < 1.5 * final
 
 
+NAMES = ["c0", "c1", "é", "c0 ", "c0\x00", "a" * 8, "a" * 8 + "b", "a" * 16, "a" * 16 + "\x00",
+         "z"]
+
+
 @given(
-    names=st.lists(st.sampled_from(["c0", "c1", "c2", "é", "c0 "]), max_size=60),
-    first=st.lists(st.sampled_from(["c1", "z"]), max_size=5),
-    order=st.sampled_from(["sorted", "shuffled", "as drawn"]),
-    seed=st.integers(0, 2**32 - 1),
+    rows=st.lists(st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES)), min_size=1,
+                  max_size=60),
+    block=st.sampled_from([40, 100, 1 << 19]),
 )
-@settings(max_examples=200, deadline=None)
-def test_run_interning_matches_dict_interning(names, first, order, seed):
-    if order == "sorted":
-        names = sorted(names)
-    elif order == "shuffled":
-        np.random.default_rng(seed).shuffle(names)
-    by_dict, by_runs = {}, {}
-    for chunk in (first, names):  # the table carries over from an earlier chunk
-        chunk = np.array(chunk, dtype=object)
-        want = charts_module._intern(chunk, by_dict)
-        got = charts_module._intern_runs(chunk, by_runs)
-        assert got.dtype == want.dtype and got.tolist() == want.tolist()
-        assert list(by_runs.items()) == list(by_dict.items())
+@settings(max_examples=150, deadline=None)
+def test_name_codes_are_ranks_across_blocks(tmp_path_factory, rows, block):
+    """Each row's city and artist codes are the ranks of its names among all names of their column,
+    whichever blocks the names fall in."""
+    rows = [(w, city, artist, 1) for w, (city, artist) in enumerate(rows)]
+    path = chart_file(tmp_path_factory.mktemp("codes"), rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(charts_module, "_BLOCK_BYTES", block)
+        cities, universe, (week, city, artist, count) = charts_module._read_chart_columns(path)
+    order = np.argsort(week)  # lines split by csv follow the other lines of their block
+    for k, codes, names in ((1, city, cities), (2, artist, universe.artists)):
+        assert names == tuple(sorted({r[k] for r in rows}))
+        assert codes.dtype == np.int32
+        assert codes[order].tolist() == [names.index(r[k]) for r in rows]
+    assert week[order].tolist() == list(range(len(rows))) and count.tolist() == [1.0] * len(rows)
+
+
+def test_names_sharing_a_key_go_through_csv_reader(tmp_path, monkeypatch, csv_reads):
+    """With every name key equal, no two names are taken for one: the file goes to csv.
+    One row a week, so names taken for one would make no duplicate rows."""
+    monkeypatch.setattr(charts_module, "_MIX", np.uint64(0))
+    names = ["a", "b", "a" * 20, "a" * 19 + "b"]
+    rows = [(w, "cd"[w % 2], a, w + 1) for w, a in enumerate(names)]
+    path = chart_file(tmp_path, rows)
+    assert_columnar_matches_csv(path)
+    assert len(csv_reads) == 2
 
 
 @pytest.mark.parametrize(
@@ -531,12 +548,13 @@ def test_run_interning_matches_dict_interning(names, first, order, seed):
     [
         '0,"c,d",a,1\n0,c,"x ""y""",2\n',  # csv quoting
         '0,c,"a\nb",1\n',  # a quoted line break
-        "\n\n\r\n",  # blank lines only, on which loadtxt warns
+        "\n\n\r\n",  # blank lines only
+        "0,c,b,1_0\n",  # int() reads it, the byte path takes only digits
     ],
-    ids=range(3),
+    ids=range(4),
 )
 def test_odd_chunk_is_split_by_csv(tmp_path, csv_reads, text):
-    """A chunk numpy must not split is split by csv; the file is not read again."""
+    """Lines the byte path must not split are split by csv; the file is not read again."""
     path = tmp_path / "charts.csv"
     path.write_text(f"{HEADER}\n0,c,a,3\n{text}", encoding="utf-8", newline="")
     with warnings.catch_warnings():
@@ -546,22 +564,21 @@ def test_odd_chunk_is_split_by_csv(tmp_path, csv_reads, text):
     assert_columnar_matches_csv(path)
 
 
-def test_quote_in_last_chunk_leaves_other_chunks_to_numpy(tmp_path, monkeypatch, csv_reads):
-    monkeypatch.setattr(charts_module, "_CHUNK_ROWS", 3)
+def test_quoted_line_leaves_other_lines_to_the_byte_path(tmp_path, monkeypatch, csv_reads):
+    monkeypatch.setattr(charts_module, "_BLOCK_BYTES", 40)
     rows = [(w, c, a, w + 1) for w in range(4) for c, a in (("c", "a"), ("d", "b"), ("e", "a"))]
     path = chart_file(tmp_path, rows + [(4, "c", '"x,y"', 5), (4, "d", "b", 1)])
-    week_types = []  # numpy reads weeks as int64, csv as text
-    split = charts_module._split_chunk
+    runs = []  # the lines csv splits
+    split = charts_module._csv_part
 
     def recorded(lines):
-        columns = split(lines)
-        week_types.append(columns[0].dtype)
-        return columns
+        runs.extend(lines)
+        return split(lines)
 
-    monkeypatch.setattr(charts_module, "_split_chunk", recorded)
+    monkeypatch.setattr(charts_module, "_csv_part", recorded)
     store = ChartStore.from_files(path)
     assert csv_reads == []
-    assert week_types == [np.dtype(np.int64)] * 4 + [np.dtype(object)]
+    assert runs == [b'4,c,"x,y",5\n']
     assert "x,y" in store.universe
     assert_columnar_matches_csv(path)
 
@@ -569,22 +586,94 @@ def test_quote_in_last_chunk_leaves_other_chunks_to_numpy(tmp_path, monkeypatch,
 @pytest.mark.parametrize(
     "tail",
     [
-        '0,c,"x\ny",1\n1,c,a,2\n',  # valid: the field closes in the next chunk
+        '0,c,"x\ny",1\n1,c,a,2\n',  # valid: the field closes in the next block
         '0,d,a,"1\n1,d,b,2\n1,c,a,1\n',  # invalid: the field never closes
     ],
     ids=["closed", "open"],
 )
 def test_quote_open_at_chunk_end_goes_through_csv_reader(tmp_path, monkeypatch, csv_reads, tail):
-    """csv must not close a quoted field where the chunk ends: the whole file goes to csv."""
-    monkeypatch.setattr(charts_module, "_CHUNK_ROWS", 3)
+    """csv must not close a quoted field where its run of lines ends: the whole file goes to csv.
+    The 'closed' field's run ends at the block's end, the 'open' one's at a plain line."""
+    monkeypatch.setattr(charts_module, "_BLOCK_BYTES", 24)
     path = tmp_path / "charts.csv"
     path.write_text(f"{HEADER}\n0,c,a,1\n0,c,b,1\n{tail}", encoding="utf-8")
     assert_columnar_matches_csv(path)
     assert len(csv_reads) == 2
 
 
+# Names of 7, 8, 9, 16 and 17 bytes, names equal in their first 8 or 16 bytes, and
+# 3-byte characters across the 8th and 16th bytes: the byte reader reads names in
+# 8-byte words.
+BOUNDARY_NAMES = ["a" * 7, "a" * 8, "a" * 9, "a" * 16, "a" * 17, "abcdefgh1", "abcdefgh2",
+                  "abcdefghijklmnop1", "abcdefghijklmnop2", "abcdefg漢", "abcdefghijklmno漢"]
+
+
+def boundary_lines(end=b"\n"):
+    """Chart lines naming every boundary name as a city and as an artist."""
+    names = [n.encode() for n in BOUNDARY_NAMES]
+    return [b"%d,%s,%s,%d" % (w, c, a, w + i + 1) + end
+            for w in range(2) for i, (c, a) in enumerate(zip(names, names[::-1]))]
+
+
+@pytest.mark.parametrize("block", [16, 23, 29, 37])
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"".join(boundary_lines()),
+        b"".join(boundary_lines(b"\r\n")),  # some block reads end between \r and \n
+        b"".join(boundary_lines())[:-1],  # a last line with no line end
+    ],
+    ids=["names", "crlf", "no-last-newline"],
+)
+def test_byte_path_boundaries_match_csv_reader(tmp_path, monkeypatch, csv_reads, block, body):
+    """Block reads that end inside lines, inside names and inside a 3-byte character
+    still give the csv reader's store, with no line split by csv."""
+    monkeypatch.setattr(charts_module, "_BLOCK_BYTES", block)
+    runs = []  # the lines csv splits
+    split = charts_module._csv_part
+
+    def recorded(lines):
+        runs.extend(lines)
+        return split(lines)
+
+    monkeypatch.setattr(charts_module, "_csv_part", recorded)
+    path = tmp_path / "charts.csv"
+    path.write_bytes(HEADER.encode() + b"\n" + body)
+    ChartStore.from_files(path)
+    assert csv_reads == [] and runs == []
+    assert_columnar_matches_csv(path)
+
+
+@pytest.mark.parametrize("block", [16, 1 << 19])
+@pytest.mark.parametrize(
+    "tail",
+    [
+        b"1,c,abcdefg\xe6\xbc,1\n",  # a 3-byte character cut short
+        b"0,c," + b"a" * (csv.field_size_limit() + 1) + b",1\n",
+    ],
+    ids=["bad-utf8", "long-line"],
+)
+def test_byte_path_errors_in_a_later_block_match_csv_reader(tmp_path, monkeypatch, block, tail):
+    monkeypatch.setattr(charts_module, "_BLOCK_BYTES", block)
+    path = tmp_path / "charts.csv"
+    path.write_bytes(HEADER.encode() + b"\n" + b"".join(boundary_lines()) * 50 + tail)
+    assert_columnar_matches_csv(path)
+
+
+def test_numbers_of_every_width_match_csv_reader(tmp_path, monkeypatch):
+    """Weeks and counts of 1 to 20 digits: up to 18 read as words of 8 digits, more by csv."""
+    monkeypatch.setattr(charts_module, "_BLOCK_BYTES", 64)
+    counts = [int("9876543210" * 2) % 10**k or 1 for k in range(1, 21)] + [10**17, 10**18 - 1]
+    weeks = ["0" * k + "1" for k in range(20)]  # week 1 written with up to 19 leading zeros
+    rows = [(w, "c", f"a{i}", n) for i, (w, n) in enumerate(zip(["0"] * len(counts), counts))]
+    rows += [(w, "d", f"a{i}", 1) for i, w in enumerate(weeks)]
+    store = ChartStore.from_files(chart_file(tmp_path, rows))
+    assert sorted(store._count.tolist()) == sorted([float(n) for n in counts] + [1.0] * len(weeks))
+    assert_columnar_matches_csv(chart_file(tmp_path, rows))
+
+
 def test_undecodable_text_past_a_bad_row_reports_the_bad_row(tmp_path, csv_reads):
-    """Bad UTF-8 in a later block of the chunk does not hide csv's error on line 2."""
+    """Bad UTF-8 in a later block does not hide csv's error on line 2."""
     path = tmp_path / "charts.csv"
     padding = "".join(f"1,c,a{i:05d},1\n" for i in range(1000)).encode()
     path.write_bytes(f"{HEADER}\n0,c,a,x\n".encode() + padding + b"1,c,\xff,1\n")
@@ -596,19 +685,18 @@ def test_undecodable_text_past_a_bad_row_reports_the_bad_row(tmp_path, csv_reads
 @pytest.mark.parametrize(
     "text",
     [
-        "0,c,a,5\x1c\n",  # numpy's integer parser skips \x1c
+        "0,c,a,5\x1c\n",  # int() rejects \x1c
         "0,c,\ud800,1\n",  # a lone surrogate cannot be written as UTF-8
         "0,c,a,1\n  \n",  # a whitespace-only line is a 1-field row
         "0,c,a,1\n0,c,a,2\n",  # duplicate
         "0,c,a,0\n",  # non-positive count
         "-1,c,a,1\n",  # negative week
         "0,,a,1\n",  # empty name
-        "0,c,a,1_0\n",  # int() reads it, numpy does not
         "0,c,a,99999999999999999999\n",  # above int64
         "0,c,a,1,2\n",  # extra field
         "0,c," + "a" * (csv.field_size_limit() + 1) + ",1\n",  # csv raises its own error
     ],
-    ids=range(11),
+    ids=[*range(7), *range(8, 11)],
 )
 def test_odd_file_goes_through_csv_reader(tmp_path, csv_reads, text):
     path = tmp_path / "charts.csv"
@@ -619,7 +707,7 @@ def test_odd_file_goes_through_csv_reader(tmp_path, csv_reads, text):
 
 @pytest.mark.parametrize("digit", ["٥", "२", "５"])
 def test_non_ascii_digits_read_as_int_reads_them(tmp_path, digit):
-    """numpy's own parser reads '२' as 2360; non-ASCII text goes through int()."""
+    """A non-ASCII digit sends its line to csv, where int() reads it."""
     path = tmp_path / "charts.csv"
     path.write_text(f"{HEADER}\n0,漢,a,{digit}\n", encoding="utf-8")
     store = ChartStore.from_files(path)
@@ -652,7 +740,8 @@ def test_restrict_to_cities_matches_filtered_charts(tmp_path):
         store.restrict(("late", "nowhere"))
 
 
-PLAIN_NAMES = ["c0", "c1", "a", "b", "漢", "Björk", " sp ", " ", "#hash", "\u3000w", "long_" * 6]
+PLAIN_NAMES = ["c0", "c1", "a", "b", "漢", "Björk", " sp ", " ", "#hash", "\u3000w", "long_" * 6,
+               *BOUNDARY_NAMES]
 ODD_NAMES = PLAIN_NAMES + ["x,y", 'q"t', "c\x00", "c", "", "tab\tx", "z\x1c", "n\nl"]
 ODD_WEEKS = ["+2", " 3", "-1", "1000000000000", "٣", "x", "", "1_0", "2.0"]
 ODD_COUNTS = ["+5", "1_0", "٥", "२", "99999999999999999999", "0", "-3", " 7", "7 ", "5\x1c", ""]
@@ -690,12 +779,12 @@ def chart_texts(draw):
     return header + "".join(lines), frozenset(missing)
 
 
-@given(chart=chart_texts(), chunk=st.sampled_from([3, 1 << 14]))
+@given(chart=chart_texts(), block=st.sampled_from([16, 1 << 19]))
 @settings(max_examples=300, deadline=None)
-def test_columnar_reader_matches_csv_reader(tmp_path_factory, chart, chunk):
+def test_columnar_reader_matches_csv_reader(tmp_path_factory, chart, block):
     text, missing = chart
     path = tmp_path_factory.mktemp("oracle") / "charts.csv"
     path.write_text(text, encoding="utf-8", newline="")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(charts_module, "_CHUNK_ROWS", chunk)
+        patch.setattr(charts_module, "_BLOCK_BYTES", block)
         assert_columnar_matches_csv(path, missing)
