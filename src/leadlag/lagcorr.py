@@ -9,6 +9,7 @@ velocity at week t with the leader's at week t - lag, scans lags of 1 to
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -25,6 +26,8 @@ VELOCITY_STEP_WEEKS = 4
 DEFAULT_MIN_SAMPLES = 20
 # The types json.load gives a number. Checked with type(): bool subclasses int.
 _NUMBER = {int, float}
+# The top-level keys of a save_dyads cache.
+_CACHE_KEYS = {"cities", "dyads", "weeks", "values"}
 
 
 @dataclass(frozen=True)
@@ -185,22 +188,45 @@ def save_dyads(path: str | Path, dyads: Iterable[DyadResult], cities: Iterable[s
     """Write the scanned cities and their dyad results as JSON, stable across reruns.
 
     The city list keeps cities with no scored dyad, so a graph rebuilt from
-    the cache has the nodes of the run that wrote it. Each dyad is encoded
-    on its own, so only one dyad's samples are Python objects at a time.
+    the cache has the nodes of the run that wrote it. Dyads are sorted by
+    (leader, follower), each with its sample count; `weeks` and `values`
+    hold every dyad's samples in that order as base64 of little-endian
+    int64 and float64, so the samples round-trip bit for bit.
     """
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    items = [
-        encode({
-            "leader": d.leader_candidate,
-            "follower": d.follower_candidate,
-            "best_lag": d.best_lag,
-            "correlation": d.correlation,
-            "samples": {str(d.best_lag): list(zip(d.weeks.tolist(), d.values.tolist()))},
-        })
-        for d in sorted(dyads, key=lambda d: (d.leader_candidate, d.follower_candidate))
-    ]
+    dyads = sorted(dyads, key=lambda d: (d.leader_candidate, d.follower_candidate))
+    payload = {
+        "cities": sorted(cities),
+        "dyads": [
+            {
+                "leader": d.leader_candidate,
+                "follower": d.follower_candidate,
+                "best_lag": d.best_lag,
+                "correlation": d.correlation,
+                "samples": len(d.values),
+            }
+            for d in dyads
+        ],
+        "weeks": _encode_column((d.weeks for d in dyads), "<i8"),
+        "values": _encode_column((d.values for d in dyads), "<f8"),
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{"cities":' + encode(sorted(cities)) + ',"dyads":[' + ",".join(items) + "]}\n")
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _encode_column(arrays: Iterable[np.ndarray], dtype: str) -> str:
+    """Base64 of the arrays' items as `dtype`, end to end."""
+    return base64.b64encode(b"".join(a.astype(dtype).tobytes() for a in arrays)).decode("ascii")
+
+
+def _decode_column(path: str | Path, text: object, name: str, dtype: str) -> np.ndarray:
+    """The items of `dtype` that a cache's column `name` encodes."""
+    try:
+        raw = base64.b64decode(text, validate=True)  # TypeError if text is not a string
+        if len(raw) % 8:
+            raise ValueError
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raise ValueError(f"{path}: {name} is not base64 of whole 8-byte items") from None
+    return np.frombuffer(raw, dtype=dtype)
 
 
 def load_dyads(path: str | Path) -> list[DyadResult]:
@@ -208,39 +234,45 @@ def load_dyads(path: str | Path) -> list[DyadResult]:
     return load_dyad_cache(path)[1]
 
 
-def load_dyad_cache(path: str | Path) -> tuple[tuple[str, ...] | None, list[DyadResult]]:
+def load_dyad_cache(path: str | Path) -> tuple[tuple[str, ...], list[DyadResult]]:
     """Read a save_dyads cache: its city list and its dyads.
 
-    A cache written before the city list was stored gives None for it;
-    caches holding every lag load the same. Raises ValueError, naming the
-    file and the dyad, for a cache that would otherwise distort the graph
-    silently: a dyad (then named by its 1-based position) or its samples
-    not a JSON object, a dyad naming a city outside the city list, a repeated
-    (follower, leader) pair, a best lag that is not an integer in 1..5,
-    no samples for the best lag, fewer than 2 samples, a sample that is
-    not a [week, value] pair, a week that is not an integer, a sample value
-    or correlation that is not a JSON number (true and "0.25" are not),
-    weeks that do not strictly increase, a NaN or infinite value, or a
-    correlation that is not the mean of its samples to within 1e-12.
+    Raises ValueError, naming the file, for a file in another layout (such
+    as a cache written before the samples were stored as columns, which
+    listed [week, value] pairs), and for a cache that would otherwise distort
+    the graph silently: `dyads` not a list, a weeks or values column that
+    is not base64 of whole 8-byte items, sample counts that do not sum to
+    the columns' length, or, naming the dyad (by its 1-based position if it is not a
+    JSON object), a dyad naming a city outside the city list, a repeated
+    (follower, leader) pair, a best lag that is not an integer in 1..5, a
+    sample count that is not an integer or is below 2, a correlation that
+    is not a JSON number ("0.25" is not), weeks that do not strictly
+    increase, a NaN or infinite value, or a correlation that is not the
+    mean of its samples to within 1e-12.
     """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    items, cities = payload["dyads"], payload.get("cities")
-    if cities is not None:
-        if not isinstance(cities, list) or not all(isinstance(c, str) for c in cities):
-            raise ValueError(f"{path}: cities is not a list of city names")
-        cities, known = tuple(cities), set(cities)
+    if not isinstance(payload, dict) or not _CACHE_KEYS <= payload.keys():
+        raise ValueError(
+            f"{path}: not a dyad cache in the current layout, which stores the samples as "
+            "base64 weeks and values columns; rerun `leadlag dyads` or `leadlag run` to rewrite it"
+        )
+    items, cities = payload["dyads"], payload["cities"]
+    if not isinstance(cities, list) or not all(isinstance(c, str) for c in cities):
+        raise ValueError(f"{path}: cities is not a list of city names")
+    cities, known = tuple(cities), set(cities)
+    if not isinstance(items, list):
+        raise ValueError(f"{path}: dyads is not a list")
 
     def reject(item: Mapping, problem: str) -> ValueError:
         return ValueError(f"{path}: dyad {item['follower']!r} -> {item['leader']!r} {problem}")
 
     seen = set()
-    sizes, weeks, values = [], [], []
     for number, item in enumerate(items, start=1):
         if not isinstance(item, dict):
             raise ValueError(f"{path}: dyad {number} is not a JSON object")
         pair = (item["follower"], item["leader"])
-        if cities is not None and not known.issuperset(pair):
+        if not all(type(c) is str and c in known for c in pair):
             raise reject(item, "names a city that is not in the cache's city list")
         if pair in seen:
             raise reject(item, "appears twice")
@@ -248,48 +280,41 @@ def load_dyad_cache(path: str | Path) -> tuple[tuple[str, ...] | None, list[Dyad
         lag = item["best_lag"]
         if type(lag) is not int or not MIN_LAG <= lag <= MAX_LAG:
             raise reject(item, f"has best_lag {lag!r}, not an integer in {MIN_LAG}..{MAX_LAG}")
-        if not isinstance(item["samples"], dict):
-            raise reject(item, "has samples that are not a JSON object")
-        samples = item["samples"].get(str(lag))
-        if samples is None:
-            raise reject(item, f"has no samples for its best lag {lag}")
-        if len(samples) < 2:
-            raise reject(item, f"has {len(samples)} samples, fewer than 2")
-        if set(map(len, samples)) != {2}:
-            raise reject(item, "has a sample that is not a [week, value] pair")
-        item_weeks, item_values = zip(*samples)
-        if set(map(type, item_weeks)) != {int}:
-            raise reject(item, "has a week that is not an integer")
-        if not set(map(type, item_values)) <= _NUMBER:
-            raise reject(item, "has a sample value that is not a number")
+        size = item["samples"]
+        if type(size) is not int:
+            raise reject(item, "has a sample count that is not an integer")
+        if size < 2:
+            raise reject(item, f"has {size} samples, fewer than 2")
         if type(item["correlation"]) not in _NUMBER:
             raise reject(item, "has a correlation that is not a number")
-        sizes.append(len(samples))
-        weeks.extend(item_weeks)
-        values.extend(item_values)
+    weeks = _decode_column(path, payload["weeks"], "weeks", "<i8")
+    values = _decode_column(path, payload["values"], "values", "<f8")
+    sizes = [item["samples"] for item in items]
+    if not sum(sizes) == len(weeks) == len(values):
+        raise ValueError(
+            f"{path}: the dyads' sample counts do not sum to the length of the weeks and "
+            "values columns"
+        )
     if not items:
         return cities, []
     bounds = np.cumsum([0] + sizes)
     starts = bounds[:-1]
-    flat_weeks = np.array(weeks, dtype=np.int64)
-    flat_values = np.array(values, dtype=np.float64)
     correlation = np.array([item["correlation"] for item in items], dtype=np.float64)
 
     def require(ok: np.ndarray, problem: str) -> None:
         if not ok.all():
             raise reject(items[int(np.argmin(ok))], problem)
 
-    finite = np.logical_and.reduceat(np.isfinite(flat_values), starts) & np.isfinite(correlation)
+    finite = np.logical_and.reduceat(np.isfinite(values), starts) & np.isfinite(correlation)
     require(finite, "has a non-finite correlation or sample value")
-    step_up = np.diff(flat_weeks, prepend=flat_weeks[0]) > 0
+    step_up = np.diff(weeks, prepend=weeks[0]) > 0
     step_up[starts] = True
     require(np.logical_and.reduceat(step_up, starts), "has weeks that repeat or are out of order")
-    mean = np.add.reduceat(flat_values, starts) / np.diff(bounds)
+    mean = np.add.reduceat(values, starts) / np.diff(bounds)
     require(np.abs(mean - correlation) <= 1e-12,
             "has a correlation that is not the mean of its samples")
     bounds = bounds.tolist()
     return cities, [
-        DyadResult(item["leader"], item["follower"], item["best_lag"], c,
-                   flat_weeks[a:b], flat_values[a:b])
+        DyadResult(item["leader"], item["follower"], item["best_lag"], c, weeks[a:b], values[a:b])
         for item, c, a, b in zip(items, correlation.tolist(), bounds, bounds[1:])
     ]

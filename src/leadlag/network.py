@@ -98,7 +98,8 @@ def _check_alpha(alpha: float) -> None:
 def _decide(
     dyads: Sequence[DyadResult], alpha: float, nodes: Sequence[str]
 ) -> list[Edge]:
-    """Edges over every pair of `nodes` with a scored dyad, sorted.
+    """Edges over every pair of the sorted, distinct `nodes` with a scored
+    dyad, sorted.
 
     A dyad passes the screen when its samples' mean is significantly
     nonzero at alpha, its correlation positive and its sample not flat. A
@@ -107,13 +108,20 @@ def _decide(
     test over the (at least 2) weeks both have a sample must separate them,
     by differences that are not flat, and the larger correlation wins.
     """
-    known = set(nodes)
-    latest = {(d.follower_candidate, d.leader_candidate): d for d in dyads}
-    pairs = [p for p in latest if known.issuperset(p)]
-    if not pairs:
+    index = {c: i for i, c in enumerate(nodes)}
+    n_nodes = len(nodes)
+    ends = np.array(
+        [(index.get(d.follower_candidate, -1), index.get(d.leader_candidate, -1)) for d in dyads],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    # Latest first, so np.unique keeps the last dyad of each pair.
+    inside = np.flatnonzero((ends >= 0).all(axis=1))[::-1]
+    if not len(inside):
         return []
-    position = {p: i for i, p in enumerate(pairs)}
-    dyads = [latest[p] for p in pairs]
+    # Each (follower, leader) pair once, in name order, by its code
+    # follower * n_nodes + leader.
+    code, last = np.unique(ends[inside, 0] * n_nodes + ends[inside, 1], return_index=True)
+    dyads = [dyads[i] for i in inside[last].tolist()]
     sizes = np.array([len(d.values) for d in dyads], dtype=np.int64)
     values = np.concatenate([d.values for d in dyads])
     correlation = np.array([d.correlation for d in dyads])
@@ -121,8 +129,10 @@ def _decide(
     passes = (p_value < alpha) & (correlation > 0)  # a flat dyad has p = 1
 
     # Each pair with both orientations once, as (first, second) dyad indexes.
-    mate = np.array([position.get((leader, follower), -1) for follower, leader in pairs])
-    first = np.flatnonzero(np.arange(len(pairs)) < mate)
+    reverse = code % n_nodes * n_nodes + code // n_nodes
+    mate = np.minimum(np.searchsorted(code, reverse), len(code) - 1)
+    mate[code[mate] != reverse] = -1
+    first = np.flatnonzero(np.arange(len(code)) < mate)
     second = mate[first]
     live = ~(flat[first] | flat[second])
     one_sided = live & (passes[first] != passes[second])
@@ -149,14 +159,13 @@ def _decide(
     decided = np.flatnonzero(enough)[contest.reject_at(alpha)]
     f, b = fwd[decided], bwd[decided]
 
-    winners = np.concatenate([
+    winners = np.sort(np.concatenate([
         np.flatnonzero(passes & (mate < 0)),
         np.where(passes[first], first, second)[one_sided],
         np.where(correlation[f] > correlation[b], f, b)[correlation[f] != correlation[b]],
-    ])
+    ]))
     chosen = (dyads[i] for i in winners.tolist())
-    edges = (Edge(d.follower_candidate, d.leader_candidate, d.correlation, d.best_lag) for d in chosen)
-    return sorted(edges, key=lambda e: (e.follower, e.leader))
+    return [Edge(d.follower_candidate, d.leader_candidate, d.correlation, d.best_lag) for d in chosen]
 
 
 def build_graph(
@@ -269,8 +278,10 @@ def _greedy_fas_order(w: np.ndarray) -> list[int]:
         if alive.any():
             live = np.flatnonzero(alive)
             block = w[np.ix_(live, live)]
-            gain = np.cumsum(block, axis=0)[-1] - np.cumsum(block, axis=1)[:, -1]
-            best = int(live[np.argmin(-gain)])
+            # Eades, Lin & Smyth: the node with the largest out - in weight
+            # goes to the head, so its out-edges run forward.
+            gain = np.cumsum(block, axis=1)[:, -1] - np.cumsum(block, axis=0)[-1]
+            best = int(live[np.argmax(gain)])
             head.append(best)
             alive[best] = False
     order = head + tail

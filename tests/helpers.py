@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
@@ -45,74 +46,95 @@ def velocity_series(city_id, vectors):
     return VelocitySeries(city_id, weeks, from_scipy(matrix))
 
 
+# The dtype of each sample column of a dyad cache.
+CACHE_COLUMNS = {"weeks": "<i8", "values": "<f8"}
+
+
+def column(payload, name):
+    """A dyad cache payload's decoded weeks or values column, writable."""
+    return np.frombuffer(base64.b64decode(payload[name]), CACHE_COLUMNS[name]).copy()
+
+
+def set_column(payload, name, items):
+    """Store `items` as a dyad cache payload's weeks or values column."""
+    payload[name] = base64.b64encode(np.asarray(items, CACHE_COLUMNS[name]).tobytes()).decode()
+
+
 def distort(payload, case):
     """Change one dyad of a one-dyad cache the way `case` names."""
     [item] = payload["dyads"]
-    lag = str(item["best_lag"])
-    samples = item["samples"][lag]
+    weeks, values = column(payload, "weeks"), column(payload, "values")
     if case.startswith("lag "):
         item["best_lag"] = json.loads(case[4:])
-        item["samples"][str(item["best_lag"])] = samples
-    elif case == "fractional week":
-        samples[3][0] += 0.5
-    elif case == "week as text":
-        samples[3][0] = str(samples[3][0])
-    elif case == "value true":
-        samples[2][1] = True
-    elif case == "value as text":
-        samples[2][1] = str(samples[2][1])
     elif case == "correlation as text":
         item["correlation"] = str(item["correlation"])
     elif case == "repeated week":
-        samples[4][0] = samples[3][0]
+        weeks[4] = weeks[3]
     elif case == "weeks out of order":
-        samples[3], samples[4] = samples[4], samples[3]
+        weeks[[3, 4]], values[[3, 4]] = weeks[[4, 3]], values[[4, 3]]
     elif case == "repeated pair":
         payload["dyads"].append(json.loads(json.dumps(item)))
+        weeks, values = np.tile(weeks, 2), np.tile(values, 2)
     elif case == "correlation off its samples":
         item["correlation"] = 0.9
     elif case == "one sample":
-        item["samples"][lag] = samples[:1]
-        item["correlation"] = samples[0][1]
-    elif case == "sample of three fields":
-        samples[2].append(1.0)
-    elif case == "no samples at the best lag":
-        item["best_lag"] = 1
-        item["samples"] = {"2": samples}
+        weeks, values = weeks[:1], values[:1]
+        item["samples"], item["correlation"] = 1, float(values[0])
     elif case == "city outside the city list":
         payload["cities"] = [item["leader"]]
-    elif case == "samples as a list":
-        item["samples"] = samples
+    elif case == "leader as a list":
+        item["leader"] = [item["leader"]]
     elif case == "dyad as a number":
         payload["dyads"] = [5]
+    elif case == "dyads as a number":
+        payload["dyads"] = 5
+    elif case == "count as text":
+        item["samples"] = str(item["samples"])
+    elif case == "count true":
+        item["samples"] = True
+    elif case == "counts short of the columns":
+        item["samples"] -= 1
+    set_column(payload, "weeks", weeks)
+    set_column(payload, "values", values)
+    if case == "weeks not base64":
+        payload["weeks"] = "*" + payload["weeks"][1:]
+    elif case == "values not whole items":
+        payload["values"] = base64.b64encode(base64.b64decode(payload["values"])[:-4]).decode()
+    elif case == "pair layout":
+        item["samples"] = {str(item["best_lag"]): [[w, v] for w, v in zip(weeks.tolist(), values.tolist())]}
+        del payload["weeks"], payload["values"]
     return payload
 
 
-# Each distortion of a dyad cache, with the problem load_dyads reports for it.
+# Each distortion of a dyad cache, with the problem load_dyads reports for
+# it; {dyad} stands for {follower} -> {leader}, the names' reprs.
 DISTORTIONS = {
-    "lag 9": "has best_lag 9, not an integer in 1..5",
-    "lag 0": "has best_lag 0, not an integer in 1..5",
-    "lag 2.0": "has best_lag 2.0, not an integer in 1..5",
-    "lag true": "has best_lag True, not an integer in 1..5",
-    "fractional week": "has a week that is not an integer",
-    "week as text": "has a week that is not an integer",
-    "value true": "has a sample value that is not a number",
-    "value as text": "has a sample value that is not a number",
-    "correlation as text": "has a correlation that is not a number",
-    "repeated week": "has weeks that repeat or are out of order",
-    "weeks out of order": "has weeks that repeat or are out of order",
-    "repeated pair": "appears twice",
-    "correlation off its samples": "has a correlation that is not the mean of its samples",
-    "one sample": "has 1 samples, fewer than 2",
-    "sample of three fields": "has a sample that is not a [week, value] pair",
-    "city outside the city list": "names a city that is not in the cache's city list",
-    "no samples at the best lag": "has no samples for its best lag 1",
-    "samples as a list": "has samples that are not a JSON object",
-    "dyad as a number": "is not a JSON object",
+    "lag 9": "dyad {dyad} has best_lag 9, not an integer in 1..5",
+    "lag 0": "dyad {dyad} has best_lag 0, not an integer in 1..5",
+    "lag 2.0": "dyad {dyad} has best_lag 2.0, not an integer in 1..5",
+    "lag true": "dyad {dyad} has best_lag True, not an integer in 1..5",
+    "correlation as text": "dyad {dyad} has a correlation that is not a number",
+    "repeated week": "dyad {dyad} has weeks that repeat or are out of order",
+    "weeks out of order": "dyad {dyad} has weeks that repeat or are out of order",
+    "repeated pair": "dyad {dyad} appears twice",
+    "correlation off its samples": "dyad {dyad} has a correlation that is not the mean of its samples",
+    "one sample": "dyad {dyad} has 1 samples, fewer than 2",
+    "city outside the city list": "dyad {dyad} names a city that is not in the cache's city list",
+    "leader as a list": "dyad {follower} -> [{leader}] names a city that is not in the cache's city list",
+    "dyad as a number": "dyad 1 is not a JSON object",
+    "dyads as a number": "dyads is not a list",
+    "count as text": "dyad {dyad} has a sample count that is not an integer",
+    "count true": "dyad {dyad} has a sample count that is not an integer",
+    "weeks not base64": "weeks is not base64 of whole 8-byte items",
+    "values not whole items": "values is not base64 of whole 8-byte items",
+    "pair layout": "not a dyad cache in the current layout, which stores the samples as base64 "
+        "weeks and values columns; rerun `leadlag dyads` or `leadlag run` to rewrite it",
+    "counts short of the columns":
+        "the dyads' sample counts do not sum to the length of the weeks and values columns",
 }
 
 
 def cache_rejection(path, follower, leader, case):
     """The message load_dyads gives for the distortion `case` of a one-dyad cache."""
-    dyad = "1" if case == "dyad as a number" else f"{follower!r} -> {leader!r}"
-    return f"{path}: dyad {dyad} {DISTORTIONS[case]}"
+    f, l = repr(follower), repr(leader)
+    return f"{path}: " + DISTORTIONS[case].format(dyad=f"{f} -> {l}", follower=f, leader=l)

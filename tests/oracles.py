@@ -137,7 +137,7 @@ def scalar_greedy_fas_order(w: np.ndarray) -> list[int]:
             best = min(
                 sorted(remaining),
                 key=lambda v: (
-                    -(sum(w[u, v] for u in remaining) - sum(w[v, u] for u in remaining)),
+                    -(sum(w[v, u] for u in remaining) - sum(w[u, v] for u in remaining)),
                     v,
                 ),
             )

@@ -25,7 +25,7 @@ from leadlag.network import Edge, LeadershipGraph
 from leadlag.pipeline import RunConfig, genre_artists, run_pipeline
 from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
 
-from helpers import DISTORTIONS, cache_rejection, distort
+from helpers import DISTORTIONS, cache_rejection, distort, set_column
 from readers import parse_dot, parse_newick, read_centrality_json, read_graphml
 
 PLANTED = {("c01", "c00"): 1, ("c02", "c01"): 1, ("c03", "c02"): 1}
@@ -118,11 +118,14 @@ def synth_inputs(tmp_path_factory):
 
 
 def write_one_dyad_cache(path, values):
-    """A dyads.json holding the b -> a dyad at lag 1; json writes NaN and Infinity as such."""
-    samples = [[week, value] for week, value in enumerate(values)]
+    """A dyads.json holding the b -> a dyad at lag 1 over weeks 0, 1, ...; json
+    writes a NaN or infinite correlation as such."""
     dyad = {"leader": "a", "follower": "b", "best_lag": 1, "correlation": sum(values) / len(values),
-            "samples": {"1": samples}}
-    path.write_text(json.dumps({"dyads": [dyad]}) + "\n")
+            "samples": len(values)}
+    payload = {"cities": ["a", "b"], "dyads": [dyad]}
+    set_column(payload, "weeks", range(len(values)))
+    set_column(payload, "values", values)
+    path.write_text(json.dumps(payload) + "\n")
 
 
 def base_config(synth_inputs, out_dir, **overrides):
@@ -579,7 +582,7 @@ class TestCliErrors:
 
     def test_graph_alpha_out_of_range_exit_code(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
-        empty.write_text('{"dyads":[]}\n')
+        empty.write_text('{"cities":[],"dyads":[],"values":"","weeks":""}\n')
         lone = tmp_path / "lone.json"
         write_one_dyad_cache(lone, [0.2 + 0.01 * (w % 2) for w in range(30)])
         cases = [(empty, alpha) for alpha in ("7", "0", "-1", "nan")] + [(lone, "7")]

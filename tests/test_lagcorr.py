@@ -21,15 +21,16 @@ from leadlag.lagcorr import (
     save_dyads,
     scan_dyads,
 )
-from leadlag.network import build_graph
 from leadlag.pipeline import build_windows
 from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
 
 from helpers import (
     DISTORTIONS,
     cache_rejection,
+    column,
     distort,
     normalized_windows,
+    set_column,
     store_from_cells,
     velocity_series,
 )
@@ -464,17 +465,26 @@ def test_samples_respect_cauchy_schwarz(seed, lag):
 
 def test_dyad_cache_round_trip(tmp_path):
     follower, leader = crafted_pair([0.01, 0.03, 0.02, 0.0, -0.01])
-    result = best_dyad(follower, leader)
+    crafted = best_dyad(follower, leader)
+    # Signed zeros, a subnormal, values near the float64 limit, weeks past
+    # 32 bits; their mean rounds to +0.0.
+    extremes = DyadResult(
+        "Z", "F", 5, -0.0, [3, 2**31 + 1, 2**40, 2**62], [1e308, -1e308, -0.0, 5e-324]
+    )
     path = tmp_path / "dyads.json"
-    save_dyads(path, [result], ("F", "L"))
-    [item] = json.loads(path.read_text())["dyads"]
-    assert list(item["samples"]) == [str(result.best_lag)]
+    save_dyads(path, [extremes, crafted], ("F", "L", "Z"))
+    [item, _] = json.loads(path.read_text())["dyads"]
+    assert item["samples"] == len(crafted.values)
     loaded = load_dyads(path)
-    assert loaded == [result]
+    assert loaded == [crafted, extremes]
+    for got, want in zip(loaded, [crafted, extremes]):
+        assert got.weeks.tobytes() == want.weeks.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+        assert math.copysign(1.0, got.correlation) == math.copysign(1.0, want.correlation)
 
 
-def test_cache_holding_every_lag_still_loads(tmp_path):
-    # Caches used to store every scanned lag's samples, indented.
+def test_cache_holding_every_lag_rejected(tmp_path):
+    # Caches used to store every scanned lag's [week, value] pairs, indented.
     rng = np.random.default_rng(11)
     base = {w: rng.normal(size=6) * 0.2 for w in range(60)}
     series = {
@@ -483,16 +493,13 @@ def test_cache_holding_every_lag_still_loads(tmp_path):
         )
         for k, city in enumerate(("a", "b", "c"))
     }
-    scanned = scan_dyads(series)
 
     def every_lag(d):
         follower, leader = series[d.follower_candidate], series[d.leader_candidate]
-        samples = {
+        return {
             str(lag): [[s.follower_week, s.value] for s in lagged_samples(follower, leader, lag)]
             for lag in LAGS
         }
-        samples[str(d.best_lag)] = [list(p) for p in zip(d.weeks.tolist(), d.values.tolist())]
-        return samples
 
     payload = {
         "dyads": [
@@ -503,17 +510,15 @@ def test_cache_holding_every_lag_still_loads(tmp_path):
                 "correlation": d.correlation,
                 "samples": every_lag(d),
             }
-            for d in scanned
+            for d in scan_dyads(series)
         ]
     }
     path = tmp_path / "dyads.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    loaded = load_dyads(path)
-    assert loaded == scanned
-    for alpha in (0.05, 0.01, 0.001):
-        graph = build_graph(loaded, alpha=alpha)
-        assert graph.edges
-        assert graph == build_graph(scanned, alpha=alpha)
+    message = f"{path}: not a dyad cache in the current layout"
+    for load in (load_dyads, load_dyad_cache):
+        with pytest.raises(ValueError, match=re.escape(message) + ".*rerun `leadlag dyads`"):
+            load(path)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -529,7 +534,9 @@ def test_cache_with_non_finite_value_rejected(tmp_path, field, bad):
     if field == "correlation":
         item["correlation"] = bad
     else:
-        item["samples"][str(result.best_lag)][3][1] = bad
+        values = column(payload, "values")
+        values[3] = bad
+        set_column(payload, "values", values)
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load_dyads(path)
@@ -550,7 +557,8 @@ def test_dyad_cache_format(tmp_path):
     save_dyads(path, [dyad], ["L", "F", "Z"])
     assert path.read_text() == (
         '{"cities":["F","L","Z"],"dyads":[{"best_lag":3,"correlation":0.25,"follower":"F",'
-        '"leader":"L","samples":{"3":[[4,0.5],[7,0.0]]}}]}\n'
+        '"leader":"L","samples":2}],"values":"AAAAAAAA4D8AAAAAAAAAAA==",'
+        '"weeks":"BAAAAAAAAAAHAAAAAAAAAA=="}\n'
     )
     assert load_dyad_cache(path) == (("F", "L", "Z"), [dyad])
     assert load_dyads(path) == [dyad]

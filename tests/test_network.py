@@ -11,6 +11,7 @@ from leadlag.lagcorr import DyadResult
 from leadlag.network import (
     Edge,
     LeadershipGraph,
+    _exact_min_fas_order,
     _greedy_fas_order,
     _strong_components,
     build_graph,
@@ -252,6 +253,15 @@ def test_non_finite_sample_is_value_error(bad):
             build_graph([broken, *other])
 
 
+def test_later_dyad_of_a_pair_counts():
+    strong, weak = dyad("a", "b", steady(0.2)), dyad("a", "b", steady(0.0))
+    other = dyad("b", "c", steady(0.2))
+    assert build_graph([weak, other, strong]).edges == (
+        Edge("a", "b", strong.correlation, 1), Edge("b", "c", other.correlation, 1)
+    )
+    assert build_graph([strong, other, weak]).edges == (Edge("b", "c", other.correlation, 1),)
+
+
 def test_single_sample_is_value_error():
     with pytest.raises(ValueError, match="at least 2 samples"):
         build_graph([dyad("a", "b", [0.3])])
@@ -473,6 +483,39 @@ def tied_weights(seed, n, density):
 def test_greedy_order_matches_scalar_oracle(seed, n, density):
     w = tied_weights(seed, n, density)
     assert _greedy_fas_order(w) == scalar_greedy_fas_order(w)
+
+
+def planted_order_weights(seed):
+    """8 to 14 nodes in a hidden order; each pair is linked with probability
+    0.35, and a quarter of the links point against the order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 15))
+    rank = rng.permutation(n)
+    w = np.zeros((n, n))
+    for u in range(n):
+        for v in range(n):
+            if rank[u] < rank[v] and rng.random() < 0.35:
+                a, b = (v, u) if rng.random() < 0.25 else (u, v)
+                w[a, b] = rng.uniform(0.05, 1.0)
+    return w
+
+
+def backward_weight(w, order):
+    position = np.empty(len(order), dtype=np.int64)
+    position[order] = np.arange(len(order))
+    return w[position[:, None] > position].sum()
+
+
+def test_greedy_order_is_near_the_exact_minimum():
+    # Measured over these 60 graphs: mean ratio 1.015 with the largest
+    # out - in weight at the head (Eades, Lin & Smyth), 1.140 with the
+    # largest in - out there.
+    ratios = []
+    for seed in range(60):
+        w = planted_order_weights(seed)
+        best = backward_weight(w, _exact_min_fas_order(w))
+        ratios.append(backward_weight(w, _greedy_fas_order(w)) / best if best > 0 else 1.0)
+    assert np.mean(ratios) < 1.05
 
 
 @given(
