@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import io
+import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -41,6 +43,16 @@ _ZEROS, _SIXES = np.uint64(0x3030303030303030), np.uint64(0x0606060606060606)
 _SHIFT = np.array([64 - 8 * n for n in range(9)], dtype=np.uint64)
 _FILL = np.array([0x3030303030303030 >> 8 * n for n in range(9)], dtype=np.uint64)
 _POWERS = 10 ** np.arange(9, dtype=np.uint64)
+# For each kind json_value reads: the types json.load gives a value of it, checked with
+# type() because bool subclasses int, and its name in a rejection.
+_JSON_KINDS = {
+    float: ({int, float}, "a number"), int: ({int}, "an integer"), bool: ({bool}, "true or false"),
+    str: ({str}, "a string"), list: ({list}, "a list"), dict: ({dict}, "a JSON object"),
+}
+# The largest magnitude json_value takes for a numeric kind, and the kind's name then: a
+# number must stay finite as a double, and an integer fit numpy's int64.
+_JSON_LIMITS = {float: (sys.float_info.max, "a finite number"),
+                int: ((1 << 63) - 1, "an integer within int64")}
 
 
 class ChartFormatError(ValueError):
@@ -192,20 +204,29 @@ def csv_rows(
 
     `line` is the physical line on which the row ends, so a quoted line
     break in an earlier row does not shift it. Raises `error` when the first
-    row is not `header` (an empty file has no first row) and for a row whose
-    field count differs from the header's.
+    row is not `header` (an empty file has no first row), for a row whose
+    field count differs from the header's, and for bytes that are not UTF-8.
     """
+    reader = csv.reader(_text_lines(path, error))
+    if next(reader, None) != list(header):
+        raise error(f"{path}:1: expected header {','.join(header)}")
+    for row in reader:
+        if not row:
+            continue
+        where = f"{path}:{reader.line_num}"
+        if len(row) != len(header):
+            raise error(f"{where}: expected {len(header)} fields, got {len(row)}")
+        yield where, row
+
+
+def _text_lines(path: str | Path, error: type[ValueError]) -> Iterator[str]:
+    """The lines of `path` as the csv module reads them, raising `error`, naming the file,
+    at bytes that are not UTF-8."""
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != list(header):
-            raise error(f"{path}:1: expected header {','.join(header)}")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(header):
-                raise error(f"{where}: expected {len(header)} fields, got {len(row)}")
-            yield where, row
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            raise error(f"{path}: not UTF-8 text") from None
 
 
 def parse_number(kind: type, text: str, problem: str, error: type[ValueError]):
@@ -216,29 +237,69 @@ def parse_number(kind: type, text: str, problem: str, error: type[ValueError]):
         raise error(problem) from None
 
 
+def read_json(path: str | Path, error: type[ValueError] = ValueError) -> dict:
+    """The JSON object in `path`, raising `error`, naming the file, for bytes that are not
+    UTF-8, text that is not JSON and JSON that is not an object. Read its values with
+    `json_value`, which checks each one's kind."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
+        raise error(f"{path}: not JSON: {exc}") from None
+    if type(raw) is not dict:
+        raise error(f"{path}: expected a JSON object")
+    return raw
+
+
 def json_value(raw, key, where: str | Path, kind: type = float, error: type[ValueError] = ValueError):
-    """raw[key] as `kind`, raising `error` naming `where` and `key` unless JSON gave it a
-    value of that kind: a float takes any JSON number, an int no 2.0 and no true."""
-    allowed, wanted = {float: ({int, float}, "a number"), int: ({int}, "an integer"),
-                       bool: ({bool}, "true or false"), str: ({str}, "a string")}[kind]
-    if type(raw[key]) not in allowed:  # type(), not isinstance: bool subclasses int
-        raise error(f"{where}: {key}: expected {wanted}, got {raw[key]!r}")
-    return kind(raw[key])
+    """raw[key], from a JSON object or array, as `kind`; raises `error` naming `where` and
+    `key` when it is missing or JSON gave it a value of another kind. A float takes any
+    JSON number that stays finite as a double, an int a JSON integer within int64 (no
+    2.0, no true), and a list or dict the array or object as it is."""
+    try:
+        value = raw[key]
+    except (KeyError, IndexError):
+        raise error(f"{where}: missing {key!r}") from None
+    types, wanted = _JSON_KINDS[kind]
+    if type(value) in types:
+        if kind not in _JSON_LIMITS:
+            return value
+        limit, wanted = _JSON_LIMITS[kind]
+        if abs(value) <= limit:  # false for NaN
+            return float(value) if kind is float else value
+    raise error(f"{where}: {key}: expected {wanted}, got {value!r}")
+
+
+def json_list(raw, key, where: str | Path, kind: type, error: type[ValueError] = ValueError) -> list:
+    """raw[key], a JSON array, with each item read by `json_value` as `kind`."""
+    items = json_value(raw, key, where, list, error)
+    return [json_value(items, i, f"{where}: {key}", kind, error) for i in range(len(items))]
+
+
+def json_records(
+    raw, key, where: str | Path, fields: Mapping[str, type], error: type[ValueError] = ValueError
+) -> Iterator[list]:
+    """For each JSON object in the array raw[key], the values of `fields` in their order,
+    each read by `json_value` as its kind."""
+    for i, record in enumerate(json_list(raw, key, where, dict, error)):
+        at = f"{where}: {key}: {i}"
+        yield [json_value(record, name, at, kind, error) for name, kind in fields.items()]
 
 
 def read_missing_weeks(path: str | Path) -> frozenset[int]:
     """Parse a newline-separated list of missing week indices."""
     weeks = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            problem = f"{path}:{lineno}: expected a week index, got {text!r}"
-            week = parse_number(int, text, problem, ChartFormatError)
-            if week < 0:
-                raise ChartFormatError(f"{path}:{lineno}: negative week index {week}")
-            weeks.add(week)
+    for lineno, line in enumerate(_text_lines(path, ChartFormatError), start=1):
+        text = line.strip()
+        if not text:
+            continue
+        problem = f"{path}:{lineno}: expected a week index, got {text!r}"
+        week = parse_number(int, text, problem, ChartFormatError)
+        if week < 0:
+            raise ChartFormatError(f"{path}:{lineno}: negative week index {week}")
+        weeks.add(week)
     return frozenset(weeks)
 
 

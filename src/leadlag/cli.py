@@ -294,8 +294,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         min_samples=args.min_samples,
         lag_range=_parse_lags(args.lags),
         bonferroni=args.bonferroni,
-        emit_dot=not args.no_dot,
-        emit_graphml=not args.no_graphml,
     )
     result = run_pipeline(config)
     print(f"nodes: {len(result.graph.nodes)}")
@@ -373,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--populations", help="populations CSV (city,population)")
     _add_scan_args(p)
     _add_alpha_args(p)
-    p.add_argument("--no-dot", action="store_true")
-    p.add_argument("--no-graphml", action="store_true")
     _add_out_arg(p)
     p.set_defaults(func=_cmd_run)
 

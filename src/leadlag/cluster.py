@@ -8,7 +8,7 @@ merge tree whose flat cuts give geographic preference clusters.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,16 +60,8 @@ class ClusterNode:
 
 
 @dataclass(frozen=True)
-class Merge:
-    left: frozenset[str]
-    right: frozenset[str]
-    height: float
-
-
-@dataclass(frozen=True)
 class ClusterTree:
     root: ClusterNode
-    merges: tuple[Merge, ...] = field(default=())
 
     def leaves(self) -> tuple[str, ...]:
         return self.root.leaves()
@@ -130,7 +122,6 @@ def average_linkage(dist: DistanceMatrix) -> ClusterTree:
     }
     sizes = {i: 1 for i in range(n)}
     min_label = {i: dist.cities[i] for i in range(n)}
-    merges: list[Merge] = []
     last_height = 0.0
 
     while len(active) > 1:
@@ -147,13 +138,6 @@ def average_linkage(dist: DistanceMatrix) -> ClusterTree:
         last_height = max(last_height, height)
 
         node = ClusterNode(height=float(height), left=active[i], right=active[j])
-        merges.append(
-            Merge(
-                left=frozenset(active[i].leaves()),
-                right=frozenset(active[j].leaves()),
-                height=float(height),
-            )
-        )
         for k in active:
             if k in (i, j):
                 continue
@@ -164,8 +148,7 @@ def average_linkage(dist: DistanceMatrix) -> ClusterTree:
         active[i] = node
         del active[j], sizes[j], min_label[j]
 
-    root = next(iter(active.values()))
-    return ClusterTree(root=root, merges=tuple(merges))
+    return ClusterTree(root=next(iter(active.values())))
 
 
 def flat_cut(tree: ClusterTree, height: float) -> tuple[tuple[str, ...], ...]:

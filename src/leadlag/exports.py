@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping
 from xml.etree import ElementTree as ET
 
-from .charts import csv_rows, json_value, parse_number
+from .charts import csv_rows, json_list, json_records, json_value, parse_number, read_json
 from .lagcorr import MAX_LAG, MIN_LAG
 from .network import (
     AcyclicityReport,
@@ -218,20 +218,12 @@ def _write_json(path: str | Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _read_json(path: str | Path, required: tuple[str, ...]) -> dict:
-    """The JSON object in `path`, which must hold every key in `required`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ExportFormatError(f"{path}: expected a JSON object")
-    for key in required:
-        if key not in raw:
-            raise ExportFormatError(f"{path}: missing {key!r}")
-    return raw
-
-
 # raw[key] as a kind, raising ExportFormatError unless JSON gave it a value of that kind.
 _json_value = partial(json_value, error=ExportFormatError)
+# The JSON kind of each field of a removed edge, in the order Edge takes them, and of
+# each top-level field of a manifest.
+_EDGE_FIELDS = dict(zip(EDGE_HEADER, (str, str, float, int)))
+_MANIFEST_FIELDS = {"created_at": str, "inputs": dict, "parameters": dict, "tool_version": str}
 
 
 def _edge_payload(edge: Edge) -> dict:
@@ -241,18 +233,6 @@ def _edge_payload(edge: Edge) -> dict:
         "weight": edge.weight,
         "lag_weeks": edge.lag_weeks,
     }
-
-
-def _edge_from_payload(raw: dict, path: str | Path) -> Edge:
-    for key in ("follower", "leader", "weight", "lag_weeks"):
-        if key not in raw:
-            raise ExportFormatError(f"{path}: edge record missing {key!r}")
-    return Edge(
-        follower=str(raw["follower"]),
-        leader=str(raw["leader"]),
-        weight=_json_value(raw, "weight", path),
-        lag_weeks=_json_value(raw, "lag_weeks", path, int),
-    )
 
 
 def write_centrality_json(path: str | Path, report: CentralityReport) -> None:
@@ -282,13 +262,15 @@ def write_acyclicity_json(path: str | Path, report: AcyclicityReport) -> None:
 
 
 def read_acyclicity_json(path: str | Path) -> AcyclicityReport:
-    required = ("total_weight", "fas_weight", "percent_removed", "exact", "removed_edges")
-    raw = _read_json(path, required)
+    raw = read_json(path, ExportFormatError)
     return AcyclicityReport(
         total_weight=_json_value(raw, "total_weight", path),
         fas_weight=_json_value(raw, "fas_weight", path),
         percent_removed=_json_value(raw, "percent_removed", path),
-        removed_edges=tuple(_edge_from_payload(e, path) for e in raw["removed_edges"]),
+        removed_edges=tuple(
+            Edge(*values)
+            for values in json_records(raw, "removed_edges", path, _EDGE_FIELDS, ExportFormatError)
+        ),
         exact=_json_value(raw, "exact", path, bool),
     )
 
@@ -306,15 +288,12 @@ def write_size_leadership_json(path: str | Path, report: SizeLeadershipReport) -
 
 
 def read_size_leadership_json(path: str | Path) -> SizeLeadershipReport:
-    raw = _read_json(
-        path,
-        ("spearman_pagerank", "spearman_indegree", "percent_weight_larger_leads", "cities_used"),
-    )
+    raw = read_json(path, ExportFormatError)
     return SizeLeadershipReport(
         spearman_pagerank=_json_value(raw, "spearman_pagerank", path),
         spearman_indegree=_json_value(raw, "spearman_indegree", path),
         percent_weight_larger_leads=_json_value(raw, "percent_weight_larger_leads", path),
-        cities_used=tuple(str(c) for c in raw["cities_used"]),
+        cities_used=tuple(json_list(raw, "cities_used", path, str, ExportFormatError)),
     )
 
 
@@ -355,4 +334,11 @@ def write_manifest(
 
 
 def read_manifest(path: str | Path) -> dict:
-    return _read_json(path, ("created_at", "inputs", "parameters", "tool_version"))
+    """The manifest, each top-level field of its JSON kind; the run's genre, if the
+    parameters name one, is a string."""
+    raw = read_json(path, ExportFormatError)
+    for key, kind in _MANIFEST_FIELDS.items():
+        _json_value(raw, key, path, kind)
+    if raw["parameters"].get("genre_id") is not None:
+        _json_value(raw["parameters"], "genre_id", f"{path}: parameters", str)
+    return raw

@@ -17,17 +17,17 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .charts import SparseRows, WindowStack
+from .charts import SparseRows, WindowStack, json_list, json_records, json_value, read_json
 
 MIN_LAG = 1
 MAX_LAG = 5
 LAGS = tuple(range(MIN_LAG, MAX_LAG + 1))
 VELOCITY_STEP_WEEKS = 4
 DEFAULT_MIN_SAMPLES = 20
-# The types json.load gives a number. Checked with type(): bool subclasses int.
-_NUMBER = {int, float}
 # The top-level keys of a save_dyads cache.
 _CACHE_KEYS = {"cities", "dyads", "weeks", "values"}
+# The JSON kind of each field of a cached dyad, in the order DyadResult takes them.
+_DYAD_FIELDS = {"leader": str, "follower": str, "best_lag": int, "correlation": float, "samples": int}
 
 
 @dataclass(frozen=True)
@@ -218,13 +218,14 @@ def _encode_column(arrays: Iterable[np.ndarray], dtype: str) -> str:
     return base64.b64encode(b"".join(a.astype(dtype).tobytes() for a in arrays)).decode("ascii")
 
 
-def _decode_column(path: str | Path, text: object, name: str, dtype: str) -> np.ndarray:
-    """The items of `dtype` that a cache's column `name` encodes."""
+def _decode_column(path: str | Path, payload: dict, name: str, dtype: str) -> np.ndarray:
+    """The items of `dtype` that a cache's column `name`, a base64 string, encodes."""
+    text = json_value(payload, name, path, str)
     try:
-        raw = base64.b64decode(text, validate=True)  # TypeError if text is not a string
+        raw = base64.b64decode(text, validate=True)
         if len(raw) % 8:
             raise ValueError
-    except (TypeError, ValueError):  # binascii.Error is a ValueError
+    except ValueError:  # binascii.Error is a ValueError, as is a non-ASCII character
         raise ValueError(f"{path}: {name} is not base64 of whole 8-byte items") from None
     return np.frombuffer(raw, dtype=dtype)
 
@@ -239,82 +240,69 @@ def load_dyad_cache(path: str | Path) -> tuple[tuple[str, ...], list[DyadResult]
 
     Raises ValueError, naming the file, for a file in another layout (such
     as a cache written before the samples were stored as columns, which
-    listed [week, value] pairs), and for a cache that would otherwise distort
-    the graph silently: `dyads` not a list, a weeks or values column that
-    is not base64 of whole 8-byte items, sample counts that do not sum to
-    the columns' length, or, naming the dyad (by its 1-based position if it is not a
-    JSON object), a dyad naming a city outside the city list, a repeated
-    (follower, leader) pair, a best lag that is not an integer in 1..5, a
-    sample count that is not an integer or is below 2, a correlation that
-    is not a JSON number ("0.25" is not), weeks that do not strictly
-    increase, a NaN or infinite value, or a correlation that is not the
+    listed [week, value] pairs), for a value `charts.json_value` rejects
+    (a missing key, a value of another JSON kind than its field's in
+    `_DYAD_FIELDS`, a correlation that is not finite as a double), and for a
+    cache that would otherwise distort the graph silently: a weeks or values
+    column that is not base64 of whole 8-byte items, sample counts that do
+    not sum to the columns' length, or, naming the dyad, a dyad naming a
+    city outside the city list, a repeated (follower, leader) pair, a best
+    lag outside 1..5, a sample count below 2, weeks that do not strictly
+    increase, a NaN or infinite sample, or a correlation that is not the
     mean of its samples to within 1e-12.
     """
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict) or not _CACHE_KEYS <= payload.keys():
+    payload = read_json(path)
+    if not _CACHE_KEYS <= payload.keys():
         raise ValueError(
             f"{path}: not a dyad cache in the current layout, which stores the samples as "
             "base64 weeks and values columns; rerun `leadlag dyads` or `leadlag run` to rewrite it"
         )
-    items, cities = payload["dyads"], payload["cities"]
-    if not isinstance(cities, list) or not all(isinstance(c, str) for c in cities):
-        raise ValueError(f"{path}: cities is not a list of city names")
-    cities, known = tuple(cities), set(cities)
-    if not isinstance(items, list):
-        raise ValueError(f"{path}: dyads is not a list")
+    cities = tuple(json_list(payload, "cities", path, str))
+    known = set(cities)
 
-    def reject(item: Mapping, problem: str) -> ValueError:
-        return ValueError(f"{path}: dyad {item['follower']!r} -> {item['leader']!r} {problem}")
+    def reject(row: list, problem: str) -> ValueError:
+        return ValueError(f"{path}: dyad {row[1]!r} -> {row[0]!r} {problem}")
 
-    seen = set()
-    for number, item in enumerate(items, start=1):
-        if not isinstance(item, dict):
-            raise ValueError(f"{path}: dyad {number} is not a JSON object")
-        pair = (item["follower"], item["leader"])
-        if not all(type(c) is str and c in known for c in pair):
-            raise reject(item, "names a city that is not in the cache's city list")
-        if pair in seen:
-            raise reject(item, "appears twice")
-        seen.add(pair)
-        lag = item["best_lag"]
-        if type(lag) is not int or not MIN_LAG <= lag <= MAX_LAG:
-            raise reject(item, f"has best_lag {lag!r}, not an integer in {MIN_LAG}..{MAX_LAG}")
-        size = item["samples"]
-        if type(size) is not int:
-            raise reject(item, "has a sample count that is not an integer")
+    rows, seen = [], set()
+    for row in json_records(payload, "dyads", path, _DYAD_FIELDS):
+        leader, follower, lag, _, size = row
+        if leader not in known or follower not in known:
+            raise reject(row, "names a city that is not in the cache's city list")
+        if (follower, leader) in seen:
+            raise reject(row, "appears twice")
+        seen.add((follower, leader))
+        if not MIN_LAG <= lag <= MAX_LAG:
+            raise reject(row, f"has best_lag {lag!r}, not an integer in {MIN_LAG}..{MAX_LAG}")
         if size < 2:
-            raise reject(item, f"has {size} samples, fewer than 2")
-        if type(item["correlation"]) not in _NUMBER:
-            raise reject(item, "has a correlation that is not a number")
-    weeks = _decode_column(path, payload["weeks"], "weeks", "<i8")
-    values = _decode_column(path, payload["values"], "values", "<f8")
-    sizes = [item["samples"] for item in items]
+            raise reject(row, f"has {size} samples, fewer than 2")
+        rows.append(row)
+    weeks = _decode_column(path, payload, "weeks", "<i8")
+    values = _decode_column(path, payload, "values", "<f8")
+    sizes = [row[4] for row in rows]
     if not sum(sizes) == len(weeks) == len(values):
         raise ValueError(
             f"{path}: the dyads' sample counts do not sum to the length of the weeks and "
             "values columns"
         )
-    if not items:
+    if not rows:
         return cities, []
     bounds = np.cumsum([0] + sizes)
     starts = bounds[:-1]
-    correlation = np.array([item["correlation"] for item in items], dtype=np.float64)
 
     def require(ok: np.ndarray, problem: str) -> None:
         if not ok.all():
-            raise reject(items[int(np.argmin(ok))], problem)
+            raise reject(rows[int(np.argmin(ok))], problem)
 
-    finite = np.logical_and.reduceat(np.isfinite(values), starts) & np.isfinite(correlation)
-    require(finite, "has a non-finite correlation or sample value")
+    require(np.logical_and.reduceat(np.isfinite(values), starts), "has a non-finite sample value")
     step_up = np.diff(weeks, prepend=weeks[0]) > 0
     step_up[starts] = True
     require(np.logical_and.reduceat(step_up, starts), "has weeks that repeat or are out of order")
     mean = np.add.reduceat(values, starts) / np.diff(bounds)
+    correlation = np.array([row[3] for row in rows])
     require(np.abs(mean - correlation) <= 1e-12,
             "has a correlation that is not the mean of its samples")
     bounds = bounds.tolist()
     return cities, [
-        DyadResult(item["leader"], item["follower"], item["best_lag"], c, weeks[a:b], values[a:b])
-        for item, c, a, b in zip(items, correlation.tolist(), bounds, bounds[1:])
+        DyadResult(leader, follower, lag, c, weeks[a:b], values[a:b])
+        for (leader, follower, lag, c, _), a, b in zip(rows, bounds, bounds[1:])
     ]

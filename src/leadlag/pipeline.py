@@ -59,8 +59,6 @@ class RunConfig:
     min_samples: int = DEFAULT_MIN_SAMPLES
     lag_range: tuple[int, ...] = LAGS
     bonferroni: bool = False
-    emit_dot: bool = True
-    emit_graphml: bool = True
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
@@ -141,12 +139,10 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     write_edge_csv(artifacts["edges"], graph)
 
     centrality = pagerank(graph)
-    if config.emit_dot:
-        artifacts["dot"] = out / "graph.dot"
-        write_dot(artifacts["dot"], graph, centrality, populations)
-    if config.emit_graphml:
-        artifacts["graphml"] = out / "graph.graphml"
-        write_graphml(artifacts["graphml"], graph, centrality, populations)
+    artifacts["dot"] = out / "graph.dot"
+    write_dot(artifacts["dot"], graph, centrality, populations)
+    artifacts["graphml"] = out / "graph.graphml"
+    write_graphml(artifacts["graphml"], graph, centrality, populations)
     artifacts["centrality"] = out / "centrality.json"
     write_centrality_json(artifacts["centrality"], centrality)
 

@@ -10,7 +10,6 @@ layer reads, so recovery experiments exercise the full pipeline.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +17,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .charts import MAX_CHART_ENTRIES, WINDOW_WEEKS, WeeklyChart, json_value
+from .charts import (
+    MAX_CHART_ENTRIES,
+    WINDOW_WEEKS,
+    WeeklyChart,
+    json_list,
+    json_records,
+    json_value,
+    read_json,
+)
 from .lagcorr import MAX_LAG, MIN_LAG
 
 DEFAULT_STEP_SCALE = 0.1
@@ -271,11 +278,6 @@ def shuffle_null(charts: Sequence[WeeklyChart], seed: int) -> list[WeeklyChart]:
     return shuffled
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
 # The JSON kind of every field of a hierarchy's city and edge entries, in
 # the order SynthCity and PlantedEdge take them, and of the config's scalars.
 _CITY_FIELDS = {"city": str, "population": int, "activity": float}
@@ -284,46 +286,31 @@ _CONFIG_FIELDS = {"n_artists": int, "n_weeks": int, "noise_sigma": float, "seed"
                   "step_scale": float}
 
 
-def _entry_values(entry, fields: Mapping[str, type], what: str, path: str | Path) -> list:
-    """The values of one hierarchy entry's fields, each of its JSON kind."""
-    _require(isinstance(entry, dict), f"each {what} must be a JSON object")
-    for key in fields:
-        _require(key in entry, f"{what} entry is missing {key!r}")
-    return [json_value(entry, key, path, kind) for key, kind in fields.items()]
-
-
 def load_hierarchy(path: str | Path) -> PlantedHierarchy:
-    """Hierarchy from JSON: cities with population and activity, edges
-    with leader, follower, lag, coupling. A value of another JSON kind
-    than its field's (`_CITY_FIELDS`, `_EDGE_FIELDS`) is an error."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    _require(isinstance(raw, dict), "hierarchy file must hold a JSON object")
-    _require("cities" in raw, "hierarchy file is missing 'cities'")
-    cities = [SynthCity(*_entry_values(e, _CITY_FIELDS, "city", path)) for e in raw["cities"]]
-    edges = [
-        PlantedEdge(*_entry_values(e, _EDGE_FIELDS, "edge", path)) for e in raw.get("edges", [])
-    ]
-    return PlantedHierarchy(cities=tuple(cities), edges=tuple(edges))
+    """Hierarchy from JSON: cities with population and activity, and optional
+    edges with leader, follower, lag, coupling. A missing field, or a value of
+    another JSON kind than its field's (`_CITY_FIELDS`, `_EDGE_FIELDS`), is an
+    error naming the file."""
+    raw = read_json(path)
+    cities = tuple(SynthCity(*values) for values in json_records(raw, "cities", path, _CITY_FIELDS))
+    edges = json_records(raw, "edges", path, _EDGE_FIELDS) if "edges" in raw else ()
+    return PlantedHierarchy(cities, tuple(PlantedEdge(*values) for values in edges))
 
 
 def load_synth_config(path: str | Path) -> SynthConfig:
-    """Run configuration from JSON; only n_artists is mandatory. A value of
-    another JSON kind than its field's, or a missing week that is not an
-    integer, is an error."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    _require(isinstance(raw, dict), "config file must hold a JSON object")
-    _require("n_artists" in raw, "config file is missing 'n_artists'")
+    """Run configuration from JSON; only n_artists is mandatory. An unknown key,
+    a value of another JSON kind than its field's, or a missing week that is not
+    an integer, is an error naming the file."""
+    raw = read_json(path)
     for key in raw:
-        _require(key in _CONFIG_FIELDS or key == "missing_weeks", f"unknown config key {key!r}")
+        if key not in _CONFIG_FIELDS and key != "missing_weeks":
+            raise ValueError(f"{path}: unknown config key {key!r}")
     kwargs: dict = {
-        key: json_value(raw, key, path, kind) for key, kind in _CONFIG_FIELDS.items() if key in raw
+        key: json_value(raw, key, path, kind)
+        for key, kind in _CONFIG_FIELDS.items() if key in raw or key == "n_artists"
     }
     if "missing_weeks" in raw:
-        weeks, where = raw["missing_weeks"], f"{path}: missing_weeks"
-        _require(isinstance(weeks, list), f"{where}: expected a list")
-        kwargs["missing_weeks"] = frozenset(json_value(weeks, i, where, int) for i in range(len(weeks)))
+        kwargs["missing_weeks"] = frozenset(json_list(raw, "missing_weeks", path, int))
     return SynthConfig(**kwargs)
 
 

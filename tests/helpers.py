@@ -107,24 +107,24 @@ def distort(payload, case):
 
 
 # Each distortion of a dyad cache, with the problem load_dyads reports for
-# it; {dyad} stands for {follower} -> {leader}, the names' reprs.
+# it, or the start of it; {dyad} stands for {follower} -> {leader}, the names' reprs.
 DISTORTIONS = {
     "lag 9": "dyad {dyad} has best_lag 9, not an integer in 1..5",
     "lag 0": "dyad {dyad} has best_lag 0, not an integer in 1..5",
-    "lag 2.0": "dyad {dyad} has best_lag 2.0, not an integer in 1..5",
-    "lag true": "dyad {dyad} has best_lag True, not an integer in 1..5",
-    "correlation as text": "dyad {dyad} has a correlation that is not a number",
+    "lag 2.0": "dyads: 0: best_lag: expected an integer, got 2.0",
+    "lag true": "dyads: 0: best_lag: expected an integer, got True",
+    "correlation as text": "dyads: 0: correlation: expected a number, got '",
     "repeated week": "dyad {dyad} has weeks that repeat or are out of order",
     "weeks out of order": "dyad {dyad} has weeks that repeat or are out of order",
     "repeated pair": "dyad {dyad} appears twice",
     "correlation off its samples": "dyad {dyad} has a correlation that is not the mean of its samples",
     "one sample": "dyad {dyad} has 1 samples, fewer than 2",
     "city outside the city list": "dyad {dyad} names a city that is not in the cache's city list",
-    "leader as a list": "dyad {follower} -> [{leader}] names a city that is not in the cache's city list",
-    "dyad as a number": "dyad 1 is not a JSON object",
-    "dyads as a number": "dyads is not a list",
-    "count as text": "dyad {dyad} has a sample count that is not an integer",
-    "count true": "dyad {dyad} has a sample count that is not an integer",
+    "leader as a list": "dyads: 0: leader: expected a string, got [{leader}]",
+    "dyad as a number": "dyads: 0: expected a JSON object, got 5",
+    "dyads as a number": "dyads: expected a list, got 5",
+    "count as text": "dyads: 0: samples: expected an integer, got '",
+    "count true": "dyads: 0: samples: expected an integer, got True",
     "weeks not base64": "weeks is not base64 of whole 8-byte items",
     "values not whole items": "values is not base64 of whole 8-byte items",
     "pair layout": "not a dyad cache in the current layout, which stores the samples as base64 "

@@ -2,18 +2,19 @@
 
 Each parses exactly what its writer in `leadlag.exports` or `leadlag.cluster`
 emits and rejects anything else: the DOT and GraphML graphs, centrality.json
-and the Newick dendrogram.
+and the Newick dendrogram. `merges` lists a cluster tree's merges.
 """
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 from xml.etree import ElementTree as ET
 
-from leadlag.cluster import ClusterNode, ClusterTree, Merge
-from leadlag.exports import ExportFormatError, NodeAttrs, _GRAPHML_NS, _read_json
+from leadlag.charts import json_value, read_json
+from leadlag.cluster import ClusterNode, ClusterTree
+from leadlag.exports import ExportFormatError, NodeAttrs, _GRAPHML_NS
 from leadlag.network import CentralityReport, Edge
 
 _DOT_QUOTED = r'"((?:[^"\\]|\\.)*)"'
@@ -125,13 +126,13 @@ def read_graphml(path: str | Path) -> tuple[NodeAttrs, list[Edge]]:
 
 
 def read_centrality_json(path: str | Path) -> CentralityReport:
-    raw = _read_json(path, ("pagerank", "weighted_in_degree"))
-    return CentralityReport(
-        pagerank={str(k): float(v) for k, v in raw["pagerank"].items()},
-        weighted_in_degree={
-            str(k): float(v) for k, v in raw["weighted_in_degree"].items()
-        },
-    )
+    raw = read_json(path, ExportFormatError)
+    scores = {}
+    for key in ("pagerank", "weighted_in_degree"):
+        by_city = json_value(raw, key, path, dict, ExportFormatError)
+        where = f"{path}: {key}"
+        scores[key] = {c: json_value(by_city, c, where, float, ExportFormatError) for c in by_city}
+    return CentralityReport(**scores)
 
 
 def cluster_map(partition: Iterable[tuple[str, ...]]) -> dict[str, int]:
@@ -214,22 +215,39 @@ def parse_newick(text: str) -> ClusterTree:
     parser.take(";")
     if parser.pos != len(parser.text):
         raise parser.error("trailing characters")
+    return ClusterTree(root=root)
 
-    merges: list[Merge] = []
+
+class Merge(NamedTuple):
+    left: frozenset[str]
+    right: frozenset[str]
+    height: float
+
+
+def merges(tree: ClusterTree) -> list[Merge]:
+    """Every internal node of `tree` as the merge of its two sides, by height, ties
+    broken by the smallest city they join."""
+    found: list[Merge] = []
 
     def collect(node: ClusterNode) -> None:
         if node.is_leaf():
             return
         collect(node.left)
         collect(node.right)
-        merges.append(
-            Merge(
-                left=frozenset(node.left.leaves()),
-                right=frozenset(node.right.leaves()),
-                height=node.height,
-            )
-        )
+        sides = frozenset(node.left.leaves()), frozenset(node.right.leaves())
+        found.append(Merge(*sides, node.height))
 
-    collect(root)
-    merges.sort(key=lambda m: (m.height, min(m.left | m.right)))
-    return ClusterTree(root=root, merges=tuple(merges))
+    collect(tree.root)
+    return sorted(found, key=lambda m: (m.height, min(m.left | m.right)))
+
+
+def inversions(tree: ClusterTree) -> int:
+    """How many merges of `tree` sit lower than a side they join: 0 for a monotone tree."""
+
+    def count(node: ClusterNode) -> int:
+        if node.is_leaf():
+            return 0
+        low = node.height < max(node.left.height, node.right.height)
+        return low + count(node.left) + count(node.right)
+
+    return count(tree.root)

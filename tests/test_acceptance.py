@@ -20,6 +20,7 @@ from oracles import (
     t_cdf_by_integration,
     to_scipy,
 )
+from readers import inversions, merges
 
 from leadlag.charts import (
     ChartStore,
@@ -326,16 +327,13 @@ def test_criterion_8_clustering_oracle():
         tree = average_linkage(dist)
         expected = naive_upgma(labels, d)
         got = [
-            (frozenset(m.left), frozenset(m.right), m.height) for m in tree.merges
+            (frozenset(m.left), frozenset(m.right), m.height) for m in merges(tree)
         ]
         matches = len(got) == len(expected) and all(
             {g[0], g[1]} == {e[0], e[1]} and abs(g[2] - e[2]) <= 1e-9
             for g, e in zip(got, expected)
         )
-        heights = [m.height for m in tree.merges]
-        monotone = monotone and all(
-            a <= b + 1e-12 for a, b in zip(heights, heights[1:])
-        )
+        monotone = monotone and inversions(tree) == 0
         if matches:
             agree += 1
 
@@ -344,7 +342,7 @@ def test_criterion_8_clustering_oracle():
         d=np.array([[0.0, 1.0, 10.0], [1.0, 0.0, 9.0], [10.0, 9.0, 0.0]]),
         coverage=np.ones((3, 3), dtype=np.int64),
     )
-    line_heights = [m.height for m in average_linkage(line).merges]
+    line_heights = [m.height for m in merges(average_linkage(line))]
     line_ok = abs(line_heights[0] - 1.0) <= 1e-12 and abs(line_heights[1] - 9.5) <= 1e-12
     ok = agree == trials and monotone and line_ok
     assert verdict(

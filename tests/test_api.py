@@ -1,6 +1,8 @@
 """The public API of `leadlag`: a name added to or removed from `__all__` fails here,
-as does a name the benchmark's tracer wraps that `leadlag` no longer binds."""
+as does a name the benchmark's tracer wraps that `leadlag` no longer binds, and a
+module other than `charts` that parses JSON."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -91,3 +93,21 @@ def test_every_benchmark_tracer_target_resolves(monkeypatch):
     spec.loader.exec_module(tracer)
     assert tracer.TARGETS
     assert [t.label for t in tracer.TARGETS if t.attr not in vars(t.resolve_owner())] == []
+
+
+def test_only_charts_parses_json():
+    # Every JSON file goes through charts.read_json and its values through json_value,
+    # so a module that parsed JSON itself could skip their checks.
+    parses = []
+    for path in sorted(Path(leadlag.__file__).parent.glob("*.py")):
+        if path.name == "charts.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "json":
+                names = [node.attr]
+            else:
+                continue
+            parses += [f"{path.name}:{node.lineno}" for name in names if name in ("load", "loads")]
+    assert parses == []

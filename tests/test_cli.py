@@ -259,16 +259,6 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match=f"^{re.escape(FAIL_FAST['--cities'][1])}$"):
             base_config(synth_inputs, tmp_path, city_subset=())
 
-    def test_format_flags(self, synth_inputs, tmp_path):
-        result = run_pipeline(
-            base_config(
-                synth_inputs, tmp_path / "out", emit_dot=False, emit_graphml=False
-            )
-        )
-        assert "dot" not in result.artifacts
-        assert "graphml" not in result.artifacts
-        assert not (tmp_path / "out" / "graph.dot").exists()
-
 
 class TestCliCommands:
     def test_ingest_summary(self, synth_inputs, capsys):
@@ -491,27 +481,6 @@ class TestCliCommands:
         assert "% (heuristic)" in capsys.readouterr().out
         assert "% edge weight where leader larger" in report_out
         assert "pagerank" in report_out
-
-    def test_run_respects_no_dot(self, synth_inputs, tmp_path, capsys):
-        out = tmp_path / "slim"
-        code = main(
-            [
-                "run",
-                "--charts",
-                synth_inputs["charts"],
-                "--missing",
-                synth_inputs["missing"],
-                "--no-dot",
-                "--no-graphml",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        assert not (out / "graph.dot").exists()
-        assert not (out / "graph.graphml").exists()
-        assert (out / "edges.csv").exists()
-        capsys.readouterr()
 
 
 # A bad value for each checked flag, and the one message every command gives for it.

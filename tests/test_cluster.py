@@ -17,7 +17,7 @@ from leadlag.cluster import (
 
 from helpers import normalized_windows, store_from_cells, window_stack
 from oracles import filter_genre, naive_upgma, normalize_rows, per_window_distances, window
-from readers import cluster_map, parse_newick
+from readers import cluster_map, inversions, merges, parse_newick
 
 
 def dm(labels, rows):
@@ -144,14 +144,14 @@ def test_distance_matrix_validation():
 
 def test_two_cities_merge_at_their_distance():
     tree = average_linkage(dm(["a", "b"], [[0, 3.5], [3.5, 0]]))
-    assert len(tree.merges) == 1
-    assert tree.merges[0].height == 3.5
-    assert tree.merges[0].left | tree.merges[0].right == {"a", "b"}
+    assert tree.root.height == 3.5
+    assert set(tree.root.leaves()) == {"a", "b"}
+    assert tree.root.left.is_leaf() and tree.root.right.is_leaf()
 
 
 def test_one_dimensional_points_hand_tree():
     tree = average_linkage(line_matrix(["p0", "p1", "p10"], [0.0, 1.0, 10.0]))
-    first, second = tree.merges
+    first, second = merges(tree)
     assert first.left | first.right == {"p0", "p1"}
     assert first.height == 1.0
     assert second.height == pytest.approx(9.5, abs=1e-12)
@@ -169,8 +169,8 @@ def test_matches_naive_upgma_oracle():
         matrix = DistanceMatrix(tuple(labels), sym, np.ones((n, n), dtype=np.int64))
         tree = average_linkage(matrix)
         oracle = naive_upgma(labels, sym)
-        assert len(tree.merges) == len(oracle)
-        for mine, (a, b, height) in zip(tree.merges, oracle):
+        assert len(merges(tree)) == len(oracle)
+        for mine, (a, b, height) in zip(merges(tree), oracle):
             assert {mine.left, mine.right} == {a, b}
             assert mine.height == pytest.approx(height, abs=1e-9)
 
@@ -184,8 +184,7 @@ def test_heights_are_monotone():
         tree = average_linkage(
             DistanceMatrix(tuple(f"c{i}" for i in range(8)), sym, np.ones((8, 8), dtype=np.int64))
         )
-        heights = [m.height for m in tree.merges]
-        assert heights == sorted(heights)
+        assert inversions(tree) == 0
 
 
 def test_city_order_does_not_change_tree():
@@ -202,21 +201,17 @@ def test_city_order_does_not_change_tree():
     other = average_linkage(
         DistanceMatrix(tuple(shuffled_labels), shuffled, np.ones((n, n), dtype=np.int64))
     )
-    for mine, theirs in zip(base.merges, other.merges):
+    for mine, theirs in zip(merges(base), merges(other)):
         assert {mine.left, mine.right} == {theirs.left, theirs.right}
         assert mine.height == pytest.approx(theirs.height, abs=1e-12)
 
 
 def test_tie_break_prefers_smallest_pair():
-    d = [
-        [0.0, 1.0, 5.0, 5.0],
-        [1.0, 0.0, 5.0, 5.0],
-        [5.0, 5.0, 0.0, 1.0],
-        [5.0, 5.0, 1.0, 0.0],
-    ]
-    tree = average_linkage(dm(["a", "b", "c", "d"], d))
-    assert tree.merges[0].left | tree.merges[0].right == {"a", "b"}
-    assert tree.merges[1].left | tree.merges[1].right == {"c", "d"}
+    # b is as close to c as to a; the pair with the smaller labels, (a, b), merges first,
+    # whatever the matrix order.
+    tree = average_linkage(dm(["c", "b", "a"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
+    assert flat_cut(tree, 1.2) == (("a", "b"), ("c",))
+    assert tree.root.height == 1.5
 
 
 def test_single_city_cannot_cluster():
@@ -268,8 +263,8 @@ def test_newick_round_trip():
     assert text.endswith(";")
     back = parse_newick(text)
     assert back.leaves() == tree.leaves()
-    assert len(back.merges) == len(tree.merges)
-    for mine, theirs in zip(tree.merges, back.merges):
+    assert len(merges(back)) == len(merges(tree))
+    for mine, theirs in zip(merges(tree), merges(back)):
         assert {mine.left, mine.right} == {theirs.left, theirs.right}
         assert theirs.height == pytest.approx(mine.height, rel=1e-12)
 

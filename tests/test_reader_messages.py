@@ -1,14 +1,20 @@
 """Every rejection of the input-file readers, pinned to its exact message.
 
-One row per raise site: the reader, the file's text and the message it
-must raise (`{path}` stands for the file), or None where the file reads
-without error and gives an empty result. A reader in `charts` raises
-ChartFormatError and one in `exports` raises ExportFormatError.
+One row per raise site: the reader, the file's text (or bytes) and the
+message it must raise (`{path}` stands for the file), or None where the file
+reads without error and gives an empty result. A reader in `charts` raises
+ChartFormatError, one in `exports` ExportFormatError and any other ValueError.
 """
 
 import pytest
 
-from leadlag.charts import ChartFormatError, read_chart_csv, read_genre_catalog, read_missing_weeks
+from leadlag.charts import (
+    ChartFormatError,
+    ChartStore,
+    read_chart_csv,
+    read_genre_catalog,
+    read_missing_weeks,
+)
 from leadlag.exports import (
     ExportFormatError,
     read_acyclicity_json,
@@ -17,6 +23,8 @@ from leadlag.exports import (
     read_populations,
     read_size_leadership_json,
 )
+from leadlag.lagcorr import load_dyad_cache
+from leadlag.synth import load_hierarchy
 
 CHART = "week,city,artist,listeners\n"
 GENRE = "genre,rank,artist\n"
@@ -26,6 +34,11 @@ CROWDED = CHART + "".join(f"0,c,a{i},1\n" for i in range(501))
 ACYCLICITY = '{"total_weight": 1.0, "fas_weight": 0.0, "percent_removed": 0.0, "exact": true'
 EDGE_RECORD = '{"follower": "b", "leader": "a", "weight": 0.5, "lag_weeks": 2}'
 SIZE = '{"spearman_pagerank": 0.5, "spearman_indegree": 0.5, "percent_weight_larger_leads": 50.0}'
+MANIFEST = '{"created_at": "", "inputs": {}, "tool_version": "0.1.0", "parameters": '
+DYADS = ('{"cities": ["a", "b"], "weeks": "AAAAAAAAAAABAAAAAAAAAA==", "values": "mpmZmZmZuT8zMzMzMzPTPw==", '
+         '"dyads": [{"leader": "a", "follower": "b", "samples": 2')
+CITY = '{"cities": [{"city": "aa", "activity": 1.0'
+UNDECODABLE = "{path}: not UTF-8 text"
 
 CASES = [
     (read_missing_weeks, "", None),
@@ -85,7 +98,7 @@ CASES = [
     (read_acyclicity_json, "{}", "{path}: missing 'total_weight'"),
     (read_acyclicity_json, ACYCLICITY + "}", "{path}: missing 'removed_edges'"),
     (read_acyclicity_json, ACYCLICITY + ', "removed_edges": [{"follower": "b"}]}',
-     "{path}: edge record missing 'leader'"),
+     "{path}: removed_edges: 0: missing 'leader'"),
     (read_acyclicity_json, ACYCLICITY.replace("true", '"no"') + ', "removed_edges": []}',
      "{path}: exact: expected true or false, got 'no'"),
     (read_acyclicity_json, ACYCLICITY.replace("true", "1") + ', "removed_edges": []}',
@@ -97,11 +110,11 @@ CASES = [
     (read_acyclicity_json, ACYCLICITY.replace('"percent_removed": 0.0', '"percent_removed": "0"')
      + ', "removed_edges": []}', "{path}: percent_removed: expected a number, got '0'"),
     (read_acyclicity_json, ACYCLICITY + ', "removed_edges": [' + EDGE_RECORD.replace("0.5", '"0.5"')
-     + "]}", "{path}: weight: expected a number, got '0.5'"),
+     + "]}", "{path}: removed_edges: 0: weight: expected a number, got '0.5'"),
     (read_acyclicity_json, ACYCLICITY + ', "removed_edges": [' + EDGE_RECORD.replace("2}", "2.0}")
-     + "]}", "{path}: lag_weeks: expected an integer, got 2.0"),
+     + "]}", "{path}: removed_edges: 0: lag_weeks: expected an integer, got 2.0"),
     (read_acyclicity_json, ACYCLICITY + ', "removed_edges": [' + EDGE_RECORD.replace("2}", "true}")
-     + "]}", "{path}: lag_weeks: expected an integer, got True"),
+     + "]}", "{path}: removed_edges: 0: lag_weeks: expected an integer, got True"),
     (read_size_leadership_json, '"size"', "{path}: expected a JSON object"),
     (read_size_leadership_json, SIZE.replace("0.5", "true", 1)[:-1] + ', "cities_used": []}',
      "{path}: spearman_pagerank: expected a number, got True"),
@@ -111,17 +124,56 @@ CASES = [
     (read_manifest, "{}", "{path}: missing 'created_at'"),
     (read_manifest, '{"created_at": "", "inputs": {}, "parameters": {}}',
      "{path}: missing 'tool_version'"),
+    (read_manifest, MANIFEST + "[]}", "{path}: parameters: expected a JSON object, got []"),
+    (read_manifest, MANIFEST + '{"genre_id": 5}}', "{path}: parameters: genre_id: expected a string, got 5"),
+    (read_manifest, b"\xff" + MANIFEST.encode() + b"{}}", UNDECODABLE),
+    (read_acyclicity_json, "not json", "{path}: not JSON: Expecting value: line 1 column 1 (char 0)"),
+    (read_acyclicity_json, ACYCLICITY + ', "removed_edges": 5}',
+     "{path}: removed_edges: expected a list, got 5"),
+    (read_acyclicity_json, ACYCLICITY + ', "removed_edges": [' + EDGE_RECORD.replace('"b"', "1")
+     + "]}", "{path}: removed_edges: 0: follower: expected a string, got 1"),
+    (read_acyclicity_json, ACYCLICITY.replace("1.0", "1e400") + ', "removed_edges": []}',
+     "{path}: total_weight: expected a finite number, got inf"),
+    (read_size_leadership_json, SIZE[:-1] + ', "cities_used": 3}',
+     "{path}: cities_used: expected a list, got 3"),
+    (load_dyad_cache, "not json", "{path}: not JSON: Expecting value: line 1 column 1 (char 0)"),
+    (load_dyad_cache, "[]", "{path}: expected a JSON object"),
+    (load_dyad_cache, DYADS + ', "correlation": 0.2}]}', "{path}: dyads: 0: missing 'best_lag'"),
+    (load_dyad_cache, DYADS + ', "best_lag": 1, "correlation": 1' + "0" * 400 + "}]}",
+     "{path}: dyads: 0: correlation: expected a finite number, got 1" + "0" * 400),
+    (load_dyad_cache, DYADS + ', "best_lag": 1, "correlation": NaN}]}',
+     "{path}: dyads: 0: correlation: expected a finite number, got nan"),
+    (load_dyad_cache, DYADS.replace('"samples": 2', '"samples": 1' + "0" * 19)
+     + ', "best_lag": 1, "correlation": 0.2}]}',
+     "{path}: dyads: 0: samples: expected an integer within int64, got 1" + "0" * 19),
+    (load_dyad_cache, b"\xff{}", UNDECODABLE),
+    (load_hierarchy, '{"cities": 5}', "{path}: cities: expected a list, got 5"),
+    (load_hierarchy, CITY + "}]}", "{path}: cities: 0: missing 'population'"),
+    (load_hierarchy, CITY + ', "population": 1e400}]}',
+     "{path}: cities: 0: population: expected an integer, got inf"),
+    (read_missing_weeks, b"1\n\xff\n", UNDECODABLE),
+    (read_genre_catalog, GENRE.encode() + b"rock,1,\xff\n", UNDECODABLE),
+    (read_chart_csv, b"\xff" + CHART.encode(), UNDECODABLE),
+    (ChartStore.from_files, CHART.encode() + b"0,c,\xff,1\n", UNDECODABLE),
+    (read_edge_csv, EDGE.encode() + b"b,\xff,0.5,2\n", UNDECODABLE),
+    (read_populations, (POPULATION + "".join(f"c{i},10\n" for i in range(2000))).encode()
+     + b"\xff,10\n", UNDECODABLE),
 ]
 
 
 @pytest.mark.parametrize("reader, text, message", CASES)
 def test_reader_message(tmp_path, reader, text, message):
     path = tmp_path / "input"
-    path.write_text(text, encoding="utf-8", newline="")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8", newline="")
     if message is None:
         assert not reader(path)
         return
-    error = ChartFormatError if reader.__module__ == "leadlag.charts" else ExportFormatError
+    error = {"leadlag.charts": ChartFormatError, "leadlag.exports": ExportFormatError}.get(
+        reader.__module__, ValueError
+    )
     with pytest.raises(error) as caught:
         reader(path)
     assert type(caught.value) is error

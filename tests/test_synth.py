@@ -277,13 +277,13 @@ HIERARCHY = {
 
 # (section, field, value, problem): a JSON value the hierarchy loader used to coerce.
 MISTYPED_HIERARCHY = [
-    ("edges", "lag", 1.9, "lag: expected an integer, got 1.9"),
-    ("edges", "lag", True, "lag: expected an integer, got True"),
-    ("edges", "leader", 7, "leader: expected a string, got 7"),
-    ("edges", "coupling", "1.0", "coupling: expected a number, got '1.0'"),
-    ("cities", "city", 7, "city: expected a string, got 7"),
-    ("cities", "population", 5e5, "population: expected an integer, got 500000.0"),
-    ("cities", "activity", None, "activity: expected a number, got None"),
+    ("edges", "lag", 1.9, "edges: 0: lag: expected an integer, got 1.9"),
+    ("edges", "lag", True, "edges: 0: lag: expected an integer, got True"),
+    ("edges", "leader", 7, "edges: 0: leader: expected a string, got 7"),
+    ("edges", "coupling", "1.0", "edges: 0: coupling: expected a number, got '1.0'"),
+    ("cities", "city", 7, "cities: 0: city: expected a string, got 7"),
+    ("cities", "population", 5e5, "cities: 0: population: expected an integer, got 500000.0"),
+    ("cities", "activity", None, "cities: 0: activity: expected a number, got None"),
 ]
 
 # (key, value, problem): a JSON value the config loader used to coerce.
@@ -294,7 +294,7 @@ MISTYPED_CONFIG = [
     ("noise_sigma", False, "noise_sigma: expected a number, got False"),
     ("missing_weeks", [3.7], "missing_weeks: 0: expected an integer, got 3.7"),
     ("missing_weeks", [3, "4"], "missing_weeks: 1: expected an integer, got '4'"),
-    ("missing_weeks", 3, "missing_weeks: expected a list"),
+    ("missing_weeks", 3, "missing_weeks: expected a list, got 3"),
 ]
 
 
