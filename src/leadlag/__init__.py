@@ -35,9 +35,9 @@ from .exports import (
 )
 from .lagcorr import (
     DyadResult,
+    Dyads,
     VelocitySeries,
     compute_all_velocities,
-    load_dyad_cache,
     load_dyads,
     save_dyads,
     scan_dyads,

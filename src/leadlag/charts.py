@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -206,17 +207,19 @@ def csv_rows(
     break in an earlier row does not shift it. Raises `error` when the first
     row is not `header` (an empty file has no first row), for a row whose
     field count differs from the header's, and for bytes that are not UTF-8.
+    A caller that may stop early closes the rows (`contextlib.closing`), and so the file.
     """
-    reader = csv.reader(_text_lines(path, error))
-    if next(reader, None) != list(header):
-        raise error(f"{path}:1: expected header {','.join(header)}")
-    for row in reader:
-        if not row:
-            continue
-        where = f"{path}:{reader.line_num}"
-        if len(row) != len(header):
-            raise error(f"{where}: expected {len(header)} fields, got {len(row)}")
-        yield where, row
+    with closing(_text_lines(path, error)) as lines:
+        reader = csv.reader(lines)
+        if next(reader, None) != list(header):
+            raise error(f"{path}:1: expected header {','.join(header)}")
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise error(f"{where}: expected {len(header)} fields, got {len(row)}")
+            yield where, row
 
 
 def _text_lines(path: str | Path, error: type[ValueError]) -> Iterator[str]:
@@ -291,15 +294,16 @@ def json_records(
 def read_missing_weeks(path: str | Path) -> frozenset[int]:
     """Parse a newline-separated list of missing week indices."""
     weeks = set()
-    for lineno, line in enumerate(_text_lines(path, ChartFormatError), start=1):
-        text = line.strip()
-        if not text:
-            continue
-        problem = f"{path}:{lineno}: expected a week index, got {text!r}"
-        week = parse_number(int, text, problem, ChartFormatError)
-        if week < 0:
-            raise ChartFormatError(f"{path}:{lineno}: negative week index {week}")
-        weeks.add(week)
+    with closing(_text_lines(path, ChartFormatError)) as lines:
+        for lineno, line in enumerate(lines, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            problem = f"{path}:{lineno}: expected a week index, got {text!r}"
+            week = parse_number(int, text, problem, ChartFormatError)
+            if week < 0:
+                raise ChartFormatError(f"{path}:{lineno}: negative week index {week}")
+            weeks.add(week)
     return frozenset(weeks)
 
 
@@ -312,14 +316,15 @@ def write_missing_weeks(path: str | Path, weeks: Iterable[int]) -> None:
 def read_genre_catalog(path: str | Path) -> GenreCatalog:
     """Parse a genre catalog CSV with header genre,rank,artist."""
     ranked: dict[str, dict[int, str]] = {}
-    for where, (genre_id, rank_text, artist_id) in csv_rows(path, GENRE_HEADER, ChartFormatError):
-        rank = parse_number(int, rank_text, f"{where}: bad rank {rank_text!r}", ChartFormatError)
-        if not 1 <= rank <= MAX_GENRE_RANK:
-            raise ChartFormatError(f"{where}: rank {rank} outside 1..{MAX_GENRE_RANK}")
-        slots = ranked.setdefault(genre_id, {})
-        if rank in slots:
-            raise ChartFormatError(f"{where}: duplicate rank {rank} for genre {genre_id!r}")
-        slots[rank] = artist_id
+    with closing(csv_rows(path, GENRE_HEADER, ChartFormatError)) as rows:
+        for where, (genre_id, rank_text, artist_id) in rows:
+            rank = parse_number(int, rank_text, f"{where}: bad rank {rank_text!r}", ChartFormatError)
+            if not 1 <= rank <= MAX_GENRE_RANK:
+                raise ChartFormatError(f"{where}: rank {rank} outside 1..{MAX_GENRE_RANK}")
+            slots = ranked.setdefault(genre_id, {})
+            if rank in slots:
+                raise ChartFormatError(f"{where}: duplicate rank {rank} for genre {genre_id!r}")
+            slots[rank] = artist_id
     genres = {g: [slots[r] for r in sorted(slots)] for g, slots in ranked.items()}
     return GenreCatalog(genres)
 
@@ -333,24 +338,25 @@ def read_chart_csv(path: str | Path) -> list[WeeklyChart]:
         return []
     cells: dict[tuple[int, str], list[tuple[str, int]]] = {}
     seen: set[tuple[int, str, str]] = set()
-    for where, row in csv_rows(path, CHART_HEADER, ChartFormatError):
-        week_text, city_id, artist_id, listeners_text = row
-        week = parse_number(int, week_text, f"{where}: bad week {week_text!r}", ChartFormatError)
-        if week < 0:
-            raise ChartFormatError(f"{where}: negative week index {week}")
-        if not city_id or not artist_id:
-            raise ChartFormatError(f"{where}: empty city or artist id")
-        problem = f"{where}: bad listener count {listeners_text!r}"
-        listeners = parse_number(int, listeners_text, problem, ChartFormatError)
-        if listeners < 1:
-            raise ChartFormatError(f"{where}: listener count must be positive, got {listeners}")
-        triple = (week, city_id, artist_id)
-        if triple in seen:
-            raise ChartFormatError(
-                f"{where}: duplicate entry for week {week}, city {city_id!r}, artist {artist_id!r}"
-            )
-        seen.add(triple)
-        cells.setdefault((week, city_id), []).append((artist_id, listeners))
+    with closing(csv_rows(path, CHART_HEADER, ChartFormatError)) as rows:
+        for where, row in rows:
+            week_text, city_id, artist_id, listeners_text = row
+            week = parse_number(int, week_text, f"{where}: bad week {week_text!r}", ChartFormatError)
+            if week < 0:
+                raise ChartFormatError(f"{where}: negative week index {week}")
+            if not city_id or not artist_id:
+                raise ChartFormatError(f"{where}: empty city or artist id")
+            problem = f"{where}: bad listener count {listeners_text!r}"
+            listeners = parse_number(int, listeners_text, problem, ChartFormatError)
+            if listeners < 1:
+                raise ChartFormatError(f"{where}: listener count must be positive, got {listeners}")
+            triple = (week, city_id, artist_id)
+            if triple in seen:
+                raise ChartFormatError(
+                    f"{where}: duplicate entry for week {week}, city {city_id!r}, artist {artist_id!r}"
+                )
+            seen.add(triple)
+            cells.setdefault((week, city_id), []).append((artist_id, listeners))
     charts = []
     for (week, city_id), entries in sorted(cells.items()):
         if len(entries) > MAX_CHART_ENTRIES:

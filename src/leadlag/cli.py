@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from .charts import ChartStore, read_chart_csv, read_genre_catalog, write_chart_csv, write_missing_weeks
+from .charts import read_chart_csv, write_chart_csv, write_missing_weeks
 from .cluster import average_linkage, flat_cut, summed_distances, to_newick
 from .exports import (
     read_acyclicity_json,
@@ -28,12 +28,7 @@ from .exports import (
     write_populations,
 )
 from .lagcorr import (
-    DEFAULT_MIN_SAMPLES,
-    _scan_lags,
-    compute_all_velocities,
-    load_dyad_cache,
-    save_dyads,
-    scan_dyads,
+    DEFAULT_MIN_SAMPLES, _scan_lags, compute_all_velocities, load_dyads, save_dyads, scan_dyads,
 )
 from .network import (
     DEFAULT_ALPHA,
@@ -44,7 +39,7 @@ from .network import (
     feedback_arc_set,
     pagerank,
 )
-from .pipeline import RunConfig, build_windows, check_cities, genre_artists, run_pipeline
+from .pipeline import RunConfig, build_windows, load_store, run_pipeline
 from .synth import generate_charts, load_hierarchy, load_synth_config, shuffle_null
 
 OUTPUT_DIR_ENV = "LEADLAG_OUTPUT_DIR"
@@ -84,14 +79,9 @@ def _parse_cities(text: str | None) -> tuple[str, ...] | None:
 
 
 def _load_store(args: argparse.Namespace):
-    """The store the chart flags name, the genre catalog and the genre's artists;
-    the city subset and the genre are checked, and the genre looked up, first."""
+    """`pipeline.load_store` of the chart flags."""
     subset = _parse_cities(args.cities)
-    check_cities(subset)
-    catalog = read_genre_catalog(args.genre_file) if args.genre_file else None
-    artists = genre_artists(catalog, args.genre)
-    store = ChartStore.from_files(args.charts, args.missing)
-    return (store if subset is None else store.restrict(subset)), catalog, artists
+    return load_store(args.charts, args.missing, args.genre_file, args.genre, subset)
 
 
 def _load_windows(args: argparse.Namespace):
@@ -159,7 +149,7 @@ def _cmd_dyads(args: argparse.Namespace) -> int:
     windows = _load_windows(args)
     dyads = scan_dyads(compute_all_velocities(windows), min_samples=args.min_samples, lags=lags)
     path = _out_dir(args) / "dyads.json"
-    save_dyads(path, dyads, windows.cities)
+    save_dyads(path, dyads)
     print(f"scored dyads: {len(dyads)}")
     print(f"wrote {path}")
     return 0
@@ -167,8 +157,7 @@ def _cmd_dyads(args: argparse.Namespace) -> int:
 
 def _cmd_graph(args: argparse.Namespace) -> int:
     _check_alpha(args.alpha)
-    cities, dyads = load_dyad_cache(args.dyads)
-    graph = build_graph(dyads, alpha=args.alpha, bonferroni=args.bonferroni, nodes=cities)
+    graph = build_graph(load_dyads(args.dyads), alpha=args.alpha, bonferroni=args.bonferroni)
     centrality = pagerank(graph)
     out = _out_dir(args)
     write_edge_csv(out / "edges.csv", graph)
@@ -300,10 +289,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"accepted edges: {len(result.graph.edges)}")
     print(f"edge weight removed to make acyclic: {_fas_figure(result.acyclicity)}")
     if result.size is not None:
-        print(
-            "spearman pagerank vs population: "
-            f"{result.size.spearman_pagerank:.2f}"
-        )
+        print(f"spearman pagerank vs population: {result.size.spearman_pagerank:.2f}")
     for name in sorted(result.artifacts):
         print(f"wrote {result.artifacts[name]}")
     return 0

@@ -10,6 +10,8 @@ import csv
 import hashlib
 import json
 import math
+from contextlib import closing
+from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -53,28 +55,34 @@ def write_edge_csv(path: str | Path, graph: LeadershipGraph) -> None:
             writer.writerow([e.follower, e.leader, _fmt(e.weight), e.lag_weeks])
 
 
+def _edge(where: str, seen: set, follower: str, leader: str, weight: float, lag: int,
+          shown: object) -> Edge:
+    """The edge of one record of an edge file, rejecting what the writers never
+    write; `shown` is the weight as the file gives it."""
+    if not follower or not leader:
+        raise ExportFormatError(f"{where}: empty city id")
+    if follower == leader:
+        raise ExportFormatError(f"{where}: self-loop on {follower!r}")
+    if (follower, leader) in seen:
+        raise ExportFormatError(f"{where}: duplicate edge {follower!r} -> {leader!r}")
+    seen.add((follower, leader))
+    if not (math.isfinite(weight) and weight > 0):
+        raise ExportFormatError(f"{where}: weight must be finite and positive, got {shown!r}")
+    if not MIN_LAG <= lag <= MAX_LAG:
+        raise ExportFormatError(f"{where}: lag must be in {MIN_LAG}..{MAX_LAG}, got {lag}")
+    return Edge(follower, leader, weight, lag)
+
+
 def read_edge_csv(path: str | Path) -> list[Edge]:
     """Parse write_edge_csv output, rejecting rows it never writes."""
     edges: list[Edge] = []
     seen: set[tuple[str, str]] = set()
-    for where, (follower, leader, weight_text, lag_text) in csv_rows(
-        path, EDGE_HEADER, ExportFormatError
-    ):
-        if not follower or not leader:
-            raise ExportFormatError(f"{where}: empty city id")
-        if (follower, leader) in seen:
-            raise ExportFormatError(f"{where}: duplicate edge {follower!r} -> {leader!r}")
-        seen.add((follower, leader))
-        problem = f"{where}: bad weight {weight_text!r}"
-        weight = parse_number(float, weight_text, problem, ExportFormatError)
-        if not (math.isfinite(weight) and weight > 0):
-            raise ExportFormatError(
-                f"{where}: weight must be finite and positive, got {weight_text!r}"
-            )
-        lag = parse_number(int, lag_text, f"{where}: bad lag {lag_text!r}", ExportFormatError)
-        if not MIN_LAG <= lag <= MAX_LAG:
-            raise ExportFormatError(f"{where}: lag must be in {MIN_LAG}..{MAX_LAG}, got {lag}")
-        edges.append(Edge(follower, leader, weight, lag))
+    with closing(csv_rows(path, EDGE_HEADER, ExportFormatError)) as rows:
+        for where, (follower, leader, weight_text, lag_text) in rows:
+            problem = f"{where}: bad weight {weight_text!r}"
+            weight = parse_number(float, weight_text, problem, ExportFormatError)
+            lag = parse_number(int, lag_text, f"{where}: bad lag {lag_text!r}", ExportFormatError)
+            edges.append(_edge(where, seen, follower, leader, weight, lag, weight_text))
     return edges
 
 
@@ -91,16 +99,17 @@ def write_populations(path: str | Path, populations: Mapping[str, int]) -> None:
 
 def read_populations(path: str | Path) -> dict[str, int]:
     populations: dict[str, int] = {}
-    for where, (city, pop_text) in csv_rows(path, POPULATION_HEADER, ExportFormatError):
-        if not city:
-            raise ExportFormatError(f"{where}: empty city id")
-        if city in populations:
-            raise ExportFormatError(f"{where}: duplicate city {city!r}")
-        problem = f"{where}: bad population {pop_text!r}"
-        population = parse_number(int, pop_text, problem, ExportFormatError)
-        if population <= 0:
-            raise ExportFormatError(f"{where}: population must be positive, got {population}")
-        populations[city] = population
+    with closing(csv_rows(path, POPULATION_HEADER, ExportFormatError)) as rows:
+        for where, (city, pop_text) in rows:
+            if not city:
+                raise ExportFormatError(f"{where}: empty city id")
+            if city in populations:
+                raise ExportFormatError(f"{where}: duplicate city {city!r}")
+            problem = f"{where}: bad population {pop_text!r}"
+            population = parse_number(int, pop_text, problem, ExportFormatError)
+            if population <= 0:
+                raise ExportFormatError(f"{where}: population must be positive, got {population}")
+            populations[city] = population
     return populations
 
 
@@ -226,65 +235,49 @@ _EDGE_FIELDS = dict(zip(EDGE_HEADER, (str, str, float, int)))
 _MANIFEST_FIELDS = {"created_at": str, "inputs": dict, "parameters": dict, "tool_version": str}
 
 
-def _edge_payload(edge: Edge) -> dict:
-    return {
-        "follower": edge.follower,
-        "leader": edge.leader,
-        "weight": edge.weight,
-        "lag_weeks": edge.lag_weeks,
-    }
-
-
 def write_centrality_json(path: str | Path, report: CentralityReport) -> None:
-    _write_json(
-        path,
-        {
-            "pagerank": dict(report.pagerank),
-            "weighted_in_degree": dict(report.weighted_in_degree),
-        },
-    )
+    _write_json(path, asdict(report))
 
 
 def write_acyclicity_json(path: str | Path, report: AcyclicityReport) -> None:
-    _write_json(
-        path,
-        {
-            "total_weight": report.total_weight,
-            "fas_weight": report.fas_weight,
-            "percent_removed": report.percent_removed,
-            "exact": report.exact,
-            "removed_edges": [
-                _edge_payload(e)
-                for e in sorted(report.removed_edges, key=lambda e: (e.follower, e.leader))
-            ],
-        },
+    payload = asdict(report)
+    payload["removed_edges"] = sorted(
+        payload["removed_edges"], key=lambda e: (e["follower"], e["leader"])
     )
+    _write_json(path, payload)
 
 
 def read_acyclicity_json(path: str | Path) -> AcyclicityReport:
+    """Parse write_acyclicity_json output, rejecting values it never writes: a
+    removed edge `read_edge_csv` would reject, a `fas_weight` outside
+    [0, total_weight] and a `percent_removed` outside [0, 100]."""
     raw = read_json(path, ExportFormatError)
+    total = _json_value(raw, "total_weight", path)
+    fas = _json_value(raw, "fas_weight", path)
+    percent = _json_value(raw, "percent_removed", path)
+    if not 0.0 <= fas <= total:
+        raise ExportFormatError(
+            f"{path}: fas_weight {fas!r} is outside [0, total_weight {total!r}]"
+        )
+    if not 0.0 <= percent <= 100.0:
+        raise ExportFormatError(f"{path}: percent_removed {percent!r} is outside [0, 100]")
+    seen: set[tuple[str, str]] = set()
+    records = json_records(raw, "removed_edges", path, _EDGE_FIELDS, ExportFormatError)
+    removed = [
+        _edge(f"{path}: removed_edges: {i}", seen, *values, values[2])
+        for i, values in enumerate(records)
+    ]
     return AcyclicityReport(
-        total_weight=_json_value(raw, "total_weight", path),
-        fas_weight=_json_value(raw, "fas_weight", path),
-        percent_removed=_json_value(raw, "percent_removed", path),
-        removed_edges=tuple(
-            Edge(*values)
-            for values in json_records(raw, "removed_edges", path, _EDGE_FIELDS, ExportFormatError)
-        ),
+        total_weight=total,
+        fas_weight=fas,
+        percent_removed=percent,
+        removed_edges=tuple(removed),
         exact=_json_value(raw, "exact", path, bool),
     )
 
 
 def write_size_leadership_json(path: str | Path, report: SizeLeadershipReport) -> None:
-    _write_json(
-        path,
-        {
-            "spearman_pagerank": report.spearman_pagerank,
-            "spearman_indegree": report.spearman_indegree,
-            "percent_weight_larger_leads": report.percent_weight_larger_leads,
-            "cities_used": list(report.cities_used),
-        },
-    )
+    _write_json(path, asdict(report))
 
 
 def read_size_leadership_json(path: str | Path) -> SizeLeadershipReport:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ VELOCITY_STEP_WEEKS = 4
 DEFAULT_MIN_SAMPLES = 20
 # The top-level keys of a save_dyads cache.
 _CACHE_KEYS = {"cities", "dyads", "weeks", "values"}
-# The JSON kind of each field of a cached dyad, in the order DyadResult takes them.
+# The JSON kind of each field of a cached dyad, in the order of a Dyads row.
 _DYAD_FIELDS = {"leader": str, "follower": str, "best_lag": int, "correlation": float, "samples": int}
 
 
@@ -47,12 +47,12 @@ class VelocitySeries:
 
 @dataclass(frozen=True, eq=False)
 class DyadResult:
-    """Outcome of the lag scan for one ordered (follower, leader) pair.
+    """One row of a `Dyads` table: the lag scan's outcome for one ordered
+    (follower, leader) pair.
 
-    `weeks` (int64, increasing) and `values` (float64) hold the samples of
-    `best_lag`, the one lag ever tested: the follower's velocity at each
-    week dotted with the leader's `best_lag` weeks earlier. `correlation`
-    is their mean.
+    `weeks` and `values` hold the samples of `best_lag`, the one lag ever
+    tested: the follower's velocity at each week dotted with the leader's
+    `best_lag` weeks earlier. `correlation` is their mean.
     """
 
     leader_candidate: str
@@ -62,21 +62,44 @@ class DyadResult:
     weeks: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weeks", np.asarray(self.weeks, dtype=np.int64))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DyadResult):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
-        )
-
     @property
     def per_lag_samples(self) -> Mapping[int, np.ndarray]:
         """`{best_lag: values}`; the benchmark's tracer counts samples through it."""
         return {self.best_lag: self.values}
+
+
+@dataclass(frozen=True, eq=False)
+class Dyads:
+    """The scored ordered city pairs of one scan, one row each, as columns.
+
+    `cities` holds every scanned city, sorted and distinct, whether or not
+    it has a scored pair; it is the node set of a graph built from the
+    table. `leader` and `follower` are int64 codes into it, and the rows run
+    in strictly increasing (leader, follower) order, so no pair repeats.
+    `lag`, `correlation` and `sizes` give each row's best lag, the mean of
+    its samples and their count; `weeks` (int64, increasing within a row)
+    and `values` (float64) hold every row's samples end to end, in row order.
+    """
+
+    cities: tuple[str, ...]
+    leader: np.ndarray
+    follower: np.ndarray
+    lag: np.ndarray
+    correlation: np.ndarray
+    sizes: np.ndarray
+    weeks: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.leader)
+
+    def __iter__(self) -> Iterator[DyadResult]:
+        """Each row as a DyadResult, in row order."""
+        cuts = np.cumsum(self.sizes)[:-1]
+        columns = (self.leader, self.follower, self.lag, self.correlation)
+        samples = (np.split(self.weeks, cuts), np.split(self.values, cuts))
+        for leader, follower, *rest in zip(*(x.tolist() for x in columns), *samples):
+            yield DyadResult(self.cities[leader], self.cities[follower], *rest)
 
 
 def compute_all_velocities(windows: WindowStack) -> dict[str, VelocitySeries]:
@@ -86,10 +109,9 @@ def compute_all_velocities(windows: WindowStack) -> dict[str, VelocitySeries]:
     Weeks where either window is absent, or where the city is inactive in
     either window, simply have no velocity; nothing is zero-filled. A
     city's velocities are one dense difference of its late and early rows
-    over the columns either uses.
+    over the columns either uses. Every city of the stack has a series, an
+    empty one where it has no velocity, even when the stack has no window.
     """
-    if not windows:
-        return {}
     n = len(windows.cities)
     starts = np.asarray(windows.starts, dtype=np.int64)
     early = np.flatnonzero(np.isin(starts + VELOCITY_STEP_WEEKS, starts))
@@ -124,8 +146,9 @@ def scan_dyads(
     series: Mapping[str, VelocitySeries],
     min_samples: int = DEFAULT_MIN_SAMPLES,
     lags: Sequence[int] | None = None,
-) -> list[DyadResult]:
-    """Score every ordered city pair, in deterministic (leader, follower) order.
+) -> Dyads:
+    """Score every ordered pair of the cities of `series`, which become the
+    table's city list.
 
     A pair keeps its lag with the largest mean sample among those with at
     least min_samples samples, ties going to the smallest lag; a pair with
@@ -136,9 +159,12 @@ def scan_dyads(
     row r against city c at the k-th lag, NaN where c has no row that week.
     """
     scan = _scan_lags(min_samples, lags)
-    present = [series[c] for c in sorted(series) if len(series[c])]
+    cities = tuple(sorted(series))
+    code = np.array([i for i, c in enumerate(cities) if len(series[c])], dtype=np.int64)
+    present = [series[cities[i]] for i in code.tolist()]
     if len(present) < 2:
-        return []
+        none = np.zeros(0, dtype=np.int64)
+        return Dyads(cities, none, none, none, np.zeros(0), none, none, np.zeros(0))
     n = len(present)
     weeks = np.concatenate([np.asarray(s.weeks, dtype=np.int64) for s in present])
     owner = np.repeat(np.arange(n), [len(s) for s in present])
@@ -162,60 +188,58 @@ def scan_dyads(
         block = follower @ stack.take(by_week[c:d][keep]).block(columns)[1].T
         samples[by_week[a:b, None], pos[keep], owner[by_week[c:d]][keep]] = block
 
-    bounds = np.searchsorted(owner, np.arange(n + 1))
+    starts = np.searchsorted(owner, np.arange(n))
     have = ~np.isnan(samples)
-    counts = np.add.reduceat(have, bounds[:-1], axis=0, dtype=np.int64)
-    means = np.add.reduceat(np.where(have, samples, 0.0), bounds[:-1], axis=0)
+    counts = np.add.reduceat(have, starts, axis=0, dtype=np.int64)
+    means = np.add.reduceat(np.where(have, samples, 0.0), starts, axis=0)
+    del have
     means /= np.maximum(counts, 1)
     means[counts < min_samples] = -np.inf
-    best, best_mean = means.argmax(axis=1), means.max(axis=1)
+    best, best_mean = means.argmax(axis=1), means.max(axis=1)  # [follower, leader]
     scored = np.isfinite(best_mean)
     np.fill_diagonal(scored, False)
 
-    dyads = []
-    for li, fi in zip(*(x.tolist() for x in np.nonzero(scored.T))):
-        k = int(best[fi, li])
-        column = samples[bounds[fi] : bounds[fi + 1], k, li]
-        sampled = ~np.isnan(column)
-        dyads.append(DyadResult(
-            present[li].city_id, present[fi].city_id, scan[k], float(best_mean[fi, li]),
-            weeks[bounds[fi] : bounds[fi + 1]][sampled], column[sampled],
-        ))
-    return dyads
+    # Each row's samples at its best lag against every leader, leader-major,
+    # so the scored pairs' samples come out in (leader, follower) order.
+    chosen = np.take_along_axis(samples, best[owner][:, None], axis=1)[:, 0].T
+    del samples
+    sampled = scored.T[:, owner] & ~np.isnan(chosen)
+    leader, follower = np.nonzero(scored.T)
+    k = best[follower, leader]
+    return Dyads(
+        cities, code[leader], code[follower], np.array(scan)[k], best_mean[follower, leader],
+        counts[follower, k, leader], np.broadcast_to(weeks, sampled.shape)[sampled],
+        chosen[sampled],
+    )
 
 
-def save_dyads(path: str | Path, dyads: Iterable[DyadResult], cities: Iterable[str]) -> None:
-    """Write the scanned cities and their dyad results as JSON, stable across reruns.
+def save_dyads(path: str | Path, dyads: Dyads) -> None:
+    """Write a dyad table as JSON, stable across reruns.
 
     The city list keeps cities with no scored dyad, so a graph rebuilt from
-    the cache has the nodes of the run that wrote it. Dyads are sorted by
-    (leader, follower), each with its sample count; `weeks` and `values`
-    hold every dyad's samples in that order as base64 of little-endian
-    int64 and float64, so the samples round-trip bit for bit.
+    the cache has the nodes of the run that wrote it. Dyads follow the
+    table's (leader, follower) order, each with its sample count; `weeks`
+    and `values` hold every dyad's samples in that order as base64 of
+    little-endian int64 and float64, so the samples round-trip bit for bit.
     """
-    dyads = sorted(dyads, key=lambda d: (d.leader_candidate, d.follower_candidate))
+    names = dyads.cities
+    columns = (dyads.leader, dyads.follower, dyads.lag, dyads.correlation, dyads.sizes)
     payload = {
-        "cities": sorted(cities),
+        "cities": list(names),
         "dyads": [
-            {
-                "leader": d.leader_candidate,
-                "follower": d.follower_candidate,
-                "best_lag": d.best_lag,
-                "correlation": d.correlation,
-                "samples": len(d.values),
-            }
-            for d in dyads
+            dict(zip(_DYAD_FIELDS, (names[leader], names[follower], *rest)))
+            for leader, follower, *rest in zip(*(x.tolist() for x in columns))
         ],
-        "weeks": _encode_column((d.weeks for d in dyads), "<i8"),
-        "values": _encode_column((d.values for d in dyads), "<f8"),
+        "weeks": _encode_column(dyads.weeks, "<i8"),
+        "values": _encode_column(dyads.values, "<f8"),
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _encode_column(arrays: Iterable[np.ndarray], dtype: str) -> str:
-    """Base64 of the arrays' items as `dtype`, end to end."""
-    return base64.b64encode(b"".join(a.astype(dtype).tobytes() for a in arrays)).decode("ascii")
+def _encode_column(items: np.ndarray, dtype: str) -> str:
+    """Base64 of the items as `dtype`."""
+    return base64.b64encode(items.astype(dtype).tobytes()).decode("ascii")
 
 
 def _decode_column(path: str | Path, payload: dict, name: str, dtype: str) -> np.ndarray:
@@ -230,26 +254,23 @@ def _decode_column(path: str | Path, payload: dict, name: str, dtype: str) -> np
     return np.frombuffer(raw, dtype=dtype)
 
 
-def load_dyads(path: str | Path) -> list[DyadResult]:
-    """The dyads of a save_dyads cache, checked as `load_dyad_cache` checks them."""
-    return load_dyad_cache(path)[1]
-
-
-def load_dyad_cache(path: str | Path) -> tuple[tuple[str, ...], list[DyadResult]]:
-    """Read a save_dyads cache: its city list and its dyads.
+def load_dyads(path: str | Path) -> Dyads:
+    """Read a save_dyads cache as a dyad table.
 
     Raises ValueError, naming the file, for a file in another layout (such
     as a cache written before the samples were stored as columns, which
     listed [week, value] pairs), for a value `charts.json_value` rejects
     (a missing key, a value of another JSON kind than its field's in
     `_DYAD_FIELDS`, a correlation that is not finite as a double), and for a
-    cache that would otherwise distort the graph silently: a weeks or values
-    column that is not base64 of whole 8-byte items, sample counts that do
-    not sum to the columns' length, or, naming the dyad, a dyad naming a
-    city outside the city list, a repeated (follower, leader) pair, a best
-    lag outside 1..5, a sample count below 2, weeks that do not strictly
-    increase, a NaN or infinite sample, or a correlation that is not the
-    mean of its samples to within 1e-12.
+    cache that would otherwise distort the graph silently: a city list that
+    repeats a city or is not sorted, a weeks or values column that is not
+    base64 of whole 8-byte items, sample counts that do not sum to the
+    columns' length, or, naming the dyad, a dyad naming a city outside the
+    city list, one whose pair repeats the row before it ("appears twice") or
+    sorts before it in (leader, follower) order, a best lag outside 1..5, a
+    sample count below 2, weeks that do not strictly increase, a NaN or
+    infinite sample, or a correlation that is not the mean of its samples to
+    within 1e-12.
     """
     payload = read_json(path)
     if not _CACHE_KEYS <= payload.keys():
@@ -258,51 +279,54 @@ def load_dyad_cache(path: str | Path) -> tuple[tuple[str, ...], list[DyadResult]
             "base64 weeks and values columns; rerun `leadlag dyads` or `leadlag run` to rewrite it"
         )
     cities = tuple(json_list(payload, "cities", path, str))
-    known = set(cities)
+    for before, city in zip(cities, cities[1:]):
+        if before >= city:
+            problem = "appears twice in" if before == city else "is out of order in"
+            raise ValueError(f"{path}: city {city!r} {problem} the cache's city list, "
+                             "which must be sorted")
+    index = {c: i for i, c in enumerate(cities)}
 
-    def reject(row: list, problem: str) -> ValueError:
-        return ValueError(f"{path}: dyad {row[1]!r} -> {row[0]!r} {problem}")
+    def reject(leader: str, follower: str, problem: str) -> ValueError:
+        return ValueError(f"{path}: dyad {follower!r} -> {leader!r} {problem}")
 
-    rows, seen = [], set()
-    for row in json_records(payload, "dyads", path, _DYAD_FIELDS):
-        leader, follower, lag, _, size = row
-        if leader not in known or follower not in known:
-            raise reject(row, "names a city that is not in the cache's city list")
-        if (follower, leader) in seen:
-            raise reject(row, "appears twice")
-        seen.add((follower, leader))
+    rows, last = [], (-1, -1)
+    records = json_records(payload, "dyads", path, _DYAD_FIELDS)
+    for leader, follower, lag, correlation, size in records:
+        if leader not in index or follower not in index:
+            raise reject(leader, follower, "names a city that is not in the cache's city list")
+        pair = (index[leader], index[follower])
+        if pair <= last:
+            raise reject(leader, follower,
+                         "appears twice" if pair == last else "is out of (leader, follower) order")
+        last = pair
         if not MIN_LAG <= lag <= MAX_LAG:
-            raise reject(row, f"has best_lag {lag!r}, not an integer in {MIN_LAG}..{MAX_LAG}")
+            raise reject(leader, follower,
+                         f"has best_lag {lag!r}, not an integer in {MIN_LAG}..{MAX_LAG}")
         if size < 2:
-            raise reject(row, f"has {size} samples, fewer than 2")
-        rows.append(row)
+            raise reject(leader, follower, f"has {size} samples, fewer than 2")
+        rows.append((*pair, lag, correlation, size))
     weeks = _decode_column(path, payload, "weeks", "<i8")
     values = _decode_column(path, payload, "values", "<f8")
-    sizes = [row[4] for row in rows]
-    if not sum(sizes) == len(weeks) == len(values):
+    columns = list(zip(*rows)) or [()] * 5
+    if not sum(columns[4]) == len(weeks) == len(values):
         raise ValueError(
             f"{path}: the dyads' sample counts do not sum to the length of the weeks and "
             "values columns"
         )
-    if not rows:
-        return cities, []
-    bounds = np.cumsum([0] + sizes)
-    starts = bounds[:-1]
+    leader, follower, lag, correlation, sizes = (
+        np.array(c, dtype=np.float64 if i == 3 else np.int64) for i, c in enumerate(columns)
+    )
+    starts = np.cumsum(sizes) - sizes
 
     def require(ok: np.ndarray, problem: str) -> None:
         if not ok.all():
-            raise reject(rows[int(np.argmin(ok))], problem)
+            at = int(np.argmin(ok))
+            raise reject(cities[leader[at]], cities[follower[at]], problem)
 
     require(np.logical_and.reduceat(np.isfinite(values), starts), "has a non-finite sample value")
-    step_up = np.diff(weeks, prepend=weeks[0]) > 0
+    step_up = np.diff(weeks, prepend=0) > 0
     step_up[starts] = True
     require(np.logical_and.reduceat(step_up, starts), "has weeks that repeat or are out of order")
-    mean = np.add.reduceat(values, starts) / np.diff(bounds)
-    correlation = np.array([row[3] for row in rows])
-    require(np.abs(mean - correlation) <= 1e-12,
+    require(np.abs(np.add.reduceat(values, starts) / sizes - correlation) <= 1e-12,
             "has a correlation that is not the mean of its samples")
-    bounds = bounds.tolist()
-    return cities, [
-        DyadResult(leader, follower, lag, c, weeks[a:b], values[a:b])
-        for (leader, follower, lag, c, _), a, b in zip(rows, bounds, bounds[1:])
-    ]
+    return Dyads(cities, leader, follower, lag, correlation, sizes, weeks, values)

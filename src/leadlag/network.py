@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .lagcorr import DyadResult
+from .lagcorr import Dyads
 from .stats import (
     UndefinedCorrelationError,
     grouped_ttest,
@@ -95,11 +95,9 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
-def _decide(
-    dyads: Sequence[DyadResult], alpha: float, nodes: Sequence[str]
-) -> list[Edge]:
-    """Edges over every pair of the sorted, distinct `nodes` with a scored
-    dyad, sorted.
+def _decide(dyads: Dyads, alpha: float) -> list[Edge]:
+    """Edges over every pair of the table's cities with a scored dyad, sorted
+    by (follower, leader).
 
     A dyad passes the screen when its samples' mean is significantly
     nonzero at alpha, its correlation positive and its sample not flat. A
@@ -108,28 +106,17 @@ def _decide(
     test over the (at least 2) weeks both have a sample must separate them,
     by differences that are not flat, and the larger correlation wins.
     """
-    index = {c: i for i, c in enumerate(nodes)}
-    n_nodes = len(nodes)
-    ends = np.array(
-        [(index.get(d.follower_candidate, -1), index.get(d.leader_candidate, -1)) for d in dyads],
-        dtype=np.int64,
-    ).reshape(-1, 2)
-    # Latest first, so np.unique keeps the last dyad of each pair.
-    inside = np.flatnonzero((ends >= 0).all(axis=1))[::-1]
-    if not len(inside):
+    if not len(dyads):
         return []
-    # Each (follower, leader) pair once, in name order, by its code
-    # follower * n_nodes + leader.
-    code, last = np.unique(ends[inside, 0] * n_nodes + ends[inside, 1], return_index=True)
-    dyads = [dyads[i] for i in inside[last].tolist()]
-    sizes = np.array([len(d.values) for d in dyads], dtype=np.int64)
-    values = np.concatenate([d.values for d in dyads])
-    correlation = np.array([d.correlation for d in dyads])
+    n_nodes = len(dyads.cities)
+    sizes, values, correlation = dyads.sizes, dyads.values, dyads.correlation
     _, p_value, flat = grouped_ttest(values, sizes)
     passes = (p_value < alpha) & (correlation > 0)  # a flat dyad has p = 1
 
-    # Each pair with both orientations once, as (first, second) dyad indexes.
-    reverse = code % n_nodes * n_nodes + code // n_nodes
+    # Each pair with both orientations once, as (first, second) row indexes;
+    # a row's code leader * n_nodes + follower increases down the table.
+    code = dyads.leader * n_nodes + dyads.follower
+    reverse = dyads.follower * n_nodes + dyads.leader
     mate = np.minimum(np.searchsorted(code, reverse), len(code) - 1)
     mate[code[mate] != reverse] = -1
     first = np.flatnonzero(np.arange(len(code)) < mate)
@@ -138,10 +125,9 @@ def _decide(
     one_sided = live & (passes[first] != passes[second])
     fwd, bwd = (side[live & passes[first] & passes[second]] for side in (first, second))
 
-    # Contest c pairs dyads fwd[c] and bwd[c]; a (c, week) key marks each sample.
+    # Contest c pairs rows fwd[c] and bwd[c]; a (c, week) key marks each sample.
     starts = np.cumsum(sizes) - sizes
-    weeks = np.concatenate([d.weeks for d in dyads])
-    weeks -= weeks.min()
+    weeks = dyads.weeks - dyads.weeks.min()
     stride = weeks.max() + 1
 
     def keyed(side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,36 +145,32 @@ def _decide(
     decided = np.flatnonzero(enough)[contest.reject_at(alpha)]
     f, b = fwd[decided], bwd[decided]
 
-    winners = np.sort(np.concatenate([
+    winners = np.concatenate([
         np.flatnonzero(passes & (mate < 0)),
         np.where(passes[first], first, second)[one_sided],
         np.where(correlation[f] > correlation[b], f, b)[correlation[f] != correlation[b]],
-    ]))
-    chosen = (dyads[i] for i in winners.tolist())
-    return [Edge(d.follower_candidate, d.leader_candidate, d.correlation, d.best_lag) for d in chosen]
+    ])
+    winners = winners[np.argsort(reverse[winners])]  # by (follower, leader)
+    columns = (dyads.follower, dyads.leader, correlation, dyads.lag)
+    names = dyads.cities
+    rows = zip(*(x[winners].tolist() for x in columns))
+    return [Edge(names[follower], names[leader], *rest) for follower, leader, *rest in rows]
 
 
 def build_graph(
-    dyads: Iterable[DyadResult],
-    alpha: float = DEFAULT_ALPHA,
-    bonferroni: bool = False,
-    nodes: Sequence[str] | None = None,
+    dyads: Dyads, alpha: float = DEFAULT_ALPHA, bonferroni: bool = False
 ) -> LeadershipGraph:
-    """Run edge acceptance over every unordered pair with scored dyads.
+    """Run edge acceptance over every unordered pair with scored dyads; the
+    graph's nodes are the table's cities.
 
     A pair with only one scored orientation is decided by the screen
     alone. With bonferroni=True the level is divided by the number of
-    ordered dyads over the node set. Of two dyads of one orientation the
-    later counts; dyads naming a city outside `nodes` are ignored.
+    ordered pairs of cities.
     """
     _check_alpha(alpha)
-    dyads = list(dyads)
-    if nodes is None:
-        nodes = [c for d in dyads for c in (d.follower_candidate, d.leader_candidate)]
-    ordered = tuple(sorted(set(nodes)))
-    n = len(ordered)
+    n = len(dyads.cities)
     level = alpha / (n * (n - 1)) if bonferroni and n > 1 else alpha
-    return LeadershipGraph(nodes=ordered, edges=tuple(_decide(dyads, level, ordered)))
+    return LeadershipGraph(nodes=dyads.cities, edges=tuple(_decide(dyads, level)))
 
 
 def _exact_min_fas_order(w: np.ndarray) -> list[int]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .charts import ChartStore, GenreCatalog, WindowStack, read_genre_catalog
 from .cluster import average_linkage, summed_distances, to_newick
@@ -98,6 +98,23 @@ def genre_artists(catalog: GenreCatalog | None, genre_id: str | None) -> tuple[s
     return None if genre_id is None else catalog.artists(genre_id)
 
 
+def load_store(
+    chart_path: str | Path,
+    missing_weeks_path: str | Path | None = None,
+    genre_path: str | Path | None = None,
+    genre_id: str | None = None,
+    city_subset: tuple[str, ...] | None = None,
+) -> tuple[ChartStore, GenreCatalog | None, tuple[str, ...] | None]:
+    """The chart store restricted to `city_subset`, the genre catalog and the
+    genre's artists. The subset and the genre are checked, and the genre
+    looked up in the catalog, before the charts are read."""
+    check_cities(city_subset)
+    catalog = read_genre_catalog(genre_path) if genre_path else None
+    artists = genre_artists(catalog, genre_id)
+    store = ChartStore.from_files(chart_path, missing_weeks_path)
+    return (store if city_subset is None else store.restrict(city_subset)), catalog, artists
+
+
 def build_windows(store: ChartStore, artists: Iterable[str] | None = None) -> WindowStack:
     """Normalized listen windows for every valid start week, as one stack;
     with `artists`, only their columns count."""
@@ -112,29 +129,22 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     when populations are given, dendrogram.nwk when two or more cities
     cluster, and manifest.json.
     """
-    populations = (
-        read_populations(config.populations_path) if config.populations_path else None
+    populations = read_populations(config.populations_path) if config.populations_path else None
+    store, _, artists = load_store(
+        config.chart_path, config.missing_weeks_path, config.genre_path, config.genre_id,
+        config.city_subset,
     )
-    catalog = read_genre_catalog(config.genre_path) if config.genre_path else None
-    artists = genre_artists(catalog, config.genre_id)
-    store = ChartStore.from_files(config.chart_path, config.missing_weeks_path)
-    if config.city_subset is not None:
-        store = store.restrict(config.city_subset)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
 
     windows = build_windows(store, artists)
     velocities = compute_all_velocities(windows)
-    dyads = scan_dyads(
-        velocities, min_samples=config.min_samples, lags=config.lag_range
-    )
+    dyads = scan_dyads(velocities, min_samples=config.min_samples, lags=config.lag_range)
     artifacts["dyads"] = out / "dyads.json"
-    save_dyads(artifacts["dyads"], dyads, store.cities)
+    save_dyads(artifacts["dyads"], dyads)
 
-    graph = build_graph(
-        dyads, alpha=config.alpha, bonferroni=config.bonferroni, nodes=store.cities
-    )
+    graph = build_graph(dyads, alpha=config.alpha, bonferroni=config.bonferroni)
     artifacts["edges"] = out / "edges.csv"
     write_edge_csv(artifacts["edges"], graph)
 
@@ -163,24 +173,13 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             artifacts["dendrogram"] = out / "dendrogram.nwk"
             artifacts["dendrogram"].write_text(to_newick(tree) + "\n", encoding="utf-8")
 
-    inputs = {"charts": config.chart_path}
-    if config.genre_path:
-        inputs["genres"] = config.genre_path
-    if config.missing_weeks_path:
-        inputs["missing_weeks"] = config.missing_weeks_path
-    if config.populations_path:
-        inputs["populations"] = config.populations_path
+    inputs = {
+        "charts": config.chart_path,
+        "genres": config.genre_path,
+        "missing_weeks": config.missing_weeks_path,
+        "populations": config.populations_path,
+    }
     artifacts["manifest"] = out / "manifest.json"
-    write_manifest(
-        artifacts["manifest"],
-        parameters=asdict(config),
-        input_paths=inputs,
-        version=_tool_version(),
-    )
-    return PipelineResult(
-        graph=graph,
-        centrality=centrality,
-        acyclicity=acyclicity,
-        size=size,
-        artifacts=artifacts,
-    )
+    write_manifest(artifacts["manifest"], asdict(config),
+                   {name: p for name, p in inputs.items() if p}, _tool_version())
+    return PipelineResult(graph, centrality, acyclicity, size, artifacts)

@@ -288,19 +288,25 @@ _CONFIG_FIELDS = {"n_artists": int, "n_weeks": int, "noise_sigma": float, "seed"
 
 def load_hierarchy(path: str | Path) -> PlantedHierarchy:
     """Hierarchy from JSON: cities with population and activity, and optional
-    edges with leader, follower, lag, coupling. A missing field, or a value of
-    another JSON kind than its field's (`_CITY_FIELDS`, `_EDGE_FIELDS`), is an
-    error naming the file."""
+    edges with leader, follower, lag, coupling. A missing field, a value of
+    another JSON kind than its field's (`_CITY_FIELDS`, `_EDGE_FIELDS`), or a
+    value the hierarchy's own checks reject, is an error naming the file."""
     raw = read_json(path)
-    cities = tuple(SynthCity(*values) for values in json_records(raw, "cities", path, _CITY_FIELDS))
-    edges = json_records(raw, "edges", path, _EDGE_FIELDS) if "edges" in raw else ()
-    return PlantedHierarchy(cities, tuple(PlantedEdge(*values) for values in edges))
+    cities = list(json_records(raw, "cities", path, _CITY_FIELDS))
+    edges = list(json_records(raw, "edges", path, _EDGE_FIELDS)) if "edges" in raw else []
+    try:
+        return PlantedHierarchy(
+            tuple(SynthCity(*values) for values in cities),
+            tuple(PlantedEdge(*values) for values in edges),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_synth_config(path: str | Path) -> SynthConfig:
     """Run configuration from JSON; only n_artists is mandatory. An unknown key,
-    a value of another JSON kind than its field's, or a missing week that is not
-    an integer, is an error naming the file."""
+    a value of another JSON kind than its field's, a missing week that is not
+    an integer, or a value SynthConfig rejects, is an error naming the file."""
     raw = read_json(path)
     for key in raw:
         if key not in _CONFIG_FIELDS and key != "missing_weeks":
@@ -311,7 +317,10 @@ def load_synth_config(path: str | Path) -> SynthConfig:
     }
     if "missing_weeks" in raw:
         kwargs["missing_weeks"] = frozenset(json_list(raw, "missing_weeks", path, int))
-    return SynthConfig(**kwargs)
+    try:
+        return SynthConfig(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def chain_hierarchy(

@@ -9,7 +9,7 @@ import numpy as np
 from scipy import sparse
 
 from leadlag.charts import ArtistUniverse, ChartStore, WeeklyChart, WindowStack
-from leadlag.lagcorr import VelocitySeries
+from leadlag.lagcorr import Dyads, VelocitySeries
 
 from oracles import from_scipy, per_window_windows
 
@@ -44,6 +44,41 @@ def velocity_series(city_id, vectors):
     weeks = tuple(sorted(vectors))
     matrix = np.vstack([vectors[w] for w in weeks]) if weeks else (0, 0)
     return VelocitySeries(city_id, weeks, from_scipy(matrix))
+
+
+def dyad_table(rows, cities=None):
+    """The Dyads table of DyadResult rows, sorted into (leader, follower) order,
+    over `cities`, or else over the cities the rows name."""
+    rows = sorted(rows, key=lambda d: (d.leader_candidate, d.follower_candidate))
+    if cities is None:
+        cities = {c for d in rows for c in (d.leader_candidate, d.follower_candidate)}
+    names = tuple(sorted(cities))
+    index = {c: i for i, c in enumerate(names)}
+
+    def ints(items):
+        return np.array(list(items), dtype=np.int64)
+
+    return Dyads(
+        names,
+        ints(index[d.leader_candidate] for d in rows),
+        ints(index[d.follower_candidate] for d in rows),
+        ints(d.best_lag for d in rows),
+        np.array([d.correlation for d in rows], dtype=np.float64),
+        ints(len(d.values) for d in rows),
+        np.concatenate([ints(())] + [np.asarray(d.weeks, dtype=np.int64) for d in rows]),
+        np.concatenate([np.zeros(0)] + [np.asarray(d.values, dtype=np.float64) for d in rows]),
+    )
+
+
+DYAD_COLUMNS = ("leader", "follower", "lag", "correlation", "sizes", "weeks", "values")
+
+
+def assert_same_dyads(got, want):
+    """Two Dyads tables with the same cities and the same columns, bit for bit."""
+    assert got.cities == want.cities
+    for name in DYAD_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
 
 
 # The dtype of each sample column of a dyad cache.
@@ -82,6 +117,15 @@ def distort(payload, case):
         item["samples"], item["correlation"] = 1, float(values[0])
     elif case == "city outside the city list":
         payload["cities"] = [item["leader"]]
+    elif case in ("city repeated", "cities out of order"):
+        # Just before the follower: the follower again, or "~", which sorts after every name.
+        cities, follower = payload["cities"], item["follower"]
+        cities.insert(cities.index(follower), "~" if case == "cities out of order" else follower)
+    elif case == "pairs out of order":
+        # Both orientations, the larger (leader, follower) pair first.
+        swapped = dict(item, leader=item["follower"], follower=item["leader"])
+        payload["dyads"] = sorted([item, swapped], key=lambda d: (d["leader"], d["follower"]))[::-1]
+        weeks, values = np.tile(weeks, 2), np.tile(values, 2)
     elif case == "leader as a list":
         item["leader"] = [item["leader"]]
     elif case == "dyad as a number":
@@ -107,7 +151,8 @@ def distort(payload, case):
 
 
 # Each distortion of a dyad cache, with the problem load_dyads reports for
-# it, or the start of it; {dyad} stands for {follower} -> {leader}, the names' reprs.
+# it, or the start of it; {dyad} stands for {follower} -> {leader}, the names' reprs, and
+# {smaller} for the orientation of the pair that is smaller in (leader, follower) order.
 DISTORTIONS = {
     "lag 9": "dyad {dyad} has best_lag 9, not an integer in 1..5",
     "lag 0": "dyad {dyad} has best_lag 0, not an integer in 1..5",
@@ -120,6 +165,10 @@ DISTORTIONS = {
     "correlation off its samples": "dyad {dyad} has a correlation that is not the mean of its samples",
     "one sample": "dyad {dyad} has 1 samples, fewer than 2",
     "city outside the city list": "dyad {dyad} names a city that is not in the cache's city list",
+    "city repeated": "city {follower} appears twice in the cache's city list, which must be sorted",
+    "cities out of order":
+        "city {follower} is out of order in the cache's city list, which must be sorted",
+    "pairs out of order": "dyad {smaller} is out of (leader, follower) order",
     "leader as a list": "dyads: 0: leader: expected a string, got [{leader}]",
     "dyad as a number": "dyads: 0: expected a JSON object, got 5",
     "dyads as a number": "dyads: expected a list, got 5",
@@ -137,4 +186,7 @@ DISTORTIONS = {
 def cache_rejection(path, follower, leader, case):
     """The message load_dyads gives for the distortion `case` of a one-dyad cache."""
     f, l = repr(follower), repr(leader)
-    return f"{path}: " + DISTORTIONS[case].format(dyad=f"{f} -> {l}", follower=f, leader=l)
+    smaller = f"{f} -> {l}" if leader < follower else f"{l} -> {f}"
+    return f"{path}: " + DISTORTIONS[case].format(
+        dyad=f"{f} -> {l}", follower=f, leader=l, smaller=smaller
+    )

@@ -357,7 +357,8 @@ def best_dyad(follower, leader, min_samples=DEFAULT_MIN_SAMPLES, lags=None) -> D
     lag, samples = best
     return DyadResult(
         leader.city_id, follower.city_id, lag, best_mean,
-        [s.follower_week for s in samples], [s.value for s in samples],
+        np.array([s.follower_week for s in samples], dtype=np.int64),
+        np.array([s.value for s in samples], dtype=np.float64),
     )
 
 

@@ -76,7 +76,7 @@ def charts_to_graph(charts, tmp_path, tag: str) -> tuple[LeadershipGraph, ChartS
     store = ChartStore.from_files(chart_path, missing_path)
     windows = build_windows(store)
     dyads = scan_dyads(compute_all_velocities(windows))
-    return build_graph(dyads, nodes=store.cities), store
+    return build_graph(dyads), store
 
 
 @pytest.fixture(scope="module")

@@ -1,13 +1,20 @@
 """The public API of `leadlag`: a name added to or removed from `__all__` fails here,
-as does a name the benchmark's tracer wraps that `leadlag` no longer binds, and a
+as does a name the benchmark's tracer wraps that `leadlag` no longer binds, a scan
+or a dyad cache the benchmark's tracer and alpha sweep would read wrongly, and a
 module other than `charts` that parses JSON."""
 
 import ast
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import leadlag
+from leadlag.lagcorr import DyadResult, save_dyads, scan_dyads
+
+from helpers import dyad_table, velocity_series
 
 PUBLIC = {
     "__version__",
@@ -19,6 +26,7 @@ PUBLIC = {
     "DegenerateSampleError",
     "DistanceMatrix",
     "DyadResult",
+    "Dyads",
     "Edge",
     "ExportFormatError",
     "GenreCatalog",
@@ -44,7 +52,6 @@ PUBLIC = {
     "feedback_arc_set",
     "flat_cut",
     "generate_charts",
-    "load_dyad_cache",
     "load_dyads",
     "load_hierarchy",
     "load_synth_config",
@@ -83,16 +90,45 @@ def test_public_api_is_pinned():
         assert hasattr(leadlag, name), name
 
 
+def bench_module(name, monkeypatch):
+    """The benchmark's module bench/{name}.py, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_benchmark_tracer_target_resolves(monkeypatch):
     # bench/tracer.py looks each name up with vars() on its module or class; a
     # missing one otherwise fails only the benchmark's own tests.
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracer)
-    spec.loader.exec_module(tracer)
+    tracer = bench_module("tracer", monkeypatch)
     assert tracer.TARGETS
     assert [t.label for t in tracer.TARGETS if t.attr not in vars(t.resolve_owner())] == []
+
+
+def test_benchmark_tracer_counts_every_sample_of_a_scan(monkeypatch):
+    # The tracer counts a scan's samples through each row's per_lag_samples.
+    rng = np.random.default_rng(3)
+    series = {c: velocity_series(c, {w: rng.normal(size=4) for w in range(30)}) for c in "abc"}
+    dyads = scan_dyads(series)
+    counts = bench_module("tracer", monkeypatch)._scan_counts((series,), {}, dyads)
+    assert counts["dyads_scored"] == len(dyads) == 6
+    assert counts["lag_samples"] == dyads.sizes.sum() == len(dyads.values)
+
+
+def test_benchmark_sweep_builds_over_the_cache_cities(monkeypatch, tmp_path):
+    # "zz" has no dyad; every level of the sweep still ranks it, as the run did.
+    ops = bench_module("ops", monkeypatch)
+    cache = tmp_path / "dyads.json"
+    row = DyadResult("a", "b", 1, 0.2, np.arange(30), np.full(30, 0.2) + np.tile([-0.01, 0.01], 15))
+    save_dyads(cache, dyad_table([row], ["a", "b", "zz"]))
+    assert ops.sweep(str(cache), str(tmp_path / "sweep")) == 0
+    for alpha in ops.SWEEP_ALPHAS:
+        level = tmp_path / "sweep" / ops.level_dir(alpha)
+        centrality = json.loads((level / "centrality.json").read_text())
+        assert sorted(centrality["pagerank"]) == ["a", "b", "zz"]
 
 
 def test_only_charts_parses_json():

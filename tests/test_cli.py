@@ -293,6 +293,19 @@ class TestCliCommands:
             f"valid window starts: {starts}",
         ]
 
+    def test_run_without_a_valid_window_keeps_the_cities(self, tmp_path, capsys):
+        # Three weeks hold no 4-week window, so no city has a velocity; the run's
+        # graph and its cache, and a graph rebuilt from the cache, still have both.
+        path = tmp_path / "charts.csv"
+        rows = "".join(f"{week},{city},x,1\n" for week in range(3) for city in "ab")
+        path.write_text("week,city,artist,listeners\n" + rows, encoding="utf-8")
+        assert main(["run", "--charts", str(path), "--out", str(tmp_path / "run")]) == 0
+        assert "nodes: 2" in capsys.readouterr().out.splitlines()
+        cache = tmp_path / "run" / "dyads.json"
+        assert json.loads(cache.read_text())["cities"] == ["a", "b"]
+        assert main(["graph", "--dyads", str(cache), "--out", str(tmp_path / "graph")]) == 0
+        assert "nodes: 2" in capsys.readouterr().out.splitlines()
+
     def test_synth_emits_loadable_inputs(self, tmp_path, capsys):
         hier_path = tmp_path / "hier.json"
         cfg_path = tmp_path / "cfg.json"

@@ -20,7 +20,7 @@ from leadlag.exports import (
     read_manifest,
     read_size_leadership_json,
 )
-from leadlag.lagcorr import load_dyad_cache
+from leadlag.lagcorr import load_dyads
 from leadlag.synth import load_hierarchy, load_synth_config
 
 from helpers import set_column
@@ -39,7 +39,7 @@ SYNTH = ("synth", "--hierarchy", "{dir}/hierarchy.json", "--config", "{dir}/conf
 
 # name: (reader, its error class, file name, a valid file's payload, the command reading it)
 READERS = {
-    "dyads": (load_dyad_cache, ValueError, "dyads.json", DYADS, GRAPH),
+    "dyads": (load_dyads, ValueError, "dyads.json", DYADS, GRAPH),
     "acyclicity": (read_acyclicity_json, ExportFormatError, "acyclicity.json", {
         "total_weight": 2.0, "fas_weight": 0.5, "percent_removed": 25.0, "exact": True,
         "removed_edges": [{"follower": "b", "leader": "a", "weight": 0.5, "lag_weeks": 2}],

@@ -16,7 +16,6 @@ from leadlag.lagcorr import (
     DyadResult,
     VelocitySeries,
     compute_all_velocities,
-    load_dyad_cache,
     load_dyads,
     save_dyads,
     scan_dyads,
@@ -26,9 +25,11 @@ from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
 
 from helpers import (
     DISTORTIONS,
+    assert_same_dyads,
     cache_rejection,
     column,
     distort,
+    dyad_table,
     normalized_windows,
     set_column,
     store_from_cells,
@@ -290,16 +291,22 @@ def test_scan_drops_unavailable_dyads():
         ),
         "tiny": velocity_series("tiny", {0: np.ones(3)}),
     }
-    assert scan_dyads(series, min_samples=5) == []
+    scanned = scan_dyads(series, min_samples=5)
+    assert len(scanned) == 0 and scanned.cities == ("full", "tiny")
 
 
 def assert_scan_matches_oracle(got, series, min_samples=20, lags=None):
     """The scan against best_dyad over every ordered pair.
 
-    The same pairs are scored and every sample is within 1e-15 of the
-    oracle's on the same weeks. A best lag may differ only where the
-    oracle's mean at the scan's lag ties its best mean within 1e-15.
+    The table holds every city of `series` and its rows in strictly
+    increasing (leader, follower) order. The same pairs are scored and every
+    sample is within 1e-15 of the oracle's on the same weeks. A best lag may
+    differ only where the oracle's mean at the scan's lag ties its best mean
+    within 1e-15.
     """
+    assert got.cities == tuple(sorted(series))
+    assert (np.diff(got.leader * len(got.cities) + got.follower) > 0).all()
+    assert got.sizes.sum() == len(got.weeks) == len(got.values)
     want = per_pair_scan(series, min_samples, lags)
     pair = attrgetter("leader_candidate", "follower_candidate")
     assert list(map(pair, got)) == list(map(pair, want))
@@ -311,7 +318,8 @@ def assert_scan_matches_oracle(got, series, min_samples=20, lags=None):
             assert len(other) >= min_samples
             assert abs(math.fsum(s.value for s in other) / len(other) - w.correlation) <= 1e-15
             w = DyadResult(w.leader_candidate, w.follower_candidate, g.best_lag, w.correlation,
-                           [s.follower_week for s in other], [s.value for s in other])
+                           np.array([s.follower_week for s in other]),
+                           np.array([s.value for s in other]))
         np.testing.assert_array_equal(g.weeks, w.weeks)
         np.testing.assert_allclose(g.values, w.values, rtol=0, atol=1e-15)
         assert abs(g.correlation - math.fsum(g.values) / len(g.values)) <= 1e-15
@@ -394,8 +402,8 @@ def test_scan_skips_city_without_velocities():
 
 def test_scan_of_fewer_than_two_cities_is_empty():
     lone = velocity_series("a", {w: np.ones(2) for w in range(30)})
-    assert scan_dyads({}) == []
-    assert scan_dyads({"a": lone}) == []
+    assert len(scan_dyads({})) == 0 and scan_dyads({}).cities == ()
+    assert len(scan_dyads({"a": lone})) == 0 and scan_dyads({"a": lone}).cities == ("a",)
 
 
 @pytest.mark.parametrize(
@@ -469,14 +477,16 @@ def test_dyad_cache_round_trip(tmp_path):
     # Signed zeros, a subnormal, values near the float64 limit, weeks past
     # 32 bits; their mean rounds to +0.0.
     extremes = DyadResult(
-        "Z", "F", 5, -0.0, [3, 2**31 + 1, 2**40, 2**62], [1e308, -1e308, -0.0, 5e-324]
+        "Z", "F", 5, -0.0,
+        np.array([3, 2**31 + 1, 2**40, 2**62]), np.array([1e308, -1e308, -0.0, 5e-324]),
     )
+    table = dyad_table([extremes, crafted], ("F", "L", "Z"))
     path = tmp_path / "dyads.json"
-    save_dyads(path, [extremes, crafted], ("F", "L", "Z"))
+    save_dyads(path, table)
     [item, _] = json.loads(path.read_text())["dyads"]
     assert item["samples"] == len(crafted.values)
     loaded = load_dyads(path)
-    assert loaded == [crafted, extremes]
+    assert_same_dyads(loaded, table)
     for got, want in zip(loaded, [crafted, extremes]):
         assert got.weeks.tobytes() == want.weeks.tobytes()
         assert got.values.tobytes() == want.values.tobytes()
@@ -516,9 +526,8 @@ def test_cache_holding_every_lag_rejected(tmp_path):
     path = tmp_path / "dyads.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     message = f"{path}: not a dyad cache in the current layout"
-    for load in (load_dyads, load_dyad_cache):
-        with pytest.raises(ValueError, match=re.escape(message) + ".*rerun `leadlag dyads`"):
-            load(path)
+    with pytest.raises(ValueError, match=re.escape(message) + ".*rerun `leadlag dyads`"):
+        load_dyads(path)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -528,7 +537,7 @@ def test_cache_with_non_finite_value_rejected(tmp_path, field, bad):
     follower, leader = crafted_pair([0.01, 0.03, 0.02, 0.0, -0.01])
     result = best_dyad(follower, leader)
     path = tmp_path / "dyads.json"
-    save_dyads(path, [result], ("F", "L"))
+    save_dyads(path, dyad_table([result], ("F", "L")))
     payload = json.loads(path.read_text())
     [item] = payload["dyads"]
     if field == "correlation":
@@ -546,29 +555,29 @@ def test_dyad_cache_is_deterministic(tmp_path):
     follower, leader = crafted_pair([0.5, 0.1, 0.0, 0.0, 0.0])
     result = best_dyad(follower, leader)
     p1, p2 = tmp_path / "one.json", tmp_path / "two.json"
-    save_dyads(p1, [result], ("F", "L"))
-    save_dyads(p2, [result], ("F", "L"))
+    save_dyads(p1, dyad_table([result], ("F", "L")))
+    save_dyads(p2, dyad_table([result], ("F", "L")))
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_dyad_cache_format(tmp_path):
-    dyad = DyadResult("L", "F", 3, 0.25, [4, 7], [0.5, 0.0])
+    table = dyad_table([DyadResult("L", "F", 3, 0.25, np.array([4, 7]), np.array([0.5, 0.0]))],
+                       ["L", "F", "Z"])
     path = tmp_path / "dyads.json"
-    save_dyads(path, [dyad], ["L", "F", "Z"])
+    save_dyads(path, table)
     assert path.read_text() == (
         '{"cities":["F","L","Z"],"dyads":[{"best_lag":3,"correlation":0.25,"follower":"F",'
         '"leader":"L","samples":2}],"values":"AAAAAAAA4D8AAAAAAAAAAA==",'
         '"weeks":"BAAAAAAAAAAHAAAAAAAAAA=="}\n'
     )
-    assert load_dyad_cache(path) == (("F", "L", "Z"), [dyad])
-    assert load_dyads(path) == [dyad]
+    assert_same_dyads(load_dyads(path), table)
 
 
 @pytest.mark.parametrize("case", sorted(DISTORTIONS))
 def test_cache_that_would_distort_a_run_rejected(tmp_path, case):
     follower, leader = crafted_pair([0.01, 0.03, 0.02, 0.0, -0.01])
     path = tmp_path / "dyads.json"
-    save_dyads(path, [best_dyad(follower, leader)], ("F", "L"))
+    save_dyads(path, dyad_table([best_dyad(follower, leader)], ("F", "L")))
     path.write_text(json.dumps(distort(json.loads(path.read_text()), case)))
     message = cache_rejection(path, "F", "L", case)
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -579,7 +588,7 @@ def test_cache_correlation_within_tolerance_loads(tmp_path):
     follower, leader = crafted_pair([0.01, 0.03, 0.02, 0.0, -0.01])
     result = best_dyad(follower, leader)
     path = tmp_path / "dyads.json"
-    save_dyads(path, [result], ("F", "L"))
+    save_dyads(path, dyad_table([result], ("F", "L")))
     payload = json.loads(path.read_text())
     payload["dyads"][0]["correlation"] += 5e-13
     path.write_text(json.dumps(payload))

@@ -6,6 +6,8 @@ reads without error and gives an empty result. A reader in `charts` raises
 ChartFormatError, one in `exports` ExportFormatError and any other ValueError.
 """
 
+import json
+
 import pytest
 
 from leadlag.charts import (
@@ -23,8 +25,8 @@ from leadlag.exports import (
     read_populations,
     read_size_leadership_json,
 )
-from leadlag.lagcorr import load_dyad_cache
-from leadlag.synth import load_hierarchy
+from leadlag.lagcorr import load_dyads
+from leadlag.synth import load_hierarchy, load_synth_config
 
 CHART = "week,city,artist,listeners\n"
 GENRE = "genre,rank,artist\n"
@@ -38,6 +40,24 @@ MANIFEST = '{"created_at": "", "inputs": {}, "tool_version": "0.1.0", "parameter
 DYADS = ('{"cities": ["a", "b"], "weeks": "AAAAAAAAAAABAAAAAAAAAA==", "values": "mpmZmZmZuT8zMzMzMzPTPw==", '
          '"dyads": [{"leader": "a", "follower": "b", "samples": 2')
 CITY = '{"cities": [{"city": "aa", "activity": 1.0'
+DYAD_ROW = '{{"leader": "{}", "follower": "{}", "best_lag": 1, "correlation": 0.2, "samples": 2}}'
+# Two dyads over the samples [0.1, 0.3] at weeks [0, 1] each, in the rows given.
+TWO_DYADS = ('{{"cities": ["a", "b"], "weeks": "AAAAAAAAAAABAAAAAAAAAAAAAAAAAAAAAQAAAAAAAAA=", '
+             '"values": "mpmZmZmZuT8zMzMzMzPTP5qZmZmZmbk/MzMzMzMz0z8=", "dyads": [{}, {}]}}')
+
+
+def removed(*edges, scalars=ACYCLICITY):
+    """An acyclicity report of `scalars` whose removed edges are `edges`."""
+    return scalars + ', "removed_edges": [' + ", ".join(edges) + "]}"
+
+
+def hierarchy(cities=(("aa", 5, 1.0), ("bb", 4, 1.0)), edges=()):
+    """A hierarchy JSON of (city, population, activity) and (leader, follower, lag, coupling)."""
+    return json.dumps({
+        "cities": [dict(zip(("city", "population", "activity"), c)) for c in cities],
+        "edges": [dict(zip(("leader", "follower", "lag", "coupling"), e)) for e in edges],
+    })
+
 UNDECODABLE = "{path}: not UTF-8 text"
 
 CASES = [
@@ -80,6 +100,7 @@ CASES = [
     (read_edge_csv, EDGE + ",a,0.5,2\n", "{path}:2: empty city id"),
     (read_edge_csv, EDGE + "b,,0.5,2\n", "{path}:2: empty city id"),
     (read_edge_csv, EDGE + "b,a,0.5,2\nb,a,0.5,2\n", "{path}:3: duplicate edge 'b' -> 'a'"),
+    (read_edge_csv, EDGE + "b,b,0.5,2\n", "{path}:2: self-loop on 'b'"),
     (read_edge_csv, EDGE + "b,a,heavy,2\n", "{path}:2: bad weight 'heavy'"),
     (read_edge_csv, EDGE + "b,a,nan,2\n",
      "{path}:2: weight must be finite and positive, got 'nan'"),
@@ -136,17 +157,69 @@ CASES = [
      "{path}: total_weight: expected a finite number, got inf"),
     (read_size_leadership_json, SIZE[:-1] + ', "cities_used": 3}',
      "{path}: cities_used: expected a list, got 3"),
-    (load_dyad_cache, "not json", "{path}: not JSON: Expecting value: line 1 column 1 (char 0)"),
-    (load_dyad_cache, "[]", "{path}: expected a JSON object"),
-    (load_dyad_cache, DYADS + ', "correlation": 0.2}]}', "{path}: dyads: 0: missing 'best_lag'"),
-    (load_dyad_cache, DYADS + ', "best_lag": 1, "correlation": 1' + "0" * 400 + "}]}",
+    (load_dyads, "not json", "{path}: not JSON: Expecting value: line 1 column 1 (char 0)"),
+    (load_dyads, "[]", "{path}: expected a JSON object"),
+    (load_dyads, DYADS + ', "correlation": 0.2}]}', "{path}: dyads: 0: missing 'best_lag'"),
+    (load_dyads, DYADS + ', "best_lag": 1, "correlation": 1' + "0" * 400 + "}]}",
      "{path}: dyads: 0: correlation: expected a finite number, got 1" + "0" * 400),
-    (load_dyad_cache, DYADS + ', "best_lag": 1, "correlation": NaN}]}',
+    (load_dyads, DYADS + ', "best_lag": 1, "correlation": NaN}]}',
      "{path}: dyads: 0: correlation: expected a finite number, got nan"),
-    (load_dyad_cache, DYADS.replace('"samples": 2', '"samples": 1' + "0" * 19)
+    (load_dyads, DYADS.replace('"samples": 2', '"samples": 1' + "0" * 19)
      + ', "best_lag": 1, "correlation": 0.2}]}',
      "{path}: dyads: 0: samples: expected an integer within int64, got 1" + "0" * 19),
-    (load_dyad_cache, b"\xff{}", UNDECODABLE),
+    (load_dyads, b"\xff{}", UNDECODABLE),
+    (load_dyads, DYADS.replace('["a", "b"]', '["a", "b", "b"]') + ', "best_lag": 1, "correlation": 0.2}]}',
+     "{path}: city 'b' appears twice in the cache's city list, which must be sorted"),
+    (load_dyads, DYADS.replace('["a", "b"]', '["b", "a"]') + ', "best_lag": 1, "correlation": 0.2}]}',
+     "{path}: city 'a' is out of order in the cache's city list, which must be sorted"),
+    (load_dyads, TWO_DYADS.format(DYAD_ROW.format("a", "b"), DYAD_ROW.format("a", "b")),
+     "{path}: dyad 'b' -> 'a' appears twice"),
+    (load_dyads, TWO_DYADS.format(DYAD_ROW.format("b", "a"), DYAD_ROW.format("a", "b")),
+     "{path}: dyad 'b' -> 'a' is out of (leader, follower) order"),
+    (read_acyclicity_json, removed(EDGE_RECORD.replace('"a"', '"b"')),
+     "{path}: removed_edges: 0: self-loop on 'b'"),
+    (read_acyclicity_json, removed(EDGE_RECORD, EDGE_RECORD),
+     "{path}: removed_edges: 1: duplicate edge 'b' -> 'a'"),
+    (read_acyclicity_json, removed(EDGE_RECORD.replace("0.5", "-1.0")),
+     "{path}: removed_edges: 0: weight must be finite and positive, got -1.0"),
+    (read_acyclicity_json, removed(EDGE_RECORD.replace("0.5", "0")),
+     "{path}: removed_edges: 0: weight must be finite and positive, got 0.0"),
+    (read_acyclicity_json, removed(EDGE_RECORD.replace("2}", "9}")),
+     "{path}: removed_edges: 0: lag must be in 1..5, got 9"),
+    (read_acyclicity_json, removed(EDGE_RECORD.replace("2}", "0}")),
+     "{path}: removed_edges: 0: lag must be in 1..5, got 0"),
+    (read_acyclicity_json, removed(scalars=ACYCLICITY.replace("fas_weight\": 0.0", "fas_weight\": 2")),
+     "{path}: fas_weight 2.0 is outside [0, total_weight 1.0]"),
+    (read_acyclicity_json, removed(scalars=ACYCLICITY.replace("fas_weight\": 0.0", "fas_weight\": -1")),
+     "{path}: fas_weight -1.0 is outside [0, total_weight 1.0]"),
+    (read_acyclicity_json, removed(scalars=ACYCLICITY.replace("removed\": 0.0", "removed\": 250")),
+     "{path}: percent_removed 250.0 is outside [0, 100]"),
+    (read_acyclicity_json, removed(scalars=ACYCLICITY.replace("removed\": 0.0", "removed\": -1")),
+     "{path}: percent_removed -1.0 is outside [0, 100]"),
+    (load_hierarchy, hierarchy(cities=[("", 5, 1.0)]), "{path}: city_id must be non-empty"),
+    (load_hierarchy, hierarchy(cities=[("aa", 0, 1.0)]), "{path}: population must be positive, got 0"),
+    (load_hierarchy, hierarchy(cities=[("aa", 5, 0.0)]), "{path}: activity must be positive, got 0.0"),
+    (load_hierarchy, hierarchy(edges=[("aa", "aa", 1, 0.5)]),
+     "{path}: self-influence is not allowed: 'aa'"),
+    (load_hierarchy, hierarchy(edges=[("aa", "bb", 9, 0.5)]),
+     "{path}: lag_weeks must be in [1, 5], got 9"),
+    (load_hierarchy, hierarchy(edges=[("aa", "bb", 1, 1.5)]),
+     "{path}: coupling must be in (0, 1], got 1.5"),
+    (load_hierarchy, hierarchy(cities=[("aa", 5, 1.0)] * 2), "{path}: duplicate city ids in hierarchy"),
+    (load_hierarchy, hierarchy(edges=[("aa", "zz", 1, 0.5)]),
+     "{path}: edge references unknown city 'zz'"),
+    (load_hierarchy, hierarchy(edges=[("aa", "bb", 1, 0.5), ("aa", "bb", 2, 0.5)]),
+     "{path}: duplicate planted edge ('aa', 'bb')"),
+    (load_hierarchy, hierarchy(edges=[("aa", "bb", 1, 0.5), ("bb", "aa", 1, 0.5)]),
+     "{path}: planted edges contain a cycle"),
+    (load_synth_config, '{"n_artists": 0}', "{path}: n_artists must be positive, got 0"),
+    (load_synth_config, '{"n_artists": 5, "n_weeks": 0}', "{path}: n_weeks must be positive, got 0"),
+    (load_synth_config, '{"n_artists": 5, "noise_sigma": -0.5}',
+     "{path}: noise_sigma must be non-negative, got -0.5"),
+    (load_synth_config, '{"n_artists": 5, "step_scale": -0.5}',
+     "{path}: step_scale must be non-negative, got -0.5"),
+    (load_synth_config, '{"n_artists": 5, "n_weeks": 12, "missing_weeks": [12]}',
+     "{path}: missing week 12 outside [0, 12)"),
     (load_hierarchy, '{"cities": 5}', "{path}: cities: expected a list, got 5"),
     (load_hierarchy, CITY + "}]}", "{path}: cities: 0: missing 'population'"),
     (load_hierarchy, CITY + ', "population": 1e400}]}',

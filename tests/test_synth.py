@@ -186,10 +186,8 @@ class TestGenerate:
             assert abs(vel.matrix.data).sum() == 0.0
         dyad = best_dyad(series["c01"], series["c00"], min_samples=5)
         assert dyad.correlation == 0.0
-        graph = build_graph(
-            scan_dyads(series, min_samples=5), nodes=store.cities
-        )
-        assert graph.edges == ()
+        graph = build_graph(scan_dyads(series, min_samples=5))
+        assert graph.nodes == store.cities and graph.edges == ()
 
     def test_perfect_copy_recovers_planted_lag(self):
         hier = two_cities(coupling=1.0, lag=1)
@@ -198,7 +196,8 @@ class TestGenerate:
         dyad = best_dyad(series["bb"], series["aa"])
         assert dyad.best_lag == 1
         assert dyad.correlation > 0.0
-        graph = build_graph(scan_dyads(series), nodes=store.cities)
+        graph = build_graph(scan_dyads(series))
+        assert graph.nodes == store.cities
         directed = {(e.follower, e.leader): e.lag_weeks for e in graph.edges}
         assert directed.get(("bb", "aa")) == 1
         assert ("aa", "bb") not in directed
