@@ -247,33 +247,40 @@ def write_acyclicity_json(path: str | Path, report: AcyclicityReport) -> None:
     _write_json(path, payload)
 
 
+def _in_range(path: str | Path, raw: dict, key: str, low: float, high: float) -> float:
+    """raw[key], a JSON number, rejected unless within [low, high]."""
+    value = _json_value(raw, key, path)
+    if not low <= value <= high:
+        raise ExportFormatError(f"{path}: {key} {value!r} is outside [{low:g}, {high:g}]")
+    return value
+
+
 def read_acyclicity_json(path: str | Path) -> AcyclicityReport:
     """Parse write_acyclicity_json output, rejecting values it never writes: a
     removed edge `read_edge_csv` would reject, a `fas_weight` outside
-    [0, total_weight] and a `percent_removed` outside [0, 100]."""
+    [0, total_weight] or other than the `math.fsum` of the removed weights,
+    and a `percent_removed` outside [0, 100] or other than
+    100 * fas_weight / total_weight (0 for a total of 0)."""
     raw = read_json(path, ExportFormatError)
     total = _json_value(raw, "total_weight", path)
     fas = _json_value(raw, "fas_weight", path)
-    percent = _json_value(raw, "percent_removed", path)
+    percent = _in_range(path, raw, "percent_removed", 0.0, 100.0)
     if not 0.0 <= fas <= total:
-        raise ExportFormatError(
-            f"{path}: fas_weight {fas!r} is outside [0, total_weight {total!r}]"
-        )
-    if not 0.0 <= percent <= 100.0:
-        raise ExportFormatError(f"{path}: percent_removed {percent!r} is outside [0, 100]")
+        raise ExportFormatError(f"{path}: fas_weight {fas!r} is outside [0, total_weight {total!r}]")
+    exact = _json_value(raw, "exact", path, bool)
     seen: set[tuple[str, str]] = set()
     records = json_records(raw, "removed_edges", path, _EDGE_FIELDS, ExportFormatError)
-    removed = [
-        _edge(f"{path}: removed_edges: {i}", seen, *values, values[2])
-        for i, values in enumerate(records)
-    ]
-    return AcyclicityReport(
-        total_weight=total,
-        fas_weight=fas,
-        percent_removed=percent,
-        removed_edges=tuple(removed),
-        exact=_json_value(raw, "exact", path, bool),
-    )
+    removed = tuple(_edge(f"{path}: removed_edges: {i}", seen, *values, values[2])
+                    for i, values in enumerate(records))
+    weight = math.fsum(e.weight for e in removed)
+    if fas != weight:
+        raise ExportFormatError(f"{path}: fas_weight {fas!r} is not the sum of the removed "
+                                f"edges' weights, {weight!r}")
+    share = 100.0 * fas / total if total > 0 else 0.0
+    if percent != share:
+        raise ExportFormatError(f"{path}: percent_removed {percent!r} is not "
+                                f"100 * fas_weight / total_weight, {share!r}")
+    return AcyclicityReport(total, fas, percent, removed, exact)
 
 
 def write_size_leadership_json(path: str | Path, report: SizeLeadershipReport) -> None:
@@ -281,13 +288,20 @@ def write_size_leadership_json(path: str | Path, report: SizeLeadershipReport) -
 
 
 def read_size_leadership_json(path: str | Path) -> SizeLeadershipReport:
+    """Parse write_size_leadership_json output, rejecting a Spearman value
+    outside [-1, 1], a percentage outside [0, 100] and a repeated city."""
     raw = read_json(path, ExportFormatError)
-    return SizeLeadershipReport(
-        spearman_pagerank=_json_value(raw, "spearman_pagerank", path),
-        spearman_indegree=_json_value(raw, "spearman_indegree", path),
-        percent_weight_larger_leads=_json_value(raw, "percent_weight_larger_leads", path),
+    report = SizeLeadershipReport(
+        spearman_pagerank=_in_range(path, raw, "spearman_pagerank", -1.0, 1.0),
+        spearman_indegree=_in_range(path, raw, "spearman_indegree", -1.0, 1.0),
+        percent_weight_larger_leads=_in_range(path, raw, "percent_weight_larger_leads", 0.0, 100.0),
         cities_used=tuple(json_list(raw, "cities_used", path, str, ExportFormatError)),
     )
+    cities = report.cities_used
+    if len(set(cities)) < len(cities):
+        twice = next(c for i, c in enumerate(cities) if c in cities[:i])
+        raise ExportFormatError(f"{path}: cities_used lists {twice!r} twice")
+    return report
 
 
 # ---------------------------------------------------------------- manifest

@@ -17,17 +17,16 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .charts import SparseRows, WindowStack, json_list, json_records, json_value, read_json
+from .charts import SparseRows, WindowStack, json_list, json_value, read_json
 
 MIN_LAG = 1
 MAX_LAG = 5
 LAGS = tuple(range(MIN_LAG, MAX_LAG + 1))
 VELOCITY_STEP_WEEKS = 4
 DEFAULT_MIN_SAMPLES = 20
-# The top-level keys of a save_dyads cache.
-_CACHE_KEYS = {"cities", "dyads", "weeks", "values"}
-# The JSON kind of each field of a cached dyad, in the order of a Dyads row.
-_DYAD_FIELDS = {"leader": str, "follower": str, "best_lag": int, "correlation": float, "samples": int}
+# Each Dyads column, in field order, with the little-endian dtype of its cache column.
+_COLUMNS = {"leader": "<i8", "follower": "<i8", "lag": "<i8", "correlation": "<f8",
+            "sizes": "<i8", "weeks": "<i8", "values": "<f8"}
 
 
 @dataclass(frozen=True)
@@ -214,119 +213,76 @@ def scan_dyads(
 
 
 def save_dyads(path: str | Path, dyads: Dyads) -> None:
-    """Write a dyad table as JSON, stable across reruns.
-
-    The city list keeps cities with no scored dyad, so a graph rebuilt from
-    the cache has the nodes of the run that wrote it. Dyads follow the
-    table's (leader, follower) order, each with its sample count; `weeks`
-    and `values` hold every dyad's samples in that order as base64 of
-    little-endian int64 and float64, so the samples round-trip bit for bit.
-    """
-    names = dyads.cities
-    columns = (dyads.leader, dyads.follower, dyads.lag, dyads.correlation, dyads.sizes)
-    payload = {
-        "cities": list(names),
-        "dyads": [
-            dict(zip(_DYAD_FIELDS, (names[leader], names[follower], *rest)))
-            for leader, follower, *rest in zip(*(x.tolist() for x in columns))
-        ],
-        "weeks": _encode_column(dyads.weeks, "<i8"),
-        "values": _encode_column(dyads.values, "<f8"),
-    }
+    """Write a dyad table as JSON, stable across reruns: `cities`, with those
+    that have no scored dyad, so a graph rebuilt from the cache has the run's
+    nodes, and each column as base64 of its `_COLUMNS` dtype, bit for bit."""
+    payload = {"cities": list(dyads.cities)}
+    for name, dtype in _COLUMNS.items():
+        payload[name] = base64.b64encode(getattr(dyads, name).astype(dtype).tobytes()).decode()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _encode_column(items: np.ndarray, dtype: str) -> str:
-    """Base64 of the items as `dtype`."""
-    return base64.b64encode(items.astype(dtype).tobytes()).decode("ascii")
-
-
-def _decode_column(path: str | Path, payload: dict, name: str, dtype: str) -> np.ndarray:
-    """The items of `dtype` that a cache's column `name`, a base64 string, encodes."""
-    text = json_value(payload, name, path, str)
-    try:
-        raw = base64.b64decode(text, validate=True)
-        if len(raw) % 8:
-            raise ValueError
-    except ValueError:  # binascii.Error is a ValueError, as is a non-ASCII character
-        raise ValueError(f"{path}: {name} is not base64 of whole 8-byte items") from None
-    return np.frombuffer(raw, dtype=dtype)
-
-
 def load_dyads(path: str | Path) -> Dyads:
-    """Read a save_dyads cache as a dyad table.
-
-    Raises ValueError, naming the file, for a file in another layout (such
-    as a cache written before the samples were stored as columns, which
-    listed [week, value] pairs), for a value `charts.json_value` rejects
-    (a missing key, a value of another JSON kind than its field's in
-    `_DYAD_FIELDS`, a correlation that is not finite as a double), and for a
-    cache that would otherwise distort the graph silently: a city list that
-    repeats a city or is not sorted, a weeks or values column that is not
-    base64 of whole 8-byte items, sample counts that do not sum to the
-    columns' length, or, naming the dyad, a dyad naming a city outside the
-    city list, one whose pair repeats the row before it ("appears twice") or
-    sorts before it in (leader, follower) order, a best lag outside 1..5, a
-    sample count below 2, weeks that do not strictly increase, a NaN or
-    infinite sample, or a correlation that is not the mean of its samples to
-    within 1e-12.
-    """
+    """Read a save_dyads cache as a dyad table, raising ValueError, naming the
+    file, for a file without every column (as written before each field was
+    a column), a value `charts.json_value` rejects, and any cache that would
+    silently distort a graph: an unsorted or repeating city list, a column
+    that is not base64 of whole items, unequal row columns, sample counts
+    off the sample columns' length, a city code outside the city list, or,
+    naming the dyad, a pair of one city or not above the row before it, a
+    lag outside 1..5, fewer than 2 samples, weeks that do not increase, a
+    non-finite correlation or sample, or a correlation off its samples' mean by 1e-12."""
     payload = read_json(path)
-    if not _CACHE_KEYS <= payload.keys():
-        raise ValueError(
-            f"{path}: not a dyad cache in the current layout, which stores the samples as "
-            "base64 weeks and values columns; rerun `leadlag dyads` or `leadlag run` to rewrite it"
-        )
+    if not {"cities", *_COLUMNS} <= payload.keys():
+        raise ValueError(f"{path}: not a dyad cache in the current layout, which stores every "
+                         "dyad field as a base64 column; rerun `leadlag dyads` or `leadlag run` "
+                         "to rewrite it")
     cities = tuple(json_list(payload, "cities", path, str))
     for before, city in zip(cities, cities[1:]):
         if before >= city:
             problem = "appears twice in" if before == city else "is out of order in"
             raise ValueError(f"{path}: city {city!r} {problem} the cache's city list, "
                              "which must be sorted")
-    index = {c: i for i, c in enumerate(cities)}
+    columns = []
+    for name, dtype in _COLUMNS.items():
+        text = json_value(payload, name, path, str)
+        try:  # binascii.Error, a non-ASCII character and a part-item tail are ValueErrors
+            columns.append(np.frombuffer(base64.b64decode(text, validate=True), dtype=dtype))
+        except ValueError:
+            raise ValueError(f"{path}: {name} is not base64 of whole 8-byte items") from None
+    leader, follower, lag, correlation, sizes, weeks, values = columns
+    if len({len(c) for c in columns[:5]}) > 1:
+        raise ValueError(f"{path}: the columns of one item per dyad differ in length")
+    ends = np.cumsum(sizes)  # no negative end: the sum did not overflow
+    if not sizes.sum() == len(weeks) == len(values) or (ends < 0).any():
+        raise ValueError(f"{path}: the dyads' sample counts do not sum to the length of the "
+                         "weeks and values columns")
+    n = len(cities)
+    inside = (leader >= 0) & (leader < n) & (follower >= 0) & (follower < n)
+    if not inside.all():
+        raise ValueError(f"{path}: dyad {np.argmin(inside)} names a city outside the city list")
 
-    def reject(leader: str, follower: str, problem: str) -> ValueError:
-        return ValueError(f"{path}: dyad {follower!r} -> {leader!r} {problem}")
-
-    rows, last = [], (-1, -1)
-    records = json_records(payload, "dyads", path, _DYAD_FIELDS)
-    for leader, follower, lag, correlation, size in records:
-        if leader not in index or follower not in index:
-            raise reject(leader, follower, "names a city that is not in the cache's city list")
-        pair = (index[leader], index[follower])
-        if pair <= last:
-            raise reject(leader, follower,
-                         "appears twice" if pair == last else "is out of (leader, follower) order")
-        last = pair
-        if not MIN_LAG <= lag <= MAX_LAG:
-            raise reject(leader, follower,
-                         f"has best_lag {lag!r}, not an integer in {MIN_LAG}..{MAX_LAG}")
-        if size < 2:
-            raise reject(leader, follower, f"has {size} samples, fewer than 2")
-        rows.append((*pair, lag, correlation, size))
-    weeks = _decode_column(path, payload, "weeks", "<i8")
-    values = _decode_column(path, payload, "values", "<f8")
-    columns = list(zip(*rows)) or [()] * 5
-    if not sum(columns[4]) == len(weeks) == len(values):
-        raise ValueError(
-            f"{path}: the dyads' sample counts do not sum to the length of the weeks and "
-            "values columns"
-        )
-    leader, follower, lag, correlation, sizes = (
-        np.array(c, dtype=np.float64 if i == 3 else np.int64) for i, c in enumerate(columns)
-    )
-    starts = np.cumsum(sizes) - sizes
-
-    def require(ok: np.ndarray, problem: str) -> None:
+    def require(ok: np.ndarray, problem: str, *shown: np.ndarray) -> None:
+        """Reject the first dyad where `ok` fails; `problem` shows its items of `shown`."""
         if not ok.all():
             at = int(np.argmin(ok))
-            raise reject(cities[leader[at]], cities[follower[at]], problem)
+            dyad = f"{cities[follower[at]]!r} -> {cities[leader[at]]!r}"
+            raise ValueError(f"{path}: dyad {dyad} " + problem.format(*(c[at] for c in shown)))
 
+    step = np.diff(leader * n + follower, prepend=-1)
+    require(step != 0, "appears twice")
+    require(step > 0, "is out of (leader, follower) order")
+    require(leader != follower, "pairs a city with itself")
+    require((lag >= MIN_LAG) & (lag <= MAX_LAG),
+            f"has best_lag {{}}, not an integer in {MIN_LAG}..{MAX_LAG}", lag)
+    require(sizes >= 2, "has {} samples, fewer than 2", sizes)
+    require(np.isfinite(correlation), "has correlation {}, not a finite number", correlation)
+    starts = ends - sizes
     require(np.logical_and.reduceat(np.isfinite(values), starts), "has a non-finite sample value")
     step_up = np.diff(weeks, prepend=0) > 0
     step_up[starts] = True
     require(np.logical_and.reduceat(step_up, starts), "has weeks that repeat or are out of order")
     require(np.abs(np.add.reduceat(values, starts) / sizes - correlation) <= 1e-12,
             "has a correlation that is not the mean of its samples")
-    return Dyads(cities, leader, follower, lag, correlation, sizes, weeks, values)
+    return Dyads(cities, *columns)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import base64
-import json
 
 import numpy as np
 from scipy import sparse
@@ -81,104 +80,127 @@ def assert_same_dyads(got, want):
         assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
 
 
-# The dtype of each sample column of a dyad cache.
-CACHE_COLUMNS = {"weeks": "<i8", "values": "<f8"}
+# The little-endian dtype of each column of a dyad cache, in the order of the Dyads fields.
+CACHE_COLUMNS = {"leader": "<i8", "follower": "<i8", "lag": "<i8", "correlation": "<f8",
+                 "sizes": "<i8", "weeks": "<i8", "values": "<f8"}
 
 
 def column(payload, name):
-    """A dyad cache payload's decoded weeks or values column, writable."""
+    """A dyad cache payload's decoded column `name`, writable."""
     return np.frombuffer(base64.b64decode(payload[name]), CACHE_COLUMNS[name]).copy()
 
 
 def set_column(payload, name, items):
-    """Store `items` as a dyad cache payload's weeks or values column."""
+    """Store `items` as a dyad cache payload's column `name`."""
     payload[name] = base64.b64encode(np.asarray(items, CACHE_COLUMNS[name]).tobytes()).decode()
 
 
+def cache_payload(cities, **columns):
+    """A dyad cache payload over `cities` whose columns hold `columns`' items."""
+    payload = {"cities": list(cities)}
+    for name, items in columns.items():
+        set_column(payload, name, items)
+    return payload
+
+
 def distort(payload, case):
-    """Change one dyad of a one-dyad cache the way `case` names."""
-    [item] = payload["dyads"]
-    weeks, values = column(payload, "weeks"), column(payload, "values")
+    """Change the one dyad of a one-dyad cache the way `case` names."""
+    columns = {name: column(payload, name) for name in CACHE_COLUMNS}
+    leader, follower, lag, correlation, sizes, weeks, values = columns.values()
+    names = payload["cities"][leader[0]], payload["cities"][follower[0]]
     if case.startswith("lag "):
-        item["best_lag"] = json.loads(case[4:])
-    elif case == "correlation as text":
-        item["correlation"] = str(item["correlation"])
+        lag[0] = int(case[4:])
     elif case == "repeated week":
         weeks[4] = weeks[3]
     elif case == "weeks out of order":
         weeks[[3, 4]], values[[3, 4]] = weeks[[4, 3]], values[[4, 3]]
-    elif case == "repeated pair":
-        payload["dyads"].append(json.loads(json.dumps(item)))
-        weeks, values = np.tile(weeks, 2), np.tile(values, 2)
+    elif case in ("repeated pair", "pairs out of order"):
+        columns = {name: np.tile(items, 2) for name, items in columns.items()}
+        if case == "pairs out of order":
+            # Both orientations, the larger (leader, follower) pair first.
+            pairs = sorted([(leader[0], follower[0]), (follower[0], leader[0])], reverse=True)
+            columns["leader"], columns["follower"] = np.array(pairs).T
     elif case == "correlation off its samples":
-        item["correlation"] = 0.9
+        correlation[0] = 0.9
+    elif case == "NaN correlation":
+        correlation[0] = np.nan
     elif case == "one sample":
-        weeks, values = weeks[:1], values[:1]
-        item["samples"], item["correlation"] = 1, float(values[0])
+        columns.update(sizes=[1], correlation=values[:1], weeks=weeks[:1], values=values[:1])
     elif case == "city outside the city list":
-        payload["cities"] = [item["leader"]]
+        payload["cities"] = [names[0]]
     elif case in ("city repeated", "cities out of order"):
         # Just before the follower: the follower again, or "~", which sorts after every name.
-        cities, follower = payload["cities"], item["follower"]
-        cities.insert(cities.index(follower), "~" if case == "cities out of order" else follower)
-    elif case == "pairs out of order":
-        # Both orientations, the larger (leader, follower) pair first.
-        swapped = dict(item, leader=item["follower"], follower=item["leader"])
-        payload["dyads"] = sorted([item, swapped], key=lambda d: (d["leader"], d["follower"]))[::-1]
-        weeks, values = np.tile(weeks, 2), np.tile(values, 2)
-    elif case == "leader as a list":
-        item["leader"] = [item["leader"]]
-    elif case == "dyad as a number":
-        payload["dyads"] = [5]
-    elif case == "dyads as a number":
-        payload["dyads"] = 5
-    elif case == "count as text":
-        item["samples"] = str(item["samples"])
-    elif case == "count true":
-        item["samples"] = True
+        cities = payload["cities"]
+        cities.insert(cities.index(names[1]), "~" if case == "cities out of order" else names[1])
+    elif case == "code past the city list":
+        follower[0] = len(payload["cities"])
+    elif case == "negative code":
+        leader[0] = -1
+    elif case == "self pair":
+        leader[0] = follower[0]
+    elif case == "unequal columns":
+        columns["lag"] = np.tile(lag, 2)
     elif case == "counts short of the columns":
-        item["samples"] -= 1
-    set_column(payload, "weeks", weeks)
-    set_column(payload, "values", values)
+        sizes[0] -= 1
+    elif case == "counts that overflow":
+        # Three rows whose counts, wrapping round int64, sum to the columns' length.
+        columns.update({name: np.tile(columns[name], 3)
+                        for name in ("leader", "follower", "lag", "correlation")})
+        columns["sizes"] = [2**62, 2**62, len(weeks) - 2**63]
+    for name, items in columns.items():
+        set_column(payload, name, items)
     if case == "weeks not base64":
         payload["weeks"] = "*" + payload["weeks"][1:]
-    elif case == "values not whole items":
-        payload["values"] = base64.b64encode(base64.b64decode(payload["values"])[:-4]).decode()
-    elif case == "pair layout":
-        item["samples"] = {str(item["best_lag"]): [[w, v] for w, v in zip(weeks.tolist(), values.tolist())]}
-        del payload["weeks"], payload["values"]
+    elif case in ("values not whole items", "leader not whole items"):
+        name = case.split()[0]
+        payload[name] = base64.b64encode(base64.b64decode(payload[name])[:-4]).decode()
+    elif case in ("pair layout", "records layout"):
+        # The layouts before every field was a column: one record per dyad, holding its
+        # [week, value] pairs, or their count beside weeks and values columns.
+        pairs = {str(lag[0]): [[w, v] for w, v in zip(weeks.tolist(), values.tolist())]}
+        payload["dyads"] = [{
+            "leader": names[0], "follower": names[1], "best_lag": int(lag[0]),
+            "correlation": float(correlation[0]),
+            "samples": pairs if case == "pair layout" else int(sizes[0]),
+        }]
+        for name in ("leader", "follower", "lag", "correlation", "sizes"):
+            del payload[name]
+        if case == "pair layout":
+            del payload["weeks"], payload["values"]
     return payload
 
 
 # Each distortion of a dyad cache, with the problem load_dyads reports for
 # it, or the start of it; {dyad} stands for {follower} -> {leader}, the names' reprs, and
 # {smaller} for the orientation of the pair that is smaller in (leader, follower) order.
+LAYOUT = ("not a dyad cache in the current layout, which stores every dyad field as a base64 "
+          "column; rerun `leadlag dyads` or `leadlag run` to rewrite it")
 DISTORTIONS = {
     "lag 9": "dyad {dyad} has best_lag 9, not an integer in 1..5",
     "lag 0": "dyad {dyad} has best_lag 0, not an integer in 1..5",
-    "lag 2.0": "dyads: 0: best_lag: expected an integer, got 2.0",
-    "lag true": "dyads: 0: best_lag: expected an integer, got True",
-    "correlation as text": "dyads: 0: correlation: expected a number, got '",
     "repeated week": "dyad {dyad} has weeks that repeat or are out of order",
     "weeks out of order": "dyad {dyad} has weeks that repeat or are out of order",
     "repeated pair": "dyad {dyad} appears twice",
     "correlation off its samples": "dyad {dyad} has a correlation that is not the mean of its samples",
+    "NaN correlation": "dyad {dyad} has correlation nan, not a finite number",
     "one sample": "dyad {dyad} has 1 samples, fewer than 2",
-    "city outside the city list": "dyad {dyad} names a city that is not in the cache's city list",
+    "city outside the city list": "dyad 0 names a city outside the city list",
+    "code past the city list": "dyad 0 names a city outside the city list",
+    "negative code": "dyad 0 names a city outside the city list",
     "city repeated": "city {follower} appears twice in the cache's city list, which must be sorted",
     "cities out of order":
         "city {follower} is out of order in the cache's city list, which must be sorted",
     "pairs out of order": "dyad {smaller} is out of (leader, follower) order",
-    "leader as a list": "dyads: 0: leader: expected a string, got [{leader}]",
-    "dyad as a number": "dyads: 0: expected a JSON object, got 5",
-    "dyads as a number": "dyads: expected a list, got 5",
-    "count as text": "dyads: 0: samples: expected an integer, got '",
-    "count true": "dyads: 0: samples: expected an integer, got True",
+    "self pair": "dyad {follower} -> {follower} pairs a city with itself",
+    "unequal columns": "the columns of one item per dyad differ in length",
     "weeks not base64": "weeks is not base64 of whole 8-byte items",
     "values not whole items": "values is not base64 of whole 8-byte items",
-    "pair layout": "not a dyad cache in the current layout, which stores the samples as base64 "
-        "weeks and values columns; rerun `leadlag dyads` or `leadlag run` to rewrite it",
+    "leader not whole items": "leader is not base64 of whole 8-byte items",
+    "pair layout": LAYOUT,
+    "records layout": LAYOUT,
     "counts short of the columns":
+        "the dyads' sample counts do not sum to the length of the weeks and values columns",
+    "counts that overflow":
         "the dyads' sample counts do not sum to the length of the weeks and values columns",
 }
 

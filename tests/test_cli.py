@@ -21,11 +21,12 @@ from leadlag.exports import (
     write_edge_csv,
     write_populations,
 )
+from leadlag.lagcorr import load_dyads, save_dyads
 from leadlag.network import Edge, LeadershipGraph
 from leadlag.pipeline import RunConfig, genre_artists, run_pipeline
 from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
 
-from helpers import DISTORTIONS, cache_rejection, distort, set_column
+from helpers import DISTORTIONS, cache_payload, cache_rejection, distort
 from readers import parse_dot, parse_newick, read_centrality_json, read_graphml
 
 PLANTED = {("c01", "c00"): 1, ("c02", "c01"): 1, ("c03", "c02"): 1}
@@ -118,13 +119,11 @@ def synth_inputs(tmp_path_factory):
 
 
 def write_one_dyad_cache(path, values):
-    """A dyads.json holding the b -> a dyad at lag 1 over weeks 0, 1, ...; json
-    writes a NaN or infinite correlation as such."""
-    dyad = {"leader": "a", "follower": "b", "best_lag": 1, "correlation": sum(values) / len(values),
-            "samples": len(values)}
-    payload = {"cities": ["a", "b"], "dyads": [dyad]}
-    set_column(payload, "weeks", range(len(values)))
-    set_column(payload, "values", values)
+    """A dyads.json holding the b -> a dyad at lag 1 over weeks 0, 1, ...."""
+    payload = cache_payload(
+        ["a", "b"], leader=[0], follower=[1], lag=[1], correlation=[sum(values) / len(values)],
+        sizes=[len(values)], weeks=range(len(values)), values=values,
+    )
     path.write_text(json.dumps(payload) + "\n")
 
 
@@ -402,6 +401,25 @@ class TestCliCommands:
         assert "zz" in read_centrality_json(stage_dir / "centrality.json").pagerank
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flags", [[], ["--cities", "c00,c01,c03", "--lags", "1,3", "--min-samples", "10"]]
+    )
+    def test_stage_commands_reproduce_run_exports(self, synth_inputs, tmp_path, capsys, flags):
+        charts = ["--charts", synth_inputs["charts"], "--missing", synth_inputs["missing"]]
+        cities = flags[:2]  # cluster takes the chart arguments only
+        assert main(["run", *charts, *flags, "--out", str(tmp_path / "run")]) == 0
+        assert main(["dyads", *charts, *flags, "--out", str(tmp_path / "dyads")]) == 0
+        assert main(["cluster", *charts, *cities, "--out", str(tmp_path / "cluster")]) == 0
+        run = tmp_path / "run"
+        for stage, name in (("dyads", "dyads.json"), ("cluster", "dendrogram.nwk")):
+            assert (tmp_path / stage / name).read_bytes() == (run / name).read_bytes(), name
+        cache = load_dyads(run / "dyads.json")
+        save_dyads(tmp_path / "again.json", cache)
+        assert (tmp_path / "again.json").read_bytes() == (run / "dyads.json").read_bytes()
+        if cities:
+            assert cache.cities == ("c00", "c01", "c03")
+        capsys.readouterr()
+
     def test_fas_reports_cycle_weight(self, tmp_path, capsys):
         graph = LeadershipGraph(
             nodes=("a", "b"),
@@ -564,7 +582,8 @@ class TestCliErrors:
 
     def test_graph_alpha_out_of_range_exit_code(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
-        empty.write_text('{"cities":[],"dyads":[],"values":"","weeks":""}\n')
+        empty.write_text('{"cities":[],"correlation":"","follower":"","lag":"","leader":"",'
+                         '"sizes":"","values":"","weeks":""}\n')
         lone = tmp_path / "lone.json"
         write_one_dyad_cache(lone, [0.2 + 0.01 * (w % 2) for w in range(30)])
         cases = [(empty, alpha) for alpha in ("7", "0", "-1", "nan")] + [(lone, "7")]

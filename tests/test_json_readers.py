@@ -23,14 +23,10 @@ from leadlag.exports import (
 from leadlag.lagcorr import load_dyads
 from leadlag.synth import load_hierarchy, load_synth_config
 
-from helpers import set_column
+from helpers import cache_payload
 
-DYADS = {
-    "cities": ["a", "b"],
-    "dyads": [{"leader": "a", "follower": "b", "best_lag": 1, "correlation": 0.2, "samples": 2}],
-}
-set_column(DYADS, "weeks", [0, 1])
-set_column(DYADS, "values", [0.1, 0.3])
+DYADS = cache_payload(["a", "b"], leader=[0], follower=[1], lag=[1], correlation=[0.2], sizes=[2],
+                      weeks=[0, 1], values=[0.1, 0.3])
 
 GRAPH = ("graph", "--dyads", "{dir}/dyads.json", "--out", "{dir}/out")
 REPORT = ("report", "--run-dir", "{dir}")

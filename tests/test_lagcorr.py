@@ -483,8 +483,7 @@ def test_dyad_cache_round_trip(tmp_path):
     table = dyad_table([extremes, crafted], ("F", "L", "Z"))
     path = tmp_path / "dyads.json"
     save_dyads(path, table)
-    [item, _] = json.loads(path.read_text())["dyads"]
-    assert item["samples"] == len(crafted.values)
+    assert column(json.loads(path.read_text()), "sizes").tolist() == [len(crafted.values), 4]
     loaded = load_dyads(path)
     assert_same_dyads(loaded, table)
     for got, want in zip(loaded, [crafted, extremes]):
@@ -539,13 +538,10 @@ def test_cache_with_non_finite_value_rejected(tmp_path, field, bad):
     path = tmp_path / "dyads.json"
     save_dyads(path, dyad_table([result], ("F", "L")))
     payload = json.loads(path.read_text())
-    [item] = payload["dyads"]
-    if field == "correlation":
-        item["correlation"] = bad
-    else:
-        values = column(payload, "values")
-        values[3] = bad
-        set_column(payload, "values", values)
+    name, at = ("correlation", 0) if field == "correlation" else ("values", 3)
+    items = column(payload, name)
+    items[at] = bad
+    set_column(payload, name, items)
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load_dyads(path)
@@ -566,11 +562,29 @@ def test_dyad_cache_format(tmp_path):
     path = tmp_path / "dyads.json"
     save_dyads(path, table)
     assert path.read_text() == (
-        '{"cities":["F","L","Z"],"dyads":[{"best_lag":3,"correlation":0.25,"follower":"F",'
-        '"leader":"L","samples":2}],"values":"AAAAAAAA4D8AAAAAAAAAAA==",'
-        '"weeks":"BAAAAAAAAAAHAAAAAAAAAA=="}\n'
+        '{"cities":["F","L","Z"],"correlation":"AAAAAAAA0D8=","follower":"AAAAAAAAAAA=",'
+        '"lag":"AwAAAAAAAAA=","leader":"AQAAAAAAAAA=","sizes":"AgAAAAAAAAA=",'
+        '"values":"AAAAAAAA4D8AAAAAAAAAAA==","weeks":"BAAAAAAAAAAHAAAAAAAAAA=="}\n'
     )
     assert_same_dyads(load_dyads(path), table)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 6])
+def test_saving_a_loaded_cache_reproduces_its_bytes(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    cities = ("a", "b", "c", "d")
+    pairs = [(l, f) for l in cities for f in cities if f != l][:rows]
+    samples = [rng.normal(size=2 + k) for k in range(rows)]
+    table = dyad_table([
+        DyadResult(l, f, 1 + k % 5, float(np.mean(v)), np.arange(len(v)) * 3, v)
+        for k, ((l, f), v) in enumerate(zip(pairs, samples))
+    ], cities)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_dyads(first, table)
+    loaded = load_dyads(first)
+    assert_same_dyads(loaded, table)
+    save_dyads(second, loaded)
+    assert second.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize("case", sorted(DISTORTIONS))
@@ -590,7 +604,7 @@ def test_cache_correlation_within_tolerance_loads(tmp_path):
     path = tmp_path / "dyads.json"
     save_dyads(path, dyad_table([result], ("F", "L")))
     payload = json.loads(path.read_text())
-    payload["dyads"][0]["correlation"] += 5e-13
+    set_column(payload, "correlation", column(payload, "correlation") + 5e-13)
     path.write_text(json.dumps(payload))
     [loaded] = load_dyads(path)
     assert loaded.correlation == result.correlation + 5e-13

@@ -28,27 +28,33 @@ from leadlag.exports import (
 from leadlag.lagcorr import load_dyads
 from leadlag.synth import load_hierarchy, load_synth_config
 
+from helpers import LAYOUT, cache_payload
+
 CHART = "week,city,artist,listeners\n"
 GENRE = "genre,rank,artist\n"
 EDGE = "follower,leader,weight,lag_weeks\n"
 POPULATION = "city,population\n"
 CROWDED = CHART + "".join(f"0,c,a{i},1\n" for i in range(501))
-ACYCLICITY = '{"total_weight": 1.0, "fas_weight": 0.0, "percent_removed": 0.0, "exact": true'
+# The scalars of an acyclicity report whose one removed edge is EDGE_RECORD.
+ACYCLICITY = '{"total_weight": 1.0, "fas_weight": 0.5, "percent_removed": 50.0, "exact": true'
 EDGE_RECORD = '{"follower": "b", "leader": "a", "weight": 0.5, "lag_weeks": 2}'
 SIZE = '{"spearman_pagerank": 0.5, "spearman_indegree": 0.5, "percent_weight_larger_leads": 50.0}'
 MANIFEST = '{"created_at": "", "inputs": {}, "tool_version": "0.1.0", "parameters": '
-DYADS = ('{"cities": ["a", "b"], "weeks": "AAAAAAAAAAABAAAAAAAAAA==", "values": "mpmZmZmZuT8zMzMzMzPTPw==", '
-         '"dyads": [{"leader": "a", "follower": "b", "samples": 2')
 CITY = '{"cities": [{"city": "aa", "activity": 1.0'
-DYAD_ROW = '{{"leader": "{}", "follower": "{}", "best_lag": 1, "correlation": 0.2, "samples": 2}}'
-# Two dyads over the samples [0.1, 0.3] at weeks [0, 1] each, in the rows given.
-TWO_DYADS = ('{{"cities": ["a", "b"], "weeks": "AAAAAAAAAAABAAAAAAAAAAAAAAAAAAAAAQAAAAAAAAA=", '
-             '"values": "mpmZmZmZuT8zMzMzMzPTP5qZmZmZmbk/MzMzMzMz0z8=", "dyads": [{}, {}]}}')
 
 
 def removed(*edges, scalars=ACYCLICITY):
     """An acyclicity report of `scalars` whose removed edges are `edges`."""
     return scalars + ', "removed_edges": [' + ", ".join(edges) + "]}"
+
+
+def dyads(cities=("a", "b"), rows=1, **columns):
+    """A dyad cache over `cities` of `rows` copies of the dyad b -> a at lag 1 over
+    the samples [0.1, 0.3] at weeks [0, 1], with `columns` replaced (None drops one)."""
+    table = {"leader": [0], "follower": [1], "lag": [1], "correlation": [0.2], "sizes": [2],
+             "weeks": [0, 1], "values": [0.1, 0.3]}
+    table = {name: items * rows for name, items in table.items()} | columns
+    return json.dumps(cache_payload(cities, **{k: v for k, v in table.items() if v is not None}))
 
 
 def hierarchy(cities=(("aa", 5, 1.0), ("bb", 4, 1.0)), edges=()):
@@ -126,9 +132,9 @@ CASES = [
      "{path}: exact: expected true or false, got 1"),
     (read_acyclicity_json, ACYCLICITY.replace("1.0", '"x"') + ', "removed_edges": []}',
      "{path}: total_weight: expected a number, got 'x'"),
-    (read_acyclicity_json, ACYCLICITY.replace('"fas_weight": 0.0', '"fas_weight": false')
+    (read_acyclicity_json, ACYCLICITY.replace('"fas_weight": 0.5', '"fas_weight": false')
      + ', "removed_edges": []}', "{path}: fas_weight: expected a number, got False"),
-    (read_acyclicity_json, ACYCLICITY.replace('"percent_removed": 0.0', '"percent_removed": "0"')
+    (read_acyclicity_json, ACYCLICITY.replace('"percent_removed": 50.0', '"percent_removed": "0"')
      + ', "removed_edges": []}', "{path}: percent_removed: expected a number, got '0'"),
     (read_acyclicity_json, ACYCLICITY + ', "removed_edges": [' + EDGE_RECORD.replace("0.5", '"0.5"')
      + "]}", "{path}: removed_edges: 0: weight: expected a number, got '0.5'"),
@@ -159,23 +165,32 @@ CASES = [
      "{path}: cities_used: expected a list, got 3"),
     (load_dyads, "not json", "{path}: not JSON: Expecting value: line 1 column 1 (char 0)"),
     (load_dyads, "[]", "{path}: expected a JSON object"),
-    (load_dyads, DYADS + ', "correlation": 0.2}]}', "{path}: dyads: 0: missing 'best_lag'"),
-    (load_dyads, DYADS + ', "best_lag": 1, "correlation": 1' + "0" * 400 + "}]}",
-     "{path}: dyads: 0: correlation: expected a finite number, got 1" + "0" * 400),
-    (load_dyads, DYADS + ', "best_lag": 1, "correlation": NaN}]}',
-     "{path}: dyads: 0: correlation: expected a finite number, got nan"),
-    (load_dyads, DYADS.replace('"samples": 2', '"samples": 1' + "0" * 19)
-     + ', "best_lag": 1, "correlation": 0.2}]}',
-     "{path}: dyads: 0: samples: expected an integer within int64, got 1" + "0" * 19),
+    (load_dyads, dyads(lag=None), "{path}: " + LAYOUT),
+    (load_dyads, dyads(correlation=[float("inf")]),
+     "{path}: dyad 'b' -> 'a' has correlation inf, not a finite number"),
+    (load_dyads, dyads(correlation=[float("nan")]),
+     "{path}: dyad 'b' -> 'a' has correlation nan, not a finite number"),
     (load_dyads, b"\xff{}", UNDECODABLE),
-    (load_dyads, DYADS.replace('["a", "b"]', '["a", "b", "b"]') + ', "best_lag": 1, "correlation": 0.2}]}',
+    (load_dyads, dyads(cities=("a", "b", "b")),
      "{path}: city 'b' appears twice in the cache's city list, which must be sorted"),
-    (load_dyads, DYADS.replace('["a", "b"]', '["b", "a"]') + ', "best_lag": 1, "correlation": 0.2}]}',
+    (load_dyads, dyads(cities=("b", "a")),
      "{path}: city 'a' is out of order in the cache's city list, which must be sorted"),
-    (load_dyads, TWO_DYADS.format(DYAD_ROW.format("a", "b"), DYAD_ROW.format("a", "b")),
-     "{path}: dyad 'b' -> 'a' appears twice"),
-    (load_dyads, TWO_DYADS.format(DYAD_ROW.format("b", "a"), DYAD_ROW.format("a", "b")),
+    (load_dyads, dyads(rows=2), "{path}: dyad 'b' -> 'a' appears twice"),
+    (load_dyads, dyads(rows=2, leader=[1, 0], follower=[0, 1]),
      "{path}: dyad 'b' -> 'a' is out of (leader, follower) order"),
+    (load_dyads, dyads(follower=[2]), "{path}: dyad 0 names a city outside the city list"),
+    (load_dyads, dyads(rows=2, follower=[1, -1]),
+     "{path}: dyad 1 names a city outside the city list"),
+    (load_dyads, dyads(sizes=[]), "{path}: the columns of one item per dyad differ in length"),
+    (load_dyads, dyads().replace('"lag": "AQAAAAAAAAA="', '"lag": 5'),
+     "{path}: lag: expected a string, got 5"),
+    # Counts that sum to the columns' length only past the int64 limit.
+    (load_dyads, dyads(rows=5, sizes=[2**62] * 4 + [2], weeks=[0, 1], values=[0.1, 0.3]),
+     "{path}: the dyads' sample counts do not sum to the length of the weeks and values columns"),
+    # Counts that sum to the columns' length through a negative one.
+    (load_dyads, dyads(rows=2, leader=[0, 1], follower=[1, 0], sizes=[3, -1], weeks=[0, 1],
+                       values=[0.1, 0.3]),
+     "{path}: dyad 'a' -> 'b' has -1 samples, fewer than 2"),
     (read_acyclicity_json, removed(EDGE_RECORD.replace('"a"', '"b"')),
      "{path}: removed_edges: 0: self-loop on 'b'"),
     (read_acyclicity_json, removed(EDGE_RECORD, EDGE_RECORD),
@@ -188,14 +203,32 @@ CASES = [
      "{path}: removed_edges: 0: lag must be in 1..5, got 9"),
     (read_acyclicity_json, removed(EDGE_RECORD.replace("2}", "0}")),
      "{path}: removed_edges: 0: lag must be in 1..5, got 0"),
-    (read_acyclicity_json, removed(scalars=ACYCLICITY.replace("fas_weight\": 0.0", "fas_weight\": 2")),
+    (read_acyclicity_json, removed(scalars=ACYCLICITY.replace("fas_weight\": 0.5", "fas_weight\": 2")),
      "{path}: fas_weight 2.0 is outside [0, total_weight 1.0]"),
-    (read_acyclicity_json, removed(scalars=ACYCLICITY.replace("fas_weight\": 0.0", "fas_weight\": -1")),
+    (read_acyclicity_json, removed(scalars=ACYCLICITY.replace("fas_weight\": 0.5", "fas_weight\": -1")),
      "{path}: fas_weight -1.0 is outside [0, total_weight 1.0]"),
-    (read_acyclicity_json, removed(scalars=ACYCLICITY.replace("removed\": 0.0", "removed\": 250")),
+    (read_acyclicity_json, removed(scalars=ACYCLICITY.replace("removed\": 50.0", "removed\": 250")),
      "{path}: percent_removed 250.0 is outside [0, 100]"),
-    (read_acyclicity_json, removed(scalars=ACYCLICITY.replace("removed\": 0.0", "removed\": -1")),
+    (read_acyclicity_json, removed(scalars=ACYCLICITY.replace("removed\": 50.0", "removed\": -1")),
      "{path}: percent_removed -1.0 is outside [0, 100]"),
+    (read_acyclicity_json, removed(EDGE_RECORD, scalars=ACYCLICITY.replace("0.5", "0.0").replace(
+        "50.0", "0.0")), "{path}: fas_weight 0.0 is not the sum of the removed edges' weights, 0.5"),
+    (read_acyclicity_json, removed(),
+     "{path}: fas_weight 0.5 is not the sum of the removed edges' weights, 0.0"),
+    (read_acyclicity_json, removed(EDGE_RECORD, scalars=ACYCLICITY.replace("50.0", "40.0")),
+     "{path}: percent_removed 40.0 is not 100 * fas_weight / total_weight, 50.0"),
+    (read_acyclicity_json, removed(scalars=ACYCLICITY.replace("1.0", "0.0").replace("0.5", "0.0")),
+     "{path}: percent_removed 50.0 is not 100 * fas_weight / total_weight, 0.0"),
+    (read_size_leadership_json, SIZE.replace("0.5", "7", 1)[:-1] + ', "cities_used": []}',
+     "{path}: spearman_pagerank 7.0 is outside [-1, 1]"),
+    (read_size_leadership_json, SIZE.replace('indegree": 0.5', 'indegree": -1.5')[:-1]
+     + ', "cities_used": []}', "{path}: spearman_indegree -1.5 is outside [-1, 1]"),
+    (read_size_leadership_json, SIZE.replace("50.0", "250")[:-1] + ', "cities_used": []}',
+     "{path}: percent_weight_larger_leads 250.0 is outside [0, 100]"),
+    (read_size_leadership_json, SIZE.replace("50.0", "-0.5")[:-1] + ', "cities_used": []}',
+     "{path}: percent_weight_larger_leads -0.5 is outside [0, 100]"),
+    (read_size_leadership_json, SIZE[:-1] + ', "cities_used": ["a", "b", "a"]}',
+     "{path}: cities_used lists 'a' twice"),
     (load_hierarchy, hierarchy(cities=[("", 5, 1.0)]), "{path}: city_id must be non-empty"),
     (load_hierarchy, hierarchy(cities=[("aa", 0, 1.0)]), "{path}: population must be positive, got 0"),
     (load_hierarchy, hierarchy(cities=[("aa", 5, 0.0)]), "{path}: activity must be positive, got 0.0"),
