@@ -44,6 +44,8 @@ _ZEROS, _SIXES = np.uint64(0x3030303030303030), np.uint64(0x0606060606060606)
 _SHIFT = np.array([64 - 8 * n for n in range(9)], dtype=np.uint64)
 _FILL = np.array([0x3030303030303030 >> 8 * n for n in range(9)], dtype=np.uint64)
 _POWERS = 10 ** np.arange(9, dtype=np.uint64)
+# The largest week and count a chart holds, and the largest integer json_value takes.
+_INT64_MAX = (1 << 63) - 1
 # For each kind json_value reads: the types json.load gives a value of it, checked with
 # type() because bool subclasses int, and its name in a rejection.
 _JSON_KINDS = {
@@ -53,7 +55,7 @@ _JSON_KINDS = {
 # The largest magnitude json_value takes for a numeric kind, and the kind's name then: a
 # number must stay finite as a double, and an integer fit numpy's int64.
 _JSON_LIMITS = {float: (sys.float_info.max, "a finite number"),
-                int: ((1 << 63) - 1, "an integer within int64")}
+                int: (_INT64_MAX, "an integer within int64")}
 
 
 class ChartFormatError(ValueError):
@@ -62,7 +64,7 @@ class ChartFormatError(ValueError):
 
 @dataclass(frozen=True)
 class WeeklyChart:
-    """Top artists of one city in one week, by unique-listener count."""
+    """Top artists of one city in one week, by unique-listener count: a ChartStore's row."""
 
     week_index: int
     city_id: str
@@ -206,20 +208,24 @@ def csv_rows(
     `line` is the physical line on which the row ends, so a quoted line
     break in an earlier row does not shift it. Raises `error` when the first
     row is not `header` (an empty file has no first row), for a row whose
-    field count differs from the header's, and for bytes that are not UTF-8.
+    field count differs from the header's, for a row csv cannot split (a field
+    longer than `csv.field_size_limit()`) and for bytes that are not UTF-8.
     A caller that may stop early closes the rows (`contextlib.closing`), and so the file.
     """
     with closing(_text_lines(path, error)) as lines:
         reader = csv.reader(lines)
-        if next(reader, None) != list(header):
-            raise error(f"{path}:1: expected header {','.join(header)}")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(header):
-                raise error(f"{where}: expected {len(header)} fields, got {len(row)}")
-            yield where, row
+        try:
+            if next(reader, None) != list(header):
+                raise error(f"{path}:1: expected header {','.join(header)}")
+            for row in reader:
+                if not row:
+                    continue
+                where = f"{path}:{reader.line_num}"
+                if len(row) != len(header):
+                    raise error(f"{where}: expected {len(header)} fields, got {len(row)}")
+                yield where, row
+        except csv.Error as exc:
+            raise error(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _text_lines(path: str | Path, error: type[ValueError]) -> Iterator[str]:
@@ -329,74 +335,64 @@ def read_genre_catalog(path: str | Path) -> GenreCatalog:
     return GenreCatalog(genres)
 
 
-def read_chart_csv(path: str | Path) -> list[WeeklyChart]:
-    """Parse a chart CSV, validating counts, caps and triple uniqueness.
+def read_chart_csv(path: str | Path) -> "ChartStore":
+    """Parse a chart CSV, validating counts, caps and triple uniqueness, into a store
+    whose charts keep their entries in file order. Weeks and counts must fit int64.
 
     A zero-byte file holds no charts; `csv_rows` would reject it for its header.
     """
-    if Path(path).stat().st_size == 0:
-        return []
-    cells: dict[tuple[int, str], list[tuple[str, int]]] = {}
-    seen: set[tuple[int, str, str]] = set()
-    with closing(csv_rows(path, CHART_HEADER, ChartFormatError)) as rows:
-        for where, row in rows:
-            week_text, city_id, artist_id, listeners_text = row
+    rows: dict[tuple[int, str, str], int] = {}  # listeners by (week, city, artist), in file order
+    with closing(csv_rows(path, CHART_HEADER, ChartFormatError)) as lines:
+        for where, (week_text, city_id, artist_id, listeners_text) in (
+            lines if Path(path).stat().st_size else ()
+        ):
             week = parse_number(int, week_text, f"{where}: bad week {week_text!r}", ChartFormatError)
             if week < 0:
                 raise ChartFormatError(f"{where}: negative week index {week}")
+            if week > _INT64_MAX:
+                raise ChartFormatError(f"{where}: week index must be at most {_INT64_MAX}, got {week}")
             if not city_id or not artist_id:
                 raise ChartFormatError(f"{where}: empty city or artist id")
             problem = f"{where}: bad listener count {listeners_text!r}"
             listeners = parse_number(int, listeners_text, problem, ChartFormatError)
             if listeners < 1:
                 raise ChartFormatError(f"{where}: listener count must be positive, got {listeners}")
-            triple = (week, city_id, artist_id)
-            if triple in seen:
+            if listeners > _INT64_MAX:
+                raise ChartFormatError(
+                    f"{where}: listener count must be at most {_INT64_MAX}, got {listeners}"
+                )
+            if (week, city_id, artist_id) in rows:
                 raise ChartFormatError(
                     f"{where}: duplicate entry for week {week}, city {city_id!r}, artist {artist_id!r}"
                 )
-            seen.add(triple)
-            cells.setdefault((week, city_id), []).append((artist_id, listeners))
-    charts = []
-    for (week, city_id), entries in sorted(cells.items()):
-        if len(entries) > MAX_CHART_ENTRIES:
-            raise ChartFormatError(
-                f"{path}: week {week}, city {city_id!r} has {len(entries)} entries, "
-                f"cap is {MAX_CHART_ENTRIES}"
-            )
-        charts.append(WeeklyChart(week, city_id, tuple(entries)))
-    return charts
+            rows[week, city_id, artist_id] = listeners
+    cities = tuple(sorted({c for _, c, _ in rows}))
+    universe = ArtistUniverse(a for _, _, a in rows)
+    code = {c: i for i, c in enumerate(cities)}
+    store = ChartStore(cities, universe, (
+        np.array([w for w, _, _ in rows], dtype=np.int64),
+        np.array([code[c] for _, c, _ in rows], dtype=np.int32),
+        np.array([universe.index[a] for _, _, a in rows], dtype=np.int32),
+        np.array(list(rows.values()), dtype=np.int64),
+    ))
+    for chart in store:
+        if len(chart.entries) > MAX_CHART_ENTRIES:
+            raise ChartFormatError(f"{path}: week {chart.week_index}, city {chart.city_id!r} has "
+                                   f"{len(chart.entries)} entries, cap is {MAX_CHART_ENTRIES}")
+    return store
 
 
-def write_chart_csv(path: str | Path, charts: Iterable[WeeklyChart]) -> None:
-    """Write charts in sorted (week, city, artist) order for stable output."""
-    rows = []
-    for chart in charts:
-        for artist_id, listeners in chart.entries:
-            rows.append((chart.week_index, chart.city_id, artist_id, listeners))
-    rows.sort()
+def write_chart_csv(path: str | Path, store: "ChartStore") -> None:
+    """Write a store's rows in sorted (week, city, artist) order for stable output; codes
+    are ranks of names, so one lexsort of the columns gives the order of the names."""
+    week, city, artist, count = store.columns
+    order = np.lexsort((count, artist, city, week))
+    cities, artists = (np.array(names, dtype=object) for names in (store.cities, store.universe.artists))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CHART_HEADER)
-        writer.writerows(rows)
-
-
-def ingest_charts(
-    chart_path: str | Path, missing_weeks: frozenset[int] = frozenset()
-) -> tuple[list[WeeklyChart], ArtistUniverse]:
-    """Read a chart file and build the shared artist universe.
-
-    Weeks between the file's minimum and maximum must each either appear
-    in the file or be flagged missing; gaps that are neither are format
-    errors, and so is a missing week outside that range, which would
-    stretch the study period. Charts falling on missing weeks are kept
-    (the store flags them) but never enter windows.
-    """
-    charts = read_chart_csv(chart_path)
-    if charts:
-        _check_week_range(chart_path, {c.week_index for c in charts}, missing_weeks)
-    universe = ArtistUniverse(a for c in charts for a, _ in c.entries)
-    return charts, universe
+        writer.writerows(zip(week[order].tolist(), cities[city[order]].tolist(),
+                             artists[artist[order]].tolist(), count[order].tolist()))
 
 
 def _check_week_range(chart_path: str | Path, present: set[int], missing: frozenset[int]) -> None:
@@ -657,7 +653,7 @@ def _read_chart_columns(path: str | Path):
             while size := fh.readinto(buf):
                 lines += np.count_nonzero(np.frombuffer(buf, dtype=np.uint8, count=size) == 10)
             fh.seek(body)
-            rows = [np.empty(lines, dtype=t) for t in (np.int64, np.int32, np.int32, np.float64)]
+            rows = [np.empty(lines, dtype=t) for t in (np.int64, np.int32, np.int32, np.int64)]
             spans, names, n = [], [], 0
             for block in _blocks(fh):
                 for columns, distinct in _parse_block(block, limit):
@@ -685,63 +681,71 @@ def _read_chart_columns(path: str | Path):
 
 
 class ChartStore:
-    """Charts plus universe plus missing weeks, ready to mint windows. Charts are
-    rows of parallel arrays (week, city, artist column, count) sorted by (week, city)."""
+    """Charts plus universe plus missing weeks, ready to mint windows. The charts are one
+    table of parallel columns (week, city, artist, listeners): int64 weeks, int32 codes
+    into `cities` and the universe, and int64 counts. The constructor sorts the columns
+    in place, stably, by (week, city), so a chart's entries keep the order they came in.
+    Iterating a store yields its charts as WeeklyChart rows."""
 
     def __init__(
         self,
-        charts: Sequence[WeeklyChart],
+        cities: tuple[str, ...],
         universe: ArtistUniverse,
+        columns: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         missing_weeks: frozenset[int] = frozenset(),
     ) -> None:
-        charts = list(charts)
-        cities = tuple(sorted({c.city_id for c in charts}))
-        rank = {c: i for i, c in enumerate(cities)}
-        sizes = [len(c.entries) for c in charts]
-        week = np.repeat(np.array([c.week_index for c in charts], dtype=np.int64), sizes)
-        city = np.repeat(np.array([rank[c.city_id] for c in charts], dtype=np.int32), sizes)
-        entries = [e for c in charts for e in c.entries]
-        artist = np.array([universe.column(a) for a, _ in entries], dtype=np.int32)
-        count = np.array([n for _, n in entries], dtype=np.float64)
-        self._set_rows(cities, universe, (week, city, artist, count), missing_weeks)
-
-    def _set_rows(self, cities, universe, rows, missing_weeks) -> "ChartStore":
-        step = np.diff(rows[0])  # files written by write_chart_csv are in order already
-        unsorted = (step < 0).any() or ((step == 0) & (np.diff(rows[1]) < 0)).any()
+        week, city = columns[:2]
+        step = np.diff(week)  # files written by write_chart_csv are in order already
+        unsorted = (step < 0).any() or ((step == 0) & (np.diff(city) < 0)).any()
         del step
         if unsorted:
-            order = np.lexsort((rows[1], rows[0]))
-            for a in rows:
+            order = np.lexsort((city, week))
+            for a in columns:
                 a[:] = a[order]  # in place: each column's copy goes before the next is made
-        self._week, self._city, self._artist, self._count = rows
+        self.columns = tuple(columns)
         # The rows that open a (week, city) chart; compared in place, with no int64 copies.
-        self._starts = np.ones(len(rows[0]), dtype=bool)
-        self._starts[1:] = (rows[0][1:] != rows[0][:-1]) | (rows[1][1:] != rows[1][:-1])
+        self._starts = np.ones(len(week), dtype=bool)
+        self._starts[1:] = (week[1:] != week[:-1]) | (city[1:] != city[:-1])
         self.chart_count = int(np.count_nonzero(self._starts))
         self.cities, self.universe, self.missing_weeks = cities, universe, frozenset(missing_weeks)
-        weeks = set(self._week[self._starts].tolist()) | self.missing_weeks
+        weeks = set(week[self._starts].tolist()) | self.missing_weeks
         self.first_week: int = min(weeks, default=0)
         self.last_week: int = max(weeks, default=-1)
-        return self
+
+    def __iter__(self) -> Iterator[WeeklyChart]:
+        """Each chart in (week, city) order, with its entries in the order of its rows."""
+        week, city, artist, count = (a.tolist() for a in self.columns)
+        names = self.universe.artists
+        bounds = [*np.flatnonzero(self._starts).tolist(), len(week)]
+        for a, z in zip(bounds, bounds[1:]):
+            entries = tuple(zip([names[i] for i in artist[a:z]], count[a:z]))
+            yield WeeklyChart(week[a], self.cities[city[a]], entries)
 
     @classmethod
     def from_files(
         cls, chart_path: str | Path, missing_path: str | Path | None = None
     ) -> "ChartStore":
-        """The store `ingest_charts` gives, read as bytes by `_read_chart_columns` when
-        the file is plainly valid, and whole by the csv reader otherwise."""
+        """The store of a chart file, read as bytes by `_read_chart_columns` when the file
+        is plainly valid, and by `read_chart_csv` otherwise. Each week from the first
+        charted to the last must be charted or missing, and every missing week lies between
+        them; charts on missing weeks are kept (the store flags them) but enter no window."""
         missing = read_missing_weeks(missing_path) if missing_path else frozenset()
+        store = None
         if (columns := _read_chart_columns(chart_path)) is not None:
-            store = cls.__new__(cls)._set_rows(*columns, missing)
+            store = cls(*columns, missing)
             chart = np.cumsum(store._starts)  # numbered from 1
             # One key per (chart, artist), sorted in place: equal neighbours are duplicates.
             key = chart * len(store.universe)
-            key += store._artist
+            key += store.columns[2]
             key.sort()
-            if np.bincount(chart).max() <= MAX_CHART_ENTRIES and not (key[1:] == key[:-1]).any():
-                _check_week_range(chart_path, set(store._week[store._starts].tolist()), missing)
-                return store
-        return cls(*ingest_charts(chart_path, missing), missing)
+            if np.bincount(chart).max() > MAX_CHART_ENTRIES or (key[1:] == key[:-1]).any():
+                store = None
+        if store is None:
+            rows = read_chart_csv(chart_path)
+            store = cls(rows.cities, rows.universe, rows.columns, missing)
+        if store.chart_count:
+            _check_week_range(chart_path, set(store.columns[0][store._starts].tolist()), missing)
+        return store
 
     def restrict(self, cities: Iterable[str]) -> "ChartStore":
         """The rows of the given cities, each of which must be known; the week range
@@ -752,10 +756,10 @@ class ChartStore:
             raise ValueError(f"unknown cities in subset: {', '.join(unknown)}")
         remap = np.full(len(self.cities), -1, dtype=np.int32)
         remap[[self.cities.index(c) for c in kept]] = np.arange(len(kept))
-        city = remap[self._city]
-        rows = tuple(a[city >= 0] for a in (self._week, city, self._artist, self._count))
-        store = type(self).__new__(type(self))
-        return store._set_rows(kept, self.universe, rows, self.missing_weeks)
+        week, city, artist, count = self.columns
+        city = remap[city]
+        columns = tuple(a[city >= 0] for a in (week, city, artist, count))
+        return type(self)(kept, self.universe, columns, self.missing_weeks)
 
     @property
     def study_weeks(self) -> int:
@@ -782,11 +786,11 @@ class ChartStore:
         """
         starts = np.array(self.valid_window_starts(), dtype=np.int64)
         n_cities, n_artists = len(self.cities), len(self.universe)
-        week, city, artist, count = self._week, self._city, self._artist, self._count
+        week, city, artist, count = self.columns
         if genre_artists is not None:
             keep = np.zeros(n_artists, dtype=bool)
             keep[[self.universe.index[a] for a in genre_artists if a in self.universe]] = True
-            week, city, artist, count = (a[keep[self._artist]] for a in (week, city, artist, count))
+            week, city, artist, count = (a[keep[self.columns[2]]] for a in self.columns)
         parts = []
         for lo, hi in np.searchsorted(week, np.add.outer(starts, (0, WINDOW_WEEKS))).tolist():
             cell = city[lo:hi].astype(np.int64) * n_artists + artist[lo:hi]

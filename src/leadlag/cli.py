@@ -219,10 +219,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     config = load_synth_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    charts = generate_charts(hierarchy, config)
+    store = generate_charts(hierarchy, config)
     out = _out_dir(args)
     chart_path = out / "charts.csv"
-    write_chart_csv(chart_path, charts)
+    write_chart_csv(chart_path, store)
     write_missing_weeks(out / "missing_weeks.txt", config.missing_weeks)
     write_populations(out / "populations.csv", hierarchy.populations())
     print(f"cities: {len(hierarchy.cities)}  weeks: {config.n_weeks}  seed: {config.seed}")
@@ -233,8 +233,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_shuffle(args: argparse.Namespace) -> int:
-    charts = read_chart_csv(args.charts)
-    shuffled = shuffle_null(charts, seed=args.seed)
+    shuffled = shuffle_null(read_chart_csv(args.charts), seed=args.seed)
     out = _out_dir(args)
     path = out / "charts_shuffled.csv"
     write_chart_csv(path, shuffled)

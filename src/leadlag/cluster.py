@@ -153,7 +153,7 @@ def average_linkage(dist: DistanceMatrix) -> ClusterTree:
 
 def flat_cut(tree: ClusterTree, height: float) -> tuple[tuple[str, ...], ...]:
     """Clusters = maximal subtrees whose merge heights all sit below height."""
-    if height < 0:
+    if not height >= 0:  # also NaN
         raise ValueError(f"cut height must be non-negative, got {height}")
     clusters: list[tuple[str, ...]] = []
 

@@ -20,7 +20,8 @@ import numpy as np
 from .charts import (
     MAX_CHART_ENTRIES,
     WINDOW_WEEKS,
-    WeeklyChart,
+    ArtistUniverse,
+    ChartStore,
     json_list,
     json_records,
     json_value,
@@ -202,24 +203,14 @@ def _walk_city(
     return positions, steps
 
 
-def _counts_to_chart(week: int, city_id: str, counts: np.ndarray) -> WeeklyChart:
-    present = np.nonzero(counts >= 1.0)[0]
-    entries = [(artist_label(j), int(counts[j])) for j in present]
-    if len(entries) > MAX_CHART_ENTRIES:
-        entries.sort(key=lambda item: (-item[1], item[0]))
-        entries = entries[:MAX_CHART_ENTRIES]
-    entries.sort()
-    return WeeklyChart(week_index=week, city_id=city_id, entries=tuple(entries))
+def generate_charts(hierarchy: PlantedHierarchy, config: SynthConfig) -> ChartStore:
+    """All weekly charts for the run, as one store.
 
-
-def generate_charts(
-    hierarchy: PlantedHierarchy, config: SynthConfig
-) -> list[WeeklyChart]:
-    """All weekly charts for the run, sorted by (week, city).
-
-    Every week in [0, n_weeks) is emitted, including the ones listed in
-    config.missing_weeks; callers flag those at ingest time.  A single
-    generator seeded from config.seed is consumed city by city in
+    Every week in [0, n_weeks) is charted, including config.missing_weeks,
+    which the store flags and a chart file leaves to its missing-week file.
+    A chart holds the artists of at least one listener, at most
+    MAX_CHART_ENTRIES of them: the top counts, ties to the smaller label. A
+    single generator seeded from config.seed is consumed city by city in
     topological order, so equal inputs reproduce byte-identical files.
     """
     order = hierarchy.topological_order()
@@ -229,53 +220,51 @@ def generate_charts(
     horizon = config.n_weeks + preroll
     rng = np.random.default_rng(config.seed)
     activity = {c.city_id: c.activity for c in hierarchy.cities}
+    labels = [artist_label(j) for j in range(config.n_artists)]
+    by_label = np.argsort(labels)  # labels are distinct, so any sort gives this order
     steps: dict[str, np.ndarray] = {}
-    charts: list[WeeklyChart] = []
+    parts: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for city_id in order:
-        positions, city_steps = _walk_city(
-            rng, config, horizon, in_edges[city_id], steps
-        )
-        steps[city_id] = city_steps
-        counts = np.rint(activity[city_id] * positions[preroll : preroll + config.n_weeks])
-        for week in range(config.n_weeks):
-            chart = _counts_to_chart(week, city_id, counts[week])
-            if chart.entries:
-                charts.append(chart)
-    charts.sort(key=lambda c: (c.week_index, c.city_id))
-    return charts
+        positions, steps[city_id] = _walk_city(rng, config, horizon, in_edges[city_id], steps)
+        # One row per week, one column per artist in label order.
+        counts = np.rint(activity[city_id] * positions[preroll : preroll + config.n_weeks, by_label])
+        kept = counts >= 1.0
+        for week in np.flatnonzero(kept.sum(axis=1) > MAX_CHART_ENTRIES):
+            top = np.argsort(-counts[week], kind="stable")[:MAX_CHART_ENTRIES]
+            kept[week] = False
+            kept[week, top] = True
+        if kept.any():
+            parts[city_id] = (*np.nonzero(kept), counts[kept].astype(np.int64))
+    cities = tuple(sorted(parts))
+    none = np.zeros(0, dtype=np.int64)  # a run that charts nothing still concatenates
+    week, column, count = (np.concatenate([none, *(parts[c][k] for c in cities)]) for k in range(3))
+    sizes = [len(parts[c][0]) for c in cities]
+    charted, artist = np.unique(column, return_inverse=True)  # label ranks; codes into them
+    universe = ArtistUniverse(labels[j] for j in by_label[charted])
+    city = np.repeat(np.arange(len(cities), dtype=np.int32), sizes)
+    columns = (week, city, artist.astype(np.int32), count)
+    return ChartStore(cities, universe, columns, config.missing_weeks)
 
 
-def shuffle_null(charts: Sequence[WeeklyChart], seed: int) -> list[WeeklyChart]:
+def shuffle_null(store: ChartStore, seed: int) -> ChartStore:
     """Null model: each city's charts keep their content, weeks permuted.
 
     Per city the permutation comes from an independent generator keyed
     by (seed, city rank in sorted order), so the draws never depend on
     the order charts arrive in.
     """
-    by_city: dict[str, dict[int, WeeklyChart]] = {}
-    for chart in charts:
-        per_week = by_city.setdefault(chart.city_id, {})
-        if chart.week_index in per_week:
-            raise ValueError(
-                f"duplicate chart for week {chart.week_index} city {chart.city_id!r}"
-            )
-        per_week[chart.week_index] = chart
-    shuffled: list[WeeklyChart] = []
-    for rank, city_id in enumerate(sorted(by_city)):
-        weeks = sorted(by_city[city_id])
-        rng = np.random.default_rng([seed, rank])
-        perm = rng.permutation(len(weeks))
-        for slot, source in enumerate(perm):
-            original = by_city[city_id][weeks[source]]
-            shuffled.append(
-                WeeklyChart(
-                    week_index=weeks[slot],
-                    city_id=city_id,
-                    entries=original.entries,
-                )
-            )
-    shuffled.sort(key=lambda c: (c.week_index, c.city_id))
-    return shuffled
+    week, city, artist, count = store.columns
+    by_city = np.argsort(city, kind="stable")
+    opens = np.unique(city[by_city], return_index=True)[1]  # each city's first in by_city
+    shuffled = np.empty_like(week)
+    for rank, rows in enumerate(np.split(by_city, opens[1:])):
+        weeks, chart = np.unique(week[rows], return_inverse=True)  # the city's charted weeks
+        perm = np.random.default_rng([seed, rank]).permutation(len(weeks))
+        moved = np.empty_like(weeks)
+        moved[perm] = weeks  # the chart of week weeks[perm[i]] moves to week weeks[i]
+        shuffled[rows] = moved[chart]
+    columns = (shuffled, city.copy(), artist.copy(), count.copy())  # the store sorts them in place
+    return ChartStore(store.cities, store.universe, columns, store.missing_weeks)
 
 
 # The JSON kind of every field of a hierarchy's city and edge entries, in

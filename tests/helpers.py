@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import base64
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from leadlag.charts import ArtistUniverse, ChartStore, WeeklyChart, WindowStack
+from leadlag.charts import WeeklyChart, WindowStack
 from leadlag.lagcorr import Dyads, VelocitySeries
 
-from oracles import from_scipy, per_window_windows
+from oracles import chart_store, from_scipy, per_window_windows
 
 
 def store_from_cells(cells, missing=frozenset()):
@@ -19,8 +22,7 @@ def store_from_cells(cells, missing=frozenset()):
     for (week, city, artist), count in cells.items():
         by_chart.setdefault((week, city), []).append((artist, count))
     charts = [WeeklyChart(w, c, tuple(es)) for (w, c), es in sorted(by_chart.items())]
-    universe = ArtistUniverse(a for _, _, a in cells)
-    return ChartStore(charts, universe, missing)
+    return chart_store(charts, missing)
 
 
 def window_stack(windows):
@@ -212,3 +214,13 @@ def cache_rejection(path, follower, leader, case):
     return f"{path}: " + DISTORTIONS[case].format(
         dyad=f"{f} -> {l}", follower=f, leader=l, smaller=smaller
     )
+
+
+def bench_module(name, monkeypatch):
+    """The benchmark's module bench/{name}.py, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module

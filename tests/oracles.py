@@ -13,7 +13,8 @@ filter and a row scale by sparse diagonal products, velocities one city at
 a time and distances one window at a time. The feedback arc set is
 checked against the code it replaced: csgraph's strongly connected
 components, each component rebuilt from its edge list, and the greedy
-peel reading one numpy scalar at a time.
+peel reading one numpy scalar at a time. A chart list becomes a store one
+Python row at a time (`chart_store`), as the library's list constructor did.
 """
 from __future__ import annotations
 
@@ -495,13 +496,35 @@ def window(store: ChartStore, start_week: int) -> ListenMatrix:
             f"window {start_week}..{span.stop - 1} leaves the study period "
             f"{store.first_week}..{store.last_week}"
         )
-    lo, hi = np.searchsorted(store._week, (span.start, span.stop))
+    week, city, artist, count = store.columns
+    lo, hi = np.searchsorted(week, (span.start, span.stop))
     values = sparse.coo_matrix(
-        (store._count[lo:hi], (store._city[lo:hi], store._artist[lo:hi])),
+        (count[lo:hi].astype(np.float64), (city[lo:hi], artist[lo:hi])),
         shape=(len(store.cities), len(store.universe)),
     ).tocsr()
     values.sum_duplicates()
     return ListenMatrix(start_week, WINDOW_WEEKS, store.cities, store.universe, values, False)
+
+
+def chart_store(
+    charts: Iterable[WeeklyChart],
+    missing_weeks: frozenset[int] = frozenset(),
+    universe: ArtistUniverse | None = None,
+) -> ChartStore:
+    """The store of a chart list, one row per entry in list order: a city's code is its
+    rank among the cities listed, an artist's its column in `universe`, which defaults
+    to the artists listed."""
+    rows = [(c.week_index, c.city_id, a, n) for c in charts for a, n in c.entries]
+    cities = tuple(sorted({city for _, city, _, _ in rows}))
+    if universe is None:
+        universe = ArtistUniverse(a for _, _, a, _ in rows)
+    columns = (
+        np.array([w for w, _, _, _ in rows], dtype=np.int64),
+        np.array([cities.index(c) for _, c, _, _ in rows], dtype=np.int32),
+        np.array([universe.column(a) for _, _, a, _ in rows], dtype=np.int32),
+        np.array([n for _, _, _, n in rows], dtype=np.int64),
+    )
+    return ChartStore(cities, universe, columns, missing_weeks)
 
 
 def build_window(
@@ -510,9 +533,7 @@ def build_window(
     missing_weeks: frozenset[int] = frozenset(),
 ) -> ListenMatrix:
     """One-shot window construction from a bare chart list."""
-    charts_list = list(charts)
-    universe = ArtistUniverse(a for c in charts_list for a, _ in c.entries)
-    return window(ChartStore(charts_list, universe, missing_weeks), start_week)
+    return window(chart_store(charts, missing_weeks), start_week)
 
 
 def normalize_rows(matrix: ListenMatrix) -> ListenMatrix:

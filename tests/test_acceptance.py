@@ -24,7 +24,6 @@ from readers import inversions, merges
 
 from leadlag.charts import (
     ChartStore,
-    WeeklyChart,
     unit_rows,
     write_chart_csv,
     write_missing_weeks,
@@ -227,14 +226,8 @@ def test_criterion_6_normalization_invariants(tmp_path):
 
     small = SynthConfig(n_artists=40, n_weeks=60, noise_sigma=NOISE_SIGMA, seed=1)
     charts = generate_charts(chain_hierarchy(4, coupling=PLANT_COUPLING), small)
-    scaled = [
-        WeeklyChart(
-            week_index=c.week_index,
-            city_id=c.city_id,
-            entries=tuple((a, 3 * n) for a, n in c.entries),
-        )
-        for c in charts
-    ]
+    week, city, artist, count = charts.columns
+    scaled = ChartStore(charts.cities, charts.universe, (week, city, artist, 3 * count))
 
     def dyad_correlations(chart_list, tag):
         chart_path = tmp_path / f"{tag}.csv"

@@ -4,9 +4,7 @@ or a dyad cache the benchmark's tracer and alpha sweep would read wrongly, and a
 module other than `charts` that parses JSON."""
 
 import ast
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +12,7 @@ import numpy as np
 import leadlag
 from leadlag.lagcorr import DyadResult, save_dyads, scan_dyads
 
-from helpers import dyad_table, velocity_series
+from helpers import bench_module, dyad_table, velocity_series
 
 PUBLIC = {
     "__version__",
@@ -88,16 +86,6 @@ def test_public_api_is_pinned():
     assert set(leadlag.__all__) == PUBLIC
     for name in leadlag.__all__:
         assert hasattr(leadlag, name), name
-
-
-def bench_module(name, monkeypatch):
-    """The benchmark's module bench/{name}.py, loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_every_benchmark_tracer_target_resolves(monkeypatch):

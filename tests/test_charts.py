@@ -13,11 +13,9 @@ from hypothesis import strategies as st
 
 from leadlag import charts as charts_module
 from leadlag.charts import (
-    ArtistUniverse,
     ChartFormatError,
     ChartStore,
     WeeklyChart,
-    ingest_charts,
     read_chart_csv,
     read_genre_catalog,
     read_missing_weeks,
@@ -28,6 +26,7 @@ from oracles import (
     WindowUnavailable,
     active_cities,
     build_window,
+    chart_store,
     filter_genre,
     is_active,
     normalize_rows,
@@ -44,6 +43,19 @@ def chart_file(tmp_path, rows, name="charts.csv"):
     return path
 
 
+def missing_file(tmp_path, weeks):
+    path = tmp_path / "missing.txt"
+    path.write_text("".join(f"{w}\n" for w in sorted(weeks)), encoding="utf-8")
+    return path
+
+
+def csv_store(path, missing_path=None):
+    """The store `from_files` reads with the byte reader off: the csv reader's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(charts_module, "_read_chart_columns", lambda path: None)
+        return ChartStore.from_files(path, missing_path)
+
+
 def test_ingest_small_fixture(tmp_path):
     rows = [
         (0, "berlin", "art_b", 10),
@@ -51,9 +63,10 @@ def test_ingest_small_fixture(tmp_path):
         (0, "paris", "art_c", 7),
         (1, "paris", "art_a", 2),
     ]
-    charts, universe = ingest_charts(chart_file(tmp_path, rows))
-    assert universe.artists == ("art_a", "art_b", "art_c")
-    assert len(universe) == 3
+    store = read_chart_csv(chart_file(tmp_path, rows))
+    assert store.universe.artists == ("art_a", "art_b", "art_c")
+    assert len(store.universe) == 3
+    charts = list(store)
     assert [c.city_id for c in charts] == ["berlin", "paris", "paris"]
     assert charts[0].entries == (("art_b", 10), ("art_a", 3))
 
@@ -61,15 +74,15 @@ def test_ingest_small_fixture(tmp_path):
 def test_ingest_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")
-    charts, universe = ingest_charts(path)
-    assert charts == []
-    assert len(universe) == 0
+    store = read_chart_csv(path)
+    assert list(store) == []
+    assert len(store.universe) == 0
 
 
 def test_ingest_header_only(tmp_path):
-    charts, universe = ingest_charts(chart_file(tmp_path, []))
-    assert charts == []
-    assert len(universe) == 0
+    store = read_chart_csv(chart_file(tmp_path, []))
+    assert list(store) == []
+    assert len(store.universe) == 0
 
 
 def test_study_period_spans_all_weeks(tmp_path):
@@ -121,9 +134,8 @@ def test_week_gap_needs_missing_flag(tmp_path):
     rows = [(0, "c", "a", 1), (1, "c", "a", 1), (3, "c", "a", 1)]
     path = chart_file(tmp_path, rows)
     with pytest.raises(ChartFormatError, match="gaps"):
-        ingest_charts(path)
-    charts, universe = ingest_charts(path, missing_weeks=frozenset({2}))
-    assert len(charts) == 3
+        csv_store(path)
+    assert csv_store(path, missing_file(tmp_path, {2})).chart_count == 3
 
 
 def test_missing_week_outside_charted_range_rejected(tmp_path):
@@ -131,7 +143,7 @@ def test_missing_week_outside_charted_range_rejected(tmp_path):
     path = chart_file(tmp_path, rows)
     for stray in (4, 5000):
         with pytest.raises(ChartFormatError, match=f"missing week {stray} lies outside"):
-            ingest_charts(path, missing_weeks=frozenset({2, stray}))
+            csv_store(path, missing_file(tmp_path, {2, stray}))
 
 
 def test_window_sums_weekly_counts(tmp_path):
@@ -149,8 +161,7 @@ def test_window_sums_weekly_counts(tmp_path):
 
 def test_window_overlapping_missing_week_unavailable(tmp_path):
     rows = [(w, "c", "a", 1) for w in range(10) if w != 5]
-    charts, universe = ingest_charts(chart_file(tmp_path, rows), frozenset({5}))
-    store = ChartStore(charts, universe, frozenset({5}))
+    store = csv_store(chart_file(tmp_path, rows), missing_file(tmp_path, {5}))
     with pytest.raises(WindowUnavailable, match="missing week 5"):
         window(store, 3)
     window(store, 6)
@@ -167,7 +178,7 @@ def test_window_outside_study_period_unavailable(tmp_path):
 
 def test_valid_window_start_count(tmp_path):
     rows = [(w, "c", "a", 1) for w in range(10) if w != 5]
-    store = ChartStore(*ingest_charts(chart_file(tmp_path, rows), frozenset({5})), frozenset({5}))
+    store = csv_store(chart_file(tmp_path, rows), missing_file(tmp_path, {5}))
     starts = store.valid_window_starts()
     assert starts == [0, 1, 6]
     blocked = [s for s in range(0, 7) if s <= 5 <= s + 3]
@@ -285,17 +296,22 @@ def test_ingest_deterministic(tmp_path):
 
 
 def test_chart_csv_round_trip(tmp_path):
+    """Every count is written back exactly, up to int64's largest."""
     charts = [
-        WeeklyChart(0, "c1", (("a", 3), ("b", 9))),
+        WeeklyChart(0, "c1", (("b", 3), ("a", 2**63 - 1))),
         WeeklyChart(1, "c1", (("a", 4),)),
-        WeeklyChart(0, "c2", (("b", 1),)),
+        WeeklyChart(0, "c2", (("b", 2**53 + 1),)),
     ]
     path = tmp_path / "out.csv"
-    write_chart_csv(path, charts)
-    back = read_chart_csv(path)
-    flat = {(c.week_index, c.city_id, a, n) for c in back for a, n in c.entries}
-    want = {(c.week_index, c.city_id, a, n) for c in charts for a, n in c.entries}
-    assert flat == want
+    write_chart_csv(path, chart_store(charts))
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == [
+        f"0,c1,a,{2**63 - 1}", "0,c1,b,3", f"0,c2,b,{2**53 + 1}", "1,c1,a,4"
+    ]
+    assert list(read_chart_csv(path)) == [
+        WeeklyChart(0, "c1", (("a", 2**63 - 1), ("b", 3))),
+        WeeklyChart(0, "c2", (("b", 2**53 + 1),)),
+        WeeklyChart(1, "c1", (("a", 4),)),
+    ]
 
 
 def test_read_missing_weeks(tmp_path):
@@ -374,8 +390,14 @@ def test_window_matches_bruteforce_summation(cells, start):
     assert matrix.values.sum() == sum(expected.values()) + 4
 
 
+def chart_rows(store):
+    """The store's (week, city, artist, count) rows, sorted."""
+    return sorted((c.week_index, c.city_id, a, n) for c in store for a, n in c.entries)
+
+
 def assert_same_store(got, want):
-    """Equal cities, universe, weeks, charts and bit-equal window CSR arrays."""
+    """Equal cities, universe, weeks, charts, rows and bit-equal window CSR arrays."""
+    assert chart_rows(got) == chart_rows(want)
     assert got.cities == want.cities
     assert got.universe == want.universe
     assert (got.first_week, got.last_week) == (want.first_week, want.last_week)
@@ -399,10 +421,9 @@ def outcome(load):
 
 def assert_columnar_matches_csv(path, missing=frozenset()):
     """`from_files` either raises what the csv reader raises or gives its store."""
-    missing_path = path.with_name("missing.txt")
-    missing_path.write_text("".join(f"{w}\n" for w in sorted(missing)), encoding="utf-8")
+    missing_path = missing_file(path.parent, missing)
     got = outcome(lambda: ChartStore.from_files(path, missing_path))
-    want = outcome(lambda: ChartStore(*ingest_charts(path, missing), missing))
+    want = outcome(lambda: csv_store(path, missing_path))
     if isinstance(want, tuple) or isinstance(got, tuple):
         assert got == want
     else:
@@ -426,7 +447,7 @@ def csv_reads(monkeypatch):
 def test_gap_between_distant_weeks_is_found_fast(tmp_path):
     path = chart_file(tmp_path, [(0, "c", "a", 1), (10**12, "c", "a", 1)])
     message = "week range 0..1000000000000 has unexplained gaps (first: 1)"
-    for load in (lambda: ingest_charts(path), lambda: ChartStore.from_files(path)):
+    for load in (lambda: csv_store(path), lambda: ChartStore.from_files(path)):
         start = time.perf_counter()
         with pytest.raises(ChartFormatError, match=re.escape(message)):
             load()
@@ -437,7 +458,7 @@ def test_first_gap_skips_missing_weeks(tmp_path):
     rows = [(w, "c", "a", 1) for w in (0, 1, 3, 6)]
     path = chart_file(tmp_path, rows)
     with pytest.raises(ChartFormatError, match=r"\(first: 4\)"):
-        ingest_charts(path, missing_weeks=frozenset({2, 5}))
+        csv_store(path, missing_file(tmp_path, {2, 5}))
     assert_columnar_matches_csv(path, frozenset({2, 5}))
     assert_columnar_matches_csv(path, frozenset({2, 4, 5}))
 
@@ -449,7 +470,7 @@ def test_empty_chart_file_gives_empty_store(tmp_path, text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         store = ChartStore.from_files(path)
-    assert_same_store(store, ChartStore([], ArtistUniverse([])))
+    assert_same_store(store, chart_store([]))
     assert (store.cities, len(store.universe), store.chart_count) == ((), 0, 0)
     assert (store.first_week, store.last_week, store.valid_window_starts()) == (0, -1, [])
 
@@ -529,7 +550,7 @@ def test_name_codes_are_ranks_across_blocks(tmp_path_factory, rows, block):
         assert names == tuple(sorted({r[k] for r in rows}))
         assert codes.dtype == np.int32
         assert codes[order].tolist() == [names.index(r[k]) for r in rows]
-    assert week[order].tolist() == list(range(len(rows))) and count.tolist() == [1.0] * len(rows)
+    assert week[order].tolist() == list(range(len(rows))) and count.tolist() == [1] * len(rows)
 
 
 def test_names_sharing_a_key_go_through_csv_reader(tmp_path, monkeypatch, csv_reads):
@@ -608,11 +629,11 @@ BOUNDARY_NAMES = ["a" * 7, "a" * 8, "a" * 9, "a" * 16, "a" * 17, "abcdefgh1", "a
                   "abcdefghijklmnop1", "abcdefghijklmnop2", "abcdefg漢", "abcdefghijklmno漢"]
 
 
-def boundary_lines(end=b"\n"):
-    """Chart lines naming every boundary name as a city and as an artist."""
+def boundary_lines(end=b"\n", weeks=2):
+    """Chart lines naming every boundary name as a city and as an artist, each week."""
     names = [n.encode() for n in BOUNDARY_NAMES]
     return [b"%d,%s,%s,%d" % (w, c, a, w + i + 1) + end
-            for w in range(2) for i, (c, a) in enumerate(zip(names, names[::-1]))]
+            for w in range(weeks) for i, (c, a) in enumerate(zip(names, names[::-1]))]
 
 
 @pytest.mark.parametrize("block", [16, 23, 29, 37])
@@ -646,30 +667,42 @@ def test_byte_path_boundaries_match_csv_reader(tmp_path, monkeypatch, csv_reads,
 
 @pytest.mark.parametrize("block", [16, 1 << 19])
 @pytest.mark.parametrize(
-    "tail",
+    ("tail", "error"),
     [
-        b"1,c,abcdefg\xe6\xbc,1\n",  # a 3-byte character cut short
-        b"0,c," + b"a" * (csv.field_size_limit() + 1) + b",1\n",
+        (b"1,c,abcdefg\xe6\xbc,1\n", ": not UTF-8 text"),  # a 3-byte character cut short
+        (b"0,c," + b"a" * (csv.field_size_limit() + 1) + b",1\n",
+         f":{2 + len(boundary_lines(weeks=100))}: field larger than field limit "
+         f"({csv.field_size_limit()})"),
     ],
     ids=["bad-utf8", "long-line"],
 )
-def test_byte_path_errors_in_a_later_block_match_csv_reader(tmp_path, monkeypatch, block, tail):
+def test_byte_path_errors_in_a_later_block_match_csv_reader(
+    tmp_path, monkeypatch, block, tail, error
+):
     monkeypatch.setattr(charts_module, "_BLOCK_BYTES", block)
     path = tmp_path / "charts.csv"
-    path.write_bytes(HEADER.encode() + b"\n" + b"".join(boundary_lines()) * 50 + tail)
+    path.write_bytes(HEADER.encode() + b"\n" + b"".join(boundary_lines(weeks=100)) + tail)
+    assert outcome(lambda: ChartStore.from_files(path)) == (ChartFormatError, f"{path}{error}")
     assert_columnar_matches_csv(path)
 
 
 def test_numbers_of_every_width_match_csv_reader(tmp_path, monkeypatch):
-    """Weeks and counts of 1 to 20 digits: up to 18 read as words of 8 digits, more by csv."""
+    """Weeks of 1 to 20 digits and counts of 1 to 19: up to 18 read as words of 8 digits,
+    more by csv. Every count within int64 is kept exactly; a larger one is rejected."""
     monkeypatch.setattr(charts_module, "_BLOCK_BYTES", 64)
-    counts = [int("9876543210" * 2) % 10**k or 1 for k in range(1, 21)] + [10**17, 10**18 - 1]
+    counts = [int("9876543210" * 2) % 10**k or 1 for k in range(1, 19)]
+    counts += [10**17, 10**18 - 1, 10**18, 2**63 - 1]
     weeks = ["0" * k + "1" for k in range(20)]  # week 1 written with up to 19 leading zeros
     rows = [(w, "c", f"a{i}", n) for i, (w, n) in enumerate(zip(["0"] * len(counts), counts))]
     rows += [(w, "d", f"a{i}", 1) for i, w in enumerate(weeks)]
     store = ChartStore.from_files(chart_file(tmp_path, rows))
-    assert sorted(store._count.tolist()) == sorted([float(n) for n in counts] + [1.0] * len(weeks))
+    assert sorted(store.columns[3].tolist()) == sorted(counts + [1] * len(weeks))
     assert_columnar_matches_csv(chart_file(tmp_path, rows))
+    for count in (2**63, int("9876543210" * 2)):
+        path = chart_file(tmp_path, rows + [(0, "c", "over", count)])
+        message = f"{path}:{len(rows) + 2}: listener count must be at most {2**63 - 1}, got {count}"
+        assert outcome(lambda: ChartStore.from_files(path)) == (ChartFormatError, message)
+        assert_columnar_matches_csv(path)
 
 
 def test_undecodable_text_past_a_bad_row_reports_the_bad_row(tmp_path, csv_reads):
@@ -694,7 +727,7 @@ def test_undecodable_text_past_a_bad_row_reports_the_bad_row(tmp_path, csv_reads
         "0,,a,1\n",  # empty name
         "0,c,a,99999999999999999999\n",  # above int64
         "0,c,a,1,2\n",  # extra field
-        "0,c," + "a" * (csv.field_size_limit() + 1) + ",1\n",  # csv raises its own error
+        "0,c," + "a" * (csv.field_size_limit() + 1) + ",1\n",  # a field over csv's limit
     ],
     ids=[*range(7), *range(8, 11)],
 )
@@ -711,7 +744,7 @@ def test_non_ascii_digits_read_as_int_reads_them(tmp_path, digit):
     path = tmp_path / "charts.csv"
     path.write_text(f"{HEADER}\n0,漢,a,{digit}\n", encoding="utf-8")
     store = ChartStore.from_files(path)
-    assert store._count.tolist() == [float(int(digit))]
+    assert store.columns[3].tolist() == [int(digit)]
     assert_columnar_matches_csv(path)
 
 
@@ -728,12 +761,10 @@ def test_restrict_to_cities_matches_filtered_charts(tmp_path):
     rows += [(w, "late", "a0", w) for w in range(3, 10)] + [(w, "mid", "b", 2) for w in range(10)]
     path = chart_file(tmp_path, rows)
     missing = frozenset({5})
-    (tmp_path / "missing.txt").write_text("5\n", encoding="utf-8")
-    charts, universe = ingest_charts(path, missing)
-    store = ChartStore.from_files(path, tmp_path / "missing.txt")
+    store = ChartStore.from_files(path, missing_file(tmp_path, missing))
     for subset in (("late",), ("mid", "late"), ("late", "early", "mid")):
-        kept = [c for c in charts if c.city_id in subset]
-        want = ChartStore(kept, universe, missing)
+        kept = [c for c in store if c.city_id in subset]
+        want = chart_store(kept, missing, store.universe)
         assert_same_store(store.restrict(subset), want)
     assert store.restrict(("late",)).first_week == 3
     with pytest.raises(ValueError, match="unknown cities in subset: nowhere"):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import leadlag
-from leadlag.charts import ChartStore, WeeklyChart, read_chart_csv, write_chart_csv, write_missing_weeks
+from leadlag.charts import ChartStore, read_chart_csv, write_chart_csv, write_missing_weeks
 from leadlag.cli import main
 from leadlag.exports import (
     read_acyclicity_json,
@@ -229,8 +229,7 @@ class TestRunPipeline:
     def test_genre_covering_all_artists_changes_nothing(
         self, synth_inputs, tmp_path
     ):
-        charts = read_chart_csv(synth_inputs["charts"])
-        artists = sorted({a for c in charts for a, _ in c.entries})
+        artists = read_chart_csv(synth_inputs["charts"]).universe.artists
         genre_path = tmp_path / "genres.csv"
         lines = ["genre,rank,artist"]
         lines += [f"everything,{i + 1},{a}" for i, a in enumerate(artists)]
@@ -387,8 +386,8 @@ class TestCliCommands:
         # zz charts too few weeks for any dyad, yet it is a node of the run's
         # graph and counts in the Bonferroni level; the cache must keep it.
         isolated = tmp_path / "isolated.csv"
-        extra = [WeeklyChart(w, "zz", (("zz_artist", 5),)) for w in range(12) if w != 10]
-        write_chart_csv(isolated, read_chart_csv(synth_inputs["charts"]) + extra)
+        extra = "".join(f"{w},zz,zz_artist,5\n" for w in range(12) if w != 10)
+        isolated.write_text(Path(synth_inputs["charts"]).read_text(encoding="utf-8") + extra)
         cases = [(synth_inputs["charts"], []), (str(isolated), ["--bonferroni"])]
         for k, (charts, flags) in enumerate(cases):
             run_dir, stage_dir = tmp_path / f"full{k}", tmp_path / f"stage{k}"
@@ -461,6 +460,11 @@ class TestCliCommands:
         tree = parse_newick((out / "dendrogram.nwk").read_text().strip())
         assert sorted(tree.leaves()) == ["c00", "c01", "c02", "c03"]
 
+    def test_cluster_rejects_a_nan_cut(self, synth_inputs, tmp_path, capsys):
+        chart_args = ["--charts", synth_inputs["charts"], "--missing", synth_inputs["missing"]]
+        assert main(["cluster", *chart_args, "--cut", "nan", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: cut height must be non-negative, got nan\n"
+
     def test_shuffle_round_trip(self, synth_inputs, tmp_path, capsys):
         out = tmp_path / "null"
         code = main(
@@ -477,8 +481,8 @@ class TestCliCommands:
         assert code == 0
         shuffled = read_chart_csv(out / "charts_shuffled.csv")
         original = read_chart_csv(synth_inputs["charts"])
-        assert len(shuffled) == len(original)
-        assert {c.city_id for c in shuffled} == {c.city_id for c in original}
+        assert shuffled.chart_count == original.chart_count
+        assert shuffled.cities == original.cities
         capsys.readouterr()
 
     def test_run_and_report(self, synth_inputs, tmp_path, capsys):

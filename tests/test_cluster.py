@@ -225,6 +225,13 @@ def test_flat_cut_degenerate_heights():
     assert flat_cut(tree, 0.0) == (("p0",), ("p1",), ("p10",))
 
 
+@pytest.mark.parametrize("height", [-1.0, float("nan")])
+def test_flat_cut_rejects_a_height_below_zero_or_nan(height):
+    tree = average_linkage(line_matrix(["p0", "p1", "p10"], [0.0, 1.0, 10.0]))
+    with pytest.raises(ValueError, match=f"^cut height must be non-negative, got {height}$"):
+        flat_cut(tree, height)
+
+
 def test_flat_cut_hand_fixture():
     tree = average_linkage(line_matrix(["p0", "p1", "p10"], [0.0, 1.0, 10.0]))
     assert flat_cut(tree, 5.0) == (("p0", "p1"), ("p10",))

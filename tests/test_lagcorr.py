@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leadlag.charts import ArtistUniverse, ChartStore, SparseRows
+from leadlag.charts import SparseRows
 from leadlag.lagcorr import (
     LAGS,
     DyadResult,
@@ -376,9 +376,7 @@ def test_scan_matches_per_pair_oracle(seed, n_cities, lags, min_samples, reverse
 
 def test_scan_matches_oracle_on_synth_velocities():
     config = SynthConfig(n_artists=40, n_weeks=60, seed=0, missing_weeks=frozenset({25}))
-    charts = generate_charts(chain_hierarchy(8), config)
-    universe = ArtistUniverse(a for c in charts for a, _ in c.entries)
-    store = ChartStore(charts, universe, config.missing_weeks)
+    store = generate_charts(chain_hierarchy(8), config)
     assert_batched_velocities_match_per_city(store)
     series = compute_all_velocities(build_windows(store))
     got = scan_dyads(series)

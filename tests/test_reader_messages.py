@@ -6,6 +6,7 @@ reads without error and gives an empty result. A reader in `charts` raises
 ChartFormatError, one in `exports` ExportFormatError and any other ValueError.
 """
 
+import csv
 import json
 
 import pytest
@@ -41,6 +42,10 @@ EDGE_RECORD = '{"follower": "b", "leader": "a", "weight": 0.5, "lag_weeks": 2}'
 SIZE = '{"spearman_pagerank": 0.5, "spearman_indegree": 0.5, "percent_weight_larger_leads": 50.0}'
 MANIFEST = '{"created_at": "", "inputs": {}, "tool_version": "0.1.0", "parameters": '
 CITY = '{"cities": [{"city": "aa", "activity": 1.0'
+# A field one character over csv's limit, and the rejection of a row holding it.
+LONG = "a" * (csv.field_size_limit() + 1)
+OVER_LIMIT = f"{{path}}:2: field larger than field limit ({csv.field_size_limit()})"
+INT64_MAX = 2**63 - 1
 
 
 def removed(*edges, scalars=ACYCLICITY):
@@ -66,6 +71,14 @@ def hierarchy(cities=(("aa", 5, 1.0), ("bb", 4, 1.0)), edges=()):
 
 UNDECODABLE = "{path}: not UTF-8 text"
 
+
+def over_limit(reader, header):
+    """A case of `reader` on a file whose one row after `header` has a field over csv's limit."""
+    fields = header.count(",") + 1
+    text = header + ",".join([LONG] + ["1"] * (fields - 1)) + "\n"
+    return pytest.param(reader, text, OVER_LIMIT, id=f"{reader.__name__}-field-over-limit")
+
+
 CASES = [
     (read_missing_weeks, "", None),
     (read_missing_weeks, "\n  \n", None),
@@ -83,6 +96,7 @@ CASES = [
     (read_genre_catalog, GENRE + "rock,1,a\nrock,1,b\n",
      "{path}:3: duplicate rank 1 for genre 'rock'"),
     (read_genre_catalog, GENRE + "rock,1,a\nrock,2,a\n", "genre 'rock' lists an artist twice"),
+    over_limit(read_genre_catalog, GENRE),
     (read_chart_csv, "", None),
     (read_chart_csv, CHART, None),
     (read_chart_csv, "\n", "{path}:1: expected header week,city,artist,listeners"),
@@ -91,14 +105,19 @@ CASES = [
     (read_chart_csv, CHART + "0,c,a,1,2\n", "{path}:2: expected 4 fields, got 5"),
     (read_chart_csv, CHART + "w0,c,a,1\n", "{path}:2: bad week 'w0'"),
     (read_chart_csv, CHART + "-1,c,a,1\n", "{path}:2: negative week index -1"),
+    (read_chart_csv, CHART + f"{INT64_MAX + 1},c,a,1\n",
+     f"{{path}}:2: week index must be at most {INT64_MAX}, got {INT64_MAX + 1}"),
     (read_chart_csv, CHART + "0,,a,1\n", "{path}:2: empty city or artist id"),
     (read_chart_csv, CHART + "0,c,,1\n", "{path}:2: empty city or artist id"),
     (read_chart_csv, CHART + "0,c,a,many\n", "{path}:2: bad listener count 'many'"),
     (read_chart_csv, CHART + "0,c,a,0\n", "{path}:2: listener count must be positive, got 0"),
+    (read_chart_csv, CHART + f"0,c,a,{INT64_MAX + 1}\n",
+     f"{{path}}:2: listener count must be at most {INT64_MAX}, got {INT64_MAX + 1}"),
     (read_chart_csv, CHART + "0,c,a,1\n0,c,a,2\n",
      "{path}:3: duplicate entry for week 0, city 'c', artist 'a'"),
     (read_chart_csv, CHART + '0,c,"a\nb",1\n0,c,x,zz\n', "{path}:4: bad listener count 'zz'"),
     (read_chart_csv, CROWDED, "{path}: week 0, city 'c' has 501 entries, cap is 500"),
+    over_limit(read_chart_csv, CHART),
     (read_edge_csv, "", "{path}:1: expected header follower,leader,weight,lag_weeks"),
     (read_edge_csv, "leader,follower,weight,lag_weeks\n",
      "{path}:1: expected header follower,leader,weight,lag_weeks"),
@@ -114,6 +133,7 @@ CASES = [
      "{path}:2: weight must be finite and positive, got '-0.25'"),
     (read_edge_csv, EDGE + "b,a,0.5,2.0\n", "{path}:2: bad lag '2.0'"),
     (read_edge_csv, EDGE + "b,a,0.5,6\n", "{path}:2: lag must be in 1..5, got 6"),
+    over_limit(read_edge_csv, EDGE),
     (read_populations, "", "{path}:1: expected header city,population"),
     (read_populations, "town,people\n", "{path}:1: expected header city,population"),
     (read_populations, POPULATION + "\nx\n", "{path}:3: expected 2 fields, got 1"),
@@ -121,6 +141,7 @@ CASES = [
     (read_populations, POPULATION + "x,10\nx,20\n", "{path}:3: duplicate city 'x'"),
     (read_populations, POPULATION + "x,lots\n", "{path}:2: bad population 'lots'"),
     (read_populations, POPULATION + "x,0\n", "{path}:2: population must be positive, got 0"),
+    over_limit(read_populations, POPULATION),
     (read_acyclicity_json, "[]", "{path}: expected a JSON object"),
     (read_acyclicity_json, "{}", "{path}: missing 'total_weight'"),
     (read_acyclicity_json, ACYCLICITY + "}", "{path}: missing 'removed_edges'"),
@@ -275,7 +296,7 @@ def test_reader_message(tmp_path, reader, text, message):
     else:
         path.write_text(text, encoding="utf-8", newline="")
     if message is None:
-        assert not reader(path)
+        assert not list(reader(path))
         return
     error = {"leadlag.charts": ChartFormatError, "leadlag.exports": ExportFormatError}.get(
         reader.__module__, ValueError

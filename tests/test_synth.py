@@ -1,9 +1,11 @@
+import hashlib
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from leadlag.charts import ChartStore, write_chart_csv
+from leadlag.charts import write_chart_csv
 from leadlag.lagcorr import compute_all_velocities, scan_dyads
 from leadlag.network import build_graph
 from leadlag.synth import (
@@ -18,6 +20,7 @@ from leadlag.synth import (
     shuffle_null,
 )
 
+from helpers import bench_module
 from oracles import best_dyad
 
 
@@ -31,15 +34,7 @@ def two_cities(coupling=1.0, lag=1):
     )
 
 
-def store_from(charts, missing=frozenset()):
-    from leadlag.charts import ArtistUniverse
-
-    universe = ArtistUniverse(a for c in charts for a, _ in c.entries)
-    return ChartStore(charts, universe, missing)
-
-
-def velocities_of(charts, missing=frozenset()):
-    store = store_from(charts, missing)
+def velocities_of(store):
     return compute_all_velocities(store.windows()), store
 
 
@@ -127,7 +122,7 @@ class TestGenerate:
         cfg = SynthConfig(n_artists=25, n_weeks=30, seed=11)
         first = generate_charts(hier, cfg)
         second = generate_charts(hier, cfg)
-        assert first == second
+        assert list(first) == list(second)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_chart_csv(p1, first)
         write_chart_csv(p2, second)
@@ -137,7 +132,7 @@ class TestGenerate:
         hier = chain_hierarchy(3, coupling=0.7)
         a = generate_charts(hier, SynthConfig(n_artists=25, n_weeks=30, seed=1))
         b = generate_charts(hier, SynthConfig(n_artists=25, n_weeks=30, seed=2))
-        assert a != b
+        assert list(a) != list(b)
 
     def test_all_weeks_emitted_including_flagged(self):
         hier = chain_hierarchy(2)
@@ -160,7 +155,7 @@ class TestGenerate:
             cities=(SynthCity("solo", 1000, 1_000_000.0),)
         )
         charts = generate_charts(hier, SynthConfig(n_artists=620, n_weeks=3, seed=2))
-        assert charts
+        assert charts.chart_count == 3
         for chart in charts:
             assert len(chart.entries) == 500
 
@@ -212,7 +207,7 @@ class TestGenerate:
         cfg = SynthConfig(n_artists=15, n_weeks=10, seed=1)
         charts = generate_charts(hier, cfg)
         assert {c.city_id for c in charts} == {"pa", "pb", "kid"}
-        assert generate_charts(hier, cfg) == charts
+        assert list(generate_charts(hier, cfg)) == list(charts)
 
 
 class TestShuffle:
@@ -220,7 +215,7 @@ class TestShuffle:
         hier = chain_hierarchy(3, coupling=0.8)
         charts = generate_charts(hier, SynthConfig(n_artists=20, n_weeks=25, seed=4))
         shuffled = shuffle_null(charts, seed=17)
-        assert len(shuffled) == len(charts)
+        assert shuffled.chart_count == charts.chart_count
 
         def per_city(cs):
             grouped = {}
@@ -240,14 +235,14 @@ class TestShuffle:
         once = shuffle_null(charts, seed=5)
         again = shuffle_null(charts, seed=5)
         other = shuffle_null(charts, seed=6)
-        assert once == again
-        assert once != other
+        assert list(once) == list(again)
+        assert list(once) != list(other)
 
     def test_actually_permutes(self):
         hier = chain_hierarchy(2, coupling=0.8)
         charts = generate_charts(hier, SynthConfig(n_artists=20, n_weeks=40, seed=4))
         shuffled = shuffle_null(charts, seed=5)
-        assert shuffled != sorted(charts, key=lambda c: (c.week_index, c.city_id))
+        assert list(shuffled) != list(charts)
 
     def test_static_charts_unchanged(self):
         hier = chain_hierarchy(2)
@@ -255,15 +250,56 @@ class TestShuffle:
             n_artists=20, n_weeks=15, noise_sigma=0.0, step_scale=0.0, seed=3
         )
         charts = generate_charts(hier, cfg)
-        assert shuffle_null(charts, seed=99) == sorted(
-            charts, key=lambda c: (c.week_index, c.city_id)
-        )
+        assert list(shuffle_null(charts, seed=99)) == list(charts)
 
-    def test_duplicate_week_rejected(self):
-        hier = chain_hierarchy(2)
-        charts = generate_charts(hier, SynthConfig(n_artists=10, n_weeks=5, seed=1))
-        with pytest.raises(ValueError, match="duplicate chart"):
-            shuffle_null(list(charts) + [charts[0]], seed=1)
+    def test_input_store_unchanged(self):
+        cfg = SynthConfig(n_artists=10, n_weeks=9, seed=1, missing_weeks=frozenset({4}))
+        charts = generate_charts(chain_hierarchy(2), cfg)
+        before = [column.copy() for column in charts.columns]
+        shuffled = shuffle_null(charts, seed=1)
+        assert all(np.array_equal(a, b) for a, b in zip(charts.columns, before))
+        assert shuffled.missing_weeks == charts.missing_weeks == frozenset({4})
+
+
+# The acceptance fixture's 14 missing weeks.
+MISSING = frozenset({7, 19, 23, 41, 47, 59, 66, 74, 88, 97, 109, 118, 131, 144})
+
+
+def sha256_of_csv(store, tmp_path):
+    path = tmp_path / "charts.csv"
+    write_chart_csv(path, store)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedBytes:
+    """Chart files the generator, the shuffle and the writer give, pinned byte for byte."""
+
+    def test_benchmark_inputs(self, tmp_path, monkeypatch):
+        bench_module("inputs", monkeypatch).generate(tmp_path, 40, 40, 0)
+        digest = hashlib.sha256((tmp_path / "charts.csv").read_bytes()).hexdigest()
+        assert digest == "ab901987428b607321b80e60f3482c84607b706282fed484cc05e6c1b20d77fa"
+
+    def test_capped_charts(self, tmp_path):
+        hier = PlantedHierarchy(cities=(SynthCity("solo", 1000, 1_000_000.0),))
+        charts = generate_charts(hier, SynthConfig(n_artists=620, n_weeks=3, seed=2))
+        digest = "d73acbe63a7ae42eea223ae17d11daa06fa9d05a44a0e67ffdbf0a939e90db01"
+        assert sha256_of_csv(charts, tmp_path) == digest
+
+    def test_capped_charts_break_ties_by_label(self, tmp_path):
+        """artist_10000 sorts before artist_9999, so ties at the cap go to it."""
+        charts = generate_charts(
+            chain_hierarchy(2, activity=1000.0), SynthConfig(n_artists=10_050, n_weeks=4, seed=0)
+        )
+        assert any(len(a) > len("artist_9999") for c in charts for a, _ in c.entries)
+        digest = "ebfc99b313b832eeb518a823f202f84dbe62bfb6e3a4b1286396d0aee4f4d5a2"
+        assert sha256_of_csv(charts, tmp_path) == digest
+
+    def test_shuffled_acceptance_fixture(self, tmp_path):
+        cfg = SynthConfig(n_artists=120, n_weeks=153, noise_sigma=0.05, seed=0,
+                          missing_weeks=MISSING)
+        charts = generate_charts(chain_hierarchy(10, lag_weeks=1, coupling=0.9), cfg)
+        digest = "15104f8fb3828b0c60a079972dd04fa6b2bdb6cfe01e5c147cdb3369044c02f6"
+        assert sha256_of_csv(shuffle_null(charts, seed=0), tmp_path) == digest
 
 
 HIERARCHY = {
