@@ -33,7 +33,6 @@ from .lagcorr import (
 from .network import (
     DEFAULT_ALPHA,
     AcyclicityReport,
-    LeadershipGraph,
     _check_alpha,
     build_graph,
     feedback_arc_set,
@@ -91,12 +90,6 @@ def _load_windows(args: argparse.Namespace):
 
 def _fas_figure(report: AcyclicityReport) -> str:
     return f"{report.percent_removed:.1f}% ({'exact' if report.exact else 'heuristic'})"
-
-
-def _graph_from_edge_csv(path: str) -> LeadershipGraph:
-    edges = tuple(read_edge_csv(path))
-    nodes = sorted({e.follower for e in edges} | {e.leader for e in edges})
-    return LeadershipGraph(nodes=tuple(nodes), edges=edges)
 
 
 def _add_chart_args(sub: argparse.ArgumentParser) -> None:
@@ -171,7 +164,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_fas(args: argparse.Namespace) -> int:
-    graph = _graph_from_edge_csv(args.edges)
+    graph = read_edge_csv(args.edges)
     report = feedback_arc_set(graph)
     print(f"edge weight removed to make acyclic: {_fas_figure(report)}")
     if args.out is not None:
@@ -182,7 +175,7 @@ def _cmd_fas(args: argparse.Namespace) -> int:
 
 
 def _cmd_pagerank(args: argparse.Namespace) -> int:
-    graph = _graph_from_edge_csv(args.edges)
+    graph = read_edge_csv(args.edges)
     report = pagerank(graph)
     ranked = sorted(report.pagerank, key=lambda c: (-report.pagerank[c], c))
     width = max((len(c) for c in ranked), default=0)

@@ -170,7 +170,7 @@ def flat_cut(tree: ClusterTree, height: float) -> tuple[tuple[str, ...], ...]:
 
 
 def _newick_label(label: str) -> str:
-    if any(ch in label for ch in "();:,[] \t'"):
+    if any(ch.isspace() or ch in "();:,[]'" for ch in label):
         return "'" + label.replace("'", "''") + "'"
     return label
 

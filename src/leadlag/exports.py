@@ -51,7 +51,7 @@ def write_edge_csv(path: str | Path, graph: LeadershipGraph) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EDGE_HEADER)
-        for e in sorted(graph.edges, key=lambda e: (e.follower, e.leader)):
+        for e in graph.edges:
             writer.writerow([e.follower, e.leader, _fmt(e.weight), e.lag_weeks])
 
 
@@ -73,8 +73,9 @@ def _edge(where: str, seen: set, follower: str, leader: str, weight: float, lag:
     return Edge(follower, leader, weight, lag)
 
 
-def read_edge_csv(path: str | Path) -> list[Edge]:
-    """Parse write_edge_csv output, rejecting rows it never writes."""
+def read_edge_csv(path: str | Path) -> LeadershipGraph:
+    """Parse write_edge_csv output, rejecting rows it never writes, as the graph
+    over the cities its edges name: a city with no edge is not in the file."""
     edges: list[Edge] = []
     seen: set[tuple[str, str]] = set()
     with closing(csv_rows(path, EDGE_HEADER, ExportFormatError)) as rows:
@@ -83,7 +84,7 @@ def read_edge_csv(path: str | Path) -> list[Edge]:
             weight = parse_number(float, weight_text, problem, ExportFormatError)
             lag = parse_number(int, lag_text, f"{where}: bad lag {lag_text!r}", ExportFormatError)
             edges.append(_edge(where, seen, follower, leader, weight, lag, weight_text))
-    return edges
+    return LeadershipGraph(tuple({c for e in edges for c in (e.follower, e.leader)}), tuple(edges))
 
 
 # ---------------------------------------------------------- populations CSV
@@ -121,7 +122,7 @@ def _node_attributes(
     centrality: CentralityReport | None,
     populations: Mapping[str, int] | None,
 ) -> NodeAttrs:
-    attrs: NodeAttrs = {node: {} for node in sorted(graph.nodes)}
+    attrs: NodeAttrs = {node: {} for node in graph.nodes}
     for node in attrs:
         if centrality is not None:
             attrs[node]["pagerank"] = float(centrality.pagerank[node])
@@ -158,10 +159,10 @@ def write_dot(
     """Influence digraph in DOT form; arrows point leader -> follower."""
     attrs = _node_attributes(graph, centrality, populations)
     lines = ["digraph leadership {"]
-    for node in sorted(graph.nodes):
+    for node in graph.nodes:
         block = f" [{_format_attrs(attrs[node])}]" if attrs[node] else ""
         lines.append(f"  {_dot_quote(node)}{block};")
-    for e in sorted(graph.edges, key=lambda e: (e.follower, e.leader)):
+    for e in graph.edges:
         block = _format_attrs({"lag_weeks": e.lag_weeks, "weight": e.weight})
         lines.append(f"  {_dot_quote(e.leader)} -> {_dot_quote(e.follower)} [{block}];")
     lines.append("}")
@@ -201,13 +202,13 @@ def write_graphml(
         )
     g = ET.SubElement(root, "graph", id="leadership", edgedefault="directed")
     name_to_key = {name: key_id for key_id, name, _ in _GRAPHML_NODE_KEYS}
-    for node in sorted(graph.nodes):
+    for node in graph.nodes:
         el = ET.SubElement(g, "node", id=node)
         for name in sorted(attrs[node]):
             value = attrs[node][name]
             data = ET.SubElement(el, "data", key=name_to_key[name])
             data.text = str(value) if isinstance(value, int) else _fmt(value)
-    for e in sorted(graph.edges, key=lambda e: (e.follower, e.leader)):
+    for e in graph.edges:
         el = ET.SubElement(g, "edge", source=e.leader, target=e.follower)
         weight = ET.SubElement(el, "data", key="d_weight")
         weight.text = _fmt(e.weight)

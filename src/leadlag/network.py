@@ -45,23 +45,28 @@ class Edge:
 
 @dataclass(frozen=True)
 class LeadershipGraph:
+    """Nodes sorted by name and edges by (follower, leader), whatever order
+    they are given in, so every analysis and export reads one order."""
+
     nodes: tuple[str, ...]
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        by_ends = sorted(self.edges, key=lambda e: (e.follower, e.leader))
+        object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
+        object.__setattr__(self, "edges", tuple(by_ends))
+        for before, v in zip(self.nodes, self.nodes[1:]):
+            if before == v:
+                raise ValueError(f"node {v!r} appears twice")
         known = set(self.nodes)
-        if len(known) != len(self.nodes):
-            repeated = next(v for i, v in enumerate(self.nodes) if v in self.nodes[:i])
-            raise ValueError(f"node {repeated!r} appears twice")
-        pairs = set()
-        for e in self.edges:
-            if (e.follower, e.leader) in pairs:
-                raise ValueError(f"edge {e.follower!r}->{e.leader!r} appears twice")
-            pairs.add((e.follower, e.leader))
-            if e.follower == e.leader:
-                raise ValueError(f"self-loop on {e.follower!r}")
-            if e.follower not in known or e.leader not in known:
-                raise ValueError(f"edge {e.follower!r}->{e.leader!r} references unknown node")
+        pairs = [(e.follower, e.leader) for e in self.edges]
+        for before, (follower, leader) in zip([None, *pairs], pairs):
+            if before == (follower, leader):
+                raise ValueError(f"edge {follower!r}->{leader!r} appears twice")
+            if follower == leader:
+                raise ValueError(f"self-loop on {follower!r}")
+            if follower not in known or leader not in known:
+                raise ValueError(f"edge {follower!r}->{leader!r} references unknown node")
 
     def total_weight(self) -> float:
         return math.fsum(e.weight for e in self.edges)
@@ -96,8 +101,7 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _decide(dyads: Dyads, alpha: float) -> list[Edge]:
-    """Edges over every pair of the table's cities with a scored dyad, sorted
-    by (follower, leader).
+    """Edges over every pair of the table's cities with a scored dyad.
 
     A dyad passes the screen when its samples' mean is significantly
     nonzero at alpha, its correlation positive and its sample not flat. A
@@ -150,7 +154,6 @@ def _decide(dyads: Dyads, alpha: float) -> list[Edge]:
         np.where(passes[first], first, second)[one_sided],
         np.where(correlation[f] > correlation[b], f, b)[correlation[f] != correlation[b]],
     ])
-    winners = winners[np.argsort(reverse[winners])]  # by (follower, leader)
     columns = (dyads.follower, dyads.leader, correlation, dyads.lag)
     names = dyads.cities
     rows = zip(*(x[winners].tolist() for x in columns))
@@ -317,8 +320,8 @@ def feedback_arc_set(graph: LeadershipGraph) -> AcyclicityReport:
     if not graph.edges:
         return AcyclicityReport(0.0, 0.0, 0.0, (), True)
 
-    # Sorted names, so each component's block lists its members in name order.
-    index = {c: i for i, c in enumerate(sorted(set(graph.nodes)))}
+    # Each component's block lists its members in name order, as the graph does.
+    index = {c: i for i, c in enumerate(graph.nodes)}
     n = len(index)
     ends = tuple(np.array([(index[e.follower], index[e.leader]) for e in graph.edges]).T)
     w = np.zeros((n, n))
@@ -341,9 +344,7 @@ def feedback_arc_set(graph: LeadershipGraph) -> AcyclicityReport:
     backward = (labels[:, None] == labels) & (position[:, None] > position)
 
     hit = backward[ends].tolist()
-    removed = sorted(
-        (e for e, back in zip(graph.edges, hit) if back), key=lambda e: (e.follower, e.leader)
-    )
+    removed = tuple(e for e, back in zip(graph.edges, hit) if back)
     fas_weight = math.fsum(e.weight for e in removed)
     # Without self-loops a digraph is acyclic iff every node is its own
     # strongly connected component.
@@ -354,7 +355,7 @@ def feedback_arc_set(graph: LeadershipGraph) -> AcyclicityReport:
         total_weight=total,
         fas_weight=fas_weight,
         percent_removed=percent,
-        removed_edges=tuple(removed),
+        removed_edges=removed,
         exact=exact,
     )
 
@@ -364,10 +365,10 @@ def pagerank(graph: LeadershipGraph) -> CentralityReport:
 
     Each node splits its rank over outgoing edges in proportion to their
     weights; nodes with no outgoing edge spread theirs uniformly, as does
-    the teleport term. The damping factor is 0.85. Each leader sums what
-    its followers pass it in ascending follower order.
+    the teleport term. The damping factor is 0.85. Each leader sums what its
+    followers pass it, and its in-degree, in the graph's ascending follower order.
     """
-    nodes = tuple(sorted(graph.nodes))
+    nodes = graph.nodes
     n = len(nodes)
     if n == 0:
         return CentralityReport(pagerank={}, weighted_in_degree={})
@@ -378,9 +379,7 @@ def pagerank(graph: LeadershipGraph) -> CentralityReport:
     weight = np.array([e.weight for e in graph.edges], dtype=np.float64)
     in_degree = np.bincount(leader, weight, minlength=n)
     out_weight = np.bincount(follower, weight, minlength=n)
-    order = np.lexsort((leader, follower))
-    share = (weight / out_weight[follower])[order]
-    follower, leader = follower[order], leader[order]
+    share = weight / out_weight[follower]
     dangling = out_weight == 0
 
     x = np.full(n, 1.0 / n)
@@ -411,7 +410,7 @@ def size_leadership(
     counted toward the larger-leads percentage only when both endpoints
     have populations.
     """
-    missing = sorted(v for v in graph.nodes if v not in populations)
+    missing = [v for v in graph.nodes if v not in populations]
     if missing:
         warnings.warn(
             f"no population for {', '.join(missing)}; excluded from size analysis",

@@ -7,6 +7,7 @@ rebuild everything downstream from that cache alone.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -36,6 +37,7 @@ from .network import (
     pagerank,
     size_leadership,
 )
+from .stats import UndefinedCorrelationError
 
 
 def _tool_version() -> str:
@@ -126,8 +128,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     Writes (under config.output_dir): dyads.json, edges.csv, graph.dot,
     graph.graphml, centrality.json, acyclicity.json, size_leadership.json
-    when populations are given, dendrogram.nwk when two or more cities
-    cluster, and manifest.json.
+    when populations are given and the size correlation is defined (else it
+    warns), dendrogram.nwk when two or more cities cluster, and manifest.json.
     """
     populations = read_populations(config.populations_path) if config.populations_path else None
     store, _, artists = load_store(
@@ -162,9 +164,13 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     size: SizeLeadershipReport | None = None
     if populations is not None:
-        size = size_leadership(graph, centrality, populations)
-        artifacts["size_leadership"] = out / "size_leadership.json"
-        write_size_leadership_json(artifacts["size_leadership"], size)
+        try:
+            size = size_leadership(graph, centrality, populations)
+        except UndefinedCorrelationError as err:
+            warnings.warn(f"{err}; size_leadership.json not written", stacklevel=2)
+        else:
+            artifacts["size_leadership"] = out / "size_leadership.json"
+            write_size_leadership_json(artifacts["size_leadership"], size)
 
     if windows and len(store.cities) >= 2:
         dist = summed_distances(windows)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -168,9 +169,7 @@ class TestRunPipeline:
     def test_every_artifact_round_trips(self, synth_inputs, tmp_path):
         result = run_pipeline(base_config(synth_inputs, tmp_path / "out"))
         arts = result.artifacts
-        assert read_edge_csv(arts["edges"]) == sorted(
-            result.graph.edges, key=lambda e: (e.follower, e.leader)
-        )
+        assert read_edge_csv(arts["edges"]).edges == result.graph.edges
         assert parse_dot(arts["dot"]) == read_graphml(arts["graphml"])
         assert read_centrality_json(arts["centrality"]) == result.centrality
         assert read_acyclicity_json(arts["acyclicity"]) == result.acyclicity
@@ -363,7 +362,7 @@ class TestCliCommands:
         assert (
             main(["graph", "--dyads", str(out / "dyads.json"), "--out", str(out)]) == 0
         )
-        edges = read_edge_csv(out / "edges.csv")
+        edges = read_edge_csv(out / "edges.csv").edges
         got = {(e.follower, e.leader): e.lag_weeks for e in edges}
         for pair, lag in PLANTED.items():
             assert got.get(pair) == lag
@@ -398,6 +397,33 @@ class TestCliCommands:
             for name in ("edges.csv", "graph.dot", "graph.graphml", "centrality.json"):
                 assert (stage_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
         assert "zz" in read_centrality_json(stage_dir / "centrality.json").pagerank
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fas_and_pagerank_ignore_edge_row_order(self, acceptance_run, tmp_path, capsys, seed):
+        run = acceptance_run[0] / "run"
+        header, *rows = (run / "edges.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        random.Random(seed).shuffle(rows)
+        shuffled = tmp_path / "edges.csv"
+        shuffled.write_text(header + "".join(rows), encoding="utf-8")
+        assert main(["fas", "--edges", str(shuffled), "--out", str(tmp_path)]) == 0
+        assert main(["pagerank", "--edges", str(shuffled), "--out", str(tmp_path)]) == 0
+        for name in ("acyclicity.json", "centrality.json"):
+            assert (tmp_path / name).read_bytes() == (run / name).read_bytes(), name
+        capsys.readouterr()
+
+    def test_run_without_a_size_correlation_finishes(self, synth_inputs, tmp_path, capsys):
+        # No edge passes at this alpha, so PageRank is uniform and its rank
+        # correlation with population is undefined.
+        out = tmp_path / "out"
+        argv = ["run", "--charts", synth_inputs["charts"], "--missing", synth_inputs["missing"],
+                "--populations", synth_inputs["populations"], "--alpha", "1e-300", "--out", str(out)]
+        with pytest.warns(UserWarning, match="^population or centrality is constant"):
+            assert main(argv) == 0
+        assert read_edge_csv(out / "edges.csv").edges == ()
+        assert read_manifest(out / "manifest.json")["parameters"]["alpha"] == 1e-300
+        assert not (out / "size_leadership.json").exists()
+        assert main(["report", "--run-dir", str(out)]) == 0
         capsys.readouterr()
 
     @pytest.mark.parametrize(

@@ -276,13 +276,16 @@ def test_newick_round_trip():
         assert theirs.height == pytest.approx(mine.height, rel=1e-12)
 
 
-def test_newick_quotes_awkward_labels():
-    left = ClusterNode(height=0.0, city="new york (usa)")
+@pytest.mark.parametrize("awkward", ["new york (usa)", "a\nb", "a\rb"], ids=["paren", "lf", "cr"])
+def test_newick_quotes_awkward_labels(awkward):
+    # Any whitespace is quoted: a reader may take a bare label up to it or skip it.
+    left = ClusterNode(height=0.0, city=awkward)
     right = ClusterNode(height=0.0, city="sao paulo")
     tree = ClusterTree(root=ClusterNode(height=2.0, left=left, right=right))
     text = to_newick(tree)
+    assert text == f"('{awkward}':2,'sao paulo':2);"
     back = parse_newick(text)
-    assert set(back.leaves()) == {"new york (usa)", "sao paulo"}
+    assert set(back.leaves()) == {awkward, "sao paulo"}
 
 
 def test_newick_rejects_non_ultrametric():

@@ -48,13 +48,26 @@ def populations():
     return {"boston": 4_000_000, "chicago": 9_000_000, "new york": 19_000_000}
 
 
+def test_graph_exports_ignore_the_order_a_graph_is_given_in(tmp_path, graph, populations):
+    given = LeadershipGraph(graph.nodes[::-1], graph.edges[::-1])
+    centrality = pagerank(graph)
+    writers = {
+        "edges.csv": write_edge_csv,
+        "graph.dot": lambda path, g: write_dot(path, g, centrality, populations),
+        "graph.graphml": lambda path, g: write_graphml(path, g, centrality, populations),
+    }
+    for name, write in writers.items():
+        paths = tmp_path / f"sorted_{name}", tmp_path / f"given_{name}"
+        write(paths[0], graph)
+        write(paths[1], given)
+        assert paths[0].read_bytes() == paths[1].read_bytes(), name
+
+
 class TestEdgeCsv:
     def test_round_trip(self, tmp_path, graph):
         path = tmp_path / "edges.csv"
         write_edge_csv(path, graph)
-        assert read_edge_csv(path) == sorted(
-            graph.edges, key=lambda e: (e.follower, e.leader)
-        )
+        assert read_edge_csv(path).edges == graph.edges
 
     def test_exact_bytes(self, tmp_path):
         graph = LeadershipGraph(
@@ -65,7 +78,7 @@ class TestEdgeCsv:
         write_edge_csv(path, graph)
         text = path.read_text()
         assert text == "follower,leader,weight,lag_weeks\nb,a,0.3333333333333333,2\n"
-        assert read_edge_csv(path)[0].weight == 1 / 3
+        assert read_edge_csv(path).edges[0].weight == 1 / 3
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "edges.csv"

@@ -306,6 +306,26 @@ def test_graph_rejects_repeated_nodes_and_edges():
     LeadershipGraph(("a", "b"), (Edge("b", "a", 0.1, 1), Edge("a", "b", 0.2, 2)))
 
 
+def test_graph_keeps_name_order_whatever_it_is_given():
+    edges = (Edge("b", "c", 0.1, 1), Edge("a", "c", 0.2, 2), Edge("b", "a", 0.3, 1))
+    graph = LeadershipGraph(("c", "a", "b"), edges)
+    assert graph.nodes == ("a", "b", "c")
+    assert graph.edges == (edges[1], edges[2], edges[0])
+    assert LeadershipGraph(("b", "c", "a"), edges[::-1]) == graph
+
+
+def test_graph_finds_an_edge_repeated_apart():
+    twice = (Edge("b", "a", 0.1, 1), Edge("a", "b", 0.2, 2), Edge("b", "a", 0.3, 3))
+    with pytest.raises(ValueError, match="^edge 'b'->'a' appears twice$"):
+        LeadershipGraph(("a", "b"), twice)
+
+
+def reordered(graph, rng):
+    """`graph` given its nodes and its edges in a random order."""
+    nodes = tuple(rng.permutation(graph.nodes).tolist())
+    return LeadershipGraph(nodes, tuple(graph.edges[i] for i in rng.permutation(len(graph.edges))))
+
+
 def graph_from(n, weighted_edges):
     nodes = tuple(f"n{i}" for i in range(n))
     edges = tuple(
@@ -543,7 +563,7 @@ def test_fas_matches_per_component_oracle_on_unsorted_nodes(seed, ring_size, oth
                 pairs.add((u, v))
     weighted = [(u, v, float(rng.choice([0.25, 0.5, rng.uniform(0.01, 1.0)]))) for u, v in pairs]
     graph = graph_from(n, weighted)
-    shuffled = LeadershipGraph(tuple(rng.permutation(graph.nodes).tolist()), graph.edges)
+    shuffled = reordered(graph, rng)
     report = feedback_arc_set(shuffled)
     assert report == per_component_fas(shuffled)
     assert report == feedback_arc_set(graph)
@@ -595,8 +615,8 @@ def test_pagerank_matches_csr_oracle_exactly(seed, n, density):
     np.fill_diagonal(w, 0.0)
     weighted = [(u, v, w[u, v]) for u, v in zip(*np.nonzero(w))]
     graph = graph_from(n, [weighted[i] for i in rng.permutation(len(weighted))])
-    shuffled = LeadershipGraph(tuple(rng.permutation(graph.nodes).tolist()), graph.edges)
-    assert pagerank(shuffled) == csr_pagerank(shuffled)
+    shuffled = reordered(graph, rng)
+    assert pagerank(shuffled) == csr_pagerank(shuffled) == pagerank(graph)
 
 
 def test_pagerank_ignores_edge_insertion_order():
