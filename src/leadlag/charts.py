@@ -33,8 +33,8 @@ _BLOCK_BYTES = 1 << 19
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 # Word reads run up to 15 bytes past a name, so a buffer of names has this many after them.
 _SPARE = 16
-# _MASK[n] keeps the first n bytes of a big-endian word.
-_MASK = np.array([(1 << 64) - (1 << 64 - 8 * n) for n in range(9)], dtype=np.uint64)
+# _MASK[n] keeps the first n bytes of a little-endian word.
+_MASK = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 # Byte lanes of a word of ASCII digits: their high nibbles, their low nibbles, '0's, and
 # 6s, which carry into the high nibble of a low nibble above 9.
 _HIGH, _LOW = np.uint64(0xF0F0F0F0F0F0F0F0), np.uint64(0x0F0F0F0F0F0F0F0F)
@@ -44,6 +44,9 @@ _ZEROS, _SIXES = np.uint64(0x3030303030303030), np.uint64(0x0606060606060606)
 _SHIFT = np.array([64 - 8 * n for n in range(9)], dtype=np.uint64)
 _FILL = np.array([0x3030303030303030 >> 8 * n for n in range(9)], dtype=np.uint64)
 _POWERS = 10 ** np.arange(9, dtype=np.uint64)
+# Digits, one a lane, are summed in pairs, fours and eights: (the weight of a group's
+# leading half, the shift that brings its trailing half onto it, the mask of the sums).
+_SUMS = ((10, 8, 0x00FF00FF00FF00FF), (100, 16, 0x0000FFFF0000FFFF), (10000, 32, 0xFFFFFFFF))
 # The largest week and count a chart holds, and the largest integer json_value takes.
 _INT64_MAX = (1 << 63) - 1
 # For each kind json_value reads: the types json.load gives a value of it, checked with
@@ -369,30 +372,33 @@ def read_chart_csv(path: str | Path) -> "ChartStore":
     cities = tuple(sorted({c for _, c, _ in rows}))
     universe = ArtistUniverse(a for _, _, a in rows)
     code = {c: i for i, c in enumerate(cities)}
-    store = ChartStore(cities, universe, (
-        np.array([w for w, _, _ in rows], dtype=np.int64),
-        np.array([code[c] for _, c, _ in rows], dtype=np.int32),
-        np.array([universe.index[a] for _, _, a in rows], dtype=np.int32),
+    entries = SparseRows.from_sizes(  # one chart a row, which the store joins
         np.array(list(rows.values()), dtype=np.int64),
-    ))
-    for chart in store:
-        if len(chart.entries) > MAX_CHART_ENTRIES:
-            raise ChartFormatError(f"{path}: week {chart.week_index}, city {chart.city_id!r} has "
-                                   f"{len(chart.entries)} entries, cap is {MAX_CHART_ENTRIES}")
+        np.array([universe.index[a] for _, _, a in rows], dtype=np.int32),
+        np.ones(len(rows), dtype=np.int64), len(universe))
+    store = ChartStore(cities, universe, np.array([w for w, _, _ in rows], dtype=np.int64),
+                       np.array([code[c] for _, c, _ in rows], dtype=np.int32), entries)
+    sizes = np.diff(store.entries.indptr)
+    for i in np.flatnonzero(sizes > MAX_CHART_ENTRIES)[:1].tolist():
+        raise ChartFormatError(f"{path}: week {store.week[i]}, city {store.cities[store.city[i]]!r} "
+                               f"has {sizes[i]} entries, cap is {MAX_CHART_ENTRIES}")
     return store
 
 
 def write_chart_csv(path: str | Path, store: "ChartStore") -> None:
     """Write a store's rows in sorted (week, city, artist) order for stable output; codes
-    are ranks of names, so one lexsort of the columns gives the order of the names."""
-    week, city, artist, count = store.columns
-    order = np.lexsort((count, artist, city, week))
+    are ranks of names and charts are in (week, city) order, so one lexsort of each
+    entry's chart, artist and count gives the order of the names."""
+    entries = store.entries
+    chart = np.repeat(np.arange(store.chart_count), np.diff(entries.indptr))
+    order = np.lexsort((entries.data, entries.indices, chart))
+    chart = chart[order]
     cities, artists = (np.array(names, dtype=object) for names in (store.cities, store.universe.artists))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CHART_HEADER)
-        writer.writerows(zip(week[order].tolist(), cities[city[order]].tolist(),
-                             artists[artist[order]].tolist(), count[order].tolist()))
+        writer.writerows(zip(store.week[chart].tolist(), cities[store.city[chart]].tolist(),
+                             artists[entries.indices[order]].tolist(), entries.data[order].tolist()))
 
 
 def _check_week_range(chart_path: str | Path, present: set[int], missing: frozenset[int]) -> None:
@@ -438,16 +444,21 @@ def _blocks(fh) -> Iterator[np.ndarray]:
         buf[:held] = buf[cut:size]
 
 
-def _words(content: np.ndarray, at: np.ndarray, dtype: str = ">u8") -> np.ndarray:
-    """The 8-byte words of `content` that start at `at`, read as `dtype`, as native uint64."""
-    return np.ndarray((len(content) - 7,), dtype, content, strides=(1,))[at].astype(np.uint64)
+def _words(content: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The 8-byte words of `content` that start at `at`, read little-endian (a word's first
+    byte is its lowest), as native uint64."""
+    words = np.ndarray((len(content) - 7,), "<u8", content, strides=(1,))
+    return words[at].astype(np.uint64, copy=False)
 
 
 def _chunks(content: np.ndarray, at: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 16 bytes of `content` at each of `at` as two big-endian words, masked to the
-    first `left` of them."""
-    return (_words(content, at) & _MASK[np.minimum(left, 8)],
-            _words(content, at + 8) & _MASK[np.clip(left - 8, 0, 8)])
+    """The 16 bytes of `content` at each of `at` as two words, masked to the first `left`
+    of them."""
+    hi = _words(content, at)
+    hi &= _MASK[np.minimum(left, 8)]
+    lo = _words(content, at + 8)
+    lo &= _MASK[np.clip(left - 8, 0, 8)]
+    return hi, lo
 
 
 def _digits(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -462,53 +473,64 @@ def _digits(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, 
     value = np.zeros(len(lo), dtype=np.uint64)
     for j in range(0, min(int(width.max(initial=0)), 18), 8):
         n = np.clip(width - j, 0, 8)  # digits in this word
-        x = _words(b, np.minimum(lo + j, hi), "<u8") << _SHIFT[n] | _FILL[n]
+        x = _words(b, np.minimum(lo + j, hi))
+        x <<= _SHIFT[n]
+        x |= _FILL[n]
         ok &= (x & _HIGH == _ZEROS) & (x + _SIXES & _HIGH == _ZEROS)
         x &= _LOW
-        x = (x * 10 + (x >> 8)) & 0x00FF00FF00FF00FF
-        x = (x * 100 + (x >> 16)) & 0x0000FFFF0000FFFF
-        value = value * _POWERS[n] + ((x * 10000 + (x >> 32)) & 0xFFFFFFFF)
-    return value.astype(np.int64), ok
+        for weight, shift, mask in _SUMS:  # in place: a block's numbers are among its largest arrays
+            lower = x >> shift
+            x *= weight
+            x += lower
+            x &= mask
+        value *= _POWERS[n]
+        value += x
+    return value.view(np.int64), ok  # below 10**18, so the same numbers
 
 
 def _intern(content: np.ndarray, start: np.ndarray, length: np.ndarray):
     """(codes, first): int32 codes of the names content[start[i]:start[i] + length[i]],
     equal exactly when the names are, and the index of one name of each code.
 
-    A name is read as 16-byte chunks of two big-endian words, the last chunk
-    masked to the name. Its key mixes its chunks with the bytes left from each;
+    A name is read as 16-byte chunks of two words, the last chunk masked to
+    the name. Its key mixes its chunks with the bytes left from each;
     sorting the keys numbers them. Each name is then compared chunk by chunk
     with its code's name, and two different names with one key (about 2**-64
     per pair) raise ValueError. At least 15 bytes must follow every name in
     `content`.
     """
     chunks = (length + 15) // 16
-    first = np.cumsum(chunks) - chunks  # each name's first chunk
-    total = int(first[-1] + chunks[-1])
+    total = int(chunks.sum())
+    first = None  # each name's first chunk, when some name has more than one
     if total == len(length):  # one chunk each: chunk i is name i
-        at, left = start, length
+        at, left, chunks = start, length, None
     else:
+        first = np.cumsum(chunks) - chunks
         at = 16 * np.arange(total) - np.repeat(16 * first - start, chunks)
         left = np.repeat(start + length, chunks) - at  # bytes of the name from each chunk on
     hi, lo = _chunks(content, at, left)
     del at  # temporaries go as soon as they are used: a block's names are its largest arrays
-    mixed = hi ^ left.astype(np.uint64)
+    key = left.astype(np.uint64)
     del left
-    mixed *= _MIX
-    mixed ^= lo
-    mixed *= _MIX
-    mixed ^= mixed >> 32
-    key = np.add.reduceat(mixed, first)
-    del mixed
+    key ^= hi
+    key *= _MIX
+    key ^= lo
+    key *= _MIX
+    key ^= key >> 32
+    if first is not None:
+        key = np.add.reduceat(key, first)
     order = np.argsort(key)
     key = key[order]
-    new = np.concatenate(([True], key[1:] != key[:-1]))
-    codes = np.empty(len(key), dtype=np.int32)
-    codes[order] = np.cumsum(new) - 1
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    del key
+    codes = np.empty(len(new), dtype=np.int32)
+    codes[order] = np.cumsum(new, dtype=np.int32) - 1
     named = order[new]
+    del order, new
     head = named[codes]
     same = head  # the chunk of the code's name that each chunk is compared with
-    if total > len(length):
+    if first is not None:
         same = np.repeat(first[head] - first, chunks) + np.arange(total)
     if (length[head] != length).any() or (hi[same] != hi).any() or (lo[same] != lo).any():
         raise ValueError("two chart names share a key")
@@ -524,25 +546,25 @@ def _run_starts(content: np.ndarray, start: np.ndarray, length: np.ndarray) -> n
     return new | (length > 16)
 
 
-def _table(content: np.ndarray, start: np.ndarray, length: np.ndarray, new=None):
-    """(codes, distinct) of some names, as `_intern` codes them: distinct holds each
-    coded name once, as (its bytes one after another, their lengths). Given `new`,
-    only the names it marks are looked up; each other name equals the one before it."""
+def _table(content: np.ndarray, start: np.ndarray, length: np.ndarray):
+    """(codes, distinct) of some names, as `_intern` codes them: distinct holds the bytes
+    of each coded name, in code order."""
     if not length.all():
         raise ValueError("empty name")  # left to the csv reader's message
-    if new is None:
-        codes, first = _intern(content, start, length)
-    else:
-        head = np.flatnonzero(new)
-        codes, first = _intern(content, start[head], length[head])
-        codes, first = codes[np.cumsum(new) - 1], head[first]
-    start, length = start[first], length[first]
-    at = np.arange(length.sum()) + np.repeat(start - (np.cumsum(length) - length), length)
-    return codes, (content[at], length)
+    codes, first = _intern(content, start, length)
+    raw, spans = content.tobytes(), zip(start[first].tolist(), (start + length)[first].tolist())
+    return codes, [raw[a:z] for a, z in spans]
+
+
+def _fold(names: dict[bytes, int], distinct: list[bytes]) -> np.ndarray:
+    """The position in `names`, a running table, of each of some distinct names; a name
+    not yet there is added at the end."""
+    return np.array([names.setdefault(name, len(names)) for name in distinct], dtype=np.int32)
 
 
 def _csv_part(runs: list[bytes]) -> list[tuple]:
-    """The part, as `_parse_block` makes them, of some runs of whole lines split by csv."""
+    """The part, as `_parse_block` makes them, of some runs of whole lines split by csv:
+    a run of lines a line, as the store joins runs of one chart."""
     # strict: a quoted field still open at a run's end raises, not closes there.
     lines = (io.StringIO(run.decode(), newline="") for run in runs)
     rows = [r for run in lines for r in csv.reader(run, strict=True) if r]
@@ -558,91 +580,104 @@ def _csv_part(runs: list[bytes]) -> list[tuple]:
         tables.append(_table(content, np.cumsum(length) - length, length))
     (city, cities), (artist, artists) = tables
     week, count = (np.array([int(r[k]) for r in rows], dtype=np.int64) for k in (0, 3))
-    return [((week, city, artist, count), (cities, artists))]
+    return [((week, city, np.ones(len(rows), dtype=np.int64)), (artist, count), (cities, artists))]
 
 
 def _lines(text: np.ndarray, limit: int):
-    """(start, line_end, odd, plain, commas) of the lines of `text`, which ends in b"\\n":
-    where each starts and ends, which must go to csv (as `_split_lines` says, but for
-    their numbers), the others' indices, and the positions of their 3 commas, as 3 rows."""
-    sep = np.flatnonzero((text == 10) | (text == 44))
-    nl = np.flatnonzero(text[sep] == 10)
-    line_end = sep[nl]
-    start = np.concatenate(([0], line_end[:-1] + 1))
-    odd = (np.diff(nl, prepend=-1) != 4) | (line_end - start > limit)
-    stray = np.flatnonzero((text < 32) & (text != 10) | (text == 34))
+    """(start, line_end, odd, commas) of the lines of `text`, which ends in b"\\n", as
+    positions in `text`: where each starts and ends, which must go to csv (as
+    `_split_lines` says, but for their numbers), and the positions of the others' 3
+    commas, as 3 rows. Positions are int32 in a block shorter than 2 GiB."""
+    at = np.int32 if len(text) < 1 << 31 else np.int64
+    mask = text < 32  # one mask at a time: masks are as long as the text
+    mask &= text != 10
+    mask |= text == 34
+    stray = np.flatnonzero(mask)
     stray = stray[(text[stray] != 13) | (text[stray + 1] != 10)]  # \r right before \n ends a line
+    np.equal(text, 10, out=mask)
+    mask |= text == 44
+    sep = np.flatnonzero(mask)
+    del mask
+    sep = sep.astype(at)
+    nl = np.flatnonzero(text[sep] == 10).astype(at)
+    line_end = sep[nl]
+    start = np.concatenate((np.zeros(1, dtype=at), line_end[:-1] + 1))
+    odd = (np.diff(nl, prepend=at(-1)) != 4) | (line_end - start > min(limit, len(text)))
     odd[np.searchsorted(line_end, stray)] = True
-    plain = np.flatnonzero(~odd)
-    last = nl[plain]
-    return start, line_end, odd, plain, np.stack([sep[last - 3], sep[last - 2], sep[last - 1]])
+    last = nl[~odd]
+    del nl, stray
+    return start, line_end, odd, np.stack([sep[last - 3], sep[last - 2], sep[last - 1]])
 
 
 def _split_lines(b: np.ndarray, limit: int):
-    """(week, count, commas, new, runs) of a `_blocks` block: the week, count and 3
-    comma positions of each line split here, whether its week and city differ from
-    the line before's, and the runs of the other lines, for csv.
+    """(week, new, count, commas, runs) of a `_blocks` block: for the lines split here,
+    the week of each run of lines that repeat one week and city, whether each line opens
+    such a run, its count and its 3 comma positions; and the runs of the other lines,
+    for csv.
 
     A line is split here when it has 3 commas, week and count fields of 1 to 18
     ASCII digits, no quote and no byte below 0x20 but its line end, and is no
     longer than csv's field size limit.
     """
-    start, line_end, odd, plain, (c0, c1, c2) = _lines(b[:-_SPARE], limit)
-    first = start[plain]
-    new = _run_starts(b, first, c1 - first)  # a chart's lines repeat its week and city
-    run = np.cumsum(new) - 1
-    week, ok = (a[run] for a in _digits(b, first[new], c0[new]))
-    stop = line_end[plain]
+    start, line_end, odd, (c0, c1, c2) = _lines(b[:-_SPARE], limit)
+    stop = line_end[~odd]
     stop -= b[stop - 1] == 13  # a \r right before \n ends the line too
-    count, count_ok = _digits(b, c2 + 1, stop)
-    ok &= count_ok
+    count, ok = _digits(b, c2 + 1, stop)
+    del stop
+    first = start[~odd]
+    new = _run_starts(b, first, c1 - first)  # a chart's lines repeat its week and city
+    week, week_ok = _digits(b, first[new], c0[new])  # one a run
+    del first
+    ok &= week_ok[np.cumsum(new) - 1]
     if not ok.all():
-        odd[plain[~ok]] = True
-        week, count, c0, c1, c2, run = (a[ok] for a in (week, count, c0, c1, c2, run))
+        run = np.cumsum(new) - 1
+        odd[np.flatnonzero(~odd)[~ok]] = True
+        count, c0, c1, c2, run = (a[ok] for a in (count, c0, c1, c2, run))
         new = np.diff(run, prepend=-1) != 0
+        week = week[run[new]]
     lines = np.flatnonzero(odd)
     runs = np.split(lines, np.flatnonzero(np.diff(lines) != 1) + 1)
     runs = [b[start[r[0]] : line_end[r[-1]] + 1].tobytes() for r in runs if len(r)]
-    return week, count, (c0, c1, c2), new, runs
+    return week, new, count, (c0, c1, c2), runs
 
 
 def _parse_block(b: np.ndarray, limit: int) -> list[tuple]:
-    """Parts ((week, city codes, artist codes, count), (distinct cities, distinct
-    artists)) of a `_blocks` block, as `_table` gives codes and distinct names: one
-    of the lines split by `_split_lines`, one of those split by csv."""
-    week, count, (c0, c1, c2), new, runs = _split_lines(b, limit)
+    """Parts ((week, city code, size) of each run of lines, (artist codes, counts) of
+    each line, (distinct cities, distinct artists)) of a `_blocks` block, as `_table`
+    gives codes and distinct names: one of the lines split by `_split_lines`, one of
+    those split by csv. A run's lines repeat one week and city."""
+    week, new, count, (c0, c1, c2), runs = _split_lines(b, limit)
     parts = []
-    if len(week):
-        (city, cities), (artist, artists) = (
-            _table(b, c0 + 1, c1 - c0 - 1, new), _table(b, c1 + 1, c2 - c1 - 1))
-        parts.append(((week, city, artist, count), (cities, artists)))
+    if len(count):
+        head = np.flatnonzero(new)
+        sizes = np.diff(head, append=len(new))
+        city, cities = _table(b, c0[head] + 1, c1[head] - c0[head] - 1)
+        del c0, head, new
+        artist, artists = _table(b, c1 + 1, c2 - c1 - 1)
+        parts.append(((week, city, sizes), (artist, count), (cities, artists)))
     return parts + _csv_part(runs)
 
 
-def _rank(tables: list) -> tuple[list[str], list[np.ndarray]]:
-    """The sorted distinct names of some `_table` tables, and for each table the
-    positions of its names there. Only the distinct names are decoded (raising
-    ValueError for bad UTF-8); UTF-8 byte order is `str` order, so their ranks are
-    the ranks of the decoded names."""
-    length = np.concatenate([t[1] for t in tables])
-    content = np.concatenate([t[0] for t in tables] + [np.zeros(_SPARE, dtype=np.uint8)])
-    start = np.cumsum(length) - length
-    codes, first = _intern(content, start, length)
-    spans = zip(start[first].tolist(), (start + length)[first].tolist())
-    names = [content[a:z].tobytes().decode() for a, z in spans]
+def _rank(table: dict[bytes, int]) -> tuple[list[str], np.ndarray]:
+    """The sorted names of a `_fold` table, and the rank there of each of its names.
+    Only the table's names are decoded (raising ValueError for bad UTF-8); UTF-8 byte
+    order is `str` order, so their ranks are the ranks of the decoded names."""
+    names = [name.decode() for name in table]
     order = sorted(range(len(names)), key=names.__getitem__)
     rank = np.empty(len(names), dtype=np.int32)
     rank[order] = np.arange(len(names), dtype=np.int32)
-    split = np.cumsum([len(t[1]) for t in tables])[:-1]
-    return [names[i] for i in order], np.split(rank[codes], split)
+    return [names[i] for i in order], rank
 
 
 def _read_chart_columns(path: str | Path):
-    """(cities, universe, rows) of a plainly valid chart CSV, or None to leave it to csv.
+    """(cities, universe, week, city, entries) of a plainly valid chart CSV, as the
+    ChartStore constructor takes them, or None to leave it to csv.
 
-    A first pass counts the lines, which bound the rows, so each column is
-    allocated once; every block's rows are written straight into them, with
-    codes local to their part until all names are ranked.
+    A first pass counts the lines, which bound the entries, so the artist and
+    count columns are allocated once and every block's entries are written
+    straight into them. Its charts are kept as runs of lines that repeat one
+    week and city, which the store joins, and its names are folded into one
+    table per column, whose codes are ranked once all blocks are read.
     """
     limit = csv.field_size_limit()
     try:
@@ -652,74 +687,94 @@ def _read_chart_columns(path: str | Path):
             body, lines, buf = fh.tell(), 1, bytearray(_BLOCK_BYTES)
             while size := fh.readinto(buf):
                 lines += np.count_nonzero(np.frombuffer(buf, dtype=np.uint8, count=size) == 10)
+            del buf
             fh.seek(body)
-            rows = [np.empty(lines, dtype=t) for t in (np.int64, np.int32, np.int32, np.int64)]
-            spans, names, n = [], [], 0
+            artist, count = np.empty(lines, dtype=np.int32), np.empty(lines, dtype=np.int64)
+            city_names, artist_names, runs, ends, n = {}, {}, [], [], 0
             for block in _blocks(fh):
-                for columns, distinct in _parse_block(block, limit):
-                    end = n + len(columns[0])
+                for (week, city, sizes), (codes, counts), names in _parse_block(block, limit):
+                    end = n + len(codes)
                     if end > lines:
                         return None  # the file grew between the passes
-                    for column, part in zip(rows, columns):
-                        column[n:end] = part
-                    spans.append((n, end))
-                    names.append(distinct)
+                    artist[n:end] = _fold(artist_names, names[1])[codes]
+                    count[n:end] = counts
+                    runs.append((week, _fold(city_names, names[0])[city], sizes))
+                    ends.append(end)
                     n = end
+                codes = counts = None  # a block's lines go before the next block is parsed
         if not n:
             return None
-        cities, city_ranks = _rank([t for t, _ in names])
-        artists, artist_ranks = _rank([t for _, t in names])
+        cities, city_rank = _rank(city_names)
+        artists, artist_rank = _rank(artist_names)
     except (ValueError, OverflowError, csv.Error):  # also bad UTF-8 and no data rows
         return None
-    week, city, artist, count = (column[:n] for column in rows)
-    for (a, z), cr, ar in zip(spans, city_ranks, artist_ranks):
-        city[a:z] = cr[city[a:z]]
-        artist[a:z] = ar[artist[a:z]]
+    for a, z in zip([0, *ends], ends):
+        artist[a:z] = artist_rank[artist[a:z]]
+    week, city, sizes = (np.concatenate(k) for k in zip(*runs))
+    artist, count = artist[:n], count[:n]
     if week.min() < 0 or count.min() < 1:
         return None
-    return tuple(cities), ArtistUniverse(artists), (week, city, artist, count)
+    entries = SparseRows.from_sizes(count, artist, sizes, len(artists))
+    return tuple(cities), ArtistUniverse(artists), week, city_rank[city], entries
+
+
+def _repeats(rows: SparseRows) -> bool:
+    """Whether a row of `rows`, each of at most MAX_CHART_ENTRIES entries, holds a column
+    twice. The rows are sorted as (row, column) keys 64 rows at a time, so keys never
+    span the table."""
+    for lo in range(0, len(rows), 64):
+        ptr = rows.indptr[lo : lo + 65]
+        key = np.repeat(np.arange(len(ptr) - 1, dtype=np.int64) * rows.n_cols, np.diff(ptr))
+        key += rows.indices[ptr[0] : ptr[-1]]
+        key.sort()
+        if (key[1:] == key[:-1]).any():
+            return True
+    return False
 
 
 class ChartStore:
-    """Charts plus universe plus missing weeks, ready to mint windows. The charts are one
-    table of parallel columns (week, city, artist, listeners): int64 weeks, int32 codes
-    into `cities` and the universe, and int64 counts. The constructor sorts the columns
-    in place, stably, by (week, city), so a chart's entries keep the order they came in.
-    Iterating a store yields its charts as WeeklyChart rows."""
+    """Charts plus universe plus missing weeks, ready to mint windows. The charts are a
+    table of two levels: per chart, its int64 `week` and its int32 `city` code into
+    `cities`, in (week, city) order; per entry, `entries`, whose row i holds chart i's
+    int32 artist codes into the universe (`indices`) and int64 counts (`data`). The
+    constructor takes charts in any order, a (week, city) maybe more than once: it
+    sorts them stably and joins equal neighbours, so a chart's entries keep the order
+    they came in. Iterating a store yields its charts as WeeklyChart rows."""
 
     def __init__(
         self,
         cities: tuple[str, ...],
         universe: ArtistUniverse,
-        columns: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        week: np.ndarray,
+        city: np.ndarray,
+        entries: SparseRows,
         missing_weeks: frozenset[int] = frozenset(),
     ) -> None:
-        week, city = columns[:2]
         step = np.diff(week)  # files written by write_chart_csv are in order already
-        unsorted = (step < 0).any() or ((step == 0) & (np.diff(city) < 0)).any()
-        del step
-        if unsorted:
+        if (step < 0).any() or ((step == 0) & (np.diff(city) < 0)).any():
             order = np.lexsort((city, week))
-            for a in columns:
-                a[:] = a[order]  # in place: each column's copy goes before the next is made
-        self.columns = tuple(columns)
-        # The rows that open a (week, city) chart; compared in place, with no int64 copies.
-        self._starts = np.ones(len(week), dtype=bool)
-        self._starts[1:] = (week[1:] != week[:-1]) | (city[1:] != city[:-1])
-        self.chart_count = int(np.count_nonzero(self._starts))
+            week, city, entries = week[order], city[order], entries.take(order)
+        opens = np.ones(len(week) + 1, dtype=bool)  # and the end of the last chart
+        opens[1:-1] = (week[1:] != week[:-1]) | (city[1:] != city[:-1])
+        if not opens.all():
+            week, city = week[opens[:-1]], city[opens[:-1]]
+            entries = SparseRows(entries.data, entries.indices, entries.indptr[opens], entries.n_cols)
+        self.week, self.city, self.entries = week, city, entries
+        self.chart_count = len(week)
         self.cities, self.universe, self.missing_weeks = cities, universe, frozenset(missing_weeks)
-        weeks = set(week[self._starts].tolist()) | self.missing_weeks
+        weeks = set(week.tolist()) | self.missing_weeks
         self.first_week: int = min(weeks, default=0)
         self.last_week: int = max(weeks, default=-1)
 
     def __iter__(self) -> Iterator[WeeklyChart]:
-        """Each chart in (week, city) order, with its entries in the order of its rows."""
-        week, city, artist, count = (a.tolist() for a in self.columns)
+        """Each chart in (week, city) order, with its entries in their stored order."""
         names = self.universe.artists
-        bounds = [*np.flatnonzero(self._starts).tolist(), len(week)]
-        for a, z in zip(bounds, bounds[1:]):
-            entries = tuple(zip([names[i] for i in artist[a:z]], count[a:z]))
-            yield WeeklyChart(week[a], self.cities[city[a]], entries)
+        artist, count, bounds = (a.tolist() for a in (
+            self.entries.indices, self.entries.data, self.entries.indptr))
+        for i, (week, city) in enumerate(zip(self.week.tolist(), self.city.tolist())):
+            a, z = bounds[i], bounds[i + 1]
+            entries = tuple(zip([names[j] for j in artist[a:z]], count[a:z]))
+            yield WeeklyChart(week, self.cities[city], entries)
 
     @classmethod
     def from_files(
@@ -731,24 +786,19 @@ class ChartStore:
         them; charts on missing weeks are kept (the store flags them) but enter no window."""
         missing = read_missing_weeks(missing_path) if missing_path else frozenset()
         store = None
-        if (columns := _read_chart_columns(chart_path)) is not None:
-            store = cls(*columns, missing)
-            chart = np.cumsum(store._starts)  # numbered from 1
-            # One key per (chart, artist), sorted in place: equal neighbours are duplicates.
-            key = chart * len(store.universe)
-            key += store.columns[2]
-            key.sort()
-            if np.bincount(chart).max() > MAX_CHART_ENTRIES or (key[1:] == key[:-1]).any():
+        if (read := _read_chart_columns(chart_path)) is not None:
+            store = cls(*read, missing)
+            if np.diff(store.entries.indptr).max() > MAX_CHART_ENTRIES or _repeats(store.entries):
                 store = None
         if store is None:
-            rows = read_chart_csv(chart_path)
-            store = cls(rows.cities, rows.universe, rows.columns, missing)
+            read = read_chart_csv(chart_path)
+            store = cls(read.cities, read.universe, read.week, read.city, read.entries, missing)
         if store.chart_count:
-            _check_week_range(chart_path, set(store.columns[0][store._starts].tolist()), missing)
+            _check_week_range(chart_path, set(store.week.tolist()), missing)
         return store
 
     def restrict(self, cities: Iterable[str]) -> "ChartStore":
-        """The rows of the given cities, each of which must be known; the week range
+        """The charts of the given cities, each of which must be known; the week range
         shrinks to theirs."""
         kept = tuple(sorted(set(cities)))
         unknown = sorted(set(kept) - set(self.cities))
@@ -756,10 +806,10 @@ class ChartStore:
             raise ValueError(f"unknown cities in subset: {', '.join(unknown)}")
         remap = np.full(len(self.cities), -1, dtype=np.int32)
         remap[[self.cities.index(c) for c in kept]] = np.arange(len(kept))
-        week, city, artist, count = self.columns
-        city = remap[city]
-        columns = tuple(a[city >= 0] for a in (week, city, artist, count))
-        return type(self)(kept, self.universe, columns, self.missing_weeks)
+        city = remap[self.city]
+        charts = np.flatnonzero(city >= 0)
+        return type(self)(kept, self.universe, self.week[charts], city[charts],
+                          self.entries.take(charts), self.missing_weeks)
 
     @property
     def study_weeks(self) -> int:
@@ -781,21 +831,27 @@ class ChartStore:
         """Every valid window, filtered to the genre's columns when given, rows at unit norm.
 
         A window is one bincount over the (city, artist) cells of its 4 weeks,
-        whose rows are contiguous in the store; counts are integers, so the sums
-        are exact. Every row is scaled and stored in ascending column order.
+        whose charts, and so their entries, are contiguous in the store; counts
+        are integers, so the sums are exact. Every row is scaled and stored in
+        ascending column order.
         """
         starts = np.array(self.valid_window_starts(), dtype=np.int64)
         n_cities, n_artists = len(self.cities), len(self.universe)
-        week, city, artist, count = self.columns
+        entries = self.entries
         if genre_artists is not None:
             keep = np.zeros(n_artists, dtype=bool)
             keep[[self.universe.index[a] for a in genre_artists if a in self.universe]] = True
-            week, city, artist, count = (a[keep[self.columns[2]]] for a in self.columns)
+            hit = keep[entries.indices]
+            kept = np.concatenate(([0], np.cumsum(hit)))[entries.indptr]  # each chart's first kept
+            entries = SparseRows(entries.data[hit], entries.indices[hit], kept, n_artists)
+        ptr, artist, count = entries.indptr, entries.indices, entries.data
         parts = []
-        for lo, hi in np.searchsorted(week, np.add.outer(starts, (0, WINDOW_WEEKS))).tolist():
-            cell = city[lo:hi].astype(np.int64) * n_artists + artist[lo:hi]
-            # float64 even for a window with no rows, where bincount gives int64
-            total = np.bincount(cell, count[lo:hi], n_cities * n_artists).astype(np.float64)
+        for lo, hi in np.searchsorted(self.week, np.add.outer(starts, (0, WINDOW_WEEKS))).tolist():
+            a, z = ptr[lo], ptr[hi]
+            cell = np.repeat(self.city[lo:hi].astype(np.int64) * n_artists, np.diff(ptr[lo : hi + 1]))
+            cell += artist[a:z]
+            # float64 even for a window with no entries, where bincount gives int64
+            total = np.bincount(cell, count[a:z], n_cities * n_artists).astype(np.float64)
             found = np.flatnonzero(total)  # by city, then by ascending artist
             sizes = np.bincount(found // n_artists, minlength=n_cities)
             indices = (found % n_artists).astype(np.int32)

@@ -129,6 +129,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if catalog is not None:
         print(f"genres: {len(catalog.genre_ids())}")
     print(f"charts: {store.chart_count}")
+    print(f"entries: {len(store.entries.data)}")
     print(f"cities: {len(store.cities)}")
     print(f"artists: {len(store.universe)}")
     print(f"weeks: {store.first_week}..{store.last_week} ({store.study_weeks} total)")

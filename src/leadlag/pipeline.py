@@ -141,6 +141,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     artifacts: dict[str, Path] = {}
 
     windows = build_windows(store, artists)
+    del store  # the run reads the charts only through their windows from here on
     velocities = compute_all_velocities(windows)
     dyads = scan_dyads(velocities, min_samples=config.min_samples, lags=config.lag_range)
     artifacts["dyads"] = out / "dyads.json"
@@ -172,7 +173,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             artifacts["size_leadership"] = out / "size_leadership.json"
             write_size_leadership_json(artifacts["size_leadership"], size)
 
-    if windows and len(store.cities) >= 2:
+    if windows and len(windows.cities) >= 2:
         dist = summed_distances(windows)
         if len(dist.cities) >= 2:
             tree = average_linkage(dist)

@@ -22,6 +22,7 @@ from .charts import (
     WINDOW_WEEKS,
     ArtistUniverse,
     ChartStore,
+    SparseRows,
     json_list,
     json_records,
     json_value,
@@ -223,7 +224,7 @@ def generate_charts(hierarchy: PlantedHierarchy, config: SynthConfig) -> ChartSt
     labels = [artist_label(j) for j in range(config.n_artists)]
     by_label = np.argsort(labels)  # labels are distinct, so any sort gives this order
     steps: dict[str, np.ndarray] = {}
-    parts: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    parts: dict[str, tuple[np.ndarray, ...]] = {}
     for city_id in order:
         positions, steps[city_id] = _walk_city(rng, config, horizon, in_edges[city_id], steps)
         # One row per week, one column per artist in label order.
@@ -234,16 +235,17 @@ def generate_charts(hierarchy: PlantedHierarchy, config: SynthConfig) -> ChartSt
             kept[week] = False
             kept[week, top] = True
         if kept.any():
-            parts[city_id] = (*np.nonzero(kept), counts[kept].astype(np.int64))
+            sizes = kept.sum(axis=1)
+            weeks = np.flatnonzero(sizes)  # one chart a week with an entry
+            parts[city_id] = (weeks, sizes[weeks], np.nonzero(kept)[1], counts[kept].astype(np.int64))
     cities = tuple(sorted(parts))
     none = np.zeros(0, dtype=np.int64)  # a run that charts nothing still concatenates
-    week, column, count = (np.concatenate([none, *(parts[c][k] for c in cities)]) for k in range(3))
-    sizes = [len(parts[c][0]) for c in cities]
+    week, size, column, count = (np.concatenate([none, *(parts[c][k] for c in cities)]) for k in range(4))
     charted, artist = np.unique(column, return_inverse=True)  # label ranks; codes into them
     universe = ArtistUniverse(labels[j] for j in by_label[charted])
-    city = np.repeat(np.arange(len(cities), dtype=np.int32), sizes)
-    columns = (week, city, artist.astype(np.int32), count)
-    return ChartStore(cities, universe, columns, config.missing_weeks)
+    city = np.repeat(np.arange(len(cities), dtype=np.int32), [len(parts[c][0]) for c in cities])
+    entries = SparseRows.from_sizes(count, artist.astype(np.int32), size, len(universe))
+    return ChartStore(cities, universe, week, city, entries, config.missing_weeks)
 
 
 def shuffle_null(store: ChartStore, seed: int) -> ChartStore:
@@ -251,20 +253,18 @@ def shuffle_null(store: ChartStore, seed: int) -> ChartStore:
 
     Per city the permutation comes from an independent generator keyed
     by (seed, city rank in sorted order), so the draws never depend on
-    the order charts arrive in.
+    the order charts arrive in. Only chart weeks move; the store puts the
+    charts back in (week, city) order.
     """
-    week, city, artist, count = store.columns
-    by_city = np.argsort(city, kind="stable")
-    opens = np.unique(city[by_city], return_index=True)[1]  # each city's first in by_city
-    shuffled = np.empty_like(week)
-    for rank, rows in enumerate(np.split(by_city, opens[1:])):
-        weeks, chart = np.unique(week[rows], return_inverse=True)  # the city's charted weeks
+    by_city = np.argsort(store.city, kind="stable")  # each city's charts, by week
+    opens = np.unique(store.city[by_city], return_index=True)[1]  # each city's first in by_city
+    shuffled = np.empty_like(store.week)
+    for rank, charts in enumerate(np.split(by_city, opens[1:])):
+        weeks = store.week[charts]  # the city's charted weeks, ascending
         perm = np.random.default_rng([seed, rank]).permutation(len(weeks))
-        moved = np.empty_like(weeks)
-        moved[perm] = weeks  # the chart of week weeks[perm[i]] moves to week weeks[i]
-        shuffled[rows] = moved[chart]
-    columns = (shuffled, city.copy(), artist.copy(), count.copy())  # the store sorts them in place
-    return ChartStore(store.cities, store.universe, columns, store.missing_weeks)
+        shuffled[charts[perm]] = weeks  # the chart of week weeks[perm[i]] moves to week weeks[i]
+    return ChartStore(store.cities, store.universe, shuffled, store.city, store.entries,
+                      store.missing_weeks)
 
 
 # The JSON kind of every field of a hierarchy's city and edge entries, in

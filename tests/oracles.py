@@ -496,10 +496,12 @@ def window(store: ChartStore, start_week: int) -> ListenMatrix:
             f"window {start_week}..{span.stop - 1} leaves the study period "
             f"{store.first_week}..{store.last_week}"
         )
-    week, city, artist, count = store.columns
-    lo, hi = np.searchsorted(week, (span.start, span.stop))
+    lo, hi = np.searchsorted(store.week, (span.start, span.stop))
+    ptr = store.entries.indptr
+    a, z = ptr[lo], ptr[hi]
+    city = np.repeat(store.city[lo:hi], np.diff(ptr[lo : hi + 1]))
     values = sparse.coo_matrix(
-        (count[lo:hi].astype(np.float64), (city[lo:hi], artist[lo:hi])),
+        (store.entries.data[a:z].astype(np.float64), (city, store.entries.indices[a:z])),
         shape=(len(store.cities), len(store.universe)),
     ).tocsr()
     values.sum_duplicates()
@@ -511,20 +513,20 @@ def chart_store(
     missing_weeks: frozenset[int] = frozenset(),
     universe: ArtistUniverse | None = None,
 ) -> ChartStore:
-    """The store of a chart list, one row per entry in list order: a city's code is its
-    rank among the cities listed, an artist's its column in `universe`, which defaults
-    to the artists listed."""
+    """The store of a chart list, one chart per entry in list order, which the store
+    joins: a city's code is its rank among the cities listed, an artist's its column
+    in `universe`, which defaults to the artists listed."""
     rows = [(c.week_index, c.city_id, a, n) for c in charts for a, n in c.entries]
     cities = tuple(sorted({city for _, city, _, _ in rows}))
     if universe is None:
         universe = ArtistUniverse(a for _, _, a, _ in rows)
-    columns = (
-        np.array([w for w, _, _, _ in rows], dtype=np.int64),
-        np.array([cities.index(c) for _, c, _, _ in rows], dtype=np.int32),
-        np.array([universe.column(a) for _, _, a, _ in rows], dtype=np.int32),
+    entries = SparseRows.from_sizes(
         np.array([n for _, _, _, n in rows], dtype=np.int64),
-    )
-    return ChartStore(cities, universe, columns, missing_weeks)
+        np.array([universe.column(a) for _, _, a, _ in rows], dtype=np.int32),
+        np.ones(len(rows), dtype=np.int64), len(universe))
+    return ChartStore(cities, universe, np.array([w for w, _, _, _ in rows], dtype=np.int64),
+                      np.array([cities.index(c) for _, c, _, _ in rows], dtype=np.int32),
+                      entries, missing_weeks)
 
 
 def build_window(

@@ -8,6 +8,7 @@ or FAIL before asserting, so a full run leaves a readable scorecard.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,8 +227,8 @@ def test_criterion_6_normalization_invariants(tmp_path):
 
     small = SynthConfig(n_artists=40, n_weeks=60, noise_sigma=NOISE_SIGMA, seed=1)
     charts = generate_charts(chain_hierarchy(4, coupling=PLANT_COUPLING), small)
-    week, city, artist, count = charts.columns
-    scaled = ChartStore(charts.cities, charts.universe, (week, city, artist, 3 * count))
+    tripled = replace(charts.entries, data=3 * charts.entries.data)
+    scaled = ChartStore(charts.cities, charts.universe, charts.week, charts.city, tripled)
 
     def dyad_correlations(chart_list, tag):
         chart_path = tmp_path / f"{tag}.csv"

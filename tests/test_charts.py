@@ -511,20 +511,42 @@ def test_parsed_chunks_are_not_kept_alive(tmp_path, monkeypatch):
     assert peak < 5 * 2**20
 
 
-def test_read_peak_stays_near_its_final_arrays(tmp_path, monkeypatch):
-    """Rows go straight into columns of the final size, and a parsed block goes before the next."""
-    monkeypatch.setattr(charts_module, "_BLOCK_BYTES", 13_000)  # about 1,000 lines
-    rows = [(w, f"c{c}", f"a{a}", a + 1) for w in range(123) for c in range(4) for a in range(50)]
-    path = chart_file(tmp_path, rows)  # 24,600 rows: 24 blocks
+def store_bytes(week, city, entries):
+    """The bytes of a store's arrays: per chart, week and city; per entry, its CSR arrays."""
+    return sum(a.nbytes for a in (week, city, entries.data, entries.indices, entries.indptr))
+
+
+def traced_peak(load):
+    """What `load()` returns, and the peak of traced memory while it ran."""
     tracemalloc.start()
     try:
-        _, _, columns = charts_module._read_chart_columns(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        return load(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    final = sum(column.nbytes for column in columns)
+
+
+def blocks_of_charts(tmp_path, monkeypatch):
+    """A file of 24,600 rows in 492 charts, read in 24 blocks of about 1,000 lines."""
+    monkeypatch.setattr(charts_module, "_BLOCK_BYTES", 13_000)
+    rows = [(w, f"c{c}", f"a{a}", a + 1) for w in range(123) for c in range(4) for a in range(50)]
+    return chart_file(tmp_path, rows)
+
+
+def test_read_peak_stays_near_its_final_arrays(tmp_path, monkeypatch):
+    """Entries go straight into columns of the final size, and a parsed block goes before the next."""
+    path = blocks_of_charts(tmp_path, monkeypatch)
+    (_, _, *arrays), peak = traced_peak(lambda: charts_module._read_chart_columns(path))
     # All blocks' rows plus their joined copy would be about 2x the final arrays.
-    assert peak < 1.5 * final
+    assert peak < 1.5 * store_bytes(*arrays)
+
+
+def test_from_files_peak_stays_near_its_store(tmp_path, monkeypatch):
+    """The checks after the read (the entry cap, repeated artists, the week range) run
+    per chart, with no array as long as the entries, so the whole ingest peaks near the
+    store it returns."""
+    path = blocks_of_charts(tmp_path, monkeypatch)
+    store, peak = traced_peak(lambda: ChartStore.from_files(path))
+    assert peak < 1.5 * store_bytes(store.week, store.city, store.entries)
 
 
 NAMES = ["c0", "c1", "é", "c0 ", "c0\x00", "a" * 8, "a" * 8 + "b", "a" * 16, "a" * 16 + "\x00",
@@ -544,7 +566,10 @@ def test_name_codes_are_ranks_across_blocks(tmp_path_factory, rows, block):
     path = chart_file(tmp_path_factory.mktemp("codes"), rows)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(charts_module, "_BLOCK_BYTES", block)
-        cities, universe, (week, city, artist, count) = charts_module._read_chart_columns(path)
+        cities, universe, week, city, entries = charts_module._read_chart_columns(path)
+    sizes = np.diff(entries.indptr)  # a chart a week here
+    week, city = np.repeat(week, sizes), np.repeat(city, sizes)
+    artist, count = entries.indices, entries.data
     order = np.argsort(week)  # lines split by csv follow the other lines of their block
     for k, codes, names in ((1, city, cities), (2, artist, universe.artists)):
         assert names == tuple(sorted({r[k] for r in rows}))
@@ -696,7 +721,7 @@ def test_numbers_of_every_width_match_csv_reader(tmp_path, monkeypatch):
     rows = [(w, "c", f"a{i}", n) for i, (w, n) in enumerate(zip(["0"] * len(counts), counts))]
     rows += [(w, "d", f"a{i}", 1) for i, w in enumerate(weeks)]
     store = ChartStore.from_files(chart_file(tmp_path, rows))
-    assert sorted(store.columns[3].tolist()) == sorted(counts + [1] * len(weeks))
+    assert sorted(store.entries.data.tolist()) == sorted(counts + [1] * len(weeks))
     assert_columnar_matches_csv(chart_file(tmp_path, rows))
     for count in (2**63, int("9876543210" * 2)):
         path = chart_file(tmp_path, rows + [(0, "c", "over", count)])
@@ -744,7 +769,7 @@ def test_non_ascii_digits_read_as_int_reads_them(tmp_path, digit):
     path = tmp_path / "charts.csv"
     path.write_text(f"{HEADER}\n0,漢,a,{digit}\n", encoding="utf-8")
     store = ChartStore.from_files(path)
-    assert store.columns[3].tolist() == [int(digit)]
+    assert store.entries.data.tolist() == [int(digit)]
     assert_columnar_matches_csv(path)
 
 
@@ -790,13 +815,19 @@ def chart_texts(draw):
         counts = st.one_of(counts, st.sampled_from(ODD_COUNTS))
     quoted = st.lists(st.booleans(), min_size=4, max_size=4) if odd else st.just([False] * 4)
     row = st.tuples(weeks, names, names, counts, quoted)
-    # Duplicate (week, city, artist) rows only in odd files.
+    # Duplicate (week, city, artist) rows anywhere in odd files; in plain ones, at most
+    # one repeat, in a run of its chart after the fill and the big chart.
     rows = draw(st.lists(row, max_size=25, unique_by=None if odd else lambda r: r[:3]))
+    repeat = []
+    if rows and draw(st.booleans()):
+        week, city, artist, *_ = draw(st.sampled_from(rows))
+        repeat.append((week, city, artist, draw(counts), [False] * 4))
     if draw(st.booleans()):  # charts every week 0..6, so most files have no gap
         rows += [(str(w), "fill", "a", "1", [False] * 4) for w in range(7)]
     if draw(st.booleans()):  # a chart at or over the 500-entry cap
         big = draw(st.sampled_from([500, 501]))
         rows += [("0", "big", f"a{i:03d}", "1", [False] * 4) for i in range(big)]
+    rows += repeat
     ends = st.sampled_from(["\n", "\r\n", "\r"] if odd else ["\n", "\r\n"])
     extra = st.sampled_from(["", " ", "\t"] if odd else [""])
     lines = []

@@ -268,10 +268,13 @@ class TestCliCommands:
         assert "missing weeks: 1" in out
 
     @pytest.mark.parametrize(
-        "subset, charts, cities, weeks, starts",
-        [([], 17, 2, "0..9 (10 total)", 7), (["--cities", "late"], 7, 1, "3..9 (7 total)", 4)],
+        "subset, charts, entries, cities, weeks, starts",
+        [([], 17, 26, 2, "0..9 (10 total)", 7),
+         (["--cities", "late"], 7, 7, 1, "3..9 (7 total)", 4)],
     )
-    def test_ingest_summary_lines(self, tmp_path, capsys, subset, charts, cities, weeks, starts):
+    def test_ingest_summary_lines(
+        self, tmp_path, capsys, subset, charts, entries, cities, weeks, starts
+    ):
         """`late` charts weeks 3..9 only, so its subset has a shorter study period."""
         rows = ["week,city,artist,listeners"]
         for week in range(10):
@@ -283,12 +286,25 @@ class TestCliCommands:
         assert main(["ingest", "--charts", str(path), *subset]) == 0
         assert capsys.readouterr().out.splitlines() == [
             f"charts: {charts}",
+            f"entries: {entries}",
             f"cities: {cities}",
             "artists: 4",
             f"weeks: {weeks}",
             "missing weeks: 0",
             f"valid window starts: {starts}",
         ]
+
+    @pytest.mark.parametrize("quote", [False, True])
+    def test_ingest_counts_every_entry(self, tmp_path, capsys, quote):
+        """A chart whose rows are apart in the file is one chart, and each of its rows an
+        entry, whether a line is split as bytes or, with a quoted name, by csv."""
+        rows = [(0, "a", "x"), (0, "b", "x"), (0, "a", "y"), (1, "a", "x"), (0, "a", "z")]
+        name = '"z"' if quote else "z"
+        lines = [f"{w},{c},{name if a == 'z' else a},1" for w, c, a in rows]
+        path = tmp_path / "charts.csv"
+        path.write_text("week,city,artist,listeners\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["ingest", "--charts", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == ["charts: 3", "entries: 5"]
 
     def test_run_without_a_valid_window_keeps_the_cities(self, tmp_path, capsys):
         # Three weeks hold no 4-week window, so no city has a velocity; the run's
