@@ -35,20 +35,9 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 _SPARE = 16
 # _MASK[n] keeps the first n bytes of a little-endian word.
 _MASK = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
-# Byte lanes of a word of ASCII digits: their high nibbles, their low nibbles, '0's, and
-# 6s, which carry into the high nibble of a low nibble above 9.
-_HIGH, _LOW = np.uint64(0xF0F0F0F0F0F0F0F0), np.uint64(0x0F0F0F0F0F0F0F0F)
-_ZEROS, _SIXES = np.uint64(0x3030303030303030), np.uint64(0x0606060606060606)
-# For n digits read little-endian: the shift that moves them to the top lanes, '0's for
-# the lanes below them, and 10**n.
-_SHIFT = np.array([64 - 8 * n for n in range(9)], dtype=np.uint64)
-_FILL = np.array([0x3030303030303030 >> 8 * n for n in range(9)], dtype=np.uint64)
-_POWERS = 10 ** np.arange(9, dtype=np.uint64)
-# Digits, one a lane, are summed in pairs, fours and eights: (the weight of a group's
-# leading half, the shift that brings its trailing half onto it, the mask of the sums).
-_SUMS = ((10, 8, 0x00FF00FF00FF00FF), (100, 16, 0x0000FFFF0000FFFF), (10000, 32, 0xFFFFFFFF))
-# The largest week and count a chart holds, and the largest integer json_value takes.
-_INT64_MAX = (1 << 63) - 1
+# The largest week and count a chart holds, the largest population, and the largest integer
+# json_value takes.
+INT64_MAX = (1 << 63) - 1
 # For each kind json_value reads: the types json.load gives a value of it, checked with
 # type() because bool subclasses int, and its name in a rejection.
 _JSON_KINDS = {
@@ -58,7 +47,7 @@ _JSON_KINDS = {
 # The largest magnitude json_value takes for a numeric kind, and the kind's name then: a
 # number must stay finite as a double, and an integer fit numpy's int64.
 _JSON_LIMITS = {float: (sys.float_info.max, "a finite number"),
-                int: (_INT64_MAX, "an integer within int64")}
+                int: (INT64_MAX, "an integer within int64")}
 
 
 class ChartFormatError(ValueError):
@@ -352,17 +341,17 @@ def read_chart_csv(path: str | Path) -> "ChartStore":
             week = parse_number(int, week_text, f"{where}: bad week {week_text!r}", ChartFormatError)
             if week < 0:
                 raise ChartFormatError(f"{where}: negative week index {week}")
-            if week > _INT64_MAX:
-                raise ChartFormatError(f"{where}: week index must be at most {_INT64_MAX}, got {week}")
+            if week > INT64_MAX:
+                raise ChartFormatError(f"{where}: week index must be at most {INT64_MAX}, got {week}")
             if not city_id or not artist_id:
                 raise ChartFormatError(f"{where}: empty city or artist id")
             problem = f"{where}: bad listener count {listeners_text!r}"
             listeners = parse_number(int, listeners_text, problem, ChartFormatError)
             if listeners < 1:
                 raise ChartFormatError(f"{where}: listener count must be positive, got {listeners}")
-            if listeners > _INT64_MAX:
+            if listeners > INT64_MAX:
                 raise ChartFormatError(
-                    f"{where}: listener count must be at most {_INT64_MAX}, got {listeners}"
+                    f"{where}: listener count must be at most {INT64_MAX}, got {listeners}"
                 )
             if (week, city_id, artist_id) in rows:
                 raise ChartFormatError(
@@ -444,19 +433,14 @@ def _blocks(fh) -> Iterator[np.ndarray]:
         buf[:held] = buf[cut:size]
 
 
-def _words(content: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The 8-byte words of `content` that start at `at`, read little-endian (a word's first
-    byte is its lowest), as native uint64."""
-    words = np.ndarray((len(content) - 7,), "<u8", content, strides=(1,))
-    return words[at].astype(np.uint64, copy=False)
-
-
 def _chunks(content: np.ndarray, at: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 16 bytes of `content` at each of `at` as two words, masked to the first `left`
+    """The 16 bytes of `content` at each of `at` as two native uint64 words, read
+    little-endian (a word's first byte is its lowest) and masked to the first `left`
     of them."""
-    hi = _words(content, at)
+    words = np.ndarray((len(content) - 7,), "<u8", content, strides=(1,))
+    hi = words[at].astype(np.uint64, copy=False)
     hi &= _MASK[np.minimum(left, 8)]
-    lo = _words(content, at + 8)
+    lo = words[at + 8].astype(np.uint64, copy=False)
     lo &= _MASK[np.clip(left - 8, 0, 8)]
     return hi, lo
 
@@ -464,28 +448,18 @@ def _chunks(content: np.ndarray, at: np.ndarray, left: np.ndarray) -> tuple[np.n
 def _digits(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values of the numbers b[lo:hi], and whether each is 1 to 18 ASCII digits.
 
-    Each 8 bytes of a number are read as one little-endian word, whose first
-    digit is its lowest byte. Shifted to the top and led by '0's, they are
-    checked, and summed in pairs, fours and eights, all lanes at once.
+    Digits are read one position at a time, from the right, one byte a number.
     """
     width = hi - lo
     ok = (width >= 1) & (width <= 18)
-    value = np.zeros(len(lo), dtype=np.uint64)
-    for j in range(0, min(int(width.max(initial=0)), 18), 8):
-        n = np.clip(width - j, 0, 8)  # digits in this word
-        x = _words(b, np.minimum(lo + j, hi))
-        x <<= _SHIFT[n]
-        x |= _FILL[n]
-        ok &= (x & _HIGH == _ZEROS) & (x + _SIXES & _HIGH == _ZEROS)
-        x &= _LOW
-        for weight, shift, mask in _SUMS:  # in place: a block's numbers are among its largest arrays
-            lower = x >> shift
-            x *= weight
-            x += lower
-            x &= mask
-        value *= _POWERS[n]
-        value += x
-    return value.view(np.int64), ok  # below 10**18, so the same numbers
+    value = np.zeros(len(lo), dtype=np.int64)
+    for j in range(min(int(width.max(initial=0)), 18)):
+        digit = b[np.maximum(hi - 1 - j, lo)]
+        digit -= 48  # in uint8, so any byte but "0".."9" gives 10 or more
+        digit[width <= j] = 0  # the number has fewer digits
+        ok &= digit < 10
+        value += np.multiply(digit, 10**j, dtype=np.int64)  # int64 products with no int64 copy
+    return value, ok
 
 
 def _intern(content: np.ndarray, start: np.ndarray, length: np.ndarray):

@@ -10,6 +10,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from contextlib import closing
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Mapping
 from xml.etree import ElementTree as ET
 
-from .charts import csv_rows, json_list, json_records, json_value, parse_number, read_json
+from .charts import INT64_MAX, csv_rows, json_list, json_records, json_value, parse_number, read_json
 from .lagcorr import MAX_LAG, MIN_LAG
 from .network import (
     AcyclicityReport,
@@ -32,6 +33,8 @@ EDGE_HEADER = ("follower", "leader", "weight", "lag_weeks")
 POPULATION_HEADER = ("city", "population")
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
+# Characters that XML 1.0 cannot carry, not even as character references.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 NodeAttrs = dict[str, dict[str, float | int]]
 
@@ -110,6 +113,10 @@ def read_populations(path: str | Path) -> dict[str, int]:
             population = parse_number(int, pop_text, problem, ExportFormatError)
             if population <= 0:
                 raise ExportFormatError(f"{where}: population must be positive, got {population}")
+            if population > INT64_MAX:  # graph.graphml declares it a long
+                raise ExportFormatError(
+                    f"{where}: population must be at most {INT64_MAX}, got {population}"
+                )
             populations[city] = population
     return populations
 
@@ -189,7 +196,11 @@ def write_graphml(
     centrality: CentralityReport | None = None,
     populations: Mapping[str, int] | None = None,
 ) -> None:
-    """Same content as the DOT export in GraphML; source=leader."""
+    """Same content as the DOT export in GraphML; source=leader. Raises ValueError, before
+    the file is opened, for a city name that XML cannot carry."""
+    for node in graph.nodes:
+        if _NOT_XML.search(node):
+            raise ValueError(f"city {node!r} holds a character that GraphML (XML 1.0) cannot carry")
     attrs = _node_attributes(graph, centrality, populations)
     root = ET.Element("graphml", xmlns=_GRAPHML_NS)
     for key_id, name, kind in _GRAPHML_NODE_KEYS:

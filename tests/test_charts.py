@@ -712,7 +712,7 @@ def test_byte_path_errors_in_a_later_block_match_csv_reader(
 
 
 def test_numbers_of_every_width_match_csv_reader(tmp_path, monkeypatch):
-    """Weeks of 1 to 20 digits and counts of 1 to 19: up to 18 read as words of 8 digits,
+    """Weeks of 1 to 20 digits and counts of 1 to 19: up to 18 read a digit at a time,
     more by csv. Every count within int64 is kept exactly; a larger one is rejected."""
     monkeypatch.setattr(charts_module, "_BLOCK_BYTES", 64)
     counts = [int("9876543210" * 2) % 10**k or 1 for k in range(1, 19)]
@@ -753,8 +753,11 @@ def test_undecodable_text_past_a_bad_row_reports_the_bad_row(tmp_path, csv_reads
         "0,c,a,99999999999999999999\n",  # above int64
         "0,c,a,1,2\n",  # extra field
         "0,c," + "a" * (csv.field_size_limit() + 1) + ",1\n",  # a field over csv's limit
+        # "/" and ":" sit on either side of "0".."9", where a digit check is likeliest off by one
+        *(f"0,c,a,1\n{week},c,b,{count}\n"
+          for week, count in [("/2", 1), ("2:", 1), (0, "1/"), (0, ":5"), (0, "9:")]),
     ],
-    ids=[*range(7), *range(8, 11)],
+    ids=[*range(7), *range(8, 16)],
 )
 def test_odd_file_goes_through_csv_reader(tmp_path, csv_reads, text):
     path = tmp_path / "charts.csv"
@@ -799,8 +802,10 @@ def test_restrict_to_cities_matches_filtered_charts(tmp_path):
 PLAIN_NAMES = ["c0", "c1", "a", "b", "漢", "Björk", " sp ", " ", "#hash", "\u3000w", "long_" * 6,
                *BOUNDARY_NAMES]
 ODD_NAMES = PLAIN_NAMES + ["x,y", 'q"t', "c\x00", "c", "", "tab\tx", "z\x1c", "n\nl"]
-ODD_WEEKS = ["+2", " 3", "-1", "1000000000000", "٣", "x", "", "1_0", "2.0"]
-ODD_COUNTS = ["+5", "1_0", "٥", "२", "99999999999999999999", "0", "-3", " 7", "7 ", "5\x1c", ""]
+# "/" and ":" are the bytes on either side of "0".."9".
+ODD_WEEKS = ["+2", " 3", "-1", "1000000000000", "٣", "x", "", "1_0", "2.0", "/2", "2:"]
+ODD_COUNTS = ["+5", "1_0", "٥", "२", "99999999999999999999", "0", "-3", " 7", "7 ", "5\x1c", "",
+              "1/", ":5", "9:"]
 
 
 @st.composite

@@ -119,10 +119,10 @@ def synth_inputs(tmp_path_factory):
     }
 
 
-def write_one_dyad_cache(path, values):
-    """A dyads.json holding the b -> a dyad at lag 1 over weeks 0, 1, ...."""
+def write_one_dyad_cache(path, values, cities=("a", "b")):
+    """A dyads.json holding the dyad cities[1] -> cities[0] at lag 1 over weeks 0, 1, ...."""
     payload = cache_payload(
-        ["a", "b"], leader=[0], follower=[1], lag=[1], correlation=[sum(values) / len(values)],
+        list(cities), leader=[0], follower=[1], lag=[1], correlation=[sum(values) / len(values)],
         sizes=[len(values)], weeks=range(len(values)), values=values,
     )
     path.write_text(json.dumps(payload) + "\n")
@@ -625,6 +625,21 @@ class TestCliErrors:
         assert main(["graph", "--dyads", str(path), "--out", str(tmp_path)]) == 1
         assert cache_rejection(path, "b", "a", case) in capsys.readouterr().err
         assert not (tmp_path / "edges.csv").exists()
+
+    def test_city_xml_cannot_carry_exit_code(self, synth_inputs, tmp_path, capsys):
+        charts = tmp_path / "charts.csv"
+        extra = "".join(f"{w},z\x1c,zz_artist,5\n" for w in range(12) if w != 10)
+        charts.write_text(Path(synth_inputs["charts"]).read_text(encoding="utf-8") + extra)
+        run_dir = tmp_path / "run"
+        chart_args = ["--charts", str(charts), "--missing", synth_inputs["missing"]]
+        assert main(["run", *chart_args, "--out", str(run_dir)]) == 1
+        assert "city 'z\\x1c' holds a character" in capsys.readouterr().err
+        assert not (run_dir / "graph.graphml").exists()
+        cache = tmp_path / "dyads.json"
+        write_one_dyad_cache(cache, [0.2 + 0.01 * (w % 2) for w in range(30)], ("a", "z\x1c"))
+        assert main(["graph", "--dyads", str(cache), "--out", str(tmp_path / "graph")]) == 1
+        assert "city 'z\\x1c' holds a character" in capsys.readouterr().err
+        assert not (tmp_path / "graph" / "graph.graphml").exists()
 
     def test_graph_alpha_out_of_range_exit_code(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"

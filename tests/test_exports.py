@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -209,6 +210,24 @@ class TestGraphml:
         path.write_text("this is not xml")
         with pytest.raises(ExportFormatError, match="XML"):
             read_graphml(path)
+
+    @pytest.mark.parametrize("char", ["\x00", "\x08", "\x0b", "\x0c", "\x0e", "\x1c", "\x1f",
+                                      "\ufffe", "\uffff"])
+    def test_city_xml_cannot_carry_is_rejected_before_the_file_opens(self, tmp_path, char):
+        city = f"z{char}"
+        path = tmp_path / "graph.graphml"
+        with pytest.raises(ValueError, match=re.escape(f"city {city!r} holds a character")):
+            write_graphml(path, LeadershipGraph(("a", city), (Edge("a", city, 0.5, 1),)))
+        assert not path.exists()
+
+    def test_every_other_city_name_parses_back(self, tmp_path):
+        """Tab, line ends and the other characters XML 1.0 allows survive a round trip."""
+        names = ("tab\tx", "n\nl", "r\rx", "del\x7f", "c1\x85", "\ud7ff", "\U0001f3b5", "a&<>\"'")
+        path = tmp_path / "graph.graphml"
+        write_graphml(path, LeadershipGraph(names, (Edge(names[0], names[1], 0.5, 1),)))
+        nodes, edges = read_graphml(path)
+        assert set(nodes) == set(names)
+        assert edges == [Edge(names[0], names[1], 0.5, 1)]
 
 
 class TestJsonReports:

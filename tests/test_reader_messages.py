@@ -141,6 +141,8 @@ CASES = [
     (read_populations, POPULATION + "x,10\nx,20\n", "{path}:3: duplicate city 'x'"),
     (read_populations, POPULATION + "x,lots\n", "{path}:2: bad population 'lots'"),
     (read_populations, POPULATION + "x,0\n", "{path}:2: population must be positive, got 0"),
+    (read_populations, POPULATION + f"x,{INT64_MAX}\ny,{INT64_MAX + 1}\n",
+     f"{{path}}:3: population must be at most {INT64_MAX}, got {INT64_MAX + 1}"),
     over_limit(read_populations, POPULATION),
     (read_acyclicity_json, "[]", "{path}: expected a JSON object"),
     (read_acyclicity_json, "{}", "{path}: missing 'total_weight'"),
