@@ -807,7 +807,8 @@ class ChartStore:
         A window is one bincount over the (city, artist) cells of its 4 weeks,
         whose charts, and so their entries, are contiguous in the store; counts
         are integers, so the sums are exact. Every row is scaled and stored in
-        ascending column order.
+        ascending column order. A first pass sizes every row, so the stack is
+        allocated once and each window is written straight into its slice.
         """
         starts = np.array(self.valid_window_starts(), dtype=np.int64)
         n_cities, n_artists = len(self.cities), len(self.universe)
@@ -819,18 +820,31 @@ class ChartStore:
             kept = np.concatenate(([0], np.cumsum(hit)))[entries.indptr]  # each chart's first kept
             entries = SparseRows(entries.data[hit], entries.indices[hit], kept, n_artists)
         ptr, artist, count = entries.indptr, entries.indices, entries.data
-        parts = []
-        for lo, hi in np.searchsorted(self.week, np.add.outer(starts, (0, WINDOW_WEEKS))).tolist():
+        bounds = np.searchsorted(self.week, np.add.outer(starts, (0, WINDOW_WEEKS))).tolist()
+
+        def cells(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+            """The window's summed (city, artist) cells, and which are not zero: the
+            one test by which both passes find a window's entries."""
             a, z = ptr[lo], ptr[hi]
             cell = np.repeat(self.city[lo:hi].astype(np.int64) * n_artists, np.diff(ptr[lo : hi + 1]))
             cell += artist[a:z]
             # float64 even for a window with no entries, where bincount gives int64
-            total = np.bincount(cell, count[a:z], n_cities * n_artists).astype(np.float64)
-            found = np.flatnonzero(total)  # by city, then by ascending artist
-            sizes = np.bincount(found // n_artists, minlength=n_cities)
-            indices = (found % n_artists).astype(np.int32)
-            parts.append(unit_rows(SparseRows.from_sizes(total[found], indices, sizes, n_artists)))
-        matrix = SparseRows.stack(parts, n_artists)
+            total = np.bincount(cell, count[a:z], n_cities * n_artists).astype(np.float64, copy=False)
+            return total, total != 0
+
+        sizes = np.zeros((len(starts), n_cities), dtype=np.int64)
+        for i, (lo, hi) in enumerate(bounds):
+            sizes[i] = cells(lo, hi)[1].reshape(n_cities, n_artists).sum(axis=1)
+        n = int(sizes.sum())
+        matrix = SparseRows.from_sizes(np.empty(n), np.empty(n, dtype=np.int32), sizes.ravel(), n_artists)
+        for i, (lo, hi) in enumerate(bounds):
+            total, nonzero = cells(lo, hi)
+            found = np.flatnonzero(nonzero)  # by city, then by ascending artist
+            rows = matrix.indptr[i * n_cities : (i + 1) * n_cities + 1]
+            a, z = rows[0], rows[-1]
+            np.take(total, found, out=matrix.data[a:z])
+            matrix.indices[a:z] = found % n_artists
+            unit_rows(SparseRows(matrix.data[a:z], matrix.indices[a:z], rows - a, n_artists))
         return WindowStack(starts.tolist(), self.cities, self.universe, matrix)
 
 

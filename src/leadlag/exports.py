@@ -16,7 +16,7 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 from xml.etree import ElementTree as ET
 
 from .charts import INT64_MAX, csv_rows, json_list, json_records, json_value, parse_number, read_json
@@ -190,6 +190,13 @@ _GRAPHML_EDGE_KEYS = (
 )
 
 
+def check_graphml_names(cities: Iterable[str]) -> None:
+    """Raise ValueError for the first city name holding a character that XML cannot carry."""
+    for city in cities:
+        if _NOT_XML.search(city):
+            raise ValueError(f"city {city!r} holds a character that GraphML (XML 1.0) cannot carry")
+
+
 def write_graphml(
     path: str | Path,
     graph: LeadershipGraph,
@@ -198,9 +205,7 @@ def write_graphml(
 ) -> None:
     """Same content as the DOT export in GraphML; source=leader. Raises ValueError, before
     the file is opened, for a city name that XML cannot carry."""
-    for node in graph.nodes:
-        if _NOT_XML.search(node):
-            raise ValueError(f"city {node!r} holds a character that GraphML (XML 1.0) cannot carry")
+    check_graphml_names(graph.nodes)
     attrs = _node_attributes(graph, centrality, populations)
     root = ET.Element("graphml", xmlns=_GRAPHML_NS)
     for key_id, name, kind in _GRAPHML_NODE_KEYS:

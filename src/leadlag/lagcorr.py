@@ -187,11 +187,15 @@ def scan_dyads(
         block = follower @ stack.take(by_week[c:d][keep]).block(columns)[1].T
         samples[by_week[a:b, None], pos[keep], owner[by_week[c:d]][keep]] = block
 
+    # `samples` is the only array of its size: the counts are summed one follower
+    # at a time and the NaNs are zeroed in place.
     starts = np.searchsorted(owner, np.arange(n))
-    have = ~np.isnan(samples)
-    counts = np.add.reduceat(have, starts, axis=0, dtype=np.int64)
-    means = np.add.reduceat(np.where(have, samples, 0.0), starts, axis=0)
-    del have
+    ends = np.append(starts[1:], len(weeks))
+    nan = np.isnan(samples)
+    counts = np.stack([np.add.reduce(~nan[a:b], axis=0, dtype=np.int64)
+                       for a, b in zip(starts.tolist(), ends.tolist())])
+    samples[nan] = 0.0
+    means = np.add.reduceat(samples, starts, axis=0)
     means /= np.maximum(counts, 1)
     means[counts < min_samples] = -np.inf
     best, best_mean = means.argmax(axis=1), means.max(axis=1)  # [follower, leader]
@@ -200,9 +204,14 @@ def scan_dyads(
 
     # Each row's samples at its best lag against every leader, leader-major,
     # so the scored pairs' samples come out in (leader, follower) order.
-    chosen = np.take_along_axis(samples, best[owner][:, None], axis=1)[:, 0].T
-    del samples
-    sampled = scored.T[:, owner] & ~np.isnan(chosen)
+    chosen, missing = np.empty((len(weeks), n)), np.empty((len(weeks), n), dtype=bool)
+    for k in range(len(scan)):
+        at = (best == k)[owner]
+        np.copyto(chosen, samples[:, k], where=at)
+        np.copyto(missing, nan[:, k], where=at)
+    del samples, nan
+    sampled = scored.T[:, owner] & ~missing.T
+    chosen = chosen.T
     leader, follower = np.nonzero(scored.T)
     k = best[follower, leader]
     return Dyads(

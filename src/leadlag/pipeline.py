@@ -15,6 +15,7 @@ from typing import Iterable
 from .charts import ChartStore, GenreCatalog, WindowStack, read_genre_catalog
 from .cluster import average_linkage, summed_distances, to_newick
 from .exports import (
+    check_graphml_names,
     read_populations,
     write_acyclicity_json,
     write_centrality_json,
@@ -136,6 +137,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         config.chart_path, config.missing_weeks_path, config.genre_path, config.genre_id,
         config.city_subset,
     )
+    check_graphml_names(store.cities)  # before any file is written
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
@@ -143,6 +145,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     windows = build_windows(store, artists)
     del store  # the run reads the charts only through their windows from here on
     velocities = compute_all_velocities(windows)
+    # The distances are the windows' last use, so the scan runs without them.
+    dist = summed_distances(windows) if windows and len(windows.cities) >= 2 else None
+    del windows
     dyads = scan_dyads(velocities, min_samples=config.min_samples, lags=config.lag_range)
     artifacts["dyads"] = out / "dyads.json"
     save_dyads(artifacts["dyads"], dyads)
@@ -173,12 +178,10 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             artifacts["size_leadership"] = out / "size_leadership.json"
             write_size_leadership_json(artifacts["size_leadership"], size)
 
-    if windows and len(windows.cities) >= 2:
-        dist = summed_distances(windows)
-        if len(dist.cities) >= 2:
-            tree = average_linkage(dist)
-            artifacts["dendrogram"] = out / "dendrogram.nwk"
-            artifacts["dendrogram"].write_text(to_newick(tree) + "\n", encoding="utf-8")
+    if dist is not None and len(dist.cities) >= 2:
+        tree = average_linkage(dist)
+        artifacts["dendrogram"] = out / "dendrogram.nwk"
+        artifacts["dendrogram"].write_text(to_newick(tree) + "\n", encoding="utf-8")
 
     inputs = {
         "charts": config.chart_path,

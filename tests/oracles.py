@@ -15,6 +15,10 @@ checked against the code it replaced: csgraph's strongly connected
 components, each component rebuilt from its edge list, and the greedy
 peel reading one numpy scalar at a time. A chart list becomes a store one
 Python row at a time (`chart_store`), as the library's list constructor did.
+The stages that now write their output once are checked bit for bit against
+the code they replaced: windows built as one part per window and then
+stacked, and the scan with the NaN-free copy of its samples and an int64
+copy of their mask.
 """
 from __future__ import annotations
 
@@ -28,7 +32,15 @@ import numpy as np
 from scipy import integrate, sparse
 from scipy.stats import rankdata
 
-from leadlag.charts import WINDOW_WEEKS, ArtistUniverse, ChartStore, SparseRows, WeeklyChart
+from leadlag.charts import (
+    WINDOW_WEEKS,
+    ArtistUniverse,
+    ChartStore,
+    SparseRows,
+    WeeklyChart,
+    WindowStack,
+    unit_rows,
+)
 from leadlag.cluster import DistanceMatrix
 
 from leadlag.lagcorr import (
@@ -36,6 +48,7 @@ from leadlag.lagcorr import (
     MAX_LAG,
     MIN_LAG,
     DyadResult,
+    Dyads,
     VELOCITY_STEP_WEEKS,
     VelocitySeries,
     _scan_lags,
@@ -658,3 +671,86 @@ def per_window_distances(
     total = (total + total.T) / 2.0
     np.fill_diagonal(total, 0.0)
     return DistanceMatrix(cities=kept, d=total, coverage=coverage)
+
+
+def stacked_windows(store: ChartStore, genre_artists: Iterable[str] | None = None) -> WindowStack:
+    """`ChartStore.windows` keeping every window's rows as a part until one stack copies them."""
+    starts = np.array(store.valid_window_starts(), dtype=np.int64)
+    n_cities, n_artists = len(store.cities), len(store.universe)
+    entries = store.entries
+    if genre_artists is not None:
+        keep = np.zeros(n_artists, dtype=bool)
+        keep[[store.universe.index[a] for a in genre_artists if a in store.universe]] = True
+        hit = keep[entries.indices]
+        kept = np.concatenate(([0], np.cumsum(hit)))[entries.indptr]
+        entries = SparseRows(entries.data[hit], entries.indices[hit], kept, n_artists)
+    ptr, artist, count = entries.indptr, entries.indices, entries.data
+    parts = []
+    for lo, hi in np.searchsorted(store.week, np.add.outer(starts, (0, WINDOW_WEEKS))).tolist():
+        a, z = ptr[lo], ptr[hi]
+        cell = np.repeat(store.city[lo:hi].astype(np.int64) * n_artists, np.diff(ptr[lo : hi + 1]))
+        cell += artist[a:z]
+        total = np.bincount(cell, count[a:z], n_cities * n_artists).astype(np.float64)
+        found = np.flatnonzero(total)
+        sizes = np.bincount(found // n_artists, minlength=n_cities)
+        indices = (found % n_artists).astype(np.int32)
+        parts.append(unit_rows(SparseRows.from_sizes(total[found], indices, sizes, n_artists)))
+    matrix = SparseRows.stack(parts, n_artists)
+    return WindowStack(starts.tolist(), store.cities, store.universe, matrix)
+
+
+def masked_copy_scan(
+    series: Mapping[str, VelocitySeries],
+    min_samples: int = DEFAULT_MIN_SAMPLES,
+    lags: Sequence[int] | None = None,
+) -> Dyads:
+    """`scan_dyads` summing an int64 copy of the samples' mask and a NaN-free copy of
+    the samples, each with one `np.add.reduceat`."""
+    scan = _scan_lags(min_samples, lags)
+    cities = tuple(sorted(series))
+    code = np.array([i for i, c in enumerate(cities) if len(series[c])], dtype=np.int64)
+    present = [series[cities[i]] for i in code.tolist()]
+    if len(present) < 2:
+        none = np.zeros(0, dtype=np.int64)
+        return Dyads(cities, none, none, none, np.zeros(0), none, none, np.zeros(0))
+    n = len(present)
+    weeks = np.concatenate([np.asarray(s.weeks, dtype=np.int64) for s in present])
+    owner = np.repeat(np.arange(n), [len(s) for s in present])
+    by_week = np.argsort(weeks, kind="stable")
+    week_sorted = weeks[by_week]
+    stack = SparseRows.stack([s.matrix for s in present], present[0].matrix.n_cols)
+    lag_pos = np.full(MAX_LAG + 1, -1)
+    lag_pos[list(scan)] = np.arange(len(scan))
+
+    samples = np.full((len(weeks), len(scan), n), np.nan)
+    first = np.flatnonzero(np.diff(week_sorted, prepend=week_sorted[0] - 1))
+    last = np.append(first[1:], len(weeks))
+    lo = np.searchsorted(week_sorted, week_sorted[first] - scan[-1])
+    hi = np.searchsorted(week_sorted, week_sorted[first] - scan[0], side="right")
+    for a, b, c, d in zip(*(x.tolist() for x in (first, last, lo, hi))):
+        if c == d:
+            continue
+        pos = lag_pos[week_sorted[a] - week_sorted[c:d]]
+        keep = pos >= 0
+        columns, follower = stack.take(by_week[a:b]).block()
+        block = follower @ stack.take(by_week[c:d][keep]).block(columns)[1].T
+        samples[by_week[a:b, None], pos[keep], owner[by_week[c:d]][keep]] = block
+
+    starts = np.searchsorted(owner, np.arange(n))
+    have = ~np.isnan(samples)
+    counts = np.add.reduceat(have, starts, axis=0, dtype=np.int64)
+    means = np.add.reduceat(np.where(have, samples, 0.0), starts, axis=0)
+    means /= np.maximum(counts, 1)
+    means[counts < min_samples] = -np.inf
+    best, best_mean = means.argmax(axis=1), means.max(axis=1)
+    scored = np.isfinite(best_mean)
+    np.fill_diagonal(scored, False)
+    chosen = np.take_along_axis(samples, best[owner][:, None], axis=1)[:, 0].T
+    sampled = scored.T[:, owner] & ~np.isnan(chosen)
+    leader, follower = np.nonzero(scored.T)
+    k = best[follower, leader]
+    return Dyads(
+        cities, code[leader], code[follower], np.array(scan)[k], best_mean[follower, leader],
+        counts[follower, k, leader], np.broadcast_to(weeks, sampled.shape)[sampled],
+        chosen[sampled],
+    )

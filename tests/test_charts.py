@@ -549,6 +549,16 @@ def test_from_files_peak_stays_near_its_store(tmp_path, monkeypatch):
     assert peak < 1.5 * store_bytes(store.week, store.city, store.entries)
 
 
+def test_windows_peak_stays_near_their_stack(tmp_path, monkeypatch):
+    """Every row is sized first, so the stack is allocated once and each window is
+    written into its slice; holding every window until one stack copies them peaked
+    at 2.3 times the stack."""
+    store = ChartStore.from_files(blocks_of_charts(tmp_path, monkeypatch))
+    windows, peak = traced_peak(store.windows)
+    matrix = windows.matrix
+    assert peak < 1.3 * sum(a.nbytes for a in (matrix.data, matrix.indices, matrix.indptr))
+
+
 NAMES = ["c0", "c1", "é", "c0 ", "c0\x00", "a" * 8, "a" * 8 + "b", "a" * 16, "a" * 16 + "\x00",
          "z"]
 

@@ -634,7 +634,7 @@ class TestCliErrors:
         chart_args = ["--charts", str(charts), "--missing", synth_inputs["missing"]]
         assert main(["run", *chart_args, "--out", str(run_dir)]) == 1
         assert "city 'z\\x1c' holds a character" in capsys.readouterr().err
-        assert not (run_dir / "graph.graphml").exists()
+        assert not run_dir.exists()  # checked once the charts are read, before the scan
         cache = tmp_path / "dyads.json"
         write_one_dyad_cache(cache, [0.2 + 0.01 * (w % 2) for w in range(30)], ("a", "z\x1c"))
         assert main(["graph", "--dyads", str(cache), "--out", str(tmp_path / "graph")]) == 1

@@ -13,7 +13,14 @@ from leadlag.cluster import summed_distances
 from leadlag.lagcorr import compute_all_velocities, scan_dyads
 
 from helpers import assert_same_dyads, store_from_cells, window_stack
-from oracles import compute_velocities, per_window_distances, per_window_windows, to_scipy
+from oracles import (
+    compute_velocities,
+    masked_copy_scan,
+    per_window_distances,
+    per_window_windows,
+    stacked_windows,
+    to_scipy,
+)
 
 CITIES = ("p", "q", "r", "s")
 ARTISTS = tuple(f"a{i}" for i in range(6))
@@ -95,3 +102,28 @@ def test_window_stack_matches_per_window_oracle(cells, missing, subset, genre):
         windows = 1 if per_pair_mean else np.maximum(got.coverage, 1)
         assert (abs(got.d - ref.d) <= windows * np.sqrt(2 * GRAM_ATOL)).all()
 
+
+@given(
+    cells=st.dictionaries(
+        st.tuples(st.integers(0, 17), st.sampled_from(CITIES), st.sampled_from(ARTISTS)),
+        # The store does not require positive counts: cells may sum to zero.
+        st.integers(-3, 3) | st.integers(1, 2**40),
+        min_size=1,
+        max_size=120,
+    ),
+    missing=st.frozensets(st.integers(0, 17), max_size=2),
+    genre=st.none() | st.lists(st.sampled_from(ARTISTS[::2] + ("zz",)), unique=True),
+    lags=st.none() | st.sets(st.integers(1, 5), min_size=1),
+)
+@settings(max_examples=200, deadline=None)
+def test_stages_match_their_copying_versions(cells, missing, genre, lags):
+    """Windows written in place and the scan without copies of its samples give, bit
+    for bit, what the versions that copied gave."""
+    store = store_from_cells(cells, missing)
+    stack = store.windows(genre)
+    want = stacked_windows(store, genre)
+    assert stack.starts == want.starts
+    assert_same_csr(stack.matrix, want.matrix)
+
+    velocities = compute_all_velocities(stack)
+    assert_same_dyads(scan_dyads(velocities, 2, lags), masked_copy_scan(velocities, 2, lags))
