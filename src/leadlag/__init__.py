@@ -15,7 +15,6 @@ from .charts import (
     write_missing_weeks,
 )
 from .cluster import (
-    ClusterTree,
     DistanceMatrix,
     average_linkage,
     flat_cut,

@@ -741,32 +741,35 @@ class ChartStore:
         self.last_week: int = max(weeks, default=-1)
 
     def __iter__(self) -> Iterator[WeeklyChart]:
-        """Each chart in (week, city) order, with its entries in their stored order."""
-        names = self.universe.artists
-        artist, count, bounds = (a.tolist() for a in (
-            self.entries.indices, self.entries.data, self.entries.indptr))
+        """Each chart in (week, city) order, with its entries in their stored order; only
+        the chart being yielded has its entries as Python lists."""
+        names, entries, bounds = self.universe.artists, self.entries, self.entries.indptr.tolist()
         for i, (week, city) in enumerate(zip(self.week.tolist(), self.city.tolist())):
             a, z = bounds[i], bounds[i + 1]
-            entries = tuple(zip([names[j] for j in artist[a:z]], count[a:z]))
-            yield WeeklyChart(week, self.cities[city], entries)
+            artists = [names[j] for j in entries.indices[a:z].tolist()]
+            yield WeeklyChart(week, self.cities[city], tuple(zip(artists, entries.data[a:z].tolist())))
+
+    @classmethod
+    def read(cls, chart_path: str | Path) -> "ChartStore":
+        """The charts of a file, read as bytes by `_read_chart_columns` when the file is
+        plainly valid, and by `read_chart_csv` otherwise; with no missing weeks, and no
+        check of the week range."""
+        if (read := _read_chart_columns(chart_path)) is not None:
+            store = cls(*read)
+            if np.diff(store.entries.indptr).max() <= MAX_CHART_ENTRIES and not _repeats(store.entries):
+                return store
+        return read_chart_csv(chart_path)
 
     @classmethod
     def from_files(
         cls, chart_path: str | Path, missing_path: str | Path | None = None
     ) -> "ChartStore":
-        """The store of a chart file, read as bytes by `_read_chart_columns` when the file
-        is plainly valid, and by `read_chart_csv` otherwise. Each week from the first
-        charted to the last must be charted or missing, and every missing week lies between
-        them; charts on missing weeks are kept (the store flags them) but enter no window."""
+        """`read` of a chart file, with the missing weeks. Each week from the first charted
+        to the last must be charted or missing, and every missing week lies between them;
+        charts on missing weeks are kept (the store flags them) but enter no window."""
         missing = read_missing_weeks(missing_path) if missing_path else frozenset()
-        store = None
-        if (read := _read_chart_columns(chart_path)) is not None:
-            store = cls(*read, missing)
-            if np.diff(store.entries.indptr).max() > MAX_CHART_ENTRIES or _repeats(store.entries):
-                store = None
-        if store is None:
-            read = read_chart_csv(chart_path)
-            store = cls(read.cities, read.universe, read.week, read.city, read.entries, missing)
+        read = cls.read(chart_path)
+        store = cls(read.cities, read.universe, read.week, read.city, read.entries, missing)
         if store.chart_count:
             _check_week_range(chart_path, set(store.week.tolist()), missing)
         return store

@@ -13,9 +13,10 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from .charts import read_chart_csv, write_chart_csv, write_missing_weeks
+from .charts import ChartStore, write_chart_csv, write_missing_weeks
 from .cluster import average_linkage, flat_cut, summed_distances, to_newick
 from .exports import (
+    check_graphml_names,
     read_acyclicity_json,
     read_edge_csv,
     read_manifest,
@@ -152,6 +153,7 @@ def _cmd_dyads(args: argparse.Namespace) -> int:
 def _cmd_graph(args: argparse.Namespace) -> int:
     _check_alpha(args.alpha)
     graph = build_graph(load_dyads(args.dyads), alpha=args.alpha, bonferroni=args.bonferroni)
+    check_graphml_names(graph.nodes)  # before any file is written
     centrality = pagerank(graph)
     out = _out_dir(args)
     write_edge_csv(out / "edges.csv", graph)
@@ -227,7 +229,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_shuffle(args: argparse.Namespace) -> int:
-    shuffled = shuffle_null(read_chart_csv(args.charts), seed=args.seed)
+    shuffled = shuffle_null(ChartStore.read(args.charts), seed=args.seed)
     out = _out_dir(args)
     path = out / "charts_shuffled.csv"
     write_chart_csv(path, shuffled)

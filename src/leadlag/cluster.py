@@ -59,14 +59,6 @@ class ClusterNode:
         return self.left.leaves() + self.right.leaves()
 
 
-@dataclass(frozen=True)
-class ClusterTree:
-    root: ClusterNode
-
-    def leaves(self) -> tuple[str, ...]:
-        return self.root.leaves()
-
-
 def summed_distances(windows: WindowStack, per_pair_mean: bool = False) -> DistanceMatrix:
     """Accumulate pairwise Euclidean distances over shared active windows.
 
@@ -106,8 +98,8 @@ def summed_distances(windows: WindowStack, per_pair_mean: bool = False) -> Dista
     return DistanceMatrix(cities=kept, d=total, coverage=coverage)
 
 
-def average_linkage(dist: DistanceMatrix) -> ClusterTree:
-    """UPGMA merge tree with a lexicographic smallest-pair tie-break.
+def average_linkage(dist: DistanceMatrix) -> ClusterNode:
+    """Root of the UPGMA merge tree, with a lexicographic smallest-pair tie-break.
 
     Inter-cluster distance is the unweighted mean over all cross pairs,
     maintained by the standard size-weighted update. Heights must come
@@ -116,42 +108,34 @@ def average_linkage(dist: DistanceMatrix) -> ClusterTree:
     n = len(dist.cities)
     if n < 2:
         raise ValueError(f"need at least 2 cities to cluster, got {n}")
-    d = dist.d.astype(float).copy()
-    active: dict[int, ClusterNode] = {
-        i: ClusterNode(height=0.0, city=dist.cities[i]) for i in range(n)
-    }
-    sizes = {i: 1 for i in range(n)}
-    min_label = {i: dist.cities[i] for i in range(n)}
+    # Slots stay in order of their clusters' smallest labels: merging slots
+    # a < b keeps slot a, which holds the smaller label, and pops b.
+    ids = sorted(range(n), key=dist.cities.__getitem__)
+    d = dist.d.astype(float)[np.ix_(ids, ids)]
+    nodes = [ClusterNode(height=0.0, city=dist.cities[i]) for i in ids]
+    sizes = np.ones(n)
     last_height = 0.0
 
-    while len(active) > 1:
-        # With ids in label order, the row-major argmin over the upper
-        # triangle is the smallest distance, ties to the smallest label pair.
-        ids = sorted(active, key=min_label.get)
-        block = d[np.ix_(ids, ids)]
-        block[np.tril_indices(len(ids))] = np.inf
-        a, b = np.unravel_index(np.argmin(block), block.shape)
-        i, j = ids[a], ids[b]
-        height = d[i, j]
+    while len(nodes) > 1:
+        # The row-major argmin over the upper triangle is the smallest
+        # distance, ties to the smallest label pair.
+        upper = np.where(np.tri(len(nodes), dtype=bool), np.inf, d)
+        a, b = divmod(int(np.argmin(upper)), len(nodes))
+        height = d[a, b]
         if height < last_height - _HEIGHT_SLACK:
             raise RuntimeError("merge heights decreased; linkage update is broken")
         last_height = max(last_height, height)
 
-        node = ClusterNode(height=float(height), left=active[i], right=active[j])
-        for k in active:
-            if k in (i, j):
-                continue
-            d[i, k] = d[k, i] = (sizes[i] * d[i, k] + sizes[j] * d[j, k]) / (
-                sizes[i] + sizes[j]
-            )
-        sizes[i] += sizes[j]
-        active[i] = node
-        del active[j], sizes[j], min_label[j]
+        # Entries a and b of the new row are stale; b goes and a is masked.
+        d[a] = d[:, a] = (sizes[a] * d[a] + sizes[b] * d[b]) / (sizes[a] + sizes[b])
+        sizes[a] += sizes[b]
+        d, sizes = np.delete(np.delete(d, b, 0), b, 1), np.delete(sizes, b)
+        nodes[a] = ClusterNode(height=float(height), left=nodes[a], right=nodes.pop(b))
 
-    return ClusterTree(root=next(iter(active.values())))
+    return nodes[0]
 
 
-def flat_cut(tree: ClusterTree, height: float) -> tuple[tuple[str, ...], ...]:
+def flat_cut(tree: ClusterNode, height: float) -> tuple[tuple[str, ...], ...]:
     """Clusters = maximal subtrees whose merge heights all sit below height."""
     if not height >= 0:  # also NaN
         raise ValueError(f"cut height must be non-negative, got {height}")
@@ -164,7 +148,7 @@ def flat_cut(tree: ClusterTree, height: float) -> tuple[tuple[str, ...], ...]:
         walk(node.left)
         walk(node.right)
 
-    walk(tree.root)
+    walk(tree)
     clusters.sort(key=lambda c: c[0])
     return tuple(clusters)
 
@@ -175,7 +159,7 @@ def _newick_label(label: str) -> str:
     return label
 
 
-def to_newick(tree: ClusterTree) -> str:
+def to_newick(tree: ClusterNode) -> str:
     """Serialize with branch lengths equal to merge-height differences."""
 
     def render(node: ClusterNode) -> str:
@@ -186,4 +170,4 @@ def to_newick(tree: ClusterTree) -> str:
             parts.append(f"{render(child)}:{node.height - child.height:.17g}")
         return "(" + ",".join(parts) + ")"
 
-    return render(tree.root) + ";"
+    return render(tree) + ";"

@@ -10,6 +10,7 @@ layer reads, so recovery experiments exercise the full pipeline.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -116,19 +117,15 @@ class PlantedHierarchy:
         for edge in self.edges:
             indegree[edge.follower] += 1
             outgoing[edge.leader].append(edge.follower)
-        ready = sorted(city for city, deg in indegree.items() if deg == 0)
+        ready = sorted(city for city, deg in indegree.items() if deg == 0)  # a heap
         order: list[str] = []
         while ready:
-            city = ready.pop(0)
+            city = heapq.heappop(ready)
             order.append(city)
-            changed = False
             for nxt in outgoing[city]:
                 indegree[nxt] -= 1
                 if indegree[nxt] == 0:
-                    ready.append(nxt)
-                    changed = True
-            if changed:
-                ready.sort()
+                    heapq.heappush(ready, nxt)
         if len(order) != len(self.cities):
             raise ValueError("planted edges contain a cycle")
         return order

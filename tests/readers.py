@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple
 from xml.etree import ElementTree as ET
 
 from leadlag.charts import json_value, read_json
-from leadlag.cluster import ClusterNode, ClusterTree
+from leadlag.cluster import ClusterNode
 from leadlag.exports import ExportFormatError, NodeAttrs, _GRAPHML_NS
 from leadlag.network import CentralityReport, Edge
 
@@ -208,14 +208,14 @@ class _NewickParser:
         return ClusterNode(height=h_left, left=left, right=right)
 
 
-def parse_newick(text: str) -> ClusterTree:
-    """Inverse of to_newick for the constrained trees this package writes."""
+def parse_newick(text: str) -> ClusterNode:
+    """Inverse of to_newick for the constrained trees this package writes: the root."""
     parser = _NewickParser(text.strip())
     root = parser.node()
     parser.take(";")
     if parser.pos != len(parser.text):
         raise parser.error("trailing characters")
-    return ClusterTree(root=root)
+    return root
 
 
 class Merge(NamedTuple):
@@ -224,7 +224,7 @@ class Merge(NamedTuple):
     height: float
 
 
-def merges(tree: ClusterTree) -> list[Merge]:
+def merges(tree: ClusterNode) -> list[Merge]:
     """Every internal node of `tree` as the merge of its two sides, by height, ties
     broken by the smallest city they join."""
     found: list[Merge] = []
@@ -237,11 +237,11 @@ def merges(tree: ClusterTree) -> list[Merge]:
         sides = frozenset(node.left.leaves()), frozenset(node.right.leaves())
         found.append(Merge(*sides, node.height))
 
-    collect(tree.root)
+    collect(tree)
     return sorted(found, key=lambda m: (m.height, min(m.left | m.right)))
 
 
-def inversions(tree: ClusterTree) -> int:
+def inversions(tree: ClusterNode) -> int:
     """How many merges of `tree` sit lower than a side they join: 0 for a monotone tree."""
 
     def count(node: ClusterNode) -> int:
@@ -250,4 +250,4 @@ def inversions(tree: ClusterTree) -> int:
         low = node.height < max(node.left.height, node.right.height)
         return low + count(node.left) + count(node.right)
 
-    return count(tree.root)
+    return count(tree)

@@ -20,7 +20,6 @@ PUBLIC = {
     "CentralityReport",
     "ChartFormatError",
     "ChartStore",
-    "ClusterTree",
     "DegenerateSampleError",
     "DistanceMatrix",
     "DyadResult",

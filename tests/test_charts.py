@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from leadlag import charts as charts_module
 from leadlag.charts import (
+    ArtistUniverse,
     ChartFormatError,
     ChartStore,
+    SparseRows,
     WeeklyChart,
     read_chart_csv,
     read_genre_catalog,
@@ -557,6 +559,20 @@ def test_windows_peak_stays_near_their_stack(tmp_path, monkeypatch):
     windows, peak = traced_peak(store.windows)
     matrix = windows.matrix
     assert peak < 1.3 * sum(a.nbytes for a in (matrix.data, matrix.indices, matrix.indptr))
+
+
+def test_iterating_a_store_lists_one_chart_at_a_time():
+    """Only the chart being yielded has its entries as Python lists."""
+    charts, per_chart = 400, 500
+    entries = SparseRows.from_sizes(
+        np.arange(1, charts * per_chart + 1, dtype=np.int64),
+        np.tile(np.arange(per_chart, dtype=np.int32), charts), [per_chart] * charts, per_chart)
+    universe = ArtistUniverse(f"a{i:03d}" for i in range(per_chart))
+    store = ChartStore(("c",), universe, np.arange(charts), np.zeros(charts, dtype=np.int32), entries)
+    listed, peak = traced_peak(lambda: sum(len(chart.entries) for chart in store))
+    assert listed == charts * per_chart
+    # All 200,000 entries as lists peaked at 12.8 MB; one chart at a time peaks at 0.12 MB.
+    assert peak < 2**20
 
 
 NAMES = ["c0", "c1", "é", "c0 ", "c0\x00", "a" * 8, "a" * 8 + "b", "a" * 16, "a" * 16 + "\x00",

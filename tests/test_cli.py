@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import leadlag
+from leadlag import charts as charts_module
 from leadlag.charts import ChartStore, read_chart_csv, write_chart_csv, write_missing_weeks
 from leadlag.cli import main
 from leadlag.exports import (
@@ -25,7 +26,7 @@ from leadlag.exports import (
 from leadlag.lagcorr import load_dyads, save_dyads
 from leadlag.network import Edge, LeadershipGraph
 from leadlag.pipeline import RunConfig, genre_artists, run_pipeline
-from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
+from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts, shuffle_null
 
 from helpers import DISTORTIONS, cache_payload, cache_rejection, distort
 from readers import parse_dot, parse_newick, read_centrality_json, read_graphml
@@ -527,6 +528,18 @@ class TestCliCommands:
         assert shuffled.cities == original.cities
         capsys.readouterr()
 
+    def test_shuffle_reads_a_plain_file_as_bytes(self, synth_inputs, tmp_path, monkeypatch, capsys):
+        """As in every other command, the csv reader only gets files the byte reader refuses."""
+        csv_reads, rows = [], charts_module.csv_rows
+        monkeypatch.setattr(charts_module, "csv_rows", lambda *a: csv_reads.append(a) or rows(*a))
+        chart_args = ["--charts", synth_inputs["charts"], "--seed", "7"]
+        assert main(["shuffle", *chart_args, "--out", str(tmp_path)]) == 0
+        assert csv_reads == []
+        want = tmp_path / "want.csv"
+        write_chart_csv(want, shuffle_null(read_chart_csv(synth_inputs["charts"]), seed=7))
+        assert (tmp_path / "charts_shuffled.csv").read_bytes() == want.read_bytes()
+        capsys.readouterr()
+
     def test_run_and_report(self, synth_inputs, tmp_path, capsys):
         out = tmp_path / "full"
         code = main(
@@ -639,7 +652,7 @@ class TestCliErrors:
         write_one_dyad_cache(cache, [0.2 + 0.01 * (w % 2) for w in range(30)], ("a", "z\x1c"))
         assert main(["graph", "--dyads", str(cache), "--out", str(tmp_path / "graph")]) == 1
         assert "city 'z\\x1c' holds a character" in capsys.readouterr().err
-        assert not (tmp_path / "graph" / "graph.graphml").exists()
+        assert not (tmp_path / "graph").exists()  # checked before any file is written
 
     def test_graph_alpha_out_of_range_exit_code(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"

@@ -7,7 +7,6 @@ import pytest
 
 from leadlag.cluster import (
     ClusterNode,
-    ClusterTree,
     DistanceMatrix,
     average_linkage,
     flat_cut,
@@ -143,10 +142,10 @@ def test_distance_matrix_validation():
 
 
 def test_two_cities_merge_at_their_distance():
-    tree = average_linkage(dm(["a", "b"], [[0, 3.5], [3.5, 0]]))
-    assert tree.root.height == 3.5
-    assert set(tree.root.leaves()) == {"a", "b"}
-    assert tree.root.left.is_leaf() and tree.root.right.is_leaf()
+    root = average_linkage(dm(["a", "b"], [[0, 3.5], [3.5, 0]]))
+    assert root.height == 3.5
+    assert set(root.leaves()) == {"a", "b"}
+    assert root.left.is_leaf() and root.right.is_leaf()
 
 
 def test_one_dimensional_points_hand_tree():
@@ -211,7 +210,24 @@ def test_tie_break_prefers_smallest_pair():
     # whatever the matrix order.
     tree = average_linkage(dm(["c", "b", "a"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
     assert flat_cut(tree, 1.2) == (("a", "b"), ("c",))
-    assert tree.root.height == 1.5
+    assert tree.height == 1.5
+
+
+@pytest.mark.parametrize(
+    "block", [[0] * 9, [0, 1, 1, 2, 2, 2, 2, 2, 0]], ids=["all-equal", "two-level"]
+)
+def test_ties_after_the_first_merge_match_naive_upgma(block):
+    # Every size-weighted mean here is exact, so the smallest label pair breaks every tie,
+    # also between merged clusters. City i is labelled c{i} and sits in block[i]; block 0
+    # holds the smallest and the largest label, so clusters kept in the slot of their
+    # largest label would merge blocks 1 and 2 first. The matrix order is shuffled.
+    perm = np.random.default_rng(59).permutation(len(block))
+    labels, block = [f"c{i}" for i in perm], np.array(block)[perm]
+    d = np.where(np.equal.outer(block, block), 1.0, 2.0)
+    np.fill_diagonal(d, 0.0)
+    tree = average_linkage(DistanceMatrix(tuple(labels), d, np.ones_like(d, dtype=np.int64)))
+    oracle = [({a, b}, height) for a, b, height in naive_upgma(labels, d)]
+    assert [({m.left, m.right}, m.height) for m in merges(tree)] == oracle
 
 
 def test_single_city_cannot_cluster():
@@ -281,8 +297,7 @@ def test_newick_quotes_awkward_labels(awkward):
     # Any whitespace is quoted: a reader may take a bare label up to it or skip it.
     left = ClusterNode(height=0.0, city=awkward)
     right = ClusterNode(height=0.0, city="sao paulo")
-    tree = ClusterTree(root=ClusterNode(height=2.0, left=left, right=right))
-    text = to_newick(tree)
+    text = to_newick(ClusterNode(height=2.0, left=left, right=right))
     assert text == f"('{awkward}':2,'sao paulo':2);"
     back = parse_newick(text)
     assert set(back.leaves()) == {awkward, "sao paulo"}
