@@ -33,6 +33,10 @@ _BLOCK_BYTES = 1 << 19
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 # Word reads run up to 15 bytes past a name, so a buffer of names has this many after them.
 _SPARE = 16
+# The line between two runs of lines that csv splits: a row of one field, but inside a
+# quoted field a quote followed by a byte other than a comma or a quote, which strict csv
+# rejects.
+_JOIN, _JOIN_ROW = b'a"b\n', ['a"b']
 # _MASK[n] keeps the first n bytes of a little-endian word.
 _MASK = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 # The largest week and count a chart holds, the largest population, and the largest integer
@@ -433,16 +437,26 @@ def _blocks(fh) -> Iterator[np.ndarray]:
         buf[:held] = buf[cut:size]
 
 
+def _read(content: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
+    """The `size` bytes of `content` at each of `at` as size // 8 native uint64 words a row,
+    each read little-endian (a word's first byte is its lowest). The bytes are gathered
+    as one void item each, which numpy copies faster than unaligned words."""
+    items = np.ndarray((len(content) - size + 1,), f"V{size}", content, strides=(1,))
+    return items[at].view("<u8").reshape(len(at), size // 8).astype(np.uint64, copy=False)
+
+
 def _chunks(content: np.ndarray, at: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 16 bytes of `content` at each of `at` as two native uint64 words, read
-    little-endian (a word's first byte is its lowest) and masked to the first `left`
-    of them."""
-    words = np.ndarray((len(content) - 7,), "<u8", content, strides=(1,))
-    hi = words[at].astype(np.uint64, copy=False)
+    """The 16 bytes of `content` at each of `at` as two `_read` words, masked to the first
+    `left` of them."""
+    hi, lo = _read(content, at, 16).T
     hi &= _MASK[np.minimum(left, 8)]
-    lo = words[at + 8].astype(np.uint64, copy=False)
     lo &= _MASK[np.clip(left - 8, 0, 8)]
     return hi, lo
+
+
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """first[i], first[i] + 1, ..., first[i] + counts[i] - 1 for each i, end to end."""
+    return np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(int(counts.sum()))
 
 
 def _digits(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -462,125 +476,218 @@ def _digits(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, 
     return value, ok
 
 
-def _intern(content: np.ndarray, start: np.ndarray, length: np.ndarray):
-    """(codes, first): int32 codes of the names content[start[i]:start[i] + length[i]],
-    equal exactly when the names are, and the index of one name of each code.
+class _Names:
+    """The distinct names of one chart column, held across blocks: `code` gives each
+    name its position here, a name not yet here being added at the end.
 
     A name is read as 16-byte chunks of two words, the last chunk masked to
-    the name. Its key mixes its chunks with the bytes left from each;
-    sorting the keys numbers them. Each name is then compared chunk by chunk
-    with its code's name, and two different names with one key (about 2**-64
-    per pair) raise ValueError. At least 15 bytes must follow every name in
-    `content`.
+    the name, and kept as a copy of those chunks. Its key mixes its chunks
+    with the bytes left from each. An index maps the top bits of a key to
+    the code of one stored key with those bits, with 2 to 4 such ranges for
+    each stored key, so most names are found there with no sort. The other
+    names' distinct keys are sorted and looked up among the table's sorted
+    keys, and those not there are added in key order. Every name of a block
+    is then compared chunk by chunk with the stored name of its code, so two
+    different names with one key (about 2**-64 per pair) raise ValueError,
+    however long they are.
     """
-    chunks = (length + 15) // 16
-    total = int(chunks.sum())
-    first = None  # each name's first chunk, when some name has more than one
-    if total == len(length):  # one chunk each: chunk i is name i
-        at, left, chunks = start, length, None
-    else:
-        first = np.cumsum(chunks) - chunks
-        at = 16 * np.arange(total) - np.repeat(16 * first - start, chunks)
-        left = np.repeat(start + length, chunks) - at  # bytes of the name from each chunk on
-    hi, lo = _chunks(content, at, left)
-    del at  # temporaries go as soon as they are used: a block's names are its largest arrays
-    key = left.astype(np.uint64)
-    del left
-    key ^= hi
-    key *= _MIX
-    key ^= lo
-    key *= _MIX
-    key ^= key >> 32
-    if first is not None:
-        key = np.add.reduceat(key, first)
-    order = np.argsort(key)
-    key = key[order]
-    new = np.ones(len(key), dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    del key
-    codes = np.empty(len(new), dtype=np.int32)
-    codes[order] = np.cumsum(new, dtype=np.int32) - 1
-    named = order[new]
-    del order, new
-    head = named[codes]
-    same = head  # the chunk of the code's name that each chunk is compared with
-    if first is not None:
-        same = np.repeat(first[head] - first, chunks) + np.arange(total)
-    if (length[head] != length).any() or (hi[same] != hi).any() or (lo[same] != lo).any():
-        raise ValueError("two chart names share a key")
-    return codes, named
+
+    def __init__(self) -> None:
+        self.keys = np.empty(0, dtype=np.uint64)  # sorted
+        self.codes = np.empty(0, dtype=np.int32)  # of each key
+        self.key = np.empty(0, dtype=np.uint64)  # of each code
+        self.index = np.full(2, -1, dtype=np.int32)  # a code by key >> shift, or -1
+        self.shift = np.uint64(63)
+        self.length = np.empty(0, dtype=np.int64)  # of each name, by code
+        self.first = np.empty(0, dtype=np.int64)  # each name's first chunk in hi and lo
+        self.hi = self.lo = np.empty(0, dtype=np.uint64)
+
+    def code(self, content: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+        """int32 codes of the names content[start[i]:start[i] + length[i]], at least 15
+        bytes of `content` following each."""
+        if not length.all():
+            raise ValueError("empty name")  # left to the csv reader's message
+        chunks = (length + 15) // 16
+        total = int(chunks.sum())
+        first = None  # each name's first chunk, when some name has more than one
+        if total == len(length):  # one chunk each: chunk i is name i
+            at, left = start, length
+        else:
+            first = np.cumsum(chunks) - chunks
+            at = 16 * np.arange(total) - np.repeat(16 * first - start, chunks)
+            left = np.repeat(start + length, chunks) - at  # bytes of the name from each chunk on
+        hi, lo = _chunks(content, at, left)
+        del at  # temporaries go as soon as they are used: a block's names are its largest arrays
+        key = left.astype(np.uint64)
+        del left
+        key ^= hi
+        key *= _MIX
+        key ^= lo
+        key *= _MIX
+        key ^= key >> 32
+        if first is not None:
+            key = np.add.reduceat(key, first)
+        code = self.index[key >> self.shift]
+        miss = code < 0
+        miss |= self.key[code] != key if len(self.key) else True
+        rest = np.flatnonzero(miss)  # the names the index does not find
+        del miss
+        if len(rest):
+            key = key[rest]
+            order = np.argsort(key)
+            key = key[order]
+            new = np.ones(len(key), dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=new[1:])
+            distinct = key[new]
+            del key
+            local = np.empty(len(new), dtype=np.int32)  # each name's distinct key
+            local[order] = np.cumsum(new, dtype=np.int32) - 1
+            named = order[new]  # a name of each distinct key
+            del order, new
+            at = np.searchsorted(self.keys, distinct)
+            known = np.isin(distinct, self.keys, assume_unique=True)
+            codes = np.empty(len(distinct), dtype=np.int32)
+            codes[known] = self.codes[at[known]]
+            added = np.flatnonzero(~known)
+            if len(added):
+                name = rest[named[added]]
+                kept = name if first is None else _ranges(first[name], chunks[name])
+                codes[added] = self._add(at[added], distinct[added], length[name], hi[kept], lo[kept])
+            code[rest] = codes[local]
+            del local
+        if (self.length[code] != length).any():
+            raise ValueError("two chart names share a key")
+        same = self.first[code] if first is None else _ranges(self.first[code], chunks)
+        if (self.hi[same] != hi).any() or (self.lo[same] != lo).any():
+            raise ValueError("two chart names share a key")
+        return code
+
+    def _add(self, at, keys, length, hi, lo) -> np.ndarray:
+        """The codes, after the table's last, of new names of the given lengths and sorted
+        keys, whose chunks are hi and lo end to end; their keys go at `at` among the table's."""
+        size = (length + 15) // 16
+        codes = len(self.length) + np.arange(len(length), dtype=np.int32)
+        self.first = np.concatenate((self.first, len(self.hi) + np.cumsum(size) - size))
+        self.length = np.concatenate((self.length, length))
+        self.hi, self.lo = np.concatenate((self.hi, hi)), np.concatenate((self.lo, lo))
+        self.keys = np.insert(self.keys, at, keys)
+        self.codes = np.insert(self.codes, at, codes)
+        self.key = np.concatenate((self.key, keys))
+        if 2 * len(self.key) > len(self.index):  # over one key in two ranges: 2 to 4 ranges a key
+            bits = (2 * len(self.key)).bit_length()
+            self.index, self.shift = np.full(1 << bits, -1, dtype=np.int32), np.uint64(64 - bits)
+            self._fill(self.key, np.arange(len(self.key), dtype=np.int32))
+        else:
+            self._fill(keys, codes)
+        return codes
+
+    def _fill(self, keys, codes) -> None:
+        """Index each key's code in its range if no code is there yet."""
+        at = keys >> self.shift
+        free = self.index[at] < 0
+        self.index[at[free]] = codes[free]
+
+    def names(self) -> list[bytes]:
+        """The bytes of each name, in code order."""
+        raw = np.stack((self.hi, self.lo), axis=1).astype("<u8").tobytes()
+        return [raw[16 * f : 16 * f + n] for f, n in zip(self.first.tolist(), self.length.tolist())]
+
+    def ranked(self) -> tuple[list[str], np.ndarray]:
+        """The sorted names, and the rank among them of each code. Only the table's
+        names are decoded (raising ValueError for bad UTF-8); UTF-8 byte order is `str`
+        order, so their ranks are the ranks of the decoded names."""
+        names = [name.decode() for name in self.names()]
+        order = sorted(range(len(names)), key=names.__getitem__)
+        rank = np.empty(len(names), dtype=np.int32)
+        rank[order] = np.arange(len(names), dtype=np.int32)
+        return [names[i] for i in order], rank
 
 
 def _run_starts(content: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
     """Whether each field content[start[i]:start[i] + length[i]] differs from the one
-    before it; a field of over 16 bytes is not compared and counts as different."""
-    hi, lo = _chunks(content, start, length)
+    before it; a field of over 16 bytes is not compared and counts as different. When
+    no field has over 8 bytes, one word each is compared."""
+    if length.max(initial=0) > 8:
+        words = _chunks(content, start, length)
+    else:
+        words = (_read(content, start, 8)[:, 0] & _MASK[length],)
     new = np.ones(len(start), dtype=bool)
-    new[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1]) | (length[1:] != length[:-1])
+    new[1:] = length[1:] != length[:-1]
+    for word in words:
+        new[1:] |= word[1:] != word[:-1]
     return new | (length > 16)
 
 
-def _table(content: np.ndarray, start: np.ndarray, length: np.ndarray):
-    """(codes, distinct) of some names, as `_intern` codes them: distinct holds the bytes
-    of each coded name, in code order."""
-    if not length.all():
-        raise ValueError("empty name")  # left to the csv reader's message
-    codes, first = _intern(content, start, length)
-    raw, spans = content.tobytes(), zip(start[first].tolist(), (start + length)[first].tolist())
-    return codes, [raw[a:z] for a, z in spans]
-
-
-def _fold(names: dict[bytes, int], distinct: list[bytes]) -> np.ndarray:
-    """The position in `names`, a running table, of each of some distinct names; a name
-    not yet there is added at the end."""
-    return np.array([names.setdefault(name, len(names)) for name in distinct], dtype=np.int32)
-
-
 def _csv_part(runs: list[bytes]) -> list[tuple]:
-    """The part, as `_parse_block` makes them, of some runs of whole lines split by csv:
-    a run of lines a line, as the store joins runs of one chart."""
-    # strict: a quoted field still open at a run's end raises, not closes there.
-    lines = (io.StringIO(run.decode(), newline="") for run in runs)
-    rows = [r for run in lines for r in csv.reader(run, strict=True) if r]
+    """The part, as `_parse_block` codes them, of some runs of whole lines split by csv:
+    a run of lines a line, as the store joins runs of one chart, with each name as
+    (content, start, length).
+
+    One csv reader reads the runs end to end, with the line `_JOIN` between each
+    two. It is a row of its own, but a quoted field still open where a run ends
+    makes it raise (strict), as the end of the last run does, rather than close in
+    the next run.
+    """
+    if not runs:
+        return []
+    reader = csv.reader(io.StringIO(_JOIN.join(runs).decode(), newline=""), strict=True)
+    rows = [r for r in reader if r]  # blank lines give empty rows
+    if rows.count(_JOIN_ROW) != len(runs) - 1:
+        raise ValueError("a chart line reads as the line between runs")
+    rows = [r for r in rows if r != _JOIN_ROW]
     if not rows:
         return []
     if {len(r) for r in rows} != {4}:
         raise ValueError("not 4 fields")
-    tables = []
-    for k in (1, 2):
-        names = [r[k].encode() for r in rows]
-        length = np.array([len(n) for n in names], dtype=np.int64)
-        content = np.frombuffer(b"".join(names) + bytes(_SPARE), dtype=np.uint8)
-        tables.append(_table(content, np.cumsum(length) - length, length))
-    (city, cities), (artist, artists) = tables
-    week, count = (np.array([int(r[k]) for r in rows], dtype=np.int64) for k in (0, 3))
-    return [((week, city, np.ones(len(rows), dtype=np.int64)), (artist, count), (cities, artists))]
+    week, city, artist, count = zip(*rows)
+    names = []
+    for column in (city, artist):
+        encoded = list(map(str.encode, column))
+        length = np.fromiter(map(len, encoded), np.int64, len(encoded))
+        content = np.frombuffer(b"".join(encoded) + bytes(_SPARE), dtype=np.uint8)
+        names.append((content, np.cumsum(length) - length, length))
+    week, count = (np.fromiter(map(int, column), np.int64, len(rows)) for column in (week, count))
+    return [((week, names[0], np.ones(len(rows), dtype=np.int64)), (names[1], count))]
 
 
 def _lines(text: np.ndarray, limit: int):
     """(start, line_end, odd, commas) of the lines of `text`, which ends in b"\\n", as
     positions in `text`: where each starts and ends, which must go to csv (as
     `_split_lines` says, but for their numbers), and the positions of the others' 3
-    commas, as 3 rows. Positions are int32 in a block shorter than 2 GiB."""
+    commas, as 3 rows. Positions are int32 in a block shorter than 2 GiB.
+
+    Line ends and commas are found by one scan each. When every line has 3 commas
+    the rows are strided views of the commas; otherwise each line's commas are
+    counted by where its end falls among them. Quotes and bytes below 0x20 but the
+    line ends are looked up only when the text has one.
+    """
     at = np.int32 if len(text) < 1 << 31 else np.int64
-    mask = text < 32  # one mask at a time: masks are as long as the text
-    mask &= text != 10
-    mask |= text == 34
-    stray = np.flatnonzero(mask)
-    stray = stray[(text[stray] != 13) | (text[stray + 1] != 10)]  # \r right before \n ends a line
-    np.equal(text, 10, out=mask)
-    mask |= text == 44
-    sep = np.flatnonzero(mask)
-    del mask
-    sep = sep.astype(at)
-    nl = np.flatnonzero(text[sep] == 10).astype(at)
-    line_end = sep[nl]
+    mask = text == 10  # one mask, rewritten for each byte looked for: masks are as long as the text
+    line_end = np.flatnonzero(mask).astype(at)
+    commas = np.flatnonzero(np.equal(text, 44, out=mask)).astype(at)
     start = np.concatenate((np.zeros(1, dtype=at), line_end[:-1] + 1))
-    odd = (np.diff(nl, prepend=at(-1)) != 4) | (line_end - start > min(limit, len(text)))
-    odd[np.searchsorted(line_end, stray)] = True
-    last = nl[~odd]
-    del nl, stray
-    return start, line_end, odd, np.stack([sep[last - 3], sep[last - 2], sep[last - 1]])
+    odd = line_end - start > min(limit, len(text))
+    # Every line has 3 commas when there are 3 a line and each line's third comma
+    # lies before its end, the next line's first after it.
+    three = (len(commas) == 3 * len(line_end) and (commas[2::3] < line_end).all()
+             and (commas[3::3] > line_end[:-1]).all())
+    if not three:
+        upto = np.searchsorted(commas, line_end)  # the commas before each line's end
+        odd |= np.diff(upto, prepend=0) != 3
+    # Quotes and bytes below 0x20 but line ends: counted first, as most blocks have none.
+    if (np.count_nonzero(np.less(text, 32, out=mask)) > len(line_end)
+            or np.count_nonzero(np.equal(text, 34, out=mask))):
+        np.less(text, 32, out=mask)
+        mask[line_end] = False
+        mask |= text == 34
+        stray = np.flatnonzero(mask)
+        stray = stray[(text[stray] != 13) | (text[stray + 1] != 10)]  # \r right before \n ends a line
+        odd[np.searchsorted(line_end, stray)] = True
+    del mask
+    if not three:
+        return start, line_end, odd, commas[upto[~odd] + np.array([[-3], [-2], [-1]])]
+    commas = commas.reshape(-1, 3)
+    return start, line_end, odd, (commas[~odd] if odd.any() else commas).T
 
 
 def _split_lines(b: np.ndarray, limit: int):
@@ -610,37 +717,27 @@ def _split_lines(b: np.ndarray, limit: int):
         new = np.diff(run, prepend=-1) != 0
         week = week[run[new]]
     lines = np.flatnonzero(odd)
-    runs = np.split(lines, np.flatnonzero(np.diff(lines) != 1) + 1)
-    runs = [b[start[r[0]] : line_end[r[-1]] + 1].tobytes() for r in runs if len(r)]
-    return week, new, count, (c0, c1, c2), runs
+    opens = np.diff(lines, prepend=-2) != 1  # a run of odd lines opens, or closes, at a gap
+    closes = np.diff(lines, append=len(odd) + 1) != 1
+    text = memoryview(b)
+    spans = zip(start[lines[opens]].tolist(), (line_end[lines[closes]] + 1).tolist())
+    return week, new, count, (c0, c1, c2), [text[a:z].tobytes() for a, z in spans]
 
 
-def _parse_block(b: np.ndarray, limit: int) -> list[tuple]:
+def _parse_block(b: np.ndarray, limit: int, cities: _Names, artists: _Names) -> list[tuple]:
     """Parts ((week, city code, size) of each run of lines, (artist codes, counts) of
-    each line, (distinct cities, distinct artists)) of a `_blocks` block, as `_table`
-    gives codes and distinct names: one of the lines split by `_split_lines`, one of
-    those split by csv. A run's lines repeat one week and city."""
+    each line) of a `_blocks` block, names coded by the tables `cities` and `artists`:
+    one of the lines split by `_split_lines`, one of those split by csv. A run's lines
+    repeat one week and city."""
     week, new, count, (c0, c1, c2), runs = _split_lines(b, limit)
     parts = []
     if len(count):
         head = np.flatnonzero(new)
         sizes = np.diff(head, append=len(new))
-        city, cities = _table(b, c0[head] + 1, c1[head] - c0[head] - 1)
-        del c0, head, new
-        artist, artists = _table(b, c1 + 1, c2 - c1 - 1)
-        parts.append(((week, city, sizes), (artist, count), (cities, artists)))
-    return parts + _csv_part(runs)
-
-
-def _rank(table: dict[bytes, int]) -> tuple[list[str], np.ndarray]:
-    """The sorted names of a `_fold` table, and the rank there of each of its names.
-    Only the table's names are decoded (raising ValueError for bad UTF-8); UTF-8 byte
-    order is `str` order, so their ranks are the ranks of the decoded names."""
-    names = [name.decode() for name in table]
-    order = sorted(range(len(names)), key=names.__getitem__)
-    rank = np.empty(len(names), dtype=np.int32)
-    rank[order] = np.arange(len(names), dtype=np.int32)
-    return [names[i] for i in order], rank
+        city = (b, c0[head] + 1, c1[head] - c0[head] - 1)
+        parts.append(((week, city, sizes), ((b, c1 + 1, c2 - c1 - 1), count)))
+    return [((week, cities.code(*city), sizes), (artists.code(*artist), count))
+            for (week, city, sizes), (artist, count) in parts + _csv_part(runs)]
 
 
 def _read_chart_columns(path: str | Path):
@@ -650,36 +747,42 @@ def _read_chart_columns(path: str | Path):
     A first pass counts the lines, which bound the entries, so the artist and
     count columns are allocated once and every block's entries are written
     straight into them. Its charts are kept as runs of lines that repeat one
-    week and city, which the store joins, and its names are folded into one
-    table per column, whose codes are ranked once all blocks are read.
+    week and city, which the store joins, and its names are coded by one
+    running `_Names` table per column, whose codes are ranked once all blocks
+    are read.
     """
     limit = csv.field_size_limit()
     try:
         with open(path, "rb") as fh:
             if fh.readline().rstrip(b"\r\n") != ",".join(CHART_HEADER).encode():
                 return None
-            body, lines, buf = fh.tell(), 1, bytearray(_BLOCK_BYTES)
-            while size := fh.readinto(buf):
-                lines += np.count_nonzero(np.frombuffer(buf, dtype=np.uint8, count=size) == 10)
-            del buf
+            # Freeing the first pass's 2 MiB reads lifts glibc's trim threshold to twice
+            # that, so the blocks keep their temporaries' pages instead of faulting them in
+            # again block after block.
+            body, lines = fh.tell(), 1
+            while part := fh.read(4 * _BLOCK_BYTES):
+                lines += np.count_nonzero(np.frombuffer(part, dtype=np.uint8) == 10)
+            del part
             fh.seek(body)
             artist, count = np.empty(lines, dtype=np.int32), np.empty(lines, dtype=np.int64)
-            city_names, artist_names, runs, ends, n = {}, {}, [], [], 0
+            city_names, artist_names, runs, ends, n = _Names(), _Names(), [], [], 0
             for block in _blocks(fh):
-                for (week, city, sizes), (codes, counts), names in _parse_block(block, limit):
+                for (week, city, sizes), (codes, counts) in _parse_block(
+                    block, limit, city_names, artist_names
+                ):
                     end = n + len(codes)
                     if end > lines:
                         return None  # the file grew between the passes
-                    artist[n:end] = _fold(artist_names, names[1])[codes]
+                    artist[n:end] = codes
                     count[n:end] = counts
-                    runs.append((week, _fold(city_names, names[0])[city], sizes))
+                    runs.append((week, city, sizes))
                     ends.append(end)
                     n = end
                 codes = counts = None  # a block's lines go before the next block is parsed
         if not n:
             return None
-        cities, city_rank = _rank(city_names)
-        artists, artist_rank = _rank(artist_names)
+        cities, city_rank = city_names.ranked()
+        artists, artist_rank = artist_names.ranked()
     except (ValueError, OverflowError, csv.Error):  # also bad UTF-8 and no data rows
         return None
     for a, z in zip([0, *ends], ends):

@@ -18,7 +18,9 @@ Python row at a time (`chart_store`), as the library's list constructor did.
 The stages that now write their output once are checked bit for bit against
 the code they replaced: windows built as one part per window and then
 stacked, and the scan with the NaN-free copy of its samples and an int64
-copy of their mask.
+copy of their mask. The chart byte reader's line scan is checked against the
+one combined scan of line ends and commas it replaced, and its running name
+table against a table of each block's distinct names folded into a dict.
 """
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ from leadlag.charts import (
     WindowStack,
     unit_rows,
 )
+from leadlag import charts
 from leadlag.cluster import DistanceMatrix
 
 from leadlag.lagcorr import (
@@ -754,3 +757,65 @@ def masked_copy_scan(
         counts[follower, k, leader], np.broadcast_to(weeks, sampled.shape)[sampled],
         chosen[sampled],
     )
+
+
+def combined_scan_lines(text: np.ndarray, limit: int):
+    """`charts._lines` as one scan for line ends and commas together, with the stray
+    bytes always looked up."""
+    at = np.int32 if len(text) < 1 << 31 else np.int64
+    mask = text < 32
+    mask &= text != 10
+    mask |= text == 34
+    stray = np.flatnonzero(mask)
+    stray = stray[(text[stray] != 13) | (text[stray + 1] != 10)]
+    np.equal(text, 10, out=mask)
+    mask |= text == 44
+    sep = np.flatnonzero(mask).astype(at)
+    nl = np.flatnonzero(text[sep] == 10).astype(at)
+    line_end = sep[nl]
+    start = np.concatenate((np.zeros(1, dtype=at), line_end[:-1] + 1))
+    odd = (np.diff(nl, prepend=at(-1)) != 4) | (line_end - start > min(limit, len(text)))
+    odd[np.searchsorted(line_end, stray)] = True
+    last = nl[~odd]
+    return start, line_end, odd, np.stack([sep[last - 3], sep[last - 2], sep[last - 1]])
+
+
+def block_table(content: np.ndarray, start: np.ndarray, length: np.ndarray):
+    """(codes, distinct) of one block's names: int32 codes numbering the distinct keys
+    in key order, and the bytes of each coded name, in code order. Each name is
+    compared chunk by chunk with its code's first name; two different names with one
+    key raise ValueError. Keys are `charts._Names`' keys."""
+    if not length.all():
+        raise ValueError("empty name")
+    chunks = (length + 15) // 16
+    total = int(chunks.sum())
+    first = np.cumsum(chunks) - chunks
+    at = 16 * np.arange(total) - np.repeat(16 * first - start, chunks)
+    left = np.repeat(start + length, chunks) - at
+    hi, lo = charts._chunks(content, at, left)
+    key = left.astype(np.uint64)
+    key ^= hi
+    key *= charts._MIX
+    key ^= lo
+    key *= charts._MIX
+    key ^= key >> 32
+    key = np.add.reduceat(key, first)
+    order = np.argsort(key)
+    key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    codes = np.empty(len(new), dtype=np.int32)
+    codes[order] = np.cumsum(new, dtype=np.int32) - 1
+    named = order[new]
+    head = named[codes]
+    same = np.repeat(first[head] - first, chunks) + np.arange(total)
+    if (length[head] != length).any() or (hi[same] != hi).any() or (lo[same] != lo).any():
+        raise ValueError("two chart names share a key")
+    raw = content.tobytes()
+    return codes, [raw[a:z] for a, z in zip(start[named].tolist(), (start + length)[named].tolist())]
+
+
+def fold(names: dict[bytes, int], distinct: list[bytes]) -> np.ndarray:
+    """The position in `names`, a running table, of each of some distinct names; a name
+    not yet there is added at the end."""
+    return np.array([names.setdefault(name, len(names)) for name in distinct], dtype=np.int32)

@@ -23,13 +23,17 @@ from leadlag.charts import (
     read_missing_weeks,
     write_chart_csv,
 )
+from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
 
 from oracles import (
     WindowUnavailable,
     active_cities,
+    block_table,
     build_window,
     chart_store,
+    combined_scan_lines,
     filter_genre,
+    fold,
     is_active,
     normalize_rows,
     window,
@@ -881,3 +885,121 @@ def test_columnar_reader_matches_csv_reader(tmp_path_factory, chart, block):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(charts_module, "_BLOCK_BYTES", block)
         assert_columnar_matches_csv(path, missing)
+
+
+# Bytes a line is drawn from: quotes, \r and other bytes below 0x20 make a line odd;
+# the rest are plain (a digit, a letter, a space, a byte of a UTF-8 character).
+LINE_BYTES = b'0a b"\r\x00\t\x1c\xe6'
+
+
+@st.composite
+def scan_blocks(draw):
+    """A block of lines, as `_lines` takes it, and a field size limit. Lines have a few
+    commas each (about 2), or, with `three`, all exactly 3, so that the comma scan is
+    read as strided views."""
+    three = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        line = bytes(draw(st.lists(st.sampled_from(LINE_BYTES + (b"" if three else b",")), max_size=24)))
+        if three:  # cut into 4 fields
+            cuts = sorted(draw(st.lists(st.integers(0, len(line)), min_size=3, max_size=3)))
+            line = b",".join(line[a:z] for a, z in zip([0, *cuts], [*cuts, len(line)]))
+        lines.append(line + draw(st.sampled_from([b"\n", b"\r\n"])))
+    limit = draw(st.sampled_from([4, 12, 1 << 17]))
+    return np.frombuffer(b"".join(lines), dtype=np.uint8), limit
+
+
+@given(block=scan_blocks())
+@settings(max_examples=300, deadline=None)
+def test_line_scan_matches_combined_scan(block):
+    """Two scans, for line ends and for commas, find what one scan of both found."""
+    text, limit = block
+    got, want = charts_module._lines(text, limit), combined_scan_lines(text, limit)
+    for a, b in zip(got[:3], want[:3]):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    assert [c.tolist() for c in got[3]] == want[3].tolist()
+    assert {c.dtype for c in got[3]} == {want[3].dtype}
+
+
+# Names of 1 to 40 bytes: some equal in their first 8 or 16 bytes, read as 16-byte
+# chunks of two words.
+TABLE_NAMES = st.tuples(st.sampled_from([b"", b"a" * 8, b"abcdefghijklmnop"]),
+                        st.binary(max_size=24)).map(b"".join).filter(lambda n: 1 <= len(n) <= 40)
+
+
+@given(
+    pool=st.lists(TABLE_NAMES, min_size=1, max_size=12, unique=True),
+    picks=st.lists(st.lists(st.integers(0, 23), max_size=40), min_size=1, max_size=5),
+    collide=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_running_name_table_matches_per_block_tables(pool, picks, collide):
+    """Blocks of names repeating across blocks get the codes a per-block table folded
+    into a dict gives. With `_MIX` zeroed every key is equal, so the table raises as
+    soon as it holds two different names, also two that differ in their last byte only."""
+    pool += [n[:-1] + bytes([n[-1] ^ 1]) for n in pool]  # each name's twin
+    pool = list(dict.fromkeys(pool))
+    table, names, seen = charts_module._Names(), {}, set()
+    with pytest.MonkeyPatch.context() as patch:
+        if collide:
+            patch.setattr(charts_module, "_MIX", np.uint64(0))
+        for pick in picks:
+            block = [pool[i % len(pool)] for i in pick]
+            length = np.array([len(n) for n in block], dtype=np.int64)
+            start = np.cumsum(length + 1) - length  # each name follows a comma
+            content = np.frombuffer(b"".join(b"," + n for n in block) + bytes(16), dtype=np.uint8)
+            seen |= set(block)
+            if collide and len(seen) > 1:
+                with pytest.raises(ValueError, match="share a key"):
+                    table.code(content, start, length)
+                return
+            codes, distinct = block_table(content, start, length)
+            assert table.code(content, start, length).tolist() == fold(names, distinct)[codes].tolist()
+            assert table.names() == list(names)
+            # every stored key's range in the index holds a code whose key lies in that range
+            ranges = table.key >> table.shift
+            assert (table.key[table.index[ranges]] >> table.shift == ranges).all()
+
+
+@pytest.mark.parametrize(
+    ("text", "by_csv"),
+    [
+        ('0,c,"x\n1,c,a,1\ny",1\n', True),  # a quote left open over a plain line
+        ('0,c,"x\n1,c,a,1\ny",1\nab\n', True),  # the same, then a line of one field
+        ('0,c,a,1\na"b\n', True),  # a line that reads as the line csv puts between runs
+        # line breaks in quotes, one a lone \r, each within a run of lines split by csv
+        ('0,c,"a\rb",1\n1,c,a,1\n0,c,"d\r\ne",2\n', False),
+    ],
+    ids=["open", "open-then-field", "join-line", "closed"],
+)
+def test_csv_rows_stay_within_their_runs_of_lines(tmp_path, csv_reads, text, by_csv):
+    """The csv reader reads a block's runs of odd lines end to end, but a row that
+    would span two runs sends the file to the csv reader."""
+    path = tmp_path / "charts.csv"
+    path.write_text(f"{HEADER}\n{text}", encoding="utf-8", newline="")
+    assert_columnar_matches_csv(path)
+    assert len(csv_reads) == 1 + by_csv  # the reference store is the csv reader's
+
+
+def renamed(text: bytes) -> bytes:
+    """Chart CSV text with every city and artist name lengthened to over 16 bytes."""
+    return re.sub(rb"(?m)^(\d+),([^,\n]+),([^,\n]+),", rb"\1,\2_city_of_the_chain,\3_by_any_name,", text)
+
+
+@pytest.mark.parametrize("long_names", [False, True], ids=["generated", "long-names"])
+def test_store_read_matches_csv_reader_over_many_blocks(tmp_path, long_names):
+    """A generated file of several 512 KiB blocks reads as the csv reader reads it, also
+    when every name takes two 16-byte chunks."""
+    store = generate_charts(chain_hierarchy(8), SynthConfig(n_artists=800, n_weeks=40, seed=0))
+    path = tmp_path / "charts.csv"
+    write_chart_csv(path, store)
+    if long_names:
+        path.write_bytes(renamed(path.read_bytes()))
+    assert path.stat().st_size >= 3 * charts_module._BLOCK_BYTES
+    got, want = ChartStore.read(path), read_chart_csv(path)
+    assert got.cities == want.cities and got.universe == want.universe
+    assert (len(want.cities[0]) > 16) is long_names
+    for a, b in ((got.week, want.week), (got.city, want.city), (got.entries.data, want.entries.data),
+                 (got.entries.indices, want.entries.indices),
+                 (got.entries.indptr, want.entries.indptr)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
