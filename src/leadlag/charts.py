@@ -621,7 +621,7 @@ def _run_starts(content: np.ndarray, start: np.ndarray, length: np.ndarray) -> n
 def _csv_part(runs: list[bytes]) -> list[tuple]:
     """The part, as `_parse_block` codes them, of some runs of whole lines split by csv:
     a run of lines a line, as the store joins runs of one chart, with each name as
-    (content, start, length).
+    (content, start, length), and the run in `runs` each line came from.
 
     One csv reader reads the runs end to end, with the line `_JOIN` between each
     two. It is a row of its own, but a quoted field still open where a run ends
@@ -632,8 +632,10 @@ def _csv_part(runs: list[bytes]) -> list[tuple]:
         return []
     reader = csv.reader(io.StringIO(_JOIN.join(runs).decode(), newline=""), strict=True)
     rows = [r for r in reader if r]  # blank lines give empty rows
-    if rows.count(_JOIN_ROW) != len(runs) - 1:
+    joins = np.array([r == _JOIN_ROW for r in rows], dtype=bool)
+    if joins.sum() != len(runs) - 1:
         raise ValueError("a chart line reads as the line between runs")
+    run = np.cumsum(joins)[~joins]
     rows = [r for r in rows if r != _JOIN_ROW]
     if not rows:
         return []
@@ -647,7 +649,7 @@ def _csv_part(runs: list[bytes]) -> list[tuple]:
         content = np.frombuffer(b"".join(encoded) + bytes(_SPARE), dtype=np.uint8)
         names.append((content, np.cumsum(length) - length, length))
     week, count = (np.fromiter(map(int, column), np.int64, len(rows)) for column in (week, count))
-    return [((week, names[0], np.ones(len(rows), dtype=np.int64)), (names[1], count))]
+    return [((week, names[0], np.ones(len(rows), dtype=np.int64)), (names[1], count), run)]
 
 
 def _lines(text: np.ndarray, limit: int):
@@ -691,10 +693,11 @@ def _lines(text: np.ndarray, limit: int):
 
 
 def _split_lines(b: np.ndarray, limit: int):
-    """(week, new, count, commas, runs) of a `_blocks` block: for the lines split here,
-    the week of each run of lines that repeat one week and city, whether each line opens
-    such a run, its count and its 3 comma positions; and the runs of the other lines,
-    for csv.
+    """(week, new, count, commas, runs, at) of a `_blocks` block: for the lines split
+    here, the week of each run of consecutive lines that repeat one week and city,
+    whether each line opens such a run, its count and its 3 comma positions; the runs of
+    the other lines, for csv; and the block line number of the first line of each run
+    of both kinds (None for the first kind when no line is left to csv).
 
     A line is split here when it has 3 commas, week and count fields of 1 to 18
     ASCII digits, no quote and no byte below 0x20 but its line end, and is no
@@ -717,27 +720,41 @@ def _split_lines(b: np.ndarray, limit: int):
         new = np.diff(run, prepend=-1) != 0
         week = week[run[new]]
     lines = np.flatnonzero(odd)
+    at = None  # with no line left to csv, no run needs its place
+    if len(lines):  # a line left to csv ends the run before it
+        line = np.flatnonzero(~odd)
+        cut = new | (np.diff(line, prepend=-1) > 1)
+        week, new, at = week[np.cumsum(new) - 1][cut], cut, line[cut]
     opens = np.diff(lines, prepend=-2) != 1  # a run of odd lines opens, or closes, at a gap
     closes = np.diff(lines, append=len(odd) + 1) != 1
     text = memoryview(b)
     spans = zip(start[lines[opens]].tolist(), (line_end[lines[closes]] + 1).tolist())
-    return week, new, count, (c0, c1, c2), [text[a:z].tobytes() for a, z in spans]
+    runs = [text[a:z].tobytes() for a, z in spans]
+    return week, new, count, (c0, c1, c2), runs, (at, lines[opens])
 
 
 def _parse_block(b: np.ndarray, limit: int, cities: _Names, artists: _Names) -> list[tuple]:
     """Parts ((week, city code, size) of each run of lines, (artist codes, counts) of
     each line) of a `_blocks` block, names coded by the tables `cities` and `artists`:
-    one of the lines split by `_split_lines`, one of those split by csv. A run's lines
-    repeat one week and city."""
-    week, new, count, (c0, c1, c2), runs = _split_lines(b, limit)
+    one of the lines split by `_split_lines` or one of those split by csv, or, when the
+    block has both, one of both with its runs in line order. A run's lines repeat one
+    week and city."""
+    week, new, count, (c0, c1, c2), runs, (at, run_at) = _split_lines(b, limit)
     parts = []
     if len(count):
         head = np.flatnonzero(new)
         sizes = np.diff(head, append=len(new))
         city = (b, c0[head] + 1, c1[head] - c0[head] - 1)
-        parts.append(((week, city, sizes), ((b, c1 + 1, c2 - c1 - 1), count)))
-    return [((week, cities.code(*city), sizes), (artists.code(*artist), count))
-            for (week, city, sizes), (artist, count) in parts + _csv_part(runs)]
+        parts.append(((week, city, sizes), ((b, c1 + 1, c2 - c1 - 1), count), at))
+    parts = [((week, cities.code(*city), sizes), (artists.code(*artist), count), place)
+             for (week, city, sizes), (artist, count), place in parts + _csv_part(runs)]
+    if len(parts) < 2:
+        return [part[:2] for part in parts]
+    (charts, entries, at), (csv_charts, csv_entries, run) = parts
+    into = np.searchsorted(at, run_at[run])  # the runs split here that come before each csv line
+    lines = np.concatenate(([0], np.cumsum(charts[2])))[into]
+    return [(tuple(np.insert(column, into, rows) for column, rows in zip(charts, csv_charts)),
+             tuple(np.insert(column, lines, rows) for column, rows in zip(entries, csv_entries)))]
 
 
 def _read_chart_columns(path: str | Path):

@@ -40,7 +40,6 @@ from .network import (
     pagerank,
 )
 from .pipeline import RunConfig, build_windows, load_store, run_pipeline
-from .synth import generate_charts, load_hierarchy, load_synth_config, shuffle_null
 
 OUTPUT_DIR_ENV = "LEADLAG_OUTPUT_DIR"
 _EDGES_HELP = (
@@ -211,6 +210,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import generate_charts, load_hierarchy, load_synth_config  # `run` never needs it
+
     hierarchy = load_hierarchy(args.hierarchy)
     config = load_synth_config(args.config)
     if args.seed is not None:
@@ -229,6 +230,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_shuffle(args: argparse.Namespace) -> int:
+    from .synth import shuffle_null
+
     shuffled = shuffle_null(ChartStore.read(args.charts), seed=args.seed)
     out = _out_dir(args)
     path = out / "charts_shuffled.csv"

@@ -7,7 +7,6 @@ same double, so reruns with equal inputs produce byte-identical files.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import re
@@ -17,7 +16,6 @@ from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Mapping
-from xml.etree import ElementTree as ET
 
 from .charts import INT64_MAX, csv_rows, json_list, json_records, json_value, parse_number, read_json
 from .lagcorr import MAX_LAG, MIN_LAG
@@ -205,6 +203,8 @@ def write_graphml(
 ) -> None:
     """Same content as the DOT export in GraphML; source=leader. Raises ValueError, before
     the file is opened, for a city name that XML cannot carry."""
+    from xml.etree import ElementTree as ET  # loaded by the commands that write GraphML only
+
     check_graphml_names(graph.nodes)
     attrs = _node_attributes(graph, centrality, populations)
     root = ET.Element("graphml", xmlns=_GRAPHML_NS)
@@ -325,6 +325,8 @@ def read_size_leadership_json(path: str | Path) -> SizeLeadershipReport:
 
 
 def sha256_digest(path: str | Path) -> str:
+    import hashlib  # loads OpenSSL's libcrypto, which only the manifest needs
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):

@@ -106,10 +106,13 @@ def compute_all_velocities(windows: WindowStack) -> dict[str, VelocitySeries]:
     row of each city active in both windows there minus its row at t.
 
     Weeks where either window is absent, or where the city is inactive in
-    either window, simply have no velocity; nothing is zero-filled. A
-    city's velocities are one dense difference of its late and early rows
-    over the columns either uses. Every city of the stack has a series, an
-    empty one where it has no velocity, even when the stack has no window.
+    either window, simply have no velocity; nothing is zero-filled. A city's
+    late entries and its negated early entries, keyed by velocity row and
+    column, are two sorted runs that one stable sort merges; summing each
+    key's one or two entries gives late + (-early), which is exactly the IEEE
+    difference late - early, and exact zeros are left out. Every city of the
+    stack has a series, an empty one where it has no velocity, even when the
+    stack has no window.
     """
     n = len(windows.cities)
     starts = np.asarray(windows.starts, dtype=np.int64)
@@ -119,11 +122,19 @@ def compute_all_velocities(windows: WindowStack) -> dict[str, VelocitySeries]:
     rows, series = windows.matrix, {}
     for c, city in enumerate(windows.cities):
         both = np.flatnonzero(active[early, c] & active[late, c])
-        columns, block = rows.take(np.concatenate((late[both], early[both])) * n + c).block()
-        velocity = block[: len(both)] - block[len(both) :]
-        row, at = np.nonzero(velocity)  # exact zeros are left out
-        sizes = np.bincount(row, minlength=len(both))
-        matrix = SparseRows.from_sizes(velocity[row, at], columns[at], sizes, rows.n_cols)
+        parts = [rows.take(window[both] * n + c) for window in (late, early)]
+        first_key = np.arange(len(both)) * rows.n_cols
+        keys = np.concatenate([np.repeat(first_key, np.diff(p.indptr)) + p.indices for p in parts])
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        values = np.concatenate((parts[0].data, -parts[1].data))[order]
+        velocity = np.add.reduceat(values, first)
+        kept = velocity != 0  # exact zeros are left out
+        row, column = np.divmod(keys[first[kept]], rows.n_cols)
+        matrix = SparseRows.from_sizes(
+            velocity[kept], column, np.bincount(row, minlength=len(both)), rows.n_cols
+        )
         series[city] = VelocitySeries(city, tuple(starts[early[both]].tolist()), matrix)
     return series
 

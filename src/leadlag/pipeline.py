@@ -149,6 +149,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     dist = summed_distances(windows) if windows and len(windows.cities) >= 2 else None
     del windows
     dyads = scan_dyads(velocities, min_samples=config.min_samples, lags=config.lag_range)
+    del velocities  # the dyads hold all the run needs of them
     artifacts["dyads"] = out / "dyads.json"
     save_dyads(artifacts["dyads"], dyads)
 

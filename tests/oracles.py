@@ -17,10 +17,11 @@ peel reading one numpy scalar at a time. A chart list becomes a store one
 Python row at a time (`chart_store`), as the library's list constructor did.
 The stages that now write their output once are checked bit for bit against
 the code they replaced: windows built as one part per window and then
-stacked, and the scan with the NaN-free copy of its samples and an int64
-copy of their mask. The chart byte reader's line scan is checked against the
-one combined scan of line ends and commas it replaced, and its running name
-table against a table of each block's distinct names folded into a dict.
+stacked, the scan with the NaN-free copy of its samples and an int64 copy
+of their mask, and velocities as one dense difference block per city. The
+chart byte reader's line scan is checked against the one combined scan of
+line ends and commas it replaced, and its running name table against a
+table of each block's distinct names folded into a dict.
 """
 from __future__ import annotations
 
@@ -700,6 +701,26 @@ def stacked_windows(store: ChartStore, genre_artists: Iterable[str] | None = Non
         parts.append(unit_rows(SparseRows.from_sizes(total[found], indices, sizes, n_artists)))
     matrix = SparseRows.stack(parts, n_artists)
     return WindowStack(starts.tolist(), store.cities, store.universe, matrix)
+
+
+def dense_block_velocities(windows: WindowStack) -> dict[str, VelocitySeries]:
+    """`compute_all_velocities` taking each city's velocities as one dense difference of
+    its late and early rows over the columns either uses."""
+    n = len(windows.cities)
+    starts = np.asarray(windows.starts, dtype=np.int64)
+    early = np.flatnonzero(np.isin(starts + VELOCITY_STEP_WEEKS, starts))
+    late = np.searchsorted(starts, starts[early] + VELOCITY_STEP_WEEKS)
+    active = windows.active()
+    rows, series = windows.matrix, {}
+    for c, city in enumerate(windows.cities):
+        both = np.flatnonzero(active[early, c] & active[late, c])
+        columns, block = rows.take(np.concatenate((late[both], early[both])) * n + c).block()
+        velocity = block[: len(both)] - block[len(both) :]
+        row, at = np.nonzero(velocity)  # exact zeros are left out
+        sizes = np.bincount(row, minlength=len(both))
+        matrix = SparseRows.from_sizes(velocity[row, at], columns[at], sizes, rows.n_cols)
+        series[city] = VelocitySeries(city, tuple(starts[early[both]].tolist()), matrix)
+    return series
 
 
 def masked_copy_scan(

@@ -5,9 +5,13 @@ module other than `charts` that parses JSON."""
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import leadlag
 from leadlag.lagcorr import DyadResult, save_dyads, scan_dyads
@@ -85,6 +89,24 @@ def test_public_api_is_pinned():
     assert set(leadlag.__all__) == PUBLIC
     for name in leadlag.__all__:
         assert hasattr(leadlag, name), name
+
+
+def test_public_names_load_their_module_on_first_use():
+    probe = (
+        "import sys, leadlag; loaded = [m for m in sys.modules"
+        " if m.startswith('leadlag.') or m.split('.')[0] == 'numpy'];"
+        " from leadlag import generate_charts;"
+        " print(loaded, generate_charts.__module__, 'leadlag.synth' in sys.modules)"
+    )
+    src = str(Path(leadlag.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["[]", "leadlag.synth", "True"]
+    assert PUBLIC <= set(dir(leadlag))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        leadlag.no_such_name
 
 
 def test_every_benchmark_tracer_target_resolves(monkeypatch):

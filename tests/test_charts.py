@@ -997,9 +997,33 @@ def test_store_read_matches_csv_reader_over_many_blocks(tmp_path, long_names):
         path.write_bytes(renamed(path.read_bytes()))
     assert path.stat().st_size >= 3 * charts_module._BLOCK_BYTES
     got, want = ChartStore.read(path), read_chart_csv(path)
-    assert got.cities == want.cities and got.universe == want.universe
     assert (len(want.cities[0]) > 16) is long_names
+    assert_same_columns(got, want)
+
+
+def assert_same_columns(got, want):
+    assert got.cities == want.cities and got.universe == want.universe
     for a, b in ((got.week, want.week), (got.city, want.city), (got.entries.data, want.entries.data),
                  (got.entries.indices, want.entries.indices),
                  (got.entries.indptr, want.entries.indptr)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_csv_split_lines_keep_their_place_in_the_columns(tmp_path, monkeypatch, csv_reads):
+    """Quoted names scattered over every block, alone or two in a row, inside a chart or
+    at its ends, come out of the byte reader in file order, so its week and city columns
+    are in the order the store keeps and the store need not sort them."""
+    monkeypatch.setattr(charts_module, "_BLOCK_BYTES", 256)
+    path = tmp_path / "charts.csv"
+    write_chart_csv(path, generate_charts(chain_hierarchy(3), SynthConfig(n_artists=12, n_weeks=9)))
+    head, *lines = path.read_bytes().splitlines(keepends=True)
+    quote = re.compile(rb"^(\d+),([^,]+),([^,]+),")
+    lines = [quote.sub(rb'\1,\2,"\3, x",', line) if i % 7 in (0, 3, 4) else line
+             for i, line in enumerate(lines)]
+    path.write_bytes(head + b"".join(lines))
+    _, _, week, city, _ = charts_module._read_chart_columns(path)
+    step = np.diff(week)
+    assert (step >= 0).all() and (np.diff(city)[step == 0] >= 0).all()
+    got = ChartStore.read(path)
+    assert csv_reads == [] and sum(", x" in a for a in got.universe.artists) > 3
+    assert_same_columns(got, read_chart_csv(path))

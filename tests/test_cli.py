@@ -52,6 +52,11 @@ def acceptance_run(tmp_path_factory):
     ring = [Edge(nodes[i], nodes[(i + 1) % 24], 1.0, 1) for i in range(24)]
     ring += [Edge(nodes[i], nodes[(i + 7) % 24], 0.05, 1) for i in range(24)]
     write_edge_csv(root / "ring.csv", LeadershipGraph(nodes, tuple(ring)))
+    (root / "hierarchy.json").write_text(json.dumps({"cities": [
+        {"city": "aa", "population": 900000, "activity": 15000.0},
+        {"city": "bb", "population": 700000, "activity": 15000.0},
+    ], "edges": [{"leader": "aa", "follower": "bb", "lag": 1, "coupling": 0.9}]}))
+    (root / "synth.json").write_text(json.dumps({"n_artists": 25, "n_weeks": 30, "seed": 5}))
     charts = ["--charts", str(root / "charts.csv"), "--missing", str(root / "missing.txt")]
     assert main(["run", *charts, "--out", str(root / "run")]) == 0
     return root, charts
@@ -71,26 +76,69 @@ COMMANDS = {
     "cluster": lambda root, charts: ["cluster", *charts, "--out", str(root / "probe_cluster")],
     "ingest": lambda root, charts: ["ingest", *charts],
     "report": lambda root, charts: ["report", "--run-dir", str(root / "run")],
+    "synth": lambda root, charts: [
+        "synth", "--hierarchy", str(root / "hierarchy.json"), "--config", str(root / "synth.json"),
+        "--out", str(root / "probe_synth"),
+    ],
+    "shuffle": lambda root, charts: [
+        "shuffle", "--charts", charts[1], "--seed", "1", "--out", str(root / "probe_shuffle")
+    ],
+}
+
+# Modules `import leadlag.cli` leaves to the commands that use them: hashlib, which
+# loads OpenSSL's libcrypto through _hashlib, for the manifest's digests, ElementTree
+# for GraphML, and the chart generator.
+DEFERRED = ("_hashlib", "hashlib", "leadlag.synth", "xml.etree.ElementTree")
+# The deferred modules each command loads; a command not named loads none. The
+# generator's numpy.random loads hashlib too (through secrets and hmac).
+DEFERRED_LOADS = {
+    "run": {"_hashlib", "hashlib", "xml.etree.ElementTree"},
+    "graph --dyads": {"xml.etree.ElementTree"},
+    "synth": {"_hashlib", "hashlib", "leadlag.synth"},
+    "shuffle": {"_hashlib", "hashlib", "leadlag.synth"},
 }
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_command_loads_no_scipy_module(acceptance_run, command):
-    # scipy is a test-only dependency: no command may import any part of it.
-    argv = COMMANDS[command](*acceptance_run)
+@pytest.fixture(scope="module")
+def command_modules(acceptance_run):
+    """Runs a command of COMMANDS once in a fresh interpreter; (its exit status, the
+    modules loaded after `import leadlag.cli`, the modules loaded after the command)."""
     probe = (
-        "import sys, leadlag.cli; status = leadlag.cli.main(sys.argv[1:]); "
-        "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import json, sys, leadlag.cli; imported = sorted(sys.modules); "
+        "status = leadlag.cli.main(sys.argv[1:]); "
+        "print(json.dumps([status, imported, sorted(sys.modules)]))"
     )
     src = str(Path(leadlag.__file__).resolve().parent.parent)
-    out = subprocess.run(
-        [sys.executable, "-c", probe, *argv],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.splitlines()[-1] == "0 []"
+    seen = {}
+
+    def modules(command):
+        if command not in seen:
+            out = subprocess.run(
+                [sys.executable, "-c", probe, *COMMANDS[command](*acceptance_run)],
+                env=dict(os.environ, PYTHONPATH=src),
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            seen[command] = json.loads(out.stdout.splitlines()[-1])
+        return seen[command]
+
+    return modules
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_loads_no_scipy_module(command_modules, command):
+    # scipy is a test-only dependency: no command may import any part of it.
+    status, _, loaded = command_modules(command)
+    assert (status, [m for m in loaded if m.split(".")[0] == "scipy"]) == (0, [])
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_loads_only_the_deferred_modules_it_uses(command_modules, command):
+    status, imported, loaded = command_modules(command)
+    assert status == 0
+    assert [m for m in DEFERRED if m in imported] == []
+    assert {m for m in DEFERRED if m in loaded} == DEFERRED_LOADS.get(command, set())
 
 
 @pytest.fixture(scope="module")

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leadlag.charts import ArtistUniverse, SparseRows, WindowStack
 from leadlag.cluster import summed_distances
 from leadlag.lagcorr import compute_all_velocities, scan_dyads
 
 from helpers import assert_same_dyads, store_from_cells, window_stack
 from oracles import (
     compute_velocities,
+    dense_block_velocities,
     masked_copy_scan,
     per_window_distances,
     per_window_windows,
@@ -127,3 +129,55 @@ def test_stages_match_their_copying_versions(cells, missing, genre, lags):
 
     velocities = compute_all_velocities(stack)
     assert_same_dyads(scan_dyads(velocities, 2, lags), masked_copy_scan(velocities, 2, lags))
+
+
+def stack_of(starts, rows, n_cities, n_cols):
+    """A WindowStack of {column: value} rows, row i * n_cities + c being city c in window i."""
+    columns = [sorted(row) for row in rows]
+    matrix = SparseRows.from_sizes(
+        np.array([row[j] for row, cols in zip(rows, columns) for j in cols], dtype=np.float64),
+        np.array([j for cols in columns for j in cols], dtype=np.int32),
+        [len(cols) for cols in columns],
+        n_cols,
+    )
+    cities = tuple(f"c{c}" for c in range(n_cities))
+    return WindowStack(starts, cities, ArtistUniverse(f"a{j}" for j in range(n_cols)), matrix)
+
+
+def assert_same_velocities(got, want):
+    assert list(got) == list(want)
+    for city in want:
+        assert got[city].weeks == want[city].weeks
+        assert got[city].matrix.n_cols == want[city].matrix.n_cols
+        assert_same_csr(got[city].matrix, want[city].matrix)
+
+
+@st.composite
+def small_stacks(draw):
+    n_cities, n_cols = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    starts = sorted(draw(st.sets(st.integers(0, 12), max_size=6)))
+    # Few values, so a late and an early entry often cancel or differ only in sign.
+    value = st.sampled_from((0.25, 0.5, -0.5, 1.0, 0.1, 0.1 + 2**-55))
+    row = st.dictionaries(st.integers(0, n_cols - 1), value, max_size=n_cols)
+    rows = draw(st.lists(row, min_size=len(starts) * n_cities, max_size=len(starts) * n_cities))
+    return stack_of(starts, rows, n_cities, n_cols)
+
+
+@given(stack=small_stacks())
+@settings(max_examples=300, deadline=None)
+def test_velocity_merge_matches_dense_blocks(stack):
+    assert_same_velocities(compute_all_velocities(stack), dense_block_velocities(stack))
+
+
+def test_velocity_merge_cancels_and_skips_one_window_rows():
+    # c0 cancels in column 0; c1 is active in the early window only; c2's rows cancel whole.
+    early = [{0: 0.5, 1: 0.5}, {3: 1.0}, {2: 0.25}]
+    late = [{0: 0.5, 2: -0.5}, {}, {2: 0.25}]
+    stack = stack_of([0, 4], early + late, 3, 4)
+    got = compute_all_velocities(stack)
+    assert_same_velocities(got, dense_block_velocities(stack))
+    assert [got[c].weeks for c in got] == [(0,), (), (0,)]
+    c0, c2 = got["c0"].matrix, got["c2"].matrix
+    assert c0.indices.tolist() == [1, 2] and c0.data.tolist() == [-0.5, -0.5]
+    assert c0.indices.dtype == c0.indptr.dtype == np.int64
+    assert c2.indptr.tolist() == [0, 0] and len(c2.data) == 0
