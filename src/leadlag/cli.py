@@ -23,9 +23,6 @@ from .exports import (
     read_size_leadership_json,
     write_acyclicity_json,
     write_centrality_json,
-    write_dot,
-    write_edge_csv,
-    write_graphml,
     write_populations,
 )
 from .lagcorr import (
@@ -39,7 +36,7 @@ from .network import (
     feedback_arc_set,
     pagerank,
 )
-from .pipeline import RunConfig, build_windows, load_store, run_pipeline
+from .pipeline import RunConfig, build_windows, load_store, run_pipeline, write_graph
 
 OUTPUT_DIR_ENV = "LEADLAG_OUTPUT_DIR"
 _EDGES_HELP = (
@@ -140,8 +137,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_dyads(args: argparse.Namespace) -> int:
     lags = _scan_lags(args.min_samples, _parse_lags(args.lags))
-    windows = _load_windows(args)
-    dyads = scan_dyads(compute_all_velocities(windows), min_samples=args.min_samples, lags=lags)
+    velocities = compute_all_velocities(_load_windows(args))  # the scan runs without the windows
+    dyads = scan_dyads(velocities, min_samples=args.min_samples, lags=lags)
     path = _out_dir(args) / "dyads.json"
     save_dyads(path, dyads)
     print(f"scored dyads: {len(dyads)}")
@@ -154,14 +151,10 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     graph = build_graph(load_dyads(args.dyads), alpha=args.alpha, bonferroni=args.bonferroni)
     check_graphml_names(graph.nodes)  # before any file is written
     centrality = pagerank(graph)
-    out = _out_dir(args)
-    write_edge_csv(out / "edges.csv", graph)
-    write_dot(out / "graph.dot", graph, centrality)
-    write_graphml(out / "graph.graphml", graph, centrality)
-    write_centrality_json(out / "centrality.json", centrality)
+    paths = write_graph(_out_dir(args), graph, centrality)
     print(f"nodes: {len(graph.nodes)}")
     print(f"accepted edges: {len(graph.edges)}")
-    print(f"wrote {out / 'edges.csv'}")
+    print(f"wrote {paths['edges']}")
     return 0
 
 

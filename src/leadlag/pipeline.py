@@ -1,6 +1,7 @@
-"""End-to-end orchestration: charts in, analysis artifacts out.
+"""End-to-end orchestration: `analyze` computes every report from one set of
+windows in memory, and `run_pipeline` reads the charts, analyzes them and writes.
 
-The dyad scan is the expensive stage, so its results are cached to
+The dyad scan is the expensive stage, so `run_pipeline` caches its results to
 dyads.json inside the output directory; alpha or graph-level sweeps can
 rebuild everything downstream from that cache alone.
 """
@@ -10,22 +11,18 @@ from __future__ import annotations
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
+from . import __version__
 from .charts import ChartStore, GenreCatalog, WindowStack, read_genre_catalog
-from .cluster import average_linkage, summed_distances, to_newick
+from .cluster import ClusterNode, average_linkage, summed_distances, to_newick
 from .exports import (
-    check_graphml_names,
-    read_populations,
-    write_acyclicity_json,
-    write_centrality_json,
-    write_dot,
-    write_edge_csv,
-    write_graphml,
-    write_manifest,
-    write_size_leadership_json,
+    check_graphml_names, read_populations, write_acyclicity_json, write_centrality_json, write_dot,
+    write_edge_csv, write_graphml, write_manifest, write_size_leadership_json,
 )
-from .lagcorr import DEFAULT_MIN_SAMPLES, LAGS, _scan_lags, compute_all_velocities, save_dyads, scan_dyads
+from .lagcorr import (
+    DEFAULT_MIN_SAMPLES, LAGS, Dyads, _scan_lags, compute_all_velocities, save_dyads, scan_dyads,
+)
 from .network import (
     DEFAULT_ALPHA,
     AcyclicityReport,
@@ -39,12 +36,6 @@ from .network import (
     size_leadership,
 )
 from .stats import UndefinedCorrelationError
-
-
-def _tool_version() -> str:
-    from leadlag import __version__
-
-    return __version__
 
 
 @dataclass(frozen=True)
@@ -76,6 +67,8 @@ class PipelineResult:
     centrality: CentralityReport
     acyclicity: AcyclicityReport
     size: SizeLeadershipReport | None
+    dyads: Dyads
+    tree: ClusterNode | None
     artifacts: dict[str, Path] = field(default_factory=dict)
 
 
@@ -124,8 +117,54 @@ def build_windows(store: ChartStore, artists: Iterable[str] | None = None) -> Wi
     return store.windows(artists)
 
 
+def write_graph(
+    out: Path, graph: LeadershipGraph, centrality: CentralityReport,
+    populations: Mapping[str, int] | None = None,
+) -> dict[str, Path]:
+    """Write edges.csv, graph.dot, graph.graphml and centrality.json under `out`;
+    returns their paths by artifact name."""
+    paths = {"edges": out / "edges.csv", "dot": out / "graph.dot",
+             "graphml": out / "graph.graphml", "centrality": out / "centrality.json"}
+    write_edge_csv(paths["edges"], graph)
+    write_dot(paths["dot"], graph, centrality, populations)
+    write_graphml(paths["graphml"], graph, centrality, populations)
+    write_centrality_json(paths["centrality"], centrality)
+    return paths
+
+
+def analyze(
+    load: Callable[[], WindowStack], config: RunConfig,
+    populations: Mapping[str, int] | None = None,
+) -> PipelineResult:
+    """Scan, test, rank, cut and cluster the windows `load()` returns; writes no file.
+
+    `load` builds the windows in this frame, so they and their store are freed
+    before the scan (CPython 3.10 keeps a call's arguments alive until it returns).
+    Each stage is called through this module's names, which the benchmark's tracer
+    wraps. Without `populations`, or when its correlation is undefined (a warning),
+    the size report is None; with fewer than two clustered cities the tree is None.
+    """
+    windows = load()
+    velocities = compute_all_velocities(windows)
+    # The distances are the windows' last use, so the scan runs without them.
+    dist = summed_distances(windows) if windows and len(windows.cities) >= 2 else None
+    del windows
+    dyads = scan_dyads(velocities, min_samples=config.min_samples, lags=config.lag_range)
+    del velocities  # the dyads hold all the run needs of them
+    graph = build_graph(dyads, alpha=config.alpha, bonferroni=config.bonferroni)
+    centrality = pagerank(graph)
+    size: SizeLeadershipReport | None = None
+    if populations is not None:
+        try:
+            size = size_leadership(graph, centrality, populations)
+        except UndefinedCorrelationError as err:
+            warnings.warn(f"{err}; size_leadership.json not written", stacklevel=2)
+    tree = average_linkage(dist) if dist is not None and len(dist.cities) >= 2 else None
+    return PipelineResult(graph, centrality, feedback_arc_set(graph), size, dyads, tree)
+
+
 def run_pipeline(config: RunConfig) -> PipelineResult:
-    """Ingest, scan, test, and export; returns the in-memory reports.
+    """Ingest, `analyze` and export; returns the in-memory reports.
 
     Writes (under config.output_dir): dyads.json, edges.csv, graph.dot,
     graph.graphml, centrality.json, acyclicity.json, size_leadership.json
@@ -133,64 +172,32 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     warns), dendrogram.nwk when two or more cities cluster, and manifest.json.
     """
     populations = read_populations(config.populations_path) if config.populations_path else None
-    store, _, artists = load_store(
-        config.chart_path, config.missing_weeks_path, config.genre_path, config.genre_id,
-        config.city_subset,
-    )
-    check_graphml_names(store.cities)  # before any file is written
+
+    def load() -> WindowStack:
+        store, _, artists = load_store(config.chart_path, config.missing_weeks_path,
+                                       config.genre_path, config.genre_id, config.city_subset)
+        check_graphml_names(store.cities)  # before any file is written
+        return build_windows(store, artists)
+
+    result = analyze(load, config, populations)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    artifacts: dict[str, Path] = {}
-
-    windows = build_windows(store, artists)
-    del store  # the run reads the charts only through their windows from here on
-    velocities = compute_all_velocities(windows)
-    # The distances are the windows' last use, so the scan runs without them.
-    dist = summed_distances(windows) if windows and len(windows.cities) >= 2 else None
-    del windows
-    dyads = scan_dyads(velocities, min_samples=config.min_samples, lags=config.lag_range)
-    del velocities  # the dyads hold all the run needs of them
+    artifacts = result.artifacts
     artifacts["dyads"] = out / "dyads.json"
-    save_dyads(artifacts["dyads"], dyads)
-
-    graph = build_graph(dyads, alpha=config.alpha, bonferroni=config.bonferroni)
-    artifacts["edges"] = out / "edges.csv"
-    write_edge_csv(artifacts["edges"], graph)
-
-    centrality = pagerank(graph)
-    artifacts["dot"] = out / "graph.dot"
-    write_dot(artifacts["dot"], graph, centrality, populations)
-    artifacts["graphml"] = out / "graph.graphml"
-    write_graphml(artifacts["graphml"], graph, centrality, populations)
-    artifacts["centrality"] = out / "centrality.json"
-    write_centrality_json(artifacts["centrality"], centrality)
-
-    acyclicity = feedback_arc_set(graph)
+    save_dyads(artifacts["dyads"], result.dyads)
+    artifacts.update(write_graph(out, result.graph, result.centrality, populations))
     artifacts["acyclicity"] = out / "acyclicity.json"
-    write_acyclicity_json(artifacts["acyclicity"], acyclicity)
-
-    size: SizeLeadershipReport | None = None
-    if populations is not None:
-        try:
-            size = size_leadership(graph, centrality, populations)
-        except UndefinedCorrelationError as err:
-            warnings.warn(f"{err}; size_leadership.json not written", stacklevel=2)
-        else:
-            artifacts["size_leadership"] = out / "size_leadership.json"
-            write_size_leadership_json(artifacts["size_leadership"], size)
-
-    if dist is not None and len(dist.cities) >= 2:
-        tree = average_linkage(dist)
+    write_acyclicity_json(artifacts["acyclicity"], result.acyclicity)
+    if result.size is not None:
+        artifacts["size_leadership"] = out / "size_leadership.json"
+        write_size_leadership_json(artifacts["size_leadership"], result.size)
+    if result.tree is not None:
         artifacts["dendrogram"] = out / "dendrogram.nwk"
-        artifacts["dendrogram"].write_text(to_newick(tree) + "\n", encoding="utf-8")
+        artifacts["dendrogram"].write_text(to_newick(result.tree) + "\n", encoding="utf-8")
 
-    inputs = {
-        "charts": config.chart_path,
-        "genres": config.genre_path,
-        "missing_weeks": config.missing_weeks_path,
-        "populations": config.populations_path,
-    }
+    inputs = {"charts": config.chart_path, "genres": config.genre_path,
+              "missing_weeks": config.missing_weeks_path, "populations": config.populations_path}
     artifacts["manifest"] = out / "manifest.json"
     write_manifest(artifacts["manifest"], asdict(config),
-                   {name: p for name, p in inputs.items() if p}, _tool_version())
-    return PipelineResult(graph, centrality, acyclicity, size, artifacts)
+                   {name: p for name, p in inputs.items() if p}, __version__)
+    return result

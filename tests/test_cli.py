@@ -5,19 +5,25 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
+import weakref
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import leadlag
+import leadlag.cli as cli
+import leadlag.pipeline as pipeline
 from leadlag import charts as charts_module
 from leadlag.charts import ChartStore, read_chart_csv, write_chart_csv, write_missing_weeks
 from leadlag.cli import main
+from leadlag.cluster import to_newick
 from leadlag.exports import (
     read_acyclicity_json,
     read_edge_csv,
     read_manifest,
+    read_populations,
     read_size_leadership_json,
     write_acyclicity_json,
     write_edge_csv,
@@ -25,10 +31,10 @@ from leadlag.exports import (
 )
 from leadlag.lagcorr import load_dyads, save_dyads
 from leadlag.network import Edge, LeadershipGraph
-from leadlag.pipeline import RunConfig, genre_artists, run_pipeline
+from leadlag.pipeline import RunConfig, analyze, build_windows, genre_artists, load_store, run_pipeline
 from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts, shuffle_null
 
-from helpers import DISTORTIONS, cache_payload, cache_rejection, distort
+from helpers import DISTORTIONS, bench_module, cache_payload, cache_rejection, distort
 from readers import parse_dot, parse_newick, read_centrality_json, read_graphml
 
 PLANTED = {("c01", "c00"): 1, ("c02", "c01"): 1, ("c03", "c02"): 1}
@@ -242,6 +248,80 @@ class TestRunPipeline:
                 assert m1 == m2
             else:
                 assert path.read_bytes() == other.read_bytes(), name
+
+    @pytest.mark.parametrize("command, module", [("run", pipeline), ("dyads", cli)])
+    def test_store_and_windows_are_freed_before_the_scan(
+        self, synth_inputs, tmp_path, monkeypatch, capsys, command, module
+    ):
+        # The scan runs with neither the charts nor their windows alive, also on
+        # CPython 3.10, where a caller keeps its call's arguments alive until it returns.
+        refs, build, scan = {}, module.build_windows, module.scan_dyads
+
+        def build_windows(store, artists=None):
+            refs["store"] = weakref.ref(store)
+            windows = build(store, artists)
+            refs["windows"] = weakref.ref(windows)
+            return windows
+
+        def scan_dyads(*args, **kwargs):
+            refs["alive at the scan"] = [n for n in ("store", "windows") if refs[n]() is not None]
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(module, "build_windows", build_windows)
+        monkeypatch.setattr(module, "scan_dyads", scan_dyads)
+        charts = ["--charts", synth_inputs["charts"], "--missing", synth_inputs["missing"]]
+        assert main([command, *charts, "--out", str(tmp_path)]) == 0
+        assert refs["alive at the scan"] == []
+        capsys.readouterr()
+
+    def test_run_calls_every_traced_stage_through_the_pipeline_module(
+        self, synth_inputs, tmp_path, monkeypatch
+    ):
+        # The benchmark times `run` by wrapping names of leadlag.pipeline; a stage
+        # called under any other name would record no span of its own.
+        tracer = bench_module("tracer", monkeypatch)
+        targets = [t for t in tracer.TARGETS if t.owner.partition(":")[0] == "leadlag.pipeline"]
+        assert len({t.span for t in targets}) == len(targets)
+        monkeypatch.setattr(tracer, "TARGETS", tuple(targets))
+        with tracer.Tracer().installed() as traced:
+            run_pipeline(base_config(synth_inputs, tmp_path))
+        assert sorted({t.span for t in targets} - {s.name for s in traced.spans}) == []
+
+    def test_analyze_writes_nothing_and_matches_the_run(self, synth_inputs, tmp_path, monkeypatch):
+        config = base_config(synth_inputs, tmp_path / "run")
+        monkeypatch.chdir(tmp_path)
+        result = analyze(
+            lambda: build_windows(load_store(config.chart_path, config.missing_weeks_path)[0]),
+            config, read_populations(config.populations_path),
+        )
+        assert list(tmp_path.iterdir()) == [] and result.artifacts == {}
+        run_pipeline(config)
+        run = tmp_path / "run"
+        cache = load_dyads(run / "dyads.json")
+        for column in fields(cache):
+            name = column.name
+            assert np.array_equal(getattr(result.dyads, name), getattr(cache, name)), name
+        assert result.graph.edges == read_edge_csv(run / "edges.csv").edges
+        assert result.centrality == read_centrality_json(run / "centrality.json")
+        assert result.acyclicity == read_acyclicity_json(run / "acyclicity.json")
+        assert result.size == read_size_leadership_json(run / "size_leadership.json")
+        assert to_newick(result.tree) + "\n" == (run / "dendrogram.nwk").read_text(encoding="utf-8")
+
+    def test_analyze_takes_a_store_that_is_never_written(self, synth_inputs, tmp_path, monkeypatch):
+        # A resampled run: a shuffled store goes from windows to the tree with no file I/O.
+        store = ChartStore.from_files(synth_inputs["charts"], synth_inputs["missing"])
+
+        def no_file(path, *args, **kwargs):
+            raise AssertionError(f"analyze opened {path}")
+
+        monkeypatch.setattr("builtins.open", no_file)
+        monkeypatch.setattr("io.open", no_file)
+        monkeypatch.chdir(tmp_path)
+        config = base_config(synth_inputs, tmp_path / "never")
+        result = analyze(lambda: build_windows(shuffle_null(store, seed=1)), config)
+        assert list(tmp_path.iterdir()) == [] and result.artifacts == {}
+        assert result.graph.nodes == result.dyads.cities == store.cities
+        assert result.size is None and sorted(result.tree.leaves()) == list(store.cities)
 
     def test_without_populations_skips_size_analysis(self, synth_inputs, tmp_path):
         config = base_config(synth_inputs, tmp_path / "out", populations_path=None)
