@@ -67,29 +67,6 @@ class WeeklyChart:
     entries: tuple[tuple[str, int], ...]
 
 
-class ArtistUniverse:
-    """Shared column space: every artist seen at ingest, ordered lexicographically."""
-
-    def __init__(self, artists: Iterable[str]) -> None:
-        self.artists: tuple[str, ...] = tuple(sorted(set(artists)))
-        self.index: dict[str, int] = {a: i for i, a in enumerate(self.artists)}
-
-    def __len__(self) -> int:
-        return len(self.artists)
-
-    def __contains__(self, artist_id: str) -> bool:
-        return artist_id in self.index
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ArtistUniverse) and self.artists == other.artists
-
-    def column(self, artist_id: str) -> int:
-        try:
-            return self.index[artist_id]
-        except KeyError:
-            raise KeyError(f"unknown artist {artist_id!r}") from None
-
-
 @dataclass(frozen=True)
 class SparseRows:
     """Rows of `n_cols` columns in CSR arrays: row r holds data[indptr[r]:indptr[r + 1]]
@@ -151,7 +128,7 @@ class WindowStack:
         self,
         starts: Iterable[int],
         cities: tuple[str, ...],
-        universe: ArtistUniverse,
+        universe: tuple[str, ...],
         matrix: SparseRows,
     ) -> None:
         self.starts: tuple[int, ...] = tuple(starts)
@@ -363,11 +340,11 @@ def read_chart_csv(path: str | Path) -> "ChartStore":
                 )
             rows[week, city_id, artist_id] = listeners
     cities = tuple(sorted({c for _, c, _ in rows}))
-    universe = ArtistUniverse(a for _, _, a in rows)
-    code = {c: i for i, c in enumerate(cities)}
+    universe = tuple(sorted({a for _, _, a in rows}))
+    code, column = ({name: i for i, name in enumerate(names)} for names in (cities, universe))
     entries = SparseRows.from_sizes(  # one chart a row, which the store joins
         np.array(list(rows.values()), dtype=np.int64),
-        np.array([universe.index[a] for _, _, a in rows], dtype=np.int32),
+        np.array([column[a] for _, _, a in rows], dtype=np.int32),
         np.ones(len(rows), dtype=np.int64), len(universe))
     store = ChartStore(cities, universe, np.array([w for w, _, _ in rows], dtype=np.int64),
                        np.array([code[c] for _, c, _ in rows], dtype=np.int32), entries)
@@ -386,7 +363,7 @@ def write_chart_csv(path: str | Path, store: "ChartStore") -> None:
     chart = np.repeat(np.arange(store.chart_count), np.diff(entries.indptr))
     order = np.lexsort((entries.data, entries.indices, chart))
     chart = chart[order]
-    cities, artists = (np.array(names, dtype=object) for names in (store.cities, store.universe.artists))
+    cities, artists = (np.array(names, dtype=object) for names in (store.cities, store.universe))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CHART_HEADER)
@@ -485,16 +462,15 @@ class _Names:
     with the bytes left from each. An index maps the top bits of a key to
     the code of one stored key with those bits, with 2 to 4 such ranges for
     each stored key, so most names are found there with no sort. The other
-    names' distinct keys are sorted and looked up among the table's sorted
-    keys, and those not there are added in key order. Every name of a block
+    names' distinct keys are looked up in a dict of every stored key's code,
+    and those not there are added in key order. Every name of a block
     is then compared chunk by chunk with the stored name of its code, so two
     different names with one key (about 2**-64 per pair) raise ValueError,
     however long they are.
     """
 
     def __init__(self) -> None:
-        self.keys = np.empty(0, dtype=np.uint64)  # sorted
-        self.codes = np.empty(0, dtype=np.int32)  # of each key
+        self.code_of: dict[int, int] = {}  # of each key
         self.key = np.empty(0, dtype=np.uint64)  # of each code
         self.index = np.full(2, -1, dtype=np.int32)  # a code by key >> shift, or -1
         self.shift = np.uint64(63)
@@ -533,26 +509,16 @@ class _Names:
         rest = np.flatnonzero(miss)  # the names the index does not find
         del miss
         if len(rest):
-            key = key[rest]
-            order = np.argsort(key)
-            key = key[order]
-            new = np.ones(len(key), dtype=bool)
-            np.not_equal(key[1:], key[:-1], out=new[1:])
-            distinct = key[new]
+            distinct, local = np.unique(key[rest], return_inverse=True)  # each name's distinct key
             del key
-            local = np.empty(len(new), dtype=np.int32)  # each name's distinct key
-            local[order] = np.cumsum(new, dtype=np.int32) - 1
-            named = order[new]  # a name of each distinct key
-            del order, new
-            at = np.searchsorted(self.keys, distinct)
-            known = np.isin(distinct, self.keys, assume_unique=True)
-            codes = np.empty(len(distinct), dtype=np.int32)
-            codes[known] = self.codes[at[known]]
-            added = np.flatnonzero(~known)
+            codes = np.array([self.code_of.get(k, -1) for k in distinct.tolist()], dtype=np.int32)
+            added = np.flatnonzero(codes < 0)
             if len(added):
+                named = np.empty(len(distinct), dtype=np.intp)  # a name of each distinct key
+                named[local] = np.arange(len(local))
                 name = rest[named[added]]
                 kept = name if first is None else _ranges(first[name], chunks[name])
-                codes[added] = self._add(at[added], distinct[added], length[name], hi[kept], lo[kept])
+                codes[added] = self._add(distinct[added], length[name], hi[kept], lo[kept])
             code[rest] = codes[local]
             del local
         if (self.length[code] != length).any():
@@ -562,16 +528,15 @@ class _Names:
             raise ValueError("two chart names share a key")
         return code
 
-    def _add(self, at, keys, length, hi, lo) -> np.ndarray:
-        """The codes, after the table's last, of new names of the given lengths and sorted
-        keys, whose chunks are hi and lo end to end; their keys go at `at` among the table's."""
+    def _add(self, keys, length, hi, lo) -> np.ndarray:
+        """The codes, after the table's last, of new names of the given lengths and keys,
+        whose chunks are hi and lo end to end."""
         size = (length + 15) // 16
         codes = len(self.length) + np.arange(len(length), dtype=np.int32)
         self.first = np.concatenate((self.first, len(self.hi) + np.cumsum(size) - size))
         self.length = np.concatenate((self.length, length))
         self.hi, self.lo = np.concatenate((self.hi, hi)), np.concatenate((self.lo, lo))
-        self.keys = np.insert(self.keys, at, keys)
-        self.codes = np.insert(self.codes, at, codes)
+        self.code_of.update(zip(keys.tolist(), codes.tolist()))
         self.key = np.concatenate((self.key, keys))
         if 2 * len(self.key) > len(self.index):  # over one key in two ranges: 2 to 4 ranges a key
             bits = (2 * len(self.key)).bit_length()
@@ -592,7 +557,7 @@ class _Names:
         raw = np.stack((self.hi, self.lo), axis=1).astype("<u8").tobytes()
         return [raw[16 * f : 16 * f + n] for f, n in zip(self.first.tolist(), self.length.tolist())]
 
-    def ranked(self) -> tuple[list[str], np.ndarray]:
+    def ranked(self) -> tuple[tuple[str, ...], np.ndarray]:
         """The sorted names, and the rank among them of each code. Only the table's
         names are decoded (raising ValueError for bad UTF-8); UTF-8 byte order is `str`
         order, so their ranks are the ranks of the decoded names."""
@@ -600,7 +565,7 @@ class _Names:
         order = sorted(range(len(names)), key=names.__getitem__)
         rank = np.empty(len(names), dtype=np.int32)
         rank[order] = np.arange(len(names), dtype=np.int32)
-        return [names[i] for i in order], rank
+        return tuple(names[i] for i in order), rank
 
 
 def _run_starts(content: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -809,7 +774,7 @@ def _read_chart_columns(path: str | Path):
     if week.min() < 0 or count.min() < 1:
         return None
     entries = SparseRows.from_sizes(count, artist, sizes, len(artists))
-    return tuple(cities), ArtistUniverse(artists), week, city_rank[city], entries
+    return cities, artists, week, city_rank[city], entries
 
 
 def _repeats(rows: SparseRows) -> bool:
@@ -827,18 +792,19 @@ def _repeats(rows: SparseRows) -> bool:
 
 
 class ChartStore:
-    """Charts plus universe plus missing weeks, ready to mint windows. The charts are a
-    table of two levels: per chart, its int64 `week` and its int32 `city` code into
-    `cities`, in (week, city) order; per entry, `entries`, whose row i holds chart i's
-    int32 artist codes into the universe (`indices`) and int64 counts (`data`). The
-    constructor takes charts in any order, a (week, city) maybe more than once: it
-    sorts them stably and joins equal neighbours, so a chart's entries keep the order
-    they came in. Iterating a store yields its charts as WeeklyChart rows."""
+    """Charts plus universe plus missing weeks, ready to mint windows. `cities` and the
+    artists' `universe` are sorted tuples of distinct names. The charts are a table of
+    two levels: per chart, its int64 `week` and its int32 `city` code into `cities`, in
+    (week, city) order; per entry, `entries`, whose row i holds chart i's int32 artist
+    codes into the universe (`indices`) and int64 counts (`data`). The constructor
+    takes charts in any order, a (week, city) maybe more than once: it sorts them
+    stably and joins equal neighbours, so a chart's entries keep the order they came
+    in. Iterating a store yields its charts as WeeklyChart rows."""
 
     def __init__(
         self,
         cities: tuple[str, ...],
-        universe: ArtistUniverse,
+        universe: tuple[str, ...],
         week: np.ndarray,
         city: np.ndarray,
         entries: SparseRows,
@@ -863,7 +829,7 @@ class ChartStore:
     def __iter__(self) -> Iterator[WeeklyChart]:
         """Each chart in (week, city) order, with its entries in their stored order; only
         the chart being yielded has its entries as Python lists."""
-        names, entries, bounds = self.universe.artists, self.entries, self.entries.indptr.tolist()
+        names, entries, bounds = self.universe, self.entries, self.entries.indptr.tolist()
         for i, (week, city) in enumerate(zip(self.week.tolist(), self.city.tolist())):
             a, z = bounds[i], bounds[i + 1]
             artists = [names[j] for j in entries.indices[a:z].tolist()]
@@ -938,12 +904,15 @@ class ChartStore:
         entries = self.entries
         if genre_artists is not None:
             keep = np.zeros(n_artists, dtype=bool)
-            keep[[self.universe.index[a] for a in genre_artists if a in self.universe]] = True
+            column = {a: i for i, a in enumerate(self.universe)}
+            keep[[column[a] for a in genre_artists if a in column]] = True
             hit = keep[entries.indices]
             kept = np.concatenate(([0], np.cumsum(hit)))[entries.indptr]  # each chart's first kept
             entries = SparseRows(entries.data[hit], entries.indices[hit], kept, n_artists)
         ptr, artist, count = entries.indptr, entries.indices, entries.data
-        bounds = np.searchsorted(self.week, np.add.outer(starts, (0, WINDOW_WEEKS))).tolist()
+        last = starts + (WINDOW_WEEKS - 1)  # a window's last week fits int64, the week after may not
+        bounds = list(zip(np.searchsorted(self.week, starts).tolist(),
+                          np.searchsorted(self.week, last, side="right").tolist()))
 
         def cells(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
             """The window's summed (city, artist) cells, and which are not zero: the

@@ -408,7 +408,8 @@ def size_leadership(
 
     Nodes without a population are excluded (with a warning); edges are
     counted toward the larger-leads percentage only when both endpoints
-    have populations.
+    have populations. Raises UndefinedCorrelationError when fewer than two
+    nodes have one.
     """
     missing = [v for v in graph.nodes if v not in populations]
     if missing:
@@ -417,6 +418,8 @@ def size_leadership(
             stacklevel=2,
         )
     used = tuple(v for v in graph.nodes if v in populations)
+    if len(used) < 2:
+        raise UndefinedCorrelationError(f"{len(used)} of the graph's cities have a population, need 2")
     pops = [float(populations[v]) for v in used]
     for v, p in zip(used, pops):
         if p <= 0:

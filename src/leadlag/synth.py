@@ -21,7 +21,6 @@ import numpy as np
 from .charts import (
     MAX_CHART_ENTRIES,
     WINDOW_WEEKS,
-    ArtistUniverse,
     ChartStore,
     SparseRows,
     json_list,
@@ -239,7 +238,7 @@ def generate_charts(hierarchy: PlantedHierarchy, config: SynthConfig) -> ChartSt
     none = np.zeros(0, dtype=np.int64)  # a run that charts nothing still concatenates
     week, size, column, count = (np.concatenate([none, *(parts[c][k] for c in cities)]) for k in range(4))
     charted, artist = np.unique(column, return_inverse=True)  # label ranks; codes into them
-    universe = ArtistUniverse(labels[j] for j in by_label[charted])
+    universe = tuple(labels[j] for j in by_label[charted])  # sorted, as `by_label` is
     city = np.repeat(np.arange(len(cities), dtype=np.int32), [len(parts[c][0]) for c in cities])
     entries = SparseRows.from_sizes(count, artist.astype(np.int32), size, len(universe))
     return ChartStore(cities, universe, week, city, entries, config.missing_weeks)

@@ -37,7 +37,6 @@ from scipy.stats import rankdata
 
 from leadlag.charts import (
     WINDOW_WEEKS,
-    ArtistUniverse,
     ChartStore,
     SparseRows,
     WeeklyChart,
@@ -491,7 +490,7 @@ class ListenMatrix:
     window_start_week: int
     width_weeks: int
     cities: tuple[str, ...]
-    universe: ArtistUniverse
+    universe: tuple[str, ...]
     values: sparse.csr_matrix
     normalized: bool
 
@@ -528,7 +527,7 @@ def window(store: ChartStore, start_week: int) -> ListenMatrix:
 def chart_store(
     charts: Iterable[WeeklyChart],
     missing_weeks: frozenset[int] = frozenset(),
-    universe: ArtistUniverse | None = None,
+    universe: tuple[str, ...] | None = None,
 ) -> ChartStore:
     """The store of a chart list, one chart per entry in list order, which the store
     joins: a city's code is its rank among the cities listed, an artist's its column
@@ -536,10 +535,10 @@ def chart_store(
     rows = [(c.week_index, c.city_id, a, n) for c in charts for a, n in c.entries]
     cities = tuple(sorted({city for _, city, _, _ in rows}))
     if universe is None:
-        universe = ArtistUniverse(a for _, _, a, _ in rows)
+        universe = tuple(sorted({a for _, _, a, _ in rows}))
     entries = SparseRows.from_sizes(
         np.array([n for _, _, _, n in rows], dtype=np.int64),
-        np.array([universe.column(a) for _, _, a, _ in rows], dtype=np.int32),
+        np.array([universe.index(a) for _, _, a, _ in rows], dtype=np.int32),
         np.ones(len(rows), dtype=np.int64), len(universe))
     return ChartStore(cities, universe, np.array([w for w, _, _, _ in rows], dtype=np.int64),
                       np.array([cities.index(c) for _, c, _, _ in rows], dtype=np.int32),
@@ -574,9 +573,8 @@ def filter_genre(matrix: ListenMatrix, genre_artists: Iterable[str]) -> ListenMa
         raise ValueError("filter before normalizing, not after")
     keep = np.zeros(len(matrix.universe), dtype=np.float64)
     for artist_id in genre_artists:
-        col = matrix.universe.index.get(artist_id)
-        if col is not None:
-            keep[col] = 1.0
+        if artist_id in matrix.universe:
+            keep[matrix.universe.index(artist_id)] = 1.0
     values = matrix.values.dot(sparse.diags(keep)).tocsr()
     values.eliminate_zeros()
     return ListenMatrix(
@@ -684,7 +682,7 @@ def stacked_windows(store: ChartStore, genre_artists: Iterable[str] | None = Non
     entries = store.entries
     if genre_artists is not None:
         keep = np.zeros(n_artists, dtype=bool)
-        keep[[store.universe.index[a] for a in genre_artists if a in store.universe]] = True
+        keep[[store.universe.index(a) for a in genre_artists if a in store.universe]] = True
         hit = keep[entries.indices]
         kept = np.concatenate(([0], np.cumsum(hit)))[entries.indptr]
         entries = SparseRows(entries.data[hit], entries.indices[hit], kept, n_artists)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from leadlag import charts as charts_module
 from leadlag.charts import (
-    ArtistUniverse,
     ChartFormatError,
     ChartStore,
     SparseRows,
@@ -23,7 +22,7 @@ from leadlag.charts import (
     read_missing_weeks,
     write_chart_csv,
 )
-from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
+from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts, shuffle_null
 
 from oracles import (
     WindowUnavailable,
@@ -70,7 +69,7 @@ def test_ingest_small_fixture(tmp_path):
         (1, "paris", "art_a", 2),
     ]
     store = read_chart_csv(chart_file(tmp_path, rows))
-    assert store.universe.artists == ("art_a", "art_b", "art_c")
+    assert store.universe == ("art_a", "art_b", "art_c")
     assert len(store.universe) == 3
     charts = list(store)
     assert [c.city_id for c in charts] == ["berlin", "paris", "paris"]
@@ -160,7 +159,7 @@ def test_window_sums_weekly_counts(tmp_path):
         (1, "c", "b", 1),
     ]
     matrix = build_window(read_chart_csv(chart_file(tmp_path, rows)), 0)
-    col = matrix.universe.column("a")
+    col = matrix.universe.index("a")
     assert matrix.values[0, col] == 20.0
     assert matrix.width_weeks == 4
 
@@ -197,8 +196,8 @@ def test_normalize_three_four_five():
     ]
     matrix = filter_genre(build_window(charts, 0), ["a", "b"])
     normed = normalize_rows(matrix)
-    assert normed.values[0, normed.universe.column("a")] == pytest.approx(0.6, abs=1e-12)
-    assert normed.values[0, normed.universe.column("b")] == pytest.approx(0.8, abs=1e-12)
+    assert normed.values[0, normed.universe.index("a")] == pytest.approx(0.6, abs=1e-12)
+    assert normed.values[0, normed.universe.index("b")] == pytest.approx(0.8, abs=1e-12)
 
 
 def test_normalize_axis_vector():
@@ -261,8 +260,8 @@ def test_filter_keeps_exactly_genre_columns():
     filtered = filter_genre(matrix, ["b", "d"])
     dense = filtered.values.toarray()[0]
     u = matrix.universe
-    assert dense[u.column("b")] == 2 and dense[u.column("d")] == 4
-    assert dense[u.column("a")] == dense[u.column("c")] == dense[u.column("e")] == 0
+    assert dense[u.index("b")] == 2 and dense[u.index("d")] == 4
+    assert dense[u.index("a")] == dense[u.index("c")] == dense[u.index("e")] == 0
 
 
 def test_filter_after_normalize_rejected():
@@ -285,8 +284,8 @@ def test_filter_then_normalize_commutes_with_hand_filtering():
     hand = normalize_rows(build_window(hand_charts, 0))
     u = matrix.universe
     for artist in ("a", "b"):
-        got = via_filter.values[0, u.column(artist)]
-        want = hand.values[0, hand.universe.column(artist)]
+        got = via_filter.values[0, u.index(artist)]
+        want = hand.values[0, hand.universe.index(artist)]
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -391,7 +390,7 @@ def test_window_matches_bruteforce_summation(cells, start):
             expected[key] = expected.get(key, 0) + count
     for (city, artist), total in expected.items():
         row = matrix.cities.index(city)
-        col = matrix.universe.column(artist)
+        col = matrix.universe.index(artist)
         assert matrix.values[row, col] == float(total)
     assert matrix.values.sum() == sum(expected.values()) + 4
 
@@ -495,7 +494,7 @@ def test_plain_file_is_read_by_columns(tmp_path, monkeypatch, csv_reads):
     path.write_text("\r\n".join(lines[:9] + [""] + lines[9:]) + "\r\n", encoding="utf-8")
     store = ChartStore.from_files(path)
     assert csv_reads == []
-    assert store.universe.artists == tuple(sorted(names))
+    assert store.universe == tuple(sorted(names))
     assert store.cities == ("#q", "p")
     assert store.chart_count == 12
     assert_columnar_matches_csv(path)
@@ -571,7 +570,7 @@ def test_iterating_a_store_lists_one_chart_at_a_time():
     entries = SparseRows.from_sizes(
         np.arange(1, charts * per_chart + 1, dtype=np.int64),
         np.tile(np.arange(per_chart, dtype=np.int32), charts), [per_chart] * charts, per_chart)
-    universe = ArtistUniverse(f"a{i:03d}" for i in range(per_chart))
+    universe = tuple(f"a{i:03d}" for i in range(per_chart))
     store = ChartStore(("c",), universe, np.arange(charts), np.zeros(charts, dtype=np.int32), entries)
     listed, peak = traced_peak(lambda: sum(len(chart.entries) for chart in store))
     assert listed == charts * per_chart
@@ -601,7 +600,7 @@ def test_name_codes_are_ranks_across_blocks(tmp_path_factory, rows, block):
     week, city = np.repeat(week, sizes), np.repeat(city, sizes)
     artist, count = entries.indices, entries.data
     order = np.argsort(week)  # lines split by csv follow the other lines of their block
-    for k, codes, names in ((1, city, cities), (2, artist, universe.artists)):
+    for k, codes, names in ((1, city, cities), (2, artist, universe)):
         assert names == tuple(sorted({r[k] for r in rows}))
         assert codes.dtype == np.int32
         assert codes[order].tolist() == [names.index(r[k]) for r in rows]
@@ -1025,5 +1024,31 @@ def test_csv_split_lines_keep_their_place_in_the_columns(tmp_path, monkeypatch, 
     step = np.diff(week)
     assert (step >= 0).all() and (np.diff(city)[step == 0] >= 0).all()
     got = ChartStore.read(path)
-    assert csv_reads == [] and sum(", x" in a for a in got.universe.artists) > 3
+    assert csv_reads == [] and sum(", x" in a for a in got.universe) > 3
     assert_same_columns(got, read_chart_csv(path))
+
+
+@pytest.mark.parametrize("source", ["byte reader", "csv reader", "generator", "shuffle", "restrict"])
+def test_every_store_source_gives_a_sorted_tuple_universe(tmp_path, csv_reads, source):
+    """`universe`, like `cities`, is a sorted tuple of distinct str, whichever way the store
+    was made, and the store's windows carry that very tuple."""
+    store = generate_charts(chain_hierarchy(3), SynthConfig(n_artists=12, n_weeks=9))
+    path = tmp_path / "charts.csv"
+    write_chart_csv(path, store)
+    # Names the byte reader leaves to csv, takes as two chunks, and that are not ASCII.
+    odd = ["x, y", "a" * 20, "\u00e9"]
+    with open(path, "a", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([0, "c00", name, 1] for name in odd)
+    made = {
+        "byte reader": lambda: ChartStore.read(path),
+        "csv reader": lambda: read_chart_csv(path),
+        "generator": lambda: store,
+        "shuffle": lambda: shuffle_null(store, seed=1),
+        "restrict": lambda: store.restrict(store.cities[1:]),
+    }[source]()
+    universe = made.universe
+    assert type(universe) is tuple and all(type(a) is str for a in universe)
+    assert list(universe) == sorted(set(universe)) and len(universe) >= 12
+    assert set(odd) <= set(universe) if source.endswith("reader") else set(odd).isdisjoint(universe)
+    assert made.windows().universe is universe
+    assert csv_reads == []  # the byte reader read the file itself

@@ -357,7 +357,7 @@ class TestRunPipeline:
     def test_genre_covering_all_artists_changes_nothing(
         self, synth_inputs, tmp_path
     ):
-        artists = read_chart_csv(synth_inputs["charts"]).universe.artists
+        artists = read_chart_csv(synth_inputs["charts"]).universe
         genre_path = tmp_path / "genres.csv"
         lines = ["genre,rank,artist"]
         lines += [f"everything,{i + 1},{a}" for i, a in enumerate(artists)]
@@ -568,6 +568,32 @@ class TestCliCommands:
         assert read_edge_csv(out / "edges.csv").edges == ()
         assert read_manifest(out / "manifest.json")["parameters"]["alpha"] == 1e-300
         assert not (out / "size_leadership.json").exists()
+        assert main(["report", "--run-dir", str(out)]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("few", ["populations", "cities"])
+    def test_run_with_one_city_of_known_size_finishes(self, synth_inputs, tmp_path, capsys, few):
+        # A population for one graph city only, or a chart of one city: the rank
+        # correlation is undefined, so the run warns and writes every other file.
+        charts, pops = synth_inputs["charts"], tmp_path / "populations.csv"
+        if few == "populations":
+            write_populations(pops, {"c00": 1000, "elsewhere": 2000})
+        else:
+            charts = tmp_path / "charts.csv"
+            write_chart_csv(charts, ChartStore.read(synth_inputs["charts"]).restrict(["c00"]))
+            write_populations(pops, {"c00": 1000, "c01": 2000})
+        out = tmp_path / "out"
+        argv = ["run", "--charts", str(charts), "--missing", synth_inputs["missing"],
+                "--populations", str(pops), "--out", str(out)]
+        with pytest.warns(UserWarning) as caught:
+            assert main(argv) == 0
+        undefined = "1 of the graph's cities have a population, need 2; size_leadership.json not written"
+        assert undefined in [str(w.message) for w in caught]
+        written = {"dyads.json", "edges.csv", "graph.dot", "graph.graphml", "centrality.json",
+                   "acyclicity.json", "manifest.json"}
+        if few == "populations":
+            written.add("dendrogram.nwk")  # a one-city chart clusters nothing
+        assert {p.name for p in out.iterdir()} == written
         assert main(["report", "--run-dir", str(out)]) == 0
         capsys.readouterr()
 

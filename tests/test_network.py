@@ -665,6 +665,15 @@ def test_size_leadership_constant_population_undefined():
         size_leadership(graph, cent, {"n0": 5, "n1": 5})
 
 
+def test_size_leadership_one_known_population_undefined():
+    graph = graph_from(2, [(0, 1, 0.5)])
+    cent = pagerank(graph)
+    with pytest.warns(UserWarning, match="n1"), pytest.raises(UndefinedCorrelationError, match="^1 of"):
+        size_leadership(graph, cent, {"n0": 5})
+    with pytest.raises(UndefinedCorrelationError, match="^1 of"):
+        size_leadership(graph_from(1, []), pagerank(graph_from(1, [])), {"n0": 5})
+
+
 def test_size_leadership_monotone_population_invariance():
     graph = graph_from(4, [(0, 1, 0.5), (2, 1, 0.2), (3, 2, 0.4)])
     cent = pagerank(graph)

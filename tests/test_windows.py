@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leadlag.charts import ArtistUniverse, SparseRows, WindowStack
-from leadlag.cluster import summed_distances
+from leadlag.charts import INT64_MAX, ChartStore, SparseRows, WindowStack
+from leadlag.cluster import summed_distances, to_newick
 from leadlag.lagcorr import compute_all_velocities, scan_dyads
+from leadlag.pipeline import RunConfig, analyze
+from leadlag.synth import SynthConfig, chain_hierarchy, generate_charts
 
 from helpers import assert_same_dyads, store_from_cells, window_stack
 from oracles import (
@@ -105,6 +108,27 @@ def test_window_stack_matches_per_window_oracle(cells, missing, subset, genre):
         assert (abs(got.d - ref.d) <= windows * np.sqrt(2 * GRAM_ATOL)).all()
 
 
+def test_windows_ending_at_the_last_int64_week_match_the_unshifted_ones():
+    """A store shifted to end at week 2**63 - 1 gives the unshifted store's windows and
+    run, weeks shifted alike: no week past a window's last is computed."""
+    config = SynthConfig(n_artists=30, n_weeks=40, noise_sigma=0.05, seed=5,
+                         missing_weeks=frozenset({12}))
+    store = generate_charts(chain_hierarchy(3, coupling=0.9), config)
+    offset = INT64_MAX - store.last_week
+    shifted = ChartStore(store.cities, store.universe, store.week + offset, store.city,
+                         store.entries, frozenset(w + offset for w in store.missing_weeks))
+    want, got = store.windows(), shifted.windows()
+    assert got.starts == tuple(s + offset for s in want.starts) and len(got) > 20
+    assert (got.cities, got.universe) == (want.cities, want.universe)
+    assert_same_csr(got.matrix, want.matrix)
+    run = RunConfig(chart_path="", output_dir="")
+    want, got = (analyze(s.windows, run) for s in (store, shifted))
+    assert len(want.dyads) and len(want.graph.edges)
+    assert_same_dyads(got.dyads, replace(want.dyads, weeks=want.dyads.weeks + offset))
+    assert (got.graph, got.centrality, got.acyclicity) == (want.graph, want.centrality, want.acyclicity)
+    assert to_newick(got.tree) == to_newick(want.tree)
+
+
 @given(
     cells=st.dictionaries(
         st.tuples(st.integers(0, 17), st.sampled_from(CITIES), st.sampled_from(ARTISTS)),
@@ -141,7 +165,7 @@ def stack_of(starts, rows, n_cities, n_cols):
         n_cols,
     )
     cities = tuple(f"c{c}" for c in range(n_cities))
-    return WindowStack(starts, cities, ArtistUniverse(f"a{j}" for j in range(n_cols)), matrix)
+    return WindowStack(starts, cities, tuple(sorted(f"a{j}" for j in range(n_cols))), matrix)
 
 
 def assert_same_velocities(got, want):
