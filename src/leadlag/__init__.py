@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 
 _PUBLIC_BY_MODULE = {
     "charts": (
-        "ChartFormatError", "ChartStore", "GenreCatalog", "WeeklyChart", "WindowStack",
-        "read_chart_csv", "read_genre_catalog", "read_missing_weeks", "write_chart_csv",
-        "write_missing_weeks",
+        "ChartFormatError", "ChartStore", "WeeklyChart", "WindowStack", "read_chart_csv",
+        "read_genre_catalog", "read_missing_weeks", "write_chart_csv", "write_missing_weeks",
     ),
     "cluster": ("DistanceMatrix", "average_linkage", "flat_cut", "summed_distances", "to_newick"),
     "exports": (

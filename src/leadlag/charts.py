@@ -150,29 +150,6 @@ class WindowStack:
             yield block @ block.T
 
 
-class GenreCatalog:
-    """Per-genre ranked artist lists used for column filtering."""
-
-    def __init__(self, genres: Mapping[str, Sequence[str]]) -> None:
-        self._genres = {g: tuple(artists) for g, artists in genres.items()}
-        for genre_id, artists in self._genres.items():
-            if len(set(artists)) != len(artists):
-                raise ChartFormatError(f"genre {genre_id!r} lists an artist twice")
-            if len(artists) > MAX_GENRE_RANK:
-                raise ChartFormatError(
-                    f"genre {genre_id!r} has {len(artists)} artists, cap is {MAX_GENRE_RANK}"
-                )
-
-    def genre_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._genres))
-
-    def artists(self, genre_id: str) -> tuple[str, ...]:
-        try:
-            return self._genres[genre_id]
-        except KeyError:
-            raise KeyError(f"unknown genre {genre_id!r}") from None
-
-
 def csv_rows(
     path: str | Path, header: Sequence[str], error: type[ValueError]
 ) -> Iterator[tuple[str, list[str]]]:
@@ -292,9 +269,12 @@ def write_missing_weeks(path: str | Path, weeks: Iterable[int]) -> None:
             fh.write(f"{week}\n")
 
 
-def read_genre_catalog(path: str | Path) -> GenreCatalog:
-    """Parse a genre catalog CSV with header genre,rank,artist."""
+def read_genre_catalog(path: str | Path) -> dict[str, tuple[str, ...]]:
+    """Each genre's artists in rank order, from a genre catalog CSV with header
+    genre,rank,artist; a genre's ranks lie in 1..MAX_GENRE_RANK, and neither a
+    rank nor an artist appears twice in one genre."""
     ranked: dict[str, dict[int, str]] = {}
+    listed: set[tuple[str, str]] = set()  # (genre, artist) pairs
     with closing(csv_rows(path, GENRE_HEADER, ChartFormatError)) as rows:
         for where, (genre_id, rank_text, artist_id) in rows:
             rank = parse_number(int, rank_text, f"{where}: bad rank {rank_text!r}", ChartFormatError)
@@ -303,9 +283,11 @@ def read_genre_catalog(path: str | Path) -> GenreCatalog:
             slots = ranked.setdefault(genre_id, {})
             if rank in slots:
                 raise ChartFormatError(f"{where}: duplicate rank {rank} for genre {genre_id!r}")
+            if (genre_id, artist_id) in listed:
+                raise ChartFormatError(f"{where}: genre {genre_id!r} lists artist {artist_id!r} twice")
+            listed.add((genre_id, artist_id))
             slots[rank] = artist_id
-    genres = {g: [slots[r] for r in sorted(slots)] for g, slots in ranked.items()}
-    return GenreCatalog(genres)
+    return {g: tuple(slots[r] for r in sorted(slots)) for g, slots in ranked.items()}
 
 
 def read_chart_csv(path: str | Path) -> "ChartStore":
@@ -626,7 +608,7 @@ def _lines(text: np.ndarray, limit: int):
     Line ends and commas are found by one scan each. When every line has 3 commas
     the rows are strided views of the commas; otherwise each line's commas are
     counted by where its end falls among them. Quotes and bytes below 0x20 but the
-    line ends are looked up only when the text has one.
+    line ends are looked up in every block.
     """
     at = np.int32 if len(text) < 1 << 31 else np.int64
     mask = text == 10  # one mask, rewritten for each byte looked for: masks are as long as the text
@@ -641,16 +623,13 @@ def _lines(text: np.ndarray, limit: int):
     if not three:
         upto = np.searchsorted(commas, line_end)  # the commas before each line's end
         odd |= np.diff(upto, prepend=0) != 3
-    # Quotes and bytes below 0x20 but line ends: counted first, as most blocks have none.
-    if (np.count_nonzero(np.less(text, 32, out=mask)) > len(line_end)
-            or np.count_nonzero(np.equal(text, 34, out=mask))):
-        np.less(text, 32, out=mask)
-        mask[line_end] = False
-        mask |= text == 34
-        stray = np.flatnonzero(mask)
-        stray = stray[(text[stray] != 13) | (text[stray + 1] != 10)]  # \r right before \n ends a line
-        odd[np.searchsorted(line_end, stray)] = True
+    np.less(text, 32, out=mask)  # quotes and bytes below 0x20 but line ends
+    mask[line_end] = False
+    mask |= text == 34
+    stray = np.flatnonzero(mask)
     del mask
+    stray = stray[(text[stray] != 13) | (text[stray + 1] != 10)]  # \r right before \n ends a line
+    odd[np.searchsorted(line_end, stray)] = True
     if not three:
         return start, line_end, odd, commas[upto[~odd] + np.array([[-3], [-2], [-1]])]
     commas = commas.reshape(-1, 3)
@@ -880,15 +859,11 @@ class ChartStore:
             return 0
         return self.last_week - self.first_week + 1
 
-    def window_available(self, start_week: int) -> bool:
-        span = range(start_week, start_week + WINDOW_WEEKS)
-        if span.start < self.first_week or span.stop - 1 > self.last_week:
-            return False
-        return not any(w in self.missing_weeks for w in span)
-
     def valid_window_starts(self) -> list[int]:
+        """The start week of every window that lies in the study period and has no missing week."""
         last_start = self.last_week - (WINDOW_WEEKS - 1)
-        return [s for s in range(self.first_week, last_start + 1) if self.window_available(s)]
+        return [s for s in range(self.first_week, last_start + 1)
+                if self.missing_weeks.isdisjoint(range(s, s + WINDOW_WEEKS))]
 
     def windows(self, genre_artists: Iterable[str] | None = None) -> WindowStack:
         """Every valid window, filtered to the genre's columns when given, rows at unit norm.

@@ -124,7 +124,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     store, catalog, _ = _load_store(args)
     if catalog is not None:
-        print(f"genres: {len(catalog.genre_ids())}")
+        print(f"genres: {len(catalog)}")
     print(f"charts: {store.chart_count}")
     print(f"entries: {len(store.entries.data)}")
     print(f"cities: {len(store.cities)}")

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 from . import __version__
-from .charts import ChartStore, GenreCatalog, WindowStack, read_genre_catalog
+from .charts import ChartStore, WindowStack, read_genre_catalog
 from .cluster import ClusterNode, average_linkage, summed_distances, to_newick
 from .exports import (
     check_graphml_names, read_populations, write_acyclicity_json, write_centrality_json, write_dot,
@@ -84,14 +84,19 @@ def check_cities(subset: tuple[str, ...] | None) -> None:
         raise ValueError("city subset is empty")
 
 
-def genre_artists(catalog: GenreCatalog | None, genre_id: str | None) -> tuple[str, ...] | None:
+def genre_artists(catalog: Mapping[str, tuple[str, ...]] | None,
+                  genre_id: str | None) -> tuple[str, ...] | None:
     """The artists of `genre_id` in `catalog`, or None when no genre is given.
 
     Raises ValueError for a genre without a catalog and KeyError for one the
     catalog does not list.
     """
     check_genre(genre_id, catalog)
-    return None if genre_id is None else catalog.artists(genre_id)
+    if genre_id is None:
+        return None
+    if genre_id not in catalog:
+        raise KeyError(f"unknown genre {genre_id!r}")
+    return catalog[genre_id]
 
 
 def load_store(
@@ -100,7 +105,7 @@ def load_store(
     genre_path: str | Path | None = None,
     genre_id: str | None = None,
     city_subset: tuple[str, ...] | None = None,
-) -> tuple[ChartStore, GenreCatalog | None, tuple[str, ...] | None]:
+) -> tuple[ChartStore, dict[str, tuple[str, ...]] | None, tuple[str, ...] | None]:
     """The chart store restricted to `city_subset`, the genre catalog and the
     genre's artists. The subset and the genre are checked, and the genre
     looked up in the catalog, before the charts are read."""

@@ -150,6 +150,8 @@ class SynthConfig:
             raise ValueError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
         if not math.isfinite(self.step_scale) or self.step_scale < 0.0:
             raise ValueError(f"step_scale must be non-negative, got {self.step_scale}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for week in self.missing_weeks:
             if not 0 <= week < self.n_weeks:
                 raise ValueError(f"missing week {week} outside [0, {self.n_weeks})")
@@ -252,6 +254,8 @@ def shuffle_null(store: ChartStore, seed: int) -> ChartStore:
     the order charts arrive in. Only chart weeks move; the store puts the
     charts back in (week, city) order.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     by_city = np.argsort(store.city, kind="stable")  # each city's charts, by week
     opens = np.unique(store.city[by_city], return_index=True)[1]  # each city's first in by_city
     shuffled = np.empty_like(store.week)

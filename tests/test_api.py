@@ -30,7 +30,6 @@ PUBLIC = {
     "Dyads",
     "Edge",
     "ExportFormatError",
-    "GenreCatalog",
     "LeadershipGraph",
     "PipelineResult",
     "PlantedEdge",

@@ -435,6 +435,32 @@ class TestCliCommands:
         assert main(["ingest", "--charts", str(path)]) == 0
         assert capsys.readouterr().out.splitlines()[:2] == ["charts: 3", "entries: 5"]
 
+    def test_genre_run_equals_a_run_on_the_genre_rows(self, synth_inputs, tmp_path, capsys):
+        # Every chart of the fixture holds an even-numbered artist, so dropping the
+        # others' rows drops no city and no week.
+        header, *rows = Path(synth_inputs["charts"]).read_text(encoding="utf-8").splitlines()
+        artists = [row.split(",")[2] for row in rows]
+        even = sorted({a for a in artists if int(a.removeprefix("artist_")) % 2 == 0})
+        assert 0 < len(even) < len(set(artists))
+        genres = tmp_path / "genres.csv"
+        genres.write_text("genre,rank,artist\n" + "".join(
+            f"even,{rank},{artist}\n" for rank, artist in enumerate(even, start=1)))
+        kept = tmp_path / "charts.csv"
+        kept.write_text(header + "\n" + "".join(
+            f"{row}\n" for row, artist in zip(rows, artists) if artist in even))
+        inputs = ["--missing", synth_inputs["missing"], "--populations", synth_inputs["populations"]]
+        genre = ["--genre-file", str(genres), "--genre", "even"]
+        genre_run, rows_run = tmp_path / "genre", tmp_path / "rows"
+        assert main(["run", "--charts", synth_inputs["charts"], *inputs, *genre,
+                     "--out", str(genre_run)]) == 0
+        assert main(["run", "--charts", str(kept), *inputs, "--out", str(rows_run)]) == 0
+        capsys.readouterr()
+        names = sorted(p.name for p in genre_run.iterdir())
+        assert names == sorted(p.name for p in rows_run.iterdir())
+        assert read_edge_csv(genre_run / "edges.csv").edges
+        for name in set(names) - {"manifest.json"}:
+            assert (genre_run / name).read_bytes() == (rows_run / name).read_bytes(), name
+
     def test_run_without_a_valid_window_keeps_the_cities(self, tmp_path, capsys):
         # Three weeks hold no 4-week window, so no city has a velocity; the run's
         # graph and its cache, and a graph rebuilt from the cache, still have both.
@@ -823,6 +849,15 @@ class TestCliErrors:
             assert not (out / "edges.csv").exists()
         assert main(["graph", "--dyads", str(lone), "--out", str(tmp_path / "ok")]) == 0
         assert "accepted edges: 1" in capsys.readouterr().out
+
+    def test_negative_seed_exit_code(self, acceptance_run, tmp_path, capsys):
+        root, charts = acceptance_run
+        synth = ["synth", "--hierarchy", str(root / "hierarchy.json"),
+                 "--config", str(root / "synth.json")]
+        for command in (synth, ["shuffle", "--charts", charts[1]]):
+            assert main([*command, "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+            assert not (tmp_path / "out").exists()
 
     def test_io_exit_code(self, tmp_path, capsys):
         code = main(["ingest", "--charts", str(tmp_path / "absent.csv")])

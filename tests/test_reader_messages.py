@@ -95,7 +95,8 @@ CASES = [
     (read_genre_catalog, GENRE + "rock,1001,a\n", "{path}:2: rank 1001 outside 1..1000"),
     (read_genre_catalog, GENRE + "rock,1,a\nrock,1,b\n",
      "{path}:3: duplicate rank 1 for genre 'rock'"),
-    (read_genre_catalog, GENRE + "rock,1,a\nrock,2,a\n", "genre 'rock' lists an artist twice"),
+    (read_genre_catalog, GENRE + "rock,1,a\nrock,2,a\n",
+     "{path}:3: genre 'rock' lists artist 'a' twice"),
     over_limit(read_genre_catalog, GENRE),
     (read_chart_csv, "", None),
     (read_chart_csv, CHART, None),
@@ -274,6 +275,7 @@ CASES = [
      "{path}: noise_sigma must be non-negative, got -0.5"),
     (load_synth_config, '{"n_artists": 5, "step_scale": -0.5}',
      "{path}: step_scale must be non-negative, got -0.5"),
+    (load_synth_config, '{"n_artists": 5, "seed": -1}', "{path}: seed must be non-negative, got -1"),
     (load_synth_config, '{"n_artists": 5, "n_weeks": 12, "missing_weeks": [12]}',
      "{path}: missing week 12 outside [0, 12)"),
     (load_hierarchy, '{"cities": 5}', "{path}: cities: expected a list, got 5"),
