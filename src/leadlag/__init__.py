@@ -10,13 +10,13 @@ __version__ = "0.1.0"
 
 _PUBLIC_BY_MODULE = {
     "charts": (
-        "ChartFormatError", "ChartStore", "WeeklyChart", "WindowStack", "read_chart_csv",
+        "ChartStore", "FormatError", "WeeklyChart", "WindowStack", "read_chart_csv",
         "read_genre_catalog", "read_missing_weeks", "write_chart_csv", "write_missing_weeks",
     ),
     "cluster": ("DistanceMatrix", "average_linkage", "flat_cut", "summed_distances", "to_newick"),
     "exports": (
-        "ExportFormatError", "read_edge_csv", "read_manifest", "read_populations", "write_dot",
-        "write_edge_csv", "write_graphml", "write_manifest", "write_populations",
+        "read_edge_csv", "read_manifest", "read_populations", "write_dot", "write_edge_csv",
+        "write_graphml", "write_manifest", "write_populations",
     ),
     "lagcorr": (
         "DyadResult", "Dyads", "VelocitySeries", "compute_all_velocities", "load_dyads",

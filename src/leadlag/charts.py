@@ -54,8 +54,8 @@ _JSON_LIMITS = {float: (sys.float_info.max, "a finite number"),
                 int: (INT64_MAX, "an integer within int64")}
 
 
-class ChartFormatError(ValueError):
-    """An input file violates its format contract."""
+class FormatError(ValueError):
+    """An input file violates its format: what every input reader raises, naming the file."""
 
 
 @dataclass(frozen=True)
@@ -150,77 +150,75 @@ class WindowStack:
             yield block @ block.T
 
 
-def csv_rows(
-    path: str | Path, header: Sequence[str], error: type[ValueError]
-) -> Iterator[tuple[str, list[str]]]:
+def csv_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[str, list[str]]]:
     """(f"{path}:{line}", fields) of each non-blank row after `header`, which must open the file.
 
     `line` is the physical line on which the row ends, so a quoted line
-    break in an earlier row does not shift it. Raises `error` when the first
+    break in an earlier row does not shift it. Raises FormatError when the first
     row is not `header` (an empty file has no first row), for a row whose
     field count differs from the header's, for a row csv cannot split (a field
     longer than `csv.field_size_limit()`) and for bytes that are not UTF-8.
     A caller that may stop early closes the rows (`contextlib.closing`), and so the file.
     """
-    with closing(_text_lines(path, error)) as lines:
+    with closing(_text_lines(path)) as lines:
         reader = csv.reader(lines)
         try:
             if next(reader, None) != list(header):
-                raise error(f"{path}:1: expected header {','.join(header)}")
+                raise FormatError(f"{path}:1: expected header {','.join(header)}")
             for row in reader:
                 if not row:
                     continue
                 where = f"{path}:{reader.line_num}"
                 if len(row) != len(header):
-                    raise error(f"{where}: expected {len(header)} fields, got {len(row)}")
+                    raise FormatError(f"{where}: expected {len(header)} fields, got {len(row)}")
                 yield where, row
         except csv.Error as exc:
-            raise error(f"{path}:{reader.line_num}: {exc}") from None
+            raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def _text_lines(path: str | Path, error: type[ValueError]) -> Iterator[str]:
-    """The lines of `path` as the csv module reads them, raising `error`, naming the file,
+def _text_lines(path: str | Path) -> Iterator[str]:
+    """The lines of `path` as the csv module reads them, raising FormatError, naming the file,
     at bytes that are not UTF-8."""
     with open(path, encoding="utf-8", newline="") as fh:
         try:
             yield from fh
         except UnicodeDecodeError:
-            raise error(f"{path}: not UTF-8 text") from None
+            raise FormatError(f"{path}: not UTF-8 text") from None
 
 
-def parse_number(kind: type, text: str, problem: str, error: type[ValueError]):
-    """`kind(text)`, or `error(problem)` when `text` is not such a number."""
+def parse_number(kind: type, text: str, problem: str):
+    """`kind(text)`, or FormatError(problem) when `text` is not such a number."""
     try:
         return kind(text)
     except ValueError:
-        raise error(problem) from None
+        raise FormatError(problem) from None
 
 
-def read_json(path: str | Path, error: type[ValueError] = ValueError) -> dict:
-    """The JSON object in `path`, raising `error`, naming the file, for bytes that are not
+def read_json(path: str | Path) -> dict:
+    """The JSON object in `path`, raising FormatError, naming the file, for bytes that are not
     UTF-8, text that is not JSON and JSON that is not an object. Read its values with
     `json_value`, which checks each one's kind."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except UnicodeDecodeError:
-        raise error(f"{path}: not UTF-8 text") from None
+        raise FormatError(f"{path}: not UTF-8 text") from None
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
-        raise error(f"{path}: not JSON: {exc}") from None
+        raise FormatError(f"{path}: not JSON: {exc}") from None
     if type(raw) is not dict:
-        raise error(f"{path}: expected a JSON object")
+        raise FormatError(f"{path}: expected a JSON object")
     return raw
 
 
-def json_value(raw, key, where: str | Path, kind: type = float, error: type[ValueError] = ValueError):
-    """raw[key], from a JSON object or array, as `kind`; raises `error` naming `where` and
+def json_value(raw, key, where: str | Path, kind: type = float):
+    """raw[key], from a JSON object or array, as `kind`; raises FormatError naming `where` and
     `key` when it is missing or JSON gave it a value of another kind. A float takes any
     JSON number that stays finite as a double, an int a JSON integer within int64 (no
     2.0, no true), and a list or dict the array or object as it is."""
     try:
         value = raw[key]
     except (KeyError, IndexError):
-        raise error(f"{where}: missing {key!r}") from None
+        raise FormatError(f"{where}: missing {key!r}") from None
     types, wanted = _JSON_KINDS[kind]
     if type(value) in types:
         if kind not in _JSON_LIMITS:
@@ -228,37 +226,34 @@ def json_value(raw, key, where: str | Path, kind: type = float, error: type[Valu
         limit, wanted = _JSON_LIMITS[kind]
         if abs(value) <= limit:  # false for NaN
             return float(value) if kind is float else value
-    raise error(f"{where}: {key}: expected {wanted}, got {value!r}")
+    raise FormatError(f"{where}: {key}: expected {wanted}, got {value!r}")
 
 
-def json_list(raw, key, where: str | Path, kind: type, error: type[ValueError] = ValueError) -> list:
+def json_list(raw, key, where: str | Path, kind: type) -> list:
     """raw[key], a JSON array, with each item read by `json_value` as `kind`."""
-    items = json_value(raw, key, where, list, error)
-    return [json_value(items, i, f"{where}: {key}", kind, error) for i in range(len(items))]
+    items = json_value(raw, key, where, list)
+    return [json_value(items, i, f"{where}: {key}", kind) for i in range(len(items))]
 
 
-def json_records(
-    raw, key, where: str | Path, fields: Mapping[str, type], error: type[ValueError] = ValueError
-) -> Iterator[list]:
+def json_records(raw, key, where: str | Path, fields: Mapping[str, type]) -> Iterator[list]:
     """For each JSON object in the array raw[key], the values of `fields` in their order,
     each read by `json_value` as its kind."""
-    for i, record in enumerate(json_list(raw, key, where, dict, error)):
+    for i, record in enumerate(json_list(raw, key, where, dict)):
         at = f"{where}: {key}: {i}"
-        yield [json_value(record, name, at, kind, error) for name, kind in fields.items()]
+        yield [json_value(record, name, at, kind) for name, kind in fields.items()]
 
 
 def read_missing_weeks(path: str | Path) -> frozenset[int]:
     """Parse a newline-separated list of missing week indices."""
     weeks = set()
-    with closing(_text_lines(path, ChartFormatError)) as lines:
+    with closing(_text_lines(path)) as lines:
         for lineno, line in enumerate(lines, start=1):
             text = line.strip()
             if not text:
                 continue
-            problem = f"{path}:{lineno}: expected a week index, got {text!r}"
-            week = parse_number(int, text, problem, ChartFormatError)
+            week = parse_number(int, text, f"{path}:{lineno}: expected a week index, got {text!r}")
             if week < 0:
-                raise ChartFormatError(f"{path}:{lineno}: negative week index {week}")
+                raise FormatError(f"{path}:{lineno}: negative week index {week}")
             weeks.add(week)
     return frozenset(weeks)
 
@@ -271,20 +266,22 @@ def write_missing_weeks(path: str | Path, weeks: Iterable[int]) -> None:
 
 def read_genre_catalog(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Each genre's artists in rank order, from a genre catalog CSV with header
-    genre,rank,artist; a genre's ranks lie in 1..MAX_GENRE_RANK, and neither a
-    rank nor an artist appears twice in one genre."""
+    genre,rank,artist; no id is empty, a genre's ranks lie in 1..MAX_GENRE_RANK,
+    and neither a rank nor an artist appears twice in one genre."""
     ranked: dict[str, dict[int, str]] = {}
     listed: set[tuple[str, str]] = set()  # (genre, artist) pairs
-    with closing(csv_rows(path, GENRE_HEADER, ChartFormatError)) as rows:
+    with closing(csv_rows(path, GENRE_HEADER)) as rows:
         for where, (genre_id, rank_text, artist_id) in rows:
-            rank = parse_number(int, rank_text, f"{where}: bad rank {rank_text!r}", ChartFormatError)
+            if not genre_id or not artist_id:
+                raise FormatError(f"{where}: empty genre or artist id")
+            rank = parse_number(int, rank_text, f"{where}: bad rank {rank_text!r}")
             if not 1 <= rank <= MAX_GENRE_RANK:
-                raise ChartFormatError(f"{where}: rank {rank} outside 1..{MAX_GENRE_RANK}")
+                raise FormatError(f"{where}: rank {rank} outside 1..{MAX_GENRE_RANK}")
             slots = ranked.setdefault(genre_id, {})
             if rank in slots:
-                raise ChartFormatError(f"{where}: duplicate rank {rank} for genre {genre_id!r}")
+                raise FormatError(f"{where}: duplicate rank {rank} for genre {genre_id!r}")
             if (genre_id, artist_id) in listed:
-                raise ChartFormatError(f"{where}: genre {genre_id!r} lists artist {artist_id!r} twice")
+                raise FormatError(f"{where}: genre {genre_id!r} lists artist {artist_id!r} twice")
             listed.add((genre_id, artist_id))
             slots[rank] = artist_id
     return {g: tuple(slots[r] for r in sorted(slots)) for g, slots in ranked.items()}
@@ -297,27 +294,27 @@ def read_chart_csv(path: str | Path) -> "ChartStore":
     A zero-byte file holds no charts; `csv_rows` would reject it for its header.
     """
     rows: dict[tuple[int, str, str], int] = {}  # listeners by (week, city, artist), in file order
-    with closing(csv_rows(path, CHART_HEADER, ChartFormatError)) as lines:
+    with closing(csv_rows(path, CHART_HEADER)) as lines:
         for where, (week_text, city_id, artist_id, listeners_text) in (
             lines if Path(path).stat().st_size else ()
         ):
-            week = parse_number(int, week_text, f"{where}: bad week {week_text!r}", ChartFormatError)
+            week = parse_number(int, week_text, f"{where}: bad week {week_text!r}")
             if week < 0:
-                raise ChartFormatError(f"{where}: negative week index {week}")
+                raise FormatError(f"{where}: negative week index {week}")
             if week > INT64_MAX:
-                raise ChartFormatError(f"{where}: week index must be at most {INT64_MAX}, got {week}")
+                raise FormatError(f"{where}: week index must be at most {INT64_MAX}, got {week}")
             if not city_id or not artist_id:
-                raise ChartFormatError(f"{where}: empty city or artist id")
+                raise FormatError(f"{where}: empty city or artist id")
             problem = f"{where}: bad listener count {listeners_text!r}"
-            listeners = parse_number(int, listeners_text, problem, ChartFormatError)
+            listeners = parse_number(int, listeners_text, problem)
             if listeners < 1:
-                raise ChartFormatError(f"{where}: listener count must be positive, got {listeners}")
+                raise FormatError(f"{where}: listener count must be positive, got {listeners}")
             if listeners > INT64_MAX:
-                raise ChartFormatError(
+                raise FormatError(
                     f"{where}: listener count must be at most {INT64_MAX}, got {listeners}"
                 )
             if (week, city_id, artist_id) in rows:
-                raise ChartFormatError(
+                raise FormatError(
                     f"{where}: duplicate entry for week {week}, city {city_id!r}, artist {artist_id!r}"
                 )
             rows[week, city_id, artist_id] = listeners
@@ -332,8 +329,8 @@ def read_chart_csv(path: str | Path) -> "ChartStore":
                        np.array([code[c] for _, c, _ in rows], dtype=np.int32), entries)
     sizes = np.diff(store.entries.indptr)
     for i in np.flatnonzero(sizes > MAX_CHART_ENTRIES)[:1].tolist():
-        raise ChartFormatError(f"{path}: week {store.week[i]}, city {store.cities[store.city[i]]!r} "
-                               f"has {sizes[i]} entries, cap is {MAX_CHART_ENTRIES}")
+        raise FormatError(f"{path}: week {store.week[i]}, city {store.cities[store.city[i]]!r} "
+                          f"has {sizes[i]} entries, cap is {MAX_CHART_ENTRIES}")
     return store
 
 
@@ -358,17 +355,13 @@ def _check_week_range(chart_path: str | Path, present: set[int], missing: frozen
     lo, hi = min(present), max(present)
     stray = sorted(w for w in missing if not lo <= w <= hi)
     if stray:
-        raise ChartFormatError(
-            f"{chart_path}: missing week {stray[0]} lies outside the charted "
-            f"week range {lo}..{hi}"
-        )
+        raise FormatError(f"{chart_path}: missing week {stray[0]} lies outside the charted "
+                          f"week range {lo}..{hi}")
     covered = sorted(present | missing)
     gaps = [a + 1 for a, b in zip(covered, covered[1:]) if b - a > 1]
     if gaps:
-        raise ChartFormatError(
-            f"{chart_path}: week range {lo}..{hi} has unexplained gaps "
-            f"(first: {gaps[0]}); list them in the missing-week file"
-        )
+        raise FormatError(f"{chart_path}: week range {lo}..{hi} has unexplained gaps "
+                          f"(first: {gaps[0]}); list them in the missing-week file")
 
 
 def _blocks(fh) -> Iterator[np.ndarray]:

@@ -13,11 +13,12 @@ import re
 from contextlib import closing
 from dataclasses import asdict
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .charts import INT64_MAX, csv_rows, json_list, json_records, json_value, parse_number, read_json
+from .charts import (
+    INT64_MAX, FormatError, csv_rows, json_list, json_records, json_value, parse_number, read_json,
+)
 from .lagcorr import MAX_LAG, MIN_LAG
 from .network import (
     AcyclicityReport,
@@ -35,10 +36,6 @@ _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 NodeAttrs = dict[str, dict[str, float | int]]
-
-
-class ExportFormatError(ValueError):
-    """An artifact file does not match the format this module writes."""
 
 
 def _fmt(value: float) -> str:
@@ -61,16 +58,16 @@ def _edge(where: str, seen: set, follower: str, leader: str, weight: float, lag:
     """The edge of one record of an edge file, rejecting what the writers never
     write; `shown` is the weight as the file gives it."""
     if not follower or not leader:
-        raise ExportFormatError(f"{where}: empty city id")
+        raise FormatError(f"{where}: empty city id")
     if follower == leader:
-        raise ExportFormatError(f"{where}: self-loop on {follower!r}")
+        raise FormatError(f"{where}: self-loop on {follower!r}")
     if (follower, leader) in seen:
-        raise ExportFormatError(f"{where}: duplicate edge {follower!r} -> {leader!r}")
+        raise FormatError(f"{where}: duplicate edge {follower!r} -> {leader!r}")
     seen.add((follower, leader))
     if not (math.isfinite(weight) and weight > 0):
-        raise ExportFormatError(f"{where}: weight must be finite and positive, got {shown!r}")
+        raise FormatError(f"{where}: weight must be finite and positive, got {shown!r}")
     if not MIN_LAG <= lag <= MAX_LAG:
-        raise ExportFormatError(f"{where}: lag must be in {MIN_LAG}..{MAX_LAG}, got {lag}")
+        raise FormatError(f"{where}: lag must be in {MIN_LAG}..{MAX_LAG}, got {lag}")
     return Edge(follower, leader, weight, lag)
 
 
@@ -79,11 +76,10 @@ def read_edge_csv(path: str | Path) -> LeadershipGraph:
     over the cities its edges name: a city with no edge is not in the file."""
     edges: list[Edge] = []
     seen: set[tuple[str, str]] = set()
-    with closing(csv_rows(path, EDGE_HEADER, ExportFormatError)) as rows:
+    with closing(csv_rows(path, EDGE_HEADER)) as rows:
         for where, (follower, leader, weight_text, lag_text) in rows:
-            problem = f"{where}: bad weight {weight_text!r}"
-            weight = parse_number(float, weight_text, problem, ExportFormatError)
-            lag = parse_number(int, lag_text, f"{where}: bad lag {lag_text!r}", ExportFormatError)
+            weight = parse_number(float, weight_text, f"{where}: bad weight {weight_text!r}")
+            lag = parse_number(int, lag_text, f"{where}: bad lag {lag_text!r}")
             edges.append(_edge(where, seen, follower, leader, weight, lag, weight_text))
     return LeadershipGraph(tuple({c for e in edges for c in (e.follower, e.leader)}), tuple(edges))
 
@@ -101,18 +97,17 @@ def write_populations(path: str | Path, populations: Mapping[str, int]) -> None:
 
 def read_populations(path: str | Path) -> dict[str, int]:
     populations: dict[str, int] = {}
-    with closing(csv_rows(path, POPULATION_HEADER, ExportFormatError)) as rows:
+    with closing(csv_rows(path, POPULATION_HEADER)) as rows:
         for where, (city, pop_text) in rows:
             if not city:
-                raise ExportFormatError(f"{where}: empty city id")
+                raise FormatError(f"{where}: empty city id")
             if city in populations:
-                raise ExportFormatError(f"{where}: duplicate city {city!r}")
-            problem = f"{where}: bad population {pop_text!r}"
-            population = parse_number(int, pop_text, problem, ExportFormatError)
+                raise FormatError(f"{where}: duplicate city {city!r}")
+            population = parse_number(int, pop_text, f"{where}: bad population {pop_text!r}")
             if population <= 0:
-                raise ExportFormatError(f"{where}: population must be positive, got {population}")
+                raise FormatError(f"{where}: population must be positive, got {population}")
             if population > INT64_MAX:  # graph.graphml declares it a long
-                raise ExportFormatError(
+                raise FormatError(
                     f"{where}: population must be at most {INT64_MAX}, got {population}"
                 )
             populations[city] = population
@@ -244,8 +239,6 @@ def _write_json(path: str | Path, payload: dict) -> None:
         fh.write("\n")
 
 
-# raw[key] as a kind, raising ExportFormatError unless JSON gave it a value of that kind.
-_json_value = partial(json_value, error=ExportFormatError)
 # The JSON kind of each field of a removed edge, in the order Edge takes them, and of
 # each top-level field of a manifest.
 _EDGE_FIELDS = dict(zip(EDGE_HEADER, (str, str, float, int)))
@@ -266,9 +259,9 @@ def write_acyclicity_json(path: str | Path, report: AcyclicityReport) -> None:
 
 def _in_range(path: str | Path, raw: dict, key: str, low: float, high: float) -> float:
     """raw[key], a JSON number, rejected unless within [low, high]."""
-    value = _json_value(raw, key, path)
+    value = json_value(raw, key, path)
     if not low <= value <= high:
-        raise ExportFormatError(f"{path}: {key} {value!r} is outside [{low:g}, {high:g}]")
+        raise FormatError(f"{path}: {key} {value!r} is outside [{low:g}, {high:g}]")
     return value
 
 
@@ -278,25 +271,25 @@ def read_acyclicity_json(path: str | Path) -> AcyclicityReport:
     [0, total_weight] or other than the `math.fsum` of the removed weights,
     and a `percent_removed` outside [0, 100] or other than
     100 * fas_weight / total_weight (0 for a total of 0)."""
-    raw = read_json(path, ExportFormatError)
-    total = _json_value(raw, "total_weight", path)
-    fas = _json_value(raw, "fas_weight", path)
+    raw = read_json(path)
+    total = json_value(raw, "total_weight", path)
+    fas = json_value(raw, "fas_weight", path)
     percent = _in_range(path, raw, "percent_removed", 0.0, 100.0)
     if not 0.0 <= fas <= total:
-        raise ExportFormatError(f"{path}: fas_weight {fas!r} is outside [0, total_weight {total!r}]")
-    exact = _json_value(raw, "exact", path, bool)
+        raise FormatError(f"{path}: fas_weight {fas!r} is outside [0, total_weight {total!r}]")
+    exact = json_value(raw, "exact", path, bool)
     seen: set[tuple[str, str]] = set()
-    records = json_records(raw, "removed_edges", path, _EDGE_FIELDS, ExportFormatError)
+    records = json_records(raw, "removed_edges", path, _EDGE_FIELDS)
     removed = tuple(_edge(f"{path}: removed_edges: {i}", seen, *values, values[2])
                     for i, values in enumerate(records))
     weight = math.fsum(e.weight for e in removed)
     if fas != weight:
-        raise ExportFormatError(f"{path}: fas_weight {fas!r} is not the sum of the removed "
-                                f"edges' weights, {weight!r}")
+        raise FormatError(f"{path}: fas_weight {fas!r} is not the sum of the removed "
+                          f"edges' weights, {weight!r}")
     share = 100.0 * fas / total if total > 0 else 0.0
     if percent != share:
-        raise ExportFormatError(f"{path}: percent_removed {percent!r} is not "
-                                f"100 * fas_weight / total_weight, {share!r}")
+        raise FormatError(f"{path}: percent_removed {percent!r} is not "
+                          f"100 * fas_weight / total_weight, {share!r}")
     return AcyclicityReport(total, fas, percent, removed, exact)
 
 
@@ -307,17 +300,17 @@ def write_size_leadership_json(path: str | Path, report: SizeLeadershipReport) -
 def read_size_leadership_json(path: str | Path) -> SizeLeadershipReport:
     """Parse write_size_leadership_json output, rejecting a Spearman value
     outside [-1, 1], a percentage outside [0, 100] and a repeated city."""
-    raw = read_json(path, ExportFormatError)
+    raw = read_json(path)
     report = SizeLeadershipReport(
         spearman_pagerank=_in_range(path, raw, "spearman_pagerank", -1.0, 1.0),
         spearman_indegree=_in_range(path, raw, "spearman_indegree", -1.0, 1.0),
         percent_weight_larger_leads=_in_range(path, raw, "percent_weight_larger_leads", 0.0, 100.0),
-        cities_used=tuple(json_list(raw, "cities_used", path, str, ExportFormatError)),
+        cities_used=tuple(json_list(raw, "cities_used", path, str)),
     )
     cities = report.cities_used
     if len(set(cities)) < len(cities):
         twice = next(c for i, c in enumerate(cities) if c in cities[:i])
-        raise ExportFormatError(f"{path}: cities_used lists {twice!r} twice")
+        raise FormatError(f"{path}: cities_used lists {twice!r} twice")
     return report
 
 
@@ -362,9 +355,9 @@ def write_manifest(
 def read_manifest(path: str | Path) -> dict:
     """The manifest, each top-level field of its JSON kind; the run's genre, if the
     parameters name one, is a string."""
-    raw = read_json(path, ExportFormatError)
+    raw = read_json(path)
     for key, kind in _MANIFEST_FIELDS.items():
-        _json_value(raw, key, path, kind)
+        json_value(raw, key, path, kind)
     if raw["parameters"].get("genre_id") is not None:
-        _json_value(raw["parameters"], "genre_id", f"{path}: parameters", str)
+        json_value(raw["parameters"], "genre_id", f"{path}: parameters", str)
     return raw

@@ -17,7 +17,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .charts import SparseRows, WindowStack, json_list, json_value, read_json
+from .charts import FormatError, SparseRows, WindowStack, json_list, json_value, read_json
 
 MIN_LAG = 1
 MAX_LAG = 5
@@ -244,7 +244,7 @@ def save_dyads(path: str | Path, dyads: Dyads) -> None:
 
 
 def load_dyads(path: str | Path) -> Dyads:
-    """Read a save_dyads cache as a dyad table, raising ValueError, naming the
+    """Read a save_dyads cache as a dyad table, raising FormatError, naming the
     file, for a file without every column (as written before each field was
     a column), a value `charts.json_value` rejects, and any cache that would
     silently distort a graph: an unsorted or repeating city list, a column
@@ -255,40 +255,40 @@ def load_dyads(path: str | Path) -> Dyads:
     non-finite correlation or sample, or a correlation off its samples' mean by 1e-12."""
     payload = read_json(path)
     if not {"cities", *_COLUMNS} <= payload.keys():
-        raise ValueError(f"{path}: not a dyad cache in the current layout, which stores every "
-                         "dyad field as a base64 column; rerun `leadlag dyads` or `leadlag run` "
-                         "to rewrite it")
+        raise FormatError(f"{path}: not a dyad cache in the current layout, which stores every "
+                          "dyad field as a base64 column; rerun `leadlag dyads` or `leadlag run` "
+                          "to rewrite it")
     cities = tuple(json_list(payload, "cities", path, str))
     for before, city in zip(cities, cities[1:]):
         if before >= city:
             problem = "appears twice in" if before == city else "is out of order in"
-            raise ValueError(f"{path}: city {city!r} {problem} the cache's city list, "
-                             "which must be sorted")
+            raise FormatError(f"{path}: city {city!r} {problem} the cache's city list, "
+                              "which must be sorted")
     columns = []
     for name, dtype in _COLUMNS.items():
         text = json_value(payload, name, path, str)
         try:  # binascii.Error, a non-ASCII character and a part-item tail are ValueErrors
             columns.append(np.frombuffer(base64.b64decode(text, validate=True), dtype=dtype))
         except ValueError:
-            raise ValueError(f"{path}: {name} is not base64 of whole 8-byte items") from None
+            raise FormatError(f"{path}: {name} is not base64 of whole 8-byte items") from None
     leader, follower, lag, correlation, sizes, weeks, values = columns
     if len({len(c) for c in columns[:5]}) > 1:
-        raise ValueError(f"{path}: the columns of one item per dyad differ in length")
+        raise FormatError(f"{path}: the columns of one item per dyad differ in length")
     ends = np.cumsum(sizes)  # no negative end: the sum did not overflow
     if not sizes.sum() == len(weeks) == len(values) or (ends < 0).any():
-        raise ValueError(f"{path}: the dyads' sample counts do not sum to the length of the "
-                         "weeks and values columns")
+        raise FormatError(f"{path}: the dyads' sample counts do not sum to the length of the "
+                          "weeks and values columns")
     n = len(cities)
     inside = (leader >= 0) & (leader < n) & (follower >= 0) & (follower < n)
     if not inside.all():
-        raise ValueError(f"{path}: dyad {np.argmin(inside)} names a city outside the city list")
+        raise FormatError(f"{path}: dyad {np.argmin(inside)} names a city outside the city list")
 
     def require(ok: np.ndarray, problem: str, *shown: np.ndarray) -> None:
         """Reject the first dyad where `ok` fails; `problem` shows its items of `shown`."""
         if not ok.all():
             at = int(np.argmin(ok))
             dyad = f"{cities[follower[at]]!r} -> {cities[leader[at]]!r}"
-            raise ValueError(f"{path}: dyad {dyad} " + problem.format(*(c[at] for c in shown)))
+            raise FormatError(f"{path}: dyad {dyad} " + problem.format(*(c[at] for c in shown)))
 
     step = np.diff(leader * n + follower, prepend=-1)
     require(step != 0, "appears twice")

@@ -13,6 +13,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 from . import __version__
 from .charts import ChartStore, WindowStack, read_genre_catalog
 from .cluster import ClusterNode, average_linkage, summed_distances, to_newick
@@ -108,12 +110,20 @@ def load_store(
 ) -> tuple[ChartStore, dict[str, tuple[str, ...]] | None, tuple[str, ...] | None]:
     """The chart store restricted to `city_subset`, the genre catalog and the
     genre's artists. The subset and the genre are checked, and the genre
-    looked up in the catalog, before the charts are read."""
+    looked up in the catalog, before the charts are read; a genre of which
+    the kept cities chart no artist is a ValueError."""
     check_cities(city_subset)
     catalog = read_genre_catalog(genre_path) if genre_path else None
     artists = genre_artists(catalog, genre_id)
     store = ChartStore.from_files(chart_path, missing_weeks_path)
-    return (store if city_subset is None else store.restrict(city_subset)), catalog, artists
+    if city_subset is not None:
+        store = store.restrict(city_subset)
+    if artists is not None:
+        listed = set(artists)
+        keep = np.array([a in listed for a in store.universe], dtype=bool)
+        if not keep[store.entries.indices].any():
+            raise ValueError(f"genre {genre_id!r} lists no charted artist")
+    return store, catalog, artists
 
 
 def build_windows(store: ChartStore, artists: Iterable[str] | None = None) -> WindowStack:

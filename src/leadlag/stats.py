@@ -15,19 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "DegenerateSampleError",
-    "UndefinedCorrelationError",
-    "TestResult",
-    "SpearmanResult",
-    "t_cdf",
-    "two_sided_p",
-    "grouped_ttest",
-    "one_sample_ttest",
-    "paired_ttest",
-    "spearman",
-]
-
 
 class DegenerateSampleError(ValueError):
     """Sample (or difference) variance is zero, so no t statistic exists."""

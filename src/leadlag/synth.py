@@ -19,14 +19,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .charts import (
-    MAX_CHART_ENTRIES,
-    WINDOW_WEEKS,
-    ChartStore,
-    SparseRows,
-    json_list,
-    json_records,
-    json_value,
-    read_json,
+    MAX_CHART_ENTRIES, WINDOW_WEEKS, ChartStore, FormatError, SparseRows, json_list, json_records,
+    json_value, read_json,
 )
 from .lagcorr import MAX_LAG, MIN_LAG
 
@@ -289,7 +283,7 @@ def load_hierarchy(path: str | Path) -> PlantedHierarchy:
             tuple(PlantedEdge(*values) for values in edges),
         )
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def load_synth_config(path: str | Path) -> SynthConfig:
@@ -299,7 +293,7 @@ def load_synth_config(path: str | Path) -> SynthConfig:
     raw = read_json(path)
     for key in raw:
         if key not in _CONFIG_FIELDS and key != "missing_weeks":
-            raise ValueError(f"{path}: unknown config key {key!r}")
+            raise FormatError(f"{path}: unknown config key {key!r}")
     kwargs: dict = {
         key: json_value(raw, key, path, kind)
         for key, kind in _CONFIG_FIELDS.items() if key in raw or key == "n_artists"
@@ -309,7 +303,7 @@ def load_synth_config(path: str | Path) -> SynthConfig:
     try:
         return SynthConfig(**kwargs)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def chain_hierarchy(

@@ -12,9 +12,9 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 from xml.etree import ElementTree as ET
 
-from leadlag.charts import json_value, read_json
+from leadlag.charts import FormatError, json_value, read_json
 from leadlag.cluster import ClusterNode
-from leadlag.exports import ExportFormatError, NodeAttrs, _GRAPHML_NS
+from leadlag.exports import NodeAttrs, _GRAPHML_NS
 from leadlag.network import CentralityReport, Edge
 
 _DOT_QUOTED = r'"((?:[^"\\]|\\.)*)"'
@@ -32,7 +32,7 @@ def _parse_attr_block(block: str, path: str | Path, lineno: int) -> dict:
     for piece in filter(None, (p.strip() for p in block.split(","))):
         match = _DOT_ATTR_RE.match(piece)
         if not match:
-            raise ExportFormatError(f"{path}:{lineno}: bad attribute {piece!r}")
+            raise FormatError(f"{path}:{lineno}: bad attribute {piece!r}")
         key, text = match.groups()
         attrs[key] = int(text) if re.fullmatch(r"-?\d+", text) else float(text)
     return attrs
@@ -43,7 +43,7 @@ def parse_dot(path: str | Path) -> tuple[NodeAttrs, list[Edge]]:
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "digraph leadership {" or lines[-1] != "}":
-        raise ExportFormatError(f"{path}: not a digraph this tool wrote")
+        raise FormatError(f"{path}: not a digraph this tool wrote")
     nodes: NodeAttrs = {}
     edges: list[Edge] = []
     for lineno, line in enumerate(lines[1:-1], start=2):
@@ -53,7 +53,7 @@ def parse_dot(path: str | Path) -> tuple[NodeAttrs, list[Edge]]:
             attrs = _parse_attr_block(block, path, lineno)
             for key in ("weight", "lag_weeks"):
                 if key not in attrs:
-                    raise ExportFormatError(f"{path}:{lineno}: edge missing {key}")
+                    raise FormatError(f"{path}:{lineno}: edge missing {key}")
             edges.append(
                 Edge(
                     follower=_dot_unquote(follower),
@@ -69,7 +69,7 @@ def parse_dot(path: str | Path) -> tuple[NodeAttrs, list[Edge]]:
             attrs = _parse_attr_block(block, path, lineno) if block else {}
             nodes[_dot_unquote(name)] = attrs
             continue
-        raise ExportFormatError(f"{path}:{lineno}: unrecognized line {line!r}")
+        raise FormatError(f"{path}:{lineno}: unrecognized line {line!r}")
     return nodes, edges
 
 
@@ -77,7 +77,7 @@ def read_graphml(path: str | Path) -> tuple[NodeAttrs, list[Edge]]:
     try:
         root = ET.parse(path).getroot()
     except ET.ParseError as exc:
-        raise ExportFormatError(f"{path}: not parseable XML: {exc}") from None
+        raise FormatError(f"{path}: not parseable XML: {exc}") from None
     ns = {"g": _GRAPHML_NS}
     key_names: dict[str, tuple[str, str]] = {}
     for key in root.findall("g:key", ns):
@@ -87,25 +87,25 @@ def read_graphml(path: str | Path) -> tuple[NodeAttrs, list[Edge]]:
         )
     graph_el = root.find("g:graph", ns)
     if graph_el is None:
-        raise ExportFormatError(f"{path}: no <graph> element")
+        raise FormatError(f"{path}: no <graph> element")
     nodes: NodeAttrs = {}
     edges: list[Edge] = []
     for el in graph_el.findall("g:node", ns):
         node_id = el.get("id")
         if node_id is None:
-            raise ExportFormatError(f"{path}: node without id")
+            raise FormatError(f"{path}: node without id")
         attrs: dict[str, float | int] = {}
         for data in el.findall("g:data", ns):
             name, kind = key_names.get(data.get("key", ""), ("", ""))
             if not name:
-                raise ExportFormatError(f"{path}: undeclared data key on node {node_id!r}")
+                raise FormatError(f"{path}: undeclared data key on node {node_id!r}")
             text = data.text or ""
             attrs[name] = int(text) if kind in ("int", "long") else float(text)
         nodes[node_id] = attrs
     for el in graph_el.findall("g:edge", ns):
         leader, follower = el.get("source"), el.get("target")
         if leader is None or follower is None:
-            raise ExportFormatError(f"{path}: edge missing source or target")
+            raise FormatError(f"{path}: edge missing source or target")
         fields: dict[str, float | int] = {}
         for data in el.findall("g:data", ns):
             name, kind = key_names.get(data.get("key", ""), ("", ""))
@@ -113,7 +113,7 @@ def read_graphml(path: str | Path) -> tuple[NodeAttrs, list[Edge]]:
             fields[name] = int(text) if kind in ("int", "long") else float(text)
         for field in ("weight", "lag_weeks"):
             if field not in fields:
-                raise ExportFormatError(f"{path}: edge missing {field}")
+                raise FormatError(f"{path}: edge missing {field}")
         edges.append(
             Edge(
                 follower=follower,
@@ -126,12 +126,12 @@ def read_graphml(path: str | Path) -> tuple[NodeAttrs, list[Edge]]:
 
 
 def read_centrality_json(path: str | Path) -> CentralityReport:
-    raw = read_json(path, ExportFormatError)
+    raw = read_json(path)
     scores = {}
     for key in ("pagerank", "weighted_in_degree"):
-        by_city = json_value(raw, key, path, dict, ExportFormatError)
+        by_city = json_value(raw, key, path, dict)
         where = f"{path}: {key}"
-        scores[key] = {c: json_value(by_city, c, where, float, ExportFormatError) for c in by_city}
+        scores[key] = {c: json_value(by_city, c, where, float) for c in by_city}
     return CentralityReport(**scores)
 
 

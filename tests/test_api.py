@@ -22,14 +22,13 @@ PUBLIC = {
     "__version__",
     "AcyclicityReport",
     "CentralityReport",
-    "ChartFormatError",
     "ChartStore",
     "DegenerateSampleError",
     "DistanceMatrix",
     "DyadResult",
     "Dyads",
     "Edge",
-    "ExportFormatError",
+    "FormatError",
     "LeadershipGraph",
     "PipelineResult",
     "PlantedEdge",

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from leadlag import charts as charts_module
 from leadlag.charts import (
-    ChartFormatError,
     ChartStore,
+    FormatError,
     SparseRows,
     WeeklyChart,
     read_chart_csv,
@@ -100,46 +100,46 @@ def test_study_period_spans_all_weeks(tmp_path):
 def test_bad_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("week,city,artist\n0,a,b\n", encoding="utf-8")
-    with pytest.raises(ChartFormatError, match="header"):
+    with pytest.raises(FormatError, match="header"):
         read_chart_csv(path)
 
 
 def test_malformed_week_names_line(tmp_path):
     rows = [(0, "c", "a", 1), ("x", "c", "a", 1)]
-    with pytest.raises(ChartFormatError, match=":3:"):
+    with pytest.raises(FormatError, match=":3:"):
         read_chart_csv(chart_file(tmp_path, rows))
 
 
 def test_nonpositive_listeners_rejected(tmp_path):
-    with pytest.raises(ChartFormatError, match="positive"):
+    with pytest.raises(FormatError, match="positive"):
         read_chart_csv(chart_file(tmp_path, [(0, "c", "a", 0)]))
-    with pytest.raises(ChartFormatError, match="positive"):
+    with pytest.raises(FormatError, match="positive"):
         read_chart_csv(chart_file(tmp_path, [(0, "c", "a", -3)]))
 
 
 def test_duplicate_triple_rejected(tmp_path):
     rows = [(0, "c", "a", 1), (0, "c", "a", 2)]
-    with pytest.raises(ChartFormatError, match="duplicate"):
+    with pytest.raises(FormatError, match="duplicate"):
         read_chart_csv(chart_file(tmp_path, rows))
 
 
 def test_wrong_field_count_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(HEADER + "\n0,c,a,1,extra\n", encoding="utf-8")
-    with pytest.raises(ChartFormatError, match="4 fields"):
+    with pytest.raises(FormatError, match="4 fields"):
         read_chart_csv(path)
 
 
 def test_entry_cap_enforced(tmp_path):
     rows = [(0, "c", f"a{i:04d}", 1) for i in range(501)]
-    with pytest.raises(ChartFormatError, match="cap"):
+    with pytest.raises(FormatError, match="cap"):
         read_chart_csv(chart_file(tmp_path, rows))
 
 
 def test_week_gap_needs_missing_flag(tmp_path):
     rows = [(0, "c", "a", 1), (1, "c", "a", 1), (3, "c", "a", 1)]
     path = chart_file(tmp_path, rows)
-    with pytest.raises(ChartFormatError, match="gaps"):
+    with pytest.raises(FormatError, match="gaps"):
         csv_store(path)
     assert csv_store(path, missing_file(tmp_path, {2})).chart_count == 3
 
@@ -148,7 +148,7 @@ def test_missing_week_outside_charted_range_rejected(tmp_path):
     rows = [(0, "c", "a", 1), (1, "c", "a", 1), (3, "c", "a", 1)]
     path = chart_file(tmp_path, rows)
     for stray in (4, 5000):
-        with pytest.raises(ChartFormatError, match=f"missing week {stray} lies outside"):
+        with pytest.raises(FormatError, match=f"missing week {stray} lies outside"):
             csv_store(path, missing_file(tmp_path, {2, stray}))
 
 
@@ -329,10 +329,10 @@ def test_read_missing_weeks(tmp_path):
 def test_read_missing_weeks_rejects_garbage(tmp_path):
     path = tmp_path / "missing.txt"
     path.write_text("3\nxyz\n", encoding="utf-8")
-    with pytest.raises(ChartFormatError, match=":2:"):
+    with pytest.raises(FormatError, match=":2:"):
         read_missing_weeks(path)
     path.write_text("-1\n", encoding="utf-8")
-    with pytest.raises(ChartFormatError, match="negative"):
+    with pytest.raises(FormatError, match="negative"):
         read_missing_weeks(path)
 
 
@@ -351,13 +351,13 @@ def test_read_genre_catalog(tmp_path):
 def test_genre_catalog_validation(tmp_path):
     path = tmp_path / "genres.csv"
     path.write_text("genre,rank,artist\nrock,0,a\n", encoding="utf-8")
-    with pytest.raises(ChartFormatError, match="rank"):
+    with pytest.raises(FormatError, match="rank"):
         read_genre_catalog(path)
     path.write_text("genre,rank,artist\nrock,1,a\nrock,1,b\n", encoding="utf-8")
-    with pytest.raises(ChartFormatError, match="duplicate rank"):
+    with pytest.raises(FormatError, match="duplicate rank"):
         read_genre_catalog(path)
     path.write_text("genre,rank,artist\nrock,1,a\nrock,2,a\n", encoding="utf-8")
-    with pytest.raises(ChartFormatError, match="twice"):
+    with pytest.raises(FormatError, match="twice"):
         read_genre_catalog(path)
 
 
@@ -454,7 +454,7 @@ def test_gap_between_distant_weeks_is_found_fast(tmp_path):
     message = "week range 0..1000000000000 has unexplained gaps (first: 1)"
     for load in (lambda: csv_store(path), lambda: ChartStore.from_files(path)):
         start = time.perf_counter()
-        with pytest.raises(ChartFormatError, match=re.escape(message)):
+        with pytest.raises(FormatError, match=re.escape(message)):
             load()
         assert time.perf_counter() - start < 1.0
 
@@ -462,7 +462,7 @@ def test_gap_between_distant_weeks_is_found_fast(tmp_path):
 def test_first_gap_skips_missing_weeks(tmp_path):
     rows = [(w, "c", "a", 1) for w in (0, 1, 3, 6)]
     path = chart_file(tmp_path, rows)
-    with pytest.raises(ChartFormatError, match=r"\(first: 4\)"):
+    with pytest.raises(FormatError, match=r"\(first: 4\)"):
         csv_store(path, missing_file(tmp_path, {2, 5}))
     assert_columnar_matches_csv(path, frozenset({2, 5}))
     assert_columnar_matches_csv(path, frozenset({2, 4, 5}))
@@ -736,7 +736,7 @@ def test_byte_path_errors_in_a_later_block_match_csv_reader(
     monkeypatch.setattr(charts_module, "_BLOCK_BYTES", block)
     path = tmp_path / "charts.csv"
     path.write_bytes(HEADER.encode() + b"\n" + b"".join(boundary_lines(weeks=100)) + tail)
-    assert outcome(lambda: ChartStore.from_files(path)) == (ChartFormatError, f"{path}{error}")
+    assert outcome(lambda: ChartStore.from_files(path)) == (FormatError, f"{path}{error}")
     assert_columnar_matches_csv(path)
 
 
@@ -755,7 +755,7 @@ def test_numbers_of_every_width_match_csv_reader(tmp_path, monkeypatch):
     for count in (2**63, int("9876543210" * 2)):
         path = chart_file(tmp_path, rows + [(0, "c", "over", count)])
         message = f"{path}:{len(rows) + 2}: listener count must be at most {2**63 - 1}, got {count}"
-        assert outcome(lambda: ChartStore.from_files(path)) == (ChartFormatError, message)
+        assert outcome(lambda: ChartStore.from_files(path)) == (FormatError, message)
         assert_columnar_matches_csv(path)
 
 
@@ -764,7 +764,7 @@ def test_undecodable_text_past_a_bad_row_reports_the_bad_row(tmp_path, csv_reads
     path = tmp_path / "charts.csv"
     padding = "".join(f"1,c,a{i:05d},1\n" for i in range(1000)).encode()
     path.write_bytes(f"{HEADER}\n0,c,a,x\n".encode() + padding + b"1,c,\xff,1\n")
-    with pytest.raises(ChartFormatError, match=r":2: bad listener count 'x'"):
+    with pytest.raises(FormatError, match=r":2: bad listener count 'x'"):
         ChartStore.from_files(path)
     assert_columnar_matches_csv(path)
 
@@ -809,7 +809,7 @@ def test_entry_cap_on_columnar_path(tmp_path):
     rows = [(0, "c", f"a{i:04d}", 1) for i in range(500)]
     assert_columnar_matches_csv(chart_file(tmp_path, rows))
     rows.append((0, "c", "a0500", 1))
-    with pytest.raises(ChartFormatError, match="cap is 500"):
+    with pytest.raises(FormatError, match="cap is 500"):
         ChartStore.from_files(chart_file(tmp_path, rows))
 
 

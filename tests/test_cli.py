@@ -911,6 +911,32 @@ class TestCliErrors:
         assert capsys.readouterr().err == "error: unknown genre 'nosuch'\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["cluster", "dyads", "ingest", "run"])
+    def test_genre_of_no_charted_artist_fails_before_any_window(
+        self, synth_inputs, tmp_path, capsys, monkeypatch, command
+    ):
+        genres = tmp_path / "genres.csv"
+        genres.write_text("genre,rank,artist\nrock,1,zz_not_charted\n")
+        monkeypatch.setattr(ChartStore, "windows", lambda *_: pytest.fail("a window was built"))
+        charts = ["--charts", synth_inputs["charts"], "--missing", synth_inputs["missing"],
+                  "--genre-file", str(genres)]
+        out = [] if command == "ingest" else ["--out", str(tmp_path / "out")]
+        assert main([command, *charts, "--genre", "rock", *out]) == 1
+        assert capsys.readouterr().err == "error: genre 'rock' lists no charted artist\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_genre_charted_only_by_a_city_left_out_fails(self, tmp_path, capsys):
+        charts, genres = tmp_path / "charts.csv", tmp_path / "genres.csv"
+        charts.write_text("week,city,artist,listeners\n0,aa,x,5\n0,bb,x,3\n0,bb,y,2\n")
+        genres.write_text("genre,rank,artist\nrock,1,y\n")
+        args = ["ingest", "--charts", str(charts), "--genre-file", str(genres), "--genre", "rock"]
+        assert main([*args, "--cities", "bb"]) == 0
+        capsys.readouterr()
+        assert main([*args, "--cities", "aa"]) == 1
+        assert capsys.readouterr().err == "error: genre 'rock' lists no charted artist\n"
+        with pytest.raises(ValueError, match="^genre 'rock' lists no charted artist$"):
+            load_store(charts, None, genres, "rock", ("aa",))
+
     def test_api_gives_the_same_subset_and_genre_messages(self, synth_inputs):
         store = ChartStore.from_files(synth_inputs["charts"], synth_inputs["missing"])
         with pytest.raises(ValueError, match="^unknown cities in subset: nowhere, zz$"):

@@ -3,8 +3,8 @@ import re
 
 import pytest
 
+from leadlag.charts import FormatError
 from leadlag.exports import (
-    ExportFormatError,
     read_acyclicity_json,
     read_edge_csv,
     read_manifest,
@@ -84,33 +84,33 @@ class TestEdgeCsv:
     def test_bad_header(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text("leader,follower,weight,lag_weeks\n")
-        with pytest.raises(ExportFormatError, match="header"):
+        with pytest.raises(FormatError, match="header"):
             read_edge_csv(path)
 
     def test_bad_field(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text("follower,leader,weight,lag_weeks\nb,a,heavy,2\n")
-        with pytest.raises(ExportFormatError, match=":2:"):
+        with pytest.raises(FormatError, match=":2:"):
             read_edge_csv(path)
 
     def test_duplicate_pair(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text("follower,leader,weight,lag_weeks\nb,a,0.5,2\nb,a,0.5,2\n")
-        with pytest.raises(ExportFormatError, match=r":3: duplicate"):
+        with pytest.raises(FormatError, match=r":3: duplicate"):
             read_edge_csv(path)
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0.0", "-0.25"])
     def test_weight_not_finite_and_positive(self, tmp_path, weight):
         path = tmp_path / "edges.csv"
         path.write_text(f"follower,leader,weight,lag_weeks\nb,a,{weight},2\n")
-        with pytest.raises(ExportFormatError, match=r":2: weight"):
+        with pytest.raises(FormatError, match=r":2: weight"):
             read_edge_csv(path)
 
     @pytest.mark.parametrize("lag", ["0", "6", "9", "-1"])
     def test_lag_out_of_range(self, tmp_path, lag):
         path = tmp_path / "edges.csv"
         path.write_text(f"follower,leader,weight,lag_weeks\nb,a,0.5,{lag}\n")
-        with pytest.raises(ExportFormatError, match=r":2: lag"):
+        with pytest.raises(FormatError, match=r":2: lag"):
             read_edge_csv(path)
 
 
@@ -123,19 +123,19 @@ class TestPopulations:
     def test_duplicate_city(self, tmp_path):
         path = tmp_path / "pops.csv"
         path.write_text("city,population\nx,10\nx,20\n")
-        with pytest.raises(ExportFormatError, match="duplicate"):
+        with pytest.raises(FormatError, match="duplicate"):
             read_populations(path)
 
     def test_nonpositive(self, tmp_path):
         path = tmp_path / "pops.csv"
         path.write_text("city,population\nx,0\n")
-        with pytest.raises(ExportFormatError, match="positive"):
+        with pytest.raises(FormatError, match="positive"):
             read_populations(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "pops.csv"
         path.write_text("town,people\nx,10\n")
-        with pytest.raises(ExportFormatError, match="header"):
+        with pytest.raises(FormatError, match="header"):
             read_populations(path)
 
 
@@ -180,7 +180,7 @@ class TestDot:
     def test_rejects_foreign_dot(self, tmp_path):
         path = tmp_path / "foreign.dot"
         path.write_text("digraph g {\n  a -> b;\n}\n")
-        with pytest.raises(ExportFormatError):
+        with pytest.raises(FormatError):
             parse_dot(path)
 
 
@@ -208,7 +208,7 @@ class TestGraphml:
     def test_rejects_non_xml(self, tmp_path):
         path = tmp_path / "graph.graphml"
         path.write_text("this is not xml")
-        with pytest.raises(ExportFormatError, match="XML"):
+        with pytest.raises(FormatError, match="XML"):
             read_graphml(path)
 
     @pytest.mark.parametrize("char", ["\x00", "\x08", "\x0b", "\x0c", "\x0e", "\x1c", "\x1f",
@@ -257,7 +257,7 @@ class TestJsonReports:
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "centrality.json"
         path.write_text(json.dumps({"pagerank": {}}))
-        with pytest.raises(ExportFormatError, match="weighted_in_degree"):
+        with pytest.raises(FormatError, match="weighted_in_degree"):
             read_centrality_json(path)
 
     def test_deterministic_bytes(self, tmp_path, graph):

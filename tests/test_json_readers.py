@@ -3,7 +3,7 @@
 Each reader starts from a valid file. Each key is deleted in turn; each value
 is replaced by a JSON value of every other kind, and by 1e400, NaN and
 10**400; the file is truncated; a 0xff byte is put first. Each change must
-raise the reader's own error class with a message that starts with the file's
+raise FormatError with a message that starts with the file's
 path, and make the command that reads the file exit 1 with that message,
 except the changes in LOADS, which leave a valid file.
 """
@@ -13,13 +13,9 @@ import json
 
 import pytest
 
+from leadlag.charts import FormatError
 from leadlag.cli import main
-from leadlag.exports import (
-    ExportFormatError,
-    read_acyclicity_json,
-    read_manifest,
-    read_size_leadership_json,
-)
+from leadlag.exports import read_acyclicity_json, read_manifest, read_size_leadership_json
 from leadlag.lagcorr import load_dyads
 from leadlag.synth import load_hierarchy, load_synth_config
 
@@ -33,27 +29,27 @@ REPORT = ("report", "--run-dir", "{dir}")
 SYNTH = ("synth", "--hierarchy", "{dir}/hierarchy.json", "--config", "{dir}/config.json",
          "--out", "{dir}/out")
 
-# name: (reader, its error class, file name, a valid file's payload, the command reading it)
+# name: (reader, file name, a valid file's payload, the command reading it)
 READERS = {
-    "dyads": (load_dyads, ValueError, "dyads.json", DYADS, GRAPH),
-    "acyclicity": (read_acyclicity_json, ExportFormatError, "acyclicity.json", {
+    "dyads": (load_dyads, "dyads.json", DYADS, GRAPH),
+    "acyclicity": (read_acyclicity_json, "acyclicity.json", {
         "total_weight": 2.0, "fas_weight": 0.5, "percent_removed": 25.0, "exact": True,
         "removed_edges": [{"follower": "b", "leader": "a", "weight": 0.5, "lag_weeks": 2}],
     }, REPORT),
-    "size_leadership": (read_size_leadership_json, ExportFormatError, "size_leadership.json", {
+    "size_leadership": (read_size_leadership_json, "size_leadership.json", {
         "spearman_pagerank": 0.5, "spearman_indegree": 0.4, "percent_weight_larger_leads": 60.0,
         "cities_used": ["a", "b"],
     }, REPORT),
-    "manifest": (read_manifest, ExportFormatError, "manifest.json", {
+    "manifest": (read_manifest, "manifest.json", {
         "created_at": "2026-01-01T00:00:00+00:00", "inputs": {}, "parameters": {"genre_id": "rock"},
         "tool_version": "0.1.0",
     }, REPORT),
-    "hierarchy": (load_hierarchy, ValueError, "hierarchy.json", {
+    "hierarchy": (load_hierarchy, "hierarchy.json", {
         "cities": [{"city": "aa", "population": 500, "activity": 50.0},
                    {"city": "bb", "population": 400, "activity": 50.0}],
         "edges": [{"leader": "aa", "follower": "bb", "lag": 1, "coupling": 0.5}],
     }, SYNTH),
-    "synth_config": (load_synth_config, ValueError, "config.json", {
+    "synth_config": (load_synth_config, "config.json", {
         "n_artists": 6, "n_weeks": 12, "noise_sigma": 0.05, "seed": 3, "step_scale": 0.1,
         "missing_weeks": [5, 7],
     }, SYNTH),
@@ -120,24 +116,24 @@ def changes(payload):
 
 
 CASES = [(reader, change, content) for reader, spec in READERS.items()
-         for change, content in changes(spec[3])]
+         for change, content in changes(spec[2])]
 
 
 def write_run(directory, name=None, content=None):
     """Every reader's valid file in `directory`, but with `content` in `name`'s."""
-    for reader, (_, _, file_name, payload, _) in READERS.items():
+    for reader, (_, file_name, payload, _) in READERS.items():
         text = content if reader == name else json.dumps(payload)
         (directory / file_name).write_bytes(text if isinstance(text, bytes) else text.encode())
 
 
 def command(name, directory):
-    return [arg.format(dir=directory) for arg in READERS[name][4]]
+    return [arg.format(dir=directory) for arg in READERS[name][3]]
 
 
 @pytest.mark.parametrize("name", READERS)
 def test_valid_file_loads_and_runs(tmp_path, capsys, name):
     write_run(tmp_path)
-    assert READERS[name][0](tmp_path / READERS[name][2])
+    assert READERS[name][0](tmp_path / READERS[name][1])
     assert main(command(name, tmp_path)) == 0
     capsys.readouterr()
 
@@ -148,12 +144,12 @@ def test_valid_file_loads_and_runs(tmp_path, capsys, name):
      if (r, change) not in LOADS],
 )
 def test_broken_file_rejected_naming_it(tmp_path, capsys, name, content):
-    reader, error, file_name, _, _ = READERS[name]
+    reader, file_name, _, _ = READERS[name]
     write_run(tmp_path, name, content)
     path = tmp_path / file_name
-    with pytest.raises(error) as caught:
+    with pytest.raises(FormatError) as caught:
         reader(path)
-    assert type(caught.value) is error
+    assert type(caught.value) is FormatError
     assert str(caught.value).startswith(f"{path}: ")
     assert main(command(name, tmp_path)) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
@@ -166,6 +162,6 @@ def test_broken_file_rejected_naming_it(tmp_path, capsys, name, content):
 )
 def test_change_that_keeps_the_file_valid_loads(tmp_path, capsys, name, content):
     write_run(tmp_path, name, content)
-    assert READERS[name][0](tmp_path / READERS[name][2])
+    assert READERS[name][0](tmp_path / READERS[name][1])
     assert main(command(name, tmp_path)) == 0
     capsys.readouterr()

@@ -2,8 +2,7 @@
 
 One row per raise site: the reader, the file's text (or bytes) and the
 message it must raise (`{path}` stands for the file), or None where the file
-reads without error and gives an empty result. A reader in `charts` raises
-ChartFormatError, one in `exports` ExportFormatError and any other ValueError.
+reads without error and gives an empty result. Every reader raises FormatError.
 """
 
 import csv
@@ -12,14 +11,13 @@ import json
 import pytest
 
 from leadlag.charts import (
-    ChartFormatError,
     ChartStore,
+    FormatError,
     read_chart_csv,
     read_genre_catalog,
     read_missing_weeks,
 )
 from leadlag.exports import (
-    ExportFormatError,
     read_acyclicity_json,
     read_edge_csv,
     read_manifest,
@@ -97,6 +95,7 @@ CASES = [
      "{path}:3: duplicate rank 1 for genre 'rock'"),
     (read_genre_catalog, GENRE + "rock,1,a\nrock,2,a\n",
      "{path}:3: genre 'rock' lists artist 'a' twice"),
+    (read_genre_catalog, GENRE + ",1,\n", "{path}:2: empty genre or artist id"),
     over_limit(read_genre_catalog, GENRE),
     (read_chart_csv, "", None),
     (read_chart_csv, CHART, None),
@@ -302,10 +301,7 @@ def test_reader_message(tmp_path, reader, text, message):
     if message is None:
         assert not list(reader(path))
         return
-    error = {"leadlag.charts": ChartFormatError, "leadlag.exports": ExportFormatError}.get(
-        reader.__module__, ValueError
-    )
-    with pytest.raises(error) as caught:
+    with pytest.raises(FormatError) as caught:
         reader(path)
-    assert type(caught.value) is error
+    assert type(caught.value) is FormatError
     assert str(caught.value) == message.format(path=path)
